@@ -53,7 +53,7 @@ if [ "$LIST" -eq 1 ]; then
         "backend-gate"     "bdd vs csr dependency backends byte-identical" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
         "isolation-gate"   "process workers byte-identical; abort/oom/spin survived" \
-        "bench-gate *"     "pipeline benchmark regression thresholds" \
+        "bench-gate *"     "pipeline benchmark thresholds + repo-benchmark correctness smoke" \
         "serve-bench-gate *" "daemon bench: latency, sparsity, flood shedding"
     exit 0
 fi
@@ -407,6 +407,15 @@ ignore_gate() {
     cargo test -q -- --ignored
 }
 
+bench_gate() {
+    # The pipeline bench's committed thresholds, then a 2-second smoke of
+    # the repository benchmark, gated on its exit code only: its golden
+    # corpus / oracle / per-unit identity checks guard analysis-kernel
+    # changes here and not only in the external driver. No timing is read.
+    cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2
+}
+
 run_stage "fmt"    cargo fmt --all -- --check
 run_stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
@@ -437,8 +446,7 @@ run_stage "triage-gate" triage_gate
 # binary and runs in --quick too.
 run_stage "isolation-gate" isolation_gate
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
-    run_stage "bench-gate" \
-        cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json
+    run_stage "bench-gate" bench_gate
     run_stage "serve-bench-gate" \
         cargo run --release -p sga-bench --bin serve_bench -- --check
 fi

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the abstract domains: interval arithmetic,
 //! octagon closure, points-to unions, and the persistent state map.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sga::domains::{AbsLoc, Interval, Lattice, LocSet, Octagon, State, Value};
 use sga::ir::VarId;
 use sga::utils::Idx;
@@ -29,9 +29,19 @@ fn bench_octagon(c: &mut Criterion) {
     for i in 0..9 {
         oct = oct.add_diff(i + 1, i, 1);
     }
-    let unclosed = oct.widen(&oct.assign_var_plus(0, 1, 2));
+    // An unclosed matrix remembers its closure, so every iteration closes a
+    // freshly widened one; closing the same value again is a memo hit.
+    let grown = oct.assign_var_plus(0, 1, 2);
     c.bench_function("octagon/strong_closure_10vars", |bch| {
-        bch.iter(|| std::hint::black_box(&unclosed).close())
+        bch.iter_batched(
+            || oct.widen(&grown),
+            |unclosed| unclosed.close(),
+            BatchSize::SmallInput,
+        )
+    });
+    // One constraint on a closed matrix: the incremental O(n²) path.
+    c.bench_function("octagon/add_constraint_10vars", |bch| {
+        bch.iter(|| std::hint::black_box(&oct).add_diff(7, 2, 3))
     });
     c.bench_function("octagon/join_10vars", |bch| {
         let other = oct.assign_var_plus(3, 4, -2);

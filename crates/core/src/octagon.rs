@@ -114,19 +114,33 @@ pub fn analyze(program: &Program, engine: Engine) -> OctagonResult {
 /// generation + widening strategy; `semi_sparse` is interval-only and
 /// ignored here).
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> OctagonResult {
-    let depgen_options = options.depgen;
     let total = Phase::start("total");
     let pre_phase = Phase::start("pre");
     let pre = preanalysis::run(program);
     let pre_time = pre_phase.stop();
-    let icfg = Icfg::build(program, &pre);
+    let mut result = analyze_with_pre(program, &pre, engine, options);
+    result.stats.pre_time = pre_time;
+    result.stats.total_time = total.stop();
+    result
+}
+
+/// [`analyze_with`] over a pre-analysis the caller already holds (triage
+/// runs after the interval pipeline, which computed one for the same
+/// program); `stats.pre_time` stays zero.
+pub(crate) fn analyze_with_pre(
+    program: &Program,
+    pre: &PreAnalysis,
+    engine: Engine,
+    options: AnalyzeOptions,
+) -> OctagonResult {
+    let total = Phase::start("total");
+    let icfg = Icfg::build(program, pre);
     let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
+    let du = crate::defuse::compute(program, pre);
+    let odu = OctDefUse::compute(program, pre, &du, &packs);
     let plan = WideningPlan::for_program(program, options.widening);
 
     let mut stats = AnalysisStats {
-        pre_time,
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
@@ -134,12 +148,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     stats.avg_defs = odu.avg_def_size();
     stats.avg_uses = odu.avg_use_size();
 
-    let sem = OctSemantics {
-        program,
-        pre: &pre,
-        packs: &packs,
-        fresh_packs: fresh_packs_of(program, &packs),
-    };
+    let sem = OctSemantics::new(program, pre, &packs);
 
     let values = match engine {
         Engine::Vanilla | Engine::Base => {
@@ -158,7 +167,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
         }
         Engine::Sparse => {
             let dep_phase = Phase::start("dep");
-            let deps = depgen::generate_from(program, &odu, depgen_options);
+            let deps = depgen::generate_from(program, &odu, options.depgen);
             stats.dep_time = dep_phase.stop();
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
@@ -199,21 +208,16 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
 /// [`crate::validate::check_octagon_sparse`] is the public entry point.
 pub(crate) fn sparse_post_fixpoint_check(
     program: &Program,
+    pre: &PreAnalysis,
     options: AnalyzeOptions,
 ) -> crate::validate::CheckReport {
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
+    let icfg = Icfg::build(program, pre);
     let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
+    let du = crate::defuse::compute(program, pre);
+    let odu = OctDefUse::compute(program, pre, &du, &packs);
     let plan = WideningPlan::for_program(program, options.widening);
     let deps = depgen::generate_from(program, &odu, options.depgen);
-    let sem = OctSemantics {
-        program,
-        pre: &pre,
-        packs: &packs,
-        fresh_packs: fresh_packs_of(program, &packs),
-    };
+    let sem = OctSemantics::new(program, pre, &packs);
     let spec = OctSparseSpec {
         sem: &sem,
         odu: &odu,
@@ -428,6 +432,9 @@ struct OctSemantics<'p> {
     /// They become unconstrained (⊤) at the procedure's entry — each
     /// activation's locals/params/temps start with arbitrary values.
     fresh_packs: IndexVec<ProcId, Vec<PackId>>,
+    /// One ⊤ per pack size, shared: an entry evaluation clones an `Rc`
+    /// instead of allocating `(2k)²` words per fresh pack.
+    tops: Vec<Octagon>,
 }
 
 /// Packs containing at least one variable owned by each procedure.
@@ -449,7 +456,23 @@ fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<Pa
         .collect()
 }
 
-impl OctSemantics<'_> {
+impl<'p> OctSemantics<'p> {
+    fn new(program: &'p Program, pre: &'p PreAnalysis, packs: &'p PackSet) -> Self {
+        let widest = packs.iter().map(|(_, pack)| pack.len()).max().unwrap_or(0);
+        OctSemantics {
+            program,
+            pre,
+            packs,
+            fresh_packs: fresh_packs_of(program, packs),
+            tops: (0..=widest).map(Octagon::top).collect(),
+        }
+    }
+
+    /// The unconstrained octagon of pack `pid`.
+    fn top(&self, pid: PackId) -> Octagon {
+        self.tops[self.packs.pack(pid).len()].clone()
+    }
+
     /// `π_x`: the interval of `x`, met across every pack containing it
     /// (the singleton pack guarantees at least one projection exists).
     fn project_var(&self, st: &OctState, x: VarId) -> Interval {
@@ -582,7 +605,7 @@ impl OctSemantics<'_> {
             // unconstrained, whatever flowed in.
             let mut out = st.clone();
             for &pid in &self.fresh_packs[cp.proc] {
-                out = out.insert(pid, Octagon::top(self.packs.pack(pid).len()));
+                out = out.insert(pid, self.top(pid));
             }
             return out;
         }
@@ -655,8 +678,8 @@ impl OctSemantics<'_> {
     /// The state entering `main`: every pack unconstrained.
     fn initial(&self) -> OctState {
         let mut st = PMap::new();
-        for (pid, pack) in self.packs.iter() {
-            st = st.insert(pid, Octagon::top(pack.len()));
+        for (pid, _) in self.packs.iter() {
+            st = st.insert(pid, self.top(pid));
         }
         st
     }

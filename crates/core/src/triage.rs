@@ -211,8 +211,9 @@ pub fn discharge(
     let mut paths = PathIndex::new();
 
     if options.mode.runs_octagon() {
-        let res = octagon::analyze_with(
+        let res = octagon::analyze_with_pre(
             program,
+            pre,
             options.engine,
             AnalyzeOptions {
                 depgen: options.depgen,

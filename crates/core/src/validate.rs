@@ -36,7 +36,7 @@ use crate::budget::Budget;
 use crate::defuse::DefUse;
 use crate::depgen::DataDeps;
 use crate::interval::{self, AnalyzeOptions, Engine, IntervalResult, IntervalSparseSpec};
-use crate::preanalysis::PreAnalysis;
+use crate::preanalysis::{self, PreAnalysis};
 use crate::sparse::SparseSpec;
 use sga_domains::lattice::Lattice;
 use sga_domains::{AbsLoc, Value};
@@ -320,7 +320,7 @@ pub fn check_defuse_side_condition(program: &Program, du: &DefUse) -> CheckRepor
 /// its result (the octagon spec types are private to [`crate::octagon`], so
 /// the solve-then-check glue lives there).
 pub fn check_octagon_sparse(program: &Program, options: AnalyzeOptions) -> CheckReport {
-    crate::octagon::sparse_post_fixpoint_check(program, options)
+    crate::octagon::sparse_post_fixpoint_check(program, &preanalysis::run(program), options)
 }
 
 /// Borrowed artifacts of an already-solved interval sparse analysis, as the
@@ -356,7 +356,7 @@ pub fn validate_unit(
     };
     let interval_report =
         check_sparse_post_fixpoint(program, inputs.deps, &spec, inputs.sparse_values);
-    let octagon_report = check_octagon_sparse(program, options);
+    let octagon_report = crate::octagon::sparse_post_fixpoint_check(program, inputs.pre, options);
     let lemma1 = if inputs.degraded {
         Lemma1Report {
             skipped: true,

@@ -9,6 +9,26 @@
 //! the normal form used by `le`, `join`, and projection; widening operates
 //! on the *unclosed* left argument, as required for termination.
 //!
+//! # Closure, at most once
+//!
+//! A [`Matrix`] is either *closed* (its entries are the strong closure) or
+//! *unclosed* (a widening result). An unclosed matrix owns a memo cell that
+//! every clone shares: the first [`Octagon::close`] runs the full O(n³)
+//! closure and fills it, every later one is an `Rc` clone. Adding one
+//! constraint to a closed matrix is O(n²): the new edge and its coherent
+//! mirror are inserted into the shortest-path closure one after the other,
+//! followed by one strengthening pass. Which of the three applies is read
+//! off the matrix itself; nothing selects between them.
+//!
+//! The integer strengthening step rounds `(m[a][ā] + m[b̄][b]) / 2` down,
+//! which makes the full closure non-idempotent on matrices with an **odd
+//! finite unary entry** `m[a][ā]`, and only there can the incremental
+//! closure differ from it. Whenever the input or the incremental result
+//! has such an entry the operation recomputes with the full closure, so
+//! results are the full closure's, entry for entry (the differential tests
+//! below). Either result is a sound octagon: every entry both algorithms
+//! derive is an integer consequence of the constraints.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,6 +44,7 @@
 use crate::interval::{Bound, Interval};
 use crate::lattice::{Lattice, Thresholds};
 use sga_ir::RelOp;
+use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -55,6 +76,15 @@ fn bar(a: usize) -> usize {
     a ^ 1
 }
 
+/// The DBM entry of the unary bound `2·x ≤ 2c` for a bound `c` on `x`.
+#[inline]
+fn doubled(c: i64) -> i64 {
+    c.saturating_mul(2).min(INF)
+}
+
+/// A raw DBM constraint `V_b − V_a ≤ c`.
+type Edge = (usize, usize, i64);
+
 /// An octagon over a fixed number of variables.
 ///
 /// The dimensionless [`Lattice::bottom`] unifies with any dimension, so the
@@ -67,13 +97,20 @@ pub enum Octagon {
     Oct(Matrix),
 }
 
+/// The strong closure of an unclosed matrix, computed on first use and
+/// shared by every clone of it. `None` inside the cell means ⊥.
+type ClosureMemo = Rc<OnceCell<Option<Rc<[i64]>>>>;
+
 /// The DBM payload of a non-⊥ octagon.
 #[derive(Clone)]
 pub struct Matrix {
     dim: usize,
     /// Row-major `2dim × 2dim` bound matrix.
     m: Rc<[i64]>,
-    closed: bool,
+    /// `None`: `m` is strongly closed. `Some`: `m` is a widening result kept
+    /// unclosed (widening's left argument must be), and the cell holds its
+    /// closure once somebody asked for it.
+    closure: Option<ClosureMemo>,
 }
 
 impl Matrix {
@@ -86,21 +123,219 @@ impl Matrix {
     fn at(&self, a: usize, b: usize) -> i64 {
         self.m[a * self.n() + b]
     }
+
+    #[inline]
+    fn is_closed(&self) -> bool {
+        self.closure.is_none()
+    }
+
+    /// Whether one more constraint can be closed incrementally: closed, and
+    /// no odd finite unary entry (module docs).
+    fn takes_incremental(&self) -> bool {
+        self.is_closed() && !has_odd_unary(&self.m, self.n())
+    }
+}
+
+/// The one allocation of a matrix-producing operation: a uniquely owned
+/// copy of `src`, edited in place through [`cells`] before it is shared.
+#[inline]
+fn fresh(src: &[i64]) -> Rc<[i64]> {
+    Rc::from(src)
+}
+
+#[inline]
+fn cells(m: &mut Rc<[i64]>) -> &mut [i64] {
+    Rc::get_mut(m).expect("a freshly built matrix is unshared")
+}
+
+/// Whether some unary entry `m[a][ā]` is finite and odd — the matrices on
+/// which the full closure's rounding is not idempotent (module docs).
+fn has_odd_unary(m: &[i64], n: usize) -> bool {
+    (0..n).any(|a| {
+        let u = m[a * n + bar(a)];
+        u < INF && u & 1 == 1
+    })
+}
+
+/// The strengthening step `m[a][b] ← min(m[a][b], ⌊(m[a][ā] + m[b̄][b]) / 2⌋)`.
+/// It never changes a unary entry, so it can run in place.
+fn strengthen(m: &mut [i64], n: usize) {
+    for a in 0..n {
+        let ua = m[a * n + bar(a)];
+        if ua >= INF {
+            continue;
+        }
+        for b in 0..n {
+            let ub = m[bar(b) * n + b];
+            if ub >= INF {
+                continue;
+            }
+            let cand = (ua >> 1) + (ub >> 1) + (ua & ub & 1);
+            if cand < m[a * n + b] {
+                m[a * n + b] = cand;
+            }
+        }
+    }
+}
+
+/// Negative diagonal ⇒ ⊥ (`false`); otherwise normalizes it to zero.
+fn settle_diagonal(m: &mut [i64], n: usize) -> bool {
+    for a in 0..n {
+        if m[a * n + a] < 0 {
+            return false;
+        }
+        m[a * n + a] = 0;
+    }
+    true
+}
+
+/// The reference strong closure, in place: Floyd–Warshall with the
+/// strengthening step interleaved after every pivot. `false` means ⊥.
+fn full_closure(m: &mut [i64], n: usize) -> bool {
+    for k in 0..n {
+        for a in 0..n {
+            let mak = m[a * n + k];
+            if mak >= INF {
+                continue;
+            }
+            for b in 0..n {
+                let cand = badd(mak, m[k * n + b]);
+                if cand < m[a * n + b] {
+                    m[a * n + b] = cand;
+                }
+            }
+        }
+        // Strengthening interleaved keeps strong closure exact.
+        strengthen(m, n);
+    }
+    settle_diagonal(m, n)
+}
+
+/// Sets `m[a][b]` and its coherent mirror to `c` if that tightens `m[a][b]`.
+#[inline]
+fn set_raw(m: &mut [i64], n: usize, (a, b, c): Edge) {
+    if c < m[a * n + b] {
+        m[a * n + b] = c;
+        m[bar(b) * n + bar(a)] = c;
+    }
+}
+
+/// Inserts the edge `a → b` of weight `c` into a shortest-path-closed `m`,
+/// keeping it shortest-path closed: every path uses the new edge at most
+/// once. `false` means the edge closes a negative cycle (⊥). Safe in
+/// place: absent such a cycle, no entry of column `a` or row `b` moves.
+fn insert_edge(m: &mut [i64], n: usize, (a, b, c): Edge) -> bool {
+    if c >= m[a * n + b] {
+        return true;
+    }
+    if badd(c, m[b * n + a]) < 0 {
+        return false;
+    }
+    for i in 0..n {
+        let via = badd(m[i * n + a], c);
+        if via >= INF {
+            continue;
+        }
+        for j in 0..n {
+            let cand = badd(via, m[b * n + j]);
+            if cand < m[i * n + j] {
+                m[i * n + j] = cand;
+            }
+        }
+    }
+    true
+}
+
+/// Removes every constraint on `x_i` from a closed `m`.
+fn forget_cells(m: &mut [i64], n: usize, i: usize) {
+    for a in [pos(i), neg(i)] {
+        for b in 0..n {
+            if a != b {
+                m[a * n + b] = INF;
+                m[b * n + a] = INF;
+            }
+        }
+    }
+}
+
+impl Matrix {
+    fn closed(dim: usize, m: Rc<[i64]>) -> Octagon {
+        Octagon::Oct(Matrix {
+            dim,
+            m,
+            closure: None,
+        })
+    }
+
+    fn unclosed(dim: usize, m: Rc<[i64]>) -> Octagon {
+        Octagon::Oct(Matrix {
+            dim,
+            m,
+            closure: Some(Rc::new(OnceCell::new())),
+        })
+    }
+
+    /// The reference path: these entries plus `edges`, through the full
+    /// closure. The only path for unclosed matrices, and the fallback for
+    /// closed ones with an odd unary entry.
+    fn close_with(&self, edges: &[Edge]) -> Octagon {
+        let n = self.n();
+        let mut m = fresh(&self.m);
+        let buf = cells(&mut m);
+        for &e in edges {
+            set_raw(buf, n, e);
+        }
+        if full_closure(buf, n) {
+            Matrix::closed(self.dim, m)
+        } else {
+            Octagon::Bot
+        }
+    }
+
+    /// Incremental strong closure of a *closed* matrix after `prepare`
+    /// (which must leave it shortest-path closed, e.g. a forget) and the
+    /// insertion of `edges`: O(n²) per edge and one strengthening pass.
+    /// Requires [`Matrix::takes_incremental`]; `None` when the result has an
+    /// odd finite unary entry and the caller must take the reference path.
+    fn close_incrementally(
+        &self,
+        prepare: impl FnOnce(&mut [i64]),
+        edges: impl IntoIterator<Item = Edge>,
+    ) -> Option<Octagon> {
+        debug_assert!(self.takes_incremental());
+        let n = self.n();
+        let mut m = fresh(&self.m);
+        let buf = cells(&mut m);
+        prepare(buf);
+        for (a, b, c) in edges {
+            let mirror = (bar(b), bar(a), c);
+            if !insert_edge(buf, n, (a, b, c))
+                || (mirror != (a, b, c) && !insert_edge(buf, n, mirror))
+            {
+                return Some(Octagon::Bot);
+            }
+        }
+        // Strengthening leaves unary entries alone: they are final here.
+        if has_odd_unary(buf, n) {
+            return None;
+        }
+        strengthen(buf, n);
+        Some(if settle_diagonal(buf, n) {
+            Matrix::closed(self.dim, m)
+        } else {
+            Octagon::Bot
+        })
+    }
 }
 
 impl Octagon {
     /// The unconstrained octagon over `dim` variables.
     pub fn top(dim: usize) -> Octagon {
         let n = 2 * dim;
-        let mut m = vec![INF; n * n];
-        for a in 0..n {
-            m[a * n + a] = 0;
-        }
-        Octagon::Oct(Matrix {
-            dim,
-            m: m.into(),
-            closed: true,
-        })
+        let m = (0..n * n)
+            .map(|k| if k / n == k % n { 0 } else { INF })
+            .collect();
+        Matrix::closed(dim, m)
     }
 
     /// Number of variables, `None` for the dimensionless ⊥.
@@ -111,114 +346,84 @@ impl Octagon {
         }
     }
 
-    fn with_matrix(dim: usize, m: Vec<i64>, closed: bool) -> Octagon {
-        Octagon::Oct(Matrix {
-            dim,
-            m: m.into(),
-            closed,
-        })
-    }
-
     /// Strong closure: shortest paths plus the strengthening step
     /// `m[a][b] ← min(m[a][b], (m[a][ā] + m[b̄][b]) / 2)`. Detects ⊥ via a
-    /// negative diagonal. Returns a closed octagon (or ⊥).
+    /// negative diagonal. Returns a closed octagon (or ⊥). Computed at most
+    /// once per unclosed matrix, however often it is cloned and closed.
     #[must_use]
     pub fn close(&self) -> Octagon {
         let Octagon::Oct(mat) = self else {
             return Octagon::Bot;
         };
-        if mat.closed {
+        let Some(memo) = &mat.closure else {
             return self.clone();
+        };
+        let closed = memo.get_or_init(|| match mat.close_with(&[]) {
+            Octagon::Oct(c) => Some(c.m),
+            Octagon::Bot => None,
+        });
+        match closed {
+            Some(m) => Matrix::closed(mat.dim, m.clone()),
+            None => Octagon::Bot,
         }
-        let n = mat.n();
-        let mut m: Vec<i64> = mat.m.to_vec();
-        // Floyd–Warshall.
-        for k in 0..n {
-            for a in 0..n {
-                let mak = m[a * n + k];
-                if mak >= INF {
-                    continue;
-                }
-                for b in 0..n {
-                    let cand = badd(mak, m[k * n + b]);
-                    if cand < m[a * n + b] {
-                        m[a * n + b] = cand;
-                    }
-                }
-            }
-            // Strengthening interleaved keeps strong closure exact.
-            for a in 0..n {
-                let ua = m[a * n + bar(a)];
-                if ua >= INF {
-                    continue;
-                }
-                for b in 0..n {
-                    let ub = m[bar(b) * n + b];
-                    if ub >= INF {
-                        continue;
-                    }
-                    let cand = (ua >> 1) + (ub >> 1) + (ua & ub & 1);
-                    if cand < m[a * n + b] {
-                        m[a * n + b] = cand;
-                    }
-                }
-            }
-        }
-        for a in 0..n {
-            if m[a * n + a] < 0 {
-                return Octagon::Bot;
-            }
-            m[a * n + a] = 0;
-        }
-        Octagon::with_matrix(mat.dim, m, true)
     }
 
-    /// Adds the constraint `V_b − V_a ≤ c` in raw DBM coordinates (and its
-    /// coherent mirror), without closing.
+    /// The reference path of [`Octagon::constrain`]: the raw constraint (and
+    /// its coherent mirror) on the entries as they are, then the full closure.
     #[must_use]
-    fn add_raw(&self, a: usize, b: usize, c: i64) -> Octagon {
-        let Octagon::Oct(mat) = self else {
-            return Octagon::Bot;
-        };
-        let n = mat.n();
-        let mut m = mat.m.to_vec();
-        if c < m[a * n + b] {
-            m[a * n + b] = c;
-            m[bar(b) * n + bar(a)] = c;
+    fn constrain_fully(&self, edge: Edge) -> Octagon {
+        match self {
+            Octagon::Bot => Octagon::Bot,
+            Octagon::Oct(mat) => mat.close_with(&[edge]),
         }
-        Octagon::with_matrix(mat.dim, m, false)
+    }
+
+    /// Adds the raw DBM constraint `V_b − V_a ≤ c` and closes. Hands `self`
+    /// back untouched when it is closed and the bound tightens nothing.
+    #[must_use]
+    fn constrain(&self, edge: Edge) -> Octagon {
+        if let Octagon::Oct(mat) = self {
+            if mat.takes_incremental() {
+                let (a, b, c) = edge;
+                if c >= mat.at(a, b) {
+                    return self.clone();
+                }
+                if let Some(out) = mat.close_incrementally(|_| {}, [edge]) {
+                    return out;
+                }
+            }
+        }
+        self.constrain_fully(edge)
     }
 
     /// Adds `x_j − x_i ≤ c`.
     #[must_use]
     pub fn add_diff(&self, j: usize, i: usize, c: i64) -> Octagon {
-        self.add_raw(pos(i), pos(j), c).close()
+        self.constrain((pos(i), pos(j), c))
     }
 
     /// Adds `x_j + x_i ≤ c`.
     #[must_use]
     pub fn add_sum_le(&self, j: usize, i: usize, c: i64) -> Octagon {
-        self.add_raw(neg(i), pos(j), c).close()
+        self.constrain((neg(i), pos(j), c))
     }
 
     /// Adds `−x_j − x_i ≤ c`.
     #[must_use]
     pub fn add_neg_sum_le(&self, j: usize, i: usize, c: i64) -> Octagon {
-        self.add_raw(pos(i), neg(j), c).close()
+        self.constrain((pos(i), neg(j), c))
     }
 
     /// Adds `x_i ≤ c`.
     #[must_use]
     pub fn add_upper(&self, i: usize, c: i64) -> Octagon {
-        self.add_raw(neg(i), pos(i), c.saturating_mul(2).min(INF))
-            .close()
+        self.constrain((neg(i), pos(i), doubled(c)))
     }
 
     /// Adds `x_i ≥ c`.
     #[must_use]
     pub fn add_lower(&self, i: usize, c: i64) -> Octagon {
-        self.add_raw(pos(i), neg(i), (-c).saturating_mul(2).min(INF))
-            .close()
+        self.constrain((pos(i), neg(i), doubled(-c)))
     }
 
     /// Removes every constraint on `x_i` (Miné's *forget*), closing first so
@@ -230,47 +435,59 @@ impl Octagon {
             return Octagon::Bot;
         };
         let n = mat.n();
-        let mut m = mat.m.to_vec();
-        for a in [pos(i), neg(i)] {
-            for b in 0..n {
-                if a != b {
-                    m[a * n + b] = INF;
-                    m[b * n + a] = INF;
-                }
-            }
+        let unconstrained = [pos(i), neg(i)]
+            .into_iter()
+            .all(|a| (0..n).all(|b| a == b || (mat.at(a, b) >= INF && mat.at(b, a) >= INF)));
+        if unconstrained {
+            return closed;
         }
-        Octagon::with_matrix(mat.dim, m, true)
+        let mut m = fresh(&mat.m);
+        forget_cells(cells(&mut m), n, i);
+        Matrix::closed(mat.dim, m)
     }
 
     /// `x_i := [lo, hi]` — forget then bound.
     #[must_use]
     pub fn assign_interval(&self, i: usize, itv: &Interval) -> Octagon {
-        match itv {
-            Interval::Bot => Octagon::Bot,
-            Interval::Range(lo, hi) => {
-                let mut oct = self.forget(i);
-                if let Bound::Int(h) = hi {
-                    oct = oct.add_upper(i, *h);
+        let Interval::Range(lo, hi) = itv else {
+            return Octagon::Bot;
+        };
+        let upper = match hi {
+            Bound::Int(h) => Some((neg(i), pos(i), doubled(*h))),
+            _ => None,
+        };
+        let lower = match lo {
+            Bound::Int(l) => Some((pos(i), neg(i), doubled(-*l))),
+            _ => None,
+        };
+        let bounds = [upper, lower].into_iter().flatten();
+        let closed = self.close();
+        if let Octagon::Oct(mat) = &closed {
+            if mat.takes_incremental() && (upper.is_some() || lower.is_some()) {
+                let forget = |m: &mut [i64]| forget_cells(m, mat.n(), i);
+                if let Some(out) = mat.close_incrementally(forget, bounds.clone()) {
+                    return out;
                 }
-                if let Bound::Int(l) = lo {
-                    oct = oct.add_lower(i, *l);
-                }
-                oct
             }
         }
+        bounds.fold(closed.forget(i), |oct, bound| oct.constrain_fully(bound))
     }
 
     /// `x_i := x_j + c` (exact octagonal assignment).
     #[must_use]
     pub fn assign_var_plus(&self, i: usize, j: usize, c: i64) -> Octagon {
+        let closed = self.close();
+        let Octagon::Oct(mat) = &closed else {
+            return Octagon::Bot;
+        };
+        let n = mat.n();
         if i == j {
             // x := x + c — shift every bound mentioning x by ±c.
-            let closed = self.close();
-            let Octagon::Oct(mat) = &closed else {
-                return Octagon::Bot;
-            };
-            let n = mat.n();
-            let mut m = mat.m.to_vec();
+            if c == 0 {
+                return closed;
+            }
+            let mut m = fresh(&mat.m);
+            let buf = cells(&mut m);
             let (p, q) = (pos(i), neg(i));
             for a in 0..n {
                 for b in 0..n {
@@ -292,19 +509,26 @@ impl Octagon {
                     if a == q {
                         delta -= c;
                     }
-                    let v = m[a * n + b];
+                    let v = buf[a * n + b];
                     if v < INF {
-                        m[a * n + b] = v.saturating_sub(delta).min(INF);
+                        buf[a * n + b] = v.saturating_sub(delta).min(INF);
                     }
                 }
             }
-            Octagon::with_matrix(mat.dim, m, true)
+            Matrix::closed(mat.dim, m)
         } else {
             // x := y + c: forget x, then x − y ≤ c and y − x ≤ −c.
-            self.forget(i)
-                .add_raw(pos(j), pos(i), c)
-                .add_raw(pos(i), pos(j), -c)
-                .close()
+            let equal = [(pos(j), pos(i), c), (pos(i), pos(j), -c)];
+            if mat.takes_incremental() {
+                let forget = |m: &mut [i64]| forget_cells(m, n, i);
+                if let Some(out) = mat.close_incrementally(forget, equal) {
+                    return out;
+                }
+            }
+            match closed.forget(i) {
+                Octagon::Bot => Octagon::Bot,
+                Octagon::Oct(forgotten) => forgotten.close_with(&equal),
+            }
         }
     }
 
@@ -405,25 +629,45 @@ impl Octagon {
         Interval::new(lo, hi)
     }
 
-    fn binary_pointwise(&self, other: &Self, f: impl Fn(i64, i64) -> i64, closed: bool) -> Octagon {
-        match (self.close(), other.close()) {
-            (Octagon::Bot, o) | (o, Octagon::Bot) => o,
-            (Octagon::Oct(a), Octagon::Oct(b)) => {
-                assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
-                let m: Vec<i64> = a.m.iter().zip(b.m.iter()).map(|(&x, &y)| f(x, y)).collect();
-                Octagon::with_matrix(a.dim, m, closed)
-            }
-        }
-    }
-
     /// Greatest lower bound.
     #[must_use]
     pub fn meet(&self, other: &Self) -> Octagon {
-        match (self, other) {
+        match (self.close(), other.close()) {
             (Octagon::Bot, _) | (_, Octagon::Bot) => Octagon::Bot,
-            _ => self.binary_pointwise(other, i64::min, false).close(),
+            (Octagon::Oct(a), Octagon::Oct(b)) => closed_pointwise(&a, &b, i64::min),
         }
     }
+}
+
+/// `f` entry by entry over two closed matrices, then the full closure (the
+/// results of `meet` and `narrow` are not closed as they come).
+fn closed_pointwise(a: &Matrix, b: &Matrix, f: impl Fn(i64, i64) -> i64) -> Octagon {
+    assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
+    let mut m: Rc<[i64]> = a.m.iter().zip(b.m.iter()).map(|(&x, &y)| f(x, y)).collect();
+    if full_closure(cells(&mut m), a.n()) {
+        Matrix::closed(a.dim, m)
+    } else {
+        Octagon::Bot
+    }
+}
+
+/// DBM widening of the *unclosed* `a` by the closed `b`: stable bounds
+/// stay, a growing one becomes `grown(its new value)`. When nothing grows
+/// the result is `a` itself, memo cell included.
+fn widen_matrix(a: &Matrix, b: &Matrix, grown: impl Fn(i64) -> i64) -> Octagon {
+    assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
+    let stable = a.m.iter().zip(b.m.iter()).all(|(&x, &y)| y <= x);
+    // A closed `a` with an odd unary entry is not a fixpoint of the full
+    // closure; its unclosed copy would close to something else.
+    if stable && (!a.is_closed() || a.takes_incremental()) {
+        return Octagon::Oct(a.clone());
+    }
+    let m =
+        a.m.iter()
+            .zip(b.m.iter())
+            .map(|(&x, &y)| if y <= x { x } else { grown(y) })
+            .collect();
+    Matrix::unclosed(a.dim, m)
 }
 
 impl Lattice for Octagon {
@@ -436,23 +680,34 @@ impl Lattice for Octagon {
     }
 
     fn le(&self, other: &Self) -> bool {
-        match (self.close(), other) {
+        // Comparing against the raw right side is unsound; close both.
+        match (self.close(), other.close()) {
             (Octagon::Bot, _) => true,
-            (_, Octagon::Bot) => other.close().is_bottom() && self.is_bottom(),
-            (Octagon::Oct(a), Octagon::Oct(_)) => {
-                // Compare against the raw right side is unsound; close it.
-                let Octagon::Oct(b) = other.close() else {
-                    return false;
-                };
+            (Octagon::Oct(_), Octagon::Bot) => false,
+            (Octagon::Oct(a), Octagon::Oct(b)) => {
                 assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
-                a.m.iter().zip(b.m.iter()).all(|(&x, &y)| x <= y)
+                Rc::ptr_eq(&a.m, &b.m) || a.m.iter().zip(b.m.iter()).all(|(&x, &y)| x <= y)
             }
         }
     }
 
     fn join(&self, other: &Self) -> Self {
-        // Pointwise max of *closed* arguments is the octagon lub.
-        self.binary_pointwise(other, i64::max, true)
+        // Pointwise max of *closed* arguments is the octagon lub; an
+        // argument that already covers the other is handed back as it is.
+        match (self.close(), other.close()) {
+            (Octagon::Bot, o) | (o, Octagon::Bot) => o,
+            (Octagon::Oct(a), Octagon::Oct(b)) => {
+                assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
+                let pairs = || a.m.iter().zip(b.m.iter());
+                if Rc::ptr_eq(&a.m, &b.m) || pairs().all(|(&x, &y)| y <= x) {
+                    Octagon::Oct(a)
+                } else if pairs().all(|(&x, &y)| x <= y) {
+                    Octagon::Oct(b)
+                } else {
+                    Matrix::closed(a.dim, pairs().map(|(&x, &y)| x.max(y)).collect())
+                }
+            }
+        }
     }
 
     fn widen(&self, other: &Self) -> Self {
@@ -461,15 +716,7 @@ impl Lattice for Octagon {
         match (self, other.close()) {
             (Octagon::Bot, o) => o,
             (s, Octagon::Bot) => s.clone(),
-            (Octagon::Oct(a), Octagon::Oct(b)) => {
-                assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
-                let m: Vec<i64> =
-                    a.m.iter()
-                        .zip(b.m.iter())
-                        .map(|(&x, &y)| if y <= x { x } else { INF })
-                        .collect();
-                Octagon::with_matrix(a.dim, m, false)
-            }
+            (Octagon::Oct(a), Octagon::Oct(b)) => widen_matrix(a, &b, |_| INF),
         }
     }
 
@@ -483,22 +730,10 @@ impl Lattice for Octagon {
             (Octagon::Bot, o) => o,
             (s, Octagon::Bot) => s.clone(),
             (Octagon::Oct(a), Octagon::Oct(b)) => {
-                assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
-                let m: Vec<i64> =
-                    a.m.iter()
-                        .zip(b.m.iter())
-                        .map(|(&x, &y)| {
-                            if y <= x {
-                                x
-                            } else {
-                                match thresholds.clamp_dbm(y) {
-                                    Some(t) if t < INF => t,
-                                    _ => INF,
-                                }
-                            }
-                        })
-                        .collect();
-                Octagon::with_matrix(a.dim, m, false)
+                widen_matrix(a, &b, |y| match thresholds.clamp_dbm(y) {
+                    Some(t) if t < INF => t,
+                    _ => INF,
+                })
             }
         }
     }
@@ -506,15 +741,9 @@ impl Lattice for Octagon {
     fn narrow(&self, other: &Self) -> Self {
         match (self.close(), other.close()) {
             (Octagon::Bot, _) | (_, Octagon::Bot) => Octagon::Bot,
+            // Refine only the unconstrained (INF) entries.
             (Octagon::Oct(a), Octagon::Oct(b)) => {
-                assert_eq!(a.dim, b.dim, "octagon dimension mismatch");
-                // Refine only the unconstrained (INF) entries.
-                let m: Vec<i64> =
-                    a.m.iter()
-                        .zip(b.m.iter())
-                        .map(|(&x, &y)| if x >= INF { y } else { x })
-                        .collect();
-                Octagon::with_matrix(a.dim, m, false).close()
+                closed_pointwise(&a, &b, |x, y| if x >= INF { y } else { x })
             }
         }
     }
@@ -524,7 +753,9 @@ impl PartialEq for Octagon {
     fn eq(&self, other: &Self) -> bool {
         match (self.close(), other.close()) {
             (Octagon::Bot, Octagon::Bot) => true,
-            (Octagon::Oct(a), Octagon::Oct(b)) => a.dim == b.dim && a.m == b.m,
+            (Octagon::Oct(a), Octagon::Oct(b)) => {
+                a.dim == b.dim && (Rc::ptr_eq(&a.m, &b.m) || a.m == b.m)
+            }
             _ => false,
         }
     }
@@ -564,6 +795,9 @@ impl fmt::Debug for Octagon {
         }
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

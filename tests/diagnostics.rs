@@ -6,7 +6,7 @@
 //! `path_*.c` family exercises the path-condition layer: dead dominating
 //! guards, contradictory guard chains, and — just as important — guards
 //! that are loop-carried or merely uncertain and must *never* be
-//! path-discharged. The tests here pin four properties of the triage
+//! path-discharged. The tests here pin five properties of the triage
 //! subsystem:
 //!
 //! 1. **Engine/widening agreement.** Both fixpoint engines and all three
@@ -20,6 +20,9 @@
 //! 4. **Output formats.** The SARIF export validates against the
 //!    vendored 2.1.0 schema, and a report diffed against itself as a
 //!    baseline classifies everything `unchanged`.
+//! 5. **Stability against history.** The canonical reports of a generated
+//!    corpus and of `tests/alarms/` hash to digests recorded at an earlier
+//!    commit, so a refactor meant to change no result cannot change one.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -356,6 +359,45 @@ fn corpus_report_is_byte_identical_across_jobs_and_cache_state() {
         .unwrap_or(0);
     assert!(hits > 0, "warm run should be served from cache");
     std::fs::remove_dir_all(&tmp).ok();
+}
+
+/// Canonical reports pinned against *history*, not only against another
+/// backend, mode or `--jobs` value: the digests were recorded at the commit
+/// before the octagon closure kernel was reworked (ISSUE 13), so a refactor
+/// that is meant to change no result cannot change one silently. A PR that
+/// changes analysis results or the report schema on purpose updates the
+/// constants and says so.
+#[test]
+fn canonical_reports_match_the_pinned_digests() {
+    let pins = [
+        (
+            "--corpus units=4,kloc=1,seed=65261",
+            Project::Corpus {
+                units: 4,
+                kloc: 1,
+                seed: 65261,
+            },
+            0xb9a9_b85e_35a0_f436,
+        ),
+        (
+            "tests/alarms",
+            Project::Dir(corpus_dir()),
+            0xa558_0216_24d1_5ad5,
+        ),
+    ];
+    let options = PipelineOptions {
+        canonical: true,
+        triage: TriageMode::Both,
+        ..Default::default()
+    };
+    for (what, project, pinned) in pins {
+        let report = pipeline::run(&project, &options).expect("pipeline run");
+        let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
+        assert_eq!(
+            digest, pinned,
+            "canonical report of {what} under --triage both drifted: digest {digest:#018x}"
+        );
+    }
 }
 
 #[test]
