@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sga::domains::{AbsLoc, Interval, Lattice, LocSet, Octagon, State, Value};
 use sga::ir::VarId;
-use sga::utils::Idx;
+use sga::utils::{Idx, PMap};
 
 fn bench_interval(c: &mut Criterion) {
     let a = Interval::range(-50, 120);
@@ -71,6 +71,14 @@ fn bench_state(c: &mut Criterion) {
         .collect();
     c.bench_function("state/join_disjoint_halves", |bch| {
         bch.iter(|| std::hint::black_box(&big).join(&halves))
+    });
+    // The sparse engine's gather builds each transfer input this way.
+    let row: Vec<(AbsLoc, Value)> = locs[..32]
+        .iter()
+        .map(|&l| (l, Value::constant(7)))
+        .collect();
+    c.bench_function("pmap/from_sorted_vec_32", |bch| {
+        bch.iter_batched(|| row.clone(), PMap::from_sorted_vec, BatchSize::SmallInput)
     });
 }
 

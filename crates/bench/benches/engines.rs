@@ -2,7 +2,10 @@
 //! continuous-integration-sized companion to Table 2.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sga::analysis::interval::{analyze, Engine};
+use sga::analysis::budget::Budget;
+use sga::analysis::depstore::DepBackend;
+use sga::analysis::interval::{analyze, AnalyzeOptions, Engine, IntervalSparseSpec, Pipeline};
+use sga::analysis::sparse;
 use sga::cgen::GenConfig;
 use sga::ir::Program;
 
@@ -56,5 +59,43 @@ fn bench_octagon(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines, bench_octagon);
+/// The sparse fixpoint alone, over a unit with 28 of its 32 procedures on
+/// one call-graph cycle (the shape `tests/diagnostics.rs` pins): everything
+/// up to the dependency relation is staged outside the timed closure.
+fn bench_sparse_solve(c: &mut Criterion) {
+    let src = sga::cgen::generate(&GenConfig {
+        seed: 65261,
+        target_loc: 800,
+        functions: 32,
+        globals: 16,
+        global_ptrs: 4,
+        max_scc: 28,
+        ..Default::default()
+    });
+    let program = sga::frontend::parse(&src).expect("parses");
+    let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
+    let spec = IntervalSparseSpec {
+        program: &program,
+        pre: &staged.pre,
+        du: &staged.du,
+    };
+    let mut group = c.benchmark_group("sparse");
+    group.sample_size(10);
+    group.bench_function("solve_scc", |b| {
+        b.iter(|| {
+            sparse::solve_backend(
+                DepBackend::Csr,
+                &program,
+                &staged.icfg,
+                &staged.deps,
+                &spec,
+                &staged.widening,
+                &Budget::unbounded(),
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engines, bench_octagon, bench_sparse_solve);
 criterion_main!(benches);

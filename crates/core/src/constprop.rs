@@ -19,7 +19,7 @@ use crate::depgen::{self, DataDeps, DepGenOptions};
 use crate::icfg::Icfg;
 use crate::preanalysis::{self, PreAnalysis};
 use crate::semantics;
-use crate::sparse::{self, SparseSpec};
+use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use sga_domains::{AbsLoc, Lattice};
 use sga_ir::{BinOp, Cmd, Cp, Expr, Program, RelOp, UnOp};
@@ -235,7 +235,7 @@ impl SparseSpec for ConstSpec<'_> {
         s
     }
 
-    fn transfer(&self, cp: Cp, pre_in: &ConstState, ret_in: &ConstState) -> ConstState {
+    fn transfer(&self, cp: Cp, pre_in: &ConstState, ret_in: &ConstState) -> Row<AbsLoc, Const> {
         let joined = pre_in.union_with(ret_in, |_, a, b| a.join(b));
         let mut post = joined.clone();
         match self.program.cmd(cp) {
@@ -313,11 +313,12 @@ impl SparseSpec for ConstSpec<'_> {
             }
         }
         // Restrict to D̂(cp).
-        let mut out = PMap::new();
-        for l in self.du.defs(cp) {
+        let defs = self.du.defs(cp);
+        let mut out = Row::with_capacity(defs.len());
+        for l in defs {
             if let Some(v) = post.get(l) {
                 if *v != Const::Bot {
-                    out = out.insert(*l, *v);
+                    out.push((*l, *v));
                 }
             }
         }

@@ -1,20 +1,21 @@
 //! Dependency-store backends for the sparse solver.
 //!
-//! The §5 dependency relation is a set of triples `(c_from, c_to, l)`, but
-//! *how* the solver walks it dominates the fixpoint's constant factor: edge
-//! gathering and target requeuing are the inner loop of everything built on
-//! the sparse engine. [`crate::sparse::solve_with`] therefore consumes the
-//! relation through the [`DepStore`] trait, which couples edge access with
-//! worklist construction, and two backends implement it:
+//! The §5 dependency relation is a set of triples `(c_from, c_to, l)`.
+//! [`crate::sparse::solve_with`] consumes it through the [`DepStore`]
+//! trait, which couples the relation with worklist construction. The solver
+//! reads every edge row exactly once — it resolves the rows into flat,
+//! location-sorted arrays over the program's dense point numbering before
+//! iterating — so what a backend contributes to the inner loop is the
+//! worklist, which speaks dense point indices. Two backends implement the
+//! trait:
 //!
 //! * [`DataDeps`] — the faithful representation family the repo started
 //!   with: hash-map adjacency (the §5 "set store", with the `sga-bdd` BDD
 //!   relation as its ablation twin), iterated through a `BTreeSet` priority
 //!   worklist keyed on `(topo rank, ICFG priority, point)`;
-//! * [`CsrDeps`] — the tuned layout: compressed-sparse-row adjacency over
-//!   the program's dense [`PointNumbering`], cycle membership as a bitset,
-//!   and a flat topologically-ordered worklist (a pending bitset plus a
-//!   backward-resettable cursor over precomputed priority slots).
+//! * [`CsrDeps`] — the same relation behind a flat topologically-ordered
+//!   worklist (a pending bitset plus a backward-resettable cursor over
+//!   precomputed priority slots).
 //!
 //! **Equivalence invariant.** Both backends produce *byte-identical*
 //! results. The delayed-widening counter makes the fixpoint sensitive to
@@ -27,18 +28,19 @@
 
 use crate::depgen::DataDeps;
 use crate::icfg::Icfg;
-use sga_ir::{Cp, PointNumbering, Program};
-use sga_utils::{BitSet, FxHashMap};
+use sga_ir::{Cp, Program};
+use sga_utils::BitSet;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Which dependency representation the sparse solver iterates.
+/// Which [`DepStore`] the sparse solver runs over.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DepBackend {
     /// The faithful §5 store family: hash-map adjacency with the BDD
     /// relation as its ablation twin, `BTreeSet` worklist.
     Bdd,
-    /// CSR adjacency + flat topologically-ordered worklist (the default).
+    /// The same relation behind the flat topologically-ordered worklist
+    /// (the default).
     #[default]
     Csr,
 }
@@ -68,37 +70,42 @@ impl fmt::Display for DepBackend {
     }
 }
 
-/// A dependency representation the sparse solver can iterate: per-point
-/// edge rows plus the worklist that orders their evaluation.
+/// A dependency representation the sparse solver can iterate: the edge
+/// relation plus the worklist that orders the evaluation of its points.
+///
+/// The solver resolves the relation once per solve into flat rows of its
+/// own (sorted by *location*, which only the analysis instance can order,
+/// and addressed by dense point index) and takes the widening points from
+/// [`DataDeps::cycle_nodes`]; what a backend decides is how the pending
+/// set is kept.
 pub trait DepStore {
-    /// Incoming ordinary dependencies of `cp`, as `(loc id, from)` rows in
-    /// ascending `(loc, from)` order.
-    fn edges_into(&self, cp: Cp) -> &[(u32, Cp)];
-    /// Incoming return-flow dependencies of `cp` (call sites only).
-    fn edges_into_ret(&self, cp: Cp) -> &[(u32, Cp)];
-    /// Outgoing dependencies of `cp`, as `(loc id, to)` rows.
-    fn edges_out(&self, cp: Cp) -> &[(u32, Cp)];
-    /// Whether `cp` lies on a dependency cycle (a widening point).
-    fn is_cycle_node(&self, cp: Cp) -> bool;
-    /// Size of the dense dependency-location id universe, when the store
-    /// tracks one. A `Some` lets the solver memoize per-location change
-    /// tests in bitsets instead of re-comparing per edge.
-    fn loc_universe(&self) -> Option<usize> {
-        None
-    }
-    /// Builds this store's (empty) worklist; the solver seeds it.
-    fn make_worklist<'a>(&'a self, icfg: &Icfg, all_points: &[Cp]) -> Box<dyn Worklist + 'a>;
+    /// The §2.6 relation: per-point `(loc id, peer)` rows in ascending
+    /// `(loc id, peer)` order — same-location values are joined in that
+    /// order — and the points on dependency cycles.
+    fn relation(&self) -> &DataDeps;
+    /// Builds this store's (empty) worklist over `program`'s dense point
+    /// numbering; the solver seeds it.
+    fn make_worklist<'a>(&'a self, program: &Program, icfg: &Icfg) -> Box<dyn Worklist + 'a>;
 }
 
-/// A sparse-solver worklist. `pop` must return the pending point that is
-/// minimal in `((topo_rank, icfg_priority), cp)` order — the fixpoint's
+/// A sparse-solver worklist over dense point indices
+/// ([`Program::point_numbering`], which is ascending in `Cp`). `pop` must
+/// return the pending point that is minimal in
+/// `((topo_rank, icfg_priority), cp)` order — the fixpoint's
 /// delayed-widening counts depend on it, so every implementation must agree
 /// or the backends drift apart.
 pub trait Worklist {
-    /// Marks `cp` pending (idempotent).
-    fn push(&mut self, cp: Cp);
+    /// Marks `point` pending (idempotent).
+    fn push(&mut self, point: usize);
     /// Removes and returns the minimal pending point.
-    fn pop(&mut self) -> Option<Cp>;
+    fn pop(&mut self) -> Option<usize>;
+}
+
+/// The points the solver evaluates: every point of a non-external procedure.
+pub(crate) fn solved_points(program: &Program) -> impl Iterator<Item = Cp> + '_ {
+    program
+        .all_points()
+        .filter(|cp| !program.procs[cp.proc].is_external)
 }
 
 // ---------------------------------------------------------------------------
@@ -106,30 +113,15 @@ pub trait Worklist {
 // ---------------------------------------------------------------------------
 
 impl DepStore for DataDeps {
-    fn edges_into(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.deps_into(cp)
+    fn relation(&self) -> &DataDeps {
+        self
     }
 
-    fn edges_into_ret(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.deps_into_ret(cp)
-    }
-
-    fn edges_out(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.deps_out(cp)
-    }
-
-    fn is_cycle_node(&self, cp: Cp) -> bool {
-        self.cycle_nodes.contains(&cp)
-    }
-
-    fn make_worklist<'a>(&'a self, icfg: &Icfg, all_points: &[Cp]) -> Box<dyn Worklist + 'a> {
-        // Priority: dependency-graph topological rank (producers first),
-        // with the ICFG priority as a deterministic tiebreak for nodes
-        // outside the dependency graph.
-        let mut prio = FxHashMap::default();
-        for &cp in all_points {
-            let rank = self.topo_rank.get(&cp).copied().unwrap_or(0);
-            prio.insert(cp, (rank, icfg.priority[&cp]));
+    fn make_worklist<'a>(&'a self, program: &Program, icfg: &Icfg) -> Box<dyn Worklist + 'a> {
+        let num = program.point_numbering();
+        let mut prio = vec![(0, 0); num.len()];
+        for cp in solved_points(program) {
+            prio[num.index(cp)] = priority(self, icfg, cp);
         }
         Box::new(BTreeWorklist {
             set: BTreeSet::new(),
@@ -138,161 +130,75 @@ impl DepStore for DataDeps {
     }
 }
 
+/// Worklist priority: dependency-graph topological rank (producers first),
+/// with the ICFG priority as a deterministic tiebreak for nodes outside
+/// the dependency graph.
+fn priority(deps: &DataDeps, icfg: &Icfg, cp: Cp) -> (u32, u32) {
+    let rank = deps.topo_rank.get(&cp).copied().unwrap_or(0);
+    (rank, icfg.priority[&cp])
+}
+
 /// The original ordered worklist: a `BTreeSet` of `(priority, point)`.
 struct BTreeWorklist {
-    set: BTreeSet<((u32, u32), Cp)>,
-    prio: FxHashMap<Cp, (u32, u32)>,
+    set: BTreeSet<((u32, u32), usize)>,
+    prio: Vec<(u32, u32)>,
 }
 
 impl Worklist for BTreeWorklist {
-    fn push(&mut self, cp: Cp) {
-        self.set.insert((self.prio[&cp], cp));
+    fn push(&mut self, point: usize) {
+        self.set.insert((self.prio[point], point));
     }
 
-    fn pop(&mut self) -> Option<Cp> {
-        let &(p, cp) = self.set.iter().next()?;
-        self.set.remove(&(p, cp));
-        Some(cp)
+    fn pop(&mut self) -> Option<usize> {
+        self.set.pop_first().map(|(_, point)| point)
     }
 }
 
 // ---------------------------------------------------------------------------
-// CSR backend
+// Flat-worklist backend
 // ---------------------------------------------------------------------------
 
-/// One CSR adjacency: `row(i)` is the edge slice of the point with dense
-/// index `i`.
-struct CsrEdges {
-    offsets: Vec<u32>,
-    edges: Vec<(u32, Cp)>,
-}
-
-impl CsrEdges {
-    fn build(
-        program: &Program,
-        num: &PointNumbering,
-        map: &FxHashMap<Cp, Vec<(u32, Cp)>>,
-    ) -> CsrEdges {
-        let mut offsets = Vec::with_capacity(num.len() + 1);
-        let mut edges = Vec::new();
-        offsets.push(0);
-        // `all_points` enumerates procs then nodes in order — exactly the
-        // dense numbering — so each row lands at its own index.
-        for (i, cp) in program.all_points().enumerate() {
-            debug_assert_eq!(num.index(cp), i);
-            if let Some(row) = map.get(&cp) {
-                edges.extend_from_slice(row);
-            }
-            offsets.push(edges.len() as u32);
-        }
-        CsrEdges { offsets, edges }
-    }
-
-    fn row(&self, i: usize) -> &[(u32, Cp)] {
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// The CSR dependency store: [`DataDeps`] lowered onto the program's dense
-/// point numbering. Edge rows keep the exact (sorted) order of the source
-/// store, so gathers join values in the same sequence.
-pub struct CsrDeps {
-    num: PointNumbering,
-    into: CsrEdges,
-    into_ret: CsrEdges,
-    out: CsrEdges,
-    cycle: BitSet,
+/// The tuned backend: [`DataDeps`] plus the flat worklist's precomputed
+/// slot order. (The name is historical — it used to own a CSR copy of the
+/// edge rows; the solver now resolves its own for every backend.)
+pub struct CsrDeps<'d> {
+    deps: &'d DataDeps,
     /// Dense point index → flat-worklist slot; `u32::MAX` for points that
     /// are never queued (external procedures).
     slot_of: Vec<u32>,
-    /// Inverse of `slot_of`: the point each slot stands for, in ascending
-    /// `((topo_rank, icfg_priority), cp)` order.
-    cp_by_slot: Vec<Cp>,
-    /// One past the largest dependency-edge location id.
-    num_locs: usize,
+    /// Inverse of `slot_of`: the dense index of the point each slot stands
+    /// for, in ascending `((topo_rank, icfg_priority), cp)` order.
+    point_by_slot: Vec<u32>,
 }
 
-impl CsrDeps {
-    /// Lowers `deps` into the CSR layout and precomputes the flat-worklist
-    /// slot order.
-    pub fn build(program: &Program, icfg: &Icfg, deps: &DataDeps) -> CsrDeps {
+impl<'d> CsrDeps<'d> {
+    /// Precomputes the flat-worklist slot order over `deps`.
+    pub fn build(program: &Program, icfg: &Icfg, deps: &'d DataDeps) -> CsrDeps<'d> {
         let num = program.point_numbering();
-        let into = CsrEdges::build(program, &num, &deps.into);
-        let into_ret = CsrEdges::build(program, &num, &deps.into_ret);
-        let out = CsrEdges::build(program, &num, &deps.out);
-        let num_locs = [&into, &into_ret, &out]
-            .iter()
-            .flat_map(|e| e.edges.iter().map(|&(loc, _)| loc as usize + 1))
-            .max()
-            .unwrap_or(0);
-
-        let mut cycle = BitSet::new(num.len());
-        for &cp in &deps.cycle_nodes {
-            cycle.insert(num.index(cp));
-        }
-
-        let mut order: Vec<Cp> = program
-            .all_points()
-            .filter(|cp| !program.procs[cp.proc].is_external)
-            .collect();
-        order.sort_unstable_by_key(|&cp| {
-            let rank = deps.topo_rank.get(&cp).copied().unwrap_or(0);
-            ((rank, icfg.priority[&cp]), cp)
-        });
+        let mut order: Vec<Cp> = solved_points(program).collect();
+        order.sort_unstable_by_key(|&cp| (priority(deps, icfg, cp), cp));
+        let point_by_slot: Vec<u32> = order.iter().map(|&cp| num.index(cp) as u32).collect();
         let mut slot_of = vec![u32::MAX; num.len()];
-        for (slot, &cp) in order.iter().enumerate() {
-            slot_of[num.index(cp)] = slot as u32;
+        for (slot, &point) in point_by_slot.iter().enumerate() {
+            slot_of[point as usize] = slot as u32;
         }
-
         CsrDeps {
-            num,
-            into,
-            into_ret,
-            out,
-            cycle,
+            deps,
             slot_of,
-            cp_by_slot: order,
-            num_locs,
+            point_by_slot,
         }
-    }
-
-    /// All `(from, loc, to)` triples, in dense-point then row order.
-    pub fn iter(&self) -> impl Iterator<Item = (Cp, u32, Cp)> + '_ {
-        (0..self.num.len()).flat_map(move |i| {
-            let from = self.num.cp(i);
-            self.out
-                .row(i)
-                .iter()
-                .map(move |&(loc, to)| (from, loc, to))
-        })
     }
 }
 
-impl DepStore for CsrDeps {
-    fn edges_into(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.into.row(self.num.index(cp))
+impl DepStore for CsrDeps<'_> {
+    fn relation(&self) -> &DataDeps {
+        self.deps
     }
 
-    fn edges_into_ret(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.into_ret.row(self.num.index(cp))
-    }
-
-    fn edges_out(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.out.row(self.num.index(cp))
-    }
-
-    fn is_cycle_node(&self, cp: Cp) -> bool {
-        self.cycle.contains(self.num.index(cp))
-    }
-
-    fn loc_universe(&self) -> Option<usize> {
-        Some(self.num_locs)
-    }
-
-    fn make_worklist<'a>(&'a self, _icfg: &Icfg, _all_points: &[Cp]) -> Box<dyn Worklist + 'a> {
+    fn make_worklist<'a>(&'a self, _program: &Program, _icfg: &Icfg) -> Box<dyn Worklist + 'a> {
         Box::new(FlatWorklist {
             deps: self,
-            pending: BitSet::new(self.cp_by_slot.len()),
+            pending: BitSet::new(self.point_by_slot.len()),
             cursor: 0,
         })
     }
@@ -301,15 +207,15 @@ impl DepStore for CsrDeps {
 /// The flat worklist: pending bits over precomputed priority slots, popped
 /// by a forward bit scan from a cursor that pushes can move backward.
 struct FlatWorklist<'a> {
-    deps: &'a CsrDeps,
+    deps: &'a CsrDeps<'a>,
     pending: BitSet,
     cursor: usize,
 }
 
 impl Worklist for FlatWorklist<'_> {
-    fn push(&mut self, cp: Cp) {
-        let slot = self.deps.slot_of[self.deps.num.index(cp)];
-        debug_assert_ne!(slot, u32::MAX, "queued external point {cp:?}");
+    fn push(&mut self, point: usize) {
+        let slot = self.deps.slot_of[point];
+        debug_assert_ne!(slot, u32::MAX, "queued external point {point}");
         let slot = slot as usize;
         self.pending.insert(slot);
         if slot < self.cursor {
@@ -317,11 +223,11 @@ impl Worklist for FlatWorklist<'_> {
         }
     }
 
-    fn pop(&mut self) -> Option<Cp> {
+    fn pop(&mut self) -> Option<usize> {
         let slot = self.pending.next_set_from(self.cursor)?;
         self.pending.remove(slot);
         self.cursor = slot;
-        Some(self.deps.cp_by_slot[slot])
+        Some(self.deps.point_by_slot[slot] as usize)
     }
 }
 
@@ -360,35 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_rows_match_datadeps() {
-        let (program, icfg, deps) = build_both(LOOPY);
-        let csr = CsrDeps::build(&program, &icfg, &deps);
-        for cp in program.all_points() {
-            assert_eq!(
-                csr.edges_into(cp),
-                deps.deps_into(cp),
-                "into rows at {cp:?}"
-            );
-            assert_eq!(
-                csr.edges_into_ret(cp),
-                deps.deps_into_ret(cp),
-                "into_ret rows at {cp:?}"
-            );
-            assert_eq!(csr.edges_out(cp), deps.deps_out(cp), "out rows at {cp:?}");
-            assert_eq!(
-                csr.is_cycle_node(cp),
-                deps.cycle_nodes.contains(&cp),
-                "cycle bit at {cp:?}"
-            );
-        }
-        let mut a: Vec<_> = csr.iter().collect();
-        let mut b: Vec<_> = deps.iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "triple sets");
-    }
-
-    #[test]
     fn backend_parse_roundtrip() {
         for b in [DepBackend::Bdd, DepBackend::Csr] {
             assert_eq!(DepBackend::parse(b.as_str()), Some(b));
@@ -404,17 +281,15 @@ mod tests {
         fn worklists_pop_identically(ops in prop::collection::vec((0usize..64, any::<bool>()), 1..80)) {
             let (program, icfg, deps) = build_both(LOOPY);
             let csr = CsrDeps::build(&program, &icfg, &deps);
-            let all_points: Vec<Cp> = program
-                .all_points()
-                .filter(|cp| !program.procs[cp.proc].is_external)
-                .collect();
-            let mut a = deps.make_worklist(&icfg, &all_points);
-            let mut b = csr.make_worklist(&icfg, &all_points);
+            let num = program.point_numbering();
+            let all_points: Vec<usize> = solved_points(&program).map(|cp| num.index(cp)).collect();
+            let mut a = deps.make_worklist(&program, &icfg);
+            let mut b = csr.make_worklist(&program, &icfg);
             for (i, push) in ops {
                 if push {
-                    let cp = all_points[i % all_points.len()];
-                    a.push(cp);
-                    b.push(cp);
+                    let point = all_points[i % all_points.len()];
+                    a.push(point);
+                    b.push(point);
                 } else {
                     prop_assert_eq!(a.pop(), b.pop());
                 }

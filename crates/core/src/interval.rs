@@ -22,7 +22,7 @@ use crate::depstore::DepBackend;
 use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::preanalysis::{self, PreAnalysis};
 use crate::semantics;
-use crate::sparse::{self, SparseSpec};
+use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningPlan};
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
@@ -367,7 +367,7 @@ impl SparseSpec for IntervalSparseSpec<'_> {
         cp: Cp,
         pre_in: &PMap<AbsLoc, Value>,
         ret_in: &PMap<AbsLoc, Value>,
-    ) -> PMap<AbsLoc, Value> {
+    ) -> Row<AbsLoc, Value> {
         let pre_state = State::from_pmap(pre_in.clone());
         let post = match self.program.cmd(cp) {
             Cmd::Call { ret, args, .. } => {
@@ -419,11 +419,12 @@ impl SparseSpec for IntervalSparseSpec<'_> {
             _ => semantics::transfer(self.program, cp, &pre_state),
         };
         // Keep exactly the D̂(cp) bindings.
-        let mut out = PMap::new();
-        for l in self.du.defs(cp) {
+        let defs = self.du.defs(cp);
+        let mut out = Row::with_capacity(defs.len());
+        for l in defs {
             if let Some(v) = post.get_ref(l) {
                 if !v.is_bottom() {
-                    out = out.insert(*l, v.clone());
+                    out.push((*l, v.clone()));
                 }
             }
         }

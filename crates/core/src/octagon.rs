@@ -33,7 +33,7 @@ use crate::depgen::{self, DataDeps, DepGenOptions, DepSource};
 use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::interval::AnalyzeOptions;
 use crate::preanalysis::{self, PreAnalysis};
-use crate::sparse::{self, SparseSpec};
+use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
@@ -134,32 +134,28 @@ pub(crate) fn analyze_with_pre(
     options: AnalyzeOptions,
 ) -> OctagonResult {
     let total = Phase::start("total");
-    let icfg = Icfg::build(program, pre);
-    let packs = build_packs(program);
-    let du = crate::defuse::compute(program, pre);
-    let odu = OctDefUse::compute(program, pre, &du, &packs);
-    let plan = WideningPlan::for_program(program, options.widening);
-
+    let staged = Staged::new(program, pre, options);
     let mut stats = AnalysisStats {
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
-    stats.num_locs = packs.len();
-    stats.avg_defs = odu.avg_def_size();
-    stats.avg_uses = odu.avg_use_size();
+    stats.num_locs = staged.packs.len();
+    stats.avg_defs = staged.odu.avg_def_size();
+    stats.avg_uses = staged.odu.avg_use_size();
 
-    let sem = OctSemantics::new(program, pre, &packs);
+    let sem = OctSemantics::new(program, pre, &staged.packs);
 
     let values = match engine {
         Engine::Vanilla | Engine::Base => {
             let spec = OctDenseSpec {
                 sem: &sem,
                 localize: engine == Engine::Base,
-                in_packs: odu.in_packs.clone(),
-                out_packs: odu.out_packs.clone(),
+                in_packs: staged.odu.in_packs.clone(),
+                out_packs: staged.odu.out_packs.clone(),
             };
             let fix = Phase::start("fix");
-            let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
+            let result =
+                dense::solve_with(program, &staged.icfg, &spec, &staged.plan, &options.budget);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
@@ -167,24 +163,12 @@ pub(crate) fn analyze_with_pre(
         }
         Engine::Sparse => {
             let dep_phase = Phase::start("dep");
-            let deps = depgen::generate_from(program, &odu, options.depgen);
+            let deps = depgen::generate_from(program, &staged.odu, options.depgen);
             stats.dep_time = dep_phase.stop();
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
-            let spec = OctSparseSpec {
-                sem: &sem,
-                odu: &odu,
-            };
             let fix = Phase::start("fix");
-            let result = sparse::solve_backend(
-                options.dep_backend,
-                program,
-                &icfg,
-                &deps,
-                &spec,
-                &plan,
-                &options.budget,
-            );
+            let (_, result) = staged.solve_sparse(program, &sem, &deps, options);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
@@ -197,7 +181,7 @@ pub(crate) fn analyze_with_pre(
     OctagonResult {
         engine,
         values,
-        packs,
+        packs: staged.packs,
         stats,
     }
 }
@@ -211,27 +195,57 @@ pub(crate) fn sparse_post_fixpoint_check(
     pre: &PreAnalysis,
     options: AnalyzeOptions,
 ) -> crate::validate::CheckReport {
-    let icfg = Icfg::build(program, pre);
-    let packs = build_packs(program);
-    let du = crate::defuse::compute(program, pre);
-    let odu = OctDefUse::compute(program, pre, &du, &packs);
-    let plan = WideningPlan::for_program(program, options.widening);
-    let deps = depgen::generate_from(program, &odu, options.depgen);
-    let sem = OctSemantics::new(program, pre, &packs);
-    let spec = OctSparseSpec {
-        sem: &sem,
-        odu: &odu,
-    };
-    let result = sparse::solve_backend(
-        options.dep_backend,
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &plan,
-        &options.budget,
-    );
+    let staged = Staged::new(program, pre, options);
+    let sem = OctSemantics::new(program, pre, &staged.packs);
+    let deps = depgen::generate_from(program, &staged.odu, options.depgen);
+    let (spec, result) = staged.solve_sparse(program, &sem, &deps, options);
     crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
+}
+
+/// What every octagon engine runs on, staged once from the program and its
+/// pre-analysis.
+struct Staged {
+    icfg: Icfg,
+    packs: PackSet,
+    odu: OctDefUse,
+    plan: WideningPlan,
+}
+
+impl Staged {
+    fn new(program: &Program, pre: &PreAnalysis, options: AnalyzeOptions) -> Staged {
+        let packs = build_packs(program);
+        let du = crate::defuse::compute(program, pre);
+        Staged {
+            icfg: Icfg::build(program, pre),
+            odu: OctDefUse::compute(program, pre, &du, &packs),
+            plan: WideningPlan::for_program(program, options.widening),
+            packs,
+        }
+    }
+
+    /// The sparse fixpoint over `deps`, and the spec it was solved with.
+    fn solve_sparse<'s>(
+        &'s self,
+        program: &Program,
+        sem: &'s OctSemantics<'s>,
+        deps: &DataDeps,
+        options: AnalyzeOptions,
+    ) -> (OctSparseSpec<'s>, sparse::SparseResult<PackId, Octagon>) {
+        let spec = OctSparseSpec {
+            sem,
+            odu: &self.odu,
+        };
+        let result = sparse::solve_backend(
+            options.dep_backend,
+            program,
+            &self.icfg,
+            deps,
+            &spec,
+            &self.plan,
+            &options.budget,
+        );
+        (spec, result)
+    }
 }
 
 /// Builds the octagon dependency structures without running the fixpoint
@@ -1186,7 +1200,7 @@ impl SparseSpec for OctSparseSpec<'_> {
         cp: Cp,
         pre: &PMap<PackId, Octagon>,
         ret_in: &PMap<PackId, Octagon>,
-    ) -> PMap<PackId, Octagon> {
+    ) -> Row<PackId, Octagon> {
         let program = self.sem.program;
         let input = pre.union_with(ret_in, |_, a, b| a.join(b));
         let post = match program.cmd(cp) {
@@ -1219,12 +1233,13 @@ impl SparseSpec for OctSparseSpec<'_> {
             _ => self.sem.transfer(cp, &input),
         };
         // Restrict to D̂(cp).
-        let mut out = PMap::new();
-        for &id in self.odu.defs(cp) {
+        let defs = self.odu.defs(cp);
+        let mut out = Row::with_capacity(defs.len());
+        for &id in defs {
             let pid = PackId(id);
             if let Some(oct) = post.get(&pid) {
                 if !matches!(oct.close(), Octagon::Bot) {
-                    out = out.insert(pid, oct.clone());
+                    out.push((pid, oct.clone()));
                 }
             }
         }

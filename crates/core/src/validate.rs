@@ -35,6 +35,7 @@
 use crate::budget::Budget;
 use crate::defuse::DefUse;
 use crate::depgen::DataDeps;
+use crate::depstore::solved_points;
 use crate::interval::{self, AnalyzeOptions, Engine, IntervalResult, IntervalSparseSpec};
 use crate::preanalysis::{self, PreAnalysis};
 use crate::sparse::SparseSpec;
@@ -184,13 +185,6 @@ impl UnitValidation {
     }
 }
 
-/// The non-external program points, in deterministic program order.
-fn points(program: &Program) -> impl Iterator<Item = Cp> + '_ {
-    program
-        .all_points()
-        .filter(|cp| !program.procs[cp.proc].is_external)
-}
-
 /// Re-checks `f̂_c(X̂) ⊑ X̂` at every program point of a finished sparse
 /// result: re-assembles each point's input from its data dependencies
 /// (independently of the solver's own bookkeeping), applies the transfer
@@ -219,7 +213,7 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
     };
 
     let mut report = CheckReport::default();
-    for cp in points(program) {
+    for cp in solved_points(program) {
         report.points += 1;
         let seed = if cp == main_entry {
             spec.initial()
@@ -230,7 +224,7 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
         let ret = gather(deps.deps_into_ret(cp), PMap::new());
         let out = spec.transfer(cp, &pre, &ret);
         let stored = values.get(&cp);
-        for (l, v) in out.iter() {
+        for (l, v) in &out {
             report.bindings += 1;
             let holds = match stored.and_then(|m| m.get(l)) {
                 Some(s) => v.le(s),
@@ -263,7 +257,7 @@ pub fn check_lemma1_interval(
     dense: &IntervalResult,
 ) -> Lemma1Report {
     let mut report = Lemma1Report::default();
-    for cp in points(program) {
+    for cp in solved_points(program) {
         if matches!(program.cmd(cp), Cmd::Call { .. }) {
             continue;
         }
@@ -296,7 +290,7 @@ pub fn check_lemma1_interval(
 /// of relaying one through it.
 pub fn check_defuse_side_condition(program: &Program, du: &DefUse) -> CheckReport {
     let mut report = CheckReport::default();
-    for cp in points(program) {
+    for cp in solved_points(program) {
         let Some(sets) = du.sets.get(&cp) else {
             continue;
         };

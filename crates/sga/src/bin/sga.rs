@@ -70,8 +70,8 @@
 //! `--timeout-ms` bound each unit's fixpoint — over-budget units degrade
 //! soundly and are marked `degraded`. `--faults` injects deterministic
 //! faults for testing (see `pipeline::fault`). `--dep-backend` selects the
-//! dependency representation the sparse solver iterates — `csr` (default,
-//! compact adjacency + flat worklist) or `bdd` (the faithful §5 store) —
+//! dependency store the sparse solver runs over — `csr` (default, flat
+//! worklist) or `bdd` (the faithful §5 store and its ordered-set worklist) —
 //! with byte-identical canonical reports either way; the choice is part of
 //! the unit cache key, so the two backends never share cache entries.
 //!

@@ -367,7 +367,31 @@ impl<K, V> PMap<K, V> {
     }
 }
 
+/// The perfectly balanced tree of the next `n` entries of `entries`.
+fn build_balanced<K, V>(entries: &mut std::vec::IntoIter<(K, V)>, n: usize) -> Link<K, V> {
+    if n == 0 {
+        return None;
+    }
+    let left = build_balanced(entries, n / 2);
+    let (key, value) = entries.next().expect("n entries remain");
+    let right = build_balanced(entries, n - n / 2 - 1);
+    mk(left, key, value, right)
+}
+
 impl<K: Clone + Ord, V: Clone> PMap<K, V> {
+    /// Builds the map of `entries`, which must be in strictly ascending key
+    /// order, in O(n): one node per entry, no comparisons, no rebalancing.
+    pub fn from_sorted_vec(entries: Vec<(K, V)>) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "from_sorted_vec needs strictly ascending keys"
+        );
+        let n = entries.len();
+        PMap {
+            root: build_balanced(&mut entries.into_iter(), n),
+        }
+    }
+
     /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
         let mut cur = self.root.as_ref();
@@ -590,6 +614,36 @@ mod tests {
             let got: Vec<(i64, i64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
             let want: Vec<(i64, i64)> = model.into_iter().collect();
             prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn from_sorted_vec_matches_inserts_and_stays_balanced(
+            base in prop::collection::btree_map(0i64..64, 0i64..1000, 0..48),
+            ops in prop::collection::vec((0u8..3, 0i64..64, 0i64..1000), 0..60),
+            other in prop::collection::btree_map(0i64..64, 0i64..1000, 0..24),
+        ) {
+            let mut model = base.clone();
+            let mut map = PMap::from_sorted_vec(base.clone().into_iter().collect());
+            check_balance(&map.root);
+            prop_assert_eq!(&map, &base.into_iter().collect::<PMap<i64, i64>>());
+            // `bal` assumes sibling heights differ by at most 3: updates on
+            // top of a bulk-built tree must keep finding that true.
+            for (op, k, v) in ops {
+                match op {
+                    0 => { model.insert(k, v); map = map.insert(k, v); }
+                    1 => { model.remove(&k); map = map.remove(&k); }
+                    _ => {
+                        let rhs: PMap<i64, i64> = other.clone().into_iter().collect();
+                        map = map.union_with(&rhs, |_, x, y| *x.max(y));
+                        for (&k, &v) in &other {
+                            model.entry(k).and_modify(|w| *w = (*w).max(v)).or_insert(v);
+                        }
+                    }
+                }
+                check_balance(&map.root);
+            }
+            let got: Vec<(i64, i64)> = map.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(got, model.into_iter().collect::<Vec<_>>());
         }
 
         #[test]

@@ -189,10 +189,13 @@ mod tests {
     #[test]
     fn rss_available_on_linux() {
         if cfg!(target_os = "linux") {
-            let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
+            // Two reads of `/proc/self/status`: other tests' threads move the
+            // RSS between them, so only a high-water mark read *after* a
+            // current reading is guaranteed to cover it.
             let cur = current_rss_bytes().expect("VmRSS should parse on Linux");
-            assert!(peak >= cur, "high-water mark below current RSS");
+            let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
             assert!(cur > 0);
+            assert!(peak >= cur, "high-water mark below an earlier RSS reading");
         }
     }
 

@@ -21,17 +21,20 @@
 //!    vendored 2.1.0 schema, and a report diffed against itself as a
 //!    baseline classifies everything `unchanged`.
 //! 5. **Stability against history.** The canonical reports of a generated
-//!    corpus and of `tests/alarms/` hash to digests recorded at an earlier
-//!    commit, so a refactor meant to change no result cannot change one.
+//!    corpus, of `tests/alarms/` and of one recursion-heavy generated unit
+//!    (under both dependency backends, with its interval solve's iteration
+//!    counts) hash to digests recorded at earlier commits, so a refactor
+//!    meant to change no result cannot change one.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use sga::analysis::budget::Budget;
+use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{self, AnalyzeOptions, Engine};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
-use sga::analysis::{checker, preanalysis};
+use sga::analysis::{checker, preanalysis, sparse};
 use sga::diag::{sarif, schema, Diagnostic, DischargeMethod, Status};
 use sga::pipeline::{self, PipelineOptions, Project};
 use sga::utils::Json;
@@ -398,6 +401,58 @@ fn canonical_reports_match_the_pinned_digests() {
             "canonical report of {what} under --triage both drifted: digest {digest:#018x}"
         );
     }
+
+    // The corpora above are flat (`max_scc = 2`) or tiny. This unit puts 28
+    // of its 32 procedures on one call-graph cycle, so its fixpoint runs
+    // through a large dependency cycle where pop order and the widening
+    // delay decide the result; recorded at the commit before the sparse
+    // engine's state was flattened (ISSUE 14), together with the interval
+    // solve's two trajectory counts.
+    let source = sga::cgen::generate(&sga::cgen::GenConfig {
+        seed: 65261,
+        target_loc: 800,
+        functions: 32,
+        globals: 16,
+        global_ptrs: 4,
+        max_scc: 28,
+        ..Default::default()
+    });
+    let dir = tempdir("diag-scc-pin");
+    std::fs::write(dir.join("scc.c"), &source).unwrap();
+    let program = sga::frontend::parse(&source).expect("generated unit must parse");
+    let staged = interval::Pipeline::prepare(&program, AnalyzeOptions::default());
+    let spec = interval::IntervalSparseSpec {
+        program: &program,
+        pre: &staged.pre,
+        du: &staged.du,
+    };
+    for dep_backend in [DepBackend::Csr, DepBackend::Bdd] {
+        let options = PipelineOptions {
+            dep_backend,
+            ..options.clone()
+        };
+        let report = pipeline::run(&Project::Dir(dir.clone()), &options).expect("pipeline run");
+        let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
+        assert_eq!(
+            digest, 0xf174_75f6_a83b_1fa7,
+            "canonical report of the recursive unit under {dep_backend} drifted: digest {digest:#018x}"
+        );
+        let solved = sparse::solve_backend(
+            dep_backend,
+            &program,
+            &staged.icfg,
+            &staged.deps,
+            &spec,
+            &staged.widening,
+            &Budget::unbounded(),
+        );
+        assert_eq!(
+            (solved.iterations, solved.narrowing_rounds),
+            (5712, 1554),
+            "interval trajectory of the recursive unit under {dep_backend} drifted"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
