@@ -411,11 +411,14 @@ bench_gate() {
     # The pipeline bench's committed thresholds, then 2-second smokes of
     # the repository benchmark, gated on their exit codes only: its golden
     # corpus / oracle / per-unit identity checks guard analysis-kernel
-    # changes here and not only in the external driver — over flat units
-    # and over one large dependency cycle. No timing is read.
+    # changes here and not only in the external driver — over flat units,
+    # over one large dependency cycle, and through the daemon, whose
+    # interface rounds re-triage three units and whose convergence and
+    # exact-invalidation checks run here. No timing is read.
     cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2 &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2 &&
+        cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
 }
 
 run_stage "fmt"    cargo fmt --all -- --check

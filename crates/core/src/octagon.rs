@@ -29,7 +29,7 @@
 
 use crate::defuse::DefUse;
 use crate::dense::{self, DenseSpec};
-use crate::depgen::{self, DataDeps, DepGenOptions, DepSource};
+use crate::depgen::{self, DataDeps, DepSource};
 use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::interval::AnalyzeOptions;
 use crate::preanalysis::{self, PreAnalysis};
@@ -39,7 +39,7 @@ use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, ProcId, Program, RelOp, VarId};
 use sga_utils::stats::{peak_rss_bytes, Phase};
-use sga_utils::{FxHashMap, FxHashSet, Idx, IndexVec, PMap};
+use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, PMap};
 
 /// Maximum pack size before the heuristic refuses to merge further (§6.2).
 pub const PACK_SIZE_LIMIT: usize = 10;
@@ -118,28 +118,38 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     let pre_phase = Phase::start("pre");
     let pre = preanalysis::run(program);
     let pre_time = pre_phase.stop();
-    let mut result = analyze_with_pre(program, &pre, engine, options);
+    let du = crate::defuse::compute(program, &pre);
+    let icfg = Icfg::build(program, &pre);
+    let mut result = analyze_with_pre(program, &pre, &du, &icfg, None, engine, options);
     result.stats.pre_time = pre_time;
     result.stats.total_time = total.stop();
     result
 }
 
-/// [`analyze_with`] over a pre-analysis the caller already holds (triage
-/// runs after the interval pipeline, which computed one for the same
-/// program); `stats.pre_time` stays zero.
+/// [`analyze_with`] over the pre-analysis, def/use sets and ICFG the caller
+/// already holds (triage runs after the interval pipeline, which computed
+/// all three for the same program); `stats.pre_time` stays zero.
+///
+/// With `seeds` the sparse solve is demand-driven — dependencies are
+/// generated and solved for [`slice_packs`] only; the dense engines have no
+/// relation to slice. `stats.num_locs` counts the packs solved for.
 pub(crate) fn analyze_with_pre(
     program: &Program,
     pre: &PreAnalysis,
+    du: &DefUse,
+    icfg: &Icfg,
+    seeds: Option<&[VarId]>,
     engine: Engine,
     options: AnalyzeOptions,
 ) -> OctagonResult {
     let total = Phase::start("total");
-    let staged = Staged::new(program, pre, options);
+    let seeds = seeds.filter(|_| engine == Engine::Sparse);
+    let staged = Staged::new(program, pre, du, seeds, options);
     let mut stats = AnalysisStats {
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
-    stats.num_locs = staged.packs.len();
+    stats.num_locs = staged.solved_packs;
     stats.avg_defs = staged.odu.avg_def_size();
     stats.avg_uses = staged.odu.avg_use_size();
 
@@ -154,8 +164,7 @@ pub(crate) fn analyze_with_pre(
                 out_packs: staged.odu.out_packs.clone(),
             };
             let fix = Phase::start("fix");
-            let result =
-                dense::solve_with(program, &staged.icfg, &spec, &staged.plan, &options.budget);
+            let result = dense::solve_with(program, icfg, &spec, &staged.plan, &options.budget);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
@@ -168,7 +177,7 @@ pub(crate) fn analyze_with_pre(
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
             let fix = Phase::start("fix");
-            let (_, result) = staged.solve_sparse(program, &sem, &deps, options);
+            let (_, result) = staged.solve_sparse(program, icfg, &sem, &deps, options);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
@@ -195,30 +204,39 @@ pub(crate) fn sparse_post_fixpoint_check(
     pre: &PreAnalysis,
     options: AnalyzeOptions,
 ) -> crate::validate::CheckReport {
-    let staged = Staged::new(program, pre, options);
+    let du = crate::defuse::compute(program, pre);
+    let icfg = Icfg::build(program, pre);
+    let staged = Staged::new(program, pre, &du, None, options);
     let sem = OctSemantics::new(program, pre, &staged.packs);
     let deps = depgen::generate_from(program, &staged.odu, options.depgen);
-    let (spec, result) = staged.solve_sparse(program, &sem, &deps, options);
+    let (spec, result) = staged.solve_sparse(program, &icfg, &sem, &deps, options);
     crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
 }
 
 /// What every octagon engine runs on, staged once from the program and its
 /// pre-analysis.
 struct Staged {
-    icfg: Icfg,
     packs: PackSet,
     odu: OctDefUse,
     plan: WideningPlan,
+    /// Packs solved for: every pack, or the slice's.
+    solved_packs: usize,
 }
 
 impl Staged {
-    fn new(program: &Program, pre: &PreAnalysis, options: AnalyzeOptions) -> Staged {
+    fn new(
+        program: &Program,
+        pre: &PreAnalysis,
+        du: &DefUse,
+        seeds: Option<&[VarId]>,
+        options: AnalyzeOptions,
+    ) -> Staged {
         let packs = build_packs(program);
-        let du = crate::defuse::compute(program, pre);
+        let keep = seeds.map(|seeds| slice_packs(du, &packs, seeds));
         Staged {
-            icfg: Icfg::build(program, pre),
-            odu: OctDefUse::compute(program, pre, &du, &packs),
+            odu: OctDefUse::compute(program, pre, du, &packs, keep.as_ref()),
             plan: WideningPlan::for_program(program, options.widening),
+            solved_packs: keep.map_or(packs.len(), |k| k.count()),
             packs,
         }
     }
@@ -227,6 +245,7 @@ impl Staged {
     fn solve_sparse<'s>(
         &'s self,
         program: &Program,
+        icfg: &Icfg,
         sem: &'s OctSemantics<'s>,
         deps: &DataDeps,
         options: AnalyzeOptions,
@@ -238,7 +257,7 @@ impl Staged {
         let result = sparse::solve_backend(
             options.dep_backend,
             program,
-            &self.icfg,
+            icfg,
             deps,
             &spec,
             &self.plan,
@@ -248,15 +267,52 @@ impl Staged {
     }
 }
 
-/// Builds the octagon dependency structures without running the fixpoint
-/// (used by the benchmark harness for phase-separated timing).
-pub fn prepare_deps(program: &Program) -> (PreAnalysis, PackSet, DataDeps) {
-    let pre = preanalysis::run(program);
-    let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
-    let deps = depgen::generate_from(program, &odu, DepGenOptions::default());
-    (pre, packs, deps)
+fn var_of(l: &AbsLoc) -> Option<VarId> {
+    match l {
+        AbsLoc::Var(v) => Some(*v),
+        _ => None,
+    }
+}
+
+/// The packs a demand-driven solve keeps for the `seeds` its queries read:
+/// `packs_of(W)`, `W` the least variable set holding the seeds in which
+/// `x ∈ W` brings every member of every pack of `x` and every variable
+/// really used where `x` is really defined ([`crate::defuse`]'s real sets:
+/// actuals and the callee's return at calls, both sides of an assume, a
+/// weak store's targets).
+///
+/// The closure is a *soundness* condition: the transfer is strict on an
+/// absent pack (`assign_var`, `project_all`), so a kept definition with a
+/// dropped input would compute ⊥, leave its row, and let a query walk past
+/// it to a stale binding. Filtering by pack id — never by point — keeps
+/// every definition point of a kept pack.
+fn slice_packs(du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
+    let mut def_points: FxHashMap<VarId, Vec<Cp>> = FxHashMap::default();
+    for (cp, sets) in &du.sets {
+        for x in sets.real_defs.iter().filter_map(var_of) {
+            def_points.entry(x).or_default().push(*cp);
+        }
+    }
+    let mut keep = BitSet::new(packs.len());
+    let mut seen: FxHashSet<VarId> = seeds.iter().copied().collect();
+    let mut work: Vec<VarId> = seen.iter().copied().collect();
+    while let Some(x) = work.pop() {
+        let members = packs.packs_of(x).iter().flat_map(|&p| {
+            keep.insert(p.index());
+            packs.pack(p).members().iter().copied()
+        });
+        let read = def_points
+            .get(&x)
+            .into_iter()
+            .flatten()
+            .flat_map(|cp| du.sets[cp].real_uses.iter().filter_map(var_of));
+        for y in members.chain(read) {
+            if seen.insert(y) {
+                work.push(y);
+            }
+        }
+    }
+    keep
 }
 
 // ---------------------------------------------------------------------------
@@ -770,20 +826,17 @@ pub struct OctDefUse {
 
 impl OctDefUse {
     /// Derives pack-level sets from the interval instance's [`DefUse`].
+    /// With `keep`, restricted to those pack ids (see [`slice_packs`]).
     pub fn compute(
         program: &Program,
         pre: &PreAnalysis,
         du: &DefUse,
         packs: &PackSet,
+        keep: Option<&BitSet>,
     ) -> OctDefUse {
-        let var_of = |l: &AbsLoc| -> Option<VarId> {
-            match l {
-                AbsLoc::Var(v) => Some(*v),
-                _ => None,
-            }
-        };
-        let packs_of = |v: VarId| packs.packs_of(v).iter().map(|p| p.0);
-        let singleton = |v: VarId| packs.singleton_id(v).map(|p| p.0);
+        let kept = |p: &PackId| keep.is_none_or(|k| k.contains(p.index()));
+        let packs_of = |v: VarId| packs.packs_of(v).iter().filter(|p| kept(p)).map(|p| p.0);
+        let singleton = |v: VarId| packs.singleton_id(v).filter(kept).map(|p| p.0);
 
         let mut def_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
         let mut use_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
@@ -796,7 +849,7 @@ impl OctDefUse {
             let mut r: FxHashSet<u32> = FxHashSet::default();
             if cp.node == program.procs[cp.proc].entry {
                 // Fresh packs originate (⊤) at their procedure's entry.
-                for &pid in &fresh[cp.proc] {
+                for pid in fresh[cp.proc].iter().filter(|p| kept(p)) {
                     d.insert(pid.0);
                     r.insert(pid.0);
                 }
@@ -876,12 +929,12 @@ impl OctDefUse {
             let mut inp: FxHashSet<PackId> =
                 sum_use_packs[pid].iter().map(|&p| PackId(p)).collect();
             for &p in &proc.params {
-                inp.extend(packs.packs_of(p).iter().copied());
+                inp.extend(packs_of(p).map(PackId));
             }
             in_packs[pid] = inp;
             let mut outp: FxHashSet<PackId> =
                 sum_def_packs[pid].iter().map(|&p| PackId(p)).collect();
-            outp.extend(packs.packs_of(proc.ret_var).iter().copied());
+            outp.extend(packs_of(proc.ret_var).map(PackId));
             out_packs[pid] = outp;
         }
         let mut routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>> = FxHashMap::default();
@@ -904,7 +957,10 @@ impl OctDefUse {
                     let exit = Cp::new(t_pid, callee.exit);
                     // Parameter packs travel over explicit call → entry
                     // edges; callee-used packs route def → entry directly.
-                    for &p in &proc_param_packs(program, packs, t_pid) {
+                    for p in proc_param_packs(program, packs, t_pid)
+                        .iter()
+                        .filter(|p| kept(p))
+                    {
                         inter.push((p.0, cp, entry, false));
                     }
                     for &p in &sum_use_packs[t_pid] {
@@ -1420,5 +1476,161 @@ mod tests {
             .find(|cp| matches!(p.cmd(*cp), Cmd::Assign(LVal::Var(v), _) if *v == d))
             .unwrap();
         assert_eq!(base.itv_of(d_def, d), sparse.itv_of(d_def, d));
+    }
+
+    /// One staged program: what triage holds when it calls the octagon.
+    struct Unit {
+        program: Program,
+        pre: PreAnalysis,
+        du: DefUse,
+        icfg: Icfg,
+    }
+
+    fn unit(config: &sga_cgen::GenConfig) -> Unit {
+        let program = parse(&sga_cgen::generate(config)).expect("generated unit must parse");
+        let pre = preanalysis::run(&program);
+        let du = crate::defuse::compute(&program, &pre);
+        let icfg = Icfg::build(&program, &pre);
+        Unit {
+            program,
+            pre,
+            du,
+            icfg,
+        }
+    }
+
+    /// Three flat units and three with 28 of 32 procedures on one call
+    /// cycle (the shape `tests/diagnostics.rs` pins by digest).
+    fn differential_units() -> Vec<Unit> {
+        let flat = |seed| sga_cgen::GenConfig {
+            seed,
+            target_loc: 500,
+            ..sga_cgen::GenConfig::default()
+        };
+        let scc = |seed| sga_cgen::GenConfig {
+            seed,
+            target_loc: 800,
+            functions: 32,
+            globals: 16,
+            global_ptrs: 4,
+            max_scc: 28,
+            ..sga_cgen::GenConfig::default()
+        };
+        [
+            flat(65261),
+            flat(7),
+            flat(123),
+            scc(65261),
+            scc(7),
+            scc(123),
+        ]
+        .iter()
+        .map(unit)
+        .collect()
+    }
+
+    /// `n` distinct variables of the program, drawn by a fixed LCG.
+    fn draw_seeds(program: &Program, n: usize, mut state: u64) -> Vec<VarId> {
+        let mut seeds = FxHashSet::default();
+        while seeds.len() < n.min(program.vars.len()) {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seeds.insert(VarId::new((state >> 33) as usize % program.vars.len()));
+        }
+        seeds.into_iter().collect()
+    }
+
+    /// Solves `u` sparsely — sliced to `seeds`, or whole — and
+    /// post-fixpoint-checks the result against the relation and spec it was
+    /// solved with.
+    fn solve_checked(u: &Unit, seeds: Option<&[VarId]>) -> FxHashMap<Cp, OctState> {
+        let options = AnalyzeOptions::default();
+        let staged = Staged::new(&u.program, &u.pre, &u.du, seeds, options);
+        let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs);
+        let deps = depgen::generate_from(&u.program, &staged.odu, options.depgen);
+        let (spec, result) = staged.solve_sparse(&u.program, &u.icfg, &sem, &deps, options);
+        let report =
+            crate::validate::check_sparse_post_fixpoint(&u.program, &deps, &spec, &result.values);
+        assert!(
+            report.violations.is_empty(),
+            "not a post-fixpoint of its own relation (seeds {seeds:?}): {:?}",
+            report.violations.first()
+        );
+        result.values
+    }
+
+    /// The demand-driven solve is the whole-unit analysis on fewer
+    /// locations: every binding of a kept pack is *equal* on both sides and
+    /// exists on both or neither. Equality leans on the fixpoint's
+    /// trajectory, whose delayed-widening and descent counters are per
+    /// *point*: should a counter-example ever appear here (a widening point
+    /// binding kept and dropped packs together, the whole-unit run widening
+    /// the kept one earlier), the fix is per-`(point, location)` counters in
+    /// [`crate::sparse`] — not a looser assertion.
+    #[test]
+    fn sliced_solve_equals_the_whole_unit_on_kept_packs() {
+        for (k, u) in differential_units().iter().enumerate() {
+            let whole = solve_checked(u, None);
+            let packs = build_packs(&u.program);
+            for n in [1, 4, 16] {
+                let mut seeds = draw_seeds(&u.program, n.max(32), (k * 100 + n) as u64);
+                if n == 1 {
+                    // Random sets land in the giant component (≈ 88 % of the
+                    // packs); the lone seed is the drawn variable with the
+                    // smallest slice that still crosses a definition, so
+                    // the small-slice regime triage lives in is covered too.
+                    seeds.sort_by_key(|&x| {
+                        let size = slice_packs(&u.du, &packs, &[x]).count();
+                        (size <= packs.packs_of(x).len(), size)
+                    });
+                }
+                seeds.truncate(n);
+                let keep = slice_packs(&u.du, &packs, &seeds);
+                let sliced = solve_checked(u, Some(&seeds));
+                for (cp, st) in &sliced {
+                    for (pid, oct) in st.iter() {
+                        assert!(
+                            keep.contains(pid.index()),
+                            "unit {k}: {cp}: dropped {pid:?}"
+                        );
+                        assert_eq!(
+                            whole.get(cp).and_then(|w| w.get(pid)),
+                            Some(oct),
+                            "unit {k}, {n} seeds: {cp} {pid:?}"
+                        );
+                    }
+                }
+                for (cp, st) in &whole {
+                    for (pid, _) in st.iter().filter(|(pid, _)| keep.contains(pid.index())) {
+                        assert!(
+                            sliced.get(cp).is_some_and(|s| s.get(pid).is_some()),
+                            "unit {k}, {n} seeds: {cp} {pid:?} bound by the whole-unit run only"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_is_closed_under_packs_and_real_definitions() {
+        for (k, u) in differential_units().iter().enumerate() {
+            let packs = build_packs(&u.program);
+            let keep = slice_packs(&u.du, &packs, &draw_seeds(&u.program, 4, k as u64));
+            let kept = |x: VarId| packs.packs_of(x).iter().all(|p| keep.contains(p.index()));
+            for pid in keep.iter() {
+                for &m in packs.pack(PackId::new(pid)).members() {
+                    assert!(kept(m), "unit {k}: member {m:?} of kept pack {pid}");
+                }
+            }
+            for (cp, sets) in &u.du.sets {
+                if sets.real_defs.iter().filter_map(var_of).any(kept) {
+                    for y in sets.real_uses.iter().filter_map(var_of) {
+                        assert!(kept(y), "unit {k}: {cp} defines a kept pack, reads {y:?}");
+                    }
+                }
+            }
+        }
     }
 }

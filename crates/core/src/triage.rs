@@ -56,8 +56,10 @@
 
 use crate::budget::Budget;
 use crate::checker;
+use crate::defuse::{self, DefUse};
 use crate::depgen::DepGenOptions;
 use crate::depstore::DepBackend;
+use crate::icfg::Icfg;
 use crate::interval::{AnalyzeOptions, Engine, IntervalResult};
 use crate::octagon::{self, OctagonResult};
 use crate::pathcond::{self, DomTree, GuardSite, PathIndex};
@@ -153,9 +155,15 @@ pub struct TriageStats {
     pub discharged: usize,
     /// Alarms discharged by the path-condition layer specifically.
     pub discharged_path: usize,
-    /// Whether the octagon fixpoint ran at all (skipped when there are no
-    /// candidates, or in `--triage path` mode).
+    /// Whether the octagon fixpoint ran at all: some candidate planned a
+    /// query (never in `--triage path` mode).
     pub octagon_ran: bool,
+    /// Packs the octagon solved for (under the sparse engine, a slice).
+    pub octagon_packs: usize,
+    /// Packs of the unit.
+    pub octagon_packs_total: usize,
+    /// Octagon node evaluations.
+    pub octagon_iterations: usize,
     /// Whether the octagon fixpoint degraded under its budget.
     pub degraded: bool,
 }
@@ -174,14 +182,36 @@ pub fn derived_budget(interval_iterations: usize, base: &Budget) -> Budget {
     }
 }
 
+/// [`discharge_staged`] for callers that hold no def/use sets or ICFG.
+pub fn discharge(
+    program: &Program,
+    pre: &PreAnalysis,
+    result: &IntervalResult,
+    diags: &mut [Diagnostic],
+    options: &TriageOptions,
+) -> TriageStats {
+    let (du, icfg) = (defuse::compute(program, pre), Icfg::build(program, pre));
+    discharge_staged(program, pre, &du, &icfg, result, diags, options)
+}
+
 /// Runs the triage layers selected by `options.mode` and demotes every
 /// refuted alarm in `diags` to discharged, recording the proving packs
 /// (octagon member sets, or dominating guard chains) and the refuting
 /// constraint. `result` is the interval fixpoint the alarms came from —
 /// the path layer evaluates guard conditions against it.
-pub fn discharge(
+///
+/// The octagon layer is demand-driven: candidates are first *planned* into
+/// the [`Query`] values their refutations read, the octagon is solved over
+/// the slice those need (none, if nothing is planned), and each plan is
+/// then *decided* against the result.
+///
+/// `du` and `icfg` are the def/use sets and ICFG of `program` under `pre`,
+/// which the pipeline holds at the call; [`discharge`] computes them.
+pub fn discharge_staged(
     program: &Program,
     pre: &PreAnalysis,
+    du: &DefUse,
+    icfg: &Icfg,
     result: &IntervalResult,
     diags: &mut [Diagnostic],
     options: &TriageOptions,
@@ -210,10 +240,20 @@ pub fn discharge(
     // dominance for its alloc chains, the path layer for guard chains).
     let mut paths = PathIndex::new();
 
-    if options.mode.runs_octagon() {
+    let octagon_candidates = candidates.iter().filter(|_| options.mode.runs_octagon());
+    let plans: Vec<(usize, Plan)> = octagon_candidates
+        .filter_map(|&i| Some((i, plan(program, pre, &mut paths, &diags[i])?)))
+        .collect();
+    if !plans.is_empty() {
+        // Seeds come off the very queries `decide` will ask: what is solved
+        // for and what is asked cannot diverge.
+        let seeds: Vec<VarId> = plans.iter().flat_map(|(_, p)| p.vars()).collect();
         let res = octagon::analyze_with_pre(
             program,
             pre,
+            du,
+            icfg,
+            Some(&seeds),
             options.engine,
             AnalyzeOptions {
                 depgen: options.depgen,
@@ -224,20 +264,15 @@ pub fn discharge(
             },
         );
         stats.octagon_ran = true;
+        stats.octagon_packs = res.stats.num_locs;
+        stats.octagon_packs_total = res.packs.len();
+        stats.octagon_iterations = res.stats.iterations;
         stats.degraded = res.stats.degraded;
 
         let q = OctQuery { program, res: &res };
-        for &i in &candidates {
-            let verdict = match diags[i].kind {
-                DiagKind::BufferOverrun => {
-                    try_discharge_overrun(program, pre, &q, &mut paths, &diags[i])
-                }
-                DiagKind::NullDeref => try_discharge_null(program, &q, &diags[i]),
-                DiagKind::DivByZero => try_discharge_div(program, &q, &diags[i]),
-                _ => None,
-            };
-            if let Some((pack, reason)) = verdict {
-                diags[i].status = Status::Discharged {
+        for (i, plan) in &plans {
+            if let Some((pack, reason)) = plan.decide(&q) {
+                diags[*i].status = Status::Discharged {
                     method: DischargeMethod::Octagon,
                     pack,
                     reason,
@@ -324,6 +359,121 @@ fn try_discharge_path(
     Some((pathcond::render_chain(program, proc, &stable), reason))
 }
 
+/// A value a discharge rule reads off the octagon result, *before* `cp`.
+#[derive(Clone, Copy, Debug)]
+enum Query {
+    /// The interval of `x`.
+    Itv { cp: Cp, x: VarId },
+    /// The interval of `x − y` (`x + y` with `sum`).
+    Rel {
+        cp: Cp,
+        x: VarId,
+        y: VarId,
+        sum: bool,
+    },
+}
+
+impl Query {
+    fn vars(self) -> impl Iterator<Item = VarId> {
+        let (x, y) = match self {
+            Query::Itv { x, .. } => (x, None),
+            Query::Rel { x, y, .. } => (x, Some(y)),
+        };
+        std::iter::once(x).chain(y)
+    }
+
+    fn render(self, program: &Program) -> String {
+        match self {
+            Query::Itv { x, .. } => var_name(program, x).to_string(),
+            Query::Rel { x, y, sum, .. } => {
+                let sign = if sum { "+" } else { "-" };
+                format!("{} {sign} {}", var_name(program, x), var_name(program, y))
+            }
+        }
+    }
+}
+
+/// The planned refutation of one candidate, chosen syntactically: the value
+/// it reads and what that value must show. [`Plan::decide`] evaluates the
+/// same queries against an octagon result.
+#[derive(Clone, Copy, Debug)]
+struct Plan {
+    query: Query,
+    must: Must,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Must {
+    /// Exclude 0 (null dereferences, divisors).
+    NonZero,
+    /// As the index of a fresh block of this many cells, lie within it.
+    Within(i64),
+    /// Be non-negative while this query — the index minus the block's size
+    /// variable — is at most −1.
+    Below(Query),
+}
+
+impl Plan {
+    /// The variables its queries read: what the octagon must be solved for.
+    fn vars(&self) -> impl Iterator<Item = VarId> {
+        let diff = match self.must {
+            Must::Below(diff) => Some(diff),
+            _ => None,
+        };
+        std::iter::once(self.query)
+            .chain(diff)
+            .flat_map(Query::vars)
+    }
+
+    /// The proving packs and the refuting constraint, if `q`'s result
+    /// refutes the alarm.
+    fn decide(&self, q: &OctQuery<'_>) -> Option<(String, String)> {
+        let (itv, mut pids) = q.eval(self.query);
+        let name = self.query.render(q.program);
+        let nonneg = matches!(itv.lo(), Some(Bound::Int(l)) if l >= 0);
+        let reason = match self.must {
+            Must::NonZero if !itv.is_bottom() && !itv.contains(0) => {
+                format!("{name} in {itv} excludes 0")
+            }
+            Must::Within(size) if nonneg && matches!(itv.hi(), Some(Bound::Int(h)) if h < size) => {
+                format!("{name} in {itv} within [0, {}]", size - 1)
+            }
+            Must::Below(diff) if nonneg => {
+                let (diff_itv, diff_pids) = q.eval(diff);
+                if !matches!(diff_itv.hi(), Some(Bound::Int(h)) if h <= -1) {
+                    return None;
+                }
+                pids.extend(diff_pids);
+                format!("{name} >= 0 and {} <= -1", diff.render(q.program))
+            }
+            _ => return None,
+        };
+        (!pids.is_empty()).then(|| (q.render_packs(pids), reason))
+    }
+}
+
+/// Plans the octagon refutation of candidate `d`: every check that needs no
+/// octagon happens here, so a candidate that plans nothing costs nothing.
+fn plan(
+    program: &Program,
+    pre: &PreAnalysis,
+    paths: &mut PathIndex,
+    d: &Diagnostic,
+) -> Option<Plan> {
+    match d.kind {
+        DiagKind::BufferOverrun => plan_overrun(program, pre, paths, d),
+        DiagKind::NullDeref => Some(Plan {
+            query: Query::Itv {
+                cp: d.cp,
+                x: d.var?,
+            },
+            must: Must::NonZero,
+        }),
+        DiagKind::DivByZero => plan_div(program, d),
+        _ => None,
+    }
+}
+
 /// Relational queries against the octagon result, evaluated *before* a
 /// control point: the join over the nearest binding post-states backwards
 /// through the CFG. Anything unbound is ⊤.
@@ -372,44 +522,29 @@ impl OctQuery<'_> {
         (!acc.is_bottom()).then_some(acc)
     }
 
-    /// Interval of `x` before `cp`: meet over every pack containing `x`,
-    /// with the packs that actually constrained it.
-    fn itv_before(&self, cp: Cp, x: VarId) -> (Interval, Vec<PackId>) {
-        let mut acc = Interval::top();
-        let mut used = Vec::new();
-        for &pid in self.res.packs.packs_of(x) {
-            let Some(ix) = self.res.packs.pack(pid).index_of(x) else {
-                continue;
-            };
-            let Some(o) = self.before(cp, pid) else {
-                continue;
-            };
-            let itv = o.project(ix);
-            if itv.is_bottom() || itv == Interval::top() {
-                continue;
-            }
-            acc = acc.meet(&itv);
-            used.push(pid);
-        }
-        (acc, used)
-    }
-
-    /// Interval of `x − y` (or `x + y` with `sum`) before `cp`.
-    fn rel_before(&self, cp: Cp, x: VarId, y: VarId, sum: bool) -> (Interval, Vec<PackId>) {
+    /// The queried interval before its point: the meet over every pack
+    /// that binds the queried variable(s), with the packs that actually
+    /// constrained it.
+    fn eval(&self, query: Query) -> (Interval, Vec<PackId>) {
+        let (Query::Itv { cp, x } | Query::Rel { cp, x, .. }) = query;
         let mut acc = Interval::top();
         let mut used = Vec::new();
         for &pid in self.res.packs.packs_of(x) {
             let pack = self.res.packs.pack(pid);
-            let (Some(ix), Some(iy)) = (pack.index_of(x), pack.index_of(y)) else {
+            if !query.vars().all(|v| pack.contains(v)) {
                 continue;
-            };
+            }
             let Some(o) = self.before(cp, pid) else {
                 continue;
             };
-            let itv = if sum {
-                o.sum_interval(ix, iy)
-            } else {
-                o.diff_interval(ix, iy)
+            let ix = |v| {
+                pack.index_of(v)
+                    .expect("pack contains the queried variables")
+            };
+            let itv = match query {
+                Query::Itv { x, .. } => o.project(ix(x)),
+                Query::Rel { x, y, sum, .. } if sum => o.sum_interval(ix(x), ix(y)),
+                Query::Rel { x, y, .. } => o.diff_interval(ix(x), ix(y)),
             };
             if itv.is_bottom() || itv == Interval::top() {
                 continue;
@@ -514,13 +649,12 @@ fn var_name(program: &Program, x: VarId) -> &str {
     &program.vars[x].name
 }
 
-fn try_discharge_overrun(
+fn plan_overrun(
     program: &Program,
     pre: &PreAnalysis,
-    q: &OctQuery<'_>,
     paths: &mut PathIndex,
     d: &Diagnostic,
-) -> Option<(String, String)> {
+) -> Option<Plan> {
     let t = d.var?;
     let Evidence::Overrun {
         alloc: Some((ap, an)),
@@ -565,99 +699,55 @@ fn try_discharge_overrun(
     let dom = &paths.proc_paths(program, pid).dom;
     let size = alloc_chain_size(program, pid, dom, base, alloc_cp, d.cp.node, 4)?;
 
-    let (idx_itv, mut pids) = q.itv_before(d.cp, idx);
-    if !matches!(idx_itv.lo(), Some(Bound::Int(l)) if l >= 0) {
-        return None;
-    }
-    let iname = var_name(program, idx);
-    let reason = match size {
-        Expr::Const(c) if *c >= 1 => {
-            if !matches!(idx_itv.hi(), Some(Bound::Int(h)) if h < *c) {
-                return None;
-            }
-            format!("{iname} in {idx_itv} within [0, {}]", *c - 1)
-        }
-        Expr::Var(s) => {
-            // The size variable must denote the same value at the
-            // allocation and at the access: no direct writes anywhere, not
-            // address-taken, and no calls in the procedure (so no other
-            // activation can rebind it between the two points).
-            if program.vars[*s].address_taken
-                || !writes_of(program, *s).is_empty()
-                || has_calls(proc)
-            {
-                return None;
-            }
-            let (diff, dpids) = q.rel_before(d.cp, idx, *s, false);
-            if !matches!(diff.hi(), Some(Bound::Int(h)) if h <= -1) {
-                return None;
-            }
-            pids.extend(dpids);
-            format!("{iname} >= 0 and {iname} - {} <= -1", var_name(program, *s))
+    let must = match size {
+        Expr::Const(c) if *c >= 1 => Must::Within(*c),
+        // The size variable must denote the same value at the allocation
+        // and at the access: no direct writes anywhere, not address-taken,
+        // and no calls in the procedure (so no other activation can rebind
+        // it between the two points).
+        Expr::Var(s)
+            if !program.vars[*s].address_taken
+                && writes_of(program, *s).is_empty()
+                && !has_calls(proc) =>
+        {
+            Must::Below(Query::Rel {
+                cp: d.cp,
+                x: idx,
+                y: *s,
+                sum: false,
+            })
         }
         _ => return None,
     };
-    if pids.is_empty() {
-        return None;
-    }
-    Some((q.render_packs(pids), reason))
+    let query = Query::Itv { cp: d.cp, x: idx };
+    Some(Plan { query, must })
 }
 
-fn try_discharge_null(
-    program: &Program,
-    q: &OctQuery<'_>,
-    d: &Diagnostic,
-) -> Option<(String, String)> {
-    let x = d.var?;
-    let (itv, pids) = q.itv_before(d.cp, x);
-    if pids.is_empty() || itv.is_bottom() || itv.contains(0) {
-        return None;
-    }
-    Some((
-        q.render_packs(pids),
-        format!("{} in {itv} excludes 0", var_name(program, x)),
-    ))
-}
-
-fn try_discharge_div(
-    program: &Program,
-    q: &OctQuery<'_>,
-    d: &Diagnostic,
-) -> Option<(String, String)> {
+fn plan_div(program: &Program, d: &Diagnostic) -> Option<Plan> {
     let Evidence::DivByZero { nth, .. } = &d.evidence else {
         return None;
     };
-    let proc = &program.procs[d.cp.proc];
     let mut divisors: Vec<&Expr> = Vec::new();
-    checker::collect_divisors_cmd(&proc.nodes[d.cp.node].cmd, &mut divisors);
-    let e = *divisors.get(*nth as usize)?;
-
-    let (itv, pids, rendered) = match e {
-        Expr::Var(x) => {
-            let (itv, pids) = q.itv_before(d.cp, *x);
-            (itv, pids, var_name(program, *x).to_string())
-        }
+    checker::collect_divisors_cmd(program.cmd(d.cp), &mut divisors);
+    let cp = d.cp;
+    let query = match *divisors.get(*nth as usize)? {
+        Expr::Var(x) => Query::Itv { cp, x: *x },
         Expr::Binop(op @ (BinOp::Sub | BinOp::Add), a, b) => {
-            let (Expr::Var(a), Expr::Var(b)) = (&**a, &**b) else {
+            let (Expr::Var(x), Expr::Var(y)) = (&**a, &**b) else {
                 return None;
             };
-            let (itv, pids) = q.rel_before(d.cp, *a, *b, matches!(op, BinOp::Add));
-            let sign = if matches!(op, BinOp::Add) { "+" } else { "-" };
-            (
-                itv,
-                pids,
-                format!("{} {sign} {}", var_name(program, *a), var_name(program, *b)),
-            )
+            let sum = matches!(op, BinOp::Add);
+            Query::Rel {
+                cp,
+                x: *x,
+                y: *y,
+                sum,
+            }
         }
         _ => return None,
     };
-    if pids.is_empty() || itv.is_bottom() || itv.contains(0) {
-        return None;
-    }
-    Some((
-        q.render_packs(pids),
-        format!("{rendered} in {itv} excludes 0"),
-    ))
+    let must = Must::NonZero;
+    Some(Plan { query, must })
 }
 
 #[cfg(test)]
@@ -827,6 +917,131 @@ mod tests {
         let (_, stats) = triage("int main() { int x = 1; return x; }");
         assert_eq!(stats.candidates, 0);
         assert!(!stats.octagon_ran);
+    }
+
+    #[test]
+    fn candidates_without_a_planned_query_skip_the_octagon() {
+        // `p` is written twice, so it is no single-assignment `base + idx`
+        // sum: the overrun plans nothing and no octagon is solved.
+        let (diags, stats) = triage_with(
+            "int main(int n) {
+                int *buf = malloc(4);
+                int *p = buf;
+                if (n > 0) { p = p + n; }
+                *p = 1;
+                return 0;
+             }",
+            TriageMode::Octagon,
+        );
+        assert!(stats.candidates > 0, "{diags:?}");
+        assert!(!stats.octagon_ran, "{stats:?}");
+        assert_eq!((stats.octagon_packs, stats.octagon_iterations), (0, 0));
+        assert!(diags.iter().all(|d| d.is_open()));
+    }
+
+    type Verdict = Option<(String, String)>;
+
+    /// Every candidate's plan, decided against the demand-driven octagon
+    /// result and against the whole-unit one (`seeds: None`).
+    fn verdicts(p: &Program) -> Vec<(Verdict, Verdict)> {
+        let pre = preanalysis::run(p);
+        let r = analyze(p, Engine::Sparse);
+        let diags = checker::check_all(p, &r, &pre);
+        let mut paths = PathIndex::new();
+        let plans: Vec<Plan> = diags
+            .iter()
+            .filter(|d| d.is_open() && !d.definite)
+            .filter_map(|d| plan(p, &pre, &mut paths, d))
+            .collect();
+        let seeds: Vec<VarId> = plans.iter().flat_map(Plan::vars).collect();
+        let (du, icfg) = (defuse::compute(p, &pre), Icfg::build(p, &pre));
+        let solve = |seeds: Option<&[VarId]>| {
+            let options = AnalyzeOptions::default();
+            octagon::analyze_with_pre(p, &pre, &du, &icfg, seeds, Engine::Sparse, options)
+        };
+        let (sliced, whole) = (solve(Some(&seeds)), solve(None));
+        assert!(sliced.stats.num_locs <= whole.stats.num_locs);
+        let decide = |plan: &Plan, res| plan.decide(&OctQuery { program: p, res });
+        plans
+            .iter()
+            .map(|plan| (decide(plan, &sliced), decide(plan, &whole)))
+            .collect()
+    }
+
+    #[test]
+    fn proving_pack_with_a_formal_reaches_the_callers_actuals() {
+        // The proving pack {i, n, ..} holds `probe`'s formal `n`, which the
+        // call in `main` really defines from `argc`: the slice has to keep
+        // the caller's side or that definition would compute ⊥.
+        let (diags, stats) = triage(
+            "int probe(int n) {
+                int s = 0;
+                if (n > 0) {
+                    int *buf = malloc(n);
+                    int i = 0;
+                    while (i < n) { buf[i] = i; i = i + 1; }
+                    s = i;
+                }
+                return s;
+             }
+             int pad(int a) { int b = a * 2; return b; }
+             int main(int argc) { int z = pad(7); probe(argc); return z; }",
+        );
+        let Some(Status::Discharged { pack, reason, .. }) =
+            diags.iter().find(|d| !d.is_open()).map(|d| &d.status)
+        else {
+            panic!("the loop access must discharge: {diags:?}");
+        };
+        assert!(
+            pack.contains('n') && reason.contains("i - n"),
+            "{pack}: {reason}"
+        );
+        assert!(
+            stats.octagon_packs < stats.octagon_packs_total,
+            "`pad` is outside the slice: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn may_aliased_store_refuses_the_discharge_like_the_whole_unit_run() {
+        // `*p` may clobber the index `k` between its guards and the access.
+        let with_store = |store: &str| {
+            let src = format!(
+                "int g;
+                 int main(int n, int k, int c) {{
+                    int *p = &g;
+                    if (c) {{ p = &k; }}
+                    if (n > 0) {{
+                        int *buf = malloc(n);
+                        if (k >= 0) {{ if (k < n) {{ {store} buf[k] = 1; }} }}
+                    }}
+                    return 0;
+                 }}"
+            );
+            verdicts(&parse(&src).unwrap())
+        };
+        let clobbered = with_store("*p = 7;");
+        assert_eq!(clobbered, vec![(None, None)]);
+        let [(sliced, whole)] = with_store("").try_into().expect("one candidate");
+        assert_eq!(sliced, whole);
+        assert!(sliced.is_some_and(|(_, reason)| reason.contains("k - n <= -1")));
+    }
+
+    #[test]
+    fn sliced_verdicts_equal_whole_unit_verdicts_on_generated_units() {
+        let mut discharged = 0;
+        for seed in [65261, 7, 123] {
+            let source = sga_cgen::generate(&sga_cgen::GenConfig {
+                seed,
+                target_loc: 600,
+                ..sga_cgen::GenConfig::default()
+            });
+            for (sliced, whole) in verdicts(&parse(&source).unwrap()) {
+                assert_eq!(sliced, whole, "generator seed {seed}");
+                discharged += usize::from(sliced.is_some());
+            }
+        }
+        assert!(discharged > 0, "no unit discharged anything");
     }
 
     #[test]

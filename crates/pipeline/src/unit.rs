@@ -289,7 +289,7 @@ fn analyze_unit_inner(
             budget: triage::derived_budget(iterations, budget),
             mode: triage_mode,
         };
-        triage::discharge(program, &pre, &result, &mut diags, &topts).degraded
+        triage::discharge_staged(program, &pre, &du, &icfg, &result, &mut diags, &topts).degraded
     });
 
     let procs = pids

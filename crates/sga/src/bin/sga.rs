@@ -517,12 +517,23 @@ fn print_diagnostics(diags: &[Diagnostic], stats: &triage::TriageStats) -> bool 
     let definite = diags.iter().filter(|d| d.is_open() && d.definite).count();
     println!(
         "{open} open alarm(s) ({definite} definite), {} discharged by triage \
-         ({} octagon, {} path-infeasible)",
+         ({} octagon, {} path-infeasible){}",
         stats.discharged,
         stats.discharged - stats.discharged_path,
         stats.discharged_path,
+        octagon_work(stats).map_or(String::new(), |w| format!("; {w}")),
     );
     definite > 0
+}
+
+/// "octagon solved K of N packs, I evaluations", when triage ran one.
+fn octagon_work(stats: &triage::TriageStats) -> Option<String> {
+    stats.octagon_ran.then(|| {
+        format!(
+            "octagon solved {} of {} packs, {} evaluations",
+            stats.octagon_packs, stats.octagon_packs_total, stats.octagon_iterations
+        )
+    })
 }
 
 const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
@@ -594,8 +605,9 @@ fn run_check_isolated(
         candidates: diags.iter().filter(|d| d.is_open() && !d.definite).count() + discharged,
         discharged,
         discharged_path,
-        octagon_ran: discharged > discharged_path,
         degraded: analysis.triage_degraded,
+        // The worker's report carries verdicts, not the octagon's counters.
+        ..triage::TriageStats::default()
     };
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = sarif_out {
@@ -1265,6 +1277,11 @@ fn main() -> ExitCode {
                     &opts.budget,
                 );
                 definite = print_diagnostics(&diags, &tstats);
+                if opts.stats {
+                    if let Some(work) = octagon_work(&tstats) {
+                        eprintln!("triage: {work}");
+                    }
+                }
             }
         }
         Domain::Octagon => {
