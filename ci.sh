@@ -53,7 +53,7 @@ if [ "$LIST" -eq 1 ]; then
         "backend-gate"     "bdd vs csr dependency backends byte-identical" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
         "isolation-gate"   "process workers byte-identical; abort/oom/spin survived" \
-        "bench-gate *"     "pipeline benchmark thresholds + repo-benchmark correctness smoke" \
+        "bench-gate *"     "pipeline benchmark thresholds + repo-benchmark checks + BENCH_counts.txt ledger" \
         "serve-bench-gate *" "daemon bench: latency, sparsity, flood shedding"
     exit 0
 fi
@@ -407,17 +407,38 @@ ignore_gate() {
     cargo test -q -- --ignored
 }
 
+# The rows of a traced benchmark run that BENCH_counts.txt pins: deterministic
+# counts describing answers and trajectories. Not the `allocs` rows, which a
+# change is allowed to lower.
+COUNT_ROWS="cfront.tokens cfront.ir_points core.defuse.locs core.depgen.edges_raw \
+core.depgen.edges_final core.sparse.iterations core.sparse.narrowing_rounds \
+core.checker.alarms core.triage.candidates core.triage.discharged_octagon \
+core.triage.discharged_path core.octagon.packs core.octagon.iterations diag.diagnostics"
+
+traced_counts() {
+    # One traced (fixed-work) run of workload $1 at the default seed,
+    # printed as "workload row value" lines; fails when the run does.
+    local out
+    out=$(cargo run --release -p sga-bench --bin benchmark -- run --workload "$1" --trace 1) || {
+        printf '%s\n' "$out" | tail -n 20 >&2; return 1; }
+    printf '%s\n' "$out" | awk -v w="$1" -v rows="$COUNT_ROWS" '
+        BEGIN { n = split(rows, r, " "); for (i = 1; i <= n; i++) want[r[i]] = 1 }
+        ($1 in want) && $3 == "count" { printf "%s %s %d\n", w, $1, $2 }'
+}
+
 bench_gate() {
-    # The pipeline bench's committed thresholds, then 2-second smokes of
-    # the repository benchmark, gated on their exit codes only: its golden
-    # corpus / oracle / per-unit identity checks guard analysis-kernel
-    # changes here and not only in the external driver — over flat units,
-    # over one large dependency cycle, and through the daemon, whose
-    # interface rounds re-triage three units and whose convergence and
-    # exact-invalidation checks run here. No timing is read.
+    # The pipeline bench's committed thresholds, then the repository
+    # benchmark: traced runs over flat units and over one large dependency
+    # cycle — fixed work, the golden corpus / oracle / per-unit identity
+    # checks, every count equal between their own two passes — whose
+    # answer-and-trajectory counts must equal the committed ledger exactly,
+    # and a 2-second smoke through the daemon, whose interface rounds
+    # re-triage three units and whose convergence and exact-invalidation
+    # checks run here. No timing is read.
+    local counts
     cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2 &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2 &&
+        counts=$(traced_counts batch_flat && traced_counts batch_scc) &&
+        diff -u BENCH_counts.txt <(printf '%s\n' "$counts") &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
 }
 

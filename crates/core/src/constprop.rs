@@ -106,10 +106,10 @@ pub fn analyze(program: &Program) -> ConstResult {
     let dep_time = dep_phase.stop();
 
     let mut stats = AnalysisStats {
-        pre_time,
         dep_time,
         ..AnalysisStats::default()
     };
+    stats.record_pre(&pre, pre_time);
     stats.num_locs = du.locs.len();
     stats.dep_edges = deps.stats.final_edges;
 

@@ -22,7 +22,7 @@ use crate::defuse::DefUse;
 use crate::preanalysis::PreAnalysis;
 use sga_ir::{Cmd, Cp, Program};
 use sga_utils::graph::{AdjGraph, Scc};
-use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx};
+use sga_utils::{FxHashMap, FxHashSet, Idx};
 
 /// Options controlling dependency generation.
 #[derive(Clone, Copy, Debug)]
@@ -174,7 +174,7 @@ pub fn generate_from<S: DepSource>(
         .indices()
         .map(|pid| proc_dep_edges(program, source, pid))
         .collect();
-    assemble(source, options, segments)
+    assemble(source, options, &segments)
 }
 
 /// Per-procedure dependency segment: the intraprocedural def→use edges of
@@ -199,14 +199,14 @@ pub fn proc_dep_edges<S: DepSource>(
 pub fn assemble<S: DepSource>(
     source: &S,
     options: DepGenOptions,
-    segments: Vec<Vec<DepEdge>>,
+    segments: &[Vec<DepEdge>],
 ) -> DataDeps {
     // Raw edges grouped by location id for the bypass pass. The bool marks
     // return-flow edges.
     let mut by_loc: FxHashMap<u32, Vec<(Cp, Cp, bool)>> = FxHashMap::default();
     let mut raw_edges = 0usize;
     for segment in segments {
-        for (loc, from, to, is_return) in segment {
+        for &(loc, from, to, is_return) in segment {
             by_loc.entry(loc).or_default().push((from, to, is_return));
             raw_edges += 1;
         }
@@ -271,7 +271,9 @@ pub fn assemble<S: DepSource>(
     }
 }
 
-/// Reaching-definition pass for one procedure, appending to `sink`.
+/// Reaching-definition pass for one procedure, appending to `sink`: from
+/// each def point of each location, one forward walk that stops behind the
+/// next definition (`D̂` is a must-definition, so it kills).
 fn intra_proc_edges<S: DepSource>(
     program: &Program,
     source: &S,
@@ -282,7 +284,8 @@ fn intra_proc_edges<S: DepSource>(
     let n = proc.nodes.len();
 
     // Collect the locations mentioned in this procedure and, per location,
-    // its def and use points.
+    // its def and use points. Segments are emitted in this map's iteration
+    // order and stored in cache entries: build it exactly like this.
     let mut locs_here: FxHashMap<u32, (Vec<usize>, Vec<usize>)> = FxHashMap::default();
     for (nid, _) in proc.nodes.iter_enumerated() {
         let cp = Cp::new(pid, nid);
@@ -294,53 +297,63 @@ fn intra_proc_edges<S: DepSource>(
         }
     }
 
-    let rpo = sga_utils::graph::reverse_postorder(&proc.cfg_view(), proc.entry.index());
+    // `seen[v]` is the last walk that entered `v`. Nodes unreachable from
+    // the entry keep `u32::MAX` and are never entered — they neither receive
+    // nor forward a definition — yet a def *at* one still walks into its
+    // reachable successors.
+    let mut seen = vec![u32::MAX; n];
+    for v in sga_utils::graph::reverse_postorder(&proc.cfg_view(), proc.entry.index()) {
+        seen[v] = 0;
+    }
+    let mut walk = 0u32;
+    // `def_at[v] == mark` / `use_at[v] == mark`: `v` defines / uses the
+    // location being processed.
+    let (mut def_at, mut use_at) = (vec![0u32; n], vec![0u32; n]);
+    let succs = |v: usize| {
+        proc.succs_of(sga_ir::NodeId::new(v))
+            .iter()
+            .map(|s| s.index())
+    };
+    let mut stack: Vec<usize> = Vec::new();
+    let mut reached: Vec<(usize, usize)> = Vec::new();
 
-    for (&loc_id, (def_points, use_points)) in &locs_here {
+    for (mark, (&loc_id, (def_points, use_points))) in (1u32..).zip(&locs_here) {
         if use_points.is_empty() || def_points.is_empty() {
             continue;
         }
-        // Dataflow over def-point indices: in(n) = ⋃ preds out(p);
-        // out(n) = {n} if n defines l (must-kill) else in(n).
-        let ndefs = def_points.len();
-        let def_index: FxHashMap<usize, usize> = def_points
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i))
-            .collect();
-        let mut in_sets: Vec<BitSet> = (0..n).map(|_| BitSet::new(ndefs)).collect();
-        let mut out_sets: Vec<BitSet> = (0..n).map(|_| BitSet::new(ndefs)).collect();
-        // Initialize defs' own out-sets.
-        for (i, &d) in def_points.iter().enumerate() {
-            out_sets[d].insert(i);
+        for &d in def_points {
+            def_at[d] = mark;
         }
-        // Iterate to fixpoint in RPO (loops converge in a few passes).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &v in &rpo {
-                let mut inset = BitSet::new(ndefs);
-                for &p in proc.preds_of(sga_ir::NodeId::new(v)) {
-                    inset.union_with(&out_sets[p.index()]);
+        for &u in use_points {
+            use_at[u] = mark;
+        }
+        for &d in def_points {
+            walk += 1;
+            stack.extend(succs(d));
+            while let Some(v) = stack.pop() {
+                if seen[v] >= walk {
+                    continue;
                 }
-                if inset != in_sets[v] {
-                    in_sets[v] = inset.clone();
-                    changed = true;
+                seen[v] = walk;
+                if use_at[v] == mark {
+                    reached.push((v, d));
                 }
-                if !def_index.contains_key(&v) && out_sets[v] != inset {
-                    out_sets[v] = inset;
-                    changed = true;
+                // A defining node is entered (a use-and-def node receives
+                // `d`, a loop delivers `d` to itself) but not walked past.
+                if def_at[v] != mark {
+                    stack.extend(succs(v));
                 }
             }
         }
-        // Emit edges def → use for every def reaching a use, honoring the
-        // source's routing (call sites redirect callee-used locations to
-        // the callee entries).
-        for &u in use_points {
-            let ucp = Cp::new(pid, sga_ir::NodeId::new(u));
+        // Emit edges def → use, uses ascending and defs ascending within a
+        // use, honoring the source's routing (call sites redirect
+        // callee-used locations to the callee entries).
+        reached.sort_unstable();
+        for defs_of_use in reached.chunk_by(|a, b| a.0 == b.0) {
+            let ucp = Cp::new(pid, sga_ir::NodeId::new(defs_of_use[0].0));
             let routes = source.use_routes(ucp, loc_id);
-            for di in in_sets[u].iter() {
-                let d = Cp::new(pid, sga_ir::NodeId::new(def_points[di]));
+            for &(_, d) in defs_of_use {
+                let d = Cp::new(pid, sga_ir::NodeId::new(d));
                 if routes.self_edge {
                     sink.push((loc_id, d, ucp, false));
                 }
@@ -349,6 +362,7 @@ fn intra_proc_edges<S: DepSource>(
                 }
             }
         }
+        reached.clear();
     }
 }
 
@@ -629,6 +643,9 @@ fn dep_graph_structure(out: &FxHashMap<Cp, Vec<(u32, Cp)>>) -> (FxHashSet<Cp>, F
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{defuse, preanalysis};
@@ -654,7 +671,7 @@ mod tests {
         Setup { program, du, deps }
     }
 
-    fn var(program: &Program, name: &str) -> VarId {
+    pub(super) fn var(program: &Program, name: &str) -> VarId {
         program
             .vars
             .iter_enumerated()

@@ -98,10 +98,10 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     let icfg = Icfg::build(program, &pre);
 
     let mut stats = AnalysisStats {
-        pre_time,
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
+    stats.record_pre(&pre, pre_time);
     let plan = WideningPlan::for_program(program, options.widening);
 
     let values = match engine {

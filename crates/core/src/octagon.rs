@@ -121,7 +121,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     let du = crate::defuse::compute(program, &pre);
     let icfg = Icfg::build(program, &pre);
     let mut result = analyze_with_pre(program, &pre, &du, &icfg, None, engine, options);
-    result.stats.pre_time = pre_time;
+    result.stats.record_pre(&pre, pre_time);
     result.stats.total_time = total.stop();
     result
 }

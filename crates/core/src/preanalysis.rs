@@ -12,7 +12,8 @@
 use crate::semantics::{self, eval};
 use sga_domains::{AbsLoc, Lattice, State, Value};
 use sga_ir::callgraph::CallGraph;
-use sga_ir::{Callee, Cmd, Cp, Program};
+use sga_ir::{Callee, Cmd, Cp, Expr, LVal, Program};
+use sga_utils::FxHashMap;
 
 /// The pre-analysis result.
 #[derive(Debug)]
@@ -23,6 +24,11 @@ pub struct PreAnalysis {
     pub callgraph: CallGraph,
     /// Number of global rounds until the fixpoint.
     pub rounds: usize,
+    /// Commands that can bind a location: all but `skip` and `assume`.
+    pub commands: usize,
+    /// Command evaluations over all rounds (`rounds × commands` if every
+    /// round evaluated every command).
+    pub evaluations: usize,
 }
 
 impl PreAnalysis {
@@ -36,105 +42,79 @@ impl PreAnalysis {
 }
 
 /// Runs the flow-insensitive pre-analysis to its fixpoint.
+///
+/// Jacobi rounds: round *r* evaluates commands against `state_r` and merges
+/// their contributions into `state_{r+1}`. Only the commands that read a
+/// location whose binding the previous round changed are evaluated — any
+/// other would contribute what it did before, which that round's merge
+/// already absorbed (join and widening are upper bounds, `a ∇ a = a`), so
+/// the states are those of evaluating every command every round.
 pub fn run(program: &Program) -> PreAnalysis {
+    // The contributing commands in program order. `skip` and `assume` bind
+    // nothing: refinement can only shrink values, and flow-insensitive
+    // joining makes it a no-op.
+    let mut cmds: Vec<Cp> = Vec::new();
+    for (pid, proc) in program.procs.iter_enumerated() {
+        for (nid, node) in proc.nodes.iter_enumerated() {
+            if !proc.is_external && !matches!(node.cmd, Cmd::Skip | Cmd::Assume(_)) {
+                cmds.push(Cp::new(pid, nid));
+            }
+        }
+    }
     let mut state = seed(program);
-    let mut rounds = 0usize;
+    // What each command read at its last evaluation (sorted) and the
+    // inverse index; both only grow, as the values read sets derive from do.
+    let mut reads: Vec<Vec<AbsLoc>> = vec![Vec::new(); cmds.len()];
+    let mut readers: FxHashMap<AbsLoc, Vec<usize>> = FxHashMap::default();
+    let mut dirty = vec![true; cmds.len()];
+    // Per touched location, the old binding joined with this round's
+    // contributions in arrival order (an unbound location takes the first
+    // one as is, so an explicit ⊥ such as `return;`'s still gets bound).
+    let mut touched: FxHashMap<AbsLoc, Value> = FxHashMap::default();
+    let (mut rounds, mut evaluations) = (0usize, 0usize);
     loop {
         rounds += 1;
-        // Each command contributes only its (weakly updated) delta —
-        // evaluated against the previous round's state — instead of a full
-        // state join; flow-insensitivity makes the two equivalent.
-        let mut next = state.clone();
-        let weak = |next: &mut State, l: AbsLoc, v: &Value| {
-            *next = next.weak_set(l, v);
-        };
-        for (pid, proc) in program.procs.iter_enumerated() {
-            if proc.is_external {
+        for (i, &cp) in cmds.iter().enumerate() {
+            if !std::mem::take(&mut dirty[i]) {
                 continue;
             }
-            for (nid, node) in proc.nodes.iter_enumerated() {
-                let cp = Cp::new(pid, nid);
-                match &node.cmd {
-                    Cmd::Skip | Cmd::Assume(_) => {
-                        // Refinement can only shrink values; flow-insensitive
-                        // joining makes it a no-op, so skip the work.
-                    }
-                    Cmd::Assign(lv, e) => {
-                        let v = semantics::eval(program, e, &state);
-                        let (targets, _) = semantics::lval_targets(program, lv, &state);
-                        for &l in &targets {
-                            weak(&mut next, l, &v);
-                        }
-                    }
-                    Cmd::Alloc(lv, size) => {
-                        let sz = semantics::eval(program, size, &state).itv;
-                        let site = sga_domains::locs::AllocSite(cp);
-                        let v = Value::of_arr(sga_domains::array::ArrayBlk::alloc(
-                            AbsLoc::Alloc(site),
-                            sz,
-                        ));
-                        let (targets, _) = semantics::lval_targets(program, lv, &state);
-                        for &l in &targets {
-                            weak(&mut next, l, &v);
-                        }
-                    }
-                    Cmd::Return(e) => {
-                        let v = match e {
-                            Some(e) => semantics::eval(program, e, &state),
-                            None => Value::bot(),
-                        };
-                        weak(&mut next, AbsLoc::Var(proc.ret_var), &v);
-                    }
-                    Cmd::Call { ret, callee, args } => {
-                        let targets = resolve_targets(program, callee, &state);
-                        let mut ret_val: Option<Value> = None;
-                        let mut any_internal = false;
-                        for &t in &targets {
-                            let callee_proc = &program.procs[t];
-                            if callee_proc.is_external {
-                                continue;
-                            }
-                            any_internal = true;
-                            for (i, &p) in callee_proc.params.iter().enumerate() {
-                                let v = match args.get(i) {
-                                    Some(a) => semantics::eval(program, a, &state),
-                                    None => Value::unknown_int(),
-                                };
-                                weak(&mut next, AbsLoc::Var(p), &v);
-                            }
-                            let rv = state.get(&AbsLoc::Var(callee_proc.ret_var));
-                            ret_val = Some(match ret_val {
-                                Some(acc) => acc.join(&rv),
-                                None => rv,
-                            });
-                        }
-                        if !any_internal {
-                            ret_val = Some(match ret_val {
-                                Some(acc) => acc.join(&Value::unknown_int()),
-                                None => Value::unknown_int(),
-                            });
-                        }
-                        if let (Some(lv), Some(v)) = (ret, ret_val) {
-                            let (targets, _) = semantics::lval_targets(program, lv, &state);
-                            for &l in &targets {
-                                weak(&mut next, l, &v);
-                            }
-                        }
-                    }
-                }
+            evaluations += 1;
+            let mut used = Vec::new();
+            contribute(program, cp, &state, &mut used, &mut |l, v| {
+                let old = touched.get(&l).or_else(|| state.get_ref(&l));
+                let acc = old.map_or_else(|| v.clone(), |old| old.join(v));
+                touched.insert(l, acc);
+            });
+            used.sort_unstable();
+            used.dedup();
+            for &l in used.iter().filter(|l| reads[i].binary_search(l).is_err()) {
+                readers.entry(l).or_default().push(i);
             }
+            reads[i] = used;
         }
         // Plain joins for two rounds (cheap precision), widening afterwards
-        // to force convergence of the numeric component.
-        let merged = if rounds <= 2 {
-            state.join(&next)
-        } else {
-            state.widen(&next)
-        };
-        if merged == state {
+        // to force convergence of the numeric component. Only the bindings
+        // that differ are written back, and only their readers run next.
+        let mut changed = false;
+        for (l, contributed) in touched.drain() {
+            let old = state.get_ref(&l);
+            let merged = match old {
+                None => contributed,
+                Some(old) if rounds <= 2 => old.join(&contributed),
+                Some(old) => old.widen(&contributed),
+            };
+            if old == Some(&merged) {
+                continue;
+            }
+            changed = true;
+            for &i in readers.get(&l).into_iter().flatten() {
+                dirty[i] = true;
+            }
+            state = state.set(l, merged);
+        }
+        if !changed {
             break;
         }
-        state = merged;
     }
     let callgraph = CallGraph::build(program, |cp| {
         let Cmd::Call { callee, .. } = program.cmd(cp) else {
@@ -146,6 +126,78 @@ pub fn run(program: &Program) -> PreAnalysis {
         state,
         callgraph,
         rounds,
+        commands: cmds.len(),
+        evaluations,
+    }
+}
+
+/// Evaluates the command at `cp` against `s`: its (weakly updated) delta
+/// goes to `weak` — flow-insensitivity makes that equivalent to a full
+/// state join — and every location it read from `s` to `used`.
+fn contribute(
+    program: &Program,
+    cp: Cp,
+    s: &State,
+    used: &mut Vec<AbsLoc>,
+    weak: &mut impl FnMut(AbsLoc, &Value),
+) {
+    let ev = |e: &Expr, used: &mut Vec<AbsLoc>| {
+        semantics::used_locs(program, e, s, used);
+        eval(program, e, s)
+    };
+    let targets = |lv: &LVal, used: &mut Vec<AbsLoc>| {
+        semantics::lval_used(lv, used);
+        semantics::lval_targets(program, lv, s).0
+    };
+    match program.cmd(cp) {
+        Cmd::Skip | Cmd::Assume(_) => {}
+        Cmd::Assign(lv, e) => {
+            let v = ev(e, used);
+            for &l in &targets(lv, used) {
+                weak(l, &v);
+            }
+        }
+        Cmd::Alloc(lv, size) => {
+            let sz = ev(size, used).itv;
+            let site = AbsLoc::Alloc(sga_domains::locs::AllocSite(cp));
+            let v = Value::of_arr(sga_domains::array::ArrayBlk::alloc(site, sz));
+            for &l in &targets(lv, used) {
+                weak(l, &v);
+            }
+        }
+        Cmd::Return(e) => {
+            let v = e.as_ref().map_or_else(Value::bot, |e| ev(e, used));
+            weak(AbsLoc::Var(program.procs[cp.proc].ret_var), &v);
+        }
+        Cmd::Call { ret, callee, args } => {
+            if let Callee::Indirect(e) = callee {
+                semantics::used_locs(program, e, s, used);
+            }
+            let mut ret_val: Option<Value> = None;
+            for &t in &resolve_targets(program, callee, s) {
+                let callee_proc = &program.procs[t];
+                if callee_proc.is_external {
+                    continue;
+                }
+                for (i, &p) in callee_proc.params.iter().enumerate() {
+                    let v = args.get(i).map_or_else(Value::unknown_int, |a| ev(a, used));
+                    weak(AbsLoc::Var(p), &v);
+                }
+                used.push(AbsLoc::Var(callee_proc.ret_var));
+                let rv = s.get(&AbsLoc::Var(callee_proc.ret_var));
+                ret_val = Some(match ret_val {
+                    Some(acc) => acc.join(&rv),
+                    None => rv,
+                });
+            }
+            // No internal target: the call returns an arbitrary integer.
+            let ret_val = ret_val.unwrap_or_else(Value::unknown_int);
+            if let Some(lv) = ret {
+                for &l in &targets(lv, used) {
+                    weak(l, &ret_val);
+                }
+            }
+        }
     }
 }
 
@@ -242,13 +294,16 @@ fn seed(program: &Program) -> State {
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sga_cfront::parse;
     use sga_domains::Interval;
     use sga_ir::VarId;
 
-    fn var(program: &Program, name: &str) -> VarId {
+    pub(super) fn var(program: &Program, name: &str) -> VarId {
         program
             .vars
             .iter_enumerated()

@@ -18,6 +18,13 @@ pub struct AnalysisStats {
     pub total_time: Duration,
     /// Peak RSS observed after the run, if the platform reports it.
     pub peak_mem_bytes: Option<u64>,
+    /// Pre-analysis rounds until its fixpoint.
+    pub pre_rounds: usize,
+    /// Pre-analysis command evaluations, summed over the rounds.
+    pub pre_evaluations: usize,
+    /// Commands the pre-analysis evaluates (`pre_rounds × pre_commands`
+    /// evaluations would re-run each of them every round).
+    pub pre_commands: usize,
     /// Ascending-phase node evaluations.
     pub iterations: usize,
     /// Number of abstract locations (Table 1's `AbsLocs`).
@@ -38,6 +45,14 @@ pub struct AnalysisStats {
 }
 
 impl AnalysisStats {
+    /// Records the pre-analysis phase: its time and work counts.
+    pub fn record_pre(&mut self, pre: &crate::preanalysis::PreAnalysis, time: Duration) {
+        self.pre_time = time;
+        self.pre_rounds = pre.rounds;
+        self.pre_evaluations = pre.evaluations;
+        self.pre_commands = pre.commands;
+    }
+
     /// `Dep` column: pre-analysis + dependency construction.
     pub fn dep_phase(&self) -> Duration {
         self.pre_time + self.dep_time

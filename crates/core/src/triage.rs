@@ -70,6 +70,7 @@ use sga_domains::interval::Bound;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, PackId};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, NodeId, Proc, ProcId, Program, VarId};
 use sga_utils::{FxHashSet, Idx};
+use std::cell::OnceCell;
 
 /// Which triage layers run. The octagon layer refutes error conditions
 /// relationally; the path layer proves alarm points unreachable from
@@ -182,7 +183,8 @@ pub fn derived_budget(interval_iterations: usize, base: &Budget) -> Budget {
     }
 }
 
-/// [`discharge_staged`] for callers that hold no def/use sets or ICFG.
+/// [`discharge_staged`] for callers that hold no def/use sets or ICFG:
+/// both are computed here, and only if the octagon layer plans a query.
 pub fn discharge(
     program: &Program,
     pre: &PreAnalysis,
@@ -190,8 +192,13 @@ pub fn discharge(
     diags: &mut [Diagnostic],
     options: &TriageOptions,
 ) -> TriageStats {
-    let (du, icfg) = (defuse::compute(program, pre), Icfg::build(program, pre));
-    discharge_staged(program, pre, &du, &icfg, result, diags, options)
+    let staged = OnceCell::new();
+    let compute = || {
+        let (du, icfg) =
+            staged.get_or_init(|| (defuse::compute(program, pre), Icfg::build(program, pre)));
+        (du, icfg)
+    };
+    discharge_lazy(program, pre, compute, result, diags, options)
 }
 
 /// Runs the triage layers selected by `options.mode` and demotes every
@@ -212,6 +219,19 @@ pub fn discharge_staged(
     pre: &PreAnalysis,
     du: &DefUse,
     icfg: &Icfg,
+    result: &IntervalResult,
+    diags: &mut [Diagnostic],
+    options: &TriageOptions,
+) -> TriageStats {
+    discharge_lazy(program, pre, || (du, icfg), result, diags, options)
+}
+
+/// The body of [`discharge_staged`]; `staged` yields the def/use sets and
+/// ICFG and is called only when an octagon is about to be solved.
+fn discharge_lazy<'a>(
+    program: &Program,
+    pre: &PreAnalysis,
+    staged: impl FnOnce() -> (&'a DefUse, &'a Icfg),
     result: &IntervalResult,
     diags: &mut [Diagnostic],
     options: &TriageOptions,
@@ -248,6 +268,7 @@ pub fn discharge_staged(
         // Seeds come off the very queries `decide` will ask: what is solved
         // for and what is asked cannot diverge.
         let seeds: Vec<VarId> = plans.iter().flat_map(|(_, p)| p.vars()).collect();
+        let (du, icfg) = staged();
         let res = octagon::analyze_with_pre(
             program,
             pre,

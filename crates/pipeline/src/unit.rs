@@ -239,7 +239,7 @@ fn analyze_unit_inner(
         let segments = par::run_indexed(jobs, &pids, |_, &pid| {
             depgen::proc_dep_edges(program, &source, pid)
         });
-        let deps = depgen::assemble(&source, options, segments.clone());
+        let deps = depgen::assemble(&source, options, &segments);
         (deps, segments)
     });
 

@@ -536,6 +536,15 @@ fn octagon_work(stats: &triage::TriageStats) -> Option<String> {
     })
 }
 
+/// "pre: R rounds, E of R×C evaluations" — the pre-analysis' work against
+/// what re-evaluating every command every round would have cost.
+fn pre_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
+    format!(
+        "pre: {} rounds, {} of {}×{} evaluations",
+        stats.pre_rounds, stats.pre_evaluations, stats.pre_rounds, stats.pre_commands
+    )
+}
+
 const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
                            [--engine vanilla|base|sparse] \
                            [--widening naive|threshold|delayed] \
@@ -1251,6 +1260,7 @@ fn main() -> ExitCode {
                     s.iterations, s.num_locs, s.dep_edges, s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
+                eprintln!("{}", pre_work(s));
             }
             if opts.dump_values {
                 for cp in program.all_points() {
@@ -1306,6 +1316,7 @@ fn main() -> ExitCode {
                     result.packs.len(), result.packs.average_size(), s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
+                eprintln!("{}", pre_work(s));
             }
             if opts.dump_values {
                 for (v, info) in program.vars.iter_enumerated() {
