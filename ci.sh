@@ -414,16 +414,43 @@ COUNT_ROWS="cfront.tokens cfront.ir_points core.defuse.locs core.depgen.edges_ra
 core.depgen.edges_final core.sparse.iterations core.sparse.narrowing_rounds \
 core.checker.alarms core.triage.candidates core.triage.discharged_octagon \
 core.triage.discharged_path core.octagon.packs core.octagon.iterations diag.diagnostics"
+# The interval fixpoint's allocation rows are held under the ceilings of
+# BENCH_alloc_ceilings.txt instead (the values of the PR that last lowered
+# them, plus a tenth): they fall freely and cannot rise unnoticed. With the
+# sparse engine's forwarding off — an instance's `forwards` back at the trait's
+# default, say — every pinned count stays equal and these rise by 28 % to
+# sixfold.
+ALLOC_ROWS="core.sparse.allocs core.sparse.alloc_bytes"
 
-traced_counts() {
-    # One traced (fixed-work) run of workload $1 at the default seed,
-    # printed as "workload row value" lines; fails when the run does.
+traced_rows() {
+    # One traced (fixed-work) run of workload $1 at the default seed, its
+    # count and allocation rows printed as "workload row value" lines; fails
+    # when the run does.
     local out
     out=$(cargo run --release -p sga-bench --bin benchmark -- run --workload "$1" --trace 1) || {
         printf '%s\n' "$out" | tail -n 20 >&2; return 1; }
-    printf '%s\n' "$out" | awk -v w="$1" -v rows="$COUNT_ROWS" '
+    printf '%s\n' "$out" | awk -v w="$1" -v rows="$COUNT_ROWS $ALLOC_ROWS" '
         BEGIN { n = split(rows, r, " "); for (i = 1; i <= n; i++) want[r[i]] = 1 }
-        ($1 in want) && $3 == "count" { printf "%s %s %d\n", w, $1, $2 }'
+        ($1 in want) && ($3 == "count" || $3 == "bytes") { printf "%s %s %d\n", w, $1, $2 }'
+}
+
+under_ceilings() {
+    # Every "workload row ceiling" line of BENCH_alloc_ceilings.txt must
+    # have its row among the "workload row value" lines on stdin, at or
+    # below the ceiling.
+    awk '
+        NR == FNR { ceiling[$1 " " $2] = $3; rows++; next }
+        ($1 " " $2) in ceiling {
+            seen++
+            if ($3 + 0 > ceiling[$1 " " $2] + 0) {
+                printf "bench-gate: %s %s is %d, over its ceiling %d\n", $1, $2, $3, ceiling[$1 " " $2]
+                bad = 1
+            }
+        }
+        END {
+            if (seen != rows) { print "bench-gate: a row of BENCH_alloc_ceilings.txt was not reported"; bad = 1 }
+            exit bad
+        }' BENCH_alloc_ceilings.txt - >&2
 }
 
 bench_gate() {
@@ -431,14 +458,16 @@ bench_gate() {
     # benchmark: traced runs over flat units and over one large dependency
     # cycle — fixed work, the golden corpus / oracle / per-unit identity
     # checks, every count equal between their own two passes — whose
-    # answer-and-trajectory counts must equal the committed ledger exactly,
+    # answer-and-trajectory counts must equal the committed ledger exactly
+    # and whose fixpoint allocation rows must stay under their ceilings,
     # and a 2-second smoke through the daemon, whose interface rounds
     # re-triage three units and whose convergence and exact-invalidation
     # checks run here. No timing is read.
-    local counts
+    local rows
     cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
-        counts=$(traced_counts batch_flat && traced_counts batch_scc) &&
-        diff -u BENCH_counts.txt <(printf '%s\n' "$counts") &&
+        rows=$(traced_rows batch_flat && traced_rows batch_scc) &&
+        diff -u BENCH_counts.txt <(printf '%s\n' "$rows" | grep -v '\.alloc') &&
+        printf '%s\n' "$rows" | under_ceilings &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
 }
 

@@ -59,11 +59,21 @@ fn bench_octagon(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sparse fixpoint alone, over a unit with 28 of its 32 procedures on
-/// one call-graph cycle (the shape `tests/diagnostics.rs` pins): everything
-/// up to the dependency relation is staged outside the timed closure.
+/// The sparse fixpoint alone, at both ends of what forwarding does for it;
+/// everything up to the dependency relation is staged outside the timed
+/// closure.
+///
+/// `solve_scc` — 28 of 32 procedures on one call-graph cycle (the shape
+/// `tests/diagnostics.rs` pins): the solve runs through the m×n relay hubs
+/// at call sites, entries and exits, and most pops past the first visits
+/// are answered per dirty location. Expected to show the large factor.
+///
+/// `solve_flat` — a 1-kLOC unit with `max_scc = 2`: few hubs, short rows,
+/// and first visits plus small assign / assume re-evaluations (all whole)
+/// dominate. Expected to show the small end: the descent's skipped opening
+/// round and little else.
 fn bench_sparse_solve(c: &mut Criterion) {
-    let src = sga::cgen::generate(&GenConfig {
+    let scc = GenConfig {
         seed: 65261,
         target_loc: 800,
         functions: 32,
@@ -71,29 +81,36 @@ fn bench_sparse_solve(c: &mut Criterion) {
         global_ptrs: 4,
         max_scc: 28,
         ..Default::default()
-    });
-    let program = sga::frontend::parse(&src).expect("parses");
-    let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
-    let spec = IntervalSparseSpec {
-        program: &program,
-        pre: &staged.pre,
-        du: &staged.du,
+    };
+    let flat = GenConfig {
+        target_loc: 1000,
+        ..GenConfig::sized(65261, 1)
     };
     let mut group = c.benchmark_group("sparse");
     group.sample_size(10);
-    group.bench_function("solve_scc", |b| {
-        b.iter(|| {
-            sparse::solve_backend(
-                DepBackend::Csr,
-                &program,
-                &staged.icfg,
-                &staged.deps,
-                &spec,
-                &staged.widening,
-                &Budget::unbounded(),
-            )
-        })
-    });
+    for (name, config) in [("solve_scc", scc), ("solve_flat", flat)] {
+        let src = sga::cgen::generate(&config);
+        let program = sga::frontend::parse(&src).expect("parses");
+        let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
+        let spec = IntervalSparseSpec {
+            program: &program,
+            pre: &staged.pre,
+            du: &staged.du,
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                sparse::solve_backend(
+                    DepBackend::Csr,
+                    &program,
+                    &staged.icfg,
+                    &staged.deps,
+                    &spec,
+                    &staged.widening,
+                    &Budget::unbounded(),
+                )
+            })
+        });
+    }
     group.finish();
 }
 

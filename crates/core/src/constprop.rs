@@ -122,6 +122,7 @@ pub fn analyze(program: &Program) -> ConstResult {
     let result = sparse::solve(program, &icfg, &deps, &spec);
     stats.fix_time = fix.stop();
     stats.iterations = result.iterations;
+    stats.fix_work = result.work;
     stats.total_time = total.stop();
     stats.peak_mem_bytes = peak_rss_bytes();
     ConstResult {
@@ -233,6 +234,14 @@ impl SparseSpec for ConstSpec<'_> {
             s = s.insert(AbsLoc::Var(p), Const::Top);
         }
         s
+    }
+
+    fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
+        self.du.forwards(cp, l)
+    }
+
+    fn keeps(&self, v: &Const) -> bool {
+        *v != Const::Bot
     }
 
     fn transfer(&self, cp: Cp, pre_in: &ConstState, ret_in: &ConstState) -> Row<AbsLoc, Const> {

@@ -108,6 +108,17 @@ impl DefUse {
         })
     }
 
+    /// [`crate::sparse::SparseSpec::forwards`] for the instances whose
+    /// transfer reads and writes within the real sets (the pre-analysis they
+    /// come from over-approximates every state the fixpoint passes through):
+    /// `l` is a relayed member of `D̂(cp)`.
+    pub(crate) fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
+        let has = |set: &[AbsLoc]| set.binary_search(l).is_ok();
+        self.sets
+            .get(&cp)
+            .is_some_and(|s| has(&s.defs) && !has(&s.real_defs) && !has(&s.real_uses))
+    }
+
     /// Average `|D̂(c)|` over real command points — Table 2's `D̂(c)` column.
     pub fn avg_def_size(&self) -> f64 {
         avg(self.sets.values().map(|s| s.defs.len()))

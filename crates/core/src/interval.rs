@@ -162,6 +162,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
+            stats.fix_work = result.work;
             result
                 .values
                 .into_iter()
@@ -362,6 +363,14 @@ impl SparseSpec for IntervalSparseSpec<'_> {
         initial_state(self.program).into_pmap()
     }
 
+    fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
+        self.du.forwards(cp, l)
+    }
+
+    fn keeps(&self, v: &Value) -> bool {
+        !v.is_bottom()
+    }
+
     fn transfer(
         &self,
         cp: Cp,
@@ -392,7 +401,10 @@ impl SparseSpec for IntervalSparseSpec<'_> {
                         };
                         out = out.set(AbsLoc::Var(p), v);
                     }
-                    let rv = State::from_pmap(ret_in.clone()).get(&AbsLoc::Var(callee.ret_var));
+                    let rv = ret_in
+                        .get(&AbsLoc::Var(callee.ret_var))
+                        .cloned()
+                        .unwrap_or_else(Value::bot);
                     ret_val = Some(match ret_val {
                         Some(acc) => acc.join(&rv),
                         None => rv,

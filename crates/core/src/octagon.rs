@@ -177,10 +177,11 @@ pub(crate) fn analyze_with_pre(
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
             let fix = Phase::start("fix");
-            let (_, result) = staged.solve_sparse(program, icfg, &sem, &deps, options);
+            let (_, result) = staged.solve_sparse(program, icfg, &sem, du, &deps, options);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
+            stats.fix_work = result.work;
             result.values
         }
     };
@@ -209,7 +210,7 @@ pub(crate) fn sparse_post_fixpoint_check(
     let staged = Staged::new(program, pre, &du, None, options);
     let sem = OctSemantics::new(program, pre, &staged.packs);
     let deps = depgen::generate_from(program, &staged.odu, options.depgen);
-    let (spec, result) = staged.solve_sparse(program, &icfg, &sem, &deps, options);
+    let (spec, result) = staged.solve_sparse(program, &icfg, &sem, &du, &deps, options);
     crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
 }
 
@@ -247,11 +248,13 @@ impl Staged {
         program: &Program,
         icfg: &Icfg,
         sem: &'s OctSemantics<'s>,
+        du: &'s DefUse,
         deps: &DataDeps,
         options: AnalyzeOptions,
     ) -> (OctSparseSpec<'s>, sparse::SparseResult<PackId, Octagon>) {
         let spec = OctSparseSpec {
             sem,
+            du,
             odu: &self.odu,
         };
         let result = sparse::solve_backend(
@@ -1236,6 +1239,7 @@ fn assign_itv(sem: &OctSemantics<'_>, st: &OctState, x: VarId, itv: &Interval) -
 
 struct OctSparseSpec<'p> {
     sem: &'p OctSemantics<'p>,
+    du: &'p DefUse,
     odu: &'p OctDefUse,
 }
 
@@ -1249,6 +1253,36 @@ impl SparseSpec for OctSparseSpec<'_> {
 
     fn initial(&self) -> PMap<PackId, Octagon> {
         self.sem.initial()
+    }
+
+    /// `is_real` is what the bypass asks, not all the transfer touches: a
+    /// projection meets *every* bound pack of the variable it reads, the
+    /// relayed ones too, and a store through a pointer havocs packs the
+    /// real sets do not name. So a pack is forwarded only past a `Skip` (an
+    /// entry resets its fresh packs, which are real) or past a call that
+    /// returns into a variable or nowhere and really uses none of the
+    /// pack's members.
+    fn forwards(&self, cp: Cp, pid: &PackId) -> bool {
+        let plain = matches!(
+            self.sem.program.cmd(cp),
+            Cmd::Skip
+                | Cmd::Call {
+                    ret: None | Some(LVal::Var(_)),
+                    ..
+                }
+        );
+        let Some(sets) = self.du.sets.get(&cp) else {
+            return false;
+        };
+        let used = |v: &VarId| sets.real_uses.binary_search(&AbsLoc::Var(*v)).is_ok();
+        plain
+            && self.odu.defs(cp).binary_search(&pid.0).is_ok()
+            && !self.odu.is_real(cp, pid.0)
+            && !self.sem.packs.pack(*pid).members().iter().any(used)
+    }
+
+    fn keeps(&self, oct: &Octagon) -> bool {
+        !matches!(oct.close(), Octagon::Bot)
     }
 
     fn transfer(
@@ -1549,7 +1583,7 @@ mod tests {
         let staged = Staged::new(&u.program, &u.pre, &u.du, seeds, options);
         let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs);
         let deps = depgen::generate_from(&u.program, &staged.odu, options.depgen);
-        let (spec, result) = staged.solve_sparse(&u.program, &u.icfg, &sem, &deps, options);
+        let (spec, result) = staged.solve_sparse(&u.program, &u.icfg, &sem, &u.du, &deps, options);
         let report =
             crate::validate::check_sparse_post_fixpoint(&u.program, &deps, &spec, &result.values);
         assert!(

@@ -10,11 +10,21 @@
 //! Widening happens at the control points that participate in dependency
 //! cycles (loop-carried definitions, recursion) — the sparse counterpart of
 //! the dense engine's WTO heads.
+//!
+//! A requeue carries the locations that moved. A pop whose moved locations
+//! the point's command merely hands on ([`SparseSpec::forwards`] — call sites,
+//! procedure entries and exits, the hubs §5's bypass cannot contract) joins
+//! those locations' in-edge groups and patches the stored row in place
+//! instead of gathering every in-edge and running the transfer; the
+//! descent's opening round computes only at cycle heads. The pop sequence —
+//! and with it every row, `iterations` and `narrowing_rounds` — is the one
+//! whole evaluations produce (DESIGN.md, "Sparse engine").
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
 use crate::depstore::{solved_points, CsrDeps, DepBackend, DepStore, Worklist};
 use crate::icfg::Icfg;
+use crate::stats::FixWork;
 use crate::widening::WideningPlan;
 use sga_domains::lattice::Lattice;
 use sga_ir::{Cp, PointNumbering, Program};
@@ -57,6 +67,26 @@ pub trait SparseSpec {
     /// The state entering `main` (parameter seeds), as initial bindings for
     /// the main-entry point.
     fn initial(&self) -> PMap<Self::L, Self::V>;
+
+    /// Whether `cp`'s command merely hands `l` on — the question the bypass
+    /// contraction asks through [`crate::depgen::DepSource`]'s `is_real` and
+    /// `defs`, asked again at run time. `true` is a promise about
+    /// [`SparseSpec::transfer`]: `l` is in `D̂(cp)`, the transfer neither
+    /// reads nor writes it, and its output binds it to `pre ⊔ ret` if the
+    /// instance [keeps](SparseSpec::keeps) that value. The default promises
+    /// nothing, so every pop runs the transfer.
+    fn forwards(&self, cp: Cp, l: &Self::L) -> bool {
+        let _ = (cp, l);
+        false
+    }
+
+    /// Whether [`SparseSpec::transfer`] would keep the forwarded value `v`
+    /// in its output (the instances drop `⊥`). Asked of forwarded locations
+    /// only.
+    fn keeps(&self, v: &Self::V) -> bool {
+        let _ = v;
+        true
+    }
 }
 
 /// Sparse analysis result: `D̂(c)`-restricted states per point.
@@ -64,15 +94,17 @@ pub trait SparseSpec {
 pub struct SparseResult<L: Copy + Ord, V: Clone> {
     /// Output bindings of every evaluated control point.
     pub values: FxHashMap<Cp, PMap<L, V>>,
-    /// Node evaluations during the ascending phase.
+    /// Pops of the ascending phase.
     pub iterations: usize,
-    /// Descending rounds executed.
+    /// Pops of the descending phase.
     pub narrowing_rounds: usize,
     /// Whether the analysis budget ran out. A degraded result is still a
     /// sound post-fixpoint — the remaining ascent used immediate plain
     /// widening and the descending phase was skipped — but it is less
     /// precise than the unbounded fixpoint.
     pub degraded: bool,
+    /// Pops by kind and in-edges read.
+    pub work: FixWork,
 }
 
 impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
@@ -142,18 +174,60 @@ impl EdgeRows {
     }
 }
 
-/// A candidate row for one point and the locations where it differs from
-/// the point's stored row (ascending).
+/// What one pop computed for its point.
+enum Candidate<L, V> {
+    /// The transfer's output row.
+    Whole(Row<L, V>),
+    /// Forwarded: the candidates of the dirty locations alone, ascending
+    /// (`None`: not bound); every other location is as stored.
+    Dirty(Vec<(L, Option<V>)>),
+}
+
+/// A candidate merged with the point's stored row — the row to store, or
+/// the entries to patch into it — and the locations where the two differ
+/// (ascending).
 struct Update<L, V> {
-    row: Row<L, V>,
+    stored: Candidate<L, V>,
     changed: Vec<L>,
 }
 
-/// Merges two ascending rows in one pass, with `f(old value, new value)`
-/// where both bind a location. Under `union` a location only `old` binds
-/// stays (a cycle head accumulates); otherwise it goes (any other output
-/// *replaces* the row). Changed is every location bound on one side only —
-/// unless kept — or whose value `f` moved.
+impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
+    /// Merges with the stored row `old`, with `f(old value, new value)`
+    /// where both bind a location. Under `union` a location only `old` binds
+    /// stays (a cycle head accumulates); otherwise it goes (any other output
+    /// *replaces* the row). Changed is every location bound on one side only
+    /// — unless kept — or whose value `f` moved.
+    fn merge(&self, old: &[(L, V)], union: bool, f: impl Fn(&V, &V) -> V) -> Update<L, V> {
+        let new = match self {
+            Candidate::Whole(new) => return merge_rows(old, new, union, f),
+            Candidate::Dirty(new) => new,
+        };
+        let mut patch = Vec::with_capacity(new.len());
+        let mut changed = Vec::new();
+        for (l, n) in new {
+            let o = find(old, l).ok().map(|at| &old[at].1);
+            let v = match (o, n) {
+                (Some(_), None) if union => continue,
+                (Some(o), Some(n)) => Some(f(o, n)),
+                _ => n.clone(),
+            };
+            if v.as_ref() != o {
+                changed.push(*l);
+            }
+            patch.push((*l, v));
+        }
+        Update {
+            stored: Candidate::Dirty(patch),
+            changed,
+        }
+    }
+}
+
+fn find<L: Ord, V>(row: &[(L, V)], l: &L) -> Result<usize, usize> {
+    row.binary_search_by(|(k, _)| k.cmp(l))
+}
+
+/// [`Candidate::merge`] of a whole row: two ascending rows in one pass.
 fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
     old: &[(L, V)],
     new: &[(L, V)],
@@ -188,7 +262,17 @@ fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
         i += usize::from(side != Ordering::Greater);
         j += usize::from(side != Ordering::Less);
     }
-    Update { row, changed }
+    Update {
+        stored: Candidate::Whole(row),
+        changed,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by [`tests::forcing_whole`]: every pop is a whole evaluation —
+    /// the engine before forwarding, by construction.
+    static FORCE_WHOLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The solver's working state: resolved edge rows, one value row per dense
@@ -203,10 +287,21 @@ struct Engine<'a, S: SparseSpec> {
     /// `None` until a point's first evaluation, which stores its output
     /// as it is; a cycle head joins (and counts delay) from the second on.
     rows: Vec<Option<Row<S::L, S::V>>>,
+    /// Per point, the locations whose input moved since its last pop, as
+    /// [`Engine::commit`] met them (unordered, repeats). A pop takes its
+    /// list, so none outlives it.
+    dirty: Vec<Vec<S::L>>,
     worklist: Box<dyn Worklist + 'a>,
+    work: FixWork,
 }
 
 impl<S: SparseSpec> Engine<'_, S> {
+    /// What point `from` binds `l` to, if it does.
+    fn bound(&self, from: u32, l: &S::L) -> Option<&S::V> {
+        let row = self.rows[from as usize].as_ref()?;
+        find(row, l).ok().map(|at| &row[at].1)
+    }
+
     /// Joins the values arriving over `edges` into one ascending row: a
     /// single pass, each value joining into the last entry or opening the
     /// next. A source that does not bind the location contributes nothing.
@@ -214,19 +309,34 @@ impl<S: SparseSpec> Engine<'_, S> {
         let mut acc: Row<S::L, S::V> = Vec::with_capacity(edges.len());
         for &(loc_id, from) in edges {
             let l = self.spec.loc_of(loc_id);
-            let Some(from) = &self.rows[from as usize] else {
+            let Some(v) = self.bound(from, &l) else {
                 continue;
             };
-            let Ok(at) = from.binary_search_by(|(k, _)| k.cmp(&l)) else {
-                continue;
-            };
-            let v = &from[at].1;
             match acc.last_mut() {
                 Some((last, joined)) if *last == l => *joined = joined.join(v),
                 _ => acc.push((l, v.clone())),
             }
         }
         PMap::from_sorted_vec(acc)
+    }
+
+    /// [`Engine::gather`]'s entry for `l` alone — the rows are sorted by
+    /// location, so its edges are one run, joined in the same order — and
+    /// the number of edges in the run.
+    fn gather_one(&self, edges: &[(u32, u32)], l: &S::L) -> (Option<S::V>, usize) {
+        let start = edges.partition_point(|&(id, _)| self.spec.loc_of(id) < *l);
+        let group = edges[start..]
+            .iter()
+            .take_while(|&&(id, _)| self.spec.loc_of(id) == *l);
+        let mut acc: Option<S::V> = None;
+        let mut reads = 0;
+        for &(_, from) in group {
+            reads += 1;
+            if let Some(v) = self.bound(from, l) {
+                acc = Some(acc.map_or_else(|| v.clone(), |joined| joined.join(v)));
+            }
+        }
+        (acc, reads)
     }
 
     /// Applies the transfer of point `i` to its gathered inputs.
@@ -247,10 +357,55 @@ impl<S: SparseSpec> Engine<'_, S> {
         out
     }
 
-    /// Stores a changed row and requeues the users of exactly the changed
-    /// locations (both lists ascend, so one walk over the out-edges). An
-    /// unchanged candidate is dropped: the stored row keeps its values.
-    fn commit(&mut self, i: usize, Update { row, changed }: Update<S::L, S::V>) {
+    /// This pop's candidate for point `i`, whose dirty list it takes. A
+    /// first visit, the main entry (its seed joins the gather), a dirty
+    /// location the command does not just forward, and `whole` are a whole
+    /// evaluation. Otherwise no other location's candidate can have moved:
+    /// with nothing dirty there is nothing to compute (`None`), else each
+    /// dirty location gets what the transfer would give it — `pre ⊔ ret`,
+    /// dropped unless kept.
+    fn candidate(&mut self, i: usize, whole: bool) -> Option<Candidate<S::L, S::V>> {
+        let cp = self.num.cp(i);
+        let mut dirty = std::mem::take(&mut self.dirty[i]);
+        #[cfg(test)]
+        let whole = whole || FORCE_WHOLE.with(std::cell::Cell::get);
+        let whole = whole
+            || i == self.main_entry
+            || self.rows[i].is_none()
+            || !dirty.iter().all(|l| self.spec.forwards(cp, l));
+        if whole {
+            self.work.whole += 1;
+            self.work.edge_reads += self.into.row(i).len() + self.into_ret.row(i).len();
+            return Some(Candidate::Whole(self.evaluate(i)));
+        }
+        if dirty.is_empty() {
+            self.work.skipped += 1;
+            return None;
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        self.work.forwarded += 1;
+        self.work.forwarded_locs += dirty.len();
+        let mut patch = Vec::with_capacity(dirty.len());
+        for l in dirty {
+            let (pre, pre_reads) = self.gather_one(self.into.row(i), &l);
+            let (ret, ret_reads) = self.gather_one(self.into_ret.row(i), &l);
+            self.work.edge_reads += pre_reads + ret_reads;
+            let v = match (pre, ret) {
+                (Some(pre), Some(ret)) => Some(pre.join(&ret)),
+                (pre, ret) => pre.or(ret),
+            };
+            patch.push((l, v.filter(|v| self.spec.keeps(v))));
+        }
+        Some(Candidate::Dirty(patch))
+    }
+
+    /// Stores a changed update — a whole row replaces the stored one, a
+    /// patch edits it in place — and requeues the users of exactly the
+    /// changed locations, each told which location moved (both lists ascend,
+    /// so one walk over the out-edges). An unchanged candidate is dropped:
+    /// the stored row keeps its values.
+    fn commit(&mut self, i: usize, Update { stored, changed }: Update<S::L, S::V>) {
         if changed.is_empty() && self.rows[i].is_some() {
             return;
         }
@@ -262,9 +417,23 @@ impl<S: SparseSpec> Engine<'_, S> {
             }
             if c < changed.len() && changed[c] == l {
                 self.worklist.push(to as usize);
+                self.dirty[to as usize].push(l);
             }
         }
-        self.rows[i] = Some(row);
+        match stored {
+            Candidate::Whole(row) => self.rows[i] = Some(row),
+            Candidate::Dirty(patch) => {
+                let row = self.rows[i].as_mut().expect("forwarding follows a visit");
+                for (l, v) in patch {
+                    match (find(row, &l), v) {
+                        (Ok(at), Some(v)) => row[at].1 = v,
+                        (Ok(at), None) => drop(row.remove(at)),
+                        (Err(at), Some(v)) => row.insert(at, (l, v)),
+                        (Err(_), None) => {}
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -288,8 +457,10 @@ impl<S: SparseSpec> Engine<'_, S> {
 /// resolved once into location-sorted `u32` arrays, and a point's bindings
 /// are one sorted [`Row`]. Joining, widening and narrowing are linear merges of two rows
 /// that report the changed locations, and only those locations' users are
-/// requeued. The trajectory is backend-independent (see
-/// [`crate::depstore`]).
+/// requeued — each with the locations that moved, so a pop whose command
+/// only forwards them ([`SparseSpec::forwards`]) merges those entries alone.
+/// `iterations` and `narrowing_rounds` count pops, whatever a pop computed.
+/// The trajectory is backend-independent (see [`crate::depstore`]).
 ///
 /// # Panics
 ///
@@ -317,9 +488,11 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         into_ret: EdgeRows::resolve(program, &num, |cp| relation.deps_into_ret(cp), loc_of),
         out: EdgeRows::resolve(program, &num, |cp| relation.deps_out(cp), loc_of),
         rows: (0..num.len()).map(|_| None).collect(),
+        dirty: vec![Vec::new(); num.len()],
         // Every backend's worklist pops the pending point minimal in
         // ((topo rank, ICFG priority), cp) order.
         worklist: deps.make_worklist(program, icfg),
+        work: FixWork::default(),
         num,
     };
     let all_points: Vec<usize> = solved_points(program)
@@ -345,24 +518,26 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
             "sparse fixpoint exceeded {backstop} iterations: widening failure at {cp}"
         );
         degraded |= meter.step();
-        let out = engine.evaluate(i);
+        let Some(out) = engine.candidate(i, false) else {
+            continue;
+        };
         let update = match engine.rows[i].as_deref() {
             Some(old) if cycle.contains(i) => {
-                let joined = merge_rows(old, &out, true, |o, n| o.join(n));
+                let joined = out.merge(old, true, |o, n| o.join(n));
                 if joined.changed.is_empty() {
                     joined
                 } else if degraded {
                     // Over budget: widen immediately with the plain operator
                     // so every still-rising chain stabilizes in one step.
-                    merge_rows(old, &out, true, |o, n| o.widen(n))
+                    out.merge(old, true, |o, n| o.widen(n))
                 } else if widen_delay[i] < plan.delay {
                     widen_delay[i] += 1;
                     joined
                 } else {
-                    merge_rows(old, &out, true, |o, n| o.widen_with(n, &plan.thresholds))
+                    out.merge(old, true, |o, n| o.widen_with(n, &plan.thresholds))
                 }
             }
-            old => merge_rows(old.unwrap_or_default(), &out, false, |_, n| n.clone()),
+            old => out.merge(old.unwrap_or_default(), false, |_, n| n.clone()),
         };
         engine.commit(i, update);
     }
@@ -386,7 +561,13 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         }
         desc_count[i] += 1;
         narrowing_rounds += 1;
-        let candidate = engine.evaluate(i);
+        // At ascending quiescence a row that is *replaced* equals its
+        // transfer's output for the inputs as they are, so the opening pop
+        // computes only at cycle heads, whose first narrowing can move them.
+        let opening = desc_count[i] == 1 && cycle.contains(i);
+        let Some(candidate) = engine.candidate(i, opening) else {
+            continue;
+        };
         let update = match engine.rows[i].as_deref() {
             // Narrow entries present in both; entries only in `old` keep
             // their value; entries only in the candidate are fresh
@@ -396,14 +577,14 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
             // the stored value is accepted outright — a descending-iteration
             // step, still bounded by the per-point cap and sound because
             // every candidate re-applies the transfer to a post-fixpoint.
-            Some(old) if cycle.contains(i) => merge_rows(old, &candidate, true, |o, n| {
+            Some(old) if cycle.contains(i) => candidate.merge(old, true, |o, n| {
                 if !plan.thresholds.is_empty() && n.le(o) {
                     n.clone()
                 } else {
                     o.narrow(n)
                 }
             }),
-            old => merge_rows(old.unwrap_or_default(), &candidate, false, |_, n| n.clone()),
+            old => candidate.merge(old.unwrap_or_default(), false, |_, n| n.clone()),
         };
         engine.commit(i, update);
     }
@@ -419,6 +600,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         iterations,
         narrowing_rounds,
         degraded,
+        work: engine.work,
     }
 }
 
@@ -445,467 +627,6 @@ pub fn solve_backend<S: SparseSpec>(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::interval::{IntervalSparseSpec, Pipeline};
-    use crate::preanalysis;
-    use sga_cfront::parse;
-    use std::cell::RefCell;
-
-    const INF: i64 = i64::MAX;
-
-    /// `[0, hi]` (⊥ below zero) plus `via`, the expression that built the
-    /// value. Equality ignores `via` the way the octagon's ignores whether a
-    /// matrix is stored closed, so `via` shows which operand order and which
-    /// stored representation the engine used.
-    #[derive(Clone, Debug)]
-    struct Up {
-        hi: i64,
-        via: String,
-    }
-
-    fn up(hi: i64, via: &str) -> Up {
-        Up {
-            hi,
-            via: via.to_string(),
-        }
-    }
-
-    impl PartialEq for Up {
-        fn eq(&self, other: &Up) -> bool {
-            self.hi == other.hi
-        }
-    }
-
-    impl Lattice for Up {
-        fn bottom() -> Up {
-            up(-1, "⊥")
-        }
-        fn le(&self, other: &Up) -> bool {
-            self.hi <= other.hi
-        }
-        fn join(&self, other: &Up) -> Up {
-            up(
-                self.hi.max(other.hi),
-                &format!("({}⊔{})", self.via, other.via),
-            )
-        }
-        fn widen(&self, other: &Up) -> Up {
-            let hi = if other.hi > self.hi { INF } else { self.hi };
-            up(hi, &format!("({}∇{})", self.via, other.via))
-        }
-    }
-
-    type Bindings = PMap<u32, Up>;
-
-    /// The location of edge id `id`. Descending in the id, so the engine
-    /// has to order its rows by location rather than trust the store's order.
-    fn l(id: u32) -> u32 {
-        100 - id
-    }
-
-    /// A row from `(edge id, value)` pairs in any order.
-    fn row(bindings: &[(u32, Up)]) -> Row<u32, Up> {
-        let mut row: Row<u32, Up> = bindings.iter().map(|(id, v)| (l(*id), v.clone())).collect();
-        row.sort_by_key(|e| e.0);
-        row
-    }
-
-    /// A spec whose transfer is the test's closure; logs every evaluation's
-    /// point and `pre` input.
-    struct Toy<F> {
-        f: F,
-        seed: Bindings,
-        log: RefCell<Vec<(Cp, Bindings)>>,
-    }
-
-    impl<F: Fn(Cp, &Bindings) -> Row<u32, Up>> SparseSpec for Toy<F> {
-        type L = u32;
-        type V = Up;
-
-        fn loc_of(&self, id: u32) -> u32 {
-            l(id)
-        }
-        fn transfer(&self, cp: Cp, pre: &Bindings, _ret: &Bindings) -> Row<u32, Up> {
-            self.log.borrow_mut().push((cp, pre.clone()));
-            (self.f)(cp, pre)
-        }
-        fn initial(&self) -> Bindings {
-            self.seed.clone()
-        }
-    }
-
-    /// A one-procedure program to hang hand-built relations on.
-    struct Fixture {
-        program: Program,
-        icfg: Icfg,
-        entry: Cp,
-        /// The other points of `main`, ascending.
-        p: Vec<Cp>,
-    }
-
-    fn fixture() -> Fixture {
-        let program =
-            parse("int main() { int a; a = 1; a = 2; a = 3; a = 4; a = 5; return a; }").unwrap();
-        let icfg = Icfg::build(&program, &preanalysis::run(&program));
-        let entry = Cp::new(program.main, program.procs[program.main].entry);
-        let p: Vec<Cp> = solved_points(&program).filter(|&cp| cp != entry).collect();
-        assert!(p.len() >= 5);
-        Fixture {
-            program,
-            icfg,
-            entry,
-            p,
-        }
-    }
-
-    /// A hand-built relation: `(from, edge id, to)` pre-flow edges, the
-    /// widening points, and the order the worklist pops the listed points
-    /// in (unlisted points pop before them).
-    fn relation(edges: &[(Cp, u32, Cp)], cycle: &[Cp], order: &[Cp]) -> DataDeps {
-        let mut deps = DataDeps::default();
-        for &(from, loc, to) in edges {
-            deps.out.entry(from).or_default().push((loc, to));
-            deps.into.entry(to).or_default().push((loc, from));
-        }
-        for rows in deps.out.values_mut().chain(deps.into.values_mut()) {
-            rows.sort_unstable();
-        }
-        deps.cycle_nodes = cycle.iter().copied().collect();
-        deps.topo_rank = order
-            .iter()
-            .zip(1..)
-            .map(|(&cp, rank)| (cp, rank))
-            .collect();
-        deps
-    }
-
-    /// Solves under both backends, handing each result, with the log split
-    /// into the ascending evaluations and the descending ones, to `check`.
-    fn solve_toy<F: Fn(Cp, &Bindings) -> Row<u32, Up>>(
-        fx: &Fixture,
-        deps: &DataDeps,
-        f: F,
-        seed: Bindings,
-        plan: &WideningPlan,
-        budget: Budget,
-        check: impl Fn(&SparseResult<u32, Up>, &[(Cp, Bindings)], &[(Cp, Bindings)]),
-    ) {
-        let spec = Toy {
-            f,
-            seed,
-            log: RefCell::default(),
-        };
-        for backend in [DepBackend::Bdd, DepBackend::Csr] {
-            spec.log.borrow_mut().clear();
-            let result = solve_backend(backend, &fx.program, &fx.icfg, deps, &spec, plan, &budget);
-            let log = spec.log.borrow();
-            let (ascending, descending) = log.split_at(result.iterations);
-            assert_eq!(descending.len(), result.narrowing_rounds);
-            check(&result, ascending, descending);
-        }
-    }
-
-    fn evaluations_of(log: &[(Cp, Bindings)], points: &[Cp]) -> Vec<Cp> {
-        let of = |(cp, _): &(Cp, Bindings)| points.contains(cp).then_some(*cp);
-        log.iter().filter_map(of).collect()
-    }
-
-    fn inputs_at(log: &[(Cp, Bindings)], cp: Cp) -> Vec<&Bindings> {
-        log.iter().filter(|e| e.0 == cp).map(|e| &e.1).collect()
-    }
-
-    #[test]
-    fn a_binding_to_bottom_is_not_an_absent_binding() {
-        let fx = fixture();
-        let (binds_bot, binds_nothing, user) = (fx.p[0], fx.p[1], fx.p[2]);
-        let deps = relation(
-            &[(binds_bot, 1, user), (binds_nothing, 2, user)],
-            &[],
-            &[binds_bot, binds_nothing, user],
-        );
-        let f = |cp: Cp, _: &Bindings| {
-            if cp == binds_bot {
-                row(&[(1, Up::bottom())])
-            } else {
-                Row::new()
-            }
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            PMap::new(),
-            &WideningPlan::naive(),
-            Budget::unbounded(),
-            |result, ascending, _| {
-                let pre = inputs_at(ascending, user)[0];
-                assert_eq!(
-                    pre.get(&l(1)),
-                    Some(&Up::bottom()),
-                    "⊥ travels as a binding"
-                );
-                assert_eq!(
-                    pre.get(&l(2)),
-                    None,
-                    "an absent binding contributes nothing"
-                );
-                assert_eq!(result.values[&binds_bot].len(), 1);
-                assert!(
-                    result.values[&binds_nothing].is_empty(),
-                    "an evaluated point has an entry even when it binds nothing"
-                );
-            },
-        );
-    }
-
-    #[test]
-    fn a_vanished_binding_requeues_its_users_and_only_those() {
-        let fx = fixture();
-        let (def, user1, user2, late) = (fx.p[0], fx.p[1], fx.p[2], fx.p[3]);
-        // `def` is not on a cycle, so its second output *replaces* the
-        // first: once `late`'s value arrives it stops binding location 1.
-        let deps = relation(
-            &[(late, 0, def), (def, 1, user1), (def, 2, user2)],
-            &[],
-            &[def, user1, user2, late],
-        );
-        let f = |cp: Cp, pre: &Bindings| {
-            if cp == late {
-                row(&[(0, up(1, "late"))])
-            } else if cp == def && pre.contains_key(&l(0)) {
-                row(&[(2, up(5, "b"))])
-            } else if cp == def {
-                row(&[(1, up(3, "a")), (2, up(5, "b"))])
-            } else {
-                Row::new()
-            }
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            PMap::new(),
-            &WideningPlan::naive(),
-            Budget::unbounded(),
-            |result, ascending, _| {
-                assert_eq!(
-                    evaluations_of(ascending, &[def, user1, user2, late]),
-                    [def, user1, user2, late, def, user1],
-                    "only location 1's user is evaluated again"
-                );
-                let seen = inputs_at(ascending, user1);
-                assert_eq!(seen[0].get(&l(1)), Some(&up(3, "a")));
-                assert_eq!(seen[1].get(&l(1)), None);
-                assert_eq!(result.values[&def].len(), 1);
-            },
-        );
-    }
-
-    #[test]
-    fn the_main_entry_seed_joins_with_gathered_values() {
-        let fx = fixture();
-        let source = fx.p[0];
-        let deps = relation(&[(source, 5, fx.entry)], &[], &[source, fx.entry]);
-        let seed: Bindings = row(&[(5, up(0, "seed")), (6, up(1, "only"))])
-            .into_iter()
-            .collect();
-        let f = |cp: Cp, _: &Bindings| {
-            if cp == source {
-                row(&[(5, up(10, "source"))])
-            } else {
-                Row::new()
-            }
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            seed,
-            &WideningPlan::naive(),
-            Budget::unbounded(),
-            |_, ascending, _| {
-                let pre = inputs_at(ascending, fx.entry)[0];
-                let joined = pre.get(&l(5)).unwrap();
-                assert_eq!((joined.hi, joined.via.as_str()), (10, "(seed⊔source)"));
-                assert_eq!(pre.get(&l(6)).unwrap().via, "only");
-            },
-        );
-    }
-
-    /// `head: x = max(0, back's x)`, `back: x = x + 1`, and `echo`, which
-    /// copies the head's value back to it on a location the head ignores —
-    /// so every round the head is evaluated once more with nothing to add.
-    fn counting_loop(
-        fx: &Fixture,
-    ) -> (
-        DataDeps,
-        impl Fn(Cp, &Bindings) -> Row<u32, Up> + '_,
-        [Cp; 3],
-    ) {
-        let (head, echo, back) = (fx.p[0], fx.p[1], fx.p[2]);
-        let deps = relation(
-            &[
-                (head, 0, echo),
-                (echo, 9, head),
-                (head, 0, back),
-                (back, 1, head),
-            ],
-            &[head],
-            &[head, echo, back],
-        );
-        let f = move |cp: Cp, pre: &Bindings| {
-            if cp == head {
-                row(&[(0, up(hi_at(pre, 1).max(0), "head"))])
-            } else if cp == echo {
-                row(&[(9, up(hi_at(pre, 0), "echo"))])
-            } else if cp == back {
-                row(&[(1, up(hi_at(pre, 0).saturating_add(1), "back"))])
-            } else {
-                Row::new()
-            }
-        };
-        (deps, f, [head, echo, back])
-    }
-
-    /// The upper bound `pre` holds for edge id `id` (⊥'s when absent).
-    fn hi_at(pre: &Bindings, id: u32) -> i64 {
-        pre.get(&l(id)).map_or(-1, |v| v.hi)
-    }
-
-    fn head_values_seen_at(log: &[(Cp, Bindings)], back: Cp) -> Vec<i64> {
-        let mut seen: Vec<i64> = inputs_at(log, back)
-            .iter()
-            .map(|pre| hi_at(pre, 0))
-            .collect();
-        seen.dedup();
-        seen
-    }
-
-    #[test]
-    fn an_unchanged_evaluation_of_a_cycle_head_consumes_no_delay() {
-        let fx = fixture();
-        let (deps, f, [head, _, back]) = counting_loop(&fx);
-        let plan = WideningPlan {
-            delay: 2,
-            ..WideningPlan::naive()
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            PMap::new(),
-            &plan,
-            Budget::unbounded(),
-            |result, ascending, _| {
-                // The head's first output is stored as it is, its echoed
-                // re-evaluations change nothing, and exactly two changing
-                // joins (to 1, to 2) come before the widening.
-                assert_eq!(head_values_seen_at(ascending, back), [0, 1, 2, INF]);
-                assert_eq!(evaluations_of(ascending, &[head]).len(), 9);
-                assert!(!result.degraded);
-            },
-        );
-    }
-
-    #[test]
-    fn degraded_mode_widens_at_once_and_skips_the_descent() {
-        let fx = fixture();
-        let (deps, f, [_, _, back]) = counting_loop(&fx);
-        let plan = WideningPlan {
-            delay: 2,
-            ..WideningPlan::naive()
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            PMap::new(),
-            &plan,
-            Budget::with_max_steps(1),
-            |result, ascending, descending| {
-                assert!(result.degraded);
-                assert_eq!(head_values_seen_at(ascending, back), [0, INF]);
-                assert!(descending.is_empty());
-                assert_eq!(result.narrowing_rounds, 0);
-            },
-        );
-    }
-
-    #[test]
-    fn same_location_edges_join_in_edge_order() {
-        let fx = fixture();
-        let (other, a, b, c, user) = (fx.p[0], fx.p[1], fx.p[2], fx.p[3], fx.p[4]);
-        // The store's row at `user` is id-ordered: (3, other) before the
-        // three 7s. By location the 7s come first.
-        let deps = relation(
-            &[(c, 7, user), (other, 3, user), (a, 7, user), (b, 7, user)],
-            &[],
-            &[other, a, b, c, user],
-        );
-        let f = |cp: Cp, _: &Bindings| match fx.p.iter().position(|&p| p == cp) {
-            Some(0) => row(&[(3, up(9, "other"))]),
-            Some(i @ 1..=3) => row(&[(7, up(i as i64, ["a", "b", "c"][i - 1]))]),
-            _ => Row::new(),
-        };
-        solve_toy(
-            &fx,
-            &deps,
-            f,
-            PMap::new(),
-            &WideningPlan::naive(),
-            Budget::unbounded(),
-            |_, ascending, _| {
-                let pre = inputs_at(ascending, user)[0];
-                let got: Vec<(u32, &str)> = pre.iter().map(|(l, v)| (*l, v.via.as_str())).collect();
-                assert_eq!(got, [(l(7), "((a⊔b)⊔c)"), (l(3), "other")]);
-            },
-        );
-    }
-
-    #[test]
-    fn resolved_rows_are_the_store_rows_ordered_by_location() {
-        let program = parse(
-            "int g;
-             int helper(int x) { int y; y = x + 1; g = g + y; return y; }
-             int main() { int i; i = 0; while (i < 10) { i = helper(i); } return g; }",
-        )
-        .unwrap();
-        let pl = Pipeline::prepare(&program, Default::default());
-        let spec = IntervalSparseSpec {
-            program: &program,
-            pre: &pl.pre,
-            du: &pl.du,
-        };
-        let num = program.point_numbering();
-        let loc_of = |id| spec.loc_of(id);
-        type RowOf<'d> = &'d dyn Fn(Cp) -> &'d [(u32, Cp)];
-        let directions: [RowOf<'_>; 3] = [
-            &|cp| pl.deps.deps_into(cp),
-            &|cp| pl.deps.deps_into_ret(cp),
-            &|cp| pl.deps.deps_out(cp),
-        ];
-        let mut edges = 0;
-        for row_of in directions {
-            let resolved = EdgeRows::resolve(&program, &num, row_of, loc_of);
-            for cp in program.all_points() {
-                let got = resolved.row(num.index(cp));
-                let key = |&(loc, peer): &(u32, u32)| (spec.loc_of(loc), peer);
-                assert!(
-                    got.windows(2).all(|w| key(&w[0]) < key(&w[1])),
-                    "{cp}: by location, then in the store's peer order"
-                );
-                let mut want: Vec<(u32, u32)> = row_of(cp)
-                    .iter()
-                    .map(|&(loc, peer)| (loc, num.index(peer) as u32))
-                    .collect();
-                let mut got = got.to_vec();
-                want.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, want, "{cp}: same edges as the store");
-                edges += got.len();
-            }
-        }
-        assert!(edges > 0);
-    }
-}
+mod differential;
+#[cfg(test)]
+mod tests;

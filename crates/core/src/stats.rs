@@ -27,6 +27,9 @@ pub struct AnalysisStats {
     pub pre_commands: usize,
     /// Ascending-phase node evaluations.
     pub iterations: usize,
+    /// The sparse fixpoint's pops by kind and in-edges read (zero for the
+    /// dense engines).
+    pub fix_work: FixWork,
     /// Number of abstract locations (Table 1's `AbsLocs`).
     pub num_locs: usize,
     /// Average `|D̂(c)|` (Table 2/3 column).
@@ -42,6 +45,31 @@ pub struct AnalysisStats {
     /// Whether the fixpoint ran out of its analysis budget and finished in
     /// degraded (sound but less precise) mode.
     pub degraded: bool,
+}
+
+/// Deterministic work counts of one sparse solve ([`crate::sparse`]): pops
+/// by kind (they sum to `iterations + narrowing_rounds`) and what the pops
+/// read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FixWork {
+    /// Pops answered by gathering every in-edge and running the transfer.
+    pub whole: usize,
+    /// Pops answered per dirty location, the transfer not run.
+    pub forwarded: usize,
+    /// Pops with nothing to compute, no dirty location being the command's
+    /// to handle: the opening descending pop of every point off the cycles.
+    pub skipped: usize,
+    /// Locations the forwarded pops recomputed.
+    pub forwarded_locs: usize,
+    /// In-edges visited, by whole gathers and forwarded groups alike.
+    pub edge_reads: usize,
+}
+
+impl FixWork {
+    /// Every pop: `iterations + narrowing_rounds`.
+    pub fn pops(&self) -> usize {
+        self.whole + self.forwarded + self.skipped
+    }
 }
 
 impl AnalysisStats {

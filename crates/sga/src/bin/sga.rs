@@ -545,6 +545,22 @@ fn pre_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
     )
 }
 
+/// "fix: P pops — W whole, F forwarded (L locations), S skipped; E edge
+/// reads" — what the sparse fixpoint's pops computed (all zero for the dense
+/// engines).
+fn fix_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
+    let w = &stats.fix_work;
+    format!(
+        "fix: {} pops — {} whole, {} forwarded ({} locations), {} skipped; {} edge reads",
+        w.pops(),
+        w.whole,
+        w.forwarded,
+        w.forwarded_locs,
+        w.skipped,
+        w.edge_reads
+    )
+}
+
 const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
                            [--engine vanilla|base|sparse] \
                            [--widening naive|threshold|delayed] \
@@ -1261,6 +1277,7 @@ fn main() -> ExitCode {
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
+                eprintln!("{}", fix_work(s));
             }
             if opts.dump_values {
                 for cp in program.all_points() {
@@ -1317,6 +1334,7 @@ fn main() -> ExitCode {
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
+                eprintln!("{}", fix_work(s));
             }
             if opts.dump_values {
                 for (v, info) in program.vars.iter_enumerated() {
