@@ -422,14 +422,19 @@ core.triage.discharged_path core.octagon.packs core.octagon.iterations diag.diag
 # sixfold.
 ALLOC_ROWS="core.sparse.allocs core.sparse.alloc_bytes"
 
+# What the every-unit-a-hit workload pins: its one non-zero answer row, exactly,
+# and the bytes its cache entries take, under a ceiling (pretty-printing, or a
+# JSON node per segment number, would multiply them by seven).
+WARM_ROWS="diag.diagnostics pipeline.cache.entry_bytes"
+
 traced_rows() {
     # One traced (fixed-work) run of workload $1 at the default seed, its
-    # count and allocation rows printed as "workload row value" lines; fails
-    # when the run does.
+    # rows named in $2 (default: the count and allocation rows) printed as
+    # "workload row value" lines; fails when the run does.
     local out
     out=$(cargo run --release -p sga-bench --bin benchmark -- run --workload "$1" --trace 1) || {
         printf '%s\n' "$out" | tail -n 20 >&2; return 1; }
-    printf '%s\n' "$out" | awk -v w="$1" -v rows="$COUNT_ROWS $ALLOC_ROWS" '
+    printf '%s\n' "$out" | awk -v w="$1" -v rows="${2:-$COUNT_ROWS $ALLOC_ROWS}" '
         BEGIN { n = split(rows, r, " "); for (i = 1; i <= n; i++) want[r[i]] = 1 }
         ($1 in want) && ($3 == "count" || $3 == "bytes") { printf "%s %s %d\n", w, $1, $2 }'
 }
@@ -455,18 +460,20 @@ under_ceilings() {
 
 bench_gate() {
     # The pipeline bench's committed thresholds, then the repository
-    # benchmark: traced runs over flat units and over one large dependency
-    # cycle — fixed work, the golden corpus / oracle / per-unit identity
-    # checks, every count equal between their own two passes — whose
-    # answer-and-trajectory counts must equal the committed ledger exactly
-    # and whose fixpoint allocation rows must stay under their ceilings,
-    # and a 2-second smoke through the daemon, whose interface rounds
-    # re-triage three units and whose convergence and exact-invalidation
-    # checks run here. No timing is read.
+    # benchmark: traced runs over flat units, over one large dependency
+    # cycle and over a warm cache — fixed work, the golden corpus / oracle /
+    # per-unit identity checks, every count equal between their own two
+    # passes — whose answer-and-trajectory counts must equal the committed
+    # ledger exactly and whose fixpoint allocation rows and cache entry
+    # bytes must stay under their ceilings, and a 2-second smoke through the
+    # daemon, whose interface rounds re-triage three units and whose
+    # convergence and exact-invalidation checks run here. No timing is read.
     local rows
     cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
-        rows=$(traced_rows batch_flat && traced_rows batch_scc) &&
-        diff -u BENCH_counts.txt <(printf '%s\n' "$rows" | grep -v '\.alloc') &&
+        rows=$(traced_rows batch_flat && traced_rows batch_scc &&
+            traced_rows warm_rerun "$WARM_ROWS") &&
+        diff -u BENCH_counts.txt <(printf '%s\n' "$rows" |
+            grep -vFf <(cut -d' ' -f1,2 BENCH_alloc_ceilings.txt)) &&
         printf '%s\n' "$rows" | under_ceilings &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
 }

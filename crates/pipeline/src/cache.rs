@@ -18,10 +18,18 @@
 //! * **Atomic stores.** Entries are written to a temp file in the cache
 //!   directory and `rename`d into place, so readers never observe a
 //!   half-written entry from a concurrent or killed writer.
-//! * **Checksums.** The entry wraps its payload as
-//!   `{"checksum": "<fxhash of compact payload>", "payload": {...}}`; loads
-//!   verify the checksum before decoding, catching truncation and bit rot
-//!   that still parse as JSON.
+//! * **Checksums over the bytes written.** An entry is exactly the text
+//!   [`seal`] returns — `{"checksum":"<16 hex>","payload":<compact payload>}`
+//!   and a newline, the checksum being the fxhash of the payload's bytes as
+//!   rendered. A load matches the fixed head literally, hashes the payload
+//!   slice, and only then parses it ([`unseal`]), so any byte that differs
+//!   from what was written is caught — not only bytes that change the parsed
+//!   tree — and nothing is re-rendered to verify. The file is still one JSON
+//!   document, readable with any JSON tool.
+//! * **Packed dependency segments.** A procedure's segment is one string,
+//!   `"loc from_proc from_node to_proc to_node is_return;"` per row in
+//!   decimal, not an array of number arrays: a unit holds thousands of rows,
+//!   and the cost of a hit was their JSON nodes, not the analysis.
 //! * **Quarantine, not panic.** A present-but-damaged entry (unreadable,
 //!   unparsable, checksum mismatch, wrong embedded schema, shape mismatch)
 //!   is moved into `quarantine/` under the cache root and reported as
@@ -38,11 +46,17 @@ use crate::unit::{ProcArtifact, UnitAnalysis};
 use sga_core::interface::{ImportRef, ProcInterface, UnitInterface};
 use sga_diag::Diagnostic;
 use sga_utils::{fxhash, Json};
+use std::fmt::Write as _;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bump when the cached schema or any analysis semantics change.
+///
+/// v6: the envelope's checksum covers the payload's bytes as written (it used
+/// to cover a re-rendering of the parsed tree), entries are compact, and a
+/// dependency segment is one packed string instead of an array of six-number
+/// arrays. The report schema is unchanged.
 ///
 /// v5: discharge records carry a `method` (`octagon` | `path_infeasible`)
 /// and the path-condition triage layer exists — entries written by a
@@ -60,7 +74,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// v2: checksummed `{checksum, payload}` envelope, atomic writes, the
 /// `degraded` flag.
-pub const CACHE_FORMAT: u32 = 5;
+pub const CACHE_FORMAT: u32 = 6;
 
 /// Store attempts per entry (first try + retries of transient IO errors).
 const STORE_ATTEMPTS: u32 = 3;
@@ -73,6 +87,8 @@ pub const DEFAULT_QUARANTINE_KEEP: usize = 16;
 const RETRY_BACKOFF_MS: [u64; 2] = [1, 4];
 
 /// Cache key of one unit: format version + option fingerprint + source text.
+/// A lookup key only: the `source_hash` a report renders is hashed apart
+/// from the format version, so bumping the format moves no report byte.
 pub fn unit_key(source: &str, options_tag: &str) -> u64 {
     fxhash::hash_one(&(CACHE_FORMAT, options_tag, source))
 }
@@ -208,7 +224,7 @@ impl Cache {
                 return LoadOutcome::MissCorrupt;
             }
         };
-        match Json::parse(&text).ok().as_ref().and_then(decode) {
+        match unseal(&text).as_ref().and_then(decode) {
             Some(analysis) => {
                 // Refresh the entry's access time so the LRU sweep sees a
                 // hit as recent use. Best effort: a failed touch only makes
@@ -245,7 +261,7 @@ impl Cache {
         inject_fail_first: u32,
     ) -> std::io::Result<()> {
         let path = self.path_for(unit, key);
-        let text = encode(unit, analysis).to_pretty();
+        let text = seal(&encode(unit, analysis));
         let mut attempt = 0;
         loop {
             let result = if attempt < inject_fail_first {
@@ -298,18 +314,15 @@ impl Cache {
                 // the envelope passes, the content is wrong. Only the
                 // validation oracle's recompute-and-compare catches this.
                 let text = std::fs::read_to_string(&path)?;
-                let bad = std::io::Error::other("forge: entry not decodable");
-                let parsed = Json::parse(&text).map_err(|_| bad)?;
-                let mut payload = unseal(&parsed)
-                    .ok_or_else(|| std::io::Error::other("forge: bad envelope"))?
-                    .clone();
+                let mut payload =
+                    unseal(&text).ok_or_else(|| std::io::Error::other("forge: bad envelope"))?;
                 let fp = payload
                     .get("fingerprint")
                     .and_then(Json::as_str)
                     .and_then(|s| u64::from_str_radix(s, 16).ok())
                     .ok_or_else(|| std::io::Error::other("forge: no fingerprint"))?;
                 payload.set("fingerprint", format!("{:016x}", fp ^ 0x1));
-                write_atomic(&path, seal(payload).to_pretty().as_bytes())?;
+                write_atomic(&path, seal(&payload).as_bytes())?;
             }
         }
         Ok(())
@@ -473,31 +486,88 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Wraps `payload` in the checksummed cache-v2 envelope
-/// `{"checksum": "<fxhash of compact payload>", "payload": {...}}`. Shared
-/// with the write-ahead journal (and the serve daemon's round journal) so
-/// every durable on-disk format verifies the same way.
-pub fn seal(payload: Json) -> Json {
-    let checksum = fxhash::hash_one(&payload.to_compact());
-    Json::obj()
-        .with("checksum", format!("{checksum:016x}"))
-        .with("payload", payload)
+/// The envelope around a compact payload: `{"checksum":"` + 16 lowercase hex
+/// digits + `","payload":` — 41 bytes — then the payload, then `}` and a
+/// newline.
+const HEAD: &str = "{\"checksum\":\"";
+const MID: &str = "\",\"payload\":";
+const TAIL: &str = "}\n";
+
+/// Seals `payload` as the exact text to write: the fixed 41-byte head
+/// carrying the fxhash of the payload's compact rendering, that rendering,
+/// `}` and a newline — one valid JSON document. Cache entries, both journals
+/// and the worker pipe all write this and nothing else, so every durable or
+/// piped record verifies the same way.
+pub fn seal(payload: &Json) -> String {
+    let body = payload.to_compact();
+    format!("{HEAD}{:016x}{MID}{body}{TAIL}", checksum(&body))
 }
 
-/// Verifies the envelope checksum and returns the payload, or `None` on any
-/// damage (missing fields, bad hex, checksum mismatch).
-pub fn unseal(j: &Json) -> Option<&Json> {
-    let stored = u64::from_str_radix(j.get("checksum")?.as_str()?, 16).ok()?;
-    let payload = j.get("payload")?;
-    // The compact rendering of a parsed payload is deterministic (object
-    // order is preserved), so the checksum survives the roundtrip.
-    (fxhash::hash_one(&payload.to_compact()) == stored).then_some(payload)
+/// What the envelope's hex digits say: the fxhash of the payload's bytes.
+fn checksum(body: &str) -> u64 {
+    fxhash::hash_one(&body)
 }
 
-/// Renders a [`UnitAnalysis`] as a sealed cache-entry object. Crate-visible
-/// so the isolated worker ships its artifacts back to the parent over the
-/// pipe in exactly the envelope the cache already proves durable — a torn
-/// write from a dying worker fails the same checksum a torn file would.
+/// Verifies a sealed text and returns its payload, or `None` on any damage.
+/// The head and tail are matched literally and the checksum is compared
+/// against the hash of the payload *bytes* before anything is parsed: a
+/// truncation, a flipped bit, or a re-formatting that still parses to the
+/// same tree is refused, and only the payload itself is ever parsed.
+pub fn unseal(text: &str) -> Option<Json> {
+    let rest = text.strip_prefix(HEAD)?;
+    let (hex, rest) = (rest.get(..16)?, rest.get(16..)?);
+    let body = rest.strip_prefix(MID)?.strip_suffix(TAIL)?;
+    // Compared as text: exactly the sixteen lowercase digits `seal` wrote.
+    if format!("{:016x}", checksum(body)) != hex {
+        return None;
+    }
+    Json::parse(body).ok()
+}
+
+/// Packs dependency-segment rows as one string: six decimal fields separated
+/// by one space, every row closed by `;`.
+fn pack_rows(rows: &[[u64; 6]]) -> String {
+    let mut out = String::with_capacity(rows.len() * 20);
+    for [first, rest @ ..] in rows {
+        let _ = write!(out, "{first}");
+        for x in rest {
+            let _ = write!(out, " {x}");
+        }
+        out.push(';');
+    }
+    out
+}
+
+/// Reads what [`pack_rows`] wrote and nothing else: digits, single spaces
+/// and `;`, exactly six non-empty fields a row, every field a `u64`,
+/// nothing after the last `;`.
+fn unpack_rows(text: &str) -> Option<Vec<[u64; 6]>> {
+    let bytes = text.as_bytes();
+    let mut rows = Vec::with_capacity(bytes.iter().filter(|&&b| b == b';').count());
+    let mut row = [0u64; 6];
+    let (mut field, mut digits) = (0, 0);
+    for &b in bytes {
+        match b {
+            b'0'..=b'9' => {
+                row[field] = row[field]
+                    .checked_mul(10)?
+                    .checked_add(u64::from(b - b'0'))?;
+                digits += 1;
+            }
+            b' ' if digits > 0 && field < 5 => (field, digits) = (field + 1, 0),
+            b';' if digits > 0 && field == 5 => {
+                rows.push(std::mem::take(&mut row));
+                (field, digits) = (0, 0);
+            }
+            _ => return None,
+        }
+    }
+    (field == 0 && digits == 0).then_some(rows)
+}
+
+/// Renders a [`UnitAnalysis`] as a cache-entry payload (to be [`seal`]ed).
+/// Crate-visible so the isolated worker ships its artifacts back to the
+/// parent inside its response in exactly the shape the cache stores.
 pub(crate) fn encode(unit: &str, a: &UnitAnalysis) -> Json {
     let procs: Vec<Json> = a
         .procs
@@ -507,22 +577,10 @@ pub(crate) fn encode(unit: &str, a: &UnitAnalysis) -> Json {
                 .with("name", p.name.as_str())
                 .with("summary_defs", strs(&p.summary_defs))
                 .with("summary_uses", strs(&p.summary_uses))
-                .with(
-                    "dep_segment",
-                    p.dep_segment
-                        .iter()
-                        .map(|row| {
-                            Json::from(
-                                row.iter()
-                                    .map(|&x| Json::from(x as f64))
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                        .collect::<Vec<_>>(),
-                )
+                .with("dep_segment", pack_rows(&p.dep_segment))
         })
         .collect();
-    let payload = Json::obj()
+    Json::obj()
         .with("schema", CACHE_FORMAT)
         .with("unit", unit)
         .with("fingerprint", format!("{:016x}", a.fingerprint))
@@ -537,8 +595,7 @@ pub(crate) fn encode(unit: &str, a: &UnitAnalysis) -> Json {
             a.diags.iter().map(Diagnostic::to_json).collect::<Vec<_>>(),
         )
         .with("interface", encode_interface(&a.interface))
-        .with("procs", procs);
-    seal(payload)
+        .with("procs", procs)
 }
 
 /// Renders a [`UnitInterface`] in the cache-entry shape. Public so the
@@ -595,28 +652,16 @@ pub fn decode_interface(j: &Json) -> Option<UnitInterface> {
     Some(UnitInterface { exports, imports })
 }
 
-/// Parses the shape written by [`encode`]; `None` on any damage (the
+/// Parses the payload written by [`encode`]; `None` on any damage (the
 /// isolated worker's response decoder shares this path with cache loads).
-pub(crate) fn decode(j: &Json) -> Option<UnitAnalysis> {
-    let payload = unseal(j)?;
+pub(crate) fn decode(payload: &Json) -> Option<UnitAnalysis> {
     if payload.get("schema")?.as_u64()? != u64::from(CACHE_FORMAT) {
         return None;
     }
     let fingerprint = u64::from_str_radix(payload.get("fingerprint")?.as_str()?, 16).ok()?;
     let mut procs = Vec::new();
     for p in payload.get("procs")?.as_arr()? {
-        let mut dep_segment = Vec::new();
-        for row in p.get("dep_segment")?.as_arr()? {
-            let row = row.as_arr()?;
-            if row.len() != 6 {
-                return None;
-            }
-            let mut out = [0u64; 6];
-            for (slot, v) in out.iter_mut().zip(row) {
-                *slot = v.as_u64()?;
-            }
-            dep_segment.push(out);
-        }
+        let dep_segment = unpack_rows(p.get("dep_segment")?.as_str()?)?;
         procs.push(ProcArtifact {
             name: p.get("name")?.as_str()?.to_string(),
             summary_defs: str_list(p.get("summary_defs")?)?,
@@ -658,35 +703,139 @@ fn str_list(j: &Json) -> Option<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testfix::{sample_analysis as sample, stored_cache, temp_cache};
+    use crate::testfix::{
+        every_damage, previous_format_entry, sample_analysis as sample, stored_cache, temp_cache,
+    };
 
     #[test]
     fn roundtrip() {
         let a = sample();
-        let decoded = decode(&Json::parse(&encode("u", &a).to_pretty()).unwrap()).unwrap();
-        assert_eq!(decoded, a);
+        let sealed = seal(&encode("u", &a));
+        assert_eq!(decode(&unseal(&sealed).unwrap()).unwrap(), a);
+        // One JSON document, compact: any JSON tool reads the file.
+        let whole = Json::parse(&sealed).unwrap();
+        assert_eq!(whole.get("payload"), unseal(&sealed).as_ref());
+        assert!(sealed.ends_with("}\n") && !sealed.trim_end().contains('\n'));
     }
 
+    /// A stale schema under a *valid* envelope: the checksum does not vouch
+    /// for schema compatibility, so it is the schema check that must refuse.
     #[test]
     fn schema_mismatch_is_rejected() {
-        let mut j = encode("u", &sample());
-        // A stale schema with a *valid* checksum over the altered payload —
-        // checksums do not vouch for schema compatibility.
-        let mut payload = j.get("payload").unwrap().clone();
-        payload.set("schema", 1u32);
-        let checksum = fxhash::hash_one(&payload.to_compact());
-        j.set("checksum", format!("{checksum:016x}"));
-        j.set("payload", payload);
-        assert!(decode(&j).is_none());
+        let cache = temp_cache("schema");
+        let mut payload = encode("u", &sample());
+        payload.set("schema", CACHE_FORMAT - 1);
+        let stale = seal(&payload);
+        assert_eq!(unseal(&stale).as_ref(), Some(&payload), "envelope verifies");
+        assert!(decode(&payload).is_none());
+        std::fs::write(cache.path_for("u", 7), stale).unwrap();
+        assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
     }
 
     #[test]
     fn checksum_mismatch_is_rejected() {
-        let mut j = encode("u", &sample());
-        let mut payload = j.get("payload").unwrap().clone();
-        payload.set("iterations", 43u32); // damage without updating checksum
-        j.set("payload", payload);
-        assert!(decode(&j).is_none());
+        let sealed = seal(&encode("u", &sample()));
+        // Damage that still parses to a well-formed entry, and a
+        // re-formatting that parses to the *same* tree: both are bytes that
+        // were not written.
+        let edited = sealed.replace("\"iterations\":42", "\"iterations\":43");
+        assert_ne!(edited, sealed);
+        assert!(Json::parse(&edited).is_ok() && unseal(&edited).is_none());
+        let spaced = sealed.replace("\"iterations\":42", "\"iterations\": 42");
+        assert_eq!(Json::parse(&spaced), Json::parse(&sealed));
+        assert!(unseal(&spaced).is_none());
+        // The checksum is the sixteen lowercase digits `seal` wrote, not any
+        // spelling of the same number.
+        let digits = HEAD.len()..HEAD.len() + 16;
+        let mut shouted = sealed.clone();
+        shouted.replace_range(digits.clone(), &sealed[digits].to_uppercase());
+        assert_ne!(shouted, sealed, "the sample's checksum has a letter in it");
+        assert!(Json::parse(&shouted).is_ok() && unseal(&shouted).is_none());
+    }
+
+    /// Every torn write and every single-byte change of a stored entry is a
+    /// quarantined miss, never a hit and never a panic.
+    #[test]
+    fn every_damage_to_an_entry_is_a_corrupt_miss() {
+        let mut cache = temp_cache("every-damage");
+        cache.set_quarantine_keep(1);
+        let intact = seal(&encode("u", &sample()));
+        let mut damaged = 0;
+        for (what, bytes) in every_damage(intact.as_bytes()) {
+            std::fs::write(cache.path_for("u", 7), bytes).unwrap();
+            let outcome = cache.load("u", 7);
+            assert!(matches!(outcome, LoadOutcome::MissCorrupt), "{what}");
+            damaged += 1;
+        }
+        assert_eq!(damaged, intact.len() * 4);
+        assert_eq!(cache.health().quarantined, damaged);
+    }
+
+    /// An entry in the previous format's shape copied under a current key
+    /// is refused at the envelope and quarantined.
+    #[test]
+    fn previous_format_entry_under_a_current_key_is_quarantined() {
+        let cache = temp_cache("v5-shape");
+        std::fs::write(cache.path_for("u", 7), previous_format_entry()).unwrap();
+        assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
+        assert_eq!(cache.health().quarantined, 1);
+    }
+
+    #[test]
+    fn packed_rows_roundtrip() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        assert_eq!(pack_rows(&[]), "");
+        assert_eq!(unpack_rows(""), Some(Vec::new()));
+        let edge = [[u64::MAX; 6], [0; 6], [u64::MAX, 0, 1, 9, 10, 1]];
+        assert_eq!(unpack_rows(&pack_rows(&edge)).as_deref(), Some(&edge[..]));
+        assert_eq!(pack_rows(&[[3, 0, 1, 0, 4, 0]]), "3 0 1 0 4 0;");
+        let mut rng = StdRng::seed_from_u64(20);
+        for _ in 0..200 {
+            let rows: Vec<[u64; 6]> = (0..rng.gen_range(0..40))
+                .map(|_| {
+                    // Every magnitude, not just 20-digit values.
+                    std::array::from_fn(|_| rng.gen::<u64>() >> rng.gen_range(0..64))
+                })
+                .collect();
+            assert_eq!(unpack_rows(&pack_rows(&rows)), Some(rows));
+        }
+    }
+
+    #[test]
+    fn packed_rows_refuse_everything_pack_rows_does_not_write() {
+        for bad in [
+            "1 2 3 4 5;",     // five fields
+            "1 2 3 4 5 6 7;", // seven
+            "1 2  3 4 5 6;",  // double space
+            " 1 2 3 4 5 6;",  // leading space
+            "1 2 3 4 5 6 ;",  // trailing space
+            "1 2 3 4 5 6",    // missing final `;`
+            "1 2 3 4 5 6;7",  // text after it
+            "1 2 3 4 5 6;;",  // an empty row
+            ";",
+            "-1 2 3 4 5 6;", // signs
+            "+1 2 3 4 5 6;",
+            "18446744073709551616 2 3 4 5 6;", // 2^64
+            "99999999999999999999 2 3 4 5 6;",
+            "1\t2 3 4 5 6;",      // a tab
+            "1 2 3 4 5 6;\n",     // a newline
+            "\u{661} 2 3 4 5 6;", // ARABIC-INDIC DIGIT ONE
+            "1.0 2 3 4 5 6;",     // not an integer
+            "0x1 2 3 4 5 6;",
+        ] {
+            assert_eq!(unpack_rows(bad), None, "{bad:?}");
+        }
+        assert_eq!(
+            unpack_rows("18446744073709551615 2 3 4 5 6;"),
+            Some(vec![[u64::MAX, 2, 3, 4, 5, 6]])
+        );
+        // A damaged segment inside an otherwise well-formed entry is a
+        // decode failure like any other.
+        let entry = encode("u", &sample()).to_compact();
+        let short = entry.replace("3 0 1 0 4 0;", "3 0 1 0 4;");
+        assert_ne!(short, entry);
+        assert!(decode(&Json::parse(&entry).unwrap()).is_some());
+        assert!(decode(&Json::parse(&short).unwrap()).is_none());
     }
 
     #[test]
@@ -731,6 +880,8 @@ mod tests {
         // fingerprint. Catching this is exactly the validation oracle's job.
         let (cache, a) = stored_cache("forge", "u", 7);
         cache.corrupt_entry("u", 7, CorruptionMode::Forge).unwrap();
+        let forged = std::fs::read_to_string(cache.path_for("u", 7)).unwrap();
+        assert!(unseal(&forged).is_some(), "the forged envelope verifies");
         match cache.load("u", 7) {
             LoadOutcome::Hit(got) => {
                 assert_ne!(got.fingerprint, a.fingerprint);

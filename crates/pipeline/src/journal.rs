@@ -15,10 +15,10 @@
 //! resume and break byte-identity.
 //!
 //! On disk the journal is one file per record, `NNNN-KKKK.json` (unit index,
-//! unit key), each wrapped in the same checksummed `{checksum, payload}`
-//! envelope as cache entries and written with the same temp-file + rename
-//! dance ([`crate::cache`]); a torn or rotten record simply fails to decode
-//! and its unit is recomputed. Records are keyed by the unit's cache key, so
+//! unit key), each sealed exactly like a cache entry ([`cache::seal`]: the
+//! checksum covers the bytes written) and written with the same temp-file +
+//! rename dance; a torn or rotten record simply fails to verify and its unit
+//! is recomputed. Records are keyed by the unit's cache key, so
 //! editing a source file or changing analysis options invalidates its
 //! record naturally.
 
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Journal record schema version (inside the envelope payload).
-pub const JOURNAL_FORMAT: u32 = 1;
+pub const JOURNAL_FORMAT: u32 = 2;
 
 /// How a journaled unit failed, when it did — preserved so a resumed
 /// `--fail-fast` run reports the same error class as the original.
@@ -108,7 +108,7 @@ impl Journal {
             payload.set("failure", f.as_str());
         }
         let path = self.path_of(rec.index, rec.key);
-        cache::write_atomic(&path, cache::seal(payload).to_pretty().as_bytes())
+        cache::write_atomic(&path, cache::seal(&payload).as_bytes())
     }
 
     /// Loads every decodable record, keyed by unit index. Damaged records
@@ -130,7 +130,7 @@ impl Journal {
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;
             };
-            if let Some(rec) = Json::parse(&text).ok().as_ref().and_then(decode) {
+            if let Some(rec) = cache::unseal(&text).as_ref().and_then(decode) {
                 records.insert(rec.index, rec);
             }
         }
@@ -151,8 +151,7 @@ impl Journal {
     }
 }
 
-fn decode(j: &Json) -> Option<JournalRecord> {
-    let payload = cache::unseal(j)?;
+fn decode(payload: &Json) -> Option<JournalRecord> {
     if payload.get("schema")?.as_u64()? != u64::from(JOURNAL_FORMAT) {
         return None;
     }
@@ -172,7 +171,7 @@ fn decode(j: &Json) -> Option<JournalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testfix::temp_dir;
+    use crate::testfix::{every_damage, sample_analysis, temp_dir};
 
     fn sample_record(index: usize, failure: Option<Failure>) -> JournalRecord {
         JournalRecord {
@@ -220,6 +219,34 @@ mod tests {
         let loaded = journal.load();
         assert_eq!(loaded.len(), 1);
         assert!(loaded.contains_key(&0));
+    }
+
+    /// Every torn write and every single-byte change of a record costs that
+    /// record — its unit is recomputed — and nothing else.
+    #[test]
+    fn every_damage_to_a_record_skips_it() {
+        let journal = Journal::open(&temp_dir("journal-every-damage")).unwrap();
+        let rec = JournalRecord {
+            index: 0,
+            name: "u".to_string(),
+            key: 7,
+            failure: None,
+            unit: crate::render_analyzed(
+                "u",
+                7,
+                crate::CacheStatus::Miss,
+                &sample_analysis(),
+                None,
+            ),
+        };
+        journal.record(&rec).unwrap();
+        assert_eq!(journal.load().get(&0), Some(&rec));
+        let path = journal.path_of(0, 7);
+        let intact = std::fs::read(&path).unwrap();
+        for (what, bytes) in every_damage(&intact) {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(journal.load().is_empty(), "{what}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ use sga_core::triage::TriageMode;
 use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
 use sga_core::widening::WideningConfig;
 use sga_utils::stats::StageTimers;
-use sga_utils::Json;
+use sga_utils::{fxhash, Json};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -716,6 +716,20 @@ fn semantic_tag(options: &PipelineOptions) -> String {
     )
 }
 
+/// Version component of the rendered `source_hash`, frozen at the cache
+/// format the two were split at: the hash names a (source, result-shaping
+/// options) pair in canonical reports, so a bump of an on-disk format —
+/// which changes no analysis result — must not move a report byte.
+const RENDERED_HASH_VERSION: u32 = 5;
+
+/// The `source_hash` a unit's report object renders: source × [`semantic_tag`]
+/// × budget. Unlike the lookup key ([`cache::unit_key`]) it carries no
+/// on-disk format version.
+fn rendered_hash(source: &str, sem_tag: &str, budget: &Budget) -> u64 {
+    let tag = format!("{sem_tag}|{}", budget.cache_tag());
+    fxhash::hash_one(&(RENDERED_HASH_VERSION, tag.as_str(), source))
+}
+
 /// The full per-unit cache key under `options` for a unit with this
 /// `source`: the batch driver's key exactly — source × dependency options ×
 /// widening × backend × budget — so an embedder that needs to know whether
@@ -772,8 +786,7 @@ pub fn analyze_units(
         let budget = options.faults.budget_for(i).unwrap_or(options.budget);
         let options_tag = format!("{base_tag}|{}", budget.cache_tag());
         let key = cache::unit_key(&input.source, &options_tag);
-        let render_key =
-            cache::unit_key(&input.source, &format!("{sem_tag}|{}", budget.cache_tag()));
+        let render_key = rendered_hash(&input.source, &sem_tag, &budget);
         let p = process_unit(&ctx, i, input, key, render_key, &budget);
         if p.store {
             if let (Some(c), Some(a)) = (cache, &p.analysis) {
@@ -1022,8 +1035,7 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
             let budget = options.faults.budget_for(i).unwrap_or(options.budget);
             let options_tag = format!("{base_tag}|{}", budget.cache_tag());
             let key = cache::unit_key(&input.source, &options_tag);
-            let render_key =
-                cache::unit_key(&input.source, &format!("{sem_tag}|{}", budget.cache_tag()));
+            let render_key = rendered_hash(&input.source, &sem_tag, &budget);
 
             // A journaled unit is already committed: replay its record
             // verbatim — before fault injection, so a fault that killed the
@@ -1243,10 +1255,71 @@ mod tag_tests {
             cache::unit_key(source, &base_cache_tag(&csr)),
             cache::unit_key(source, &base_cache_tag(&bdd)),
         );
+        let budget = Budget::default();
         assert_eq!(
-            cache::unit_key(source, &semantic_tag(&csr)),
-            cache::unit_key(source, &semantic_tag(&bdd)),
+            rendered_hash(source, &semantic_tag(&csr), &budget),
+            rendered_hash(source, &semantic_tag(&bdd), &budget),
         );
+    }
+
+    /// The rendered `source_hash` of a fixed (source, options) pair, pinned
+    /// to a literal: it is in every canonical report, so no on-disk format
+    /// version (`CACHE_FORMAT` is hashed into the lookup key only) may move
+    /// it.
+    #[test]
+    fn rendered_hash_is_pinned_apart_from_the_cache_format() {
+        let options = PipelineOptions::default();
+        let source = "int main() { return 0; }";
+        assert_eq!(
+            rendered_hash(source, &semantic_tag(&options), &options.budget),
+            0x682b_318b_c1c4_54dd,
+        );
+    }
+
+    /// A directory left by the format-5 binary: its entries sit under keys
+    /// that hashed 5 in, so a run never looks them up — no hit, nothing
+    /// quarantined, the report of a run over an empty directory — and
+    /// leaves them where they are.
+    #[test]
+    fn previous_format_directory_is_never_looked_up() {
+        let project = Project::Corpus {
+            units: 2,
+            kloc: 1,
+            seed: 11,
+        };
+        let in_dir = |tag: &str| PipelineOptions {
+            cache_dir: Some(testfix::temp_dir(tag)),
+            ..PipelineOptions::default()
+        };
+        let (fresh, stale) = (in_dir("v5-dir-fresh"), in_dir("v5-dir-stale"));
+        let cache = Cache::open(stale.cache_dir.as_ref().unwrap()).unwrap();
+        let tag = format!("{}|{}", base_cache_tag(&stale), stale.budget.cache_tag());
+        let left: Vec<PathBuf> = load_project(&project)
+            .unwrap()
+            .iter()
+            .map(|u| {
+                let v5_key = fxhash::hash_one(&(5u32, tag.as_str(), u.source.as_str()));
+                assert_ne!(v5_key, unit_cache_key(&stale, &u.source));
+                let path = cache.path_for(&u.name, v5_key);
+                std::fs::write(&path, testfix::previous_format_entry()).unwrap();
+                path
+            })
+            .collect();
+
+        let expected = run(&project, &fresh).unwrap();
+        let report = run(&project, &stale).unwrap();
+        for field in ["units", "totals"] {
+            assert_eq!(report.get(field), expected.get(field), "{field}");
+        }
+        let count = |block: &str, field: &str| report.get(block)?.get(field)?.as_u64();
+        assert_eq!(count("totals", "cache_hits"), Some(0));
+        assert_eq!(count("cache_health", "quarantined"), Some(0));
+        for path in left {
+            assert_eq!(
+                std::fs::read_to_string(path).unwrap(),
+                testfix::previous_format_entry()
+            );
+        }
     }
 
     /// The triage mode changes the diagnostics themselves (`both`

@@ -10,7 +10,7 @@ use crate::unit::{ProcArtifact, UnitAnalysis};
 use sga_core::interface::{ImportRef, ProcInterface, UnitInterface};
 use sga_diag::{DiagKind, Diagnostic, DischargeMethod, Evidence, Status};
 use sga_ir::{Cp, NodeId, ProcId};
-use sga_utils::Idx;
+use sga_utils::{fxhash, Idx, Json};
 use std::path::PathBuf;
 
 /// A representative per-unit artifact with every field populated — enough
@@ -84,6 +84,40 @@ pub(crate) fn sample_analysis() -> UnitAnalysis {
         dep_edges: 10,
         degraded: false,
     }
+}
+
+/// Every damaged copy of `intact` the failure model names, each with a
+/// description for the assertion message: every proper prefix (a torn
+/// write), and at every offset the byte changed by `^0x01`, `^0x40` and
+/// `^0x80` — the last makes the text invalid UTF-8. `4 × len` copies.
+pub(crate) fn every_damage(intact: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let cuts = (0..intact.len()).map(|n| (format!("cut to {n} bytes"), intact[..n].to_vec()));
+    let flips = (0..intact.len()).flat_map(move |at| {
+        [0x01u8, 0x40, 0x80].into_iter().map(move |mask| {
+            let mut bytes = intact.to_vec();
+            bytes[at] ^= mask;
+            (format!("byte {at} ^ {mask:#04x}"), bytes)
+        })
+    });
+    cuts.chain(flips)
+}
+
+/// [`sample_analysis`] as the format-5 binary stored it: pretty-printed, the
+/// checksum taken over a compact re-rendering of the payload tree, segments
+/// as arrays of six-number arrays.
+pub(crate) fn previous_format_entry() -> String {
+    let v6 = crate::cache::encode("u", &sample_analysis()).to_compact();
+    let v5 = v6.replace("\"schema\":6", "\"schema\":5").replace(
+        "\"3 0 1 0 4 0;7 0 2 0 5 1;\"",
+        "[[3,0,1,0,4,0],[7,0,2,0,5,1]]",
+    );
+    assert!(v5.contains("\"schema\":5") && v5.contains("[[3,0,1,0,4,0],"));
+    let payload = Json::parse(&v5).expect("still JSON");
+    let checksum = fxhash::hash_one(&payload.to_compact());
+    Json::obj()
+        .with("checksum", format!("{checksum:016x}"))
+        .with("payload", payload)
+        .to_pretty()
 }
 
 /// A fresh scratch directory under the system temp dir (wiped if a previous

@@ -17,10 +17,10 @@
 //!   `--worker-timeout-ms` and SIGKILLs a stalled one; `RLIMIT_CPU` catches
 //!   the case where the supervisor itself is wedged.
 //! * **Sealed pipe protocol.** Request and response travel over
-//!   stdin/stdout in the cache's checksummed `{checksum, payload}` envelope
-//!   ([`crate::cache::seal`]), so a torn write from a dying worker is
-//!   *detected* — it fails the checksum and counts as a death, never as a
-//!   half-result.
+//!   stdin/stdout as [`crate::cache::seal`]ed text — one envelope each, its
+//!   checksum over the bytes on the pipe — so a torn write from a dying
+//!   worker is *detected*: it fails the checksum and counts as a death,
+//!   never as a half-result.
 //! * **Kill, retry, degrade.** A dead worker is retried once; a unit that
 //!   kills both attempts degrades to the existing `crashed` outcome (the
 //!   run finishes, exit 3) instead of failing the run. Cooperative budget
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 1;
+const WORKER_FORMAT: u32 = 2;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -185,7 +185,7 @@ fn encode_request(
     key: u64,
     render_key: u64,
     budget: &Budget,
-) -> Json {
+) -> String {
     let options = ctx.options;
     let faults = &options.faults;
     let mut budget_json = Json::obj();
@@ -241,13 +241,12 @@ fn encode_request(
     if let Some(dir) = &options.cache_dir {
         payload.set("cache_dir", dir.display().to_string());
     }
-    cache::seal(payload)
+    cache::seal(&payload)
 }
 
 /// Parses and verifies a sealed request; `None` on any damage.
 fn decode_request(text: &str) -> Option<Request> {
-    let j = Json::parse(text).ok()?;
-    let p = cache::unseal(&j)?;
+    let p = cache::unseal(text)?;
     if p.get("schema")?.as_u64()? != u64::from(WORKER_FORMAT) {
         return None;
     }
@@ -299,7 +298,7 @@ fn decode_request(text: &str) -> Option<Request> {
 }
 
 /// Renders the sealed response for a processed unit.
-fn encode_response(name: &str, p: &Processed) -> Json {
+fn encode_response(name: &str, p: &Processed) -> String {
     let mut payload = Json::obj()
         .with("schema", WORKER_FORMAT)
         .with("unit", p.json.clone())
@@ -315,20 +314,19 @@ fn encode_response(name: &str, p: &Processed) -> Json {
         payload.set("error", message.as_str());
     }
     if let Some(a) = &p.analysis {
-        // The artifacts ride along in the sealed cache-entry shape, so the
-        // parent can store them under write-ahead ordering and the daemon
-        // can keep them in memory — without the worker ever writing to the
-        // cache itself.
+        // The artifacts ride along as a cache-entry payload, so the parent
+        // can store them under write-ahead ordering and the daemon can keep
+        // them in memory — without the worker ever writing to the cache
+        // itself. The response's own seal covers their bytes.
         payload.set("analysis", cache::encode(name, a));
     }
-    cache::seal(payload)
+    cache::seal(&payload)
 }
 
 /// Parses and verifies a sealed response; `None` on any damage (a torn
 /// write from a dying worker lands here, not in the report).
 fn decode_response(text: &str) -> Option<Processed> {
-    let j = Json::parse(text).ok()?;
-    let p = cache::unseal(&j)?;
+    let p = cache::unseal(text)?;
     if p.get("schema")?.as_u64()? != u64::from(WORKER_FORMAT) {
         return None;
     }
@@ -464,7 +462,7 @@ pub fn worker_main() -> i32 {
         req.render_key,
         &req.budget,
     );
-    let response = encode_response(&req.input.name, &p).to_compact();
+    let response = encode_response(&req.input.name, &p);
     let mut out = std::io::stdout();
     if out
         .write_all(response.as_bytes())
@@ -638,7 +636,7 @@ pub(crate) fn run_unit_in_worker(
     render_key: u64,
     budget: &Budget,
 ) -> Processed {
-    let request = encode_request(ctx, i, input, key, render_key, budget).to_compact();
+    let request = encode_request(ctx, i, input, key, render_key, budget);
     let limits = &ctx.options.worker_limits;
     let mut last = String::new();
     for attempt in 1..=WORKER_ATTEMPTS {
@@ -671,7 +669,8 @@ pub(crate) fn run_unit_in_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::render_crashed;
+    use crate::testfix::{every_damage, sample_analysis};
+    use crate::{render_analyzed, render_crashed, CacheStatus};
 
     fn ctx_fixture(options: &PipelineOptions) -> (UnitInput, u64, u64, Budget) {
         let input = UnitInput {
@@ -703,7 +702,7 @@ mod tests {
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
         let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
-        let req = decode_request(&sealed.to_compact()).expect("request decodes");
+        let req = decode_request(&sealed).expect("request decodes");
         assert_eq!(req.input.name, input.name);
         assert_eq!(req.input.source, input.source);
         assert_eq!(req.key, key);
@@ -730,7 +729,7 @@ mod tests {
             inner_jobs: 1,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
-        let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget).to_compact();
+        let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
         assert!(decode_request(&sealed[..sealed.len() / 2]).is_none());
         let mut flipped = sealed.clone().into_bytes();
         let mid = flipped.len() / 2;
@@ -743,10 +742,36 @@ mod tests {
             analysis: None,
             store: false,
         };
-        let resp = encode_response("u", &p).to_compact();
+        let resp = encode_response("u", &p);
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(whole.failure, Some((Failure::Panic, "boom".to_string())));
         assert!(decode_response(&resp[..resp.len() - 8]).is_none());
+    }
+
+    /// Every torn write and every single-byte change of a response carrying
+    /// a whole analysis is a death (a retried unit), never a half-result:
+    /// the response's one seal covers the artifacts' bytes too.
+    #[test]
+    fn every_damage_to_a_response_is_a_death() {
+        let a = sample_analysis();
+        let p = Processed {
+            json: render_analyzed("u", 7, CacheStatus::Miss, &a, None),
+            failure: None,
+            analysis: Some(Box::new(a)),
+            store: true,
+        };
+        let resp = encode_response("u", &p);
+        let whole = decode_response(&resp).expect("intact response decodes");
+        assert_eq!(
+            (whole.json, whole.analysis, whole.store),
+            (p.json, p.analysis, true)
+        );
+        for (what, bytes) in every_damage(resp.as_bytes()) {
+            // The pipe is read as text, so invalid UTF-8 is refused before
+            // the decoder sees it.
+            let refused = String::from_utf8(bytes).map_or(true, |t| decode_response(&t).is_none());
+            assert!(refused, "{what}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! corpus directory's current state.
 //!
 //! On disk each record reuses the pipeline cache's machinery wholesale:
-//! the checksummed `{checksum, payload}` envelope ([`cache::seal`]), the
+//! the envelope checksummed over the bytes written ([`cache::seal`]), the
 //! temp-file + rename write ([`cache::write_atomic`]), and the cache-entry
 //! interface codec ([`cache::encode_interface`]). A torn or rotten record
 //! fails to decode and its unit is simply recomputed — a SIGKILL at any
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Round-journal record schema version (inside the envelope payload).
-pub const ROUND_JOURNAL_FORMAT: u32 = 1;
+pub const ROUND_JOURNAL_FORMAT: u32 = 2;
 
 /// One unit's journaled live state.
 #[derive(Clone, Debug)]
@@ -97,10 +97,7 @@ impl RoundJournal {
                 diags.iter().map(Diagnostic::to_json).collect::<Vec<_>>(),
             )
             .with("interface", cache::encode_interface(interface));
-        cache::write_atomic(
-            &self.path_of(name),
-            cache::seal(payload).to_pretty().as_bytes(),
-        )
+        cache::write_atomic(&self.path_of(name), cache::seal(&payload).as_bytes())
     }
 
     /// Loads every decodable record, keyed by unit name. Damaged records
@@ -121,7 +118,7 @@ impl RoundJournal {
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue;
             };
-            if let Some((name, saved)) = Json::parse(&text).ok().as_ref().and_then(decode) {
+            if let Some((name, saved)) = cache::unseal(&text).as_ref().and_then(decode) {
                 records.insert(name, saved);
             }
         }
@@ -144,7 +141,7 @@ impl RoundJournal {
                 continue;
             }
             let stale = match std::fs::read_to_string(&path) {
-                Ok(text) => match Json::parse(&text).ok().as_ref().and_then(decode) {
+                Ok(text) => match cache::unseal(&text).as_ref().and_then(decode) {
                     Some((name, _)) => !live(&name),
                     None => true, // undecodable: useless, drop it
                 },
@@ -169,8 +166,7 @@ impl RoundJournal {
     }
 }
 
-fn decode(j: &Json) -> Option<(String, SavedUnit)> {
-    let payload = cache::unseal(j)?;
+fn decode(payload: &Json) -> Option<(String, SavedUnit)> {
     if payload.get("schema")?.as_u64()? != u64::from(ROUND_JOURNAL_FORMAT) {
         return None;
     }
@@ -262,6 +258,46 @@ mod tests {
         assert!(after.contains_key("a.c"));
         assert!(!j.dir().join("stranded.json.tmp").exists());
         assert!(!j.dir().join("noise.json").exists());
+    }
+
+    /// Every torn write and every single-byte change (`^0x01`, `^0x40`, and
+    /// `^0x80`, which makes the text invalid UTF-8) of a record holding a
+    /// really analysed unit — diagnostics and interface populated — costs
+    /// that record and nothing else.
+    #[test]
+    fn every_damage_to_a_record_skips_it() {
+        use sga_pipeline::{analyze_units, PipelineOptions, UnitInput};
+
+        let unit = UnitInput {
+            name: "a.c".to_string(),
+            source: "int main() { int z = 0; return 7 / z; }".to_string(),
+        };
+        let outcome = analyze_units(&[unit], &PipelineOptions::default(), None)
+            .pop()
+            .expect("one unit in, one outcome out");
+        let a = outcome.analysis.expect("the unit analyses");
+        assert!(!a.diags.is_empty() && !a.interface.exports.is_empty());
+
+        let j = RoundJournal::open(&temp_dir("every-damage")).unwrap();
+        j.record("a.c", 7, &outcome.json, &a.diags, &a.interface)
+            .unwrap();
+        let saved = &j.load()["a.c"];
+        assert_eq!(
+            (&saved.json, &saved.diags, &saved.interface),
+            (&outcome.json, &a.diags, &a.interface)
+        );
+        let path = j.path_of("a.c");
+        let intact = std::fs::read(&path).unwrap();
+        for at in 0..intact.len() {
+            std::fs::write(&path, &intact[..at]).unwrap();
+            assert!(j.load().is_empty(), "cut to {at} bytes");
+            for mask in [0x01u8, 0x40, 0x80] {
+                let mut bytes = intact.clone();
+                bytes[at] ^= mask;
+                std::fs::write(&path, bytes).unwrap();
+                assert!(j.load().is_empty(), "byte {at} ^ {mask:#04x}");
+            }
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ use sga::analysis::budget::Budget;
 use sga::analysis::interval::{analyze, analyze_with, AnalyzeOptions, Engine};
 use sga::domains::Lattice;
 use sga::pipeline::fault::FaultPlan;
-use sga::pipeline::{run, PipelineError, PipelineOptions, Project};
-use sga::utils::{fxhash, Json};
+use sga::pipeline::{cache, run, PipelineError, PipelineOptions, Project};
+use sga::utils::Json;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -225,17 +225,15 @@ fn bitflip_file(path: &PathBuf) {
     file.write_all(&byte).unwrap();
 }
 
-/// Rewrites a cache entry as a *stale-schema* entry: the payload claims an
-/// old format version but carries a valid checksum — the decoder must
-/// reject it on the schema check, not the checksum.
+/// Rewrites a cache entry as a *stale-schema* entry, through the public
+/// `seal`: the payload claims an old format version inside an envelope that
+/// verifies, so it is the schema check that must refuse it, not the checksum.
 fn stale_schema_file(path: &PathBuf) {
-    let mut j = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-    let mut payload = j.get("payload").unwrap().clone();
+    let mut payload = cache::unseal(&std::fs::read_to_string(path).unwrap()).unwrap();
     payload.set("schema", 1u32);
-    let checksum = fxhash::hash_one(&payload.to_compact());
-    j.set("checksum", format!("{checksum:016x}"));
-    j.set("payload", payload);
-    std::fs::write(path, j.to_pretty()).unwrap();
+    let stale = cache::seal(&payload);
+    assert_eq!(cache::unseal(&stale), Some(payload), "envelope verifies");
+    std::fs::write(path, stale).unwrap();
 }
 
 #[test]
@@ -260,11 +258,14 @@ fn cache_self_heals_from_damaged_entries() {
     let healed = run(&corpus(3), &opts).unwrap().to_pretty();
     assert_eq!(healed, cold, "self-healed report differs from cold run");
 
-    // The evidence moved into quarantine/ ...
+    // The evidence moved into quarantine/ — all three, so the stale-schema
+    // entry, whose envelope still verifies there, fell to the schema check.
     assert_eq!(
         std::fs::read_dir(dir.join("quarantine")).unwrap().count(),
         3
     );
+    let stale = dir.join("quarantine").join(entries[2].file_name().unwrap());
+    assert!(cache::unseal(&std::fs::read_to_string(stale).unwrap()).is_some());
 
     // ... and the rewritten entries serve hits again.
     let warm = run(&corpus(3), &opts).unwrap();
