@@ -427,16 +427,24 @@ ALLOC_ROWS="core.sparse.allocs core.sparse.alloc_bytes"
 # JSON node per segment number, would multiply them by seven).
 WARM_ROWS="diag.diagnostics pipeline.cache.entry_bytes"
 
+# What the daemon workload pins: how many units a body and an interface edit
+# re-analyse, the share of the corpus a round spares, and that nothing was
+# shed or evicted. Its timing rows (ack, event lag, rounds) are not read.
+SERVE_ROWS="serve.engine.invalidated_body serve.engine.invalidated_iface \
+serve.engine.spared_ratio serve.server.shed serve.server.evicted_slow"
+
 traced_rows() {
     # One traced (fixed-work) run of workload $1 at the default seed, its
     # rows named in $2 (default: the count and allocation rows) printed as
-    # "workload row value" lines; fails when the run does.
+    # "workload row value" lines (a ratio as the run prints it, anything
+    # else as an integer); fails when the run does.
     local out
     out=$(cargo run --release -p sga-bench --bin benchmark -- run --workload "$1" --trace 1) || {
         printf '%s\n' "$out" | tail -n 20 >&2; return 1; }
     printf '%s\n' "$out" | awk -v w="$1" -v rows="${2:-$COUNT_ROWS $ALLOC_ROWS}" '
         BEGIN { n = split(rows, r, " "); for (i = 1; i <= n; i++) want[r[i]] = 1 }
-        ($1 in want) && ($3 == "count" || $3 == "bytes") { printf "%s %s %d\n", w, $1, $2 }'
+        ($1 in want) && ($3 == "count" || $3 == "bytes") { printf "%s %s %d\n", w, $1, $2 }
+        ($1 in want) && $3 == "ratio" { printf "%s %s %s\n", w, $1, $2 }'
 }
 
 under_ceilings() {
@@ -465,13 +473,16 @@ bench_gate() {
     # per-unit identity checks, every count equal between their own two
     # passes — whose answer-and-trajectory counts must equal the committed
     # ledger exactly and whose fixpoint allocation rows and cache entry
-    # bytes must stay under their ceilings, and a 2-second smoke through the
-    # daemon, whose interface rounds re-triage three units and whose
-    # convergence and exact-invalidation checks run here. No timing is read.
+    # bytes must stay under their ceilings; the daemon workload's traced run
+    # (the same edits in process and over the socket, convergence checked)
+    # pins its invalidation, shed and eviction rows in the same ledger, and a
+    # 2-second smoke takes the untraced path through the daemon. No timing
+    # is read.
     local rows
     cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
         rows=$(traced_rows batch_flat && traced_rows batch_scc &&
-            traced_rows warm_rerun "$WARM_ROWS") &&
+            traced_rows warm_rerun "$WARM_ROWS" &&
+            traced_rows serve_edits "$SERVE_ROWS") &&
         diff -u BENCH_counts.txt <(printf '%s\n' "$rows" |
             grep -vFf <(cut -d' ' -f1,2 BENCH_alloc_ceilings.txt)) &&
         printf '%s\n' "$rows" | under_ceilings &&

@@ -13,9 +13,9 @@
 //!   `--worker-timeout-ms`) to itself via raw-FFI `setrlimit` before
 //!   touching the unit — enforcement the cooperative
 //!   [`sga_core::budget::Budget`] cannot give.
-//! * **Wall-clock supervision.** The parent polls the worker against
-//!   `--worker-timeout-ms` and SIGKILLs a stalled one; `RLIMIT_CPU` catches
-//!   the case where the supervisor itself is wedged.
+//! * **Wall-clock supervision.** The parent waits for the worker's stdout
+//!   to close for at most `--worker-timeout-ms` and SIGKILLs a stalled one;
+//!   `RLIMIT_CPU` catches the case where the supervisor itself is wedged.
 //! * **Sealed pipe protocol.** Request and response travel over
 //!   stdin/stdout as [`crate::cache::seal`]ed text — one envelope each, its
 //!   checksum over the bytes on the pipe — so a torn write from a dying
@@ -50,7 +50,8 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::time::Duration;
 
 /// The hidden argv\[1\] that turns the binary into a single-unit worker.
 pub const WORKER_ARG: &str = "__worker";
@@ -62,9 +63,6 @@ const WORKER_FORMAT: u32 = 2;
 /// `crashed`. Bounded so a unit that deterministically kills its worker
 /// cannot stall the batch in a respawn loop.
 const WORKER_ATTEMPTS: u32 = 2;
-
-/// Supervisor poll period while a wall-clock limit is armed.
-const SUPERVISE_POLL: Duration = Duration::from_millis(5);
 
 /// Where a unit's analysis runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -494,24 +492,24 @@ struct Death {
 }
 
 /// Waits for `child`, SIGKILLing it once `timeout_ms` (when set) elapses.
-/// Returns the exit status and whether the supervisor had to kill.
-fn supervise(child: &mut Child, timeout_ms: Option<u64>) -> std::io::Result<(ExitStatus, bool)> {
-    match timeout_ms {
-        None => Ok((child.wait()?, false)),
-        Some(ms) => {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            loop {
-                if let Some(status) = child.try_wait()? {
-                    return Ok((status, false));
-                }
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    return Ok((child.wait()?, true));
-                }
-                std::thread::sleep(SUPERVISE_POLL);
-            }
+/// A worker that ends — by exiting or by dying — closes its stdout, and the
+/// reader thread reports that over `stdout_eof` (a hung-up channel counts:
+/// the reader is gone either way), so the supervisor sleeps until the
+/// worker is done or the deadline passes and never polls. Returns the exit
+/// status and whether the supervisor had to kill.
+fn supervise(
+    child: &mut Child,
+    timeout_ms: Option<u64>,
+    stdout_eof: &Receiver<()>,
+) -> std::io::Result<(ExitStatus, bool)> {
+    if let Some(ms) = timeout_ms {
+        let limit = Duration::from_millis(ms);
+        if stdout_eof.recv_timeout(limit) == Err(RecvTimeoutError::Timeout) {
+            let _ = child.kill();
+            return Ok((child.wait()?, true));
         }
     }
+    Ok((child.wait()?, false))
 }
 
 /// Renders an abnormal exit status.
@@ -572,9 +570,11 @@ fn one_attempt(request: &str, limits: &WorkerLimits) -> Result<Processed, Death>
         let _ = stdin.write_all(&request_bytes);
     });
     let mut stdout = child.stdout.take().expect("piped stdout");
+    let (eof_tx, stdout_eof) = mpsc::channel();
     let out_reader = std::thread::spawn(move || {
         let mut buf = String::new();
         let _ = stdout.read_to_string(&mut buf);
+        let _ = eof_tx.send(());
         buf
     });
     let mut stderr = child.stderr.take().expect("piped stderr");
@@ -584,7 +584,7 @@ fn one_attempt(request: &str, limits: &WorkerLimits) -> Result<Processed, Death>
         buf
     });
 
-    let supervised = supervise(&mut child, limits.timeout_ms);
+    let supervised = supervise(&mut child, limits.timeout_ms, &stdout_eof);
     let _ = writer.join();
     let stdout_text = out_reader.join().unwrap_or_default();
     let stderr_bytes = err_reader.join().unwrap_or_default();

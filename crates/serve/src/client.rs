@@ -72,6 +72,11 @@ impl Conn {
                 None => Conn::Tcp(TcpStream::connect(addr)?),
             }
         };
+        if let Conn::Tcp(stream) = &conn {
+            // One small write per request, then a wait for the reply: the
+            // pattern Nagle's algorithm delays. Best effort.
+            let _ = stream.set_nodelay(true);
+        }
         conn.set_deadline(timeout)?;
         Ok(conn)
     }

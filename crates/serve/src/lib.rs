@@ -17,6 +17,7 @@
 //!   load shedding, supervised against analyzer panics, per-subscriber
 //!   writer threads that isolate slow consumers, and a filesystem-polling
 //!   fallback;
+//! * [`stats`] — the daemon's live counters, as `status` prints them;
 //! * [`client`] — the matching client helpers (`sga watch`): timeouts,
 //!   bounded retry on shed edits.
 
@@ -24,7 +25,9 @@ pub mod client;
 pub mod engine;
 pub mod journal;
 pub mod server;
+pub mod stats;
 
 pub use engine::{cold_report, diff_json, Engine, RoundFault, RoundOutcome};
 pub use journal::RoundJournal;
-pub use server::{serve, ServeStats, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};
+pub use stats::ServeStats;

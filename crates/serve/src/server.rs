@@ -29,13 +29,16 @@
 //!
 //! # Concurrency model
 //!
-//! One engine thread owns all analysis state and drains a **bounded**
-//! request channel; socket reader threads and the filesystem poller only
-//! ever enqueue. Edits that arrive while a round is in flight queue up and
-//! are **coalesced** into the next round (consecutive edit requests batch,
-//! with last-write-wins per unit), so a burst of keystrokes costs one
-//! re-analysis, and an edit can never observe — or corrupt — a half-done
-//! round.
+//! One acceptor thread per listener blocks in `accept` and gives each
+//! connection a reader thread, so a request is read the moment it arrives
+//! (no poll period between a keystroke and its round); shutdown wakes an
+//! acceptor by connecting to its listener. One engine thread owns all
+//! analysis state and drains a **bounded** request channel; socket reader
+//! threads and the filesystem poller only ever enqueue. Edits that arrive
+//! while a round is in flight queue up and are **coalesced** into the next
+//! round (consecutive edit requests batch, with last-write-wins per unit),
+//! so a burst of keystrokes costs one re-analysis, and an edit can never
+//! observe — or corrupt — a half-done round.
 //!
 //! # Robustness model
 //!
@@ -67,21 +70,23 @@
 //!   connection survives both.
 
 use crate::engine::{diff_json, Engine, RoundFault, RoundOutcome};
+use crate::stats::ServeStats;
 use sga_pipeline::FaultPlan;
 use sga_utils::Json;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How listener threads poll their nonblocking accept loops.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// An acceptor's pause after an accept error that will not clear by itself
+/// (descriptor exhaustion); a healthy acceptor never sleeps.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Where and how to serve.
 #[derive(Clone, Debug)]
@@ -133,73 +138,6 @@ impl Default for ServerConfig {
             max_request_line: 8 * 1024 * 1024,
             faults: FaultPlan::none(),
         }
-    }
-}
-
-/// Live daemon counters, shared by the engine thread, connection threads,
-/// and subscriber writers; surfaced through the `status` reply and
-/// [`ServerHandle::stats`].
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    shed: AtomicUsize,
-    evicted_slow: AtomicUsize,
-    degraded_rounds: AtomicUsize,
-    engine_restarts: AtomicUsize,
-    round_ms: Mutex<Vec<u64>>,
-}
-
-/// Round-latency samples kept for percentiles (newest overwrite oldest).
-const ROUND_SAMPLES: usize = 512;
-
-impl ServeStats {
-    /// Socket edits refused because the request queue was full.
-    pub fn shed(&self) -> usize {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Subscribers evicted for not keeping up (full queue or write
-    /// deadline).
-    pub fn evicted_slow(&self) -> usize {
-        self.evicted_slow.load(Ordering::Relaxed)
-    }
-
-    /// Rounds that panicked under supervision.
-    pub fn degraded_rounds(&self) -> usize {
-        self.degraded_rounds.load(Ordering::Relaxed)
-    }
-
-    /// Engines rebuilt after a poisoned round.
-    pub fn engine_restarts(&self) -> usize {
-        self.engine_restarts.load(Ordering::Relaxed)
-    }
-
-    /// Round-latency percentile in milliseconds over the retained samples
-    /// (`q` in 0..=100); `None` before the first completed round.
-    pub fn round_percentile_ms(&self, q: u32) -> Option<u64> {
-        let samples = self.round_ms.lock().unwrap_or_else(|p| p.into_inner());
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let rank = (q as usize * (sorted.len() - 1)).div_ceil(100);
-        Some(sorted[rank.min(sorted.len() - 1)])
-    }
-
-    fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_evicted(&self) {
-        self.evicted_slow.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_round(&self, elapsed: Duration) {
-        let mut samples = self.round_ms.lock().unwrap_or_else(|p| p.into_inner());
-        if samples.len() == ROUND_SAMPLES {
-            samples.remove(0);
-        }
-        samples.push(elapsed.as_millis() as u64);
     }
 }
 
@@ -296,6 +234,8 @@ pub struct ServerHandle {
     pub tcp_addr: Option<SocketAddr>,
     req_tx: SyncSender<Req>,
     engine_thread: JoinHandle<()>,
+    acceptors: Vec<JoinHandle<()>>,
+    poller: Option<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     unix_path: Option<PathBuf>,
     stats: Arc<ServeStats>,
@@ -312,14 +252,44 @@ impl ServerHandle {
         self.stats.clone()
     }
 
-    /// Blocks until the engine thread exits (after a `shutdown` command
-    /// from any client or [`ServerHandle::shutdown`]), then tears down the
-    /// listeners.
+    /// Blocks until the engine thread exits (a `shutdown` command from any
+    /// client, [`ServerHandle::shutdown`], or a `fatal` event), then wakes
+    /// and joins the acceptors and the poller. On return the listeners are
+    /// closed and the socket file is gone; the only daemon threads left
+    /// serve connections a client still holds open, and end with them.
     pub fn wait(self) {
         let _ = self.engine_thread.join();
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        // An acceptor blocked in `accept` is woken by what it waits for: a
+        // connection, made here to the daemon's own listeners and dropped at
+        // once (std can neither shut a listener down nor poll it). A
+        // wildcard bind is reached through loopback on its port. `woken` is
+        // in `acceptors` order — TCP, then Unix, as `serve` spawned them.
+        let mut woken = Vec::new();
+        if let Some(mut addr) = self.tcp_addr {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            woken.push(TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok());
+        }
         if let Some(path) = &self.unix_path {
+            woken.push(UnixStream::connect(path).is_ok());
             let _ = std::fs::remove_file(path);
+        }
+        for (acceptor, woken) in self.acceptors.into_iter().zip(woken) {
+            // A wake that could not connect (descriptors exhausted, socket
+            // file removed behind the daemon's back) leaves its acceptor
+            // parked rather than hanging the caller on the join.
+            if woken || acceptor.is_finished() {
+                let _ = acceptor.join();
+            }
+        }
+        if let Some(poller) = self.poller {
+            poller.thread().unpark();
+            let _ = poller.join();
         }
     }
 }
@@ -343,12 +313,13 @@ pub fn serve(engine: Engine, config: &ServerConfig) -> std::io::Result<ServerHan
         max_request_line: config.max_request_line.max(1),
     };
 
+    let mut acceptors = Vec::new();
     let mut tcp_addr = None;
     if let Some(bind) = &config.tcp {
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         tcp_addr = Some(listener.local_addr()?);
-        spawn_tcp_acceptor(listener, ctx.clone(), stop.clone());
+        let accept = move || accept_tcp(&listener);
+        acceptors.push(spawn_acceptor(accept, TcpStream::try_clone, &ctx, &stop));
     }
     if let (Some(addr), Some(path)) = (tcp_addr, &config.port_file) {
         std::fs::write(path, format!("{addr}\n"))?;
@@ -358,19 +329,19 @@ pub fn serve(engine: Engine, config: &ServerConfig) -> std::io::Result<ServerHan
     if let Some(path) = &config.unix {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         unix_path = Some(path.clone());
-        spawn_unix_acceptor(listener, ctx.clone(), stop.clone());
+        let accept = move || listener.accept().map(|(stream, _)| stream);
+        acceptors.push(spawn_acceptor(accept, UnixStream::try_clone, &ctx, &stop));
     }
 
-    if let Some(ms) = config.poll_ms {
+    let poller = config.poll_ms.map(|ms| {
         spawn_poller(
             engine.dir().to_path_buf(),
             ms.max(1),
             req_tx.clone(),
             stop.clone(),
-        );
-    }
+        )
+    });
 
     let engine_stop = stop.clone();
     let engine_subs = subscribers;
@@ -380,13 +351,15 @@ pub fn serve(engine: Engine, config: &ServerConfig) -> std::io::Result<ServerHan
         .name("sga-serve-engine".into())
         .spawn(move || {
             engine_loop(engine, req_rx, engine_subs, engine_stats, faults);
-            engine_stop.store(true, Ordering::Relaxed);
+            engine_stop.store(true, Ordering::SeqCst);
         })?;
 
     Ok(ServerHandle {
         tcp_addr,
         req_tx,
         engine_thread,
+        acceptors,
+        poller,
         stop,
         unix_path,
         stats,
@@ -462,7 +435,7 @@ fn engine_loop(
                             .with("error", e.to_string()),
                     ),
                     Err(panic) => {
-                        stats.degraded_rounds.fetch_add(1, Ordering::Relaxed);
+                        stats.note_degraded();
                         broadcast(
                             &subscribers,
                             &stats,
@@ -480,7 +453,7 @@ fn engine_loop(
                         match Engine::open(&dir, &opts, true) {
                             Ok(fresh) => {
                                 engine = fresh;
-                                stats.engine_restarts.fetch_add(1, Ordering::Relaxed);
+                                stats.note_restart();
                                 broadcast(
                                     &subscribers,
                                     &stats,
@@ -529,7 +502,8 @@ fn engine_loop(
                     .with("shed", stats.shed())
                     .with("evicted_slow", stats.evicted_slow())
                     .with("degraded_rounds", stats.degraded_rounds())
-                    .with("engine_restarts", stats.engine_restarts());
+                    .with("engine_restarts", stats.engine_restarts())
+                    .with("accept_errors", stats.accept_errors());
                 // Cumulative isolated-worker counters for this process;
                 // all zero unless the engine runs with process isolation.
                 let workers = sga_pipeline::worker::stats();
@@ -620,48 +594,55 @@ fn spawn_subscriber_writer(
     });
 }
 
-fn spawn_tcp_acceptor(listener: TcpListener, ctx: ConnCtx, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    if let Ok(write) = stream.try_clone() {
-                        handle_connection(stream, Box::new(write), ctx);
-                    }
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => return,
-        }
-    });
+/// Accepts one TCP connection with Nagle off: a request line, an ack, an
+/// event is each one small write in a strict request → reply → event
+/// rhythm, which Nagle plus delayed ACK turns into 40 ms stalls on a real
+/// network. Best effort, like the send-buffer shrink.
+fn accept_tcp(listener: &TcpListener) -> std::io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
-fn spawn_unix_acceptor(listener: UnixListener, ctx: ConnCtx, stop: Arc<AtomicBool>) {
+/// Whether a failed `accept` is retried at once: the call was interrupted,
+/// or the peer gave up between its handshake and our accept. Anything else
+/// — descriptor exhaustion (`EMFILE` / `ENFILE`, uncategorized in std),
+/// memory pressure, the unforeseen — is retried after [`ACCEPT_BACKOFF`],
+/// so no error can spin the loop and none ends it.
+fn accept_error_is_transient(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, Interrupted};
+    matches!(kind, Interrupted | ConnectionAborted)
+}
+
+/// The accept loop, one copy for both listener kinds: blocks in `accept`
+/// (a connection is served when it arrives, not at the next poll), gives
+/// each stream a handler thread, and leaves only once `stop` is set — seen
+/// because [`ServerHandle::wait`] then connects to the listener. A failed
+/// accept, clone or thread spawn is counted and survived: the daemon never
+/// goes deaf while its engine runs.
+fn spawn_acceptor<S: std::io::Read + SubWrite + 'static>(
+    accept: impl Fn() -> std::io::Result<S> + Send + 'static,
+    clone: fn(&S) -> std::io::Result<S>,
+    ctx: &ConnCtx,
+    stop: &Arc<AtomicBool>,
+) -> JoinHandle<()> {
+    let (ctx, stop) = (ctx.clone(), stop.clone());
     std::thread::spawn(move || loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            return; // the shutdown wake, or a client that lost the race with it
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    if let Ok(write) = stream.try_clone() {
-                        handle_connection(stream, Box::new(write), ctx);
-                    }
-                });
+        let handled = accepted.and_then(|read| {
+            let (write, ctx) = (clone(&read)?, ctx.clone());
+            std::thread::Builder::new().spawn(move || handle_connection(read, Box::new(write), ctx))
+        });
+        if let Err(e) = handled {
+            ctx.stats.note_accept_error();
+            if !accept_error_is_transient(e.kind()) {
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => return,
         }
-    });
+    })
 }
 
 /// Why [`read_request_line`] could not produce a request line.
@@ -868,29 +849,37 @@ fn handle_connection<R: std::io::Read>(read: R, mut write: Box<dyn SubWrite>, ct
 /// writes (from socket edits) is a harmless no-op. Uses a *blocking* send:
 /// under overload the poller self-throttles instead of shedding (its edits
 /// are re-observable from disk, but blocking is simpler and lossless).
-fn spawn_poller(dir: PathBuf, poll_ms: u64, req_tx: SyncSender<Req>, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || {
-        let mut snapshot: std::collections::BTreeMap<String, u64> = scan(&dir)
-            .into_iter()
-            .map(|(name, source)| (name, sga_utils::fxhash::hash_one(&source)))
-            .collect();
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(poll_ms));
-            let mut edits = Vec::new();
-            for (name, source) in scan(&dir) {
-                let hash = sga_utils::fxhash::hash_one(&source);
-                if snapshot.insert(name.clone(), hash) != Some(hash) {
-                    edits.push((name, source));
-                }
-            }
-            if !edits.is_empty() && req_tx.send(Req::Edits(edits)).is_err() {
-                return;
+fn spawn_poller(
+    dir: PathBuf,
+    poll_ms: u64,
+    req_tx: SyncSender<Req>,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
+    // The baseline is read before the thread exists: a file written after
+    // `serve()` has returned can never be mistaken for part of it.
+    let mut snapshot: std::collections::BTreeMap<String, u64> = scan(&dir)
+        .into_iter()
+        .map(|(name, source)| (name, sga_utils::fxhash::hash_one(&source)))
+        .collect();
+    std::thread::spawn(move || loop {
+        // Parked, not asleep: `ServerHandle::wait` unparks the poller so
+        // shutdown does not wait out a poll period. A spurious wake-up only
+        // makes one scan early.
+        std::thread::park_timeout(Duration::from_millis(poll_ms));
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut edits = Vec::new();
+        for (name, source) in scan(&dir) {
+            let hash = sga_utils::fxhash::hash_one(&source);
+            if snapshot.insert(name.clone(), hash) != Some(hash) {
+                edits.push((name, source));
             }
         }
-    });
+        if !edits.is_empty() && req_tx.send(Req::Edits(edits)).is_err() {
+            return;
+        }
+    })
 }
 
 /// All `*.c` files directly in `dir`, name-sorted, with their content.
@@ -914,3 +903,6 @@ fn scan(dir: &std::path::Path) -> Vec<(String, String)> {
     files.sort();
     files
 }
+
+#[cfg(test)]
+mod tests;

@@ -239,9 +239,11 @@ fn stalled_subscriber_is_evicted_not_obeyed() {
         .recv_timeout(Duration::from_secs(30))
         .expect("healthy subscriber never acked");
 
-    // Sequential acked edits may still coalesce into fewer rounds (an ack
-    // means queued, not processed), so count edits and read the daemon's
-    // own round counter afterwards.
+    // An ack means queued, not processed, and queued edits coalesce: 300
+    // acks take a fraction of a second and may make only a handful of
+    // rounds. A `status` after each edit is the barrier — the engine
+    // answers it in queue order, after the edit's round — so every edit
+    // is a round and an event, however fast the socket is.
     let mut source = String::from("int main() { return 9; }\n");
     let mut edits = 0usize;
     while stats.evicted_slow() == 0 && edits < 300 {
@@ -249,6 +251,7 @@ fn stalled_subscriber_is_evicted_not_obeyed() {
         source.push_str(&format!("int f{edits}(int a) {{ return a + {edits}; }}\n"));
         let (reply, _) = client::edit_with_retry(&addr, "hot.c", &source, T, 10).expect("edit");
         assert!(!client::is_shed(&reply));
+        client::status_t(&addr, T).expect("round barrier");
     }
     assert!(
         stats.evicted_slow() >= 1,

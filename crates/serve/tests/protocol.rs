@@ -8,6 +8,7 @@ use sga_utils::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Raises one definite overrun (`buf[9]` into a 4-byte block).
@@ -237,6 +238,47 @@ fn fs_poller_picks_up_out_of_band_edits() {
     assert_eq!(event.get("event").and_then(Json::as_str), Some("diff"));
     assert_eq!(strings(event.get("edited")), ["one.c"]);
 
+    client::shutdown(&addr).expect("shutdown");
+    handle.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The accept path under the two shapes `hostile.rs` does not cover: many
+/// short connections one after another, and many at the same instant.
+#[test]
+fn one_shot_requests_and_a_connect_burst_all_get_replies() {
+    let dir = corpus("proto-burst", &[("one.c", APP_CLEAN)]);
+    let engine = Engine::new(&dir, &PipelineOptions::default()).expect("engine");
+    let handle = serve(
+        engine,
+        &ServerConfig {
+            tcp: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("serve");
+    let addr = handle.tcp_addr.expect("tcp addr").to_string();
+    let ok = |reply: std::io::Result<String>| {
+        let status = Json::parse(&reply.expect("status reply")).expect("status JSON");
+        assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(status.get("accept_errors").and_then(Json::as_u64), Some(0));
+    };
+    for _ in 0..200 {
+        ok(client::status(&addr));
+    }
+    let barrier = Arc::new(Barrier::new(32));
+    let burst: Vec<_> = (0..32)
+        .map(|_| {
+            let (addr, barrier) = (addr.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                client::status(&addr)
+            })
+        })
+        .collect();
+    for reply in burst {
+        ok(reply.join().expect("burst client"));
+    }
     client::shutdown(&addr).expect("shutdown");
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
