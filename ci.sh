@@ -17,7 +17,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate robustness serve-gate chaos-gate backend-gate triage-gate isolation-gate bench-gate serve-bench-gate"
+ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate robustness serve-gate chaos-gate triage-gate isolation-gate bench-gate"
 
 QUICK=0
 ONLY_STAGE=""
@@ -50,11 +50,9 @@ if [ "$LIST" -eq 1 ]; then
         "robustness"       "panic isolation, sound degradation, cache healing" \
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
-        "backend-gate"     "bdd vs csr dependency backends byte-identical" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
         "isolation-gate"   "process workers byte-identical; abort/oom/spin survived" \
-        "bench-gate *"     "pipeline benchmark thresholds + repo-benchmark checks + BENCH_counts.txt ledger" \
-        "serve-bench-gate *" "daemon bench: latency, sparsity, flood shedding"
+        "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings"
     exit 0
 fi
 if [ -n "$ONLY_STAGE" ]; then
@@ -65,7 +63,7 @@ if [ -n "$ONLY_STAGE" ]; then
     # The binary-driven gates normally ride on the debug build the `test`
     # stage leaves behind; a single-stage run must provide it itself.
     case "$ONLY_STAGE" in
-        diag-gate|serve-gate|chaos-gate|backend-gate|triage-gate|isolation-gate)
+        diag-gate|serve-gate|chaos-gate|triage-gate|isolation-gate)
             [ -x target/debug/sga ] || cargo build -q -p sga || exit 1 ;;
     esac
 fi
@@ -272,27 +270,6 @@ chaos_gate() {
     rm -rf "$tmp"
 }
 
-backend_gate() {
-    # Representation independence, end to end: the BDD/set dependency store
-    # and the lowered CSR store (compact adjacency + flat worklist) must
-    # produce byte-identical canonical reports on the golden alarm corpus.
-    # The cache is off and the key differs per backend anyway, so neither
-    # run can serve the other's entries.
-    local bin=./target/debug/sga
-    local tmp
-    tmp=$(mktemp -d) || return 1
-    "$bin" analyze tests/alarms --canonical --no-cache --dep-backend bdd \
-        > "$tmp/bdd.json" || { rm -rf "$tmp"; return 1; }
-    "$bin" analyze tests/alarms --canonical --no-cache --dep-backend csr \
-        > "$tmp/csr.json" || { rm -rf "$tmp"; return 1; }
-    if ! cmp -s "$tmp/bdd.json" "$tmp/csr.json"; then
-        echo "backend-gate: canonical reports differ across dep backends:" >&2
-        diff "$tmp/bdd.json" "$tmp/csr.json" | head -20 >&2
-        rm -rf "$tmp"; return 1
-    fi
-    rm -rf "$tmp"
-}
-
 triage_gate() {
     # The path-condition layer's contract, end to end: over the golden
     # alarm corpus, `--triage both` must discharge *strictly more* alarms
@@ -467,9 +444,8 @@ under_ceilings() {
 }
 
 bench_gate() {
-    # The pipeline bench's committed thresholds, then the repository
-    # benchmark: traced runs over flat units, over one large dependency
-    # cycle and over a warm cache — fixed work, the golden corpus / oracle /
+    # The repository benchmark: traced runs over flat units, over one large
+    # dependency cycle and over a warm cache — fixed work, the golden corpus / oracle /
     # per-unit identity checks, every count equal between their own two
     # passes — whose answer-and-trajectory counts must equal the committed
     # ledger exactly and whose fixpoint allocation rows and cache entry
@@ -479,10 +455,9 @@ bench_gate() {
     # 2-second smoke takes the untraced path through the daemon. No timing
     # is read.
     local rows
-    cargo run --release -p sga-bench --bin pipeline_bench -- --check BENCH_pipeline.json &&
-        rows=$(traced_rows batch_flat && traced_rows batch_scc &&
-            traced_rows warm_rerun "$WARM_ROWS" &&
-            traced_rows serve_edits "$SERVE_ROWS") &&
+    rows=$(traced_rows batch_flat && traced_rows batch_scc &&
+        traced_rows warm_rerun "$WARM_ROWS" &&
+        traced_rows serve_edits "$SERVE_ROWS") &&
         diff -u BENCH_counts.txt <(printf '%s\n' "$rows" |
             grep -vFf <(cut -d' ' -f1,2 BENCH_alloc_ceilings.txt)) &&
         printf '%s\n' "$rows" | under_ceilings &&
@@ -508,9 +483,6 @@ run_stage "serve-gate"  serve_gate
 # convergence) with the same cheap debug-binary recipe, so it runs in
 # --quick too.
 run_stage "chaos-gate"  chaos_gate
-# The backend equivalence gate also drives the debug binary and must hold
-# in every configuration, so it runs in --quick too.
-run_stage "backend-gate" backend_gate
 # The triage gate pins the path layer's superset/definite contract with
 # the same cheap debug-binary recipe, so it runs in --quick too.
 run_stage "triage-gate" triage_gate
@@ -520,8 +492,6 @@ run_stage "triage-gate" triage_gate
 run_stage "isolation-gate" isolation_gate
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
     run_stage "bench-gate" bench_gate
-    run_stage "serve-bench-gate" \
-        cargo run --release -p sga-bench --bin serve_bench -- --check
 fi
 
 echo

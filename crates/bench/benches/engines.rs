@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sga::analysis::budget::Budget;
-use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{analyze, AnalyzeOptions, Engine, IntervalSparseSpec, Pipeline};
 use sga::analysis::sparse;
 use sga::cgen::GenConfig;
@@ -99,8 +98,7 @@ fn bench_sparse_solve(c: &mut Criterion) {
         };
         group.bench_function(name, |b| {
             b.iter(|| {
-                sparse::solve_backend(
-                    DepBackend::Csr,
+                sparse::solve(
                     &program,
                     &staged.icfg,
                     &staged.deps,

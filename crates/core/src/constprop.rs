@@ -14,6 +14,7 @@
 //! stores through pointers use the pre-analysis' points-to sets for their
 //! def sets, exactly like the interval instance's D̂).
 
+use crate::budget::Budget;
 use crate::defuse::DefUse;
 use crate::depgen::{self, DataDeps, DepGenOptions};
 use crate::icfg::Icfg;
@@ -21,6 +22,7 @@ use crate::preanalysis::{self, PreAnalysis};
 use crate::semantics;
 use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
+use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Lattice};
 use sga_ir::{BinOp, Cmd, Cp, Expr, Program, RelOp, UnOp};
 use sga_utils::stats::{peak_rss_bytes, Phase};
@@ -119,7 +121,14 @@ pub fn analyze(program: &Program) -> ConstResult {
         du: &du,
     };
     let fix = Phase::start("fix");
-    let result = sparse::solve(program, &icfg, &deps, &spec);
+    let result = sparse::solve(
+        program,
+        &icfg,
+        &deps,
+        &spec,
+        &WideningPlan::naive(),
+        &Budget::unbounded(),
+    );
     stats.fix_time = fix.stop();
     stats.iterations = result.iterations;
     stats.fix_work = result.work;

@@ -1,73 +1,41 @@
-//! Dependency-store backends for the sparse solver.
+//! The dependency store the sparse solver runs over, and its worklist.
 //!
 //! The §5 dependency relation is a set of triples `(c_from, c_to, l)`.
 //! [`crate::sparse::solve_with`] consumes it through the [`DepStore`]
 //! trait, which couples the relation with worklist construction. The solver
 //! reads every edge row exactly once — it resolves the rows into flat,
 //! location-sorted arrays over the program's dense point numbering before
-//! iterating — so what a backend contributes to the inner loop is the
-//! worklist, which speaks dense point indices. Two backends implement the
-//! trait:
+//! iterating — so what a store contributes to the inner loop is the
+//! worklist, which speaks dense point indices. The product has one store,
+//! [`CsrDeps`]: the [`DataDeps`] relation behind a flat topologically-ordered
+//! worklist (a pending bitset plus a backward-resettable cursor over
+//! precomputed priority slots). The trait is the seam test harnesses plug
+//! into (`sparse::tests::Watched`, and the reference below).
 //!
-//! * [`DataDeps`] — the faithful representation family the repo started
-//!   with: hash-map adjacency (the §5 "set store", with the `sga-bdd` BDD
-//!   relation as its ablation twin), iterated through a `BTreeSet` priority
-//!   worklist keyed on `(topo rank, ICFG priority, point)`;
-//! * [`CsrDeps`] — the same relation behind a flat topologically-ordered
-//!   worklist (a pending bitset plus a backward-resettable cursor over
-//!   precomputed priority slots).
-//!
-//! **Equivalence invariant.** Both backends produce *byte-identical*
-//! results. The delayed-widening counter makes the fixpoint sensitive to
-//! pop order, so the flat worklist is built to pop exactly the point the
-//! `BTreeSet` would: its slots are the sorted positions of the same total
-//! order `((topo_rank, icfg_priority), cp)`, a pending bit stands for set
-//! membership, and the cursor scan returns the minimum pending slot.
-//! `ci.sh backend-gate` and the backend fuzz property in
-//! `tests/fuzz_pipeline.rs` enforce the invariant continuously.
+//! **Pop order is part of the answer.** The delayed-widening counter makes
+//! the fixpoint sensitive to pop order, so the flat worklist pops exactly
+//! the point a `BTreeSet` keyed on `((topo_rank, icfg_priority), cp)` would:
+//! its slots are the sorted positions of that total order, a pending bit
+//! stands for set membership, and the cursor scan returns the minimum
+//! pending slot. The `BTreeSet` worklist itself lives on as the
+//! `#[cfg(test)]` module `reference` (`impl DepStore for DataDeps`) that
+//! `tests::worklists_pop_identically` and
+//! `sparse::differential::flat_worklist_replays_the_btreeset_reference`
+//! compare against.
 
 use crate::depgen::DataDeps;
 use crate::icfg::Icfg;
 use sga_ir::{Cp, Program};
 use sga_utils::BitSet;
-use std::collections::BTreeSet;
-use std::fmt;
 
-/// Which [`DepStore`] the sparse solver runs over.
+/// The one dependency store there is. Nothing reads a value of this type:
+/// it remains, with the option fields that hold one, only because the frozen
+/// benchmark harness (`crates/bench/src/bin/benchmark/traced.rs`) names them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DepBackend {
-    /// The faithful §5 store family: hash-map adjacency with the BDD
-    /// relation as its ablation twin, `BTreeSet` worklist.
-    Bdd,
-    /// The same relation behind the flat topologically-ordered worklist
-    /// (the default).
+    /// [`CsrDeps`].
     #[default]
     Csr,
-}
-
-impl DepBackend {
-    /// Parses a `--dep-backend` value.
-    pub fn parse(s: &str) -> Option<DepBackend> {
-        match s {
-            "bdd" => Some(DepBackend::Bdd),
-            "csr" => Some(DepBackend::Csr),
-            _ => None,
-        }
-    }
-
-    /// The CLI / report spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DepBackend::Bdd => "bdd",
-            DepBackend::Csr => "csr",
-        }
-    }
-}
-
-impl fmt::Display for DepBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// A dependency representation the sparse solver can iterate: the edge
@@ -76,7 +44,7 @@ impl fmt::Display for DepBackend {
 /// The solver resolves the relation once per solve into flat rows of its
 /// own (sorted by *location*, which only the analysis instance can order,
 /// and addressed by dense point index) and takes the widening points from
-/// [`DataDeps::cycle_nodes`]; what a backend decides is how the pending
+/// [`DataDeps::cycle_nodes`]; what a store decides is how the pending
 /// set is kept.
 pub trait DepStore {
     /// The §2.6 relation: per-point `(loc id, peer)` rows in ascending
@@ -93,7 +61,7 @@ pub trait DepStore {
 /// return the pending point that is minimal in
 /// `((topo_rank, icfg_priority), cp)` order — the fixpoint's
 /// delayed-widening counts depend on it, so every implementation must agree
-/// or the backends drift apart.
+/// or the answers drift apart.
 pub trait Worklist {
     /// Marks `point` pending (idempotent).
     fn push(&mut self, point: usize);
@@ -108,28 +76,6 @@ pub(crate) fn solved_points(program: &Program) -> impl Iterator<Item = Cp> + '_ 
         .filter(|cp| !program.procs[cp.proc].is_external)
 }
 
-// ---------------------------------------------------------------------------
-// Faithful backend: DataDeps + BTreeSet worklist
-// ---------------------------------------------------------------------------
-
-impl DepStore for DataDeps {
-    fn relation(&self) -> &DataDeps {
-        self
-    }
-
-    fn make_worklist<'a>(&'a self, program: &Program, icfg: &Icfg) -> Box<dyn Worklist + 'a> {
-        let num = program.point_numbering();
-        let mut prio = vec![(0, 0); num.len()];
-        for cp in solved_points(program) {
-            prio[num.index(cp)] = priority(self, icfg, cp);
-        }
-        Box::new(BTreeWorklist {
-            set: BTreeSet::new(),
-            prio,
-        })
-    }
-}
-
 /// Worklist priority: dependency-graph topological rank (producers first),
 /// with the ICFG priority as a deterministic tiebreak for nodes outside
 /// the dependency graph.
@@ -138,29 +84,9 @@ fn priority(deps: &DataDeps, icfg: &Icfg, cp: Cp) -> (u32, u32) {
     (rank, icfg.priority[&cp])
 }
 
-/// The original ordered worklist: a `BTreeSet` of `(priority, point)`.
-struct BTreeWorklist {
-    set: BTreeSet<((u32, u32), usize)>,
-    prio: Vec<(u32, u32)>,
-}
-
-impl Worklist for BTreeWorklist {
-    fn push(&mut self, point: usize) {
-        self.set.insert((self.prio[point], point));
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        self.set.pop_first().map(|(_, point)| point)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flat-worklist backend
-// ---------------------------------------------------------------------------
-
-/// The tuned backend: [`DataDeps`] plus the flat worklist's precomputed
-/// slot order. (The name is historical — it used to own a CSR copy of the
-/// edge rows; the solver now resolves its own for every backend.)
+/// [`DataDeps`] plus the flat worklist's precomputed slot order. (The name
+/// is historical — it used to own a CSR copy of the edge rows; the solver
+/// now resolves its own.)
 pub struct CsrDeps<'d> {
     deps: &'d DataDeps,
     /// Dense point index → flat-worklist slot; `u32::MAX` for points that
@@ -231,6 +157,48 @@ impl Worklist for FlatWorklist<'_> {
     }
 }
 
+/// The pop-order reference: [`DataDeps`] as a store of its own, iterated
+/// through the original ordered worklist, a `BTreeSet` of
+/// `(priority, point)`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    impl DepStore for DataDeps {
+        fn relation(&self) -> &DataDeps {
+            self
+        }
+
+        fn make_worklist<'a>(&'a self, program: &Program, icfg: &Icfg) -> Box<dyn Worklist + 'a> {
+            let num = program.point_numbering();
+            let mut prio = vec![(0, 0); num.len()];
+            for cp in solved_points(program) {
+                prio[num.index(cp)] = priority(self, icfg, cp);
+            }
+            Box::new(BTreeWorklist {
+                set: BTreeSet::new(),
+                prio,
+            })
+        }
+    }
+
+    struct BTreeWorklist {
+        set: BTreeSet<((u32, u32), usize)>,
+        prio: Vec<(u32, u32)>,
+    }
+
+    impl Worklist for BTreeWorklist {
+        fn push(&mut self, point: usize) {
+            self.set.insert((self.prio[point], point));
+        }
+
+        fn pop(&mut self) -> Option<usize> {
+            self.set.pop_first().map(|(_, point)| point)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,15 +231,6 @@ mod tests {
         let du = defuse::compute(&program, &pre);
         let deps = depgen::generate(&program, &pre, &du, depgen::DepGenOptions::default());
         (program, icfg, deps)
-    }
-
-    #[test]
-    fn backend_parse_roundtrip() {
-        for b in [DepBackend::Bdd, DepBackend::Csr] {
-            assert_eq!(DepBackend::parse(b.as_str()), Some(b));
-        }
-        assert_eq!(DepBackend::parse("hash"), None);
-        assert_eq!(DepBackend::default(), DepBackend::Csr);
     }
 
     proptest! {

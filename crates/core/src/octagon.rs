@@ -257,15 +257,7 @@ impl Staged {
             du,
             odu: &self.odu,
         };
-        let result = sparse::solve_backend(
-            options.dep_backend,
-            program,
-            icfg,
-            deps,
-            &spec,
-            &self.plan,
-            &options.budget,
-        );
+        let result = sparse::solve(program, icfg, deps, &spec, &self.plan, &options.budget);
         (spec, result)
     }
 }

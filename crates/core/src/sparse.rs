@@ -22,7 +22,7 @@
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
-use crate::depstore::{solved_points, CsrDeps, DepBackend, DepStore, Worklist};
+use crate::depstore::{solved_points, CsrDeps, DepStore, Worklist};
 use crate::icfg::Icfg;
 use crate::stats::FixWork;
 use crate::widening::WideningPlan;
@@ -115,24 +115,6 @@ impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
             .and_then(|m| m.get(l).cloned())
             .unwrap_or_else(V::bottom)
     }
-}
-
-/// Runs the sparse analysis with the naive widening plan (widen on first
-/// change, no thresholds). See [`solve_with`].
-pub fn solve<S: SparseSpec>(
-    program: &Program,
-    icfg: &Icfg,
-    deps: &DataDeps,
-    spec: &S,
-) -> SparseResult<S::L, S::V> {
-    solve_with(
-        program,
-        icfg,
-        deps,
-        spec,
-        &WideningPlan::naive(),
-        &Budget::unbounded(),
-    )
 }
 
 /// One direction of the dependency relation, resolved once per solve onto
@@ -276,7 +258,7 @@ thread_local! {
 }
 
 /// The solver's working state: resolved edge rows, one value row per dense
-/// point index, and the backend's worklist.
+/// point index, and the store's worklist.
 struct Engine<'a, S: SparseSpec> {
     spec: &'a S,
     num: PointNumbering,
@@ -460,7 +442,7 @@ impl<S: SparseSpec> Engine<'_, S> {
 /// requeued — each with the locations that moved, so a pop whose command
 /// only forwards them ([`SparseSpec::forwards`]) merges those entries alone.
 /// `iterations` and `narrowing_rounds` count pops, whatever a pop computed.
-/// The trajectory is backend-independent (see [`crate::depstore`]).
+/// The trajectory depends on the pop order (see [`crate::depstore`]).
 ///
 /// # Panics
 ///
@@ -489,8 +471,8 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         out: EdgeRows::resolve(program, &num, |cp| relation.deps_out(cp), loc_of),
         rows: (0..num.len()).map(|_| None).collect(),
         dirty: vec![Vec::new(); num.len()],
-        // Every backend's worklist pops the pending point minimal in
-        // ((topo rank, ICFG priority), cp) order.
+        // Pops the pending point minimal in ((topo rank, ICFG priority), cp)
+        // order.
         worklist: deps.make_worklist(program, icfg),
         work: FixWork::default(),
         num,
@@ -604,12 +586,8 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
     }
 }
 
-/// Runs [`solve_with`] over the store `backend` selects: `Bdd` is `deps`
-/// itself (the faithful set/BDD store family and its `BTreeSet` worklist),
-/// `Csr` wraps it in [`CsrDeps`]' flat worklist. Results are byte-identical
-/// by the equivalence invariant in [`crate::depstore`].
-pub fn solve_backend<S: SparseSpec>(
-    backend: DepBackend,
+/// Runs [`solve_with`] over `deps` behind the flat worklist ([`CsrDeps`]).
+pub fn solve<S: SparseSpec>(
     program: &Program,
     icfg: &Icfg,
     deps: &DataDeps,
@@ -617,13 +595,8 @@ pub fn solve_backend<S: SparseSpec>(
     plan: &WideningPlan,
     budget: &Budget,
 ) -> SparseResult<S::L, S::V> {
-    match backend {
-        DepBackend::Bdd => solve_with(program, icfg, deps, spec, plan, budget),
-        DepBackend::Csr => {
-            let csr = CsrDeps::build(program, icfg, deps);
-            solve_with(program, icfg, &csr, spec, plan, budget)
-        }
-    }
+    let csr = CsrDeps::build(program, icfg, deps);
+    solve_with(program, icfg, &csr, spec, plan, budget)
 }
 
 #[cfg(test)]

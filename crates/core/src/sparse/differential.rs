@@ -51,7 +51,13 @@ fn assert_same<V: PartialEq>(what: &str, run: impl Fn() -> (V, Outcome, FixWork)
     [work, whole_work]
 }
 
-fn interval(program: &Program, options: AnalyzeOptions) -> (impl PartialEq, Outcome, FixWork) {
+/// Stages the interval instance over `program` and hands `run` what a
+/// solve takes: the ICFG, the relation, the spec and the widening plan.
+fn interval_staged<R>(
+    program: &Program,
+    options: AnalyzeOptions,
+    run: impl FnOnce(&Icfg, &DataDeps, &IntervalSparseSpec, &WideningPlan) -> R,
+) -> R {
     let pre = preanalysis::run(program);
     let icfg = Icfg::build(program, &pre);
     let du = if options.semi_sparse {
@@ -67,15 +73,13 @@ fn interval(program: &Program, options: AnalyzeOptions) -> (impl PartialEq, Outc
         du: &du,
     };
     let plan = WideningPlan::for_program(program, options.widening);
-    let solved = solve_backend(
-        options.dep_backend,
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &plan,
-        &options.budget,
-    );
+    run(&icfg, &deps, &spec, &plan)
+}
+
+fn interval(program: &Program, options: AnalyzeOptions) -> (impl PartialEq, Outcome, FixWork) {
+    let solved = interval_staged(program, options, |icfg, deps, spec, plan| {
+        solve(program, icfg, deps, spec, plan, &options.budget)
+    });
     let outcome = Outcome {
         rendered: render(program, &solved.values),
         iterations: solved.iterations,
@@ -121,8 +125,7 @@ fn constants(program: &Program) -> (impl PartialEq, Outcome, FixWork) {
 
 /// The default options and each knob moved on its own: the three widening
 /// strategies, a budget that degrades at once and one that degrades midway
-/// (or not at all on a small unit), the semi-sparse sets, bypass off, the
-/// other backend.
+/// (or not at all on a small unit), the semi-sparse sets, bypass off.
 fn configurations() -> Vec<(&'static str, AnalyzeOptions)> {
     let base = AnalyzeOptions::default();
     let widening = |strategy| AnalyzeOptions {
@@ -165,13 +168,6 @@ fn configurations() -> Vec<(&'static str, AnalyzeOptions)> {
             AnalyzeOptions {
                 depgen: depgen::DepGenOptions { bypass: false },
                 ..widening(WideningStrategy::Naive)
-            },
-        ),
-        (
-            "bdd",
-            AnalyzeOptions {
-                dep_backend: DepBackend::Bdd,
-                ..base
             },
         ),
     ]
@@ -327,6 +323,40 @@ fn forwarding_equals_whole_evaluation() {
         forwarding.edge_reads < whole.edge_reads,
         "{forwarding:?} against {whole:?}"
     );
+}
+
+/// The pop-order oracle over real schedules: every unit of the corpus —
+/// `tests/alarms`, the hand-written call shapes, and the generated units up
+/// to `max_scc` 18, the shape where delayed widening makes the pop order
+/// matter — solved under each option set once per worklist. The flat
+/// worklist must replay the `BTreeSet` reference pop for pop, so rows and
+/// every count agree.
+#[test]
+fn flat_worklist_replays_the_btreeset_reference() {
+    for (name, program) in &corpus() {
+        for (config, options) in configurations() {
+            let what = format!("{name}, {config}");
+            // `solve` runs the flat worklist; `solve_with` over the bare
+            // relation runs `depstore::reference`'s `BTreeSet`.
+            let (flat, reference) = interval_staged(program, options, |icfg, deps, spec, plan| {
+                (
+                    solve(program, icfg, deps, spec, plan, &options.budget),
+                    solve_with(program, icfg, deps, spec, plan, &options.budget),
+                )
+            });
+            assert!(flat.values == reference.values, "{what}: some row differs");
+            assert_eq!(
+                (flat.iterations, flat.narrowing_rounds, flat.degraded),
+                (
+                    reference.iterations,
+                    reference.narrowing_rounds,
+                    reference.degraded
+                ),
+                "{what}"
+            );
+            assert_eq!(flat.work, reference.work, "{what}");
+        }
+    }
 }
 
 /// The `batch_scc` workload's core unit: 94 of 105 procedures on one call

@@ -435,15 +435,7 @@ pub fn solve_for_validation(program: &Program, options: AnalyzeOptions) -> Valid
         du: &du,
     };
     let plan = WideningPlan::for_program(program, options.widening);
-    let solved = sparse::solve_backend(
-        options.dep_backend,
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &plan,
-        &options.budget,
-    );
+    let solved = sparse::solve(program, &icfg, &deps, &spec, &plan, &options.budget);
     ValidationParts {
         values: solved.values,
         degraded: solved.degraded,

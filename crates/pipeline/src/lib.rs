@@ -147,23 +147,21 @@ pub struct PipelineOptions {
     pub canonical: bool,
     /// Dependency-generation options forwarded to the sparse analysis.
     pub depgen: DepGenOptions,
-    /// Dependency representation the sparse solver iterates. Part of the
-    /// cache key (no cross-backend hits) but not of the canonical report:
-    /// backends are byte-equivalent by construction, and the CI backend
-    /// gate compares canonical reports across them.
+    /// Read by nothing (there is one store); stays because the frozen
+    /// benchmark harness copies it into the core option structs.
     pub dep_backend: DepBackend,
     /// Widening strategy forwarded to the fixpoint solver.
     pub widening: WideningConfig,
     /// Which triage layers run over each unit's possible alarms. Shapes
     /// the diagnostics, so it joins both the cache key and the rendered
-    /// `source_hash` (unlike `dep_backend`, modes are *not* byte-equivalent
-    /// — `both` discharges strictly more than `octagon`).
+    /// `source_hash` (modes are *not* byte-equivalent — `both` discharges
+    /// strictly more than `octagon`).
     pub triage: TriageMode,
     /// Where each unit's analysis runs: in-process worker threads (the
     /// default) or supervised re-exec'd worker processes that survive
     /// aborts, OOM, stack overflow, and hard stalls (see [`worker`]). Run
-    /// mechanics like `jobs` and `dep_backend`: joins neither the cache key
-    /// nor the canonical report.
+    /// mechanics like `jobs`: joins neither the cache key nor the canonical
+    /// report.
     pub isolation: IsolationMode,
     /// Hard per-worker limits (`RLIMIT_AS` + wall-clock SIGKILL), applied
     /// only under [`IsolationMode::Process`].
@@ -589,7 +587,6 @@ fn process_unit(
                 &program,
                 ctx.inner_jobs,
                 options.depgen,
-                options.dep_backend,
                 options.widening,
                 options.triage,
                 budget,
@@ -607,7 +604,6 @@ fn process_unit(
                     },
                     AnalyzeOptions {
                         depgen: options.depgen,
-                        dep_backend: options.dep_backend,
                         widening: options.widening,
                         budget: *budget,
                         ..AnalyzeOptions::default()
@@ -639,7 +635,6 @@ fn process_unit(
                 &program,
                 ctx.inner_jobs,
                 options.depgen,
-                options.dep_backend,
                 options.widening,
                 options.triage,
                 budget,
@@ -684,29 +679,20 @@ fn process_unit(
     }
 }
 
-/// The options part of every unit cache key: dependency options, widening,
-/// the triage mode, and the dependency backend. Keeping the backend in the
-/// key means a CSR run never serves a BDD run's entries (or vice versa) —
-/// equivalence is a *gated invariant*, not an assumption the cache is
-/// allowed to make. The triage mode joins for the opposite reason: modes
-/// genuinely change the stored diagnostics, so an `--triage octagon` entry
-/// (or journal record keyed off this tag) must never be served to an
-/// `--triage both` run.
+/// The options part of every unit cache key. Every option that splits the
+/// key today also shapes the result, so this is [`semantic_tag`]'s text; an
+/// option that had to split the key without shaping the result would join
+/// here and never there. The triage mode is in it because modes genuinely
+/// change the stored diagnostics: an `--triage octagon` entry (or journal
+/// record keyed off this tag) must never be served to an `--triage both`
+/// run.
 fn base_cache_tag(options: &PipelineOptions) -> String {
-    format!(
-        "{:?}|{:?}|{}|{}",
-        options.depgen,
-        options.widening,
-        options.triage.name(),
-        options.dep_backend
-    )
+    semantic_tag(options)
 }
 
 /// The options part of the *rendered* `source_hash`: only knobs that shape
 /// the analysis result (dependency options, widening, triage mode; the
-/// budget joins per unit). The dependency backend is deliberately absent —
-/// backends must produce byte-identical canonical reports, so a
-/// run-mechanics knob may split the cache key but never the rendered hash.
+/// budget joins per unit). Run mechanics (`jobs`, isolation) never join it.
 fn semantic_tag(options: &PipelineOptions) -> String {
     format!(
         "{:?}|{:?}|{}",
@@ -732,10 +718,10 @@ fn rendered_hash(source: &str, sem_tag: &str, budget: &Budget) -> u64 {
 
 /// The full per-unit cache key under `options` for a unit with this
 /// `source`: the batch driver's key exactly — source × dependency options ×
-/// widening × backend × budget — so an embedder that needs to know whether
-/// a stored artifact still describes a source (the serve daemon's round
-/// journal) asks the same question the cache does. Per-unit fault budget
-/// overrides are a batch-driver concern and are not applied here.
+/// widening × triage mode × budget — so an embedder that needs to know
+/// whether a stored artifact still describes a source (the serve daemon's
+/// round journal) asks the same question the cache does. Per-unit fault
+/// budget overrides are a batch-driver concern and are not applied here.
 pub fn unit_cache_key(options: &PipelineOptions, source: &str) -> u64 {
     let tag = format!("{}|{}", base_cache_tag(options), options.budget.cache_tag());
     cache::unit_key(source, &tag)
@@ -884,13 +870,9 @@ pub fn assemble_report(
         .with("validate", options.validate);
     if !options.canonical {
         opts_json.set("jobs", effective_jobs(options.jobs));
-        // Like `jobs`: run mechanics, not semantics. The backends are
-        // byte-equivalent (backend-gate enforces it), so the canonical
-        // report must not mention which one ran.
-        opts_json.set("dep_backend", options.dep_backend.as_str());
-        // Same rule again: thread and process runs are byte-equivalent
-        // (isolation-gate enforces it), so only the non-canonical report
-        // says where the units ran.
+        // Like `jobs`: run mechanics, not semantics. Thread and process runs
+        // are byte-equivalent (isolation-gate enforces it), so only the
+        // non-canonical report says where the units ran.
         opts_json.set("isolation", options.isolation.as_str());
     }
 
@@ -985,11 +967,11 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     // Thread budget: units run concurrently; whatever head room is left
     // over goes to procedure-level parallelism inside each unit.
     let inner_jobs = (jobs / units.len().max(1)).max(1);
-    // Dependency options, the widening strategy, the dependency backend,
-    // and the analysis budget all shape the fixpoint run, so all four are
-    // part of the cache key. The budget joins per unit (below) because
-    // fault injection can override it for a single unit without disturbing
-    // its neighbors' keys.
+    // Dependency options, the widening strategy, the triage mode and the
+    // analysis budget all shape the result, so all four are part of the
+    // cache key. The budget joins per unit (below) because fault injection
+    // can override it for a single unit without disturbing its neighbors'
+    // keys.
     let base_tag = base_cache_tag(options);
     let sem_tag = semantic_tag(options);
 
@@ -1231,34 +1213,16 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
 #[cfg(test)]
 mod tag_tests {
     use super::*;
-    use sga_core::depstore::DepBackend;
 
-    /// The dependency backend splits the cache key (a CSR run must never
-    /// serve a BDD run's entries) without splitting the rendered
-    /// `source_hash` (canonical reports must be byte-identical across
-    /// backends).
+    /// The options part of the default cache key, pinned to a literal: it
+    /// names every entry and journal record on disk, so a change here
+    /// abandons every filled cache directory (as dropping the dependency
+    /// backend from it did once) and has to be meant.
     #[test]
-    fn backend_splits_cache_key_but_not_rendered_hash() {
-        let csr = PipelineOptions {
-            dep_backend: DepBackend::Csr,
-            ..PipelineOptions::default()
-        };
-        let bdd = PipelineOptions {
-            dep_backend: DepBackend::Bdd,
-            ..PipelineOptions::default()
-        };
-        assert_ne!(base_cache_tag(&csr), base_cache_tag(&bdd));
-        assert_eq!(semantic_tag(&csr), semantic_tag(&bdd));
-
-        let source = "int main() { return 0; }";
-        assert_ne!(
-            cache::unit_key(source, &base_cache_tag(&csr)),
-            cache::unit_key(source, &base_cache_tag(&bdd)),
-        );
-        let budget = Budget::default();
+    fn default_cache_tag_is_pinned() {
         assert_eq!(
-            rendered_hash(source, &semantic_tag(&csr), &budget),
-            rendered_hash(source, &semantic_tag(&bdd), &budget),
+            base_cache_tag(&PipelineOptions::default()),
+            "DepGenOptions { bypass: true }|WideningConfig { strategy: Delayed }|both"
         );
     }
 

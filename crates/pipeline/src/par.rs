@@ -56,11 +56,13 @@ where
     let next = AtomicUsize::new(0);
     // A worker panic is re-raised *on the calling thread* with its original
     // payload, so callers that isolate faults (the unit loop's
-    // `catch_unwind`) see exactly the panic the work item raised.
-    let scoped = crossbeam::thread::scope(|s| {
+    // `catch_unwind`) see exactly the panic the work item raised. Every
+    // handle is joined here: a panic the scope found unjoined would be
+    // replaced by the scope's own.
+    let joined: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut done = Vec::new();
                     loop {
                         if stop() {
@@ -76,19 +78,12 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join())
-            .collect::<Result<Vec<_>, _>>()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let per_worker: Vec<Vec<(usize, R)>> = match scoped {
-        Ok(Ok(batches)) => batches,
-        Ok(Err(payload)) | Err(payload) => std::panic::resume_unwind(payload),
-    };
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for batch in per_worker {
-        for (i, r) in batch {
+    for batch in joined {
+        for (i, r) in batch.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
             debug_assert!(slots[i].is_none(), "item {i} claimed twice");
             slots[i] = Some(r);
         }
@@ -116,6 +111,27 @@ mod tests {
     fn empty_input() {
         let out: Vec<u32> = run_indexed(4, &[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
+    }
+
+    /// A panicking item reaches the caller as the panic it raised — also
+    /// when every worker dies, where an unjoined handle would turn it into
+    /// the scope's own "a scoped thread panicked".
+    #[test]
+    fn worker_panic_reaches_the_caller_with_its_payload() {
+        let items: Vec<usize> = (0..16).collect();
+        for panics in [|i: usize| i == 5, |_: usize| true] {
+            let caught = std::panic::catch_unwind(|| {
+                run_indexed(4, &items, |i, &x| {
+                    if panics(i) {
+                        panic!("item {i}");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("the panic crosses the join");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.starts_with("item "), "{message}");
+        }
     }
 
     #[test]

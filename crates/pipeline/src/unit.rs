@@ -23,7 +23,6 @@
 use crate::par;
 use sga_core::budget::Budget;
 use sga_core::depgen::{self, DepGenOptions, IntervalDepSource};
-use sga_core::depstore::DepBackend;
 use sga_core::icfg::Icfg;
 use sga_core::interface::{self, UnitInterface};
 use sga_core::interval::{Engine, IntervalResult, IntervalSparseSpec};
@@ -133,38 +132,34 @@ pub struct UnitInternals {
 /// `jobs` worker threads for the per-procedure stages. Stage wall times are
 /// accumulated into `timers` (they sum *work* across workers, not elapsed
 /// wall time, once `jobs > 1`).
-#[allow(clippy::too_many_arguments)]
 pub fn analyze_unit(
     program: &Program,
     jobs: usize,
     options: DepGenOptions,
-    backend: DepBackend,
     widening: WideningConfig,
     triage: TriageMode,
     budget: &Budget,
     timers: &StageTimers,
 ) -> UnitAnalysis {
     analyze_unit_inner(
-        program, jobs, options, backend, widening, triage, budget, timers, false,
+        program, jobs, options, widening, triage, budget, timers, false,
     )
     .0
 }
 
 /// [`analyze_unit`] keeping the solver internals alive for the validation
 /// oracle. Costs one extra clone of the sparse value map.
-#[allow(clippy::too_many_arguments)]
 pub fn analyze_unit_traced(
     program: &Program,
     jobs: usize,
     options: DepGenOptions,
-    backend: DepBackend,
     widening: WideningConfig,
     triage: TriageMode,
     budget: &Budget,
     timers: &StageTimers,
 ) -> (UnitAnalysis, UnitInternals) {
     let (analysis, internals) = analyze_unit_inner(
-        program, jobs, options, backend, widening, triage, budget, timers, true,
+        program, jobs, options, widening, triage, budget, timers, true,
     );
     (
         analysis,
@@ -177,7 +172,6 @@ fn analyze_unit_inner(
     program: &Program,
     jobs: usize,
     options: DepGenOptions,
-    backend: DepBackend,
     widening: WideningConfig,
     triage_mode: TriageMode,
     budget: &Budget,
@@ -250,7 +244,7 @@ fn analyze_unit_inner(
             du: &du,
         };
         let plan = WideningPlan::for_program(program, widening);
-        let solved = sparse::solve_backend(backend, program, &icfg, &deps, &spec, &plan, budget);
+        let solved = sparse::solve(program, &icfg, &deps, &spec, &plan, budget);
         let sparse_values = keep_internals.then(|| solved.values.clone());
         let values: FxHashMap<Cp, State> = solved
             .values
@@ -284,10 +278,10 @@ fn analyze_unit_inner(
         let topts = TriageOptions {
             engine: Engine::Sparse,
             depgen: options,
-            dep_backend: backend,
             widening,
             budget: triage::derived_budget(iterations, budget),
             mode: triage_mode,
+            ..TriageOptions::default()
         };
         triage::discharge_staged(program, &pre, &du, &icfg, &result, &mut diags, &topts).degraded
     });

@@ -41,7 +41,6 @@ use crate::journal::Failure;
 use crate::unit::UnitAnalysis;
 use crate::{PipelineOptions, Processed, UnitCtx, UnitInput};
 use sga_core::budget::{Budget, WorkerLimits};
-use sga_core::depstore::DepBackend;
 use sga_core::triage::TriageMode;
 use sga_core::widening::{WideningConfig, WideningStrategy};
 use sga_utils::stats::StageTimers;
@@ -57,7 +56,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 2;
+const WORKER_FORMAT: u32 = 3;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -230,7 +229,6 @@ fn encode_request(
         .with("limits", limits_json)
         .with("faults", faults_json)
         .with("bypass", options.depgen.bypass)
-        .with("dep_backend", options.dep_backend.as_str())
         .with("widening", options.widening.strategy.name())
         .with("triage", options.triage.name())
         .with("validate", options.validate)
@@ -256,7 +254,6 @@ fn decode_request(text: &str) -> Option<Request> {
         depgen: sga_core::depgen::DepGenOptions {
             bypass: p.get("bypass")?.as_bool()?,
         },
-        dep_backend: DepBackend::parse(p.get("dep_backend")?.as_str()?)?,
         widening: WideningConfig::of(WideningStrategy::parse(p.get("widening")?.as_str()?)?),
         triage: TriageMode::parse(p.get("triage")?.as_str()?)?,
         validate: p.get("validate")?.as_bool()?,
@@ -718,8 +715,8 @@ mod tests {
         assert_eq!(req.options.isolation, IsolationMode::Thread);
     }
 
-    #[test]
-    fn torn_request_and_response_fail_the_checksum() {
+    /// The fixture unit's request under the default options, sealed.
+    fn default_request() -> String {
         let options = PipelineOptions::default();
         let timers = StageTimers::new();
         let ctx = UnitCtx {
@@ -729,7 +726,12 @@ mod tests {
             inner_jobs: 1,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
-        let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
+        encode_request(&ctx, 0, &input, key, render_key, &budget)
+    }
+
+    #[test]
+    fn torn_request_and_response_fail_the_checksum() {
+        let sealed = default_request();
         assert!(decode_request(&sealed[..sealed.len() / 2]).is_none());
         let mut flipped = sealed.clone().into_bytes();
         let mid = flipped.len() / 2;
@@ -746,6 +748,16 @@ mod tests {
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(whole.failure, Some((Failure::Panic, "boom".to_string())));
         assert!(decode_response(&resp[..resp.len() - 8]).is_none());
+    }
+
+    /// A request under the previous format's number is refused for the
+    /// number alone: re-sealed as it is it decodes, as schema 2 it does not.
+    #[test]
+    fn previous_format_request_is_a_schema_mismatch() {
+        let mut old = cache::unseal(&default_request()).expect("request unseals");
+        assert!(decode_request(&cache::seal(&old)).is_some());
+        old.set("schema", 2u32);
+        assert!(decode_request(&cache::seal(&old)).is_none());
     }
 
     /// Every torn write and every single-byte change of a response carrying

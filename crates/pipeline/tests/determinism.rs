@@ -5,7 +5,6 @@
 
 use sga_core::budget::Budget;
 use sga_core::depgen::DepGenOptions;
-use sga_core::depstore::DepBackend;
 use sga_core::interval::{self, Engine};
 use sga_core::widening::WideningConfig;
 use sga_pipeline::{analyze_unit, run, PipelineOptions, Project};
@@ -51,7 +50,6 @@ fn staged_schedule_matches_sequential_analyzer() {
         &program,
         4,
         DepGenOptions::default(),
-        DepBackend::default(),
         WideningConfig::default(),
         sga_core::triage::TriageMode::default(),
         &Budget::unbounded(),
@@ -82,37 +80,4 @@ fn staged_schedule_matches_sequential_analyzer() {
         },
     );
     assert_eq!(staged.diags, reference_diags);
-}
-
-/// Runs against the same cache directory with each backend in turn: the
-/// second run must score zero hits (its key differs), yet the canonical
-/// per-unit objects must still agree byte-for-byte.
-#[test]
-fn no_cross_backend_cache_hits() {
-    let dir = std::env::temp_dir().join(format!("sga-backend-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let render = |backend| {
-        let opts = PipelineOptions {
-            canonical: true,
-            cache_dir: Some(dir.clone()),
-            dep_backend: backend,
-            ..PipelineOptions::default()
-        };
-        run(&corpus(), &opts).expect("pipeline run")
-    };
-    let over_csr = render(DepBackend::Csr);
-    let over_bdd = render(DepBackend::Bdd);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let hits = over_bdd
-        .get("totals")
-        .and_then(|t| t.get("cache_hits"))
-        .and_then(|h| h.as_u64())
-        .expect("cache_hits");
-    assert_eq!(hits, 0, "bdd run served entries the csr run stored");
-    assert_eq!(
-        over_csr.get("units").expect("units").to_pretty(),
-        over_bdd.get("units").expect("units").to_pretty(),
-        "backends disagree on the canonical per-unit reports"
-    );
 }

@@ -2,20 +2,18 @@
 //!
 //! ```text
 //! sga <file.c> [--engine vanilla|base|sparse] [--domain interval|octagon]
-//!              [--widening naive|threshold|delayed] [--dep-backend bdd|csr]
+//!              [--widening naive|threshold|delayed]
 //!              [--triage octagon|path|both] [--max-steps N] [--timeout-ms N]
 //!              [--check] [--dump-ir] [--dump-values] [--stats]
 //! sga check <file.c> [--sarif FILE] [--engine vanilla|base|sparse]
-//!           [--widening naive|threshold|delayed] [--dep-backend bdd|csr]
-//!           [--triage octagon|path|both]
+//!           [--widening naive|threshold|delayed] [--triage octagon|path|both]
 //!           [--max-steps N] [--timeout-ms N] [--isolation thread|process]
 //!           [--worker-mem-mb N] [--worker-timeout-ms N]
 //! sga analyze <dir> | --corpus units=N,kloc=K,seed=S
 //!             [--jobs N (0=auto)] [--cache-dir D] [--no-cache] [--canonical]
 //!             [--cache-max-entries N]
 //!             [--no-bypass] [--widening naive|threshold|delayed]
-//!             [--dep-backend bdd|csr] [--triage octagon|path|both]
-//!             [--isolation thread|process]
+//!             [--triage octagon|path|both] [--isolation thread|process]
 //!             [--worker-mem-mb N] [--worker-timeout-ms N]
 //!             [--keep-going | --fail-fast] [--max-steps N] [--timeout-ms N]
 //!             [--resume] [--validate] [--journal-dir D]
@@ -24,8 +22,7 @@
 //! sga serve <dir> [--tcp ADDR] [--unix PATH] [--port-file FILE]
 //!           [--poll-ms N] [--jobs N (0=auto)] [--cache-dir D] [--no-cache]
 //!           [--cache-max-entries N] [--no-bypass]
-//!           [--widening naive|threshold|delayed] [--dep-backend bdd|csr]
-//!           [--triage octagon|path|both]
+//!           [--widening naive|threshold|delayed] [--triage octagon|path|both]
 //!           [--max-steps N] [--timeout-ms N] [--isolation thread|process]
 //!           [--worker-mem-mb N] [--worker-timeout-ms N]
 //!           [--resume] [--journal-dir D] [--queue-cap N] [--sub-queue-cap N]
@@ -69,11 +66,7 @@
 //! `--fail-fast` aborts the run on the first failure. `--max-steps` /
 //! `--timeout-ms` bound each unit's fixpoint — over-budget units degrade
 //! soundly and are marked `degraded`. `--faults` injects deterministic
-//! faults for testing (see `pipeline::fault`). `--dep-backend` selects the
-//! dependency store the sparse solver runs over — `csr` (default, flat
-//! worklist) or `bdd` (the faithful §5 store and its ordered-set worklist) —
-//! with byte-identical canonical reports either way; the choice is part of
-//! the unit cache key, so the two backends never share cache entries.
+//! faults for testing (see `pipeline::fault`).
 //!
 //! `--isolation process` re-executes the binary as one supervised worker
 //! process per unit (`thread`, the default, runs units on in-process
@@ -134,7 +127,7 @@
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | 0    | success (single-file / `check`: no open definite alarm) |
+//! | 0    | success (single-file / `check`: no open definite alarm); `--help` |
 //! | 1    | single-file mode or `sga check` found an open definite alarm |
 //! | 2    | usage, frontend, or IO error |
 //! | 3    | batch completed, but some units crashed (partial failure) |
@@ -145,8 +138,6 @@
 //! When several apply, the most urgent wins: 5 over 4 over 3 over 6
 //! (a partial or invalid run's baseline diff is itself suspect).
 
-use sga::analysis::budget::Budget;
-use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{self, AnalyzeOptions, Engine};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
@@ -161,10 +152,9 @@ struct Options {
     file: String,
     engine: Engine,
     domain: Domain,
-    widening: WideningConfig,
-    dep_backend: DepBackend,
-    triage: TriageMode,
-    budget: Budget,
+    /// `--widening`, `--triage` and the budget, where [`analysis_flag`]
+    /// puts them.
+    analysis: PipelineOptions,
     check: bool,
     dump_ir: bool,
     dump_values: bool,
@@ -180,7 +170,7 @@ enum Domain {
 const USAGE: &str = "usage: sga <file.c> [--engine vanilla|base|sparse] \
                      [--domain interval|octagon] \
                      [--widening naive|threshold|delayed] \
-                     [--dep-backend bdd|csr] [--triage octagon|path|both] \
+                     [--triage octagon|path|both] \
                      [--max-steps N] [--timeout-ms N] [--check] [--dump-ir] \
                      [--dump-values] [--stats]";
 
@@ -190,17 +180,60 @@ fn num_flag(flag: &str, value: Option<String>) -> Result<u64, String> {
     v.parse().map_err(|_| format!("bad {flag} {v:?}"))
 }
 
+/// `--help`: the usage on stdout, and success — asking is not an error.
+fn help(usage: &str) -> ! {
+    println!("{usage}");
+    std::process::exit(0)
+}
+
+/// The analysis flags `sga <file>`, `check`, `analyze` and `serve` share,
+/// parsed into the [`PipelineOptions`] fields they set; `Ok(false)` when
+/// `arg` is not one of them. The three worker flags exist only where units
+/// can run in worker processes (`workers`): single-file mode has none.
+fn analysis_flag(
+    arg: &str,
+    args: &mut impl Iterator<Item = String>,
+    opts: &mut PipelineOptions,
+    workers: bool,
+) -> Result<bool, String> {
+    match arg {
+        "--widening" => {
+            let strategy = args.next().as_deref().and_then(WideningStrategy::parse);
+            opts.widening =
+                WideningConfig::of(strategy.ok_or("bad --widening (naive|threshold|delayed)")?);
+        }
+        "--triage" => {
+            let mode = args.next().as_deref().and_then(TriageMode::parse);
+            opts.triage = mode.ok_or("bad --triage (octagon|path|both)")?;
+        }
+        "--max-steps" => opts.budget.max_steps = Some(num_flag(arg, args.next())?),
+        "--timeout-ms" => opts.budget.timeout_ms = Some(num_flag(arg, args.next())?),
+        "--isolation" if workers => {
+            let mode = args.next().as_deref().and_then(IsolationMode::parse);
+            opts.isolation = mode.ok_or("bad --isolation (thread|process)")?;
+        }
+        "--worker-mem-mb" if workers => {
+            opts.worker_limits.mem_mb = Some(num_flag(arg, args.next())?);
+        }
+        "--worker-timeout-ms" if workers => {
+            opts.worker_limits.timeout_ms = Some(num_flag(arg, args.next())?);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut file: Option<String> = None;
     let mut engine = Engine::Sparse;
     let mut domain = Domain::Interval;
-    let mut widening = WideningConfig::default();
-    let mut dep_backend = DepBackend::default();
-    let mut triage_mode = TriageMode::default();
-    let mut budget = Budget::unbounded();
+    let mut analysis = PipelineOptions::default();
     let (mut check, mut dump_ir, mut dump_values, mut stats) = (false, false, false, false);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if analysis_flag(&arg, &mut args, &mut analysis, false)? {
+            continue;
+        }
         match arg.as_str() {
             "--engine" => {
                 engine = match args.next().as_deref() {
@@ -217,31 +250,11 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("bad --domain {other:?}")),
                 }
             }
-            "--widening" => {
-                widening = match args.next().as_deref().and_then(WideningStrategy::parse) {
-                    Some(s) => WideningConfig::of(s),
-                    None => return Err("bad --widening (naive|threshold|delayed)".to_string()),
-                }
-            }
-            "--dep-backend" => {
-                dep_backend = match args.next().as_deref().and_then(DepBackend::parse) {
-                    Some(b) => b,
-                    None => return Err("bad --dep-backend (bdd|csr)".to_string()),
-                }
-            }
-            "--triage" => {
-                triage_mode = match args.next().as_deref().and_then(TriageMode::parse) {
-                    Some(m) => m,
-                    None => return Err("bad --triage (octagon|path|both)".to_string()),
-                }
-            }
-            "--max-steps" => budget.max_steps = Some(num_flag("--max-steps", args.next())?),
-            "--timeout-ms" => budget.timeout_ms = Some(num_flag("--timeout-ms", args.next())?),
             "--check" => check = true,
             "--dump-ir" => dump_ir = true,
             "--dump-values" => dump_values = true,
             "--stats" => stats = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => help(USAGE),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
         }
@@ -251,10 +264,7 @@ fn parse_args() -> Result<Options, String> {
         file,
         engine,
         domain,
-        widening,
-        dep_backend,
-        triage: triage_mode,
-        budget,
+        analysis,
         check,
         dump_ir,
         dump_values,
@@ -266,7 +276,7 @@ const ANALYZE_USAGE: &str = "usage: sga analyze <dir> | --corpus units=N,kloc=K,
                              [--jobs N (0=auto)] [--cache-dir D] [--no-cache] [--canonical] \
                              [--cache-max-entries N] \
                              [--no-bypass] [--widening naive|threshold|delayed] \
-                             [--dep-backend bdd|csr] [--triage octagon|path|both] \
+                             [--triage octagon|path|both] \
                              [--isolation thread|process] [--worker-mem-mb N] \
                              [--worker-timeout-ms N] \
                              [--keep-going | --fail-fast] \
@@ -287,6 +297,9 @@ fn parse_analyze_args(
     let mut cache_dir: Option<PathBuf> = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
+        if analysis_flag(&arg, &mut args, &mut opts, true)? {
+            continue;
+        }
         match arg.as_str() {
             "--jobs" => {
                 // 0 = auto-detect (resolved by the pipeline).
@@ -307,26 +320,8 @@ fn parse_analyze_args(
             "--no-cache" => no_cache = true,
             "--canonical" => opts.canonical = true,
             "--no-bypass" => opts.depgen.bypass = false,
-            "--isolation" => {
-                opts.isolation = match args.next().as_deref().and_then(IsolationMode::parse) {
-                    Some(m) => m,
-                    None => return Err("bad --isolation (thread|process)".to_string()),
-                }
-            }
-            "--worker-mem-mb" => {
-                opts.worker_limits.mem_mb = Some(num_flag("--worker-mem-mb", args.next())?);
-            }
-            "--worker-timeout-ms" => {
-                opts.worker_limits.timeout_ms = Some(num_flag("--worker-timeout-ms", args.next())?);
-            }
             "--keep-going" => opts.keep_going = true,
             "--fail-fast" => opts.keep_going = false,
-            "--max-steps" => {
-                opts.budget.max_steps = Some(num_flag("--max-steps", args.next())?);
-            }
-            "--timeout-ms" => {
-                opts.budget.timeout_ms = Some(num_flag("--timeout-ms", args.next())?);
-            }
             "--resume" => opts.resume = true,
             "--validate" => opts.validate = true,
             "--baseline" => {
@@ -345,24 +340,6 @@ fn parse_analyze_args(
             "--faults" => {
                 let spec = args.next().ok_or("--faults needs a spec")?;
                 opts.faults = FaultPlan::parse(&spec)?;
-            }
-            "--widening" => {
-                opts.widening = match args.next().as_deref().and_then(WideningStrategy::parse) {
-                    Some(s) => WideningConfig::of(s),
-                    None => return Err("bad --widening (naive|threshold|delayed)".to_string()),
-                }
-            }
-            "--dep-backend" => {
-                opts.dep_backend = match args.next().as_deref().and_then(DepBackend::parse) {
-                    Some(b) => b,
-                    None => return Err("bad --dep-backend (bdd|csr)".to_string()),
-                }
-            }
-            "--triage" => {
-                opts.triage = match args.next().as_deref().and_then(TriageMode::parse) {
-                    Some(m) => m,
-                    None => return Err("bad --triage (octagon|path|both)".to_string()),
-                }
             }
             "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
             "--corpus" => {
@@ -384,7 +361,7 @@ fn parse_analyze_args(
                 }
                 project = Some(Project::Corpus { units, kloc, seed });
             }
-            "--help" | "-h" => return Err(ANALYZE_USAGE.to_string()),
+            "--help" | "-h" => help(ANALYZE_USAGE),
             other if !other.starts_with('-') && project.is_none() => {
                 project = Some(Project::Dir(PathBuf::from(other)));
             }
@@ -478,15 +455,11 @@ fn run_analyze(args: impl Iterator<Item = String>) -> ExitCode {
 /// Runs all four checkers over an analyzed program and triages the
 /// possible interval alarms against the octagon analysis. Shared by
 /// `sga check` and single-file `--check`.
-#[allow(clippy::too_many_arguments)]
 fn diagnose(
     program: &sga::ir::Program,
     result: &interval::IntervalResult,
     engine: Engine,
-    widening: WideningConfig,
-    dep_backend: DepBackend,
-    triage_mode: TriageMode,
-    budget: &Budget,
+    opts: &PipelineOptions,
 ) -> (Vec<Diagnostic>, triage::TriageStats) {
     let pre = preanalysis::run(program);
     let mut diags = checker::check_all(program, result, &pre);
@@ -497,10 +470,9 @@ fn diagnose(
         &mut diags,
         &TriageOptions {
             engine,
-            widening,
-            dep_backend,
-            budget: triage::derived_budget(result.stats.iterations, budget),
-            mode: triage_mode,
+            widening: opts.widening,
+            budget: triage::derived_budget(result.stats.iterations, &opts.budget),
+            mode: opts.triage,
             ..TriageOptions::default()
         },
     );
@@ -564,7 +536,7 @@ fn fix_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
 const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
                            [--engine vanilla|base|sparse] \
                            [--widening naive|threshold|delayed] \
-                           [--dep-backend bdd|csr] [--triage octagon|path|both] \
+                           [--triage octagon|path|both] \
                            [--max-steps N] [--timeout-ms N] \
                            [--isolation thread|process] [--worker-mem-mb N] \
                            [--worker-timeout-ms N]";
@@ -573,35 +545,21 @@ const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
 /// supervised worker process (the sparse batch path), so a file that
 /// aborts or exhausts memory yields a diagnosable exit instead of killing
 /// the CLI.
-#[allow(clippy::too_many_arguments)]
 fn run_check_isolated(
     file: &str,
     source: String,
-    widening: WideningConfig,
-    dep_backend: DepBackend,
-    triage_mode: TriageMode,
-    budget: Budget,
-    limits: sga::analysis::budget::WorkerLimits,
+    opts: &PipelineOptions,
     sarif_out: Option<PathBuf>,
 ) -> ExitCode {
     let err = |msg: String| {
         eprintln!("{msg}");
         ExitCode::from(2)
     };
-    let opts = PipelineOptions {
-        isolation: IsolationMode::Process,
-        worker_limits: limits,
-        widening,
-        dep_backend,
-        triage: triage_mode,
-        budget,
-        ..PipelineOptions::default()
-    };
     let unit = pipeline::UnitInput {
         name: file.to_string(),
         source,
     };
-    let mut outcomes = pipeline::analyze_units(&[unit], &opts, None);
+    let mut outcomes = pipeline::analyze_units(&[unit], opts, None);
     let outcome = outcomes.remove(0);
     if let Some(message) = outcome.failure {
         return err(format!("sga: {file}: {message}"));
@@ -673,18 +631,18 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
     let mut sarif_out: Option<PathBuf> = None;
     let mut engine = Engine::Sparse;
     let mut engine_set = false;
-    let mut widening = WideningConfig::default();
-    let mut dep_backend = DepBackend::default();
-    let mut triage_mode = TriageMode::default();
-    let mut budget = Budget::unbounded();
-    let mut isolation = IsolationMode::Thread;
-    let mut limits = sga::analysis::budget::WorkerLimits::unbounded();
+    let mut opts = PipelineOptions::default();
     let mut args = args.peekable();
     let err = |msg: String| {
         eprintln!("{msg}");
         ExitCode::from(2)
     };
     while let Some(arg) = args.next() {
+        match analysis_flag(&arg, &mut args, &mut opts, true) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(msg) => return err(msg),
+        }
         match arg.as_str() {
             "--sarif" => match args.next() {
                 Some(path) => sarif_out = Some(PathBuf::from(path)),
@@ -699,47 +657,7 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
                     other => return err(format!("bad --engine {other:?}")),
                 }
             }
-            "--widening" => {
-                widening = match args.next().as_deref().and_then(WideningStrategy::parse) {
-                    Some(s) => WideningConfig::of(s),
-                    None => return err("bad --widening (naive|threshold|delayed)".into()),
-                }
-            }
-            "--dep-backend" => {
-                dep_backend = match args.next().as_deref().and_then(DepBackend::parse) {
-                    Some(b) => b,
-                    None => return err("bad --dep-backend (bdd|csr)".into()),
-                }
-            }
-            "--triage" => {
-                triage_mode = match args.next().as_deref().and_then(TriageMode::parse) {
-                    Some(m) => m,
-                    None => return err("bad --triage (octagon|path|both)".into()),
-                }
-            }
-            "--max-steps" => match num_flag("--max-steps", args.next()) {
-                Ok(n) => budget.max_steps = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--timeout-ms" => match num_flag("--timeout-ms", args.next()) {
-                Ok(n) => budget.timeout_ms = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--isolation" => {
-                isolation = match args.next().as_deref().and_then(IsolationMode::parse) {
-                    Some(m) => m,
-                    None => return err("bad --isolation (thread|process)".into()),
-                }
-            }
-            "--worker-mem-mb" => match num_flag("--worker-mem-mb", args.next()) {
-                Ok(n) => limits.mem_mb = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--worker-timeout-ms" => match num_flag("--worker-timeout-ms", args.next()) {
-                Ok(n) => limits.timeout_ms = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--help" | "-h" => return err(CHECK_USAGE.into()),
+            "--help" | "-h" => help(CHECK_USAGE),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return err(format!("unexpected argument `{other}`\n{CHECK_USAGE}")),
         }
@@ -751,22 +669,13 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
         Ok(s) => s,
         Err(e) => return err(format!("sga: cannot read {file}: {e}")),
     };
-    if isolation == IsolationMode::Process {
+    if opts.isolation == IsolationMode::Process {
         // The isolated worker runs the sparse batch path; an explicit
         // non-sparse engine choice cannot be honored there.
         if engine_set && engine != Engine::Sparse {
             return err("--isolation process runs the sparse engine only".into());
         }
-        return run_check_isolated(
-            &file,
-            src,
-            widening,
-            dep_backend,
-            triage_mode,
-            budget,
-            limits,
-            sarif_out,
-        );
+        return run_check_isolated(&file, src, &opts, sarif_out);
     }
     let program = match sga::frontend::parse(&src) {
         Ok(p) => p,
@@ -776,24 +685,15 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
         &program,
         engine,
         AnalyzeOptions {
-            widening,
-            dep_backend,
-            budget,
+            widening: opts.widening,
+            budget: opts.budget,
             ..AnalyzeOptions::default()
         },
     );
     if result.stats.degraded {
         eprintln!("sga: analysis budget exhausted; result degraded soundly");
     }
-    let (diags, stats) = diagnose(
-        &program,
-        &result,
-        engine,
-        widening,
-        dep_backend,
-        triage_mode,
-        &budget,
-    );
+    let (diags, stats) = diagnose(&program, &result, engine, &opts);
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = sarif_out {
         if let Some(code) = write_sarif(&file, &diags, &path) {
@@ -850,10 +750,7 @@ fn run_cache(mut args: impl Iterator<Item = String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--help" | "-h" => {
-                eprintln!("{CACHE_USAGE}");
-                return ExitCode::from(2);
-            }
+            "--help" | "-h" => help(CACHE_USAGE),
             other if !other.starts_with('-') && dir.is_none() => {
                 dir = Some(PathBuf::from(other));
             }
@@ -895,7 +792,7 @@ const SERVE_USAGE: &str = "usage: sga serve <dir> [--tcp ADDR] [--unix PATH] \
                            [--port-file FILE] [--poll-ms N] [--jobs N (0=auto)] \
                            [--cache-dir D] [--no-cache] [--cache-max-entries N] \
                            [--no-bypass] [--widening naive|threshold|delayed] \
-                           [--dep-backend bdd|csr] [--triage octagon|path|both] \
+                           [--triage octagon|path|both] \
                            [--max-steps N] [--timeout-ms N] \
                            [--resume] [--journal-dir D] [--queue-cap N] \
                            [--sub-queue-cap N] [--write-deadline-ms N] \
@@ -917,6 +814,11 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
         ExitCode::from(2)
     };
     while let Some(arg) = args.next() {
+        match analysis_flag(&arg, &mut args, &mut opts, true) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(msg) => return err(msg),
+        }
         match arg.as_str() {
             "--tcp" => match args.next() {
                 Some(addr) => config.tcp = Some(addr),
@@ -952,32 +854,6 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Err(msg) => return err(msg),
             },
             "--no-bypass" => opts.depgen.bypass = false,
-            "--widening" => {
-                opts.widening = match args.next().as_deref().and_then(WideningStrategy::parse) {
-                    Some(s) => WideningConfig::of(s),
-                    None => return err("bad --widening (naive|threshold|delayed)".into()),
-                }
-            }
-            "--dep-backend" => {
-                opts.dep_backend = match args.next().as_deref().and_then(DepBackend::parse) {
-                    Some(b) => b,
-                    None => return err("bad --dep-backend (bdd|csr)".into()),
-                }
-            }
-            "--triage" => {
-                opts.triage = match args.next().as_deref().and_then(TriageMode::parse) {
-                    Some(m) => m,
-                    None => return err("bad --triage (octagon|path|both)".into()),
-                }
-            }
-            "--max-steps" => match num_flag("--max-steps", args.next()) {
-                Ok(n) => opts.budget.max_steps = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--timeout-ms" => match num_flag("--timeout-ms", args.next()) {
-                Ok(n) => opts.budget.timeout_ms = Some(n),
-                Err(msg) => return err(msg),
-            },
             "--resume" => resume = true,
             "--journal-dir" => match args.next() {
                 Some(d) => opts.journal_dir = Some(PathBuf::from(d)),
@@ -1003,20 +879,6 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Ok(n) => config.max_request_line = (n as usize).max(1),
                 Err(msg) => return err(msg),
             },
-            "--isolation" => {
-                opts.isolation = match args.next().as_deref().and_then(IsolationMode::parse) {
-                    Some(m) => m,
-                    None => return err("bad --isolation (thread|process)".into()),
-                }
-            }
-            "--worker-mem-mb" => match num_flag("--worker-mem-mb", args.next()) {
-                Ok(n) => opts.worker_limits.mem_mb = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--worker-timeout-ms" => match num_flag("--worker-timeout-ms", args.next()) {
-                Ok(n) => opts.worker_limits.timeout_ms = Some(n),
-                Err(msg) => return err(msg),
-            },
             "--faults" => match args.next().as_deref().map(FaultPlan::parse) {
                 Some(Ok(plan)) => {
                     // The daemon keys fault directives by 1-based round
@@ -1036,7 +898,7 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Some(Err(e)) => return err(format!("bad --faults: {e}")),
                 None => return err("--faults needs a spec".into()),
             },
-            "--help" | "-h" => return err(SERVE_USAGE.into()),
+            "--help" | "-h" => help(SERVE_USAGE),
             other if !other.starts_with('-') && dir.is_none() => {
                 dir = Some(PathBuf::from(other));
             }
@@ -1138,7 +1000,7 @@ fn run_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
                 Ok(n) => retries = n as u32,
                 Err(msg) => return err(msg),
             },
-            "--help" | "-h" => return err(WATCH_USAGE.into()),
+            "--help" | "-h" => help(WATCH_USAGE),
             other if !other.starts_with('-') && addr.is_none() => {
                 addr = Some(other.to_string());
             }
@@ -1259,9 +1121,8 @@ fn main() -> ExitCode {
                 &program,
                 opts.engine,
                 AnalyzeOptions {
-                    widening: opts.widening,
-                    dep_backend: opts.dep_backend,
-                    budget: opts.budget,
+                    widening: opts.analysis.widening,
+                    budget: opts.analysis.budget,
                     ..AnalyzeOptions::default()
                 },
             );
@@ -1294,15 +1155,7 @@ fn main() -> ExitCode {
                 }
             }
             if opts.check {
-                let (diags, tstats) = diagnose(
-                    &program,
-                    &result,
-                    opts.engine,
-                    opts.widening,
-                    opts.dep_backend,
-                    opts.triage,
-                    &opts.budget,
-                );
+                let (diags, tstats) = diagnose(&program, &result, opts.engine, &opts.analysis);
                 definite = print_diagnostics(&diags, &tstats);
                 if opts.stats {
                     if let Some(work) = octagon_work(&tstats) {
@@ -1316,9 +1169,8 @@ fn main() -> ExitCode {
                 &program,
                 opts.engine,
                 AnalyzeOptions {
-                    widening: opts.widening,
-                    dep_backend: opts.dep_backend,
-                    budget: opts.budget,
+                    widening: opts.analysis.widening,
+                    budget: opts.analysis.budget,
                     ..AnalyzeOptions::default()
                 },
             );

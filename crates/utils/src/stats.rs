@@ -6,9 +6,8 @@
 //! process high-water mark from `/proc/self/status` (Linux), which is the
 //! same notion of "peak memory consumption" the paper reports.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A simple stopwatch for one named analysis phase.
@@ -63,8 +62,15 @@ impl StageTimers {
         Self::default()
     }
 
+    /// The registry, poisoned or not: the timers are shared with units whose
+    /// panics are caught, and every update leaves the list whole, so a
+    /// holder's panic must not take the run down.
+    fn stages(&self) -> MutexGuard<'_, Vec<(String, Arc<AtomicU64>)>> {
+        self.stages.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn counter(&self, stage: &str) -> Arc<AtomicU64> {
-        let mut stages = self.stages.lock();
+        let mut stages = self.stages();
         if let Some((_, c)) = stages.iter().find(|(name, _)| name == stage) {
             return c.clone();
         }
@@ -89,8 +95,7 @@ impl StageTimers {
 
     /// Total charged to `stage` so far.
     pub fn get(&self, stage: &str) -> Duration {
-        let stages = self.stages.lock();
-        stages
+        self.stages()
             .iter()
             .find(|(name, _)| name == stage)
             .map_or(Duration::ZERO, |(_, c)| {
@@ -100,8 +105,7 @@ impl StageTimers {
 
     /// All stages with their accumulated times, in first-use order.
     pub fn snapshot(&self) -> Vec<(String, Duration)> {
-        let stages = self.stages.lock();
-        stages
+        self.stages()
             .iter()
             .map(|(name, c)| {
                 (
@@ -184,6 +188,23 @@ mod tests {
         assert!(timers.get("timed") > Duration::ZERO);
         let names: Vec<String> = timers.snapshot().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["work".to_string(), "timed".to_string()]);
+    }
+
+    #[test]
+    fn lock_survives_holder_panic() {
+        let timers = StageTimers::new();
+        timers.add("work", Duration::from_micros(1));
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = timers.stages();
+                panic!("poison attempt");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        timers.add("work", Duration::from_micros(2));
+        assert_eq!(timers.get("work"), Duration::from_micros(3));
+        assert_eq!(timers.snapshot().len(), 1);
     }
 
     #[test]

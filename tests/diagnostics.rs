@@ -22,15 +22,14 @@
 //!    baseline classifies everything `unchanged`.
 //! 5. **Stability against history.** The canonical reports of a generated
 //!    corpus, of `tests/alarms/` and of one recursion-heavy generated unit
-//!    (under both dependency backends, with its interval solve's iteration
-//!    counts) hash to digests recorded at earlier commits, so a refactor
-//!    meant to change no result cannot change one.
+//!    (with its interval solve's iteration counts) hash to digests recorded
+//!    at earlier commits, so a refactor meant to change no result cannot
+//!    change one.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use sga::analysis::budget::Budget;
-use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{self, AnalyzeOptions, Engine};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
@@ -365,7 +364,7 @@ fn corpus_report_is_byte_identical_across_jobs_and_cache_state() {
 }
 
 /// Canonical reports pinned against *history*, not only against another
-/// backend, mode or `--jobs` value: the digests were recorded at the commit
+/// mode or `--jobs` value: the digests were recorded at the commit
 /// before the octagon closure kernel was reworked (ISSUE 13), so a refactor
 /// that is meant to change no result cannot change one silently. A PR that
 /// changes analysis results or the report schema on purpose updates the
@@ -426,32 +425,25 @@ fn canonical_reports_match_the_pinned_digests() {
         pre: &staged.pre,
         du: &staged.du,
     };
-    for dep_backend in [DepBackend::Csr, DepBackend::Bdd] {
-        let options = PipelineOptions {
-            dep_backend,
-            ..options.clone()
-        };
-        let report = pipeline::run(&Project::Dir(dir.clone()), &options).expect("pipeline run");
-        let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
-        assert_eq!(
-            digest, 0xf174_75f6_a83b_1fa7,
-            "canonical report of the recursive unit under {dep_backend} drifted: digest {digest:#018x}"
-        );
-        let solved = sparse::solve_backend(
-            dep_backend,
-            &program,
-            &staged.icfg,
-            &staged.deps,
-            &spec,
-            &staged.widening,
-            &Budget::unbounded(),
-        );
-        assert_eq!(
-            (solved.iterations, solved.narrowing_rounds),
-            (5712, 1554),
-            "interval trajectory of the recursive unit under {dep_backend} drifted"
-        );
-    }
+    let report = pipeline::run(&Project::Dir(dir.clone()), &options).expect("pipeline run");
+    let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
+    assert_eq!(
+        digest, 0xf174_75f6_a83b_1fa7,
+        "canonical report of the recursive unit drifted: digest {digest:#018x}"
+    );
+    let solved = sparse::solve(
+        &program,
+        &staged.icfg,
+        &staged.deps,
+        &spec,
+        &staged.widening,
+        &Budget::unbounded(),
+    );
+    assert_eq!(
+        (solved.iterations, solved.narrowing_rounds),
+        (5712, 1554),
+        "interval trajectory of the recursive unit drifted"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

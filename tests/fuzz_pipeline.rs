@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use sga::analysis::depgen::DepGenOptions;
-use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{analyze, analyze_with, AnalyzeOptions, Engine, Pipeline};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::cgen::GenConfig;
@@ -253,12 +252,10 @@ proptest! {
         }
     }
 
-    /// The two dependency backends order one relation's evaluation with
-    /// different worklists: the sparse fixpoint must produce bit-identical
-    /// bindings over either one, and the BDD store must mirror the
-    /// hash-map store's triples exactly.
+    /// §5's representation experiment on real relations: the BDD store
+    /// must mirror the hash-map store's triples exactly.
     #[test]
-    fn dep_backends_agree(config in arb_config()) {
+    fn bdd_store_mirrors_the_relation(config in arb_config()) {
         use sga::bdd::DepStore as _;
         use std::collections::BTreeSet;
 
@@ -286,39 +283,13 @@ proptest! {
             "seed {}: BDD mirror lost or invented triples",
             config.seed
         );
-
-        let with_backend = |backend| {
-            analyze_with(
-                &program,
-                Engine::Sparse,
-                AnalyzeOptions {
-                    dep_backend: backend,
-                    ..AnalyzeOptions::default()
-                },
-            )
-        };
-        let over_csr = with_backend(DepBackend::Csr);
-        let over_bdd = with_backend(DepBackend::Bdd);
-        prop_assert_eq!(over_csr.stats.iterations, over_bdd.stats.iterations);
-        prop_assert_eq!(over_csr.values.len(), over_bdd.values.len());
-        for (cp, st) in &over_csr.values {
-            for (loc, v) in st.iter() {
-                let ov = over_bdd.value_at(*cp, loc);
-                prop_assert!(
-                    *v == ov,
-                    "seed {}: backends disagree at {cp} {loc:?}: {v:?} vs {ov:?}",
-                    config.seed
-                );
-            }
-        }
     }
 
     /// Triage-mode lattice: over seeded generated programs, the alarms
     /// discharged by `--triage both` must be a superset of those discharged
     /// by `--triage octagon` (and of `path`) — the layered pass only ever
     /// adds discharges. And the set of *definite* alarms is untouchable: its
-    /// fingerprint set is byte-identical across every triage mode and both
-    /// dependency backends.
+    /// fingerprint set is byte-identical across every triage mode.
     #[test]
     fn triage_modes_form_a_superset_lattice(config in arb_config()) {
         use sga::analysis::triage::{self, TriageMode, TriageOptions};
@@ -334,54 +305,35 @@ proptest! {
         let mut discharged: std::collections::BTreeMap<&str, BTreeSet<u64>> =
             Default::default();
         let mut definite_renderings: BTreeSet<String> = Default::default();
-        for backend in [DepBackend::Csr, DepBackend::Bdd] {
-            let result = analyze_with(
+        let result = analyze_with(&program, Engine::Sparse, AnalyzeOptions::default());
+        for mode in [TriageMode::Octagon, TriageMode::Path, TriageMode::Both] {
+            let mut diags = checker::check_all(&program, &result, &pre);
+            triage::discharge(
                 &program,
-                Engine::Sparse,
-                AnalyzeOptions {
-                    dep_backend: backend,
-                    ..AnalyzeOptions::default()
+                &pre,
+                &result,
+                &mut diags,
+                &TriageOptions {
+                    budget: triage::derived_budget(
+                        result.stats.iterations,
+                        &Budget::unbounded(),
+                    ),
+                    mode,
+                    ..TriageOptions::default()
                 },
             );
-            for mode in [TriageMode::Octagon, TriageMode::Path, TriageMode::Both] {
-                let mut diags = checker::check_all(&program, &result, &pre);
-                triage::discharge(
-                    &program,
-                    &pre,
-                    &result,
-                    &mut diags,
-                    &TriageOptions {
-                        dep_backend: backend,
-                        budget: triage::derived_budget(
-                            result.stats.iterations,
-                            &Budget::unbounded(),
-                        ),
-                        mode,
-                        ..TriageOptions::default()
-                    },
-                );
-                let fps: BTreeSet<u64> = diags
-                    .iter()
-                    .filter(|d| !d.is_open())
-                    .map(|d| d.fingerprint)
-                    .collect();
-                // The same mode must discharge the same alarms over either
-                // backend; accumulate via union and check against both.
-                let entry = discharged.entry(mode.name()).or_default();
-                prop_assert!(
-                    entry.is_empty() || *entry == fps,
-                    "seed {}: {} discharges differ across dep backends",
-                    config.seed,
-                    mode.name()
-                );
-                *entry = fps;
-                let definite: String = diags
-                    .iter()
-                    .filter(|d| d.definite)
-                    .map(|d| format!("{:016x} {d}\n", d.fingerprint))
-                    .collect();
-                definite_renderings.insert(definite);
-            }
+            let fps: BTreeSet<u64> = diags
+                .iter()
+                .filter(|d| !d.is_open())
+                .map(|d| d.fingerprint)
+                .collect();
+            discharged.insert(mode.name(), fps);
+            let definite: String = diags
+                .iter()
+                .filter(|d| d.definite)
+                .map(|d| format!("{:016x} {d}\n", d.fingerprint))
+                .collect();
+            definite_renderings.insert(definite);
         }
         let octagon = &discharged["octagon"];
         let path = &discharged["path"];
@@ -398,7 +350,7 @@ proptest! {
         );
         prop_assert!(
             definite_renderings.len() == 1,
-            "seed {}: definite alarms differ across triage modes or backends",
+            "seed {}: definite alarms differ across triage modes",
             config.seed
         );
     }

