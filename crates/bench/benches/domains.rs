@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks of the abstract domains: interval arithmetic,
-//! octagon closure, points-to unions, and the persistent state map.
+//! octagon closure, points-to unions, scalar values, the persistent state
+//! map, and one sparse transfer over rows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use sga::analysis::interval::{AnalyzeOptions, IntervalSparseSpec, Pipeline};
+use sga::analysis::sparse::SparseSpec;
 use sga::domains::{AbsLoc, Interval, Lattice, LocSet, Octagon, State, Value};
-use sga::ir::VarId;
+use sga::ir::{Cmd, LVal, VarId};
 use sga::utils::{Idx, PMap};
 
 fn bench_interval(c: &mut Criterion) {
@@ -72,13 +75,50 @@ fn bench_state(c: &mut Criterion) {
     c.bench_function("state/join_disjoint_halves", |bch| {
         bch.iter(|| std::hint::black_box(&big).join(&halves))
     });
-    // The sparse engine's gather builds each transfer input this way.
+    // A solved sparse row becomes its `SparseResult` map this way.
     let row: Vec<(AbsLoc, Value)> = locs[..32]
         .iter()
         .map(|&l| (l, Value::constant(7)))
         .collect();
     c.bench_function("pmap/from_sorted_vec_32", |bch| {
         bch.iter_batched(|| row.clone(), PMap::from_sorted_vec, BatchSize::SmallInput)
+    });
+}
+
+/// A scalar value holds nothing on the heap: building, joining and dropping
+/// one is register work.
+fn bench_value(c: &mut Criterion) {
+    c.bench_function("value/constant", |bch| {
+        bch.iter(|| Value::constant(std::hint::black_box(7)))
+    });
+    let a = Value::of_itv(Interval::range(0, 9));
+    let b = Value::constant(12);
+    c.bench_function("value/join_scalar", |bch| {
+        bch.iter(|| std::hint::black_box(&a).join(std::hint::black_box(&b)))
+    });
+}
+
+/// The interval instance's sparse transfer of `x = y + 1`: the gathered row
+/// in, the `D̂(c)` row out.
+fn bench_transfer(c: &mut Criterion) {
+    let program = sga::frontend::parse("int main(int y) { int x; x = y + 1; return x; }")
+        .expect("the bench program parses");
+    let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
+    let spec = IntervalSparseSpec {
+        program: &program,
+        pre: &staged.pre,
+        du: &staged.du,
+    };
+    let is_sum = |cmd: &Cmd| matches!(cmd, Cmd::Assign(LVal::Var(_), sga::ir::Expr::Binop(..)));
+    let cp = program
+        .all_points()
+        .find(|&cp| is_sum(program.cmd(cp)))
+        .expect("x = y + 1");
+    let y = staged.du.uses(cp)[0];
+    let pre = vec![(y, Value::of_itv(Interval::range(0, 9)))];
+    assert_eq!(spec.transfer(cp, &pre, &[]).len(), 1);
+    c.bench_function("semantics/transfer_assign_row", |bch| {
+        bch.iter(|| spec.transfer(cp, std::hint::black_box(&pre), &[]))
     });
 }
 
@@ -104,6 +144,8 @@ criterion_group!(
     bench_interval,
     bench_octagon,
     bench_state,
+    bench_value,
+    bench_transfer,
     bench_locset
 );
 criterion_main!(benches);

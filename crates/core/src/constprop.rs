@@ -155,19 +155,24 @@ struct ConstSpec<'p> {
     du: &'p DefUse,
 }
 
+/// The binding of `l` in the ascending row `s` (⊥ if unbound).
+fn bound(s: &[(AbsLoc, Const)], l: &AbsLoc) -> Const {
+    sparse::find(s, l).map_or(Const::Bot, |at| s[at].1)
+}
+
 impl ConstSpec<'_> {
-    fn eval(&self, e: &Expr, s: &ConstState) -> Const {
+    fn eval(&self, e: &Expr, s: &[(AbsLoc, Const)]) -> Const {
         match e {
             Expr::Const(n) => Const::Val(*n),
-            Expr::Var(x) => s.get(&AbsLoc::Var(*x)).copied().unwrap_or(Const::Bot),
-            Expr::Field(x, f) => s.get(&AbsLoc::Field(*x, *f)).copied().unwrap_or(Const::Bot),
+            Expr::Var(x) => bound(s, &AbsLoc::Var(*x)),
+            Expr::Field(x, f) => bound(s, &AbsLoc::Field(*x, *f)),
             Expr::Deref(_) | Expr::DerefField(_, _) => {
                 // Loads join over the pre-analysis' targets.
                 let mut targets = Vec::new();
                 semantics::used_locs(self.program, e, &self.pre.state, &mut targets);
                 let mut acc = Const::Bot;
                 for l in targets {
-                    acc = acc.join(&s.get(&l).copied().unwrap_or(Const::Bot));
+                    acc = acc.join(&bound(s, &l));
                 }
                 // The used-locs set includes the pointer itself; joining it
                 // in is sound but noisy — ⊤ is the honest answer unless all
@@ -237,12 +242,14 @@ impl SparseSpec for ConstSpec<'_> {
         self.du.locs.loc(id)
     }
 
-    fn initial(&self) -> ConstState {
-        let mut s = PMap::new();
-        for &p in &self.program.procs[self.program.main].params {
-            s = s.insert(AbsLoc::Var(p), Const::Top);
-        }
-        s
+    fn initial(&self) -> Row<AbsLoc, Const> {
+        let params = &self.program.procs[self.program.main].params;
+        let mut seeded: Row<AbsLoc, Const> = params
+            .iter()
+            .map(|&p| (AbsLoc::Var(p), Const::Top))
+            .collect();
+        seeded.sort_unstable_by_key(|e| e.0);
+        seeded
     }
 
     fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
@@ -253,9 +260,13 @@ impl SparseSpec for ConstSpec<'_> {
         *v != Const::Bot
     }
 
-    fn transfer(&self, cp: Cp, pre_in: &ConstState, ret_in: &ConstState) -> Row<AbsLoc, Const> {
-        let joined = pre_in.union_with(ret_in, |_, a, b| a.join(b));
-        let mut post = joined.clone();
+    fn transfer(
+        &self,
+        cp: Cp,
+        pre_in: &[(AbsLoc, Const)],
+        ret_in: &[(AbsLoc, Const)],
+    ) -> Row<AbsLoc, Const> {
+        let mut post: ConstState = PMap::from_sorted_vec(sparse::join_rows(pre_in, ret_in));
         match self.program.cmd(cp) {
             Cmd::Skip | Cmd::Assume(_) => {
                 // Constants don't refine on conditions (that's what makes
@@ -301,11 +312,7 @@ impl SparseSpec for ConstSpec<'_> {
                         };
                         post = post.insert(AbsLoc::Var(p), v);
                     }
-                    let rv = ret_in
-                        .get(&AbsLoc::Var(callee.ret_var))
-                        .copied()
-                        .unwrap_or(Const::Bot);
-                    ret_val = ret_val.join(&rv);
+                    ret_val = ret_val.join(&bound(ret_in, &AbsLoc::Var(callee.ret_var)));
                 }
                 let external = !any_internal
                     || self

@@ -308,13 +308,15 @@ pub fn relay_sets_for_proc(
     let mut out: ProcFullSets = Vec::with_capacity(proc.nodes.len());
     for (nid, node) in proc.nodes.iter_enumerated() {
         let cp = Cp::new(pid, nid);
-        let mut defs: BTreeSet<AbsLoc> = BTreeSet::new();
-        let mut uses: BTreeSet<AbsLoc> = BTreeSet::new();
-        {
-            let s = &sets[&cp];
-            defs.extend(s.real_defs.iter().copied());
-            uses.extend(s.real_uses.iter().copied());
+        let real = &sets[&cp];
+        if !matches!(node.cmd, Cmd::Call { .. }) && nid != proc.entry && nid != proc.exit {
+            // No relay role: the full sets are the real ones, already
+            // sorted and deduplicated.
+            out.push((cp, real.real_defs.clone(), real.real_uses.clone()));
+            continue;
         }
+        let mut defs: BTreeSet<AbsLoc> = real.real_defs.iter().copied().collect();
+        let mut uses: BTreeSet<AbsLoc> = real.real_uses.iter().copied().collect();
         if let Cmd::Call { .. } = &node.cmd {
             for &t_pid in pre.call_targets(cp) {
                 let callee = &program.procs[t_pid];
@@ -645,5 +647,103 @@ mod tests {
         assert!(du.avg_def_size() < 3.0);
         assert!(du.avg_use_size() < 3.0);
         assert!(du.locs.len() >= 3);
+    }
+
+    /// [`relay_sets_for_proc`] as it was: two `BTreeSet`s at every point.
+    fn relay_sets_through_btreesets(
+        program: &Program,
+        pre: &PreAnalysis,
+        pid: ProcId,
+        sets: &FxHashMap<Cp, CpSets>,
+        summary_defs: &IndexVec<ProcId, Vec<AbsLoc>>,
+        summary_uses: &IndexVec<ProcId, Vec<AbsLoc>>,
+    ) -> ProcFullSets {
+        let proc = &program.procs[pid];
+        if proc.is_external {
+            return Vec::new();
+        }
+        // Locations flowing through this procedure's entry: everything its
+        // body (transitively) uses, plus its parameters; through its exit:
+        // everything it defines, plus its return variable.
+        let mut flow_in: BTreeSet<AbsLoc> = summary_uses[pid].iter().copied().collect();
+        for &p in &proc.params {
+            flow_in.insert(AbsLoc::Var(p));
+        }
+        let mut flow_out: BTreeSet<AbsLoc> = summary_defs[pid].iter().copied().collect();
+        flow_out.insert(AbsLoc::Var(proc.ret_var));
+
+        let mut out: ProcFullSets = Vec::with_capacity(proc.nodes.len());
+        for (nid, node) in proc.nodes.iter_enumerated() {
+            let cp = Cp::new(pid, nid);
+            let mut defs: BTreeSet<AbsLoc> = BTreeSet::new();
+            let mut uses: BTreeSet<AbsLoc> = BTreeSet::new();
+            {
+                let s = &sets[&cp];
+                defs.extend(s.real_defs.iter().copied());
+                uses.extend(s.real_uses.iter().copied());
+            }
+            if let Cmd::Call { .. } = &node.cmd {
+                for &t_pid in pre.call_targets(cp) {
+                    let callee = &program.procs[t_pid];
+                    if callee.is_external {
+                        continue;
+                    }
+                    // The call receives callee-defined values back and
+                    // relays them on; spurious (may-)defs go into Û per
+                    // Definition 5(2). Callee-*used* locations are NOT
+                    // relayed through the call: the dependency generator
+                    // routes their reaching definitions straight to the
+                    // callee entry (pre-call values must not mix with
+                    // returned ones), and keeps them in Û only so the
+                    // reaching-def pass visits this node.
+                    defs.extend(summary_defs[t_pid].iter().copied());
+                    uses.extend(summary_defs[t_pid].iter().copied());
+                    uses.extend(summary_uses[t_pid].iter().copied());
+                    for &p in &callee.params {
+                        defs.insert(AbsLoc::Var(p));
+                    }
+                    uses.insert(AbsLoc::Var(callee.ret_var));
+                }
+            }
+            if nid == proc.entry {
+                defs.extend(flow_in.iter().copied());
+                uses.extend(flow_in.iter().copied());
+            }
+            if nid == proc.exit {
+                defs.extend(flow_out.iter().copied());
+                uses.extend(flow_out.iter().copied());
+            }
+            out.push((cp, defs.into_iter().collect(), uses.into_iter().collect()));
+        }
+        out
+    }
+
+    #[test]
+    fn copied_real_sets_equal_the_btreeset_sets() {
+        for (name, program) in &crate::sparse::differential::corpus() {
+            let pre = preanalysis::run(program);
+            let du = compute(program, &pre);
+            let mut points = 0;
+            for pid in program.procs.indices() {
+                let staged = |relay: fn(_, _, _, _, _, _) -> ProcFullSets| {
+                    relay(
+                        program,
+                        &pre,
+                        pid,
+                        &du.sets,
+                        &du.summary_defs,
+                        &du.summary_uses,
+                    )
+                };
+                let got = staged(relay_sets_for_proc);
+                assert_eq!(got, staged(relay_sets_through_btreesets), "{name}: {pid}");
+                // `finish` stores pass 3's output as it is.
+                for (cp, defs, uses) in got {
+                    assert_eq!((du.defs(cp), du.uses(cp)), (&defs[..], &uses[..]));
+                    points += 1;
+                }
+            }
+            assert_eq!(points, du.sets.len(), "{name}");
+        }
     }
 }

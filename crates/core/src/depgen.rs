@@ -521,63 +521,81 @@ impl DepSource for IntervalDepSource<'_> {
 
 /// Contracts relay chains for one location, per §5's optimization, iterated
 /// to convergence (handles relay cycles from recursion).
+///
+/// The points the location's edges mention are numbered densely in
+/// ascending order — so index order is point order, the order the pending
+/// stack and the result rely on — adjacency is one sorted vector per point,
+/// and `is_real` is asked once per point.
 fn bypass_contract<S: DepSource>(
     source: &S,
     loc: u32,
     edges: &[(Cp, Cp, bool)],
 ) -> Vec<(Cp, Cp, bool)> {
-    use std::collections::BTreeSet;
-    // Adjacency with kinds; the bool on each edge is the return-flow flag of
-    // its final hop, preserved across contraction.
-    let mut outs: FxHashMap<Cp, BTreeSet<(Cp, bool)>> = FxHashMap::default();
-    let mut ins: FxHashMap<Cp, BTreeSet<(Cp, bool)>> = FxHashMap::default();
+    /// One end of an edge: the peer's index and the return-flow flag of the
+    /// edge's final hop, preserved across contraction.
+    type End = (usize, bool);
+    fn insert(ends: &mut Vec<End>, end: End) {
+        if let Err(at) = ends.binary_search(&end) {
+            ends.insert(at, end);
+        }
+    }
+    fn remove(ends: &mut Vec<End>, end: End) {
+        if let Ok(at) = ends.binary_search(&end) {
+            ends.remove(at);
+        }
+    }
+
+    let mut cps: Vec<Cp> = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+    cps.sort_unstable();
+    cps.dedup();
+    let index = |cp: Cp| cps.binary_search(&cp).expect("every end is numbered");
+    let real: Vec<bool> = cps.iter().map(|&cp| source.is_real(cp, loc)).collect();
+    let mut outs: Vec<Vec<End>> = vec![Vec::new(); cps.len()];
+    let mut ins: Vec<Vec<End>> = vec![Vec::new(); cps.len()];
     for &(a, b, k) in edges {
-        if a == b && !source.is_real(a, loc) {
+        let (a, b) = (index(a), index(b));
+        if a == b && !real[a] {
             // A relay self-loop forwards a value to itself: a no-op for
             // idempotent joins; dropping it avoids spurious widening cycles.
             continue;
         }
-        outs.entry(a).or_default().insert((b, k));
-        ins.entry(b).or_default().insert((a, k));
+        insert(&mut outs[a], (b, k));
+        insert(&mut ins[b], (a, k));
     }
 
     // Contract relays greedily while it does not grow the edge set
     // (in·out ≤ in+out, i.e. a chain or a fan): the paper's a →l b →l c
     // rule generalized. Hub relays (m×n) stay; the sparse engine simply
     // forwards through them at run time.
-    let mut queue: Vec<Cp> = outs.keys().chain(ins.keys()).copied().collect();
-    queue.sort_unstable();
-    queue.dedup();
-    let mut pending: Vec<Cp> = queue;
+    let mut pending: Vec<usize> = (0..cps.len()).collect();
     while let Some(b) = pending.pop() {
-        if source.is_real(b, loc) {
+        if real[b] {
             continue;
         }
-        let in_deg = ins.get(&b).map_or(0, BTreeSet::len);
-        let out_deg = outs.get(&b).map_or(0, BTreeSet::len);
+        let in_deg = ins[b].len();
+        let out_deg = outs[b].len();
         if in_deg == 0 || out_deg == 0 || in_deg * out_deg > in_deg + out_deg {
             continue;
         }
-        let in_edges: Vec<(Cp, bool)> = ins.remove(&b).unwrap_or_default().into_iter().collect();
-        let out_edges: Vec<(Cp, bool)> = outs.remove(&b).unwrap_or_default().into_iter().collect();
-        for &(a, _) in &in_edges {
-            outs.entry(a).or_default().remove(&(b, false));
-            outs.entry(a).or_default().remove(&(b, true));
+        let in_edges = std::mem::take(&mut ins[b]);
+        let out_edges = std::mem::take(&mut outs[b]);
+        for &(a, ka) in &in_edges {
+            remove(&mut outs[a], (b, ka));
         }
         for &(c, kc) in &out_edges {
-            ins.entry(c).or_default().remove(&(b, kc));
+            remove(&mut ins[c], (b, kc));
         }
         for &(a, _) in &in_edges {
             for &(c, kc) in &out_edges {
-                if a == c && !source.is_real(a, loc) {
+                if a == c && !real[a] {
                     // Contracting b out of a relay cycle a → b → a would
                     // produce a relay self-loop — a forwarding no-op, drop
                     // it. A *real* a keeps its self-loop: it is genuine
                     // feedback and must stay a widening point.
                     continue;
                 }
-                outs.entry(a).or_default().insert((c, kc));
-                ins.entry(c).or_default().insert((a, kc));
+                insert(&mut outs[a], (c, kc));
+                insert(&mut ins[c], (a, kc));
             }
         }
         // Degrees of the neighbours changed; they may be contractible now.
@@ -585,15 +603,12 @@ fn bypass_contract<S: DepSource>(
         pending.extend(out_edges.iter().map(|&(c, _)| c));
     }
 
-    let mut out: Vec<(Cp, Cp, bool)> = Vec::new();
-    for (a, bs) in outs {
-        for (b, k) in bs {
-            out.push((a, b, k));
-        }
+    // Ascending and duplicate-free as the indices are.
+    let mut contracted = Vec::with_capacity(outs.iter().map(Vec::len).sum());
+    for (a, ends) in outs.iter().enumerate() {
+        contracted.extend(ends.iter().map(|&(b, k)| (cps[a], cps[b], k)));
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    contracted
 }
 
 /// Control points participating in dependency cycles (including

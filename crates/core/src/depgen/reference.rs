@@ -1,14 +1,16 @@
-//! Reference oracle for the reaching-definitions walk of
-//! [`super::proc_dep_edges`]: the bitset dataflow it replaced — kept
-//! verbatim, compiled for tests only — and the differential tests holding
-//! every per-procedure segment equal *in order* (segments are stored in
-//! cache entries).
+//! Reference oracles for the two kernels of dependency generation, each
+//! the code its kernel replaced — kept verbatim, compiled for tests only —
+//! with the differential tests holding them equal: the reaching-definitions
+//! walk of [`super::proc_dep_edges`] against the bitset dataflow, every
+//! per-procedure segment equal *in order* (segments are stored in cache
+//! entries), and [`super::bypass_contract`] against its hashed form, every
+//! location's contracted edges equal.
 
-use super::{proc_dep_edges, DepEdge, DepSource, IntervalDepSource};
+use super::{bypass_contract, proc_dep_edges, DepEdge, DepSource, IntervalDepSource};
 use crate::preanalysis::reference::differential_programs;
 use crate::{defuse, octagon, preanalysis};
 use sga_ir::{Cp, Program};
-use sga_utils::{BitSet, FxHashMap, Idx};
+use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx};
 
 /// [`proc_dep_edges`] by dataflow.
 fn proc_dep_edges_dataflow<S: DepSource>(
@@ -241,4 +243,121 @@ fn walk_segments_equal_dataflow_segments_through_the_octagon_source() {
         let total = assert_segments_equal(name, &program, &source);
         assert!(total > 1000, "{name}: only {total} pack-level edges");
     }
+}
+
+/// [`bypass_contract`] over hashed adjacency: a `BTreeSet` per point in two
+/// hash maps, `is_real` asked at every visit.
+fn bypass_contract_hashed<S: DepSource>(
+    source: &S,
+    loc: u32,
+    edges: &[(Cp, Cp, bool)],
+) -> Vec<(Cp, Cp, bool)> {
+    use std::collections::BTreeSet;
+    // Adjacency with kinds; the bool on each edge is the return-flow flag of
+    // its final hop, preserved across contraction.
+    let mut outs: FxHashMap<Cp, BTreeSet<(Cp, bool)>> = FxHashMap::default();
+    let mut ins: FxHashMap<Cp, BTreeSet<(Cp, bool)>> = FxHashMap::default();
+    for &(a, b, k) in edges {
+        if a == b && !source.is_real(a, loc) {
+            // A relay self-loop forwards a value to itself: a no-op for
+            // idempotent joins; dropping it avoids spurious widening cycles.
+            continue;
+        }
+        outs.entry(a).or_default().insert((b, k));
+        ins.entry(b).or_default().insert((a, k));
+    }
+
+    // Contract relays greedily while it does not grow the edge set
+    // (in·out ≤ in+out, i.e. a chain or a fan): the paper's a →l b →l c
+    // rule generalized. Hub relays (m×n) stay; the sparse engine simply
+    // forwards through them at run time.
+    let mut queue: Vec<Cp> = outs.keys().chain(ins.keys()).copied().collect();
+    queue.sort_unstable();
+    queue.dedup();
+    let mut pending: Vec<Cp> = queue;
+    while let Some(b) = pending.pop() {
+        if source.is_real(b, loc) {
+            continue;
+        }
+        let in_deg = ins.get(&b).map_or(0, BTreeSet::len);
+        let out_deg = outs.get(&b).map_or(0, BTreeSet::len);
+        if in_deg == 0 || out_deg == 0 || in_deg * out_deg > in_deg + out_deg {
+            continue;
+        }
+        let in_edges: Vec<(Cp, bool)> = ins.remove(&b).unwrap_or_default().into_iter().collect();
+        let out_edges: Vec<(Cp, bool)> = outs.remove(&b).unwrap_or_default().into_iter().collect();
+        for &(a, _) in &in_edges {
+            outs.entry(a).or_default().remove(&(b, false));
+            outs.entry(a).or_default().remove(&(b, true));
+        }
+        for &(c, kc) in &out_edges {
+            ins.entry(c).or_default().remove(&(b, kc));
+        }
+        for &(a, _) in &in_edges {
+            for &(c, kc) in &out_edges {
+                if a == c && !source.is_real(a, loc) {
+                    // Contracting b out of a relay cycle a → b → a would
+                    // produce a relay self-loop — a forwarding no-op, drop
+                    // it. A *real* a keeps its self-loop: it is genuine
+                    // feedback and must stay a widening point.
+                    continue;
+                }
+                outs.entry(a).or_default().insert((c, kc));
+                ins.entry(c).or_default().insert((a, kc));
+            }
+        }
+        // Degrees of the neighbours changed; they may be contractible now.
+        pending.extend(in_edges.iter().map(|&(a, _)| a));
+        pending.extend(out_edges.iter().map(|&(c, _)| c));
+    }
+
+    let mut out: Vec<(Cp, Cp, bool)> = Vec::new();
+    for (a, bs) in outs {
+        for (b, k) in bs {
+            out.push((a, b, k));
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Every location's raw edges of every unit, contracted both ways.
+fn assert_contractions_equal<S: DepSource>(name: &str, program: &Program, source: &S) -> usize {
+    let mut by_loc: FxHashMap<u32, Vec<(Cp, Cp, bool)>> = FxHashMap::default();
+    let mut add =
+        |loc, from, to, is_return| by_loc.entry(loc).or_default().push((from, to, is_return));
+    for pid in program.procs.indices() {
+        for (loc, from, to, is_return) in proc_dep_edges(program, source, pid) {
+            add(loc, from, to, is_return);
+        }
+    }
+    source.inter_edges(&mut add);
+    let mut contracted = 0;
+    for (loc, edges) in &by_loc {
+        let got = bypass_contract(source, *loc, edges);
+        assert_eq!(
+            got,
+            bypass_contract_hashed(source, *loc, edges),
+            "{name}: location {loc}"
+        );
+        let raw: FxHashSet<_> = edges.iter().collect();
+        contracted += usize::from(got.len() < raw.len());
+    }
+    contracted
+}
+
+#[test]
+fn dense_contraction_equals_hashed_contraction() {
+    let mut contracted = 0;
+    for (name, program) in &crate::sparse::differential::corpus() {
+        let pre = preanalysis::run(program);
+        let du = defuse::compute(program, &pre);
+        let source = IntervalDepSource::new(program, &pre, &du);
+        contracted += assert_contractions_equal(name, program, &source);
+        let packs = octagon::build_packs(program);
+        let source = octagon::OctDefUse::compute(program, &pre, &du, &packs, None);
+        contracted += assert_contractions_equal(name, program, &source);
+    }
+    assert!(contracted > 500, "only {contracted} locations lost an edge");
 }

@@ -21,14 +21,14 @@ use crate::depgen::{self, DataDeps, DepGenOptions};
 use crate::depstore::DepBackend;
 use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::preanalysis::{self, PreAnalysis};
-use crate::semantics;
+use crate::semantics::{self, Env};
 use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningPlan};
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
 use sga_ir::{Cmd, Cp, ProcId, Program};
 use sga_utils::stats::{peak_rss_bytes, Phase};
-use sga_utils::{FxHashMap, IndexVec, PMap};
+use sga_utils::{FxHashMap, IndexVec};
 
 /// Which analyzer to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,22 +106,13 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
 
     let values = match engine {
         Engine::Vanilla | Engine::Base => {
-            let localize = engine == Engine::Base;
-            let (in_sets, out_sets) = if localize {
-                let du = defuse::compute(program, &pre);
+            let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
+            if let Some(du) = &du {
                 stats.num_locs = du.locs.len();
                 stats.avg_defs = du.avg_def_size();
                 stats.avg_uses = du.avg_use_size();
-                localization_sets(program, &du)
-            } else {
-                (IndexVec::new(), IndexVec::new())
-            };
-            let spec = IntervalDenseSpec {
-                program,
-                localize,
-                in_sets,
-                out_sets,
-            };
+            }
+            let spec = IntervalDenseSpec::new(program, du.as_ref());
             let fix = Phase::start("fix");
             let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
             stats.fix_time = fix.stop();
@@ -232,11 +223,27 @@ fn localization_sets(program: &Program, du: &DefUse) -> (InSets, OutSets) {
     (ins, outs)
 }
 
-struct IntervalDenseSpec<'p> {
+pub(crate) struct IntervalDenseSpec<'p> {
     program: &'p Program,
     localize: bool,
     in_sets: InSets,
     out_sets: OutSets,
+}
+
+impl<'p> IntervalDenseSpec<'p> {
+    /// `base` (localized by `du`'s access summaries) or `vanilla`.
+    pub(crate) fn new(program: &'p Program, du: Option<&DefUse>) -> Self {
+        let (in_sets, out_sets) = match du {
+            Some(du) => localization_sets(program, du),
+            None => (IndexVec::new(), IndexVec::new()),
+        };
+        IntervalDenseSpec {
+            program,
+            localize: du.is_some(),
+            in_sets,
+            out_sets,
+        }
+    }
 }
 
 impl DenseSpec for IntervalDenseSpec<'_> {
@@ -351,8 +358,8 @@ impl SparseSpec for IntervalSparseSpec<'_> {
         self.du.locs.loc(id)
     }
 
-    fn initial(&self) -> PMap<AbsLoc, Value> {
-        initial_state(self.program).into_pmap()
+    fn initial(&self) -> Row<AbsLoc, Value> {
+        initial_state(self.program).as_pmap().to_sorted_vec()
     }
 
     fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
@@ -363,20 +370,23 @@ impl SparseSpec for IntervalSparseSpec<'_> {
         !v.is_bottom()
     }
 
+    /// Each `D̂(cp)` entry straight from `pre`, `ret` and the command's
+    /// [`semantics::writes`]: the row to return is the only state built.
     fn transfer(
         &self,
         cp: Cp,
-        pre_in: &PMap<AbsLoc, Value>,
-        ret_in: &PMap<AbsLoc, Value>,
+        pre: &[(AbsLoc, Value)],
+        ret: &[(AbsLoc, Value)],
     ) -> Row<AbsLoc, Value> {
-        let pre_state = State::from_pmap(pre_in.clone());
-        let post = match self.program.cmd(cp) {
-            Cmd::Call { ret, args, .. } => {
+        let defs = self.du.defs(cp);
+        let mut out = match self.program.cmd(cp) {
+            Cmd::Call {
+                ret: ret_lv, args, ..
+            } => {
                 // The post-call view of callee-affected locations joins the
                 // pre-call value (the "spurious definition" side of Def 5)
                 // with what returns from the callee exits.
-                let joined = State::from_pmap(pre_in.union_with(ret_in, |_, a, b| a.join(b)));
-                let mut out = joined.clone();
+                let mut out = sparse::join_rows(pre, ret);
                 let mut ret_val: Option<Value> = None;
                 let mut any_internal = false;
                 for &t in self.pre.call_targets(cp) {
@@ -388,15 +398,12 @@ impl SparseSpec for IntervalSparseSpec<'_> {
                     for (i, &p) in callee.params.iter().enumerate() {
                         // Arguments are evaluated in the PRE-call state.
                         let v = match args.get(i) {
-                            Some(a) => semantics::eval(self.program, a, &pre_state),
+                            Some(a) => semantics::eval(self.program, a, pre),
                             None => Value::unknown_int(),
                         };
-                        out = out.set(AbsLoc::Var(p), v);
+                        bind(&mut out, AbsLoc::Var(p), v, true);
                     }
-                    let rv = ret_in
-                        .get(&AbsLoc::Var(callee.ret_var))
-                        .cloned()
-                        .unwrap_or_else(Value::bot);
+                    let rv = ret.read(&AbsLoc::Var(callee.ret_var));
                     ret_val = Some(match ret_val {
                         Some(acc) => acc.join(&rv),
                         None => rv,
@@ -415,24 +422,49 @@ impl SparseSpec for IntervalSparseSpec<'_> {
                         None => u,
                     });
                 }
-                match (ret, ret_val) {
-                    (Some(lv), Some(v)) => semantics::assign(self.program, &out, lv, &v),
-                    _ => out,
+                if let (Some(lv), Some(v)) = (ret_lv, ret_val) {
+                    // The return l-value's targets are read off the joined
+                    // row with the formals bound.
+                    let (targets, strong) = semantics::lval_targets(self.program, lv, &out[..]);
+                    semantics::store_to(&targets, strong, v, &mut |l, v, strong| {
+                        bind(&mut out, l, v, strong);
+                    });
                 }
+                out
             }
-            _ => semantics::transfer(self.program, cp, &pre_state),
+            _ => {
+                // Only `D̂(cp)` survives, so only it is copied from `pre`.
+                let mut out = Row::with_capacity(defs.len());
+                let mut bound = pre.iter().peekable();
+                for l in defs {
+                    while bound.next_if(|(k, _)| k < l).is_some() {}
+                    if let Some((_, v)) = bound.next_if(|(k, _)| k == l) {
+                        out.push((*l, v.clone()));
+                    }
+                }
+                semantics::writes(self.program, cp, pre, &mut |l, v, strong| {
+                    bind(&mut out, l, v, strong);
+                });
+                out
+            }
         };
-        // Keep exactly the D̂(cp) bindings.
-        let defs = self.du.defs(cp);
-        let mut out = Row::with_capacity(defs.len());
-        for l in defs {
-            if let Some(v) = post.get_ref(l) {
-                if !v.is_bottom() {
-                    out.push((*l, v.clone()));
-                }
-            }
-        }
+        // Keep exactly the D̂(cp) bindings (both sides ascend).
+        let mut kept = defs.iter().peekable();
+        out.retain(|(l, v)| {
+            while kept.next_if(|d| *d < l).is_some() {}
+            kept.next_if_eq(&l).is_some() && !v.is_bottom()
+        });
         out
+    }
+}
+
+/// One of [`semantics::writes`]' bindings made on a row: a strong one
+/// replaces the location's value, a weak one joins it.
+fn bind(row: &mut Row<AbsLoc, Value>, l: AbsLoc, v: Value, strong: bool) {
+    match sparse::find(row, &l) {
+        Ok(at) if strong => row[at].1 = v,
+        Ok(at) => row[at].1 = row[at].1.join(&v),
+        Err(at) => row.insert(at, (l, v)),
     }
 }
 

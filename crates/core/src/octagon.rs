@@ -1243,8 +1243,8 @@ impl SparseSpec for OctSparseSpec<'_> {
         PackId(id)
     }
 
-    fn initial(&self) -> PMap<PackId, Octagon> {
-        self.sem.initial()
+    fn initial(&self) -> Row<PackId, Octagon> {
+        self.sem.initial().to_sorted_vec()
     }
 
     /// `is_real` is what the bypass asks, not all the transfer touches: a
@@ -1277,16 +1277,19 @@ impl SparseSpec for OctSparseSpec<'_> {
         !matches!(oct.close(), Octagon::Bot)
     }
 
+    /// The packed semantics works on [`OctState`] maps, so the rows are
+    /// turned into them here (an octagon clone shares its matrix).
     fn transfer(
         &self,
         cp: Cp,
-        pre: &PMap<PackId, Octagon>,
-        ret_in: &PMap<PackId, Octagon>,
+        pre: &[(PackId, Octagon)],
+        ret_in: &[(PackId, Octagon)],
     ) -> Row<PackId, Octagon> {
         let program = self.sem.program;
-        let input = pre.union_with(ret_in, |_, a, b| a.join(b));
+        let input = PMap::from_sorted_vec(sparse::join_rows(pre, ret_in));
         let post = match program.cmd(cp) {
             Cmd::Call { ret, args, .. } => {
+                let pre = &PMap::from_sorted_vec(pre.to_vec());
                 let mut out = input.clone();
                 let mut any_internal = false;
                 for &t in self.sem.pre.call_targets(cp) {

@@ -2,24 +2,54 @@
 //! features of §6.1 (arrays, structures, allocation, calls).
 //!
 //! [`eval`] is the paper's `Ê(e)(ŝ)`; [`used_locs`] is `Û(e)(ŝ)` from §3.2
-//! (the locations referenced while evaluating `e`); [`transfer`] is `f̂_c`.
-//! Call commands transfer as the identity — parameter binding and return
-//! binding live on ICFG *edges* ([`bind_args`], [`bind_return`]) so that the
-//! same node transfer serves every engine.
+//! (the locations referenced while evaluating `e`); [`writes`] is `f̂_c` as
+//! the list of bindings it makes, and [`transfer`] that list folded into a
+//! [`State`]. All of them read their input through [`Env`], so the dense
+//! engines hand over a tree [`State`] and the sparse instance the sorted row
+//! it gathered, and neither converts.
+//!
+//! Call commands write nothing — parameter binding and return binding live
+//! on ICFG *edges* ([`bind_args`], [`bind_return`]) so that the same node
+//! semantics serves every engine.
 
 use sga_domains::array::ArrayBlk;
 use sga_domains::locs::AllocSite;
 use sga_domains::{AbsLoc, Interval, Lattice, LocSet, State, Value};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, FieldId, LVal, Proc, Program, RelOp, UnOp};
 
+/// A read-only abstract state: what the semantics may ask of its input.
+pub trait Env {
+    /// The binding of `l` (`None` = ⊥).
+    fn lookup(&self, l: &AbsLoc) -> Option<&Value>;
+
+    /// The value of `l`, ⊥ for unbound locations.
+    fn read(&self, l: &AbsLoc) -> Value {
+        self.lookup(l).cloned().unwrap_or(Value::bot())
+    }
+}
+
+impl Env for State {
+    fn lookup(&self, l: &AbsLoc) -> Option<&Value> {
+        self.get_ref(l)
+    }
+}
+
+/// A row of bindings in strictly ascending location order.
+impl Env for [(AbsLoc, Value)] {
+    fn lookup(&self, l: &AbsLoc) -> Option<&Value> {
+        let at = self.binary_search_by(|(k, _)| k.cmp(l)).ok()?;
+        Some(&self[at].1)
+    }
+}
+
 /// Evaluates expression `e` in state `s` — `Ê(e)(ŝ)`.
 #[allow(clippy::only_used_in_recursion)] // `program` is part of the eval signature
-pub fn eval(program: &Program, e: &Expr, s: &State) -> Value {
+pub fn eval<E: Env + ?Sized>(program: &Program, e: &Expr, s: &E) -> Value {
     match e {
         Expr::Const(n) => Value::constant(*n),
         Expr::Unknown => Value::unknown_int(),
-        Expr::Var(x) => s.get(&AbsLoc::Var(*x)),
-        Expr::Field(x, f) => s.get(&AbsLoc::Field(*x, *f)),
+        Expr::Var(x) => s.read(&AbsLoc::Var(*x)),
+        Expr::Field(x, f) => s.read(&AbsLoc::Field(*x, *f)),
         Expr::AddrOf(x) => Value::of_ptr(LocSet::singleton(AbsLoc::Var(*x))),
         Expr::AddrOfField(x, f) => Value::of_ptr(LocSet::singleton(AbsLoc::Field(*x, *f))),
         Expr::AddrOfProc(p) => Value::of_procs(LocSet::singleton(AbsLoc::Proc(*p))),
@@ -107,10 +137,12 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Value {
     }
 }
 
-fn read_locs(s: &State, locs: impl Iterator<Item = AbsLoc>) -> Value {
+fn read_locs<E: Env + ?Sized>(s: &E, locs: impl Iterator<Item = AbsLoc>) -> Value {
     let mut out = Value::bot();
     for l in locs {
-        out = out.join(&s.get(&l));
+        if let Some(v) = s.lookup(&l) {
+            out = out.join(v);
+        }
     }
     out
 }
@@ -136,7 +168,7 @@ fn refine_field(l: AbsLoc, f: FieldId) -> AbsLoc {
 
 /// `Û(e)(ŝ)` from §3.2: the abstract locations referenced while computing
 /// `Ê(e)(ŝ)`.
-pub fn used_locs(program: &Program, e: &Expr, s: &State, out: &mut Vec<AbsLoc>) {
+pub fn used_locs<E: Env + ?Sized>(program: &Program, e: &Expr, s: &E, out: &mut Vec<AbsLoc>) {
     match e {
         Expr::Const(_)
         | Expr::Unknown
@@ -165,20 +197,21 @@ pub fn used_locs(program: &Program, e: &Expr, s: &State, out: &mut Vec<AbsLoc>) 
 
 /// The assignment targets of l-value `lv` in state `s`, plus whether a
 /// strong update is permitted (single non-summary target).
-pub fn lval_targets(_program: &Program, lv: &LVal, s: &State) -> (LocSet, bool) {
+pub fn lval_targets<E: Env + ?Sized>(_program: &Program, lv: &LVal, s: &E) -> (LocSet, bool) {
+    let deref = |x| {
+        s.lookup(&AbsLoc::Var(x))
+            .map_or(LocSet::empty(), Value::deref_targets)
+    };
+    let weak_unless_unique = |targets: LocSet| {
+        let strong = targets.as_singleton().is_some_and(|l| !l.is_summary());
+        (targets, strong)
+    };
     match lv {
         LVal::Var(x) => (LocSet::singleton(AbsLoc::Var(*x)), true),
         LVal::Field(x, f) => (LocSet::singleton(AbsLoc::Field(*x, *f)), true),
-        LVal::Deref(x) => {
-            let targets = s.get(&AbsLoc::Var(*x)).deref_targets();
-            let strong = targets.as_singleton().is_some_and(|l| !l.is_summary());
-            (targets, strong)
-        }
+        LVal::Deref(x) => weak_unless_unique(deref(*x)),
         LVal::DerefField(x, f) => {
-            let v = s.get(&AbsLoc::Var(*x));
-            let targets: LocSet = field_targets(&v, *f).collect();
-            let strong = targets.as_singleton().is_some_and(|l| !l.is_summary());
-            (targets, strong)
+            weak_unless_unique(deref(*x).iter().map(|l| refine_field(*l, *f)).collect())
         }
     }
 }
@@ -191,40 +224,95 @@ pub fn lval_used(lv: &LVal, out: &mut Vec<AbsLoc>) {
     }
 }
 
-/// Writes `v` through `lv`: strong update on a unique non-summary target,
-/// weak update otherwise.
-pub fn assign(program: &Program, s: &State, lv: &LVal, v: &Value) -> State {
-    let (targets, strong) = lval_targets(program, lv, s);
-    if strong {
-        if let Some(l) = targets.as_singleton() {
-            return s.set(l, v.clone());
+/// What the command at `cp` writes given input `s` — the node transfer
+/// function `f̂_c` as a list of `(location, value, strong)` handed to `sink`
+/// in order. A strong binding replaces the location's value, a weak one
+/// joins it (§2.1's `f[{…} ⤇ b]`), each over the bindings made before it.
+/// Nothing for `skip` and calls (see the module docs); `cp` also names the
+/// allocation site of an `alloc`.
+///
+/// `{x < n}` (§3.1), generalized to refine both operands when they are
+/// directly locations, refines *only the mentioned locations*; it never
+/// smashes the whole state to ⊥ on a contradiction (the refined locations
+/// become ⊥-valued instead). This per-location behaviour is what makes the
+/// sparse analysis' precision identical (Lemma 2): refinement is a def of
+/// exactly `D̂(c)`, so values of unrelated locations flow around the assume
+/// in both engines.
+pub fn writes<E: Env + ?Sized>(
+    program: &Program,
+    cp: Cp,
+    s: &E,
+    sink: &mut impl FnMut(AbsLoc, Value, bool),
+) {
+    match program.cmd(cp) {
+        Cmd::Skip | Cmd::Call { .. } => {}
+        Cmd::Assign(lv, e) => {
+            let v = eval(program, e, s);
+            store(program, lv, v, s, sink);
+        }
+        Cmd::Alloc(lv, size) => {
+            let sz = eval(program, size, s).itv;
+            let site = AbsLoc::Alloc(AllocSite(cp));
+            store(
+                program,
+                lv,
+                Value::of_arr(ArrayBlk::alloc(site, sz)),
+                s,
+                sink,
+            );
+        }
+        Cmd::Assume(cond) => refinements(program, cond, s, sink),
+        Cmd::Return(e) => {
+            let v = e.as_ref().map_or(Value::bot(), |e| eval(program, e, s));
+            sink(AbsLoc::Var(program.procs[cp.proc].ret_var), v, true);
         }
     }
-    s.weak_set_all(&targets, v)
 }
 
-/// Refines state `s` with condition `cond` — the `{x < n}` transfer of §3.1,
-/// generalized to refine both operands when they are directly locations.
-///
-/// Per the paper's `f̂_c` this refines *only the mentioned locations*; it
-/// never smashes the whole state to ⊥ on a contradiction (the refined
-/// locations become ⊥-valued instead). This per-location behaviour is what
-/// makes the sparse analysis' precision identical (Lemma 2): refinement is a
-/// def of exactly `D̂(c)`, so values of unrelated locations flow around the
-/// assume in both engines.
-pub fn refine(program: &Program, s: &State, cond: &Cond) -> State {
+/// [`writes`] of `assume(cond)`.
+fn refinements<E: Env + ?Sized>(
+    program: &Program,
+    cond: &Cond,
+    s: &E,
+    sink: &mut impl FnMut(AbsLoc, Value, bool),
+) {
+    // A refined operand keeps its other components, which no refinement
+    // touches: with one location on both sides (`x < x`) the second binding
+    // stands on the first's and replaces it.
     let lv = eval(program, &cond.lhs, s);
     let rv = eval(program, &cond.rhs, s);
-    let mut out = s.clone();
     if let Some(l) = direct_loc(&cond.lhs) {
-        let refined = lv.itv.filter(cond.op, &rv.itv);
-        out = out.set(l, out.get(&l).with_itv(refined));
+        sink(l, lv.with_itv(lv.itv.filter(cond.op, &rv.itv)), true);
     }
     if let Some(r) = direct_loc(&cond.rhs) {
-        let refined = rv.itv.filter(cond.op.swap(), &lv.itv);
-        out = out.set(r, out.get(&r).with_itv(refined));
+        sink(r, rv.with_itv(rv.itv.filter(cond.op.swap(), &lv.itv)), true);
     }
-    out
+}
+
+/// Writes `v` through `lv`, whose targets are read off `s`.
+pub fn store<E: Env + ?Sized>(
+    program: &Program,
+    lv: &LVal,
+    v: Value,
+    s: &E,
+    sink: &mut impl FnMut(AbsLoc, Value, bool),
+) {
+    let (targets, strong) = lval_targets(program, lv, s);
+    store_to(&targets, strong, v, sink);
+}
+
+/// Writes `v` to `targets`: a strong update on a unique non-summary target,
+/// a weak one on each otherwise.
+pub fn store_to(
+    targets: &LocSet,
+    strong: bool,
+    v: Value,
+    sink: &mut impl FnMut(AbsLoc, Value, bool),
+) {
+    match targets.as_singleton() {
+        Some(l) => sink(l, v, strong),
+        None => targets.iter().for_each(|&l| sink(l, v.clone(), false)),
+    }
 }
 
 fn direct_loc(e: &Expr) -> Option<AbsLoc> {
@@ -237,7 +325,7 @@ fn direct_loc(e: &Expr) -> Option<AbsLoc> {
 
 /// Whether a refined branch state is unreachable: some location the
 /// condition constrains became ⊥ while its input was not.
-pub fn branch_is_dead(program: &Program, s: &State, cond: &Cond) -> bool {
+pub fn branch_is_dead<E: Env + ?Sized>(program: &Program, s: &E, cond: &Cond) -> bool {
     let lv = eval(program, &cond.lhs, s);
     let rv = eval(program, &cond.rhs, s);
     if lv.itv.is_bottom() || rv.itv.is_bottom() {
@@ -248,31 +336,29 @@ pub fn branch_is_dead(program: &Program, s: &State, cond: &Cond) -> bool {
     lv.itv.cmp_result(cond.op, &rv.itv) == Interval::constant(0)
 }
 
-/// The node transfer function `f̂_c` (identity for call nodes; see module
-/// docs). `cp` is needed because allocation sites are control points.
+/// `s` with the bindings `make` hands its sink, in order.
+fn with_writes(s: &State, make: impl FnOnce(&mut dyn FnMut(AbsLoc, Value, bool))) -> State {
+    let mut out = s.clone();
+    make(&mut |l, v, strong| {
+        out = if strong {
+            out.set(l, v)
+        } else {
+            out.weak_set(l, &v)
+        };
+    });
+    out
+}
+
+/// The node transfer function `f̂_c` over whole states: `s` with
+/// [`writes`]' bindings (identity for call nodes; see the module docs).
 pub fn transfer(program: &Program, cp: Cp, s: &State) -> State {
-    match program.cmd(cp) {
-        Cmd::Skip | Cmd::Call { .. } => s.clone(),
-        Cmd::Assign(lv, e) => {
-            let v = eval(program, e, s);
-            assign(program, s, lv, &v)
-        }
-        Cmd::Alloc(lv, size) => {
-            let sz = eval(program, size, s).itv;
-            let site = AbsLoc::Alloc(AllocSite(cp));
-            let v = Value::of_arr(ArrayBlk::alloc(site, sz));
-            assign(program, s, lv, &v)
-        }
-        Cmd::Assume(cond) => refine(program, s, cond),
-        Cmd::Return(e) => {
-            let ret = program.procs[cp.proc].ret_var;
-            let v = match e {
-                Some(e) => eval(program, e, s),
-                None => Value::bot(),
-            };
-            s.set(AbsLoc::Var(ret), v)
-        }
-    }
+    with_writes(s, |mut sink| writes(program, cp, s, &mut sink))
+}
+
+/// Writes `v` through `lv`: strong update on a unique non-summary target,
+/// weak update otherwise.
+pub fn assign(program: &Program, s: &State, lv: &LVal, v: &Value) -> State {
+    with_writes(s, |mut sink| store(program, lv, v.clone(), s, &mut sink))
 }
 
 /// Call-edge transfer: binds actuals to the callee's formals in the
@@ -293,8 +379,7 @@ pub fn bind_args(program: &Program, callee: &Proc, args: &[Expr], s: &State) -> 
 /// site's return l-value.
 pub fn bind_return(program: &Program, callee: &Proc, ret: Option<&LVal>, s: &State) -> State {
     let Some(lv) = ret else { return s.clone() };
-    let v = s.get(&AbsLoc::Var(callee.ret_var));
-    assign(program, s, lv, &v)
+    assign(program, s, lv, &s.get(&AbsLoc::Var(callee.ret_var)))
 }
 
 /// Models a call to an external procedure: the return l-value becomes an
@@ -305,6 +390,9 @@ pub fn bind_external(program: &Program, ret: Option<&LVal>, s: &State) -> State 
 }
 
 #[cfg(test)]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sga_cfront::parse;
@@ -313,6 +401,10 @@ mod tests {
 
     fn prog() -> Program {
         parse("int main() { return 0; }").unwrap()
+    }
+
+    fn refine(program: &Program, s: &State, cond: &Cond) -> State {
+        with_writes(s, |mut sink| refinements(program, cond, s, &mut sink))
     }
 
     fn var(program: &Program, name: &str) -> VarId {

@@ -47,26 +47,26 @@ pub trait SparseSpec {
     /// Decodes a dependency-edge location id.
     fn loc_of(&self, id: u32) -> Self::L;
 
-    /// The sparse node transfer: given the assembled input bindings
-    /// (covering `Û(cp)`), produce the output bindings for `D̂(cp)` as a
-    /// [`Row`] — strictly ascending, which walking the sorted `D̂(cp)`
-    /// gives for free. A location the transfer leaves out is *absent*,
-    /// which the engine keeps apart from one bound to `⊥`.
+    /// The sparse node transfer, rows in and row out: given the assembled
+    /// input bindings (covering `Û(cp)`), produce the output bindings for
+    /// `D̂(cp)` — strictly ascending, like its inputs. A location the
+    /// transfer leaves out is *absent*, which the engine keeps apart from
+    /// one bound to `⊥`.
     ///
     /// `pre` holds values arriving over ordinary def→use dependencies;
     /// `ret` holds values returning from callee exits (non-empty only at
     /// call sites). Argument expressions must be evaluated against `pre`;
-    /// relayed locations take `pre ⊔ ret`.
+    /// relayed locations take `pre ⊔ ret` ([`join_rows`]).
     fn transfer(
         &self,
         cp: Cp,
-        pre: &PMap<Self::L, Self::V>,
-        ret: &PMap<Self::L, Self::V>,
+        pre: &[(Self::L, Self::V)],
+        ret: &[(Self::L, Self::V)],
     ) -> Row<Self::L, Self::V>;
 
     /// The state entering `main` (parameter seeds), as initial bindings for
     /// the main-entry point.
-    fn initial(&self) -> PMap<Self::L, Self::V>;
+    fn initial(&self) -> Row<Self::L, Self::V>;
 
     /// Whether `cp`'s command merely hands `l` on — the question the bypass
     /// contraction asks through [`crate::depgen::DepSource`]'s `is_real` and
@@ -205,8 +205,32 @@ impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
     }
 }
 
-fn find<L: Ord, V>(row: &[(L, V)], l: &L) -> Result<usize, usize> {
+/// Where `l` is bound in the ascending `row`, or where it would go.
+pub(crate) fn find<L: Ord, V>(row: &[(L, V)], l: &L) -> Result<usize, usize> {
     row.binary_search_by(|(k, _)| k.cmp(l))
+}
+
+/// `a ⊔ b`: two ascending rows merged into one, `a`'s value on the left of
+/// the join where both bind a location.
+pub fn join_rows<L: Copy + Ord, V: Lattice>(a: &[(L, V)], b: &[(L, V)]) -> Row<L, V> {
+    if b.is_empty() {
+        return a.to_vec();
+    }
+    let mut row = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let side = a[i].0.cmp(&b[j].0);
+        row.push(match side {
+            Ordering::Less => a[i].clone(),
+            Ordering::Greater => b[j].clone(),
+            Ordering::Equal => (a[i].0, a[i].1.join(&b[j].1)),
+        });
+        i += usize::from(side != Ordering::Greater);
+        j += usize::from(side != Ordering::Less);
+    }
+    row.extend_from_slice(&a[i..]);
+    row.extend_from_slice(&b[j..]);
+    row
 }
 
 /// [`Candidate::merge`] of a whole row: two ascending rows in one pass.
@@ -287,8 +311,11 @@ impl<S: SparseSpec> Engine<'_, S> {
     /// Joins the values arriving over `edges` into one ascending row: a
     /// single pass, each value joining into the last entry or opening the
     /// next. A source that does not bind the location contributes nothing.
-    fn gather(&self, edges: &[(u32, u32)]) -> PMap<S::L, S::V> {
-        let mut acc: Row<S::L, S::V> = Vec::with_capacity(edges.len());
+    /// The row is sized by the locations `edges` names (ids are interned, so
+    /// a run of one id is one location), not by how many edges carry them.
+    fn gather(&self, edges: &[(u32, u32)]) -> Row<S::L, S::V> {
+        let runs = edges.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut acc: Row<S::L, S::V> = Vec::with_capacity(runs + usize::from(!edges.is_empty()));
         for &(loc_id, from) in edges {
             let l = self.spec.loc_of(loc_id);
             let Some(v) = self.bound(from, &l) else {
@@ -299,7 +326,7 @@ impl<S: SparseSpec> Engine<'_, S> {
                 _ => acc.push((l, v.clone())),
             }
         }
-        PMap::from_sorted_vec(acc)
+        acc
     }
 
     /// [`Engine::gather`]'s entry for `l` alone — the rows are sorted by
@@ -325,10 +352,7 @@ impl<S: SparseSpec> Engine<'_, S> {
     fn evaluate(&self, i: usize) -> Row<S::L, S::V> {
         let mut pre = self.gather(self.into.row(i));
         if i == self.main_entry {
-            pre = self
-                .spec
-                .initial()
-                .union_with(&pre, |_, seed, v| seed.join(v));
+            pre = join_rows(&self.spec.initial(), &pre);
         }
         let ret = self.gather(self.into_ret.row(i));
         let out = self.spec.transfer(self.num.cp(i), &pre, &ret);
@@ -339,16 +363,29 @@ impl<S: SparseSpec> Engine<'_, S> {
         out
     }
 
-    /// This pop's candidate for point `i`, whose dirty list it takes. A
-    /// first visit, the main entry (its seed joins the gather), a dirty
+    /// This pop's candidate for point `i`, whose dirty list it empties (the
+    /// list keeps its capacity for the point's next requeue).
+    fn candidate(&mut self, i: usize, whole: bool) -> Option<Candidate<S::L, S::V>> {
+        let mut dirty = std::mem::take(&mut self.dirty[i]);
+        let candidate = self.candidate_for(i, whole, &mut dirty);
+        dirty.clear();
+        self.dirty[i] = dirty;
+        candidate
+    }
+
+    /// A first visit, the main entry (its seed joins the gather), a dirty
     /// location the command does not just forward, and `whole` are a whole
     /// evaluation. Otherwise no other location's candidate can have moved:
     /// with nothing dirty there is nothing to compute (`None`), else each
     /// dirty location gets what the transfer would give it — `pre ⊔ ret`,
     /// dropped unless kept.
-    fn candidate(&mut self, i: usize, whole: bool) -> Option<Candidate<S::L, S::V>> {
+    fn candidate_for(
+        &mut self,
+        i: usize,
+        whole: bool,
+        dirty: &mut Vec<S::L>,
+    ) -> Option<Candidate<S::L, S::V>> {
         let cp = self.num.cp(i);
-        let mut dirty = std::mem::take(&mut self.dirty[i]);
         #[cfg(test)]
         let whole = whole || FORCE_WHOLE.with(std::cell::Cell::get);
         let whole = whole
@@ -369,7 +406,7 @@ impl<S: SparseSpec> Engine<'_, S> {
         self.work.forwarded += 1;
         self.work.forwarded_locs += dirty.len();
         let mut patch = Vec::with_capacity(dirty.len());
-        for l in dirty {
+        for &l in dirty.iter() {
             let (pre, pre_reads) = self.gather_one(self.into.row(i), &l);
             let (ret, ret_reads) = self.gather_one(self.into_ret.row(i), &l);
             self.work.edge_reads += pre_reads + ret_reads;
@@ -384,23 +421,24 @@ impl<S: SparseSpec> Engine<'_, S> {
 
     /// Stores a changed update — a whole row replaces the stored one, a
     /// patch edits it in place — and requeues the users of exactly the
-    /// changed locations, each told which location moved (both lists ascend,
-    /// so one walk over the out-edges). An unchanged candidate is dropped:
-    /// the stored row keeps its values.
+    /// changed locations, each told which location moved: the out-edges are
+    /// sorted by location, so each changed location's users are one run,
+    /// found by bisecting what is left of the row. An unchanged candidate is
+    /// dropped: the stored row keeps its values.
     fn commit(&mut self, i: usize, Update { stored, changed }: Update<S::L, S::V>) {
         if changed.is_empty() && self.rows[i].is_some() {
             return;
         }
-        let mut c = 0;
-        for &(loc_id, to) in self.out.row(i) {
-            let l = self.spec.loc_of(loc_id);
-            while c < changed.len() && changed[c] < l {
-                c += 1;
-            }
-            if c < changed.len() && changed[c] == l {
+        let mut users = self.out.row(i);
+        for l in changed {
+            let before = |&(id, _): &(u32, u32)| self.spec.loc_of(id) < l;
+            users = &users[users.partition_point(before)..];
+            let run = users.partition_point(|&(id, _)| self.spec.loc_of(id) == l);
+            for &(_, to) in &users[..run] {
                 self.worklist.push(to as usize);
                 self.dirty[to as usize].push(l);
             }
+            users = &users[run..];
         }
         match stored {
             Candidate::Whole(row) => self.rows[i] = Some(row),
@@ -600,6 +638,6 @@ pub fn solve<S: SparseSpec>(
 }
 
 #[cfg(test)]
-mod differential;
+pub(crate) mod differential;
 #[cfg(test)]
 mod tests;

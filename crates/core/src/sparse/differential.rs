@@ -244,7 +244,7 @@ const HAND_WRITTEN: [(&str, &str); 5] = [
 
 /// `tests/alarms/*.c`, the hand-written units, and three seeds of a
 /// generated unit at each of `max_scc` 2, 10 and 9⁄10 of the procedures.
-fn corpus() -> Vec<(String, Program)> {
+pub(crate) fn corpus() -> Vec<(String, Program)> {
     let alarms = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/alarms");
     let mut sources: Vec<(String, String)> = std::fs::read_dir(alarms)
         .expect("tests/alarms")

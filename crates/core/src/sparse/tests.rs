@@ -111,16 +111,18 @@ impl<F: Fn(Cp, &Bindings) -> Row<u32, Up>> SparseSpec for Toy<F> {
     fn loc_of(&self, id: u32) -> u32 {
         l(id)
     }
-    fn transfer(&self, cp: Cp, pre: &Bindings, _ret: &Bindings) -> Row<u32, Up> {
+    fn transfer(&self, cp: Cp, pre: &[(u32, Up)], _ret: &[(u32, Up)]) -> Row<u32, Up> {
+        assert!(pre.windows(2).all(|w| w[0].0 < w[1].0), "rows ascend");
         let log = match self.drained.get() {
             0 => &self.ascending,
             _ => &self.descending,
         };
+        let pre: Bindings = pre.iter().cloned().collect();
         log.borrow_mut().push((cp, pre.clone()));
-        (self.f)(cp, pre)
+        (self.f)(cp, &pre)
     }
-    fn initial(&self) -> Bindings {
-        self.seed.clone()
+    fn initial(&self) -> Row<u32, Up> {
+        self.seed.to_sorted_vec()
     }
     fn forwards(&self, cp: Cp, loc: &u32) -> bool {
         let listed = |&(at, id): &(Cp, u32)| at == cp && l(id) == *loc;

@@ -216,12 +216,14 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
     for cp in solved_points(program) {
         report.points += 1;
         let seed = if cp == main_entry {
-            spec.initial()
+            spec.initial().into_iter().collect()
         } else {
             PMap::new()
         };
-        let pre = gather(deps.deps_into(cp), seed);
-        let ret = gather(deps.deps_into_ret(cp), PMap::new());
+        // The oracle assembles its own maps and hands them over as the rows
+        // the transfer takes.
+        let pre = gather(deps.deps_into(cp), seed).to_sorted_vec();
+        let ret = gather(deps.deps_into_ret(cp), PMap::new()).to_sorted_vec();
         let out = spec.transfer(cp, &pre, &ret);
         let stored = values.get(&cp);
         for (l, v) in &out {

@@ -73,100 +73,116 @@ impl Lattice for ArrInfo {
 }
 
 /// A set of `(base, offset, size)` tuples, sorted by base.
+///
+/// No blocks is `None` and nothing else (see [`crate::LocSet`]): every
+/// constructor goes through [`ArrayBlk::from_sorted`], so the derived `==`
+/// sees one normal form and a value without an array component allocates
+/// nothing for it.
 #[derive(Clone, PartialEq, Eq)]
-pub struct ArrayBlk(Rc<[(AbsLoc, ArrInfo)]>);
+pub struct ArrayBlk(Option<Rc<[(AbsLoc, ArrInfo)]>>);
 
 impl ArrayBlk {
     /// The empty block set (no array value).
-    pub fn empty() -> ArrayBlk {
-        ArrayBlk(Rc::from([]))
+    pub const fn empty() -> ArrayBlk {
+        ArrayBlk(None)
     }
 
     /// A single fresh block at `base` with `size` elements.
     pub fn alloc(base: AbsLoc, size: Interval) -> ArrayBlk {
-        ArrayBlk(Rc::from([(base, ArrInfo::fresh(size))]))
+        ArrayBlk(Some(Rc::from([(base, ArrInfo::fresh(size))])))
+    }
+
+    /// The blocks of `sorted`, which must be strictly ascending by base.
+    fn from_sorted(sorted: Vec<(AbsLoc, ArrInfo)>) -> ArrayBlk {
+        debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+        ArrayBlk((!sorted.is_empty()).then(|| Rc::from(sorted)))
+    }
+
+    fn as_slice(&self) -> &[(AbsLoc, ArrInfo)] {
+        self.0.as_deref().unwrap_or(&[])
     }
 
     /// Whether no blocks are present.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.is_none()
     }
 
     /// Number of bases.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// Iterates over `(base, info)` pairs.
     pub fn iter(&self) -> std::slice::Iter<'_, (AbsLoc, ArrInfo)> {
-        self.0.iter()
+        self.as_slice().iter()
     }
 
     /// Info for one base.
     pub fn get(&self, base: &AbsLoc) -> Option<&ArrInfo> {
-        self.0
+        let blocks = self.as_slice();
+        blocks
             .binary_search_by(|(b, _)| b.cmp(base))
             .ok()
-            .map(|i| &self.0[i].1)
+            .map(|i| &blocks[i].1)
     }
 
     /// The base locations a dereference of this pointer-to-array reaches.
     pub fn bases(&self) -> impl Iterator<Item = AbsLoc> + '_ {
-        self.0.iter().map(|(b, _)| *b)
+        self.iter().map(|(b, _)| *b)
+    }
+
+    /// Whether both sides are the same allocation (or both empty).
+    fn ptr_eq(&self, other: &ArrayBlk) -> bool {
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Pointer arithmetic: shifts every offset by `delta` (`p + i`).
     #[must_use]
     pub fn shift(&self, delta: &Interval) -> ArrayBlk {
-        if self.0.is_empty() || delta.as_const() == Some(0) {
+        if self.is_empty() || delta.as_const() == Some(0) {
             return self.clone();
         }
-        ArrayBlk(
-            self.0
-                .iter()
-                .map(|(b, info)| {
-                    (
-                        *b,
-                        ArrInfo {
-                            offset: info.offset.add(delta),
-                            size: info.size,
-                        },
-                    )
-                })
-                .collect::<Vec<_>>()
-                .into(),
-        )
+        let shifted = |&(b, info): &(AbsLoc, ArrInfo)| {
+            let offset = info.offset.add(delta);
+            (b, ArrInfo { offset, ..info })
+        };
+        ArrayBlk::from_sorted(self.iter().map(shifted).collect())
     }
 
     fn merge_with(&self, other: &ArrayBlk, f: impl Fn(&ArrInfo, &ArrInfo) -> ArrInfo) -> ArrayBlk {
-        if self.0.is_empty() {
+        if self.is_empty() {
             return other.clone();
         }
-        if other.0.is_empty() || Rc::ptr_eq(&self.0, &other.0) {
+        if other.is_empty() || self.ptr_eq(other) {
             return self.clone();
         }
-        let mut out: Vec<(AbsLoc, ArrInfo)> = Vec::with_capacity(self.0.len() + other.0.len());
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out: Vec<(AbsLoc, ArrInfo)> = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].0.cmp(&other.0[j].0) {
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
                 std::cmp::Ordering::Less => {
-                    out.push(self.0[i]);
+                    out.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(other.0[j]);
+                    out.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    out.push((self.0[i].0, f(&self.0[i].1, &other.0[j].1)));
+                    out.push((a[i].0, f(&a[i].1, &b[j].1)));
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.0[i..]);
-        out.extend_from_slice(&other.0[j..]);
-        ArrayBlk(out.into())
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        ArrayBlk::from_sorted(out)
     }
 }
 
@@ -176,12 +192,10 @@ impl Lattice for ArrayBlk {
     }
 
     fn le(&self, other: &Self) -> bool {
-        if Rc::ptr_eq(&self.0, &other.0) {
-            return true;
-        }
-        self.0
-            .iter()
-            .all(|(b, info)| other.get(b).is_some_and(|o| info.le(o)))
+        self.ptr_eq(other)
+            || self
+                .iter()
+                .all(|(b, info)| other.get(b).is_some_and(|o| info.le(o)))
     }
 
     fn join(&self, other: &Self) -> Self {
@@ -199,19 +213,14 @@ impl Lattice for ArrayBlk {
     fn narrow(&self, other: &Self) -> Self {
         // Narrowing only refines infinite bounds of entries present in both;
         // bases are kept (they were sound in `self`).
-        if Rc::ptr_eq(&self.0, &other.0) {
+        if self.ptr_eq(other) {
             return self.clone();
         }
-        ArrayBlk(
-            self.0
-                .iter()
-                .map(|(b, info)| match other.get(b) {
-                    Some(o) => (*b, info.narrow(o)),
-                    None => (*b, *info),
-                })
-                .collect::<Vec<_>>()
-                .into(),
-        )
+        let narrowed = |&(b, info): &(AbsLoc, ArrInfo)| match other.get(&b) {
+            Some(o) => (b, info.narrow(o)),
+            None => (b, info),
+        };
+        ArrayBlk::from_sorted(self.iter().map(narrowed).collect())
     }
 }
 
@@ -227,7 +236,7 @@ impl FromIterator<(AbsLoc, ArrInfo)> for ArrayBlk {
                 false
             }
         });
-        ArrayBlk(v.into())
+        ArrayBlk::from_sorted(v)
     }
 }
 
@@ -248,6 +257,7 @@ impl fmt::Debug for ArrayBlk {
 mod tests {
     use super::*;
     use crate::lattice::laws;
+    use proptest::prelude::*;
     use sga_ir::{Cp, NodeId, ProcId, VarId};
     use sga_utils::Idx;
 
@@ -313,6 +323,56 @@ mod tests {
                     laws::check_widen_narrow_laws(a, b);
                 }
             }
+        }
+    }
+
+    /// Blocks over bases `site(0..6)`, none included.
+    fn blocks() -> impl Strategy<Value = ArrayBlk> {
+        let info = (0i64..4, 0i64..4, 1i64..12).prop_map(|(lo, len, size)| ArrInfo {
+            offset: Interval::range(lo, lo + len),
+            size: Interval::constant(size),
+        });
+        prop::collection::btree_map(0usize..6, info, 0..4)
+            .prop_map(|m| m.into_iter().map(|(n, info)| (site(n), info)).collect())
+    }
+
+    proptest! {
+        /// However "no blocks" is built it is the one normal form, and
+        /// `blocks()` starts at zero entries, so the laws run over it.
+        #[test]
+        fn every_empty_block_set_is_the_normal_form(a in blocks(), d in -3i64..4) {
+            let none = ArrayBlk::empty();
+            let delta = Interval::constant(d);
+            let empties = [
+                ArrayBlk::bottom(),
+                std::iter::empty().collect(),
+                ArrayBlk::from_sorted(Vec::new()),
+                none.shift(&delta),
+                none.join(&none),
+                none.widen(&ArrayBlk::bottom()),
+                none.widen_with(&none, &Thresholds::new(vec![1, 8])),
+                none.narrow(&a),
+                a.iter().copied().filter(|_| false).collect(),
+            ];
+            for e in &empties {
+                prop_assert!(e.0.is_none(), "an empty block set holds no pointer");
+                prop_assert!(e.is_empty() && e.iter().len() == 0 && e.bases().next().is_none());
+                prop_assert!(*e == none);
+                prop_assert_eq!(format!("{e:?}"), "{}");
+                prop_assert!(e.le(&a) && (a.le(e) == a.is_empty()));
+                prop_assert!(e.join(&a) == a && a.join(e) == a);
+            }
+            // Nothing that keeps a base can lose the allocation.
+            for kept in [a.shift(&delta), a.narrow(&none), a.join(&none), a.widen(&a)] {
+                prop_assert_eq!(kept.0.is_none(), a.is_empty());
+                prop_assert_eq!(kept.len(), a.len());
+            }
+        }
+
+        #[test]
+        fn lattice_laws_on_generated_blocks(a in blocks(), b in blocks(), c in blocks()) {
+            laws::check_join_laws(&a, &b, &c);
+            laws::check_widen_narrow_laws(&a, &b);
         }
     }
 }

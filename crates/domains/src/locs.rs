@@ -6,7 +6,8 @@
 //!
 //! [`LocSet`] is an immutable sorted set with `Rc` sharing: points-to sets
 //! are copied into every state that mentions them, so cheap clones and
-//! subset-shortcut unions matter.
+//! subset-shortcut unions matter. The empty set — three of the four
+//! components of every scalar [`crate::Value`] — is no pointer at all.
 
 use crate::lattice::Lattice;
 use sga_ir::{Cp, FieldId, ProcId, VarId};
@@ -73,44 +74,60 @@ impl fmt::Debug for AbsLoc {
 }
 
 /// An immutable, sorted, deduplicated set of abstract locations.
+///
+/// The empty set is `None` and nothing else: every constructor goes through
+/// [`LocSet::from_sorted`], so `Some` never holds an empty slice and the
+/// derived `==` / `Hash` see one normal form. `None` costs no allocation and
+/// no atomic to build, clone or drop, and fills the pointer's niche.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct LocSet(Rc<[AbsLoc]>);
+pub struct LocSet(Option<Rc<[AbsLoc]>>);
 
 impl LocSet {
     /// The empty set.
-    pub fn empty() -> LocSet {
-        LocSet(Rc::from([]))
+    pub const fn empty() -> LocSet {
+        LocSet(None)
     }
 
     /// A one-element set.
     pub fn singleton(l: AbsLoc) -> LocSet {
-        LocSet(Rc::from([l]))
+        LocSet(Some(Rc::from([l])))
+    }
+
+    /// The set of `sorted`, which must be strictly ascending.
+    fn from_sorted(sorted: Vec<AbsLoc>) -> LocSet {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        LocSet((!sorted.is_empty()).then(|| Rc::from(sorted)))
+    }
+
+    /// The elements, ascending.
+    pub fn as_slice(&self) -> &[AbsLoc] {
+        self.0.as_deref().unwrap_or(&[])
     }
 
     /// Number of locations.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.is_none()
     }
 
     /// Membership test (binary search).
     pub fn contains(&self, l: &AbsLoc) -> bool {
-        self.0.binary_search(l).is_ok()
+        self.as_slice().binary_search(l).is_ok()
     }
 
     /// Iterates in ascending order.
     pub fn iter(&self) -> std::slice::Iter<'_, AbsLoc> {
-        self.0.iter()
+        self.as_slice().iter()
     }
 
     /// The single element, if the set is a singleton — the strong-update
     /// eligibility test.
     pub fn as_singleton(&self) -> Option<AbsLoc> {
-        match &*self.0 {
+        match self.as_slice() {
             [l] => Some(*l),
             _ => None,
         }
@@ -119,51 +136,52 @@ impl LocSet {
     /// Set union, sharing the larger side when one includes the other.
     #[must_use]
     pub fn union(&self, other: &LocSet) -> LocSet {
-        if self.0.is_empty() || Rc::ptr_eq(&self.0, &other.0) {
-            return other.clone();
-        }
-        if other.0.is_empty() {
-            return self.clone();
-        }
+        let (a, b) = match (&self.0, &other.0) {
+            (None, _) => return other.clone(),
+            (_, None) => return self.clone(),
+            (Some(a), Some(b)) if Rc::ptr_eq(a, b) => return self.clone(),
+            (Some(a), Some(b)) => (&**a, &**b),
+        };
         if other.is_subset(self) {
             return self.clone();
         }
         if self.is_subset(other) {
             return other.clone();
         }
-        let mut out = Vec::with_capacity(self.0.len() + other.0.len());
+        let mut out = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    out.push(self.0[i]);
+                    out.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(other.0[j]);
+                    out.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    out.push(self.0[i]);
+                    out.push(a[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&self.0[i..]);
-        out.extend_from_slice(&other.0[j..]);
-        LocSet(Rc::from(out))
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        LocSet::from_sorted(out)
     }
 
     /// Subset test over the sorted representations.
     pub fn is_subset(&self, other: &LocSet) -> bool {
-        if self.0.len() > other.0.len() {
+        let (a, b) = (self.as_slice(), other.as_slice());
+        if a.len() > b.len() {
             return false;
         }
         let mut j = 0;
-        'outer: for l in self.0.iter() {
-            while j < other.0.len() {
-                match other.0[j].cmp(l) {
+        'outer: for l in a {
+            while j < b.len() {
+                match b[j].cmp(l) {
                     std::cmp::Ordering::Less => j += 1,
                     std::cmp::Ordering::Equal => {
                         j += 1;
@@ -195,7 +213,7 @@ impl FromIterator<AbsLoc> for LocSet {
         let mut v: Vec<AbsLoc> = iter.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        LocSet(Rc::from(v))
+        LocSet::from_sorted(v)
     }
 }
 
@@ -203,7 +221,7 @@ impl<'a> IntoIterator for &'a LocSet {
     type Item = &'a AbsLoc;
     type IntoIter = std::slice::Iter<'a, AbsLoc>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
@@ -240,7 +258,10 @@ mod tests {
         let a: LocSet = [v(1), v(2), v(3)].into_iter().collect();
         let b: LocSet = [v(2)].into_iter().collect();
         let u = a.union(&b);
-        assert!(Rc::ptr_eq(&u.0, &a.0), "superset side should be shared");
+        let (Some(u), Some(a)) = (&u.0, &a.0) else {
+            panic!("non-empty sets are allocated");
+        };
+        assert!(Rc::ptr_eq(u, a), "superset side should be shared");
     }
 
     #[test]
@@ -273,6 +294,47 @@ mod tests {
             prop_assert_eq!(u.iter().copied().collect::<Vec<_>>(), want);
             prop_assert_eq!(a.is_subset(&b), xs.is_subset(&ys));
             prop_assert_eq!(a.contains(&v(7)), xs.contains(&7));
+        }
+
+        /// However an empty set is built — and the proptest ranges start at
+        /// zero elements, so the lattice laws below run over it too — it is
+        /// the one normal form: `==`, `Hash`, `is_empty` and `Debug` agree.
+        #[test]
+        fn every_empty_set_is_the_normal_form(
+            xs in prop::collection::btree_set(0usize..20, 0..6),
+        ) {
+            use std::hash::{Hash, Hasher};
+            let hash = |s: &LocSet| {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                s.hash(&mut h);
+                h.finish()
+            };
+            let a: LocSet = xs.iter().map(|&i| v(i)).collect();
+            let none = LocSet::empty();
+            let empties = [
+                LocSet::bottom(),
+                std::iter::empty().collect(),
+                none.union(&none),
+                none.join(&LocSet::bottom()),
+                none.widen(&none),
+                none.narrow(&a),
+                LocSet::from_sorted(Vec::new()),
+                // Nothing removes elements, so the only other way to an
+                // empty result is an empty input to a filtering collect.
+                a.iter().copied().filter(|_| false).collect(),
+            ];
+            for e in &empties {
+                prop_assert!(e.0.is_none(), "an empty set holds no pointer");
+                prop_assert!(e.is_empty() && e.iter().len() == 0 && e.as_singleton().is_none());
+                prop_assert!(*e == none && hash(e) == hash(&none));
+                prop_assert_eq!(format!("{e:?}"), "{}");
+                prop_assert!(e.is_subset(&a) && (a.is_subset(e) == a.is_empty()));
+                // ⊥ is the unit, and the non-empty side is shared as it is.
+                prop_assert!(e.union(&a) == a && a.union(e) == a);
+            }
+            // A non-empty set never compares or hashes like the empty one.
+            prop_assert_eq!(a == none, xs.is_empty());
+            prop_assert_eq!(a.0.is_none(), xs.is_empty());
         }
 
         #[test]

@@ -4,7 +4,9 @@
 //! integer abstraction (interval), a points-to set, an array block (base,
 //! offset, size tuples), and a set of function-pointer targets. Most values
 //! populate only one component; the product keeps the transfer functions
-//! uniform.
+//! uniform. An empty component is no pointer ([`LocSet`], [`ArrayBlk`]), so
+//! a scalar value is built, cloned, joined and dropped without touching the
+//! heap.
 
 use crate::array::ArrayBlk;
 use crate::interval::Interval;
@@ -27,7 +29,7 @@ pub struct Value {
 
 impl Value {
     /// The all-bottom value (no information; unreachable / never assigned).
-    pub fn bot() -> Value {
+    pub const fn bot() -> Value {
         Value {
             itv: Interval::Bot,
             ptr: LocSet::empty(),
@@ -216,6 +218,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn empty_components_fill_the_pointer_niche() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<LocSet>(), size_of::<&[AbsLoc]>());
+        assert_eq!(size_of::<ArrayBlk>(), size_of::<&[AbsLoc]>());
+        assert_eq!(
+            size_of::<Value>(),
+            size_of::<Interval>() + 3 * size_of::<&[AbsLoc]>()
+        );
     }
 
     #[test]

@@ -392,6 +392,12 @@ impl<K: Clone + Ord, V: Clone> PMap<K, V> {
         }
     }
 
+    /// The entries in ascending key order — what [`PMap::from_sorted_vec`]
+    /// takes.
+    pub fn to_sorted_vec(&self) -> Vec<(K, V)> {
+        self.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
     /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
         let mut cur = self.root.as_ref();
@@ -625,6 +631,7 @@ mod tests {
             let mut model = base.clone();
             let mut map = PMap::from_sorted_vec(base.clone().into_iter().collect());
             check_balance(&map.root);
+            prop_assert_eq!(&map.to_sorted_vec(), &base.clone().into_iter().collect::<Vec<_>>());
             prop_assert_eq!(&map, &base.into_iter().collect::<PMap<i64, i64>>());
             // `bal` assumes sibling heights differ by at most 3: updates on
             // top of a bulk-built tree must keep finding that true.
