@@ -17,7 +17,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate robustness serve-gate chaos-gate triage-gate isolation-gate bench-gate"
+ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate serve-gate chaos-gate triage-gate isolation-gate bench-gate"
 
 QUICK=0
 ONLY_STAGE=""
@@ -45,9 +45,8 @@ if [ "$LIST" -eq 1 ]; then
         "clippy"           "clippy with -D warnings, all targets" \
         "build-release *"  "release build (tier-1)" \
         "test"             "cargo test -q: the full tier-1 suite" \
-        "diag-gate"        "alarm triage: golden corpus, SARIF, baseline self-diff" \
+        "diag-gate"        "CLI baseline self-diff over the golden alarm corpus" \
         "ignore-gate"      "no #[ignore] in the precision suite; ignored tests pass" \
-        "robustness"       "panic isolation, sound degradation, cache healing" \
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
@@ -92,12 +91,10 @@ run_stage() {
 }
 
 diag_gate() {
-    # The alarm-triage surface, end to end and offline: the golden alarm
-    # corpus (fingerprints, octagon discharges, engine/widening agreement,
-    # SARIF validation against the vendored 2.1.0 schema), then a
-    # baseline-vs-self smoke over the corpus via the CLI — diffing a run
-    # against itself must classify zero new and zero fixed diagnostics.
-    cargo test -q -p sga --test diagnostics || return 1
+    # The `--baseline` surface through the CLI, over the golden alarm corpus
+    # (whose fingerprints, discharges and SARIF export the `test` stage
+    # checks): diffing a run against itself must classify zero new and zero
+    # fixed diagnostics.
     local bin=./target/debug/sga
     local tmp
     tmp=$(mktemp -d) || return 1
@@ -472,10 +469,6 @@ fi
 run_stage "test"        cargo test -q
 run_stage "diag-gate"   diag_gate
 run_stage "ignore-gate" ignore_gate
-# The fault-tolerance suite is cheap and guards invariants the other stages
-# don't (panic isolation, sound degradation, cache self-healing), so it
-# runs in --quick too.
-run_stage "robustness"  cargo test -q -p sga --test robustness
 # The daemon gate drives the debug binary (built by the test stage) over a
 # real socket, so it is cheap enough for --quick too.
 run_stage "serve-gate"  serve_gate

@@ -8,7 +8,7 @@
 //! procedure are matched pairwise, not collapsed.
 
 use crate::Diagnostic;
-use sga_utils::FxHashMap;
+use sga_utils::{FxHashMap, Json};
 
 /// Summary of a baseline comparison.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -22,6 +22,24 @@ pub struct BaselineDiff {
     /// How many of the `new` findings are open and definite — the CI
     /// gate's failure condition.
     pub new_definite: usize,
+}
+
+impl BaselineDiff {
+    /// The `{new, fixed, unchanged, new_definite}` block: a report's
+    /// `baseline` under `--baseline`, and the body of the daemon's diff
+    /// event.
+    pub fn to_json(&self) -> Json {
+        let hex = |fps: &[u64]| {
+            fps.iter()
+                .map(|fp| Json::from(format!("{fp:016x}")))
+                .collect::<Vec<_>>()
+        };
+        Json::obj()
+            .with("new", hex(&self.new))
+            .with("fixed", hex(&self.fixed))
+            .with("unchanged", self.unchanged)
+            .with("new_definite", self.new_definite)
+    }
 }
 
 /// Classification of one current diagnostic.

@@ -366,8 +366,6 @@ pub struct GcStats {
     pub tmp_removed: usize,
     /// Cache entries evicted by the LRU-by-access sweep.
     pub evicted: usize,
-    /// Serve round-journal records pruned (oldest beyond the cap).
-    pub serve_journal_removed: usize,
 }
 
 /// Offline cache maintenance (`sga cache gc`): prunes `quarantine/` to the
@@ -377,28 +375,17 @@ pub struct GcStats {
 /// beyond the cap, least-recently-accessed first.
 ///
 /// The serve daemon's `serve-journal/` records are **spared** by the entry
-/// sweep (they are warm-restart state, not cache entries): only their
-/// stranded `.tmp` files are removed, unless `serve_journal_max` caps them
-/// explicitly — then the oldest records beyond the cap are pruned, which at
-/// worst costs the next warm restart a recompute of those units.
-pub fn gc(
-    dir: &Path,
-    keep: usize,
-    max_entries: Option<usize>,
-    serve_journal_max: Option<usize>,
-) -> std::io::Result<GcStats> {
-    let serve_journal = dir.join("serve-journal");
+/// sweep (they are warm-restart state, not cache entries, and the daemon
+/// retains only records of units it still has): only their stranded `.tmp`
+/// files are removed.
+pub fn gc(dir: &Path, keep: usize, max_entries: Option<usize>) -> std::io::Result<GcStats> {
     Ok(GcStats {
         quarantine_removed: prune_dir_to_newest(&dir.join("quarantine"), keep)?,
         tmp_removed: sweep_tmp(dir)?
             + sweep_tmp(&dir.join("journal"))?
-            + sweep_tmp(&serve_journal)?,
+            + sweep_tmp(&dir.join("serve-journal"))?,
         evicted: match max_entries {
             Some(max) => prune_entries_to_newest(dir, max)?,
-            None => 0,
-        },
-        serve_journal_removed: match serve_journal_max {
-            Some(max) => prune_entries_to_newest(&serve_journal, max)?,
             None => 0,
         },
     })
@@ -934,7 +921,7 @@ mod tests {
         let jdir = dir.join("journal");
         std::fs::create_dir_all(&jdir).unwrap();
         std::fs::write(jdir.join("0001-xyz.json.tmp"), b"torn").unwrap();
-        let stats = gc(&dir, 1, None, None).unwrap();
+        let stats = gc(&dir, 1, None).unwrap();
         assert_eq!(stats.quarantine_removed, 3);
         assert_eq!(stats.tmp_removed, 2);
         assert_eq!(
@@ -942,11 +929,11 @@ mod tests {
             1
         );
         // Idempotent: a second pass finds nothing to do.
-        assert_eq!(gc(&dir, 1, None, None).unwrap(), GcStats::default());
+        assert_eq!(gc(&dir, 1, None).unwrap(), GcStats::default());
     }
 
     #[test]
-    fn gc_spares_serve_journal_records_and_prunes_on_request() {
+    fn gc_spares_serve_journal_records() {
         let cache = temp_cache("gc-serve");
         for key in 0..3u64 {
             cache.store("u", key, &sample()).unwrap();
@@ -954,38 +941,18 @@ mod tests {
         let dir = cache.path_for("u", 0).parent().unwrap().to_path_buf();
         let sdir = dir.join("serve-journal");
         std::fs::create_dir_all(&sdir).unwrap();
-        for (i, name) in ["u-aaaa.json", "u-bbbb.json", "u-cccc.json"]
-            .iter()
-            .enumerate()
-        {
-            let path = sdir.join(name);
-            std::fs::write(&path, b"round record").unwrap();
-            // Backdate so mtime ordering (oldest first) is deterministic.
-            let past =
-                std::time::SystemTime::now() - std::time::Duration::from_secs(1000 - i as u64);
-            std::fs::File::options()
-                .append(true)
-                .open(&path)
-                .and_then(|f| f.set_modified(past))
-                .unwrap();
+        for name in ["u-aaaa.json", "u-bbbb.json", "u-cccc.json"] {
+            std::fs::write(sdir.join(name), b"round record").unwrap();
         }
         std::fs::write(sdir.join("u-dddd.json.tmp"), b"torn").unwrap();
 
-        // Default policy: tmp strays are swept, records are spared — even
-        // under an aggressive cache-entry cap.
-        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1), None).unwrap();
+        // Tmp strays are swept, records are spared — even under an
+        // aggressive cache-entry cap.
+        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1)).unwrap();
         assert_eq!(stats.tmp_removed, 1);
-        assert_eq!(stats.serve_journal_removed, 0);
         assert_eq!(stats.evicted, 2);
         assert!(sdir.join("u-aaaa.json").exists());
         assert!(sdir.join("u-bbbb.json").exists());
-        assert!(sdir.join("u-cccc.json").exists());
-
-        // Explicit cap: oldest records beyond it are pruned.
-        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, None, Some(1)).unwrap();
-        assert_eq!(stats.serve_journal_removed, 2);
-        assert!(!sdir.join("u-aaaa.json").exists());
-        assert!(!sdir.join("u-bbbb.json").exists());
         assert!(sdir.join("u-cccc.json").exists());
     }
 
@@ -1035,7 +1002,7 @@ mod tests {
         let jdir = dir.join("journal");
         std::fs::create_dir_all(&jdir).unwrap();
         std::fs::write(jdir.join("0001-abc.json"), b"journal record").unwrap();
-        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1), None).unwrap();
+        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1)).unwrap();
         assert_eq!(stats.evicted, 2);
         assert!(jdir.join("0001-abc.json").exists());
     }

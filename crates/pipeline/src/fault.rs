@@ -117,6 +117,17 @@ impl FaultKind {
             FaultKind::Spin { .. } => "spin",
         }
     }
+
+    /// The directive's `=N` argument, for the kinds that take one.
+    fn arg(&self) -> Option<u64> {
+        match *self {
+            FaultKind::BudgetExhaust { max_steps } => Some(max_steps),
+            FaultKind::IoError { fail_first } => Some(u64::from(fail_first)),
+            FaultKind::Stall { ms } | FaultKind::Spin { ms } => Some(ms),
+            FaultKind::Oom { mb } => Some(mb),
+            _ => None,
+        }
+    }
 }
 
 /// A reproducible set of faults, keyed by unit index.
@@ -186,7 +197,7 @@ impl FaultPlan {
     }
 
     /// Whether the process should hard-abort when `unit`'s worker starts.
-    pub fn should_abort(&self, unit: usize) -> bool {
+    fn should_abort(&self, unit: usize) -> bool {
         self.faults
             .iter()
             .any(|(u, k)| *u == unit && matches!(k, FaultKind::Abort))
@@ -210,7 +221,7 @@ impl FaultPlan {
 
     /// MiB of address space `unit`'s worker should claim before dying, if
     /// any.
-    pub fn oom_mb(&self, unit: usize) -> Option<u64> {
+    fn oom_mb(&self, unit: usize) -> Option<u64> {
         self.faults.iter().find_map(|(u, k)| match k {
             FaultKind::Oom { mb } if *u == unit => Some(*mb),
             _ => None,
@@ -218,7 +229,7 @@ impl FaultPlan {
     }
 
     /// Whether `unit`'s worker should overflow its stack.
-    pub fn should_stackoverflow(&self, unit: usize) -> bool {
+    fn should_stackoverflow(&self, unit: usize) -> bool {
         self.faults
             .iter()
             .any(|(u, k)| *u == unit && matches!(k, FaultKind::StackOverflow))
@@ -226,11 +237,49 @@ impl FaultPlan {
 
     /// How long `unit`'s worker should busy-spin (non-cooperatively) before
     /// dying, if at all.
-    pub fn spin_ms(&self, unit: usize) -> Option<u64> {
+    fn spin_ms(&self, unit: usize) -> Option<u64> {
         self.faults.iter().find_map(|(u, k)| match k {
             FaultKind::Spin { ms } if *u == unit => Some(*ms),
             _ => None,
         })
+    }
+
+    /// The directives aimed at `unit`, under their own index.
+    pub fn only(&self, unit: usize) -> FaultPlan {
+        FaultPlan {
+            faults: self
+                .faults
+                .iter()
+                .filter(|(u, _)| *u == unit)
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Fires `unit`'s process-level faults: a stall, then the first of abort,
+    /// OOM, stack overflow and spin, each of which kills the process running
+    /// the unit. The one interpreter of those directives, called wherever the
+    /// unit runs: by the batch driver in thread mode (the death takes the
+    /// parent down — precisely what `--isolation process` exists to prevent)
+    /// and by the isolated worker, inside its limits.
+    pub fn fire_fatal(&self, unit: usize) {
+        if let Some(ms) = self.stall_ms(unit) {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        if self.should_abort(unit) {
+            // A hard crash, not a panic: nothing unwinds, nothing flushes.
+            // Exactly what an OOM kill looks like to the next run.
+            std::process::abort();
+        }
+        if let Some(mb) = self.oom_mb(unit) {
+            trigger_oom(mb);
+        }
+        if self.should_stackoverflow(unit) {
+            trigger_stackoverflow();
+        }
+        if let Some(ms) = self.spin_ms(unit) {
+            trigger_spin(ms);
+        }
     }
 
     /// Directives the serve daemon cannot interpret, in plan order
@@ -340,19 +389,35 @@ impl FaultPlan {
     }
 }
 
+/// The plan as the spec text [`FaultPlan::parse`] reads back — how the
+/// isolated worker's request carries a unit's directives.
+impl std::fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (n, (unit, kind)) in self.faults.iter().enumerate() {
+            let sep = if n == 0 { "" } else { "," };
+            write!(f, "{sep}{}@{unit}", kind.directive())?;
+            if let Some(arg) = kind.arg() {
+                write!(f, "={arg}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 // ---- fatal fault executors ---------------------------------------------
 //
-// The executors for the three process-killing faults live here so the batch
-// driver (thread mode: the fault takes the parent down, by design) and the
-// isolated worker (process mode: the fault takes only the worker down) run
-// the *same* death, not two approximations of it.
+// The executors for the three process-killing faults, reached only through
+// [`FaultPlan::fire_fatal`], so the batch driver (thread mode: the fault takes
+// the parent down, by design) and the isolated worker (process mode: the
+// fault takes only the worker down) run the *same* death, not two
+// approximations of it.
 
 /// Claims `mb` MiB of address space, then dies. Under an `RLIMIT_AS` below
 /// `mb` the reservation itself fails and Rust's allocation-failure handler
 /// aborts; otherwise the (untouched, so RSS-free) reservation succeeds and
 /// an explicit abort stands in for the OOM killer. Either way the process
 /// hosting the unit is gone, deterministically.
-pub(crate) fn trigger_oom(mb: u64) -> ! {
+fn trigger_oom(mb: u64) -> ! {
     let bytes = (mb as usize).saturating_mul(1 << 20);
     let reservation: Vec<u8> = Vec::with_capacity(bytes.max(1));
     std::hint::black_box(&reservation);
@@ -361,7 +426,7 @@ pub(crate) fn trigger_oom(mb: u64) -> ! {
 
 /// Overflows the stack with unbounded recursion (each frame pins a buffer
 /// so the optimizer cannot collapse the recursion into a loop).
-pub(crate) fn trigger_stackoverflow() -> ! {
+fn trigger_stackoverflow() -> ! {
     // The recursion is the whole point: every call pushes a real frame
     // until the guard page faults.
     #[allow(unconditional_recursion)]
@@ -378,7 +443,7 @@ pub(crate) fn trigger_stackoverflow() -> ! {
 /// Busy-spins — no sleeping, no budget metering, no cancellation points —
 /// for `ms` wall-clock milliseconds, then dies. A worker under a shorter
 /// `--worker-timeout-ms` is SIGKILLed mid-spin instead.
-pub(crate) fn trigger_spin(ms: u64) -> ! {
+fn trigger_spin(ms: u64) -> ! {
     let deadline = std::time::Instant::now() + std::time::Duration::from_millis(ms);
     let mut x = 0u64;
     while std::time::Instant::now() < deadline {
@@ -440,6 +505,24 @@ mod tests {
         assert!(FaultPlan::parse("oom@1").is_err());
         assert!(FaultPlan::parse("spin@1").is_err());
         assert!(FaultPlan::parse("oom@1=x").is_err());
+    }
+
+    /// The spec text a plan displays parses back to the same plan — the
+    /// worker request's encoding of a unit's directives — and `only` keeps
+    /// exactly one unit's directives, in plan order.
+    #[test]
+    fn display_roundtrips_through_parse() {
+        let spec = "panic@2,budget@0=50,truncate@1,bitflip@3,forge@3,io@4=2,abort@1,\
+                    stall@2=250,stop@3,oom@4=64,stackoverflow@1,spin@6=5000";
+        let plan = FaultPlan::parse(spec).unwrap();
+        assert_eq!(plan.to_string(), spec);
+        assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
+        assert_eq!(
+            plan.only(1).to_string(),
+            "truncate@1,abort@1,stackoverflow@1"
+        );
+        assert_eq!(FaultPlan::none().to_string(), "");
+        assert!(plan.only(5).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Write-ahead unit journal: the durability half of crash recovery.
 //!
 //! As each unit finishes — analyzed, degraded, invalid, or crashed — the
-//! driver appends one record to `journal/` under the cache root (or an
-//! explicit `journal_dir`) *before* the unit's cache store. A rerun with
+//! driver appends one record to `journal/` under the cache root *before*
+//! the unit's cache store. A rerun with
 //! `--resume` replays those records: journaled units return their recorded
 //! report object verbatim (no recompute, no cache lookup), and only the
 //! units the crash cut short are analyzed. Because the record carries the

@@ -181,11 +181,6 @@ pub struct PipelineOptions {
     /// interrupted) run already committed are served from their journal
     /// records instead of being recomputed.
     pub resume: bool,
-    /// Journal directory; defaults to `journal/` under the cache root.
-    /// `None` with caching disabled means no journal (and no resume).
-    pub journal_dir: Option<PathBuf>,
-    /// Quarantined damaged cache entries to retain (newest first).
-    pub quarantine_keep: usize,
     /// External graceful-shutdown flag (embedders; the CLI uses signal
     /// handlers via [`interrupt`] instead). Setting it drains the batch.
     pub stop: Option<Arc<AtomicBool>>,
@@ -213,8 +208,6 @@ impl Default for PipelineOptions {
             faults: FaultPlan::none(),
             validate: false,
             resume: false,
-            journal_dir: None,
-            quarantine_keep: cache::DEFAULT_QUARANTINE_KEEP,
             stop: None,
             baseline: None,
         }
@@ -500,17 +493,7 @@ fn apply_baseline(path: &std::path::Path, units_json: &mut [Json]) -> Result<Jso
         }
     }
     debug_assert_eq!(k, classes.len());
-
-    let hex = |fps: &[u64]| {
-        fps.iter()
-            .map(|fp| Json::from(format!("{fp:016x}")))
-            .collect::<Vec<_>>()
-    };
-    Ok(Json::obj()
-        .with("new", hex(&diff.new))
-        .with("fixed", hex(&diff.fixed))
-        .with("unchanged", diff.unchanged)
-        .with("new_definite", diff.new_definite))
+    Ok(diff.to_json())
 }
 
 /// Shared per-worker context of [`process_unit`].
@@ -925,23 +908,21 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
             let mut c = Cache::open(dir).map_err(|e| {
                 PipelineError::Io(format!("cannot open cache {}: {e}", dir.display()))
             })?;
-            c.set_quarantine_keep(options.quarantine_keep);
             c.set_max_entries(options.cache_max_entries);
             Some(c)
         }
         None => None,
     };
 
-    // The write-ahead journal lives under the cache root unless placed
-    // explicitly; with neither there is nothing durable to resume from.
-    let journal_dir = options
-        .journal_dir
-        .clone()
-        .or_else(|| options.cache_dir.as_ref().map(|d| d.join("journal")));
-    let journal = match &journal_dir {
-        Some(dir) => Some(Journal::open(dir).map_err(|e| {
-            PipelineError::Io(format!("cannot open journal {}: {e}", dir.display()))
-        })?),
+    // The write-ahead journal lives under the cache root; without a cache
+    // there is nothing durable to resume from.
+    let journal = match &options.cache_dir {
+        Some(dir) => {
+            let dir = dir.join("journal");
+            Some(Journal::open(&dir).map_err(|e| {
+                PipelineError::Io(format!("cannot open journal {}: {e}", dir.display()))
+            })?)
+        }
         None => None,
     };
     let replay: BTreeMap<usize, JournalRecord> = if options.resume {
@@ -949,7 +930,7 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
             Some(j) => j.load(),
             None => {
                 return Err(PipelineError::Io(
-                    "resume needs a journal: enable the cache or set a journal directory".into(),
+                    "resume needs a journal: enable the cache".into(),
                 ))
             }
         }
@@ -1041,31 +1022,11 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
                 }
             }
 
-            // The process-killing faults (stall-then-SIGKILL windows, abort,
-            // OOM, stack overflow, non-cooperative spin) execute wherever
-            // the unit executes: here in thread mode — taking the parent
-            // down, which is precisely the limitation `--isolation process`
-            // exists to remove — or inside the worker process, delegated
+            // The process-killing faults execute wherever the unit executes:
+            // here in thread mode, or inside the worker process, delegated
             // via its request.
             if options.isolation == IsolationMode::Thread {
-                if let Some(ms) = options.faults.stall_ms(i) {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                if options.faults.should_abort(i) {
-                    // A hard crash, not a panic: nothing unwinds, nothing
-                    // flushes. Exactly what an OOM kill looks like to the
-                    // next run — which is the point.
-                    std::process::abort();
-                }
-                if let Some(mb) = options.faults.oom_mb(i) {
-                    fault::trigger_oom(mb);
-                }
-                if options.faults.should_stackoverflow(i) {
-                    fault::trigger_stackoverflow();
-                }
-                if let Some(ms) = options.faults.spin_ms(i) {
-                    fault::trigger_spin(ms);
-                }
+                options.faults.fire_fatal(i);
             }
             if options.faults.should_stop(i) {
                 fault_stop.store(true, Ordering::Relaxed);

@@ -56,7 +56,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 3;
+const WORKER_FORMAT: u32 = 4;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -155,19 +155,6 @@ struct Request {
     limits: WorkerLimits,
     options: PipelineOptions,
     inner_jobs: usize,
-    faults: RequestFaults,
-}
-
-/// The hard (process-killing) faults delegated into the worker, so the
-/// death lands on the worker process instead of the parent.
-#[derive(Default)]
-struct RequestFaults {
-    panic: bool,
-    stall_ms: Option<u64>,
-    abort: bool,
-    oom_mb: Option<u64>,
-    stackoverflow: bool,
-    spin_ms: Option<u64>,
 }
 
 fn opt_u64(j: &Json, key: &str) -> Option<u64> {
@@ -184,7 +171,6 @@ fn encode_request(
     budget: &Budget,
 ) -> String {
     let options = ctx.options;
-    let faults = &options.faults;
     let mut budget_json = Json::obj();
     if let Some(steps) = budget.max_steps {
         budget_json.set("max_steps", steps as usize);
@@ -199,25 +185,6 @@ fn encode_request(
     if let Some(ms) = options.worker_limits.timeout_ms {
         limits_json.set("timeout_ms", ms as usize);
     }
-    let mut faults_json = Json::obj();
-    if faults.should_panic(i) {
-        faults_json.set("panic", true);
-    }
-    if let Some(ms) = faults.stall_ms(i) {
-        faults_json.set("stall_ms", ms as usize);
-    }
-    if faults.should_abort(i) {
-        faults_json.set("abort", true);
-    }
-    if let Some(mb) = faults.oom_mb(i) {
-        faults_json.set("oom_mb", mb as usize);
-    }
-    if faults.should_stackoverflow(i) {
-        faults_json.set("stackoverflow", true);
-    }
-    if let Some(ms) = faults.spin_ms(i) {
-        faults_json.set("spin_ms", ms as usize);
-    }
     let mut payload = Json::obj()
         .with("schema", WORKER_FORMAT)
         .with("name", input.name.as_str())
@@ -227,15 +194,22 @@ fn encode_request(
         .with("render_key", format!("{render_key:016x}"))
         .with("budget", budget_json)
         .with("limits", limits_json)
-        .with("faults", faults_json)
+        // The unit's own directives, as spec text: the worker fires the
+        // fatal ones and panics on `panic@`; the store-side ones are the
+        // parent's, which does the store.
+        .with("faults", options.faults.only(i).to_string())
         .with("bypass", options.depgen.bypass)
         .with("widening", options.widening.strategy.name())
         .with("triage", options.triage.name())
         .with("validate", options.validate)
-        .with("quarantine_keep", options.quarantine_keep)
         .with("inner_jobs", ctx.inner_jobs);
     if let Some(dir) = &options.cache_dir {
         payload.set("cache_dir", dir.display().to_string());
+    }
+    if let Some(max) = options.cache_max_entries {
+        // A capped cache refreshes an entry's mtime on every hit, so the
+        // parent's LRU sweep sees the worker's hits as recent use.
+        payload.set("cache_max_entries", max);
     }
     cache::seal(&payload)
 }
@@ -248,16 +222,16 @@ fn decode_request(text: &str) -> Option<Request> {
     }
     let budget_json = p.get("budget")?;
     let limits_json = p.get("limits")?;
-    let faults_json = p.get("faults")?;
     let options = PipelineOptions {
         cache_dir: p.get("cache_dir").and_then(Json::as_str).map(PathBuf::from),
+        cache_max_entries: opt_u64(&p, "cache_max_entries").map(|n| n as usize),
         depgen: sga_core::depgen::DepGenOptions {
             bypass: p.get("bypass")?.as_bool()?,
         },
         widening: WideningConfig::of(WideningStrategy::parse(p.get("widening")?.as_str()?)?),
         triage: TriageMode::parse(p.get("triage")?.as_str()?)?,
         validate: p.get("validate")?.as_bool()?,
-        quarantine_keep: p.get("quarantine_keep")?.as_u64()? as usize,
+        faults: FaultPlan::parse(p.get("faults")?.as_str()?).ok()?,
         // The worker itself always runs in thread mode: isolation does not
         // recurse.
         isolation: IsolationMode::Thread,
@@ -280,14 +254,6 @@ fn decode_request(text: &str) -> Option<Request> {
             timeout_ms: opt_u64(limits_json, "timeout_ms"),
         },
         inner_jobs: p.get("inner_jobs")?.as_u64()? as usize,
-        faults: RequestFaults {
-            panic: faults_json.get("panic").and_then(Json::as_bool) == Some(true),
-            stall_ms: opt_u64(faults_json, "stall_ms"),
-            abort: faults_json.get("abort").and_then(Json::as_bool) == Some(true),
-            oom_mb: opt_u64(faults_json, "oom_mb"),
-            stackoverflow: faults_json.get("stackoverflow").and_then(Json::as_bool) == Some(true),
-            spin_ms: opt_u64(faults_json, "spin_ms"),
-        },
         options,
     })
 }
@@ -409,30 +375,13 @@ pub fn worker_main() -> i32 {
     // Delegated hard faults fire *inside* the limits, after the request is
     // consumed — the death they cause is exactly the death a pathological
     // unit would cause at this point.
-    if let Some(ms) = req.faults.stall_ms {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-    if req.faults.abort {
-        std::process::abort();
-    }
-    if let Some(mb) = req.faults.oom_mb {
-        crate::fault::trigger_oom(mb);
-    }
-    if req.faults.stackoverflow {
-        crate::fault::trigger_stackoverflow();
-    }
-    if let Some(ms) = req.faults.spin_ms {
-        crate::fault::trigger_spin(ms);
-    }
+    let options = req.options;
+    options.faults.fire_fatal(req.index);
 
-    let mut options = req.options;
-    if req.faults.panic {
-        options.faults = FaultPlan::none().add(req.index, crate::fault::FaultKind::Panic);
-    }
     let cache = match &options.cache_dir {
         Some(dir) => match Cache::open(dir) {
             Ok(mut c) => {
-                c.set_quarantine_keep(options.quarantine_keep);
+                c.set_max_entries(options.cache_max_entries);
                 Some(c)
             }
             Err(e) => {
@@ -684,6 +633,7 @@ mod tests {
             validate: true,
             triage: TriageMode::Octagon,
             faults: FaultPlan::parse("panic@0,oom@0=64,spin@0=10").unwrap(),
+            cache_max_entries: Some(4),
             worker_limits: WorkerLimits {
                 mem_mb: Some(512),
                 timeout_ms: Some(1500),
@@ -706,10 +656,8 @@ mod tests {
         assert_eq!(req.limits.mem_mb, Some(512));
         assert_eq!(req.limits.timeout_ms, Some(1500));
         assert_eq!(req.inner_jobs, 3);
-        assert!(req.faults.panic);
-        assert_eq!(req.faults.oom_mb, Some(64));
-        assert_eq!(req.faults.spin_ms, Some(10));
-        assert!(!req.faults.abort);
+        assert_eq!(req.options.faults, options.faults);
+        assert_eq!(req.options.cache_max_entries, Some(4));
         assert!(req.options.validate);
         assert_eq!(req.options.triage, TriageMode::Octagon);
         assert_eq!(req.options.isolation, IsolationMode::Thread);
@@ -751,12 +699,12 @@ mod tests {
     }
 
     /// A request under the previous format's number is refused for the
-    /// number alone: re-sealed as it is it decodes, as schema 2 it does not.
+    /// number alone: re-sealed as it is it decodes, as schema 3 it does not.
     #[test]
     fn previous_format_request_is_a_schema_mismatch() {
         let mut old = cache::unseal(&default_request()).expect("request unseals");
         assert!(decode_request(&cache::seal(&old)).is_some());
-        old.set("schema", 2u32);
+        old.set("schema", 3u32);
         assert!(decode_request(&cache::seal(&old)).is_none());
     }
 

@@ -19,7 +19,7 @@
 //! whose source did not change reproduces its exact previous result, so
 //! over-invalidation can never corrupt state, only waste work.
 //!
-//! **Durability.** When a cache or journal directory is configured, every
+//! **Durability.** When a cache directory is configured, every
 //! (re-)analyzed unit is committed to a [`RoundJournal`] at the end of its
 //! round. [`Engine::open`] with `resume` replays those records: a unit
 //! whose current on-disk source still hashes to its record's cache key is
@@ -34,7 +34,7 @@ use sga_core::interface::UnitInterface;
 use sga_diag::baseline::{self, BaselineDiff};
 use sga_diag::Diagnostic;
 use sga_pipeline::{
-    analyze_units, assemble_report, load_project, unit_cache_key, Cache, PipelineError,
+    analyze_units, assemble_report, cache, load_project, unit_cache_key, Cache, PipelineError,
     PipelineOptions, Project, UnitInput,
 };
 use sga_utils::Json;
@@ -121,9 +121,9 @@ impl Engine {
     /// is set: units whose on-disk source still matches a journaled record
     /// are restored verbatim, the rest (including units a crash caught
     /// mid-round) are analyzed. Without `resume` the journal is cleared —
-    /// a fresh start owns it. The journal lives at `options.journal_dir`,
-    /// or `serve-journal/` under the cache root, or nowhere (no durability,
-    /// `resume` then degrades to a cold start).
+    /// a fresh start owns it. The journal lives at `serve-journal/` under
+    /// the cache root, or nowhere (no durability, `resume` then degrades to
+    /// a cold start).
     pub fn open(
         dir: &Path,
         options: &PipelineOptions,
@@ -137,20 +137,18 @@ impl Engine {
                 let mut c = Cache::open(cdir).map_err(|e| {
                     PipelineError::Io(format!("cannot open cache {}: {e}", cdir.display()))
                 })?;
-                c.set_quarantine_keep(options.quarantine_keep);
                 c.set_max_entries(options.cache_max_entries);
                 Some(c)
             }
             None => None,
         };
-        let journal_dir = options
-            .journal_dir
-            .clone()
-            .or_else(|| options.cache_dir.as_ref().map(|d| d.join("serve-journal")));
-        let journal = match &journal_dir {
-            Some(jdir) => Some(RoundJournal::open(jdir).map_err(|e| {
-                PipelineError::Io(format!("cannot open journal {}: {e}", jdir.display()))
-            })?),
+        let journal = match &options.cache_dir {
+            Some(cdir) => {
+                let jdir = cdir.join("serve-journal");
+                Some(RoundJournal::open(&jdir).map_err(|e| {
+                    PipelineError::Io(format!("cannot open journal {}: {e}", jdir.display()))
+                })?)
+            }
             None => None,
         };
         let inputs = load_project(&Project::Dir(dir.to_path_buf()))?;
@@ -307,7 +305,9 @@ impl Engine {
         // convergence anchor (a cold batch run) reads — and what the
         // supervisor or a `--resume` restart recovers from.
         for (name, source) in &latest {
-            write_atomic(&self.dir.join(name), source.as_bytes())
+            // Atomic, so a concurrently-started cold run never reads a
+            // half-written source.
+            cache::write_atomic(&self.dir.join(name), source.as_bytes())
                 .map_err(|e| PipelineError::Io(format!("cannot write {name}: {e}")))?;
         }
 
@@ -427,31 +427,5 @@ pub fn cold_report(dir: &Path, options: &PipelineOptions) -> Result<Json, Pipeli
     opts.canonical = true;
     opts.baseline = None;
     opts.resume = false;
-    opts.journal_dir = None;
     sga_pipeline::run(&Project::Dir(dir.to_path_buf()), &opts)
-}
-
-/// Atomic file write (temp + rename), so a concurrently-started cold run
-/// never reads a half-written source.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Renders a [`BaselineDiff`] in the report's `baseline` block shape —
-/// the same wire format `--baseline` emits, reused as the diff event body.
-pub fn diff_json(diff: &BaselineDiff) -> Json {
-    let hex = |fps: &[u64]| {
-        fps.iter()
-            .map(|fp| Json::from(format!("{fp:016x}")))
-            .collect::<Vec<_>>()
-    };
-    Json::obj()
-        .with("new", hex(&diff.new))
-        .with("fixed", hex(&diff.fixed))
-        .with("unchanged", diff.unchanged)
-        .with("new_definite", diff.new_definite)
 }

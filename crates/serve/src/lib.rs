@@ -27,7 +27,7 @@ pub mod journal;
 pub mod server;
 pub mod stats;
 
-pub use engine::{cold_report, diff_json, Engine, RoundFault, RoundOutcome};
+pub use engine::{cold_report, Engine, RoundFault, RoundOutcome};
 pub use journal::RoundJournal;
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use stats::ServeStats;

@@ -69,7 +69,7 @@
 //!   answered with a structured error; invalid UTF-8 likewise. The
 //!   connection survives both.
 
-use crate::engine::{diff_json, Engine, RoundFault, RoundOutcome};
+use crate::engine::{Engine, RoundFault, RoundOutcome};
 use crate::stats::ServeStats;
 use sga_pipeline::FaultPlan;
 use sga_utils::Json;
@@ -543,7 +543,7 @@ fn diff_event(round: usize, outcome: &RoundOutcome) -> Json {
         .with("round", round)
         .with("edited", names(&outcome.edited))
         .with("invalidated", names(&outcome.invalidated))
-        .with("diff", diff_json(&outcome.diff))
+        .with("diff", outcome.diff.to_json())
         .with("alarms", outcome.alarms)
 }
 

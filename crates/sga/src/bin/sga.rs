@@ -1,127 +1,40 @@
 //! The `sga` command-line analyzer: a miniature Sparrow.
 //!
 //! ```text
-//! sga <file.c> [--engine vanilla|base|sparse] [--domain interval|octagon]
-//!              [--widening naive|threshold|delayed]
-//!              [--triage octagon|path|both] [--max-steps N] [--timeout-ms N]
-//!              [--check] [--dump-ir] [--dump-values] [--stats]
-//! sga check <file.c> [--sarif FILE] [--engine vanilla|base|sparse]
-//!           [--widening naive|threshold|delayed] [--triage octagon|path|both]
-//!           [--max-steps N] [--timeout-ms N] [--isolation thread|process]
-//!           [--worker-mem-mb N] [--worker-timeout-ms N]
-//! sga analyze <dir> | --corpus units=N,kloc=K,seed=S
-//!             [--jobs N (0=auto)] [--cache-dir D] [--no-cache] [--canonical]
-//!             [--cache-max-entries N]
-//!             [--no-bypass] [--widening naive|threshold|delayed]
-//!             [--triage octagon|path|both] [--isolation thread|process]
-//!             [--worker-mem-mb N] [--worker-timeout-ms N]
-//!             [--keep-going | --fail-fast] [--max-steps N] [--timeout-ms N]
-//!             [--resume] [--validate] [--journal-dir D]
-//!             [--quarantine-keep N] [--faults SPEC] [--out FILE]
-//!             [--baseline REPORT]
-//! sga serve <dir> [--tcp ADDR] [--unix PATH] [--port-file FILE]
-//!           [--poll-ms N] [--jobs N (0=auto)] [--cache-dir D] [--no-cache]
-//!           [--cache-max-entries N] [--no-bypass]
-//!           [--widening naive|threshold|delayed] [--triage octagon|path|both]
-//!           [--max-steps N] [--timeout-ms N] [--isolation thread|process]
-//!           [--worker-mem-mb N] [--worker-timeout-ms N]
-//!           [--resume] [--journal-dir D] [--queue-cap N] [--sub-queue-cap N]
-//!           [--write-deadline-ms N] [--sub-sndbuf BYTES] [--max-line BYTES]
-//!           [--faults SPEC]
-//! sga watch <addr> [--once | --max-events N | --report | --status
-//!           | --edit UNIT FILE | --shutdown]
-//!           [--timeout-ms N (0=none)] [--retries N]
-//! sga cache gc <dir> [--keep N] [--max-entries N] [--serve-journal-max N]
+//! sga <file.c>          analyze one file; print values, stats, alarms
+//! sga check <file.c>    structured diagnostics with triage, optionally SARIF
+//! sga analyze <dir>     the batch pipeline over a directory or a generated
+//!                       corpus: one JSON run report
+//! sga serve <dir>       the incremental daemon: re-analyze on edit
+//! sga watch <addr>      the daemon's client
+//! sga cache gc <dir>    offline cache maintenance
 //! ```
 //!
-//! `sga check` runs all four checkers (buffer overrun, null dereference,
-//! division by zero, uninitialized read) over one file, re-examines every
-//! possible interval alarm against the packed octagon analysis (demoting
-//! relationally-refuted ones to *discharged*), prints the structured
-//! diagnostics, and with `--sarif` writes a SARIF 2.1.0 log (validated
-//! against the vendored schema before it is written).
+//! Every flag is one row of [`FLAGS`] — its spelling, its value, the
+//! subcommands that take it, its help line and the field it sets — and
+//! `sga <subcommand> --help` prints the rows that subcommand takes.
 //!
-//! `--triage octagon|path|both` (default `both`) selects the discharge
-//! layers: `octagon` re-runs possible alarms against the packed octagon
-//! relations only; `path` walks the dominator tree from each alarm to its
-//! procedure entry and discharges alarms whose dominating `assume` guard
-//! chain is infeasible under the interval bindings (a dead guard, or a
-//! contradictory conjunction of stable guards); `both` layers the path
-//! pass after the octagon pass, so its discharged set is a superset by
-//! construction. Every path discharge carries a `path_infeasible` proving
-//! pack naming the guard chain with branch polarities and the refuting
-//! domain fact. Definite alarms are never triaged, and a budget-degraded
-//! unit skips the path layer. The mode is part of the unit cache key —
-//! switching `--triage` between runs (or daemon restarts) never replays
-//! another mode's cached or journaled diagnostics.
+//! `check` runs all four checkers (buffer overrun, null dereference, division
+//! by zero, uninitialized read) and demotes the possible alarms its triage
+//! layers refute to *discharged*: `octagon` re-runs them against the packed
+//! octagon relations, `path` discharges alarms whose dominating guard chain
+//! is infeasible under the interval bindings, `both` (the default) layers the
+//! second after the first. Definite alarms are never triaged, and the mode is
+//! part of every cache key.
 //!
-//! `sga analyze` runs the batch pipeline over every `*.c` file in a
-//! directory (or over a generated corpus) and prints a JSON run report.
-//! `--baseline old-report.json` diffs the run's open diagnostics against a
-//! previous report by content fingerprint — each is classified
-//! `new`/`unchanged`, disappeared ones are `fixed` — and a *new definite*
-//! alarm fails the run with exit code 6.
-//! Under `--keep-going` (the default) a crashing or unparsable unit is
-//! recorded in the report while the rest of the batch completes;
-//! `--fail-fast` aborts the run on the first failure. `--max-steps` /
-//! `--timeout-ms` bound each unit's fixpoint — over-budget units degrade
-//! soundly and are marked `degraded`. `--faults` injects deterministic
-//! faults for testing (see `pipeline::fault`).
+//! `analyze` records a crashing unit and finishes the batch; every finished
+//! unit is journaled before its cache store, so a killed run resumes
+//! byte-identically, and SIGINT/SIGTERM drain in-flight units and flush a
+//! partial report. Under `--isolation process` each unit runs in a
+//! supervised re-exec of this binary, so an abort, OOM, stack overflow or
+//! spin kills only its worker (retried once, then `crashed`). `--faults`
+//! keys its directives by unit index for `analyze` and by 1-based round
+//! attempt for `serve`, which accepts only `panic` and `stall`.
 //!
-//! `--isolation process` re-executes the binary as one supervised worker
-//! process per unit (`thread`, the default, runs units on in-process
-//! worker threads): a unit that aborts, overflows its stack, exhausts
-//! memory, or spins forever kills only its worker — retried once, then
-//! recorded `crashed` — instead of the whole run or daemon.
-//! `--worker-mem-mb` caps each worker's address space (`RLIMIT_AS`);
-//! `--worker-timeout-ms` arms a wall-clock supervisor that SIGKILLs a
-//! stalled worker (with an `RLIMIT_CPU` backstop). The cooperative
-//! `--timeout-ms` budget still degrades soundly *inside* the worker —
-//! budget exhaustion is `degraded`, a worker kill is `crashed`. Canonical
-//! reports are byte-identical across isolation modes, and both modes share
-//! cache entries.
-//!
-//! `--faults` keys directives by **unit index** in the batch driver
-//! (`abort@2` = unit 2) but by **1-based round attempt** in `sga serve`
-//! (`panic@2` = second edit round); serve accepts only `panic` and `stall`
-//! and rejects plans carrying anything else, rather than silently ignoring
-//! them.
-//!
-//! Batch runs are durable and checkable: every finished unit is committed
-//! to a write-ahead journal before its cache store, `--resume` replays
-//! that journal after a crash or interruption (producing a report
-//! byte-identical to an uninterrupted run's), SIGINT/SIGTERM drain
-//! in-flight workers and flush a partial report marked `interrupted`, and
-//! `--validate` re-checks every unit against the paper's correctness
-//! contracts (post-fixpoint, Lemma 1, the Def. 5 side condition) plus the
-//! cache. `sga cache gc` prunes quarantined entries and stranded temp
-//! files, and with `--max-entries` evicts cache entries beyond the cap,
-//! least-recently-accessed first. `--jobs 0` auto-detects the machine's
-//! parallelism.
-//!
-//! `sga serve` keeps a corpus loaded and re-analyzes on edit: clients send
-//! line-delimited JSON commands over TCP (`--tcp`, default `127.0.0.1:0`;
-//! the bound address goes to `--port-file`) or a Unix socket (`--unix`),
-//! and subscribers receive one alarm-diff event per edit round. Only units
-//! whose imported symbols changed interface are re-analyzed (see
-//! `serve::engine`). `--poll-ms` additionally watches the corpus directory
-//! for out-of-band file edits. The daemon is built for hostile traffic:
-//! the request queue is bounded (`--queue-cap`) and overload edits are
-//! shed with `{"ok":false,"shed":true}`; each subscriber gets its own
-//! writer thread with a bounded queue and write deadline
-//! (`--sub-queue-cap`, `--write-deadline-ms`), so a stalled consumer is
-//! evicted instead of blocking rounds; a panicking round is supervised —
-//! the daemon broadcasts `round_degraded`, rebuilds the engine from its
-//! journal, and broadcasts `engine_restarted`; every round's unit results
-//! are journaled (`--journal-dir`, default `serve-journal/` under the
-//! cache), and `--resume` warm-restarts from that journal after a crash
-//! with a byte-identical report. `--faults panic@ROUND,stall@ROUND=MS`
-//! injects deterministic round-keyed faults for testing. `sga watch
-//! <addr>` is the matching client: by default it streams diff events;
-//! `--once` exits after the first one,
-//! `--edit`/`--report`/`--status`/`--shutdown` issue one command each,
-//! under a connect/read deadline (`--timeout-ms`) with shed-edit retry
-//! (`--retries`).
+//! `serve` keeps a corpus loaded, re-analyzes only units whose imported
+//! symbols changed interface, streams one alarm diff per edit round to
+//! subscribers, journals every round under the cache, and warm-restarts from
+//! that journal under `--resume`.
 //!
 //! Exit codes, consolidated:
 //!
@@ -145,316 +58,445 @@ use sga::analysis::{checker, octagon, preanalysis};
 use sga::diag::Diagnostic;
 use sga::domains::Lattice;
 use sga::pipeline::{self, FaultPlan, IsolationMode, PipelineOptions, Project};
-use std::path::PathBuf;
+use sga::serve::ServerConfig;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use Set::{Num, On, Pair, Parse, Text};
+use Sub::{Analyze, Check, File, Gc, Serve, Watch};
 
-struct Options {
-    file: String,
-    engine: Engine,
-    domain: Domain,
-    /// `--widening`, `--triage` and the budget, where [`analysis_flag`]
-    /// puts them.
-    analysis: PipelineOptions,
-    check: bool,
-    dump_ir: bool,
-    dump_values: bool,
-    stats: bool,
+/// The subcommands: where a flag applies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Sub {
+    File,
+    Check,
+    Analyze,
+    Serve,
+    Watch,
+    Gc,
 }
 
-#[derive(PartialEq)]
+impl Sub {
+    const ALL: [Sub; 6] = [File, Check, Analyze, Serve, Watch, Gc];
+
+    /// The head of the subcommand's usage.
+    fn synopsis(self) -> &'static str {
+        match self {
+            File => "sga <file.c>",
+            Check => "sga check <file.c>",
+            Analyze => "sga analyze <dir> | --corpus units=N,kloc=K,seed=S",
+            Serve => "sga serve <dir>",
+            Watch => "sga watch <addr>",
+            Gc => "sga cache gc <dir>",
+        }
+    }
+}
+
+/// Every subcommand that analyzes.
+const ANALYSIS: &[Sub] = &[File, Check, Analyze, Serve];
+/// Where units can run in worker processes.
+const WORKERS: &[Sub] = &[Check, Analyze, Serve];
+/// The multi-unit drivers, with a cache and a journal.
+const DRIVERS: &[Sub] = &[Analyze, Serve];
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 enum Domain {
+    #[default]
     Interval,
     Octagon,
 }
 
-const USAGE: &str = "usage: sga <file.c> [--engine vanilla|base|sparse] \
-                     [--domain interval|octagon] \
-                     [--widening naive|threshold|delayed] \
-                     [--triage octagon|path|both] \
-                     [--max-steps N] [--timeout-ms N] [--check] [--dump-ir] \
-                     [--dump-values] [--stats]";
-
-/// Parses a positive-integer flag value.
-fn num_flag(flag: &str, value: Option<String>) -> Result<u64, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse().map_err(|_| format!("bad {flag} {v:?}"))
+/// What `sga watch` asks the daemon; by default, to stream diff events.
+#[derive(Debug, Default)]
+enum Ask {
+    #[default]
+    Stream,
+    Report,
+    Status,
+    Shutdown,
+    Edit(String, PathBuf),
 }
 
-/// `--help`: the usage on stdout, and success — asking is not an error.
-fn help(usage: &str) -> ! {
-    println!("{usage}");
-    std::process::exit(0)
+/// Everything a command line sets: what [`parse`] returns.
+#[derive(Debug, Default)]
+struct Args {
+    /// The file, directory or daemon address.
+    operand: String,
+    help: bool,
+    /// The analysis and driver options; `cache_dir` already resolved.
+    opts: PipelineOptions,
+    /// `None` is the default sparse engine, the one `check --isolation
+    /// process` can run.
+    engine: Option<Engine>,
+    domain: Domain,
+    check: bool,
+    dump_ir: bool,
+    dump_values: bool,
+    stats: bool,
+    sarif: Option<PathBuf>,
+    corpus: Option<Project>,
+    out: Option<PathBuf>,
+    no_cache: bool,
+    server: ServerConfig,
+    ask: Ask,
+    max_events: Option<usize>,
+    deadline_ms: Option<u64>,
+    retries: Option<u32>,
+    keep: Option<usize>,
+    max_entries: Option<usize>,
 }
 
-/// The analysis flags `sga <file>`, `check`, `analyze` and `serve` share,
-/// parsed into the [`PipelineOptions`] fields they set; `Ok(false)` when
-/// `arg` is not one of them. The three worker flags exist only where units
-/// can run in worker processes (`workers`): single-file mode has none.
-fn analysis_flag(
-    arg: &str,
-    args: &mut impl Iterator<Item = String>,
-    opts: &mut PipelineOptions,
-    workers: bool,
-) -> Result<bool, String> {
-    match arg {
-        "--widening" => {
-            let strategy = args.next().as_deref().and_then(WideningStrategy::parse);
-            opts.widening =
-                WideningConfig::of(strategy.ok_or("bad --widening (naive|threshold|delayed)")?);
-        }
-        "--triage" => {
-            let mode = args.next().as_deref().and_then(TriageMode::parse);
-            opts.triage = mode.ok_or("bad --triage (octagon|path|both)")?;
-        }
-        "--max-steps" => opts.budget.max_steps = Some(num_flag(arg, args.next())?),
-        "--timeout-ms" => opts.budget.timeout_ms = Some(num_flag(arg, args.next())?),
-        "--isolation" if workers => {
-            let mode = args.next().as_deref().and_then(IsolationMode::parse);
-            opts.isolation = mode.ok_or("bad --isolation (thread|process)")?;
-        }
-        "--worker-mem-mb" if workers => {
-            opts.worker_limits.mem_mb = Some(num_flag(arg, args.next())?);
-        }
-        "--worker-timeout-ms" if workers => {
-            opts.worker_limits.timeout_ms = Some(num_flag(arg, args.next())?);
-        }
-        _ => return Ok(false),
+/// How a flag sets its field.
+#[derive(Clone, Copy)]
+enum Set {
+    /// A switch: no value.
+    On(fn(&mut Args)),
+    /// A count, size or duration.
+    Num(fn(&mut Args, u64)),
+    /// A path or an address, taken as given.
+    Text(fn(&mut Args, String)),
+    /// A value the row parses; the empty error means "not one of the row's
+    /// values".
+    Parse(fn(&mut Args, &str) -> Result<(), String>),
+    /// `--edit UNIT FILE`'s two values.
+    Pair(fn(&mut Args, String, String)),
+}
+
+/// One spelling of one flag, declared once: the parser and every `--help`
+/// read it. A spelling with two meanings is two rows with disjoint `on`.
+struct Flag {
+    name: &'static str,
+    /// The value it takes as the usage shows it; empty for a switch.
+    value: &'static str,
+    on: &'static [Sub],
+    help: &'static str,
+    set: Set,
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    on: &'static [Sub],
+    help: &'static str,
+    set: Set,
+) -> Flag {
+    Flag {
+        name,
+        value,
+        on,
+        help,
+        set,
     }
-    Ok(true)
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut file: Option<String> = None;
-    let mut engine = Engine::Sparse;
-    let mut domain = Domain::Interval;
-    let mut analysis = PipelineOptions::default();
-    let (mut check, mut dump_ir, mut dump_values, mut stats) = (false, false, false, false);
-    let mut args = std::env::args().skip(1);
+#[rustfmt::skip]
+static FLAGS: &[Flag] = &[
+    flag("--engine", "vanilla|base|sparse", &[File, Check], "fixpoint engine (default sparse)",
+         Parse(|a, v| pick(&mut a.engine, engine(v).map(Some)))),
+    flag("--domain", "interval|octagon", &[File], "abstract domain (default interval)",
+         Parse(|a, v| pick(&mut a.domain, domain(v)))),
+    flag("--check", "", &[File], "run the checkers and triage; exit 1 on an open definite alarm",
+         On(|a| a.check = true)),
+    flag("--dump-ir", "", &[File], "print the lowered IR",
+         On(|a| a.dump_ir = true)),
+    flag("--dump-values", "", &[File], "print the fixpoint's values",
+         On(|a| a.dump_values = true)),
+    flag("--stats", "", &[File], "print times and work counts on stderr",
+         On(|a| a.stats = true)),
+    flag("--widening", "naive|threshold|delayed", ANALYSIS, "widening strategy (default delayed)",
+         Parse(|a, v| pick(&mut a.opts.widening, WideningStrategy::parse(v).map(WideningConfig::of)))),
+    flag("--triage", "octagon|path|both", ANALYSIS, "discharge layers over possible alarms (default both)",
+         Parse(|a, v| pick(&mut a.opts.triage, TriageMode::parse(v)))),
+    flag("--max-steps", "N", ANALYSIS, "fixpoint step budget per unit; past it, degrade soundly",
+         Num(|a, n| a.opts.budget.max_steps = Some(n))),
+    flag("--timeout-ms", "N", ANALYSIS, "fixpoint time budget per unit; past it, degrade soundly",
+         Num(|a, n| a.opts.budget.timeout_ms = Some(n))),
+    flag("--isolation", "thread|process", WORKERS, "run units on threads or in supervised worker processes (default thread)",
+         Parse(|a, v| pick(&mut a.opts.isolation, IsolationMode::parse(v)))),
+    flag("--worker-mem-mb", "N", WORKERS, "address-space cap of a worker process",
+         Num(|a, n| a.opts.worker_limits.mem_mb = Some(n))),
+    flag("--worker-timeout-ms", "N", WORKERS, "wall-clock limit of a worker process, then SIGKILL",
+         Num(|a, n| a.opts.worker_limits.timeout_ms = Some(n))),
+    flag("--sarif", "FILE", &[Check], "also write a SARIF 2.1.0 log",
+         Text(|a, v| a.sarif = Some(v.into()))),
+    flag("--corpus", "units=N,kloc=K,seed=S", &[Analyze], "analyze a generated corpus instead of a directory",
+         Parse(|a, v| corpus(v).map(|p| a.corpus = Some(p)))),
+    flag("--jobs", "N", DRIVERS, "worker threads; 0 = one per CPU (default 1)",
+         Num(|a, n| a.opts.jobs = n as usize)),
+    flag("--cache-dir", "D", DRIVERS, "cache directory, journals under it (default <dir>/.sga-cache)",
+         Text(|a, v| a.opts.cache_dir = Some(v.into()))),
+    flag("--no-cache", "", DRIVERS, "no cache, and so no journal",
+         On(|a| a.no_cache = true)),
+    flag("--cache-max-entries", "N", DRIVERS, "evict cache entries beyond N, least recently used first",
+         Num(|a, n| a.opts.cache_max_entries = Some(n as usize))),
+    flag("--no-bypass", "", DRIVERS, "keep the dependency edges bypassing would remove",
+         On(|a| a.opts.depgen.bypass = false)),
+    flag("--resume", "", DRIVERS, "replay the journal a killed or interrupted run left",
+         On(|a| a.opts.resume = true)),
+    flag("--canonical", "", &[Analyze], "timing-free report, byte-comparable across runs",
+         On(|a| a.opts.canonical = true)),
+    flag("--fail-fast", "", &[Analyze], "stop at the first failing unit instead of recording it",
+         On(|a| a.opts.keep_going = false)),
+    flag("--validate", "", &[Analyze], "re-check every unit against the correctness oracle",
+         On(|a| a.opts.validate = true)),
+    flag("--faults", "SPEC", &[Analyze], "inject faults by unit index, e.g. abort@2 (testing)",
+         Parse(|a, v| FaultPlan::parse(v).map(|p| a.opts.faults = p))),
+    flag("--out", "FILE", &[Analyze], "write the report to FILE instead of stdout",
+         Text(|a, v| a.out = Some(v.into()))),
+    flag("--baseline", "REPORT", &[Analyze], "diff against an earlier report; exit 6 on a new definite alarm",
+         Text(|a, v| a.opts.baseline = Some(v.into()))),
+    flag("--tcp", "ADDR", &[Serve], "listen on TCP (default 127.0.0.1:0 without --unix)",
+         Text(|a, v| a.server.tcp = Some(v))),
+    flag("--unix", "PATH", &[Serve], "listen on a Unix socket",
+         Text(|a, v| a.server.unix = Some(v.into()))),
+    flag("--port-file", "FILE", &[Serve], "write the bound TCP address to FILE",
+         Text(|a, v| a.server.port_file = Some(v.into()))),
+    flag("--poll-ms", "N", &[Serve], "also pick up file writes in <dir>, polling every N ms",
+         Num(|a, n| a.server.poll_ms = Some(n))),
+    flag("--faults", "SPEC", &[Serve], "inject faults by round attempt: panic@R, stall@R=MS (testing)",
+         Parse(serve_faults)),
+    flag("--once", "", &[Watch], "exit after the first diff event",
+         On(|a| a.max_events = Some(1))),
+    flag("--max-events", "N", &[Watch], "exit after N diff events",
+         Num(|a, n| a.max_events = Some(n as usize))),
+    flag("--report", "", &[Watch], "print the accumulated report",
+         On(|a| a.ask = Ask::Report)),
+    flag("--status", "", &[Watch], "print the daemon's status",
+         On(|a| a.ask = Ask::Status)),
+    flag("--shutdown", "", &[Watch], "stop the daemon",
+         On(|a| a.ask = Ask::Shutdown)),
+    flag("--edit", "UNIT FILE", &[Watch], "replace UNIT's source with FILE's",
+         Pair(|a, unit, file| a.ask = Ask::Edit(unit, file.into()))),
+    flag("--timeout-ms", "N", &[Watch], "connect and reply deadline; 0 = none (default 10000)",
+         Num(|a, n| a.deadline_ms = Some(n))),
+    flag("--retries", "N", &[Watch], "resend a shed edit up to N times (default 5)",
+         Num(|a, n| a.retries = Some(n as u32))),
+    flag("--keep", "N", &[Gc], "quarantined entries to keep (default 16)",
+         Num(|a, n| a.keep = Some(n as usize))),
+    flag("--max-entries", "N", &[Gc], "evict cache entries beyond N, least recently used first",
+         Num(|a, n| a.max_entries = Some(n as usize))),
+    flag("--help", "", &Sub::ALL, "print this help (also -h)",
+         On(|a| a.help = true)),
+];
+
+impl Flag {
+    /// Takes the row's values off `args` and sets its field.
+    fn apply(&self, a: &mut Args, args: &mut impl Iterator<Item = String>) -> Result<(), String> {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{} needs {}", self.name, self.value))
+        };
+        match self.set {
+            On(set) => set(a),
+            Num(set) => {
+                let v = value()?;
+                set(a, v.parse().map_err(|_| self.bad(&v, String::new()))?);
+            }
+            Text(set) => set(a, value()?),
+            Parse(set) => {
+                let v = value()?;
+                set(a, &v).map_err(|why| self.bad(&v, why))?;
+            }
+            Pair(set) => {
+                let first = value()?;
+                set(a, first, value()?);
+            }
+        }
+        Ok(())
+    }
+
+    /// The error for a value the row cannot take.
+    fn bad(&self, v: &str, why: String) -> String {
+        let why = if why.is_empty() {
+            format!("expected {}", self.value)
+        } else {
+            why
+        };
+        format!("bad {} {v:?}: {why}", self.name)
+    }
+}
+
+/// Stores a parsed value, or fails with the empty error.
+fn pick<T>(field: &mut T, parsed: Option<T>) -> Result<(), String> {
+    *field = parsed.ok_or_else(String::new)?;
+    Ok(())
+}
+
+fn engine(v: &str) -> Option<Engine> {
+    match v {
+        "vanilla" => Some(Engine::Vanilla),
+        "base" => Some(Engine::Base),
+        "sparse" => Some(Engine::Sparse),
+        _ => None,
+    }
+}
+
+fn domain(v: &str) -> Option<Domain> {
+    match v {
+        "interval" => Some(Domain::Interval),
+        "octagon" => Some(Domain::Octagon),
+        _ => None,
+    }
+}
+
+/// `--corpus units=N,kloc=K,seed=S`; a missing field keeps its default (4
+/// units of 1 kloc, seed 0).
+fn corpus(spec: &str) -> Result<Project, String> {
+    let (mut units, mut kloc, mut seed) = (4usize, 1usize, 0u64);
+    for part in spec.split(',') {
+        let bad = || format!("bad field {part:?}");
+        match part.split_once('=') {
+            Some(("units", v)) => units = v.parse().map_err(|_| bad())?,
+            Some(("kloc", v)) => kloc = v.parse().map_err(|_| bad())?,
+            Some(("seed", v)) => seed = v.parse().map_err(|_| bad())?,
+            _ => return Err(bad()),
+        }
+    }
+    Ok(Project::Corpus { units, kloc, seed })
+}
+
+/// Serve's `--faults`: the daemon interprets only `panic@` and `stall@`.
+/// The fatal batch directives would kill or hang the whole daemon, so they
+/// are refused up front rather than silently ignored.
+fn serve_faults(a: &mut Args, spec: &str) -> Result<(), String> {
+    let plan = FaultPlan::parse(spec)?;
+    let unsupported = plan.serve_unsupported();
+    if !unsupported.is_empty() {
+        return Err(format!(
+            "serve cannot interpret {}: only panic@ROUND and stall@ROUND=MS apply to the daemon",
+            unsupported.join(", ")
+        ));
+    }
+    a.server.faults = plan;
+    Ok(())
+}
+
+/// `sub`'s usage: its synopsis, then one line per flag it takes.
+fn usage(sub: Sub) -> String {
+    let rows: Vec<(String, &str)> = FLAGS
+        .iter()
+        .filter(|f| f.on.contains(&sub))
+        .map(|f| (format!("{} {}", f.name, f.value), f.help))
+        .collect();
+    let width = rows
+        .iter()
+        .map(|(spelled, _)| spelled.len())
+        .max()
+        .unwrap_or(0);
+    let mut text = format!("usage: {} [flags]", sub.synopsis());
+    for (spelled, help) in rows {
+        text += &format!("\n  {spelled:<width$}  {help}");
+    }
+    text
+}
+
+/// Parses one subcommand's arguments against [`FLAGS`]: each flag a row
+/// gives `sub` sets its field, the one bare word is the operand. The cache
+/// directory comes back resolved: `--cache-dir`, else `.sga-cache` inside
+/// the analyzed directory (a generated corpus caches only when asked to),
+/// and none under `--no-cache`.
+fn parse(sub: Sub, args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args::default();
+    let mut operand = None;
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        if analysis_flag(&arg, &mut args, &mut analysis, false)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--engine" => {
-                engine = match args.next().as_deref() {
-                    Some("vanilla") => Engine::Vanilla,
-                    Some("base") => Engine::Base,
-                    Some("sparse") => Engine::Sparse,
-                    other => return Err(format!("bad --engine {other:?}")),
-                }
+        let name = if arg == "-h" { "--help" } else { arg.as_str() };
+        if let Some(flag) = FLAGS.iter().find(|f| f.name == name && f.on.contains(&sub)) {
+            flag.apply(&mut a, &mut args)?;
+            if a.help {
+                return Ok(a);
             }
-            "--domain" => {
-                domain = match args.next().as_deref() {
-                    Some("interval") => Domain::Interval,
-                    Some("octagon") => Domain::Octagon,
-                    other => return Err(format!("bad --domain {other:?}")),
-                }
-            }
-            "--check" => check = true,
-            "--dump-ir" => dump_ir = true,
-            "--dump-values" => dump_values = true,
-            "--stats" => stats = true,
-            "--help" | "-h" => help(USAGE),
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
+        } else if !arg.starts_with('-') && operand.is_none() {
+            operand = Some(arg);
+        } else {
+            return Err(format!("unexpected argument `{arg}`\n{}", usage(sub)));
         }
     }
-    let file = file.ok_or_else(|| USAGE.to_string())?;
-    Ok(Options {
-        file,
-        engine,
-        domain,
-        analysis,
-        check,
-        dump_ir,
-        dump_values,
-        stats,
-    })
+    match (operand, &a.corpus) {
+        (Some(operand), None) => a.operand = operand,
+        (None, Some(_)) => {}
+        _ => return Err(usage(sub)),
+    }
+    if a.no_cache {
+        a.opts.cache_dir = None;
+    } else if DRIVERS.contains(&sub) && a.corpus.is_none() && a.opts.cache_dir.is_none() {
+        a.opts.cache_dir = Some(Path::new(&a.operand).join(".sga-cache"));
+    }
+    Ok(a)
 }
 
-const ANALYZE_USAGE: &str = "usage: sga analyze <dir> | --corpus units=N,kloc=K,seed=S \
-                             [--jobs N (0=auto)] [--cache-dir D] [--no-cache] [--canonical] \
-                             [--cache-max-entries N] \
-                             [--no-bypass] [--widening naive|threshold|delayed] \
-                             [--triage octagon|path|both] \
-                             [--isolation thread|process] [--worker-mem-mb N] \
-                             [--worker-timeout-ms N] \
-                             [--keep-going | --fail-fast] \
-                             [--max-steps N] [--timeout-ms N] \
-                             [--resume] [--validate] [--journal-dir D] \
-                             [--quarantine-keep N] \
-                             [--faults SPEC (unit-indexed, e.g. abort@2; \
-                             serve keys the same spec by round attempt)] \
-                             [--out FILE] [--baseline REPORT]";
+/// A usage, frontend or IO error: the message on stderr, exit 2.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(2)
+}
 
-fn parse_analyze_args(
-    args: impl Iterator<Item = String>,
-) -> Result<(Project, PipelineOptions, Option<PathBuf>, bool), String> {
-    let mut project: Option<Project> = None;
-    let mut opts = PipelineOptions::default();
-    let mut out: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        if analysis_flag(&arg, &mut args, &mut opts, true)? {
-            continue;
-        }
-        match arg.as_str() {
-            "--jobs" => {
-                // 0 = auto-detect (resolved by the pipeline).
-                let n = args.next().ok_or("--jobs needs a value")?;
-                opts.jobs = n
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --jobs {n:?}"))?;
-            }
-            "--cache-max-entries" => {
-                opts.cache_max_entries =
-                    Some(num_flag("--cache-max-entries", args.next())? as usize);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(
-                    args.next().ok_or("--cache-dir needs a value")?,
-                ));
-            }
-            "--no-cache" => no_cache = true,
-            "--canonical" => opts.canonical = true,
-            "--no-bypass" => opts.depgen.bypass = false,
-            "--keep-going" => opts.keep_going = true,
-            "--fail-fast" => opts.keep_going = false,
-            "--resume" => opts.resume = true,
-            "--validate" => opts.validate = true,
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a report file")?,
-                ));
-            }
-            "--journal-dir" => {
-                opts.journal_dir = Some(PathBuf::from(
-                    args.next().ok_or("--journal-dir needs a value")?,
-                ));
-            }
-            "--quarantine-keep" => {
-                opts.quarantine_keep = num_flag("--quarantine-keep", args.next())? as usize;
-            }
-            "--faults" => {
-                let spec = args.next().ok_or("--faults needs a spec")?;
-                opts.faults = FaultPlan::parse(&spec)?;
-            }
-            "--out" => out = Some(PathBuf::from(args.next().ok_or("--out needs a value")?)),
-            "--corpus" => {
-                let spec = args.next().ok_or("--corpus needs units=N,kloc=K,seed=S")?;
-                let (mut units, mut kloc, mut seed) = (4usize, 1usize, 0u64);
-                for part in spec.split(',') {
-                    match part.split_once('=') {
-                        Some(("units", v)) => {
-                            units = v.parse().map_err(|_| format!("bad units={v}"))?
-                        }
-                        Some(("kloc", v)) => {
-                            kloc = v.parse().map_err(|_| format!("bad kloc={v}"))?
-                        }
-                        Some(("seed", v)) => {
-                            seed = v.parse().map_err(|_| format!("bad seed={v}"))?
-                        }
-                        _ => return Err(format!("bad --corpus field {part:?}")),
-                    }
-                }
-                project = Some(Project::Corpus { units, kloc, seed });
-            }
-            "--help" | "-h" => help(ANALYZE_USAGE),
-            other if !other.starts_with('-') && project.is_none() => {
-                project = Some(Project::Dir(PathBuf::from(other)));
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{ANALYZE_USAGE}")),
-        }
-    }
-    let project = project.ok_or_else(|| ANALYZE_USAGE.to_string())?;
-    // Default cache: `.sga-cache` inside the analyzed directory. Corpus
-    // runs are generated on the fly, so they only cache when asked to.
-    opts.cache_dir = if no_cache {
-        None
+/// Exit 1 when an open definite alarm remains.
+fn alarm_exit(definite: bool) -> ExitCode {
+    if definite {
+        ExitCode::from(1)
     } else {
-        cache_dir.or_else(|| match &project {
-            Project::Dir(d) => Some(d.join(".sga-cache")),
-            Project::Corpus { .. } => None,
-        })
-    };
-    Ok((project, opts, out, no_cache))
+        ExitCode::SUCCESS
+    }
 }
 
-fn run_analyze(args: impl Iterator<Item = String>) -> ExitCode {
-    let (project, opts, out, _) = match parse_analyze_args(args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+fn run_analyze(a: Args) -> ExitCode {
+    let project = a
+        .corpus
+        .unwrap_or_else(|| Project::Dir(PathBuf::from(a.operand)));
     // SIGINT/SIGTERM drain the batch instead of killing it: in-flight units
     // finish and are journaled, and a partial report is still flushed.
     pipeline::interrupt::install();
-    match pipeline::run(&project, &opts) {
-        Ok(report) => {
-            let total = |field: &str| {
-                report
-                    .get("totals")
-                    .and_then(|t| t.get(field))
-                    .and_then(|c| c.as_u64())
-                    .unwrap_or(0)
-            };
-            let (crashed, invalid) = (total("crashed"), total("invalid"));
-            let interrupted = report
-                .get("interrupted")
-                .and_then(|i| i.as_bool())
-                .unwrap_or(false);
-            let new_definite = report
-                .get("baseline")
-                .and_then(|b| b.get("new_definite"))
-                .and_then(|n| n.as_u64())
-                .unwrap_or(0);
-            let text = report.to_pretty();
-            match out {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(&path, text + "\n") {
-                        eprintln!("sga: cannot write {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-                None => println!("{text}"),
-            }
-            // Most urgent condition wins: an interrupted run is incomplete
-            // (rerun with --resume), an invalid run is *wrong*, a crashed
-            // run is merely partial.
-            if interrupted {
-                eprintln!("sga: run interrupted; partial report flushed (rerun with --resume)");
-                ExitCode::from(5)
-            } else if invalid > 0 {
-                eprintln!("sga: {invalid} unit(s) failed validation; see the report");
-                ExitCode::from(4)
-            } else if crashed > 0 {
-                // Partial failure: the batch completed but some units did
-                // not; distinct from both success and a usage/IO error.
-                eprintln!("sga: {crashed} unit(s) crashed; see the report");
-                ExitCode::from(3)
-            } else if new_definite > 0 {
-                eprintln!(
-                    "sga: {new_definite} new definite alarm(s) versus the baseline; see the report"
-                );
-                ExitCode::from(6)
-            } else {
-                ExitCode::SUCCESS
+    let report = match pipeline::run(&project, &a.opts) {
+        Ok(report) => report,
+        Err(e) => return fail(format!("sga: {e}")),
+    };
+    let count = |block: &str, field: &str| {
+        report
+            .get(block)
+            .and_then(|t| t.get(field))
+            .and_then(|c| c.as_u64())
+            .unwrap_or(0)
+    };
+    let (crashed, invalid) = (count("totals", "crashed"), count("totals", "invalid"));
+    let new_definite = count("baseline", "new_definite");
+    let interrupted = report
+        .get("interrupted")
+        .and_then(|i| i.as_bool())
+        .unwrap_or(false);
+    let text = report.to_pretty();
+    match a.out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, text + "\n") {
+                return fail(format!("sga: cannot write {}: {e}", path.display()));
             }
         }
-        Err(e) => {
-            eprintln!("sga: {e}");
-            ExitCode::from(2)
-        }
+        None => println!("{text}"),
+    }
+    // Most urgent condition wins: an interrupted run is incomplete (rerun
+    // with --resume), an invalid run is *wrong*, a crashed run is merely
+    // partial.
+    if interrupted {
+        eprintln!("sga: run interrupted; partial report flushed (rerun with --resume)");
+        ExitCode::from(5)
+    } else if invalid > 0 {
+        eprintln!("sga: {invalid} unit(s) failed validation; see the report");
+        ExitCode::from(4)
+    } else if crashed > 0 {
+        // Partial failure: the batch completed but some units did not;
+        // distinct from both success and a usage/IO error.
+        eprintln!("sga: {crashed} unit(s) crashed; see the report");
+        ExitCode::from(3)
+    } else if new_definite > 0 {
+        eprintln!("sga: {new_definite} new definite alarm(s) versus the baseline; see the report");
+        ExitCode::from(6)
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
 /// Runs all four checkers over an analyzed program and triages the
-/// possible interval alarms against the octagon analysis. Shared by
-/// `sga check` and single-file `--check`.
+/// possible interval alarms. Shared by `sga check` and single-file
+/// `--check`.
 fn diagnose(
     program: &sga::ir::Program,
     result: &interval::IntervalResult,
@@ -533,14 +575,6 @@ fn fix_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
     )
 }
 
-const CHECK_USAGE: &str = "usage: sga check <file.c> [--sarif FILE] \
-                           [--engine vanilla|base|sparse] \
-                           [--widening naive|threshold|delayed] \
-                           [--triage octagon|path|both] \
-                           [--max-steps N] [--timeout-ms N] \
-                           [--isolation thread|process] [--worker-mem-mb N] \
-                           [--worker-timeout-ms N]";
-
 /// `sga check <file.c> --isolation process`: the file is analyzed in one
 /// supervised worker process (the sparse batch path), so a file that
 /// aborts or exhausts memory yields a diagnosable exit instead of killing
@@ -549,23 +583,17 @@ fn run_check_isolated(
     file: &str,
     source: String,
     opts: &PipelineOptions,
-    sarif_out: Option<PathBuf>,
-) -> ExitCode {
-    let err = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
+) -> Result<(Vec<Diagnostic>, triage::TriageStats), String> {
     let unit = pipeline::UnitInput {
         name: file.to_string(),
         source,
     };
-    let mut outcomes = pipeline::analyze_units(&[unit], opts, None);
-    let outcome = outcomes.remove(0);
+    let outcome = pipeline::analyze_units(&[unit], opts, None).remove(0);
     if let Some(message) = outcome.failure {
-        return err(format!("sga: {file}: {message}"));
+        return Err(format!("sga: {file}: {message}"));
     }
     let Some(analysis) = outcome.analysis else {
-        return err(format!("sga: {file}: isolated worker returned no result"));
+        return Err(format!("sga: {file}: isolated worker returned no result"));
     };
     if analysis.degraded {
         eprintln!("sga: analysis budget exhausted; result degraded soundly");
@@ -592,183 +620,82 @@ fn run_check_isolated(
         // The worker's report carries verdicts, not the octagon's counters.
         ..triage::TriageStats::default()
     };
-    let definite = print_diagnostics(&diags, &stats);
-    if let Some(path) = sarif_out {
-        if let Some(code) = write_sarif(file, &diags, &path) {
-            return code;
-        }
-    }
-    if definite {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok((diags, stats))
 }
 
-/// Validates and writes a SARIF log; `Some(code)` on failure.
-fn write_sarif(file: &str, diags: &[Diagnostic], path: &PathBuf) -> Option<ExitCode> {
+/// Validates and writes a SARIF log.
+fn write_sarif(file: &str, diags: &[Diagnostic], path: &Path) -> Result<(), String> {
     let log = sga::diag::sarif::to_sarif(file, diags);
     let violations = sga::diag::schema::validate(&log, &sga::diag::schema::vendored_sarif_schema());
     if !violations.is_empty() {
         // Never expected: the emitter and the vendored schema ship
         // together. Refuse to write an invalid log.
-        for v in &violations {
-            eprintln!("sga: SARIF schema violation: {v}");
-        }
-        return Some(ExitCode::from(2));
+        let lines: Vec<String> = violations
+            .iter()
+            .map(|v| format!("sga: SARIF schema violation: {v}"))
+            .collect();
+        return Err(lines.join("\n"));
     }
-    if let Err(e) = std::fs::write(path, log.to_pretty() + "\n") {
-        eprintln!("sga: cannot write {}: {e}", path.display());
-        return Some(ExitCode::from(2));
-    }
-    None
+    std::fs::write(path, log.to_pretty() + "\n")
+        .map_err(|e| format!("sga: cannot write {}: {e}", path.display()))
 }
 
-/// `sga check <file.c> [--sarif FILE]`: structured diagnostics with octagon
-/// triage, optionally exported as a SARIF 2.1.0 log.
-fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
-    let mut file: Option<String> = None;
-    let mut sarif_out: Option<PathBuf> = None;
-    let mut engine = Engine::Sparse;
-    let mut engine_set = false;
-    let mut opts = PipelineOptions::default();
-    let mut args = args.peekable();
-    let err = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match analysis_flag(&arg, &mut args, &mut opts, true) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(msg) => return err(msg),
-        }
-        match arg.as_str() {
-            "--sarif" => match args.next() {
-                Some(path) => sarif_out = Some(PathBuf::from(path)),
-                None => return err("--sarif needs a file".into()),
-            },
-            "--engine" => {
-                engine_set = true;
-                engine = match args.next().as_deref() {
-                    Some("vanilla") => Engine::Vanilla,
-                    Some("base") => Engine::Base,
-                    Some("sparse") => Engine::Sparse,
-                    other => return err(format!("bad --engine {other:?}")),
-                }
-            }
-            "--help" | "-h" => help(CHECK_USAGE),
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => return err(format!("unexpected argument `{other}`\n{CHECK_USAGE}")),
-        }
-    }
-    let Some(file) = file else {
-        return err(CHECK_USAGE.into());
-    };
+/// `sga check <file.c>`: structured diagnostics with triage, optionally
+/// exported as a SARIF 2.1.0 log.
+fn run_check(a: Args) -> ExitCode {
+    let file = a.operand;
     let src = match std::fs::read_to_string(&file) {
         Ok(s) => s,
-        Err(e) => return err(format!("sga: cannot read {file}: {e}")),
+        Err(e) => return fail(format!("sga: cannot read {file}: {e}")),
     };
-    if opts.isolation == IsolationMode::Process {
+    let (diags, stats) = if a.opts.isolation == IsolationMode::Process {
         // The isolated worker runs the sparse batch path; an explicit
         // non-sparse engine choice cannot be honored there.
-        if engine_set && engine != Engine::Sparse {
-            return err("--isolation process runs the sparse engine only".into());
+        if a.engine.is_some_and(|e| e != Engine::Sparse) {
+            return fail("--isolation process runs the sparse engine only");
         }
-        return run_check_isolated(&file, src, &opts, sarif_out);
-    }
-    let program = match sga::frontend::parse(&src) {
-        Ok(p) => p,
-        Err(e) => return err(format!("sga: {file}: {e}")),
-    };
-    let result = interval::analyze_with(
-        &program,
-        engine,
-        AnalyzeOptions {
-            widening: opts.widening,
-            budget: opts.budget,
-            ..AnalyzeOptions::default()
-        },
-    );
-    if result.stats.degraded {
-        eprintln!("sga: analysis budget exhausted; result degraded soundly");
-    }
-    let (diags, stats) = diagnose(&program, &result, engine, &opts);
-    let definite = print_diagnostics(&diags, &stats);
-    if let Some(path) = sarif_out {
-        if let Some(code) = write_sarif(&file, &diags, &path) {
-            return code;
+        match run_check_isolated(&file, src, &a.opts) {
+            Ok(checked) => checked,
+            Err(msg) => return fail(msg),
         }
-    }
-    if definite {
-        ExitCode::from(1)
     } else {
-        ExitCode::SUCCESS
+        let program = match sga::frontend::parse(&src) {
+            Ok(p) => p,
+            Err(e) => return fail(format!("sga: {file}: {e}")),
+        };
+        let engine = a.engine.unwrap_or(Engine::Sparse);
+        let result = interval::analyze_with(
+            &program,
+            engine,
+            AnalyzeOptions {
+                widening: a.opts.widening,
+                budget: a.opts.budget,
+                ..AnalyzeOptions::default()
+            },
+        );
+        if result.stats.degraded {
+            eprintln!("sga: analysis budget exhausted; result degraded soundly");
+        }
+        diagnose(&program, &result, engine, &a.opts)
+    };
+    let definite = print_diagnostics(&diags, &stats);
+    if let Some(path) = a.sarif {
+        if let Err(msg) = write_sarif(&file, &diags, &path) {
+            return fail(msg);
+        }
     }
+    alarm_exit(definite)
 }
 
-const CACHE_USAGE: &str = "usage: sga cache gc <dir> [--keep N] [--max-entries N] \
-                           [--serve-journal-max N]";
-
-/// `sga cache gc <dir> [--keep N] [--max-entries N] [--serve-journal-max N]`:
-/// offline cache maintenance. The daemon's write-ahead journal under
-/// `serve-journal/` is spared by default; `--serve-journal-max` prunes it
-/// to the N newest records.
-fn run_cache(mut args: impl Iterator<Item = String>) -> ExitCode {
-    match args.next().as_deref() {
-        Some("gc") => {}
-        _ => {
-            eprintln!("{CACHE_USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    let mut dir: Option<PathBuf> = None;
-    let mut keep = pipeline::cache::DEFAULT_QUARANTINE_KEEP;
-    let mut max_entries: Option<usize> = None;
-    let mut serve_journal_max: Option<usize> = None;
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--keep" => match num_flag("--keep", args.next()) {
-                Ok(n) => keep = n as usize,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-entries" => match num_flag("--max-entries", args.next()) {
-                Ok(n) => max_entries = Some(n as usize),
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--serve-journal-max" => match num_flag("--serve-journal-max", args.next()) {
-                Ok(n) => serve_journal_max = Some(n as usize),
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => help(CACHE_USAGE),
-            other if !other.starts_with('-') && dir.is_none() => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => {
-                eprintln!("unexpected argument `{other}`\n{CACHE_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!("{CACHE_USAGE}");
-        return ExitCode::from(2);
-    };
-    match pipeline::cache::gc(&dir, keep, max_entries, serve_journal_max) {
+/// `sga cache gc <dir>`: offline cache maintenance. The daemon's round
+/// journal under `serve-journal/` is spared.
+fn run_gc(a: Args) -> ExitCode {
+    let keep = a.keep.unwrap_or(pipeline::cache::DEFAULT_QUARANTINE_KEEP);
+    match pipeline::cache::gc(Path::new(&a.operand), keep, a.max_entries) {
         Ok(stats) => {
             println!(
                 "sga: cache gc: removed {} quarantined entr{}, {} temp file(s), \
-                 evicted {} over the LRU cap, pruned {} serve-journal record(s)",
+                 evicted {} over the LRU cap",
                 stats.quarantine_removed,
                 if stats.quarantine_removed == 1 {
                     "y"
@@ -777,156 +704,32 @@ fn run_cache(mut args: impl Iterator<Item = String>) -> ExitCode {
                 },
                 stats.tmp_removed,
                 stats.evicted,
-                stats.serve_journal_removed,
             );
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("sga: cache gc {}: {e}", dir.display());
-            ExitCode::from(2)
-        }
+        Err(e) => fail(format!("sga: cache gc {}: {e}", a.operand)),
     }
 }
 
-const SERVE_USAGE: &str = "usage: sga serve <dir> [--tcp ADDR] [--unix PATH] \
-                           [--port-file FILE] [--poll-ms N] [--jobs N (0=auto)] \
-                           [--cache-dir D] [--no-cache] [--cache-max-entries N] \
-                           [--no-bypass] [--widening naive|threshold|delayed] \
-                           [--triage octagon|path|both] \
-                           [--max-steps N] [--timeout-ms N] \
-                           [--resume] [--journal-dir D] [--queue-cap N] \
-                           [--sub-queue-cap N] [--write-deadline-ms N] \
-                           [--sub-sndbuf BYTES] [--max-line BYTES] \
-                           [--isolation thread|process] [--worker-mem-mb N] \
-                           [--worker-timeout-ms N] \
-                           [--faults SPEC (panic@ROUND|stall@ROUND=MS)]";
-
 /// `sga serve <dir>`: incremental analysis daemon over a corpus directory.
-fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut dir: Option<PathBuf> = None;
-    let mut config = sga::serve::ServerConfig::default();
-    let mut opts = PipelineOptions::default();
-    let mut no_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut resume = false;
-    let err = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match analysis_flag(&arg, &mut args, &mut opts, true) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(msg) => return err(msg),
-        }
-        match arg.as_str() {
-            "--tcp" => match args.next() {
-                Some(addr) => config.tcp = Some(addr),
-                None => return err("--tcp needs an address".into()),
-            },
-            "--unix" => match args.next() {
-                Some(path) => config.unix = Some(PathBuf::from(path)),
-                None => return err("--unix needs a path".into()),
-            },
-            "--port-file" => match args.next() {
-                Some(path) => config.port_file = Some(PathBuf::from(path)),
-                None => return err("--port-file needs a file".into()),
-            },
-            "--poll-ms" => match num_flag("--poll-ms", args.next()) {
-                Ok(n) => config.poll_ms = Some(n),
-                Err(msg) => return err(msg),
-            },
-            "--jobs" => match args.next() {
-                // 0 = auto-detect, as for `sga analyze`.
-                Some(n) => match n.parse::<usize>() {
-                    Ok(jobs) => opts.jobs = jobs,
-                    Err(_) => return err(format!("bad --jobs {n:?}")),
-                },
-                None => return err("--jobs needs a value".into()),
-            },
-            "--cache-dir" => match args.next() {
-                Some(d) => cache_dir = Some(PathBuf::from(d)),
-                None => return err("--cache-dir needs a value".into()),
-            },
-            "--no-cache" => no_cache = true,
-            "--cache-max-entries" => match num_flag("--cache-max-entries", args.next()) {
-                Ok(n) => opts.cache_max_entries = Some(n as usize),
-                Err(msg) => return err(msg),
-            },
-            "--no-bypass" => opts.depgen.bypass = false,
-            "--resume" => resume = true,
-            "--journal-dir" => match args.next() {
-                Some(d) => opts.journal_dir = Some(PathBuf::from(d)),
-                None => return err("--journal-dir needs a value".into()),
-            },
-            "--queue-cap" => match num_flag("--queue-cap", args.next()) {
-                Ok(n) => config.queue_cap = (n as usize).max(1),
-                Err(msg) => return err(msg),
-            },
-            "--sub-queue-cap" => match num_flag("--sub-queue-cap", args.next()) {
-                Ok(n) => config.sub_queue_cap = (n as usize).max(1),
-                Err(msg) => return err(msg),
-            },
-            "--write-deadline-ms" => match num_flag("--write-deadline-ms", args.next()) {
-                Ok(n) => config.write_deadline_ms = n.max(1),
-                Err(msg) => return err(msg),
-            },
-            "--sub-sndbuf" => match num_flag("--sub-sndbuf", args.next()) {
-                Ok(n) => config.sub_sndbuf = Some(n as usize),
-                Err(msg) => return err(msg),
-            },
-            "--max-line" => match num_flag("--max-line", args.next()) {
-                Ok(n) => config.max_request_line = (n as usize).max(1),
-                Err(msg) => return err(msg),
-            },
-            "--faults" => match args.next().as_deref().map(FaultPlan::parse) {
-                Some(Ok(plan)) => {
-                    // The daemon keys fault directives by 1-based round
-                    // attempt and only interprets panic@ and stall@; the
-                    // fatal batch directives would kill or hang the whole
-                    // daemon, so refuse them up front.
-                    let unsupported = plan.serve_unsupported();
-                    if !unsupported.is_empty() {
-                        return err(format!(
-                            "--faults: serve cannot interpret {}: only panic@ROUND and \
-                             stall@ROUND=MS apply to the daemon",
-                            unsupported.join(", ")
-                        ));
-                    }
-                    config.faults = plan;
-                }
-                Some(Err(e)) => return err(format!("bad --faults: {e}")),
-                None => return err("--faults needs a spec".into()),
-            },
-            "--help" | "-h" => help(SERVE_USAGE),
-            other if !other.starts_with('-') && dir.is_none() => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => return err(format!("unexpected argument `{other}`\n{SERVE_USAGE}")),
-        }
-    }
-    let Some(dir) = dir else {
-        return err(SERVE_USAGE.into());
-    };
+fn run_serve(a: Args) -> ExitCode {
+    let dir = PathBuf::from(a.operand);
+    let mut config = a.server;
     // A daemon without listeners is unreachable; default to an ephemeral
     // TCP port so `sga serve <dir>` alone is useful.
     if config.tcp.is_none() && config.unix.is_none() {
         config.tcp = Some("127.0.0.1:0".to_string());
     }
-    opts.cache_dir = if no_cache {
-        None
-    } else {
-        Some(cache_dir.unwrap_or_else(|| dir.join(".sga-cache")))
-    };
-    let engine = match sga::serve::Engine::open(&dir, &opts, resume) {
+    let resume = a.opts.resume;
+    let engine = match sga::serve::Engine::open(&dir, &a.opts, resume) {
         Ok(e) => e,
-        Err(e) => return err(format!("sga: serve {}: {e}", dir.display())),
+        Err(e) => return fail(format!("sga: serve {}: {e}", dir.display())),
     };
     let (units, alarms) = (engine.unit_names().len(), engine.alarms());
     let resumed = engine.resumed_units();
     let handle = match sga::serve::serve(engine, &config) {
         Ok(h) => h,
-        Err(e) => return err(format!("sga: serve: {e}")),
+        Err(e) => return fail(format!("sga: serve: {e}")),
     };
     let mut endpoints = Vec::new();
     if let Some(addr) = handle.tcp_addr {
@@ -950,197 +753,102 @@ fn run_serve(mut args: impl Iterator<Item = String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-const WATCH_USAGE: &str = "usage: sga watch <addr> [--once | --max-events N | \
-                           --report | --status | --edit UNIT FILE | --shutdown] \
-                           [--timeout-ms N (0=none, default 10000)] [--retries N]";
-
 /// `sga watch <addr>`: client for a running `sga serve` daemon. `addr` is
 /// `host:port` or a Unix socket path. By default streams diff events.
-/// Every command runs under a connect/read deadline (`--timeout-ms`,
-/// default 10s; 0 disables) so a wedged daemon means a nonzero exit, not a
-/// hang; `--edit` retries shed replies with backoff (`--retries`, default
-/// 5) so a flooded daemon loses no edit.
-fn run_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut addr: Option<String> = None;
-    let mut max_events: Option<usize> = None;
-    let mut timeout_ms: u64 = 10_000;
-    let mut retries: u32 = 5;
-    // One-shot command, if any: (label, closure producing the reply).
-    enum Cmd {
-        Stream,
-        Report,
-        Status,
-        Shutdown,
-        Edit(String, PathBuf),
-    }
-    let mut cmd = Cmd::Stream;
-    let err = |msg: String| {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--once" => max_events = Some(1),
-            "--max-events" => match num_flag("--max-events", args.next()) {
-                Ok(n) => max_events = Some(n as usize),
-                Err(msg) => return err(msg),
-            },
-            "--report" => cmd = Cmd::Report,
-            "--status" => cmd = Cmd::Status,
-            "--shutdown" => cmd = Cmd::Shutdown,
-            "--edit" => match (args.next(), args.next()) {
-                (Some(unit), Some(file)) => cmd = Cmd::Edit(unit, PathBuf::from(file)),
-                _ => return err("--edit needs UNIT and FILE".into()),
-            },
-            "--timeout-ms" => match num_flag("--timeout-ms", args.next()) {
-                Ok(n) => timeout_ms = n,
-                Err(msg) => return err(msg),
-            },
-            "--retries" => match num_flag("--retries", args.next()) {
-                Ok(n) => retries = n as u32,
-                Err(msg) => return err(msg),
-            },
-            "--help" | "-h" => help(WATCH_USAGE),
-            other if !other.starts_with('-') && addr.is_none() => {
-                addr = Some(other.to_string());
-            }
-            other => return err(format!("unexpected argument `{other}`\n{WATCH_USAGE}")),
-        }
-    }
-    let Some(addr) = addr else {
-        return err(WATCH_USAGE.into());
-    };
-    let timeout = (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms));
-    let reply = match cmd {
-        Cmd::Stream => {
+/// Every command runs under a connect/read deadline so a wedged daemon
+/// means a nonzero exit, not a hang; `--edit` retries shed replies with
+/// backoff so a flooded daemon loses no edit.
+fn run_watch(a: Args) -> ExitCode {
+    let addr = a.operand;
+    let deadline_ms = a.deadline_ms.unwrap_or(10_000);
+    let timeout = (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms));
+    let retries = a.retries.unwrap_or(5);
+    let reply = match a.ask {
+        Ask::Stream => {
             // The ack line is printed (and flushed) before any event, so a
             // script can wait for `"subscribed"` in the output instead of
             // sleeping and hoping the subscriber registered in time. The
             // deadline covers connect + ack only — a quiet event stream is
             // not a wedged daemon.
+            let print = |line: &str| {
+                println!("{line}");
+                let _ = std::io::Write::flush(&mut std::io::stdout());
+            };
             return match sga::serve::client::watch_ready_t(
                 &addr,
-                max_events,
+                a.max_events,
                 timeout,
-                |ack| {
-                    println!("{ack}");
-                    let _ = std::io::Write::flush(&mut std::io::stdout());
-                },
-                |event| {
-                    println!("{event}");
-                    let _ = std::io::Write::flush(&mut std::io::stdout());
-                },
+                print,
+                print,
             ) {
                 Ok(()) => ExitCode::SUCCESS,
-                Err(e) => err(format!("sga: watch {addr}: {e}")),
+                Err(e) => fail(format!("sga: watch {addr}: {e}")),
             };
         }
-        Cmd::Report => sga::serve::client::report_t(&addr, timeout),
-        Cmd::Status => sga::serve::client::status_t(&addr, timeout),
-        Cmd::Shutdown => sga::serve::client::shutdown_t(&addr, timeout),
-        Cmd::Edit(unit, file) => match std::fs::read_to_string(&file) {
+        Ask::Report => sga::serve::client::report_t(&addr, timeout),
+        Ask::Status => sga::serve::client::status_t(&addr, timeout),
+        Ask::Shutdown => sga::serve::client::shutdown_t(&addr, timeout),
+        Ask::Edit(unit, file) => match std::fs::read_to_string(&file) {
             Ok(source) => {
                 sga::serve::client::edit_with_retry(&addr, &unit, &source, timeout, retries)
                     .map(|(reply, _sheds)| reply)
             }
-            Err(e) => return err(format!("sga: cannot read {}: {e}", file.display())),
+            Err(e) => return fail(format!("sga: cannot read {}: {e}", file.display())),
         },
     };
     match reply {
+        // A final still-shed reply means the daemon's overload outlasted
+        // the retry budget — that is a failure, not a success.
+        Ok(line) if sga::serve::client::is_shed(&line) => fail(format!(
+            "sga: watch {addr}: edit shed after {retries} retries: {line}"
+        )),
         Ok(line) => {
-            // A final still-shed reply means the daemon's overload outlasted
-            // the retry budget — that is a failure, not a success.
-            if sga::serve::client::is_shed(&line) {
-                eprintln!("sga: watch {addr}: edit shed after {retries} retries: {line}");
-                return ExitCode::from(2);
-            }
             println!("{line}");
             ExitCode::SUCCESS
         }
-        Err(e) => err(format!("sga: watch {addr}: {e}")),
+        Err(e) => fail(format!("sga: watch {addr}: {e}")),
     }
 }
 
-fn main() -> ExitCode {
-    let mut raw = std::env::args().skip(1).peekable();
-    // The hidden worker dispatch comes before everything else: a re-exec'd
-    // `--isolation process` worker must never fall into normal argument
-    // parsing, whatever flags the parent was started with.
-    if raw.peek().map(String::as_str) == Some(pipeline::worker::WORKER_ARG) {
-        return ExitCode::from(pipeline::worker::worker_main() as u8);
-    }
-    if raw.peek().map(String::as_str) == Some("analyze") {
-        raw.next();
-        return run_analyze(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("check") {
-        raw.next();
-        return run_check(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("cache") {
-        raw.next();
-        return run_cache(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("serve") {
-        raw.next();
-        return run_serve(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("watch") {
-        raw.next();
-        return run_watch(raw);
-    }
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let src = match std::fs::read_to_string(&opts.file) {
+/// `sga <file.c>`: one file through one engine and domain.
+fn run_file(a: Args) -> ExitCode {
+    let file = &a.operand;
+    let src = match std::fs::read_to_string(file) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("sga: cannot read {}: {e}", opts.file);
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(format!("sga: cannot read {file}: {e}")),
     };
     let program = match sga::frontend::parse(&src) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("sga: {}: {e}", opts.file);
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(format!("sga: {file}: {e}")),
     };
-    if opts.dump_ir {
+    if a.dump_ir {
         print!("{}", sga::ir::pretty::program(&program));
     }
-
+    let engine = a.engine.unwrap_or(Engine::Sparse);
+    let options = AnalyzeOptions {
+        widening: a.opts.widening,
+        budget: a.opts.budget,
+        ..AnalyzeOptions::default()
+    };
     let mut definite = false;
-    match opts.domain {
+    match a.domain {
         Domain::Interval => {
-            let result = interval::analyze_with(
-                &program,
-                opts.engine,
-                AnalyzeOptions {
-                    widening: opts.analysis.widening,
-                    budget: opts.analysis.budget,
-                    ..AnalyzeOptions::default()
-                },
-            );
+            let result = interval::analyze_with(&program, engine, options);
             if result.stats.degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
-            if opts.stats {
+            if a.stats {
                 let s = &result.stats;
                 eprintln!(
                     "engine {:?}: total {:?} (pre {:?}, dep {:?}, fix {:?}), {} evaluations, {} locations, {} dep edges, widening {}{}",
-                    opts.engine, s.total_time, s.pre_time, s.dep_time, s.fix_time,
+                    engine, s.total_time, s.pre_time, s.dep_time, s.fix_time,
                     s.iterations, s.num_locs, s.dep_edges, s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
                 eprintln!("{}", fix_work(s));
             }
-            if opts.dump_values {
+            if a.dump_values {
                 for cp in program.all_points() {
                     let st = result.state_at(cp);
                     if st.is_empty() {
@@ -1154,10 +862,10 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            if opts.check {
-                let (diags, tstats) = diagnose(&program, &result, opts.engine, &opts.analysis);
+            if a.check {
+                let (diags, tstats) = diagnose(&program, &result, engine, &a.opts);
                 definite = print_diagnostics(&diags, &tstats);
-                if opts.stats {
+                if a.stats {
                     if let Some(work) = octagon_work(&tstats) {
                         eprintln!("triage: {work}");
                     }
@@ -1165,48 +873,167 @@ fn main() -> ExitCode {
             }
         }
         Domain::Octagon => {
-            let result = octagon::analyze_with(
-                &program,
-                opts.engine,
-                AnalyzeOptions {
-                    widening: opts.analysis.widening,
-                    budget: opts.analysis.budget,
-                    ..AnalyzeOptions::default()
-                },
-            );
+            let result = octagon::analyze_with(&program, engine, options);
             if result.stats.degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
-            if opts.stats {
+            if a.stats {
                 let s = &result.stats;
                 eprintln!(
                     "engine {:?} (octagon): total {:?} (fix {:?}), {} evaluations, {} packs (avg size {:.1}), widening {}{}",
-                    opts.engine, s.total_time, s.fix_time, s.iterations,
+                    engine, s.total_time, s.fix_time, s.iterations,
                     result.packs.len(), result.packs.average_size(), s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
                 eprintln!("{}", fix_work(s));
             }
-            if opts.dump_values {
+            if a.dump_values {
+                // Each global's projection at program exit.
+                let main_exit = sga::ir::Cp::new(program.main, program.procs[program.main].exit);
                 for (v, info) in program.vars.iter_enumerated() {
-                    if info.kind != sga::ir::VarKind::Global {
-                        continue;
+                    if info.kind == sga::ir::VarKind::Global {
+                        println!("{} ∈ {}", info.name, result.itv_of(main_exit, v));
                     }
-                    // Show each global's projection at program exit.
-                    let main_exit =
-                        sga::ir::Cp::new(program.main, program.procs[program.main].exit);
-                    println!("{} ∈ {}", info.name, result.itv_of(main_exit, v));
                 }
             }
-            if opts.check {
+            if a.check {
                 eprintln!("sga: --check is interval-domain only (octagon is for relations)");
             }
         }
     }
-    if definite {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+    alarm_exit(definite)
+}
+
+fn main() -> ExitCode {
+    let mut raw = std::env::args().skip(1).peekable();
+    // The hidden worker dispatch comes before everything else: a re-exec'd
+    // `--isolation process` worker must never fall into normal argument
+    // parsing, whatever flags the parent was started with.
+    if raw.peek().map(String::as_str) == Some(pipeline::worker::WORKER_ARG) {
+        return ExitCode::from(pipeline::worker::worker_main() as u8);
+    }
+    let sub = match raw.peek().map(String::as_str) {
+        Some("check") => Check,
+        Some("analyze") => Analyze,
+        Some("serve") => Serve,
+        Some("watch") => Watch,
+        Some("cache") => Gc,
+        _ => File,
+    };
+    if sub != File {
+        raw.next();
+    }
+    if sub == Gc && raw.next().as_deref() != Some("gc") {
+        return fail(usage(Gc));
+    }
+    let args = match parse(sub, raw) {
+        Ok(args) => args,
+        Err(msg) => return fail(msg),
+    };
+    if args.help {
+        // Asking is not an error: the usage on stdout, and success.
+        println!("{}", usage(sub));
+        return ExitCode::SUCCESS;
+    }
+    match sub {
+        File => run_file(args),
+        Check => run_check(args),
+        Analyze => run_analyze(args),
+        Serve => run_serve(args),
+        Watch => run_watch(args),
+        Gc => run_gc(args),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The values to parse a row with: each alternative of a choice, else
+    /// one sample per word of its value.
+    fn samples(f: &Flag) -> Vec<Vec<String>> {
+        if f.value.contains('|') {
+            return f.value.split('|').map(|v| vec![v.to_string()]).collect();
+        }
+        let sample = |word: &str| match word {
+            "N" => "7",
+            "SPEC" => "panic@1",
+            w if w.starts_with("units=") => "units=2,kloc=1,seed=3",
+            _ => "x",
+        };
+        vec![f
+            .value
+            .split_whitespace()
+            .map(|w| sample(w).to_string())
+            .collect()]
+    }
+
+    /// What `sub` parses `flag` (and its values) into, rendered; every line
+    /// carries an operand but `--corpus`'s, which stands in for one.
+    fn parsed(sub: Sub, flag: &[String]) -> Result<String, String> {
+        let operand = flag.first().is_none_or(|f| f != "--corpus");
+        let line = operand.then(|| "unit".to_string()).into_iter();
+        parse(sub, line.chain(flag.iter().cloned())).map(|a| format!("{a:?}"))
+    }
+
+    /// Every row: the subcommands it names accept it, every other rejects
+    /// it as an unexpected argument, their `--help` shows it, and each of
+    /// its values changes what the parser returns.
+    #[test]
+    fn every_row_is_accepted_documented_and_effective_where_declared() {
+        let spellings: BTreeSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(spellings.len(), 41, "{spellings:?}");
+        for f in FLAGS {
+            let line = |values: &[String]| [&[f.name.to_string()], values].concat();
+            for sub in Sub::ALL {
+                let rows = FLAGS
+                    .iter()
+                    .filter(|g| g.name == f.name && g.on.contains(&sub));
+                match rows.count() {
+                    0 => {
+                        let err = parsed(sub, &line(&samples(f)[0])).unwrap_err();
+                        let want = format!("unexpected argument `{}`\nusage: sga", f.name);
+                        assert!(err.starts_with(&want), "{} on {sub:?}: {err}", f.name);
+                    }
+                    1 => {}
+                    _ => panic!("{} has two rows for {sub:?}", f.name),
+                }
+            }
+            for &sub in f.on {
+                assert!(
+                    usage(sub).contains(&format!("\n  {} ", f.name)),
+                    "{} missing from {sub:?}'s usage",
+                    f.name
+                );
+                let default = parsed(sub, &[]).unwrap();
+                let results: Vec<String> = samples(f)
+                    .iter()
+                    .map(|values| parsed(sub, &line(values)).unwrap())
+                    .collect();
+                let distinct: BTreeSet<&String> = results.iter().collect();
+                assert_eq!(distinct.len(), results.len(), "{} on {sub:?}", f.name);
+                assert!(
+                    results.iter().any(|r| *r != default),
+                    "{} changes nothing on {sub:?}",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn values_are_checked_and_named_in_the_error() {
+        let err = |line: &[&str]| parse(Analyze, line.iter().map(|s| s.to_string())).unwrap_err();
+        assert_eq!(err(&["d", "--jobs", "x"]), "bad --jobs \"x\": expected N");
+        assert_eq!(err(&["d", "--jobs"]), "--jobs needs N");
+        assert_eq!(
+            err(&["d", "--triage", "all"]),
+            "bad --triage \"all\": expected octagon|path|both"
+        );
+        assert!(err(&["d", "--corpus", "units=2"]).starts_with("usage: sga analyze"));
+        let serve = parse(Serve, ["d", "--faults", "oom@1=9"].map(String::from)).unwrap_err();
+        assert!(serve.contains("serve cannot interpret oom"), "{serve}");
     }
 }

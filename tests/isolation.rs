@@ -262,6 +262,69 @@ fn isolated_check_analyzes_and_reports_frontend_errors_without_dying() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---- the LRU cap reaches the worker ------------------------------------
+
+/// A cache hit inside a worker process refreshes its entry's access time,
+/// so `--cache-max-entries` evicts by last use under `--isolation process`
+/// exactly as on threads, not by store time.
+#[test]
+fn isolated_cache_hits_refresh_the_lru() {
+    let dir = std::env::temp_dir().join(format!("sga-iso-lru-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().unwrap();
+    let corpus = [
+        "analyze",
+        "--corpus",
+        "units=3,kloc=1,seed=11",
+        "--cache-dir",
+        cache,
+    ];
+    let fill = run_sga(&corpus);
+    assert!(
+        fill.status.success(),
+        "{}",
+        String::from_utf8_lossy(&fill.stderr)
+    );
+
+    let entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    assert_eq!(entries.len(), 3, "one entry per unit");
+    let past = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+    for entry in &entries {
+        std::fs::File::options()
+            .append(true)
+            .open(entry)
+            .and_then(|f| f.set_modified(past))
+            .unwrap();
+    }
+
+    let capped = [
+        &corpus[..],
+        &["--isolation", "process", "--cache-max-entries", "3"],
+    ]
+    .concat();
+    let rerun = run_sga(&capped);
+    assert!(
+        rerun.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rerun.stderr)
+    );
+    let report = stdout_json(&rerun);
+    assert_eq!(total(&report, "cache_misses"), 0, "every unit must hit");
+    for entry in &entries {
+        let modified = std::fs::metadata(entry).unwrap().modified().unwrap();
+        assert!(
+            modified > past,
+            "{} was hit but not refreshed",
+            entry.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- daemon fault-plan rejection ---------------------------------------
 
 #[test]

@@ -784,26 +784,50 @@ fn sga(args: &[&str]) -> std::process::Output {
         .expect("sga binary runs")
 }
 
-/// The dependency-backend flag is gone from every front door — refused as
-/// an unknown argument (usage on stderr, exit 2), not silently accepted.
-/// (Spelled in halves: a grep for the flag must find nothing in the tree.)
+/// Deleted flags are gone from every front door that took them — refused as
+/// unknown arguments (usage on stderr, exit 2), not silently accepted: the
+/// dependency-backend flag (spelled in halves: a grep for it must find
+/// nothing in the tree), and the nine spellings nothing needed.
 #[test]
 fn removed_backend_flag_is_rejected_everywhere() {
-    const FLAG: &str = concat!("--dep", "-backend");
-    for door in [
-        &["unit.c"][..],
-        &["check", "unit.c"],
-        &["analyze", "dir"],
-        &["serve", "dir"],
-    ] {
-        let out = sga(&[door, &[FLAG, "csr"]].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{door:?}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("unexpected argument `{FLAG}`\nusage: sga")),
-            "{door:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{door:?}");
+    const BACKEND: &str = concat!("--dep", "-backend");
+    let doors: [(&[&str], &[&str]); 5] = [
+        (&["unit.c"], &[BACKEND]),
+        (&["check", "unit.c"], &[BACKEND]),
+        (
+            &["analyze", "dir"],
+            &[
+                BACKEND,
+                "--keep-going",
+                "--quarantine-keep",
+                "--journal-dir",
+            ],
+        ),
+        (
+            &["serve", "dir"],
+            &[
+                BACKEND,
+                "--queue-cap",
+                "--sub-queue-cap",
+                "--write-deadline-ms",
+                "--sub-sndbuf",
+                "--max-line",
+                "--journal-dir",
+            ],
+        ),
+        (&["cache", "gc", "dir"], &["--serve-journal-max"]),
+    ];
+    for (door, flags) in doors {
+        for &flag in flags {
+            let out = sga(&[door, &[flag, "1"]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{door:?} {flag}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("unexpected argument `{flag}`\nusage: sga")),
+                "{door:?} {flag}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{door:?} {flag}");
+        }
     }
 }
 
