@@ -397,8 +397,9 @@ core.triage.discharged_path core.octagon.packs core.octagon.iterations diag.diag
 ALLOC_ROWS="core.sparse.allocs core.sparse.alloc_bytes core.preanalysis.allocs"
 
 # What the every-unit-a-hit workload pins: its one non-zero answer row, exactly,
-# and the bytes its cache entries take, under a ceiling (pretty-printing, or a
-# JSON node per segment number, would multiply them by seven).
+# and the bytes its cache entries take, under a ceiling (an entry holds what a
+# hit returns; a field written but never read back, or pretty-printing, would
+# push them over).
 WARM_ROWS="diag.diagnostics pipeline.cache.entry_bytes"
 
 # What the daemon workload pins: how many units a body and an interface edit

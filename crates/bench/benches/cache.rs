@@ -1,12 +1,11 @@
 //! Criterion micro-benchmarks of the on-disk store, per entry: what one
 //! cache hit and one cache store cost for the real `UnitAnalysis` of one
-//! generated 1-kLOC flat (`max_scc = 2`) unit — several thousand dependency
-//! segment rows, which is where an entry's bytes are. `cache/load_hit` is
-//! `Cache::load` end to end (read, checksum over the bytes, payload parse,
-//! row unpacking, decode); `cache/store` is `Cache::store` (encode, seal,
-//! temp file + rename). The repository benchmark's `warm_rerun` is thirteen
-//! of the former a pass; this makes the per-entry number reproducible
-//! without the harness.
+//! generated 1-kLOC flat (`max_scc = 2`) unit — its diagnostics, which is
+//! where an entry's bytes are. `cache/load_hit` is `Cache::load` end to end
+//! (read, checksum over the bytes, payload parse, decode); `cache/store` is
+//! `Cache::store` (encode, seal, temp file + rename). The repository
+//! benchmark's `warm_rerun` is thirteen of the former a pass; this makes
+//! the per-entry number reproducible without the harness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sga::cgen::GenConfig;
@@ -29,9 +28,11 @@ fn bench_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = Cache::open(&dir).expect("open scratch cache");
     cache.store(&unit.name, key, &analysis).expect("store");
-    let rows: usize = analysis.procs.iter().map(|p| p.dep_segment.len()).sum();
     let bytes = std::fs::metadata(cache.path_for(&unit.name, key)).map_or(0, |m| m.len());
-    println!("cache entry: {rows} segment rows, {bytes} bytes");
+    println!(
+        "cache entry: {} diagnostics, {bytes} bytes",
+        analysis.diags.len()
+    );
 
     let mut group = c.benchmark_group("cache");
     group.sample_size(30);

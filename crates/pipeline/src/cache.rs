@@ -1,57 +1,50 @@
-//! Content-hash-keyed on-disk cache of per-procedure analysis artifacts —
-//! checksummed, atomically written, and self-healing.
+//! Content-hash-keyed on-disk cache of unit analyses — checksummed,
+//! atomically written, and self-healing.
 //!
-//! One JSON file per translation unit, named `<unit>-<key>.json` where the
-//! key is a hash of the unit's *source text* plus the analysis options and
-//! the cache format version. Editing a unit, flipping an option, or bumping
-//! the format all change the key, so stale entries are simply never looked
-//! up again (they are overwritten lazily, not garbage-collected).
+//! One sealed record per translation unit in a [`SealedDir`], named
+//! `<unit>-<key>` where the key is a hash of the unit's *source text* plus
+//! the analysis options and the cache format version. Editing a unit,
+//! flipping an option, or bumping the format all change the key, so stale
+//! entries are simply never looked up again (they are overwritten lazily,
+//! not garbage-collected).
 //!
-//! A cache file stores everything the driver needs to skip re-analysis
-//! entirely: the per-procedure callee-access summaries and dependency
-//! segments (the expensive artifacts named by the paper's pre-analysis and
-//! dependency-generation phases), plus the unit's alarms, degradation flag,
-//! and the fixpoint fingerprint.
+//! An entry holds exactly what a hit returns — the [`UnitAnalysis`]: the
+//! unit's diagnostics, link interface, degradation flags, fixpoint
+//! fingerprint and counts — so an unchanged unit is never re-analyzed, and
+//! every stored field is read back.
 //!
-//! Robustness model (the cache must survive killed runs and bad disks):
+//! The envelope, atomic writes and quarantine are the store's
+//! ([`crate::store`]); this module adds the codec and the policy:
 //!
-//! * **Atomic stores.** Entries are written to a temp file in the cache
-//!   directory and `rename`d into place, so readers never observe a
-//!   half-written entry from a concurrent or killed writer.
-//! * **Checksums over the bytes written.** An entry is exactly the text
-//!   [`seal`] returns — `{"checksum":"<16 hex>","payload":<compact payload>}`
-//!   and a newline, the checksum being the fxhash of the payload's bytes as
-//!   rendered. A load matches the fixed head literally, hashes the payload
-//!   slice, and only then parses it ([`unseal`]), so any byte that differs
-//!   from what was written is caught — not only bytes that change the parsed
-//!   tree — and nothing is re-rendered to verify. The file is still one JSON
-//!   document, readable with any JSON tool.
-//! * **Packed dependency segments.** A procedure's segment is one string,
-//!   `"loc from_proc from_node to_proc to_node is_return;"` per row in
-//!   decimal, not an array of number arrays: a unit holds thousands of rows,
-//!   and the cost of a hit was their JSON nodes, not the analysis.
 //! * **Quarantine, not panic.** A present-but-damaged entry (unreadable,
-//!   unparsable, checksum mismatch, wrong embedded schema, shape mismatch)
-//!   is moved into `quarantine/` under the cache root and reported as
+//!   refused by the envelope, wrong embedded schema, shape mismatch) is moved
+//!   into `quarantine/` under the cache root and reported as
 //!   [`LoadOutcome::MissCorrupt`]; the driver recomputes and overwrites.
 //! * **Bounded retry.** Stores retry transient IO errors a few times with
 //!   short backoff before giving up; a final failure is returned to the
 //!   caller (it costs the *next* run a hit, never this run its result).
+//! * **LRU by access.** With an entry cap, a hit refreshes its entry's
+//!   mtime and [`Cache::sweep_lru`] evicts the least recently used.
 //!
-//! [`CacheHealth`] counts quarantines, IO retries, and failed stores so the
-//! run report can surface self-healing activity.
+//! [`CacheHealth`] counts quarantines, IO retries, failed stores and
+//! evictions so the run report can surface self-healing activity.
 
 use crate::fault::CorruptionMode;
-use crate::unit::{ProcArtifact, UnitAnalysis};
+use crate::store::{Found, SealedDir};
+use crate::unit::UnitAnalysis;
 use sga_core::interface::{ImportRef, ProcInterface, UnitInterface};
 use sga_diag::Diagnostic;
-use sga_utils::{fxhash, Json};
-use std::fmt::Write as _;
-use std::io::{Read, Seek, SeekFrom, Write};
+use sga_utils::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bump when the cached schema or any analysis semantics change.
+///
+/// v7: an entry holds what a hit returns and nothing else — the
+/// per-procedure artifacts (callee-access summaries and packed dependency
+/// segments, 95 % of an entry's bytes, never read back) are gone, `procs`
+/// is the procedure count, and the `unit` name (already in the file name)
+/// is no longer written.
 ///
 /// v6: the envelope's checksum covers the payload's bytes as written (it used
 /// to cover a re-rendering of the parsed tree), entries are compact, and a
@@ -74,24 +67,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// v2: checksummed `{checksum, payload}` envelope, atomic writes, the
 /// `degraded` flag.
-pub const CACHE_FORMAT: u32 = 6;
+pub const CACHE_FORMAT: u32 = 7;
 
 /// Store attempts per entry (first try + retries of transient IO errors).
 const STORE_ATTEMPTS: u32 = 3;
 
-/// Default number of quarantined entries to retain (newest first). Without a
-/// cap every healing event would leak a file forever.
-pub const DEFAULT_QUARANTINE_KEEP: usize = 16;
-
 /// Backoff before retry `n` (1-based), in milliseconds.
 const RETRY_BACKOFF_MS: [u64; 2] = [1, 4];
-
-/// Cache key of one unit: format version + option fingerprint + source text.
-/// A lookup key only: the `source_hash` a report renders is hashed apart
-/// from the format version, so bumping the format moves no report byte.
-pub fn unit_key(source: &str, options_tag: &str) -> u64 {
-    fxhash::hash_one(&(CACHE_FORMAT, options_tag, source))
-}
 
 /// Self-healing activity counters, shared across worker threads.
 #[derive(Debug, Default)]
@@ -137,30 +119,26 @@ pub enum LoadOutcome {
     MissCorrupt,
 }
 
-/// A directory of per-unit cache files.
+/// A directory of per-unit cache entries.
 pub struct Cache {
-    dir: PathBuf,
+    dir: SealedDir,
     health: CacheHealth,
-    quarantine_keep: usize,
     max_entries: Option<usize>,
+}
+
+/// The record name of `unit`'s entry under `key`.
+fn entry_name(unit: &str, key: u64) -> String {
+    format!("{unit}-{key:016x}")
 }
 
 impl Cache {
     /// Opens (creating if needed) a cache rooted at `dir`.
     pub fn open(dir: &Path) -> std::io::Result<Cache> {
-        std::fs::create_dir_all(dir)?;
         Ok(Cache {
-            dir: dir.to_path_buf(),
+            dir: SealedDir::open(dir)?,
             health: CacheHealth::default(),
-            quarantine_keep: DEFAULT_QUARANTINE_KEEP,
             max_entries: None,
         })
-    }
-
-    /// Caps `quarantine/` at the newest `keep` entries (set before sharing
-    /// the cache across workers).
-    pub fn set_quarantine_keep(&mut self, keep: usize) {
-        self.quarantine_keep = keep;
     }
 
     /// Caps the cache at `max` entries, evicted LRU-by-access by
@@ -179,7 +157,7 @@ impl Cache {
         let Some(max) = self.max_entries else {
             return 0;
         };
-        let evicted = prune_entries_to_newest(&self.dir, max).unwrap_or(0);
+        let evicted = self.dir.keep_newest(max).unwrap_or(0);
         self.health.evicted.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
@@ -187,22 +165,7 @@ impl Cache {
     /// The entry path for `unit` under `key` (exposed so tests and fault
     /// injection can damage entries directly).
     pub fn path_for(&self, unit: &str, key: u64) -> PathBuf {
-        let safe: String = unit
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        self.dir.join(format!("{safe}-{key:016x}.json"))
-    }
-
-    /// Where damaged entries go.
-    pub fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join("quarantine")
+        self.dir.path_of(&entry_name(unit, key))
     }
 
     /// Self-healing counters so far.
@@ -214,31 +177,22 @@ impl Cache {
     /// Damaged entries are quarantined and reported as
     /// [`LoadOutcome::MissCorrupt`].
     pub fn load(&self, unit: &str, key: u64) -> LoadOutcome {
-        let path = self.path_for(unit, key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::MissAbsent,
-            Err(_) => {
-                // Present but unreadable — treat like damage.
-                self.quarantine(&path);
-                return LoadOutcome::MissCorrupt;
-            }
+        let name = entry_name(unit, key);
+        let decoded = match self.dir.get(&name) {
+            Found::Absent => return LoadOutcome::MissAbsent,
+            Found::Damaged => None,
+            Found::Payload(payload) => decode(&payload),
         };
-        match unseal(&text).as_ref().and_then(decode) {
+        match decoded {
             Some(analysis) => {
-                // Refresh the entry's access time so the LRU sweep sees a
-                // hit as recent use. Best effort: a failed touch only makes
-                // the entry *look* colder than it is.
+                // A hit is recent use for the LRU sweep.
                 if self.max_entries.is_some() {
-                    let _ = std::fs::File::options()
-                        .append(true)
-                        .open(&path)
-                        .and_then(|f| f.set_modified(std::time::SystemTime::now()));
+                    self.dir.touch(&name);
                 }
                 LoadOutcome::Hit(Box::new(analysis))
             }
             None => {
-                self.quarantine(&path);
+                self.quarantine_entry(unit, key);
                 LoadOutcome::MissCorrupt
             }
         }
@@ -260,14 +214,14 @@ impl Cache {
         analysis: &UnitAnalysis,
         inject_fail_first: u32,
     ) -> std::io::Result<()> {
-        let path = self.path_for(unit, key);
-        let text = seal(&encode(unit, analysis));
+        let name = entry_name(unit, key);
+        let payload = encode(analysis);
         let mut attempt = 0;
         loop {
             let result = if attempt < inject_fail_first {
                 Err(std::io::Error::other("injected fault: cache IO error"))
             } else {
-                write_atomic(&path, text.as_bytes())
+                self.dir.put(&name, &payload)
             };
             match result {
                 Ok(()) => return Ok(()),
@@ -290,70 +244,44 @@ impl Cache {
     pub fn corrupt_entry(&self, unit: &str, key: u64, mode: CorruptionMode) -> std::io::Result<()> {
         let path = self.path_for(unit, key);
         match mode {
-            CorruptionMode::Truncate => {
-                let len = std::fs::metadata(&path)?.len();
-                let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-                file.set_len(len / 2)?;
-            }
-            CorruptionMode::BitFlip => {
-                let mut file = std::fs::OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(&path)?;
-                let len = std::fs::metadata(&path)?.len();
-                let mid = len / 2;
-                let mut byte = [0u8; 1];
-                file.seek(SeekFrom::Start(mid))?;
-                file.read_exact(&mut byte)?;
-                byte[0] ^= 0x40;
-                file.seek(SeekFrom::Start(mid))?;
-                file.write_all(&byte)?;
+            CorruptionMode::Truncate | CorruptionMode::BitFlip => {
+                let mut bytes = std::fs::read(&path)?;
+                let mid = bytes.len() / 2;
+                if mode == CorruptionMode::Truncate {
+                    bytes.truncate(mid);
+                } else if let Some(byte) = bytes.get_mut(mid) {
+                    *byte ^= 0x40;
+                }
+                std::fs::write(&path, bytes)?;
             }
             CorruptionMode::Forge => {
                 // Tamper the payload *then re-seal* with a valid checksum:
                 // the envelope passes, the content is wrong. Only the
                 // validation oracle's recompute-and-compare catches this.
-                let text = std::fs::read_to_string(&path)?;
-                let mut payload =
-                    unseal(&text).ok_or_else(|| std::io::Error::other("forge: bad envelope"))?;
+                let name = entry_name(unit, key);
+                let Found::Payload(mut payload) = self.dir.get(&name) else {
+                    return Err(std::io::Error::other("forge: bad envelope"));
+                };
                 let fp = payload
                     .get("fingerprint")
                     .and_then(Json::as_str)
                     .and_then(|s| u64::from_str_radix(s, 16).ok())
                     .ok_or_else(|| std::io::Error::other("forge: no fingerprint"))?;
                 payload.set("fingerprint", format!("{:016x}", fp ^ 0x1));
-                write_atomic(&path, seal(&payload).as_bytes())?;
+                self.dir.put(&name, &payload)?;
             }
         }
         Ok(())
     }
 
-    /// Quarantines the entry for `unit`/`key` explicitly — the validation
-    /// oracle's hook for evicting entries whose checksum is fine but whose
-    /// *content* disagrees with a recomputed result.
+    /// Moves the entry for `unit`/`key` aside (see [`SealedDir::quarantine`])
+    /// and counts it — what a load does with a damaged entry, and the
+    /// validation oracle's hook for evicting entries whose checksum is fine
+    /// but whose *content* disagrees with a recomputed result.
     pub fn quarantine_entry(&self, unit: &str, key: u64) {
-        let path = self.path_for(unit, key);
-        if path.exists() {
-            self.quarantine(&path);
+        if self.dir.quarantine(&entry_name(unit, key)) {
+            self.health.quarantined.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Moves a damaged entry aside so the next store starts clean and the
-    /// evidence survives for post-mortems. Failures fall back to deletion;
-    /// if even that fails the recompute-and-overwrite path still heals. The
-    /// quarantine directory is pruned to the newest `quarantine_keep`
-    /// entries afterwards so healing activity cannot leak disk forever.
-    fn quarantine(&self, path: &Path) {
-        self.health.quarantined.fetch_add(1, Ordering::Relaxed);
-        let qdir = self.quarantine_dir();
-        let moved = std::fs::create_dir_all(&qdir).is_ok()
-            && path
-                .file_name()
-                .is_some_and(|name| std::fs::rename(path, qdir.join(name)).is_ok());
-        if !moved {
-            let _ = std::fs::remove_file(path);
-        }
-        let _ = prune_dir_to_newest(&qdir, self.quarantine_keep);
     }
 }
 
@@ -379,198 +307,29 @@ pub struct GcStats {
 /// retains only records of units it still has): only their stranded `.tmp`
 /// files are removed.
 pub fn gc(dir: &Path, keep: usize, max_entries: Option<usize>) -> std::io::Result<GcStats> {
+    let root = SealedDir::at(dir);
+    let mut tmp_removed = root.sweep_tmp()?;
+    for journal in ["journal", "serve-journal"] {
+        tmp_removed += SealedDir::at(&dir.join(journal)).sweep_tmp()?;
+    }
     Ok(GcStats {
-        quarantine_removed: prune_dir_to_newest(&dir.join("quarantine"), keep)?,
-        tmp_removed: sweep_tmp(dir)?
-            + sweep_tmp(&dir.join("journal"))?
-            + sweep_tmp(&dir.join("serve-journal"))?,
+        quarantine_removed: root.quarantined().keep_newest(keep)?,
+        tmp_removed,
         evicted: match max_entries {
-            Some(max) => prune_entries_to_newest(dir, max)?,
+            Some(max) => root.keep_newest(max)?,
             None => 0,
         },
     })
 }
 
-/// Keeps the newest `keep` cache *entry* files (`*.json` directly under the
-/// cache root; the `journal/` and `quarantine/` subdirectories are not
-/// entries) and removes the rest, oldest access first.
-fn prune_entries_to_newest(dir: &Path, keep: usize) -> std::io::Result<usize> {
-    prune_to_newest(dir, keep, |p| p.extension().is_some_and(|e| e == "json"))
-}
-
-/// Removes `.tmp` files directly under `dir`. A missing directory is fine.
-fn sweep_tmp(dir: &Path) -> std::io::Result<usize> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "tmp") && std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
-/// Keeps the newest `keep` files in `dir` (by mtime, file name as the
-/// deterministic tiebreak) and removes the rest. Missing directory = no-op.
-fn prune_dir_to_newest(dir: &Path, keep: usize) -> std::io::Result<usize> {
-    prune_to_newest(dir, keep, |_| true)
-}
-
-/// [`prune_dir_to_newest`] restricted to files matching `select`.
-fn prune_to_newest(
-    dir: &Path,
-    keep: usize,
-    select: impl Fn(&Path) -> bool,
-) -> std::io::Result<usize> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut files: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            if !select(&path) {
-                return None;
-            }
-            let meta = entry.metadata().ok()?;
-            meta.is_file()
-                .then(|| (meta.modified().unwrap_or(std::time::UNIX_EPOCH), path))
-        })
-        .collect();
-    if files.len() <= keep {
-        return Ok(0);
-    }
-    // Oldest first; names break mtime ties so pruning is deterministic.
-    files.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let excess = files.len() - keep;
-    let mut removed = 0;
-    for (_, path) in files.into_iter().take(excess) {
-        if std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// then rename. The temp name is derived from the target name; only one
-/// writer per key exists within a run (each unit is analyzed once), and
-/// cross-run collisions just race to identical content. Shared with the
-/// write-ahead journal and the serve daemon's round journal, which have
-/// the same torn-write problem.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// The envelope around a compact payload: `{"checksum":"` + 16 lowercase hex
-/// digits + `","payload":` — 41 bytes — then the payload, then `}` and a
-/// newline.
-const HEAD: &str = "{\"checksum\":\"";
-const MID: &str = "\",\"payload\":";
-const TAIL: &str = "}\n";
-
-/// Seals `payload` as the exact text to write: the fixed 41-byte head
-/// carrying the fxhash of the payload's compact rendering, that rendering,
-/// `}` and a newline — one valid JSON document. Cache entries, both journals
-/// and the worker pipe all write this and nothing else, so every durable or
-/// piped record verifies the same way.
-pub fn seal(payload: &Json) -> String {
-    let body = payload.to_compact();
-    format!("{HEAD}{:016x}{MID}{body}{TAIL}", checksum(&body))
-}
-
-/// What the envelope's hex digits say: the fxhash of the payload's bytes.
-fn checksum(body: &str) -> u64 {
-    fxhash::hash_one(&body)
-}
-
-/// Verifies a sealed text and returns its payload, or `None` on any damage.
-/// The head and tail are matched literally and the checksum is compared
-/// against the hash of the payload *bytes* before anything is parsed: a
-/// truncation, a flipped bit, or a re-formatting that still parses to the
-/// same tree is refused, and only the payload itself is ever parsed.
-pub fn unseal(text: &str) -> Option<Json> {
-    let rest = text.strip_prefix(HEAD)?;
-    let (hex, rest) = (rest.get(..16)?, rest.get(16..)?);
-    let body = rest.strip_prefix(MID)?.strip_suffix(TAIL)?;
-    // Compared as text: exactly the sixteen lowercase digits `seal` wrote.
-    if format!("{:016x}", checksum(body)) != hex {
-        return None;
-    }
-    Json::parse(body).ok()
-}
-
-/// Packs dependency-segment rows as one string: six decimal fields separated
-/// by one space, every row closed by `;`.
-fn pack_rows(rows: &[[u64; 6]]) -> String {
-    let mut out = String::with_capacity(rows.len() * 20);
-    for [first, rest @ ..] in rows {
-        let _ = write!(out, "{first}");
-        for x in rest {
-            let _ = write!(out, " {x}");
-        }
-        out.push(';');
-    }
-    out
-}
-
-/// Reads what [`pack_rows`] wrote and nothing else: digits, single spaces
-/// and `;`, exactly six non-empty fields a row, every field a `u64`,
-/// nothing after the last `;`.
-fn unpack_rows(text: &str) -> Option<Vec<[u64; 6]>> {
-    let bytes = text.as_bytes();
-    let mut rows = Vec::with_capacity(bytes.iter().filter(|&&b| b == b';').count());
-    let mut row = [0u64; 6];
-    let (mut field, mut digits) = (0, 0);
-    for &b in bytes {
-        match b {
-            b'0'..=b'9' => {
-                row[field] = row[field]
-                    .checked_mul(10)?
-                    .checked_add(u64::from(b - b'0'))?;
-                digits += 1;
-            }
-            b' ' if digits > 0 && field < 5 => (field, digits) = (field + 1, 0),
-            b';' if digits > 0 && field == 5 => {
-                rows.push(std::mem::take(&mut row));
-                (field, digits) = (0, 0);
-            }
-            _ => return None,
-        }
-    }
-    (field == 0 && digits == 0).then_some(rows)
-}
-
-/// Renders a [`UnitAnalysis`] as a cache-entry payload (to be [`seal`]ed).
-/// Crate-visible so the isolated worker ships its artifacts back to the
-/// parent inside its response in exactly the shape the cache stores.
-pub(crate) fn encode(unit: &str, a: &UnitAnalysis) -> Json {
-    let procs: Vec<Json> = a
-        .procs
-        .iter()
-        .map(|p| {
-            Json::obj()
-                .with("name", p.name.as_str())
-                .with("summary_defs", strs(&p.summary_defs))
-                .with("summary_uses", strs(&p.summary_uses))
-                .with("dep_segment", pack_rows(&p.dep_segment))
-        })
-        .collect();
+/// Renders a [`UnitAnalysis`] as a cache-entry payload. Crate-visible so the
+/// isolated worker ships its analysis back to the parent inside its
+/// response in exactly the shape the cache stores.
+pub(crate) fn encode(a: &UnitAnalysis) -> Json {
     Json::obj()
         .with("schema", CACHE_FORMAT)
-        .with("unit", unit)
         .with("fingerprint", format!("{:016x}", a.fingerprint))
+        .with("procs", a.procs)
         .with("iterations", a.iterations)
         .with("num_locs", a.num_locs)
         .with("dep_edges_raw", a.dep_edges_raw)
@@ -582,7 +341,6 @@ pub(crate) fn encode(unit: &str, a: &UnitAnalysis) -> Json {
             a.diags.iter().map(Diagnostic::to_json).collect::<Vec<_>>(),
         )
         .with("interface", encode_interface(&a.interface))
-        .with("procs", procs)
 }
 
 /// Renders a [`UnitInterface`] in the cache-entry shape. Public so the
@@ -612,7 +370,13 @@ pub fn encode_interface(iface: &UnitInterface) -> Json {
                     Json::obj()
                         .with("symbol", i.symbol.as_str())
                         .with("arity", i.arity)
-                        .with("dependents", strs(&i.dependents))
+                        .with(
+                            "dependents",
+                            i.dependents
+                                .iter()
+                                .map(|s| Json::from(s.as_str()))
+                                .collect::<Vec<_>>(),
+                        )
                 })
                 .collect::<Vec<_>>(),
         )
@@ -633,7 +397,12 @@ pub fn decode_interface(j: &Json) -> Option<UnitInterface> {
         imports.push(ImportRef {
             symbol: i.get("symbol")?.as_str()?.to_string(),
             arity: i.get("arity")?.as_u64()? as usize,
-            dependents: str_list(i.get("dependents")?)?,
+            dependents: i
+                .get("dependents")?
+                .as_arr()?
+                .iter()
+                .map(|s| Some(s.as_str()?.to_string()))
+                .collect::<Option<_>>()?,
         });
     }
     Some(UnitInterface { exports, imports })
@@ -645,17 +414,6 @@ pub(crate) fn decode(payload: &Json) -> Option<UnitAnalysis> {
     if payload.get("schema")?.as_u64()? != u64::from(CACHE_FORMAT) {
         return None;
     }
-    let fingerprint = u64::from_str_radix(payload.get("fingerprint")?.as_str()?, 16).ok()?;
-    let mut procs = Vec::new();
-    for p in payload.get("procs")?.as_arr()? {
-        let dep_segment = unpack_rows(p.get("dep_segment")?.as_str()?)?;
-        procs.push(ProcArtifact {
-            name: p.get("name")?.as_str()?.to_string(),
-            summary_defs: str_list(p.get("summary_defs")?)?,
-            summary_uses: str_list(p.get("summary_uses")?)?,
-            dep_segment,
-        });
-    }
     let diags = payload
         .get("diagnostics")?
         .as_arr()?
@@ -663,11 +421,11 @@ pub(crate) fn decode(payload: &Json) -> Option<UnitAnalysis> {
         .map(Diagnostic::from_json)
         .collect::<Option<Vec<_>>>()?;
     Some(UnitAnalysis {
-        procs,
+        procs: payload.get("procs")?.as_u64()? as usize,
         interface: decode_interface(payload.get("interface")?)?,
         diags,
         triage_degraded: payload.get("triage_degraded")?.as_bool()?,
-        fingerprint,
+        fingerprint: u64::from_str_radix(payload.get("fingerprint")?.as_str()?, 16).ok()?,
         iterations: payload.get("iterations")?.as_u64()? as usize,
         num_locs: payload.get("num_locs")?.as_u64()? as usize,
         dep_edges_raw: payload.get("dep_edges_raw")?.as_u64()? as usize,
@@ -676,20 +434,10 @@ pub(crate) fn decode(payload: &Json) -> Option<UnitAnalysis> {
     })
 }
 
-fn strs(v: &[String]) -> Vec<Json> {
-    v.iter().map(|s| Json::from(s.as_str())).collect()
-}
-
-fn str_list(j: &Json) -> Option<Vec<String>> {
-    j.as_arr()?
-        .iter()
-        .map(|s| Some(s.as_str()?.to_string()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::DEFAULT_QUARANTINE_KEEP;
     use crate::testfix::{
         every_damage, previous_format_entry, sample_analysis as sample, stored_cache, temp_cache,
     };
@@ -697,58 +445,59 @@ mod tests {
     #[test]
     fn roundtrip() {
         let a = sample();
-        let sealed = seal(&encode("u", &a));
-        assert_eq!(decode(&unseal(&sealed).unwrap()).unwrap(), a);
-        // One JSON document, compact: any JSON tool reads the file.
-        let whole = Json::parse(&sealed).unwrap();
-        assert_eq!(whole.get("payload"), unseal(&sealed).as_ref());
-        assert!(sealed.ends_with("}\n") && !sealed.trim_end().contains('\n'));
+        assert_eq!(decode(&encode(&a)), Some(a));
     }
 
-    /// A stale schema under a *valid* envelope: the checksum does not vouch
-    /// for schema compatibility, so it is the schema check that must refuse.
+    /// Every top-level field of an entry is read back: without any one of
+    /// them the payload does not decode, so nothing is stored that a hit
+    /// does not return.
     #[test]
-    fn schema_mismatch_is_rejected() {
-        let cache = temp_cache("schema");
-        let mut payload = encode("u", &sample());
-        payload.set("schema", CACHE_FORMAT - 1);
-        let stale = seal(&payload);
-        assert_eq!(unseal(&stale).as_ref(), Some(&payload), "envelope verifies");
-        assert!(decode(&payload).is_none());
-        std::fs::write(cache.path_for("u", 7), stale).unwrap();
-        assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
+    fn every_payload_field_is_load_bearing() {
+        let Json::Obj(fields) = encode(&sample()) else {
+            panic!("an entry payload is an object");
+        };
+        for (i, (key, _)) in fields.iter().enumerate() {
+            let mut without = fields.clone();
+            without.remove(i);
+            assert_eq!(decode(&Json::Obj(without)), None, "{key} is never read");
+        }
     }
 
     #[test]
     fn checksum_mismatch_is_rejected() {
-        let sealed = seal(&encode("u", &sample()));
+        let (cache, _) = stored_cache("checksum", "u", 7);
+        let path = cache.path_for("u", 7);
+        let sealed = std::fs::read_to_string(&path).unwrap();
         // Damage that still parses to a well-formed entry, and a
         // re-formatting that parses to the *same* tree: both are bytes that
         // were not written.
         let edited = sealed.replace("\"iterations\":42", "\"iterations\":43");
-        assert_ne!(edited, sealed);
-        assert!(Json::parse(&edited).is_ok() && unseal(&edited).is_none());
         let spaced = sealed.replace("\"iterations\":42", "\"iterations\": 42");
+        assert_ne!(edited, sealed);
         assert_eq!(Json::parse(&spaced), Json::parse(&sealed));
-        assert!(unseal(&spaced).is_none());
-        // The checksum is the sixteen lowercase digits `seal` wrote, not any
-        // spelling of the same number.
-        let digits = HEAD.len()..HEAD.len() + 16;
+        // The checksum is the sixteen lowercase digits the store wrote, not
+        // any spelling of the same number.
+        let at = "{\"checksum\":\"".len();
+        let digits = at..at + 16;
         let mut shouted = sealed.clone();
         shouted.replace_range(digits.clone(), &sealed[digits].to_uppercase());
         assert_ne!(shouted, sealed, "the sample's checksum has a letter in it");
-        assert!(Json::parse(&shouted).is_ok() && unseal(&shouted).is_none());
+        for damaged in [edited, spaced, shouted] {
+            assert!(Json::parse(&damaged).is_ok());
+            std::fs::write(&path, damaged).unwrap();
+            assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
+        }
+        assert_eq!(cache.health().quarantined, 3);
     }
 
     /// Every torn write and every single-byte change of a stored entry is a
-    /// quarantined miss, never a hit and never a panic.
+    /// corrupt miss that quarantines it — never a hit and never a panic.
     #[test]
     fn every_damage_to_an_entry_is_a_corrupt_miss() {
-        let mut cache = temp_cache("every-damage");
-        cache.set_quarantine_keep(1);
-        let intact = seal(&encode("u", &sample()));
+        let (cache, _) = stored_cache("every-damage", "u", 7);
+        let intact = std::fs::read(cache.path_for("u", 7)).unwrap();
         let mut damaged = 0;
-        for (what, bytes) in every_damage(intact.as_bytes()) {
+        for (what, bytes) in every_damage(&intact) {
             std::fs::write(cache.path_for("u", 7), bytes).unwrap();
             let outcome = cache.load("u", 7);
             assert!(matches!(outcome, LoadOutcome::MissCorrupt), "{what}");
@@ -758,71 +507,27 @@ mod tests {
         assert_eq!(cache.health().quarantined, damaged);
     }
 
+    /// A stale schema under a *valid* envelope: the checksum does not vouch
+    /// for schema compatibility, so it is the schema check that must refuse.
+    #[test]
+    fn schema_mismatch_is_rejected() {
+        let cache = temp_cache("schema");
+        let mut payload = encode(&sample());
+        payload.set("schema", CACHE_FORMAT - 1);
+        assert!(decode(&payload).is_none());
+        cache.dir.put(&entry_name("u", 7), &payload).unwrap();
+        assert_eq!(cache.dir.get(&entry_name("u", 7)), Found::Payload(payload));
+        assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
+    }
+
     /// An entry in the previous format's shape copied under a current key
-    /// is refused at the envelope and quarantined.
+    /// is refused and quarantined.
     #[test]
     fn previous_format_entry_under_a_current_key_is_quarantined() {
-        let cache = temp_cache("v5-shape");
+        let cache = temp_cache("v6-shape");
         std::fs::write(cache.path_for("u", 7), previous_format_entry()).unwrap();
         assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
         assert_eq!(cache.health().quarantined, 1);
-    }
-
-    #[test]
-    fn packed_rows_roundtrip() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        assert_eq!(pack_rows(&[]), "");
-        assert_eq!(unpack_rows(""), Some(Vec::new()));
-        let edge = [[u64::MAX; 6], [0; 6], [u64::MAX, 0, 1, 9, 10, 1]];
-        assert_eq!(unpack_rows(&pack_rows(&edge)).as_deref(), Some(&edge[..]));
-        assert_eq!(pack_rows(&[[3, 0, 1, 0, 4, 0]]), "3 0 1 0 4 0;");
-        let mut rng = StdRng::seed_from_u64(20);
-        for _ in 0..200 {
-            let rows: Vec<[u64; 6]> = (0..rng.gen_range(0..40))
-                .map(|_| {
-                    // Every magnitude, not just 20-digit values.
-                    std::array::from_fn(|_| rng.gen::<u64>() >> rng.gen_range(0..64))
-                })
-                .collect();
-            assert_eq!(unpack_rows(&pack_rows(&rows)), Some(rows));
-        }
-    }
-
-    #[test]
-    fn packed_rows_refuse_everything_pack_rows_does_not_write() {
-        for bad in [
-            "1 2 3 4 5;",     // five fields
-            "1 2 3 4 5 6 7;", // seven
-            "1 2  3 4 5 6;",  // double space
-            " 1 2 3 4 5 6;",  // leading space
-            "1 2 3 4 5 6 ;",  // trailing space
-            "1 2 3 4 5 6",    // missing final `;`
-            "1 2 3 4 5 6;7",  // text after it
-            "1 2 3 4 5 6;;",  // an empty row
-            ";",
-            "-1 2 3 4 5 6;", // signs
-            "+1 2 3 4 5 6;",
-            "18446744073709551616 2 3 4 5 6;", // 2^64
-            "99999999999999999999 2 3 4 5 6;",
-            "1\t2 3 4 5 6;",      // a tab
-            "1 2 3 4 5 6;\n",     // a newline
-            "\u{661} 2 3 4 5 6;", // ARABIC-INDIC DIGIT ONE
-            "1.0 2 3 4 5 6;",     // not an integer
-            "0x1 2 3 4 5 6;",
-        ] {
-            assert_eq!(unpack_rows(bad), None, "{bad:?}");
-        }
-        assert_eq!(
-            unpack_rows("18446744073709551615 2 3 4 5 6;"),
-            Some(vec![[u64::MAX, 2, 3, 4, 5, 6]])
-        );
-        // A damaged segment inside an otherwise well-formed entry is a
-        // decode failure like any other.
-        let entry = encode("u", &sample()).to_compact();
-        let short = entry.replace("3 0 1 0 4 0;", "3 0 1 0 4;");
-        assert_ne!(short, entry);
-        assert!(decode(&Json::parse(&entry).unwrap()).is_some());
-        assert!(decode(&Json::parse(&short).unwrap()).is_none());
     }
 
     #[test]
@@ -846,7 +551,7 @@ mod tests {
         assert_eq!(cache.health().quarantined, 1);
         // The damaged file moved aside; the slot is free again.
         assert!(!cache.path_for("u", 7).exists());
-        assert!(std::fs::read_dir(cache.quarantine_dir()).unwrap().count() == 1);
+        assert_eq!(cache.dir.quarantined().scan().len(), 1);
         assert!(matches!(cache.load("u", 7), LoadOutcome::MissAbsent));
     }
 
@@ -867,8 +572,10 @@ mod tests {
         // fingerprint. Catching this is exactly the validation oracle's job.
         let (cache, a) = stored_cache("forge", "u", 7);
         cache.corrupt_entry("u", 7, CorruptionMode::Forge).unwrap();
-        let forged = std::fs::read_to_string(cache.path_for("u", 7)).unwrap();
-        assert!(unseal(&forged).is_some(), "the forged envelope verifies");
+        assert!(matches!(
+            cache.dir.get(&entry_name("u", 7)),
+            Found::Payload(_)
+        ));
         match cache.load("u", 7) {
             LoadOutcome::Hit(got) => {
                 assert_ne!(got.fingerprint, a.fingerprint);
@@ -892,18 +599,18 @@ mod tests {
 
     #[test]
     fn quarantine_growth_is_bounded() {
-        let mut cache = temp_cache("qcap");
-        cache.set_quarantine_keep(2);
-        for key in 0..5u64 {
+        let cache = temp_cache("qcap");
+        let damaged = DEFAULT_QUARANTINE_KEEP as u64 + 3;
+        for key in 0..damaged {
             cache.store("u", key, &sample()).unwrap();
             cache
                 .corrupt_entry("u", key, CorruptionMode::Truncate)
                 .unwrap();
             assert!(matches!(cache.load("u", key), LoadOutcome::MissCorrupt));
         }
-        assert_eq!(cache.health().quarantined, 5);
-        let retained = std::fs::read_dir(cache.quarantine_dir()).unwrap().count();
-        assert_eq!(retained, 2);
+        assert_eq!(cache.health().quarantined as u64, damaged);
+        let retained = cache.dir.quarantined().scan().len();
+        assert_eq!(retained, DEFAULT_QUARANTINE_KEEP);
     }
 
     #[test]
@@ -916,18 +623,15 @@ mod tests {
                 .unwrap();
             assert!(matches!(cache.load("u", key), LoadOutcome::MissCorrupt));
         }
-        let dir = cache.path_for("u", 0).parent().unwrap().to_path_buf();
+        let dir = cache.dir.dir().to_path_buf();
         std::fs::write(dir.join("stranded.json.tmp"), b"half a write").unwrap();
         let jdir = dir.join("journal");
         std::fs::create_dir_all(&jdir).unwrap();
-        std::fs::write(jdir.join("0001-xyz.json.tmp"), b"torn").unwrap();
+        std::fs::write(jdir.join("0001.json.tmp"), b"torn").unwrap();
         let stats = gc(&dir, 1, None).unwrap();
         assert_eq!(stats.quarantine_removed, 3);
         assert_eq!(stats.tmp_removed, 2);
-        assert_eq!(
-            std::fs::read_dir(dir.join("quarantine")).unwrap().count(),
-            1
-        );
+        assert_eq!(cache.dir.quarantined().scan().len(), 1);
         // Idempotent: a second pass finds nothing to do.
         assert_eq!(gc(&dir, 1, None).unwrap(), GcStats::default());
     }
@@ -938,7 +642,7 @@ mod tests {
         for key in 0..3u64 {
             cache.store("u", key, &sample()).unwrap();
         }
-        let dir = cache.path_for("u", 0).parent().unwrap().to_path_buf();
+        let dir = cache.dir.dir().to_path_buf();
         let sdir = dir.join("serve-journal");
         std::fs::create_dir_all(&sdir).unwrap();
         for name in ["u-aaaa.json", "u-bbbb.json", "u-cccc.json"] {
@@ -998,13 +702,13 @@ mod tests {
 
         // With a cap, only entry files are candidates: the journal and
         // quarantine subdirectories are untouched.
-        let dir = cache.path_for("u", 0).parent().unwrap().to_path_buf();
+        let dir = cache.dir.dir().to_path_buf();
         let jdir = dir.join("journal");
         std::fs::create_dir_all(&jdir).unwrap();
-        std::fs::write(jdir.join("0001-abc.json"), b"journal record").unwrap();
+        std::fs::write(jdir.join("0001.json"), b"journal record").unwrap();
         let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1)).unwrap();
         assert_eq!(stats.evicted, 2);
-        assert!(jdir.join("0001-abc.json").exists());
+        assert!(jdir.join("0001.json").exists());
     }
 
     #[test]

@@ -14,18 +14,17 @@
 //! would flip that unit's recorded `"cache": "miss"` into a `"hit"` on
 //! resume and break byte-identity.
 //!
-//! On disk the journal is one file per record, `NNNN-KKKK.json` (unit index,
-//! unit key), each sealed exactly like a cache entry ([`cache::seal`]: the
-//! checksum covers the bytes written) and written with the same temp-file +
-//! rename dance; a torn or rotten record simply fails to verify and its unit
-//! is recomputed. Records are keyed by the unit's cache key, so
-//! editing a source file or changing analysis options invalidates its
-//! record naturally.
+//! On disk the journal is a [`SealedDir`] of one record per unit, named by
+//! the unit index alone (`NNNN`), so recording a unit again replaces its
+//! record; a torn or rotten record simply fails to verify and its unit is
+//! recomputed. Each record carries the unit's cache key, cross-checked on
+//! replay, so editing a source file or changing analysis options
+//! invalidates its record naturally.
 
-use crate::cache;
+use crate::store::SealedDir;
 use sga_utils::Json;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal record schema version (inside the envelope payload).
 pub const JOURNAL_FORMAT: u32 = 2;
@@ -41,14 +40,16 @@ pub enum Failure {
 }
 
 impl Failure {
-    fn as_str(self) -> &'static str {
+    /// How a record (or a worker response) spells the failure.
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Failure::Frontend => "frontend",
             Failure::Panic => "panic",
         }
     }
 
-    fn from_str(s: &str) -> Option<Failure> {
+    /// Reads what [`Failure::as_str`] wrote.
+    pub(crate) fn from_str(s: &str) -> Option<Failure> {
         match s {
             "frontend" => Some(Failure::Frontend),
             "panic" => Some(Failure::Panic),
@@ -75,28 +76,28 @@ pub struct JournalRecord {
 
 /// An open journal directory.
 pub struct Journal {
-    dir: PathBuf,
+    dir: SealedDir,
+}
+
+/// The record name of unit `index`.
+fn name_of(index: usize) -> String {
+    format!("{index:04}")
 }
 
 impl Journal {
     /// Opens (creating if needed) a journal rooted at `dir`.
     pub fn open(dir: &Path) -> std::io::Result<Journal> {
-        std::fs::create_dir_all(dir)?;
         Ok(Journal {
-            dir: dir.to_path_buf(),
+            dir: SealedDir::open(dir)?,
         })
     }
 
     /// The journal's directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.dir()
     }
 
-    fn path_of(&self, index: usize, key: u64) -> PathBuf {
-        self.dir.join(format!("{index:04}-{key:016x}.json"))
-    }
-
-    /// Commits one record: checksummed envelope, atomic write.
+    /// Commits one record, replacing any earlier record of its unit index.
     pub fn record(&self, rec: &JournalRecord) -> std::io::Result<()> {
         let mut payload = Json::obj()
             .with("schema", JOURNAL_FORMAT)
@@ -107,47 +108,28 @@ impl Journal {
         if let Some(f) = rec.failure {
             payload.set("failure", f.as_str());
         }
-        let path = self.path_of(rec.index, rec.key);
-        cache::write_atomic(&path, cache::seal(&payload).as_bytes())
+        self.dir.put(&name_of(rec.index), &payload)
     }
 
-    /// Loads every decodable record, keyed by unit index. Damaged records
-    /// (torn writes, bit rot, stale schema) are skipped — their units are
-    /// simply recomputed — and duplicate indices keep the lexicographically
-    /// last file, deterministically.
+    /// Loads every decodable record filed under its own unit index, keyed
+    /// by that index. Damaged records (torn writes, bit rot, stale schema)
+    /// and strays are skipped — their units are simply recomputed.
     pub fn load(&self) -> BTreeMap<usize, JournalRecord> {
-        let mut records = BTreeMap::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return records;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            if let Some(rec) = cache::unseal(&text).as_ref().and_then(decode) {
-                records.insert(rec.index, rec);
-            }
-        }
-        records
+        self.dir
+            .scan()
+            .into_iter()
+            .filter_map(|(name, payload)| {
+                decode(&payload?).filter(|rec| name == name_of(rec.index))
+            })
+            .map(|rec| (rec.index, rec))
+            .collect()
     }
 
     /// Removes every record (and stranded temp file), keeping the
     /// directory. Called when a run starts fresh and when it completes —
     /// the journal only ever holds the *current* run's progress.
     pub fn clear(&self) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            let path = entry.path();
-            if path.is_file() {
-                std::fs::remove_file(&path)?;
-            }
-        }
-        Ok(())
+        self.dir.clear()
     }
 }
 
@@ -171,6 +153,7 @@ fn decode(payload: &Json) -> Option<JournalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Found;
     use crate::testfix::{every_damage, sample_analysis, temp_dir};
 
     fn sample_record(index: usize, failure: Option<Failure>) -> JournalRecord {
@@ -204,21 +187,48 @@ mod tests {
         }
     }
 
+    /// A unit journaled again under a new key (an edited unit in an
+    /// interrupted resumed run) is replaced, whatever the two keys' order.
+    #[test]
+    fn rerecording_an_index_replaces_its_record() {
+        let journal = Journal::open(&temp_dir("journal-rerecord")).unwrap();
+        for key in [0xF, 0x1] {
+            journal
+                .record(&JournalRecord {
+                    key,
+                    ..sample_record(0, None)
+                })
+                .unwrap();
+        }
+        let loaded = journal.load();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded[&0].key, 0x1);
+    }
+
     #[test]
     fn damaged_records_are_skipped_not_fatal() {
         let journal = Journal::open(&temp_dir("journal-damage")).unwrap();
         journal.record(&sample_record(0, None)).unwrap();
         journal.record(&sample_record(1, None)).unwrap();
-        // Tear record 1 in half, leave a stranded temp file, and drop in
-        // unrelated garbage; only record 0 should survive.
-        let torn = journal.path_of(1, 0xABCE);
+        // Tear record 1 in half, reseal record 4 under a stale schema, leave
+        // a stranded temp file, drop in unrelated garbage, and file a copy
+        // of record 0 under another name; only record 0 should survive.
+        journal.record(&sample_record(4, None)).unwrap();
+        let Found::Payload(mut stale) = journal.dir.get(&name_of(4)) else {
+            panic!("record 4 verifies");
+        };
+        stale.set("schema", JOURNAL_FORMAT - 1);
+        journal.dir.put(&name_of(4), &stale).unwrap();
+        let torn = journal.dir.path_of(&name_of(1));
         let text = std::fs::read_to_string(&torn).unwrap();
         std::fs::write(&torn, &text[..text.len() / 2]).unwrap();
-        std::fs::write(journal.dir().join("0003-beef.json.tmp"), b"torn").unwrap();
+        std::fs::write(journal.dir().join("0003.json.tmp"), b"torn").unwrap();
         std::fs::write(journal.dir().join("noise.json"), b"{}").unwrap();
+        let copy = journal.dir().join("0002.json");
+        std::fs::copy(journal.dir.path_of(&name_of(0)), copy).unwrap();
         let loaded = journal.load();
         assert_eq!(loaded.len(), 1);
-        assert!(loaded.contains_key(&0));
+        assert_eq!(loaded[&0], sample_record(0, None));
     }
 
     /// Every torn write and every single-byte change of a record costs that
@@ -241,7 +251,7 @@ mod tests {
         };
         journal.record(&rec).unwrap();
         assert_eq!(journal.load().get(&0), Some(&rec));
-        let path = journal.path_of(0, 7);
+        let path = journal.dir.path_of(&name_of(0));
         let intact = std::fs::read(&path).unwrap();
         for (what, bytes) in every_damage(&intact) {
             std::fs::write(&path, bytes).unwrap();

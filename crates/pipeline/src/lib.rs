@@ -9,11 +9,12 @@
 //!    segments) and scheduled onto scoped worker threads; the def/use
 //!    summary pass runs bottom-up over the call graph's SCC condensation,
 //!    level by level. Units themselves also run concurrently. See [`unit`].
-//! 2. **Content-hash caching.** Per-procedure callee-access summaries and
-//!    dependency segments (plus the unit's alarms and fixpoint fingerprint)
-//!    are persisted to an on-disk cache keyed by a hash of the unit's
-//!    source and the analysis options; an unchanged unit is never
-//!    re-analyzed. See [`cache`].
+//! 2. **Content-hash caching.** Each unit's analysis — its diagnostics,
+//!    link interface, fixpoint fingerprint and counts, exactly what a hit
+//!    returns — is persisted to an on-disk cache keyed by a hash of the
+//!    unit's source and the analysis options; an unchanged unit is never
+//!    re-analyzed. The cache and both journals are codecs over one sealed
+//!    directory ([`store`]). See [`cache`].
 //! 3. **Machine-readable reports.** Every run produces a deterministic JSON
 //!    report (per-unit alarms and statistics, cache hit rate, per-stage
 //!    wall time) consumed by `sga analyze` and the benchmark harness.
@@ -49,6 +50,7 @@ pub mod fault;
 pub mod interrupt;
 pub mod journal;
 pub mod par;
+pub mod store;
 pub mod unit;
 pub mod worker;
 
@@ -58,7 +60,7 @@ mod testfix;
 pub use cache::Cache;
 pub use fault::FaultPlan;
 pub use journal::Journal;
-pub use unit::{analyze_unit, analyze_unit_traced, ProcArtifact, UnitAnalysis, UnitInternals};
+pub use unit::{analyze_unit, analyze_unit_traced, UnitAnalysis, UnitInternals};
 pub use worker::IsolationMode;
 
 use journal::JournalRecord;
@@ -386,7 +388,7 @@ fn render_analyzed(
         .with("name", name)
         .with("outcome", outcome)
         .with("source_hash", format!("{key:016x}"))
-        .with("procs", a.procs.len())
+        .with("procs", a.procs)
         .with("locs", a.num_locs)
         .with("dep_edges_raw", a.dep_edges_raw)
         .with("dep_edges", a.dep_edges)
@@ -662,20 +664,12 @@ fn process_unit(
     }
 }
 
-/// The options part of every unit cache key. Every option that splits the
-/// key today also shapes the result, so this is [`semantic_tag`]'s text; an
-/// option that had to split the key without shaping the result would join
-/// here and never there. The triage mode is in it because modes genuinely
-/// change the stored diagnostics: an `--triage octagon` entry (or journal
-/// record keyed off this tag) must never be served to an `--triage both`
-/// run.
-fn base_cache_tag(options: &PipelineOptions) -> String {
-    semantic_tag(options)
-}
-
-/// The options part of the *rendered* `source_hash`: only knobs that shape
-/// the analysis result (dependency options, widening, triage mode; the
-/// budget joins per unit). Run mechanics (`jobs`, isolation) never join it.
+/// The options part of a unit's keys: only knobs that shape the analysis
+/// result (dependency options, widening, triage mode; the budget joins per
+/// unit). Run mechanics (`jobs`, isolation) never join it. The triage mode
+/// is in it because modes genuinely change the stored diagnostics: an
+/// `--triage octagon` entry (or journal record) must never be served to an
+/// `--triage both` run.
 fn semantic_tag(options: &PipelineOptions) -> String {
     format!(
         "{:?}|{:?}|{}",
@@ -691,12 +685,17 @@ fn semantic_tag(options: &PipelineOptions) -> String {
 /// which changes no analysis result — must not move a report byte.
 const RENDERED_HASH_VERSION: u32 = 5;
 
-/// The `source_hash` a unit's report object renders: source × [`semantic_tag`]
-/// × budget. Unlike the lookup key ([`cache::unit_key`]) it carries no
-/// on-disk format version.
-fn rendered_hash(source: &str, sem_tag: &str, budget: &Budget) -> u64 {
-    let tag = format!("{sem_tag}|{}", budget.cache_tag());
-    fxhash::hash_one(&(RENDERED_HASH_VERSION, tag.as_str(), source))
+/// The two hashes of a unit with this `source` under `options` and
+/// `budget`, both over source × [`semantic_tag`] × budget: the cache and
+/// journal lookup key, which also carries [`cache::CACHE_FORMAT`], and the
+/// `source_hash` its report object renders, which carries
+/// [`RENDERED_HASH_VERSION`] instead so no on-disk format moves a report.
+fn unit_keys(options: &PipelineOptions, source: &str, budget: &Budget) -> (u64, u64) {
+    let tag = format!("{}|{}", semantic_tag(options), budget.cache_tag());
+    (
+        fxhash::hash_one(&(cache::CACHE_FORMAT, tag.as_str(), source)),
+        fxhash::hash_one(&(RENDERED_HASH_VERSION, tag.as_str(), source)),
+    )
 }
 
 /// The full per-unit cache key under `options` for a unit with this
@@ -706,8 +705,7 @@ fn rendered_hash(source: &str, sem_tag: &str, budget: &Budget) -> u64 {
 /// round journal) asks the same question the cache does. Per-unit fault
 /// budget overrides are a batch-driver concern and are not applied here.
 pub fn unit_cache_key(options: &PipelineOptions, source: &str) -> u64 {
-    let tag = format!("{}|{}", base_cache_tag(options), options.budget.cache_tag());
-    cache::unit_key(source, &tag)
+    unit_keys(options, source, &options.budget).0
 }
 
 /// One unit's result from [`analyze_units`].
@@ -742,8 +740,6 @@ pub fn analyze_units(
         timers: &timers,
         inner_jobs: (jobs / units.len().max(1)).max(1),
     };
-    let base_tag = base_cache_tag(options);
-    let sem_tag = semantic_tag(options);
     let prev_hook = if options.keep_going {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -753,9 +749,7 @@ pub fn analyze_units(
     };
     let out = par::run_indexed(jobs, units, |i, input| {
         let budget = options.faults.budget_for(i).unwrap_or(options.budget);
-        let options_tag = format!("{base_tag}|{}", budget.cache_tag());
-        let key = cache::unit_key(&input.source, &options_tag);
-        let render_key = rendered_hash(&input.source, &sem_tag, &budget);
+        let (key, render_key) = unit_keys(options, &input.source, &budget);
         let p = process_unit(&ctx, i, input, key, render_key, &budget);
         if p.store {
             if let (Some(c), Some(a)) = (cache, &p.analysis) {
@@ -948,13 +942,6 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     // Thread budget: units run concurrently; whatever head room is left
     // over goes to procedure-level parallelism inside each unit.
     let inner_jobs = (jobs / units.len().max(1)).max(1);
-    // Dependency options, the widening strategy, the triage mode and the
-    // analysis budget all shape the result, so all four are part of the
-    // cache key. The budget joins per unit (below) because fault injection
-    // can override it for a single unit without disturbing its neighbors'
-    // keys.
-    let base_tag = base_cache_tag(options);
-    let sem_tag = semantic_tag(options);
 
     // With keep_going, worker panics are expected, caught, and recorded in
     // the report — silence the default hook's per-panic backtrace spew for
@@ -993,12 +980,10 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     let results: Vec<Option<WorkerResult>> =
         par::run_indexed_interruptible(jobs, &units, stop_requested, |i, input| {
             // An injected budget changes the unit's analysis semantics, so it
-            // participates in that unit's key — a faulted run never hits an
+            // participates in that unit's keys — a faulted run never hits an
             // entry the fault-free run stored, and vice versa.
             let budget = options.faults.budget_for(i).unwrap_or(options.budget);
-            let options_tag = format!("{base_tag}|{}", budget.cache_tag());
-            let key = cache::unit_key(&input.source, &options_tag);
-            let render_key = rendered_hash(&input.source, &sem_tag, &budget);
+            let (key, render_key) = unit_keys(options, &input.source, &budget);
 
             // A journaled unit is already committed: replay its record
             // verbatim — before fault injection, so a fault that killed the
@@ -1182,7 +1167,7 @@ mod tag_tests {
     #[test]
     fn default_cache_tag_is_pinned() {
         assert_eq!(
-            base_cache_tag(&PipelineOptions::default()),
+            semantic_tag(&PipelineOptions::default()),
             "DepGenOptions { bypass: true }|WideningConfig { strategy: Delayed }|both"
         );
     }
@@ -1196,13 +1181,13 @@ mod tag_tests {
         let options = PipelineOptions::default();
         let source = "int main() { return 0; }";
         assert_eq!(
-            rendered_hash(source, &semantic_tag(&options), &options.budget),
+            unit_keys(&options, source, &options.budget).1,
             0x682b_318b_c1c4_54dd,
         );
     }
 
-    /// A directory left by the format-5 binary: its entries sit under keys
-    /// that hashed 5 in, so a run never looks them up — no hit, nothing
+    /// A directory left by the format-6 binary: its entries sit under keys
+    /// that hashed 6 in, so a run never looks them up — no hit, nothing
     /// quarantined, the report of a run over an empty directory — and
     /// leaves them where they are.
     #[test]
@@ -1216,16 +1201,16 @@ mod tag_tests {
             cache_dir: Some(testfix::temp_dir(tag)),
             ..PipelineOptions::default()
         };
-        let (fresh, stale) = (in_dir("v5-dir-fresh"), in_dir("v5-dir-stale"));
+        let (fresh, stale) = (in_dir("v6-dir-fresh"), in_dir("v6-dir-stale"));
         let cache = Cache::open(stale.cache_dir.as_ref().unwrap()).unwrap();
-        let tag = format!("{}|{}", base_cache_tag(&stale), stale.budget.cache_tag());
+        let tag = format!("{}|{}", semantic_tag(&stale), stale.budget.cache_tag());
         let left: Vec<PathBuf> = load_project(&project)
             .unwrap()
             .iter()
             .map(|u| {
-                let v5_key = fxhash::hash_one(&(5u32, tag.as_str(), u.source.as_str()));
-                assert_ne!(v5_key, unit_cache_key(&stale, &u.source));
-                let path = cache.path_for(&u.name, v5_key);
+                let v6_key = fxhash::hash_one(&(6u32, tag.as_str(), u.source.as_str()));
+                assert_ne!(v6_key, unit_cache_key(&stale, &u.source));
+                let path = cache.path_for(&u.name, v6_key);
                 std::fs::write(&path, testfix::previous_format_entry()).unwrap();
                 path
             })
@@ -1262,7 +1247,6 @@ mod tag_tests {
             triage: TriageMode::Both,
             ..PipelineOptions::default()
         };
-        assert_ne!(base_cache_tag(&octagon), base_cache_tag(&both));
         assert_ne!(semantic_tag(&octagon), semantic_tag(&both));
         let source = "int main() { return 0; }";
         assert_ne!(
@@ -1281,7 +1265,6 @@ mod tag_tests {
             isolation: IsolationMode::Process,
             ..PipelineOptions::default()
         };
-        assert_eq!(base_cache_tag(&thread), base_cache_tag(&process));
         assert_eq!(semantic_tag(&thread), semantic_tag(&process));
         let source = "int main() { return 0; }";
         assert_eq!(

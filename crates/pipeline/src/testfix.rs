@@ -6,23 +6,18 @@
 //! repeated (with slightly diverging `unwrap()` chains) per test module.
 
 use crate::cache::Cache;
-use crate::unit::{ProcArtifact, UnitAnalysis};
+use crate::unit::UnitAnalysis;
 use sga_core::interface::{ImportRef, ProcInterface, UnitInterface};
 use sga_diag::{DiagKind, Diagnostic, DischargeMethod, Evidence, Status};
 use sga_ir::{Cp, NodeId, ProcId};
-use sga_utils::{fxhash, Idx, Json};
+use sga_utils::{Idx, Json};
 use std::path::PathBuf;
 
 /// A representative per-unit artifact with every field populated — enough
 /// structure that encode/decode bugs can't hide behind empty collections.
 pub(crate) fn sample_analysis() -> UnitAnalysis {
     UnitAnalysis {
-        procs: vec![ProcArtifact {
-            name: "main".into(),
-            summary_defs: vec!["Var(v0)".into()],
-            summary_uses: vec![],
-            dep_segment: vec![[3, 0, 1, 0, 4, 0], [7, 0, 2, 0, 5, 1]],
-        }],
+        procs: 1,
         interface: UnitInterface {
             exports: vec![ProcInterface {
                 name: "main".into(),
@@ -102,22 +97,21 @@ pub(crate) fn every_damage(intact: &[u8]) -> impl Iterator<Item = (String, Vec<u
     cuts.chain(flips)
 }
 
-/// [`sample_analysis`] as the format-5 binary stored it: pretty-printed, the
-/// checksum taken over a compact re-rendering of the payload tree, segments
-/// as arrays of six-number arrays.
+/// [`sample_analysis`] as the format-6 binary stored it: sealed like today,
+/// but naming its unit and carrying the per-procedure artifacts — the
+/// callee-access summaries and the dependency segment packed into one
+/// string — where a count now stands.
 pub(crate) fn previous_format_entry() -> String {
-    let v6 = crate::cache::encode("u", &sample_analysis()).to_compact();
-    let v5 = v6.replace("\"schema\":6", "\"schema\":5").replace(
-        "\"3 0 1 0 4 0;7 0 2 0 5 1;\"",
-        "[[3,0,1,0,4,0],[7,0,2,0,5,1]]",
-    );
-    assert!(v5.contains("\"schema\":5") && v5.contains("[[3,0,1,0,4,0],"));
-    let payload = Json::parse(&v5).expect("still JSON");
-    let checksum = fxhash::hash_one(&payload.to_compact());
-    Json::obj()
-        .with("checksum", format!("{checksum:016x}"))
-        .with("payload", payload)
-        .to_pretty()
+    let main = Json::obj()
+        .with("name", "main")
+        .with("summary_defs", vec![Json::from("Var(v0)")])
+        .with("summary_uses", Vec::<Json>::new())
+        .with("dep_segment", "3 0 1 0 4 0;7 0 2 0 5 1;");
+    let mut v6 = crate::cache::encode(&sample_analysis());
+    v6.set("schema", 6u32)
+        .set("unit", "u")
+        .set("procs", vec![main]);
+    crate::store::seal(&v6)
 }
 
 /// A fresh scratch directory under the system temp dir (wiped if a previous

@@ -36,26 +36,11 @@ use sga_ir::{Cp, ProcId, Program};
 use sga_utils::stats::StageTimers;
 use sga_utils::{fxhash, FxHashMap, Idx, IndexVec, PMap};
 
-/// Cached (and cacheable) artifacts of one procedure: its callee-access
-/// summary and its intraprocedural dependency segment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProcArtifact {
-    /// Procedure name.
-    pub name: String,
-    /// Exported (caller-visible) definitions, rendered.
-    pub summary_defs: Vec<String>,
-    /// Exported uses, rendered.
-    pub summary_uses: Vec<String>,
-    /// Dependency segment rows `[loc, from_proc, from_node, to_proc,
-    /// to_node, is_return]`.
-    pub dep_segment: Vec<[u64; 6]>,
-}
-
 /// Everything the driver keeps about one analyzed unit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnitAnalysis {
-    /// Per-procedure artifacts, in procedure order (externals skipped).
-    pub procs: Vec<ProcArtifact>,
+    /// Procedures the unit defines (externals not counted).
+    pub procs: usize,
     /// The unit's link boundary: exported per-function interfaces and
     /// imported external symbols with their reverse dependents — the
     /// incremental daemon's invalidation substrate.
@@ -228,13 +213,12 @@ fn analyze_unit_inner(
         defuse::finish(sets, summary_defs, summary_uses, parts)
     });
 
-    let (deps, segments) = timers.time("dep", || {
+    let deps = timers.time("dep", || {
         let source = IntervalDepSource::new(program, &pre, &du);
         let segments = par::run_indexed(jobs, &pids, |_, &pid| {
             depgen::proc_dep_edges(program, &source, pid)
         });
-        let deps = depgen::assemble(&source, options, &segments);
-        (deps, segments)
+        depgen::assemble(&source, options, &segments)
     });
 
     let (values, sparse_values, iterations, degraded) = timers.time("fix", || {
@@ -286,37 +270,8 @@ fn analyze_unit_inner(
         triage::discharge_staged(program, &pre, &du, &icfg, &result, &mut diags, &topts).degraded
     });
 
-    let procs = pids
-        .iter()
-        .filter(|&&pid| !program.procs[pid].is_external)
-        .map(|&pid| ProcArtifact {
-            name: program.procs[pid].name.clone(),
-            summary_defs: du.summary_defs[pid]
-                .iter()
-                .map(|l| format!("{l:?}"))
-                .collect(),
-            summary_uses: du.summary_uses[pid]
-                .iter()
-                .map(|l| format!("{l:?}"))
-                .collect(),
-            dep_segment: segments[pid.index()]
-                .iter()
-                .map(|&(loc, from, to, ret)| {
-                    [
-                        u64::from(loc),
-                        from.proc.index() as u64,
-                        from.node.index() as u64,
-                        to.proc.index() as u64,
-                        to.node.index() as u64,
-                        u64::from(ret),
-                    ]
-                })
-                .collect(),
-        })
-        .collect();
-
     let analysis = UnitAnalysis {
-        procs,
+        procs: program.procs.iter().filter(|p| !p.is_external).count(),
         interface: interface::unit_interface(program, &pre, &du),
         diags,
         triage_degraded,

@@ -17,7 +17,7 @@
 //!   to close for at most `--worker-timeout-ms` and SIGKILLs a stalled one;
 //!   `RLIMIT_CPU` catches the case where the supervisor itself is wedged.
 //! * **Sealed pipe protocol.** Request and response travel over
-//!   stdin/stdout as [`crate::cache::seal`]ed text — one envelope each, its
+//!   stdin/stdout as [`crate::store::seal`]ed text — one envelope each, its
 //!   checksum over the bytes on the pipe — so a torn write from a dying
 //!   worker is *detected*: it fails the checksum and counts as a death,
 //!   never as a half-result.
@@ -38,6 +38,7 @@
 use crate::cache::{self, Cache};
 use crate::fault::FaultPlan;
 use crate::journal::Failure;
+use crate::store::{seal, unseal};
 use crate::unit::UnitAnalysis;
 use crate::{PipelineOptions, Processed, UnitCtx, UnitInput};
 use sga_core::budget::{Budget, WorkerLimits};
@@ -56,7 +57,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 4;
+const WORKER_FORMAT: u32 = 5;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -211,12 +212,12 @@ fn encode_request(
         // parent's LRU sweep sees the worker's hits as recent use.
         payload.set("cache_max_entries", max);
     }
-    cache::seal(&payload)
+    seal(&payload)
 }
 
 /// Parses and verifies a sealed request; `None` on any damage.
 fn decode_request(text: &str) -> Option<Request> {
-    let p = cache::unseal(text)?;
+    let p = unseal(text)?;
     if p.get("schema")?.as_u64()? != u64::from(WORKER_FORMAT) {
         return None;
     }
@@ -259,48 +260,38 @@ fn decode_request(text: &str) -> Option<Request> {
 }
 
 /// Renders the sealed response for a processed unit.
-fn encode_response(name: &str, p: &Processed) -> String {
+fn encode_response(p: &Processed) -> String {
     let mut payload = Json::obj()
         .with("schema", WORKER_FORMAT)
         .with("unit", p.json.clone())
         .with("store", p.store);
     if let Some((kind, message)) = &p.failure {
-        payload.set(
-            "failure",
-            match kind {
-                Failure::Frontend => "frontend",
-                Failure::Panic => "panic",
-            },
-        );
+        payload.set("failure", kind.as_str());
         payload.set("error", message.as_str());
     }
     if let Some(a) = &p.analysis {
-        // The artifacts ride along as a cache-entry payload, so the parent
-        // can store them under write-ahead ordering and the daemon can keep
-        // them in memory — without the worker ever writing to the cache
-        // itself. The response's own seal covers their bytes.
-        payload.set("analysis", cache::encode(name, a));
+        // The analysis rides along as a cache-entry payload, so the parent
+        // can store it under write-ahead ordering and the daemon can keep
+        // it in memory — without the worker ever writing to the cache
+        // itself. The response's own seal covers its bytes.
+        payload.set("analysis", cache::encode(a));
     }
-    cache::seal(&payload)
+    seal(&payload)
 }
 
 /// Parses and verifies a sealed response; `None` on any damage (a torn
 /// write from a dying worker lands here, not in the report).
 fn decode_response(text: &str) -> Option<Processed> {
-    let p = cache::unseal(text)?;
+    let p = unseal(text)?;
     if p.get("schema")?.as_u64()? != u64::from(WORKER_FORMAT) {
         return None;
     }
     let failure = match p.get("failure") {
         None => None,
-        Some(f) => {
-            let kind = match f.as_str()? {
-                "frontend" => Failure::Frontend,
-                "panic" => Failure::Panic,
-                _ => return None,
-            };
-            Some((kind, p.get("error")?.as_str()?.to_string()))
-        }
+        Some(f) => Some((
+            Failure::from_str(f.as_str()?)?,
+            p.get("error")?.as_str()?.to_string(),
+        )),
     };
     let analysis: Option<Box<UnitAnalysis>> = match p.get("analysis") {
         Some(a) => Some(Box::new(cache::decode(a)?)),
@@ -406,7 +397,7 @@ pub fn worker_main() -> i32 {
         req.render_key,
         &req.budget,
     );
-    let response = encode_response(&req.input.name, &p);
+    let response = encode_response(&p);
     let mut out = std::io::stdout();
     if out
         .write_all(response.as_bytes())
@@ -692,25 +683,25 @@ mod tests {
             analysis: None,
             store: false,
         };
-        let resp = encode_response("u", &p);
+        let resp = encode_response(&p);
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(whole.failure, Some((Failure::Panic, "boom".to_string())));
         assert!(decode_response(&resp[..resp.len() - 8]).is_none());
     }
 
     /// A request under the previous format's number is refused for the
-    /// number alone: re-sealed as it is it decodes, as schema 3 it does not.
+    /// number alone: re-sealed as it is it decodes, as schema 4 it does not.
     #[test]
     fn previous_format_request_is_a_schema_mismatch() {
-        let mut old = cache::unseal(&default_request()).expect("request unseals");
-        assert!(decode_request(&cache::seal(&old)).is_some());
-        old.set("schema", 3u32);
-        assert!(decode_request(&cache::seal(&old)).is_none());
+        let mut old = unseal(&default_request()).expect("request unseals");
+        assert!(decode_request(&seal(&old)).is_some());
+        old.set("schema", WORKER_FORMAT - 1);
+        assert!(decode_request(&seal(&old)).is_none());
     }
 
     /// Every torn write and every single-byte change of a response carrying
     /// a whole analysis is a death (a retried unit), never a half-result:
-    /// the response's one seal covers the artifacts' bytes too.
+    /// the response's one seal covers the analysis' bytes too.
     #[test]
     fn every_damage_to_a_response_is_a_death() {
         let a = sample_analysis();
@@ -720,7 +711,7 @@ mod tests {
             analysis: Some(Box::new(a)),
             store: true,
         };
-        let resp = encode_response("u", &p);
+        let resp = encode_response(&p);
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(
             (whole.json, whole.analysis, whole.store),

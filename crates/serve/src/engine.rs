@@ -34,7 +34,7 @@ use sga_core::interface::UnitInterface;
 use sga_diag::baseline::{self, BaselineDiff};
 use sga_diag::Diagnostic;
 use sga_pipeline::{
-    analyze_units, assemble_report, cache, load_project, unit_cache_key, Cache, PipelineError,
+    analyze_units, assemble_report, load_project, store, unit_cache_key, Cache, PipelineError,
     PipelineOptions, Project, UnitInput,
 };
 use sga_utils::Json;
@@ -307,7 +307,7 @@ impl Engine {
         for (name, source) in &latest {
             // Atomic, so a concurrently-started cold run never reads a
             // half-written source.
-            cache::write_atomic(&self.dir.join(name), source.as_bytes())
+            store::write_atomic(&self.dir.join(name), source.as_bytes())
                 .map_err(|e| PipelineError::Io(format!("cannot write {name}: {e}")))?;
         }
 

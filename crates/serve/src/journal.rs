@@ -18,19 +18,20 @@
 //! produced, which is in turn byte-identical to a cold batch run of the
 //! corpus directory's current state.
 //!
-//! On disk each record reuses the pipeline cache's machinery wholesale:
-//! the envelope checksummed over the bytes written ([`cache::seal`]), the
-//! temp-file + rename write ([`cache::write_atomic`]), and the cache-entry
-//! interface codec ([`cache::encode_interface`]). A torn or rotten record
-//! fails to decode and its unit is simply recomputed — a SIGKILL at any
-//! byte offset costs work, never correctness.
+//! On disk the journal is a [`SealedDir`] — the store the pipeline's cache
+//! and journal use: the envelope checksummed over the bytes written, the
+//! temp-file + rename write — holding one record per unit, with the
+//! cache-entry interface codec ([`cache::encode_interface`]). A torn or
+//! rotten record fails to decode and its unit is simply recomputed — a
+//! SIGKILL at any byte offset costs work, never correctness.
 
 use sga_core::interface::UnitInterface;
 use sga_diag::Diagnostic;
 use sga_pipeline::cache;
+use sga_pipeline::store::SealedDir;
 use sga_utils::{fxhash, Json};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Round-journal record schema version (inside the envelope payload).
 pub const ROUND_JOURNAL_FORMAT: u32 = 2;
@@ -51,28 +52,26 @@ pub struct SavedUnit {
 
 /// An open round-journal directory.
 pub struct RoundJournal {
-    dir: PathBuf,
+    dir: SealedDir,
+}
+
+/// One record per unit, named by the unit name's hash — unit names are
+/// client-supplied file names, so they never become path components.
+fn name_of(unit: &str) -> String {
+    format!("u-{:016x}", fxhash::hash_one(&unit))
 }
 
 impl RoundJournal {
     /// Opens (creating if needed) a round journal rooted at `dir`.
     pub fn open(dir: &Path) -> std::io::Result<RoundJournal> {
-        std::fs::create_dir_all(dir)?;
         Ok(RoundJournal {
-            dir: dir.to_path_buf(),
+            dir: SealedDir::open(dir)?,
         })
     }
 
     /// The journal's directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// One file per unit, named by the unit name's hash — unit names are
-    /// client-supplied file names, so they never become path components.
-    fn path_of(&self, name: &str) -> PathBuf {
-        self.dir
-            .join(format!("u-{:016x}.json", fxhash::hash_one(&name)))
+        self.dir.dir()
     }
 
     /// Commits one unit's state: checksummed envelope, atomic write. A
@@ -97,72 +96,39 @@ impl RoundJournal {
                 diags.iter().map(Diagnostic::to_json).collect::<Vec<_>>(),
             )
             .with("interface", cache::encode_interface(interface));
-        cache::write_atomic(&self.path_of(name), cache::seal(&payload).as_bytes())
+        self.dir.put(&name_of(name), &payload)
     }
 
     /// Loads every decodable record, keyed by unit name. Damaged records
     /// (torn writes, bit rot, stale schema) are skipped — their units are
     /// recomputed on resume.
     pub fn load(&self) -> BTreeMap<String, SavedUnit> {
-        let mut records = BTreeMap::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return records;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            if let Some((name, saved)) = cache::unseal(&text).as_ref().and_then(decode) {
-                records.insert(name, saved);
-            }
-        }
-        records
+        self.dir
+            .scan()
+            .into_iter()
+            .filter_map(|(_, payload)| decode(&payload?))
+            .collect()
     }
 
-    /// Drops records for units no longer in the corpus (plus stranded temp
-    /// files), so a shrunken corpus cannot resurrect deleted units.
+    /// Drops records for units no longer in the corpus (plus undecodable
+    /// records and stranded temp files), so a shrunken corpus cannot
+    /// resurrect deleted units.
     pub fn retain(&self, live: &dyn Fn(&str) -> bool) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|x| x == "tmp") {
-                let _ = std::fs::remove_file(&path);
-                continue;
-            }
-            if path.extension().is_none_or(|x| x != "json") {
-                continue;
-            }
-            let stale = match std::fs::read_to_string(&path) {
-                Ok(text) => match cache::unseal(&text).as_ref().and_then(decode) {
-                    Some((name, _)) => !live(&name),
-                    None => true, // undecodable: useless, drop it
-                },
-                Err(_) => true,
-            };
-            if stale {
-                let _ = std::fs::remove_file(&path);
+        for (file, payload) in self.dir.scan() {
+            if payload
+                .and_then(|p| decode(&p))
+                .is_none_or(|(name, _)| !live(&name))
+            {
+                self.dir.remove(&file);
             }
         }
+        let _ = self.dir.sweep_tmp();
     }
 
     /// Removes every record, keeping the directory — a fresh (non-resumed)
     /// start owns the journal, like a fresh batch run owns the pipeline's.
     pub fn clear(&self) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            let path = entry.path();
-            if path.is_file() {
-                std::fs::remove_file(&path)?;
-            }
-        }
-        Ok(())
+        self.dir.clear()
     }
 }
 
@@ -191,6 +157,7 @@ fn decode(payload: &Json) -> Option<(String, SavedUnit)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sga-roundj-{tag}-{}", std::process::id()));
@@ -244,7 +211,7 @@ mod tests {
             j.record(name, 7, &json, &diags, &iface).unwrap();
         }
         // Tear b.c's record in half and drop in noise.
-        let torn = j.path_of("b.c");
+        let torn = j.dir.path_of(&name_of("b.c"));
         let text = std::fs::read_to_string(&torn).unwrap();
         std::fs::write(&torn, &text[..text.len() / 2]).unwrap();
         std::fs::write(j.dir().join("stranded.json.tmp"), b"junk").unwrap();
@@ -260,8 +227,22 @@ mod tests {
         assert!(!j.dir().join("noise.json").exists());
     }
 
-    /// Every torn write and every single-byte change (`^0x01`, `^0x40`, and
-    /// `^0x80`, which makes the text invalid UTF-8) of a record holding a
+    /// A stale schema under a valid envelope is skipped like damage.
+    #[test]
+    fn stale_schema_record_is_skipped() {
+        use sga_pipeline::store::Found;
+        let j = RoundJournal::open(&temp_dir("stale")).unwrap();
+        let (json, diags, iface) = sample("a.c", 1);
+        j.record("a.c", 1, &json, &diags, &iface).unwrap();
+        let Found::Payload(mut stale) = j.dir.get(&name_of("a.c")) else {
+            panic!("the record verifies");
+        };
+        stale.set("schema", ROUND_JOURNAL_FORMAT - 1);
+        j.dir.put(&name_of("a.c"), &stale).unwrap();
+        assert!(j.load().is_empty());
+    }
+
+    /// Every torn write and every single-byte change of the record of a
     /// really analysed unit — diagnostics and interface populated — costs
     /// that record and nothing else.
     #[test]
@@ -286,7 +267,7 @@ mod tests {
             (&saved.json, &saved.diags, &saved.interface),
             (&outcome.json, &a.diags, &a.interface)
         );
-        let path = j.path_of("a.c");
+        let path = j.dir.path_of(&name_of("a.c"));
         let intact = std::fs::read(&path).unwrap();
         for at in 0..intact.len() {
             std::fs::write(&path, &intact[..at]).unwrap();

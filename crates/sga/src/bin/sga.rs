@@ -690,7 +690,7 @@ fn run_check(a: Args) -> ExitCode {
 /// `sga cache gc <dir>`: offline cache maintenance. The daemon's round
 /// journal under `serve-journal/` is spared.
 fn run_gc(a: Args) -> ExitCode {
-    let keep = a.keep.unwrap_or(pipeline::cache::DEFAULT_QUARANTINE_KEEP);
+    let keep = a.keep.unwrap_or(pipeline::store::DEFAULT_QUARANTINE_KEEP);
     match pipeline::cache::gc(Path::new(&a.operand), keep, a.max_entries) {
         Ok(stats) => {
             println!(

@@ -14,7 +14,8 @@ use sga::analysis::budget::Budget;
 use sga::analysis::interval::{analyze, analyze_with, AnalyzeOptions, Engine};
 use sga::domains::Lattice;
 use sga::pipeline::fault::FaultPlan;
-use sga::pipeline::{cache, run, PipelineError, PipelineOptions, Project};
+use sga::pipeline::store::{seal, unseal};
+use sga::pipeline::{run, PipelineError, PipelineOptions, Project};
 use sga::utils::Json;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -229,10 +230,10 @@ fn bitflip_file(path: &PathBuf) {
 /// `seal`: the payload claims an old format version inside an envelope that
 /// verifies, so it is the schema check that must refuse it, not the checksum.
 fn stale_schema_file(path: &PathBuf) {
-    let mut payload = cache::unseal(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut payload = unseal(&std::fs::read_to_string(path).unwrap()).unwrap();
     payload.set("schema", 1u32);
-    let stale = cache::seal(&payload);
-    assert_eq!(cache::unseal(&stale), Some(payload), "envelope verifies");
+    let stale = seal(&payload);
+    assert_eq!(unseal(&stale), Some(payload), "envelope verifies");
     std::fs::write(path, stale).unwrap();
 }
 
@@ -265,7 +266,7 @@ fn cache_self_heals_from_damaged_entries() {
         3
     );
     let stale = dir.join("quarantine").join(entries[2].file_name().unwrap());
-    assert!(cache::unseal(&std::fs::read_to_string(stale).unwrap()).is_some());
+    assert!(unseal(&std::fs::read_to_string(stale).unwrap()).is_some());
 
     // ... and the rewritten entries serve hits again.
     let warm = run(&corpus(3), &opts).unwrap();
