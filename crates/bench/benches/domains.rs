@@ -42,6 +42,20 @@ fn bench_octagon(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // A real pack constrains few of its members: three of ten here, the
+    // other rows and columns +∞, which the closure does not sweep.
+    let sparse = Octagon::top(10)
+        .assign_interval(0, &Interval::range(0, 10))
+        .assign_var_plus(1, 0, 1)
+        .assign_interval(2, &Interval::range(-5, 5));
+    let sparse_grown = sparse.assign_var_plus(0, 0, 1);
+    c.bench_function("octagon/strong_closure_sparse_pack", |bch| {
+        bch.iter_batched(
+            || sparse.widen(&sparse_grown),
+            |unclosed| unclosed.close(),
+            BatchSize::SmallInput,
+        )
+    });
     // One constraint on a closed matrix: the incremental O(n²) path.
     c.bench_function("octagon/add_constraint_10vars", |bch| {
         bch.iter(|| std::hint::black_box(&oct).add_diff(7, 2, 3))

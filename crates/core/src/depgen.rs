@@ -297,6 +297,14 @@ fn intra_proc_edges<S: DepSource>(
         }
     }
 
+    // Nothing to connect: skip the walk's set-up.
+    if locs_here
+        .values()
+        .all(|(defs, uses)| defs.is_empty() || uses.is_empty())
+    {
+        return;
+    }
+
     // `seen[v]` is the last walk that entered `v`. Nodes unreachable from
     // the entry keep `u32::MAX` and are never entered — they neither receive
     // nor forward a definition — yet a def *at* one still walks into its

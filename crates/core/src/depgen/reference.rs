@@ -239,7 +239,8 @@ fn walk_segments_equal_dataflow_segments_through_the_octagon_source() {
         let pre = preanalysis::run(&program);
         let du = defuse::compute(&program, &pre);
         let packs = octagon::build_packs(&program);
-        let source = octagon::OctDefUse::compute(&program, &pre, &du, &packs, None);
+        let fresh = octagon::fresh_packs_of(&program, &packs);
+        let source = octagon::OctDefUse::compute(&program, &pre, &du, &packs, &fresh, None);
         let total = assert_segments_equal(name, &program, &source);
         assert!(total > 1000, "{name}: only {total} pack-level edges");
     }
@@ -356,7 +357,8 @@ fn dense_contraction_equals_hashed_contraction() {
         let source = IntervalDepSource::new(program, &pre, &du);
         contracted += assert_contractions_equal(name, program, &source);
         let packs = octagon::build_packs(program);
-        let source = octagon::OctDefUse::compute(program, &pre, &du, &packs, None);
+        let fresh = octagon::fresh_packs_of(program, &packs);
+        let source = octagon::OctDefUse::compute(program, &pre, &du, &packs, &fresh, None);
         contracted += assert_contractions_equal(name, program, &source);
     }
     assert!(contracted > 500, "only {contracted} locations lost an edge");

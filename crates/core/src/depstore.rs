@@ -9,7 +9,9 @@
 //! worklist, which speaks dense point indices. The product has one store,
 //! [`CsrDeps`]: the [`DataDeps`] relation behind a flat topologically-ordered
 //! worklist (a pending bitset plus a backward-resettable cursor over
-//! precomputed priority slots). The trait is the seam test harnesses plug
+//! precomputed priority slots), over every point the solver can evaluate
+//! or over a subset of them ([`CsrDeps::over`]) — the worklist's points are
+//! the ones the solver seeds. The trait is the seam test harnesses plug
 //! into (`sparse::tests::Watched`, and the reference below).
 //!
 //! **Pop order is part of the answer.** The delayed-widening counter makes
@@ -63,6 +65,9 @@ pub trait DepStore {
 /// delayed-widening counts depend on it, so every implementation must agree
 /// or the answers drift apart.
 pub trait Worklist {
+    /// The points this worklist orders, as dense indices: the only points
+    /// it may be handed, and the ones the solver seeds both phases with.
+    fn points(&self) -> &[u32];
     /// Marks `point` pending (idempotent).
     fn push(&mut self, point: usize);
     /// Removes and returns the minimal pending point.
@@ -90,7 +95,7 @@ fn priority(deps: &DataDeps, icfg: &Icfg, cp: Cp) -> (u32, u32) {
 pub struct CsrDeps<'d> {
     deps: &'d DataDeps,
     /// Dense point index → flat-worklist slot; `u32::MAX` for points that
-    /// are never queued (external procedures).
+    /// are never queued (external procedures, points outside the subset).
     slot_of: Vec<u32>,
     /// Inverse of `slot_of`: the dense index of the point each slot stands
     /// for, in ascending `((topo_rank, icfg_priority), cp)` order.
@@ -98,12 +103,30 @@ pub struct CsrDeps<'d> {
 }
 
 impl<'d> CsrDeps<'d> {
-    /// Precomputes the flat-worklist slot order over `deps`.
+    /// Precomputes the flat-worklist slot order over `deps` for every point
+    /// of a non-external procedure.
     pub fn build(program: &Program, icfg: &Icfg, deps: &'d DataDeps) -> CsrDeps<'d> {
+        CsrDeps::over(program, icfg, deps, solved_points(program))
+    }
+
+    /// [`CsrDeps::build`] over a subset: the solver seeds and visits only
+    /// `points` (distinct), which must hold every point `deps` names — a
+    /// pop requeues the users of what it changed.
+    pub(crate) fn over(
+        program: &Program,
+        icfg: &Icfg,
+        deps: &'d DataDeps,
+        points: impl IntoIterator<Item = Cp>,
+    ) -> CsrDeps<'d> {
         let num = program.point_numbering();
-        let mut order: Vec<Cp> = solved_points(program).collect();
-        order.sort_unstable_by_key(|&cp| (priority(deps, icfg, cp), cp));
-        let point_by_slot: Vec<u32> = order.iter().map(|&cp| num.index(cp) as u32).collect();
+        // Each key is built once; the keys are distinct, so the unstable sort
+        // is the total order.
+        let mut order: Vec<((u32, u32), Cp)> = points
+            .into_iter()
+            .map(|cp| (priority(deps, icfg, cp), cp))
+            .collect();
+        order.sort_unstable();
+        let point_by_slot: Vec<u32> = order.iter().map(|&(_, cp)| num.index(cp) as u32).collect();
         let mut slot_of = vec![u32::MAX; num.len()];
         for (slot, &point) in point_by_slot.iter().enumerate() {
             slot_of[point as usize] = slot as u32;
@@ -139,9 +162,17 @@ struct FlatWorklist<'a> {
 }
 
 impl Worklist for FlatWorklist<'_> {
+    fn points(&self) -> &[u32] {
+        &self.deps.point_by_slot
+    }
+
     fn push(&mut self, point: usize) {
         let slot = self.deps.slot_of[point];
-        debug_assert_ne!(slot, u32::MAX, "queued external point {point}");
+        debug_assert_ne!(
+            slot,
+            u32::MAX,
+            "queued point {point}, which the store does not order"
+        );
         let slot = slot as usize;
         self.pending.insert(slot);
         if slot < self.cursor {
@@ -173,12 +204,15 @@ mod reference {
         fn make_worklist<'a>(&'a self, program: &Program, icfg: &Icfg) -> Box<dyn Worklist + 'a> {
             let num = program.point_numbering();
             let mut prio = vec![(0, 0); num.len()];
+            let mut points = Vec::new();
             for cp in solved_points(program) {
                 prio[num.index(cp)] = priority(self, icfg, cp);
+                points.push(num.index(cp) as u32);
             }
             Box::new(BTreeWorklist {
                 set: BTreeSet::new(),
                 prio,
+                points,
             })
         }
     }
@@ -186,9 +220,14 @@ mod reference {
     struct BTreeWorklist {
         set: BTreeSet<((u32, u32), usize)>,
         prio: Vec<(u32, u32)>,
+        points: Vec<u32>,
     }
 
     impl Worklist for BTreeWorklist {
+        fn points(&self) -> &[u32] {
+            &self.points
+        }
+
         fn push(&mut self, point: usize) {
             self.set.insert((self.prio[point], point));
         }

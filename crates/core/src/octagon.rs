@@ -30,6 +30,7 @@
 use crate::defuse::DefUse;
 use crate::dense::{self, DenseSpec};
 use crate::depgen::{self, DataDeps, DepSource};
+use crate::depstore::{solved_points, CsrDeps};
 use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::interval::AnalyzeOptions;
 use crate::preanalysis::{self, PreAnalysis};
@@ -71,6 +72,10 @@ pub struct OctagonResult {
     pub values: FxHashMap<Cp, OctState>,
     /// The pack set the analysis ran with.
     pub packs: PackSet,
+    /// Points the fixpoint ran over: every point of a non-external
+    /// procedure under the dense engines, under the sparse one those that
+    /// can bind a solved pack ([`OctDefUse::bindable_points`]).
+    pub points: usize,
     /// Phase statistics.
     pub stats: AnalysisStats,
 }
@@ -153,9 +158,9 @@ pub(crate) fn analyze_with_pre(
     stats.avg_defs = staged.odu.avg_def_size();
     stats.avg_uses = staged.odu.avg_use_size();
 
-    let sem = OctSemantics::new(program, pre, &staged.packs);
+    let sem = OctSemantics::new(program, pre, &staged.packs, &staged.fresh);
 
-    let values = match engine {
+    let (values, points) = match engine {
         Engine::Vanilla | Engine::Base => {
             let spec = OctDenseSpec {
                 sem: &sem,
@@ -168,7 +173,7 @@ pub(crate) fn analyze_with_pre(
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
-            result.post
+            (result.post, solved_points(program).count())
         }
         Engine::Sparse => {
             let dep_phase = Phase::start("dep");
@@ -182,7 +187,7 @@ pub(crate) fn analyze_with_pre(
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
             stats.fix_work = result.work;
-            result.values
+            (result.values, result.points)
         }
     };
 
@@ -192,6 +197,7 @@ pub(crate) fn analyze_with_pre(
         engine,
         values,
         packs: staged.packs,
+        points,
         stats,
     }
 }
@@ -208,7 +214,7 @@ pub(crate) fn sparse_post_fixpoint_check(
     let du = crate::defuse::compute(program, pre);
     let icfg = Icfg::build(program, pre);
     let staged = Staged::new(program, pre, &du, None, options);
-    let sem = OctSemantics::new(program, pre, &staged.packs);
+    let sem = OctSemantics::new(program, pre, &staged.packs, &staged.fresh);
     let deps = depgen::generate_from(program, &staged.odu, options.depgen);
     let (spec, result) = staged.solve_sparse(program, &icfg, &sem, &du, &deps, options);
     crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
@@ -218,6 +224,8 @@ pub(crate) fn sparse_post_fixpoint_check(
 /// pre-analysis.
 struct Staged {
     packs: PackSet,
+    /// [`fresh_packs_of`] the packs, for def/use and the semantics alike.
+    fresh: IndexVec<ProcId, Vec<PackId>>,
     odu: OctDefUse,
     plan: WideningPlan,
     /// Packs solved for: every pack, or the slice's.
@@ -234,15 +242,19 @@ impl Staged {
     ) -> Staged {
         let packs = build_packs(program);
         let keep = seeds.map(|seeds| slice_packs(du, &packs, seeds));
+        let fresh = fresh_packs_of(program, &packs);
         Staged {
-            odu: OctDefUse::compute(program, pre, du, &packs, keep.as_ref()),
+            odu: OctDefUse::compute(program, pre, du, &packs, &fresh, keep.as_ref()),
             plan: WideningPlan::for_program(program, options.widening),
             solved_packs: keep.map_or(packs.len(), |k| k.count()),
+            fresh,
             packs,
         }
     }
 
-    /// The sparse fixpoint over `deps`, and the spec it was solved with.
+    /// The sparse fixpoint over `deps`, visiting only the points that can
+    /// bind a pack ([`OctDefUse::bindable_points`]), and the spec it was
+    /// solved with.
     fn solve_sparse<'s>(
         &'s self,
         program: &Program,
@@ -257,7 +269,8 @@ impl Staged {
             du,
             odu: &self.odu,
         };
-        let result = sparse::solve(program, icfg, deps, &spec, &self.plan, &options.budget);
+        let store = CsrDeps::over(program, icfg, deps, self.odu.bindable_points(deps));
+        let result = sparse::solve_with(program, icfg, &store, &spec, &self.plan, &options.budget);
         (spec, result)
     }
 }
@@ -496,14 +509,14 @@ struct OctSemantics<'p> {
     /// Per procedure: packs containing any variable owned by the procedure.
     /// They become unconstrained (⊤) at the procedure's entry — each
     /// activation's locals/params/temps start with arbitrary values.
-    fresh_packs: IndexVec<ProcId, Vec<PackId>>,
+    fresh_packs: &'p IndexVec<ProcId, Vec<PackId>>,
     /// One ⊤ per pack size, shared: an entry evaluation clones an `Rc`
     /// instead of allocating `(2k)²` words per fresh pack.
     tops: Vec<Octagon>,
 }
 
 /// Packs containing at least one variable owned by each procedure.
-fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<PackId>> {
+pub(crate) fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<PackId>> {
     let mut fresh: IndexVec<ProcId, FxHashSet<PackId>> =
         IndexVec::from_elem_n(FxHashSet::default(), program.procs.len());
     for (v, info) in program.vars.iter_enumerated() {
@@ -522,13 +535,18 @@ fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<Pa
 }
 
 impl<'p> OctSemantics<'p> {
-    fn new(program: &'p Program, pre: &'p PreAnalysis, packs: &'p PackSet) -> Self {
+    fn new(
+        program: &'p Program,
+        pre: &'p PreAnalysis,
+        packs: &'p PackSet,
+        fresh_packs: &'p IndexVec<ProcId, Vec<PackId>>,
+    ) -> Self {
         let widest = packs.iter().map(|(_, pack)| pack.len()).max().unwrap_or(0);
         OctSemantics {
             program,
             pre,
             packs,
-            fresh_packs: fresh_packs_of(program, packs),
+            fresh_packs,
             tops: (0..=widest).map(Octagon::top).collect(),
         }
     }
@@ -808,9 +826,14 @@ fn assume_interval(oct: &Octagon, ix: usize, op: RelOp, itv: &Interval) -> Octag
 
 /// Pack-level def/use sets and summaries; also the octagon [`DepSource`].
 pub struct OctDefUse {
-    def_ids: FxHashMap<Cp, Vec<u32>>,
-    use_ids: FxHashMap<Cp, Vec<u32>>,
-    real: FxHashMap<Cp, FxHashSet<u32>>,
+    /// The sets of the points that touch a kept pack; every other point's
+    /// are empty.
+    sets: FxHashMap<Cp, PackSets>,
+    /// The interval instance's def/use points, and the sums of their
+    /// `|D̂(c)|` and `|Û(c)|` in packs: what the averages are over.
+    population: usize,
+    def_total: usize,
+    use_total: usize,
     inter: Vec<(u32, Cp, Cp, bool)>,
     routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>>,
     /// Packs flowing into each procedure (localization restriction).
@@ -819,57 +842,67 @@ pub struct OctDefUse {
     pub out_packs: IndexVec<ProcId, FxHashSet<PackId>>,
 }
 
+/// One point's pack ids, each list ascending.
+struct PackSets {
+    /// `D̂(c)`.
+    defs: Vec<u32>,
+    /// `Û(c)`.
+    uses: Vec<u32>,
+    /// The packs the point really defines or uses (not as a relay).
+    real: Vec<u32>,
+}
+
 impl OctDefUse {
-    /// Derives pack-level sets from the interval instance's [`DefUse`].
-    /// With `keep`, restricted to those pack ids (see [`slice_packs`]).
+    /// Derives pack-level sets from the interval instance's [`DefUse`];
+    /// `fresh` holds, per procedure, the packs that contain a variable the
+    /// procedure owns. With `keep`, restricted to those pack ids (see
+    /// [`slice_packs`]).
     pub fn compute(
         program: &Program,
         pre: &PreAnalysis,
         du: &DefUse,
         packs: &PackSet,
+        fresh: &IndexVec<ProcId, Vec<PackId>>,
         keep: Option<&BitSet>,
     ) -> OctDefUse {
         let kept = |p: &PackId| keep.is_none_or(|k| k.contains(p.index()));
         let packs_of = |v: VarId| packs.packs_of(v).iter().filter(|p| kept(p)).map(|p| p.0);
         let singleton = |v: VarId| packs.singleton_id(v).filter(kept).map(|p| p.0);
 
-        let mut def_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
-        let mut use_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
-        let mut real: FxHashMap<Cp, FxHashSet<u32>> = FxHashMap::default();
-
-        let fresh = fresh_packs_of(program, packs);
+        let mut point_sets: FxHashMap<Cp, PackSets> = FxHashMap::default();
+        let (mut def_total, mut use_total) = (0, 0);
         for (cp, sets) in &du.sets {
-            let mut d: FxHashSet<u32> = FxHashSet::default();
-            let mut u: FxHashSet<u32> = FxHashSet::default();
-            let mut r: FxHashSet<u32> = FxHashSet::default();
-            if cp.node == program.procs[cp.proc].entry {
+            let (mut d, mut u, mut r) = (Vec::new(), Vec::new(), Vec::new());
+            let proc = &program.procs[cp.proc];
+            if cp.node == proc.entry {
                 // Fresh packs originate (⊤) at their procedure's entry.
                 for pid in fresh[cp.proc].iter().filter(|p| kept(p)) {
-                    d.insert(pid.0);
-                    r.insert(pid.0);
+                    d.push(pid.0);
+                    r.push(pid.0);
                 }
             }
+            let has = |set: &[AbsLoc], v: VarId| set.binary_search(&AbsLoc::Var(v)).is_ok();
             // Real defs: every pack containing a defined variable.
             for v in sets.real_defs.iter().filter_map(var_of) {
                 for p in packs_of(v) {
-                    d.insert(p);
-                    u.insert(p); // §4.2: Û ⊇ pack(x)
-                    r.insert(p);
+                    d.push(p);
+                    u.push(p); // §4.2: Û ⊇ pack(x)
+                    r.push(p);
                 }
             }
             // Real uses: singleton packs (projections).
             for v in sets.real_uses.iter().filter_map(var_of) {
                 if let Some(p) = singleton(v) {
-                    u.insert(p);
-                    r.insert(p);
+                    u.push(p);
+                    r.push(p);
                 }
             }
             // Relay parts: whole packs flow through calls/entries/exits.
             for v in sets.defs.iter().filter_map(var_of) {
-                if !sets.real_defs.contains(&AbsLoc::Var(v)) {
+                if !has(&sets.real_defs, v) {
                     for p in packs_of(v) {
-                        d.insert(p);
-                        u.insert(p);
+                        d.push(p);
+                        u.push(p);
                     }
                 }
             }
@@ -877,27 +910,28 @@ impl OctDefUse {
             // generator routes them to the callee entry directly (the same
             // pre/return separation as the interval instance).
             for v in sets.uses.iter().filter_map(var_of) {
-                if !sets.real_uses.contains(&AbsLoc::Var(v)) {
-                    for p in packs_of(v) {
-                        u.insert(p);
-                    }
+                if !has(&sets.real_uses, v) {
+                    u.extend(packs_of(v));
                 }
             }
             // Entry/exit relays also define what they relay.
-            if cp.node == program.procs[cp.proc].entry || cp.node == program.procs[cp.proc].exit {
+            if cp.node == proc.entry || cp.node == proc.exit {
                 for v in sets.uses.iter().filter_map(var_of) {
-                    for p in packs_of(v) {
-                        d.insert(p);
-                    }
+                    d.extend(packs_of(v));
                 }
             }
-            let mut dv: Vec<u32> = d.into_iter().collect();
-            dv.sort_unstable();
-            let mut uv: Vec<u32> = u.into_iter().collect();
-            uv.sort_unstable();
-            def_ids.insert(*cp, dv);
-            use_ids.insert(*cp, uv);
-            real.insert(*cp, r);
+            for ids in [&mut d, &mut u, &mut r] {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            def_total += d.len();
+            use_total += u.len();
+            // What is real is defined or used: a point with neither touches
+            // no kept pack.
+            if !d.is_empty() || !u.is_empty() {
+                let (defs, uses, real) = (d, u, r);
+                point_sets.insert(*cp, PackSets { defs, uses, real });
+            }
         }
 
         // Pack-level summaries and interprocedural edges.
@@ -972,19 +1006,21 @@ impl OctDefUse {
                 if per_loc.is_empty() {
                     continue;
                 }
-                let real_here = &real[&cp];
-                let defs_here = &def_ids[&cp];
+                let here = point_sets.get(&cp);
                 for (id, (self_edge, _)) in per_loc.iter_mut() {
-                    *self_edge = real_here.contains(id) || defs_here.binary_search(id).is_ok();
+                    *self_edge = here.is_some_and(|h| {
+                        h.real.binary_search(id).is_ok() || h.defs.binary_search(id).is_ok()
+                    });
                 }
                 routes.insert(cp, per_loc);
             }
         }
 
         OctDefUse {
-            def_ids,
-            use_ids,
-            real,
+            sets: point_sets,
+            population: du.sets.len(),
+            def_total,
+            use_total,
             inter,
             routes,
             in_packs,
@@ -992,14 +1028,31 @@ impl OctDefUse {
         }
     }
 
-    /// Average `|D̂(c)|` in packs.
+    /// Average `|D̂(c)|` in packs, over every def/use point of the
+    /// interval instance.
     pub fn avg_def_size(&self) -> f64 {
-        avg(self.def_ids.values().map(Vec::len))
+        avg(self.def_total, self.population)
     }
 
-    /// Average `|Û(c)|` in packs.
+    /// Average `|Û(c)|` in packs, over the same points.
     pub fn avg_use_size(&self) -> f64 {
-        avg(self.use_ids.values().map(Vec::len))
+        avg(self.use_total, self.population)
+    }
+
+    /// The points a sparse solve over `deps` visits: those whose `D̂` holds
+    /// a pack, and every point `deps` names (a pop requeues the users of
+    /// what it changed). Anywhere else the transfer's row is empty whatever
+    /// flows in — it binds `D̂(c)` only — so such a point would bind
+    /// nothing in the result, as it binds nothing here.
+    pub(crate) fn bindable_points(&self, deps: &DataDeps) -> Vec<Cp> {
+        let defining = self.sets.iter().filter(|(_, s)| !s.defs.is_empty());
+        let named = [&deps.out, &deps.into, &deps.into_ret]
+            .into_iter()
+            .flat_map(|m| m.keys());
+        let mut points: Vec<Cp> = defining.map(|(cp, _)| cp).chain(named).copied().collect();
+        points.sort_unstable();
+        points.dedup();
+        points
     }
 }
 
@@ -1013,12 +1066,7 @@ fn proc_param_packs(program: &Program, packs: &PackSet, pid: ProcId) -> Vec<Pack
     out
 }
 
-fn avg(sizes: impl Iterator<Item = usize>) -> f64 {
-    let (mut n, mut total) = (0usize, 0usize);
-    for s in sizes {
-        n += 1;
-        total += s;
-    }
+fn avg(total: usize, n: usize) -> f64 {
     if n == 0 {
         0.0
     } else {
@@ -1028,15 +1076,17 @@ fn avg(sizes: impl Iterator<Item = usize>) -> f64 {
 
 impl DepSource for OctDefUse {
     fn defs(&self, cp: Cp) -> &[u32] {
-        self.def_ids.get(&cp).map_or(&[], Vec::as_slice)
+        self.sets.get(&cp).map_or(&[], |s| &s.defs)
     }
 
     fn uses(&self, cp: Cp) -> &[u32] {
-        self.use_ids.get(&cp).map_or(&[], Vec::as_slice)
+        self.sets.get(&cp).map_or(&[], |s| &s.uses)
     }
 
     fn is_real(&self, cp: Cp, loc: u32) -> bool {
-        self.real.get(&cp).is_some_and(|r| r.contains(&loc))
+        self.sets
+            .get(&cp)
+            .is_some_and(|s| s.real.binary_search(&loc).is_ok())
     }
 
     fn use_routes(&self, cp: Cp, loc: u32) -> depgen::UseRoutes<'_> {
@@ -1285,6 +1335,11 @@ impl SparseSpec for OctSparseSpec<'_> {
         pre: &[(PackId, Octagon)],
         ret_in: &[(PackId, Octagon)],
     ) -> Row<PackId, Octagon> {
+        // The row binds D̂(cp) only.
+        let defs = self.odu.defs(cp);
+        if defs.is_empty() {
+            return Row::new();
+        }
         let program = self.sem.program;
         let input = PMap::from_sorted_vec(sparse::join_rows(pre, ret_in));
         let post = match program.cmd(cp) {
@@ -1317,8 +1372,6 @@ impl SparseSpec for OctSparseSpec<'_> {
             }
             _ => self.sem.transfer(cp, &input),
         };
-        // Restrict to D̂(cp).
-        let defs = self.odu.defs(cp);
         let mut out = Row::with_capacity(defs.len());
         for &id in defs {
             let pid = PackId(id);
@@ -1516,7 +1569,10 @@ mod tests {
     }
 
     fn unit(config: &sga_cgen::GenConfig) -> Unit {
-        let program = parse(&sga_cgen::generate(config)).expect("generated unit must parse");
+        staged_unit(parse(&sga_cgen::generate(config)).expect("generated unit must parse"))
+    }
+
+    fn staged_unit(program: Program) -> Unit {
         let pre = preanalysis::run(&program);
         let du = crate::defuse::compute(&program, &pre);
         let icfg = Icfg::build(&program, &pre);
@@ -1576,7 +1632,7 @@ mod tests {
     fn solve_checked(u: &Unit, seeds: Option<&[VarId]>) -> FxHashMap<Cp, OctState> {
         let options = AnalyzeOptions::default();
         let staged = Staged::new(&u.program, &u.pre, &u.du, seeds, options);
-        let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs);
+        let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs, &staged.fresh);
         let deps = depgen::generate_from(&u.program, &staged.odu, options.depgen);
         let (spec, result) = staged.solve_sparse(&u.program, &u.icfg, &sem, &u.du, &deps, options);
         let report =
@@ -1638,6 +1694,77 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The point set: one solve seeded with every point and one with
+    /// [`OctDefUse::bindable_points`] only, whole-unit and sliced. Every
+    /// `(point, pack)` binding is equal, a point outside the set binds
+    /// nothing even where it is evaluated, and the set pops strictly less
+    /// whenever it leaves a point out.
+    /// Both are post-fixpoints of their relation at every point, the
+    /// skipped ones included (`validate`'s check walks them all).
+    #[test]
+    fn solving_only_the_points_that_can_bind_a_pack_binds_the_same() {
+        let alarms = crate::sparse::differential::corpus()
+            .into_iter()
+            .filter(|(name, _)| name.ends_with(".c"))
+            .map(|(_, program)| staged_unit(program));
+        let options = AnalyzeOptions::default();
+        for (k, u) in differential_units().into_iter().chain(alarms).enumerate() {
+            for seeds in [None, Some(draw_seeds(&u.program, 4, k as u64))] {
+                let staged = Staged::new(&u.program, &u.pre, &u.du, seeds.as_deref(), options);
+                let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs, &staged.fresh);
+                let deps = depgen::generate_from(&u.program, &staged.odu, options.depgen);
+                let spec = OctSparseSpec {
+                    sem: &sem,
+                    du: &u.du,
+                    odu: &staged.odu,
+                };
+                let solve = |store: &CsrDeps| {
+                    let (plan, budget) = (&staged.plan, &options.budget);
+                    let r = sparse::solve_with(&u.program, &u.icfg, store, &spec, plan, budget);
+                    let report = crate::validate::check_sparse_post_fixpoint(
+                        &u.program, &deps, &spec, &r.values,
+                    );
+                    assert!(
+                        report.violations.is_empty(),
+                        "unit {k}: {:?}",
+                        report.violations
+                    );
+                    r
+                };
+                let points = staged.odu.bindable_points(&deps);
+                let every = solve(&CsrDeps::build(&u.program, &u.icfg, &deps));
+                let some = solve(&CsrDeps::over(&u.program, &u.icfg, &deps, points.clone()));
+                let what = format!("unit {k}, seeds {seeds:?}");
+                for (cp, st) in &every.values {
+                    assert!(
+                        st.is_empty() || points.binary_search(cp).is_ok(),
+                        "{what}: {cp} binds outside the set"
+                    );
+                    for (pid, oct) in st.iter() {
+                        let other = some.values.get(cp).and_then(|s| s.get(pid));
+                        assert_eq!(other, Some(oct), "{what}: {cp} {pid:?}");
+                    }
+                }
+                for (cp, st) in &some.values {
+                    assert_eq!(st.len(), every.values[cp].len(), "{what}: {cp}");
+                }
+                let pops =
+                    |r: &sparse::SparseResult<PackId, Octagon>| r.iterations + r.narrowing_rounds;
+                // Every point pops at least once a phase, so leaving one out
+                // pops less; a small file can define a pack everywhere, a
+                // generated unit cannot.
+                assert!(pops(&some) <= pops(&every), "{what}");
+                assert_eq!(
+                    pops(&some) < pops(&every),
+                    some.points < every.points,
+                    "{what}"
+                );
+                assert!(k >= 6 || some.points < every.points, "{what}");
+                assert_eq!((some.points, some.degraded), (points.len(), every.degraded));
             }
         }
     }

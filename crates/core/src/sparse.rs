@@ -22,7 +22,7 @@
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
-use crate::depstore::{solved_points, CsrDeps, DepStore, Worklist};
+use crate::depstore::{CsrDeps, DepStore, Worklist};
 use crate::icfg::Icfg;
 use crate::stats::FixWork;
 use crate::widening::WideningPlan;
@@ -94,6 +94,9 @@ pub trait SparseSpec {
 pub struct SparseResult<L: Copy + Ord, V: Clone> {
     /// Output bindings of every evaluated control point.
     pub values: FxHashMap<Cp, PMap<L, V>>,
+    /// Points the solve was seeded with: the ones its store orders
+    /// ([`Worklist::points`]).
+    pub points: usize,
     /// Pops of the ascending phase.
     pub iterations: usize,
     /// Pops of the descending phase.
@@ -482,6 +485,11 @@ impl<S: SparseSpec> Engine<'_, S> {
 /// `iterations` and `narrowing_rounds` count pops, whatever a pop computed.
 /// The trajectory depends on the pop order (see [`crate::depstore`]).
 ///
+/// Both phases are seeded with exactly the points `deps`' worklist orders
+/// ([`Worklist::points`]): every point of the program under
+/// [`CsrDeps::build`], a subset under [`CsrDeps::over`]. A point outside it
+/// is never evaluated and binds nothing in the result.
+///
 /// # Panics
 ///
 /// Panics if the ascending phase exceeds its internal iteration backstop
@@ -515,14 +523,13 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         work: FixWork::default(),
         num,
     };
-    let all_points: Vec<usize> = solved_points(program)
-        .map(|cp| engine.num.index(cp))
-        .collect();
-    for &i in &all_points {
-        engine.worklist.push(i);
+    // Both phases start from every point the store orders, and only those.
+    let seeds = engine.worklist.points().to_vec();
+    for &i in &seeds {
+        engine.worklist.push(i as usize);
     }
 
-    let backstop = 2000usize.saturating_mul(all_points.len()).max(100_000);
+    let backstop = 2000usize.saturating_mul(seeds.len()).max(100_000);
     let mut iterations = 0usize;
     let mut meter = budget.start();
     let mut degraded = false;
@@ -571,8 +578,8 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
     let mut narrowing_rounds = 0usize;
     let mut desc_count = vec![0u8; engine.rows.len()];
     if !degraded {
-        for &i in &all_points {
-            engine.worklist.push(i);
+        for &i in &seeds {
+            engine.worklist.push(i as usize);
         }
     }
     while let Some(i) = engine.worklist.pop() {
@@ -617,6 +624,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         .collect();
     SparseResult {
         values,
+        points: seeds.len(),
         iterations,
         narrowing_rounds,
         degraded,

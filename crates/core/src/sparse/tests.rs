@@ -1,4 +1,5 @@
 use super::*;
+use crate::depstore::solved_points;
 use crate::interval::{IntervalSparseSpec, Pipeline};
 use crate::preanalysis;
 use sga_cfront::parse;
@@ -158,6 +159,9 @@ struct WatchedList<'a> {
 }
 
 impl Worklist for WatchedList<'_> {
+    fn points(&self) -> &[u32] {
+        self.inner.points()
+    }
     fn push(&mut self, point: usize) {
         self.inner.push(point);
     }
@@ -329,6 +333,41 @@ fn a_binding_to_bottom_is_not_an_absent_binding() {
             );
         },
     );
+}
+
+#[test]
+fn a_store_over_a_subset_evaluates_its_points_and_no_others() {
+    let fx = fixture();
+    let (def, user) = (fx.p[0], fx.p[1]);
+    let deps = relation(&[(def, 1, user)], &[], &[def, user]);
+    let spec = Toy {
+        f: |cp: Cp, _: &Bindings| {
+            if cp == def {
+                row(&[(1, up(3, "d"))])
+            } else {
+                Row::new()
+            }
+        },
+        seed: PMap::new(),
+        answers: Answers::default(),
+        drained: Cell::new(0),
+        ascending: RefCell::default(),
+        descending: RefCell::default(),
+    };
+    let store = CsrDeps::over(&fx.program, &fx.icfg, &deps, [user, def]);
+    let (plan, budget) = (WideningPlan::naive(), Budget::unbounded());
+    let result = solve_with(&fx.program, &fx.icfg, &store, &spec, &plan, &budget);
+    // A plain store's worklist never reports running dry, so the log is
+    // every transfer call; the descent computes nothing off the cycles.
+    let log = spec.ascending.borrow();
+    let evaluated: Vec<Cp> = log.iter().map(|(cp, _)| *cp).collect();
+    assert_eq!(evaluated, [def, user]);
+    assert_eq!(hi_at(inputs_at(&log, user)[0], 1), 3);
+    assert_eq!(result.points, 2);
+    assert_eq!((result.iterations, result.narrowing_rounds), (2, 2));
+    let mut bound: Vec<Cp> = result.values.keys().copied().collect();
+    bound.sort_unstable();
+    assert_eq!(bound, [def, user], "the entry and the rest bind nothing");
 }
 
 #[test]

@@ -58,7 +58,7 @@ use crate::budget::Budget;
 use crate::checker;
 use crate::defuse::{self, DefUse};
 use crate::depgen::DepGenOptions;
-use crate::depstore::DepBackend;
+use crate::depstore::{solved_points, DepBackend};
 use crate::icfg::Icfg;
 use crate::interval::{AnalyzeOptions, Engine, IntervalResult};
 use crate::octagon::{self, OctagonResult};
@@ -164,6 +164,11 @@ pub struct TriageStats {
     pub octagon_packs: usize,
     /// Packs of the unit.
     pub octagon_packs_total: usize,
+    /// Points the octagon fixpoint ran over (under the sparse engine, the
+    /// ones that can bind a solved pack).
+    pub octagon_points: usize,
+    /// Points of the unit's non-external procedures.
+    pub octagon_points_total: usize,
     /// Octagon node evaluations.
     pub octagon_iterations: usize,
     /// Whether the octagon fixpoint degraded under its budget.
@@ -287,6 +292,8 @@ fn discharge_lazy<'a>(
         stats.octagon_ran = true;
         stats.octagon_packs = res.stats.num_locs;
         stats.octagon_packs_total = res.packs.len();
+        stats.octagon_points = res.points;
+        stats.octagon_points_total = solved_points(program).count();
         stats.octagon_iterations = res.stats.iterations;
         stats.degraded = res.stats.degraded;
 

@@ -20,6 +20,15 @@
 //! followed by one strengthening pass. Which of the three applies is read
 //! off the matrix itself; nothing selects between them.
 //!
+//! The kernels cost what the matrix bounds, not its size. A pivot (or an
+//! inserted edge) sweeps only the columns its row holds finite, and a
+//! strengthening pass only the finite unary entries, since a `+∞` there
+//! lowers nothing; the full closure strengthens again only after a pivot
+//! that moved a unary entry, since otherwise strengthening changes nothing.
+//! A real pack leaves most of its variables unconstrained, so most of its
+//! rows are `+∞`. On a satisfiable matrix the result is the plain kernels',
+//! entry for entry (`differential.rs` holds the kernels against them).
+//!
 //! The integer strengthening step rounds `(m[a][ā] + m[b̄][b]) / 2` down,
 //! which makes the full closure non-idempotent on matrices with an **odd
 //! finite unary entry** `m[a][ā]`, and only there can the incremental
@@ -158,21 +167,24 @@ fn has_odd_unary(m: &[i64], n: usize) -> bool {
 }
 
 /// The strengthening step `m[a][b] ← min(m[a][b], ⌊(m[a][ā] + m[b̄][b]) / 2⌋)`.
-/// It never changes a unary entry, so it can run in place.
+/// It never changes a unary entry, so it can run in place, and only the
+/// finite unary entries `m[b̄][b]`, gathered once, can lower anything.
 fn strengthen(m: &mut [i64], n: usize) {
-    for a in 0..n {
-        let ua = m[a * n + bar(a)];
-        if ua >= INF {
-            continue;
-        }
-        for b in 0..n {
-            let ub = m[bar(b) * n + b];
-            if ub >= INF {
+    let mut finite = [(0, 0); CHUNK];
+    let mut from = 0;
+    while from < n {
+        let (len, next) = finite_entries(n, from, |b| m[bar(b) * n + b], &mut finite);
+        from = next;
+        for (a, row) in m.chunks_exact_mut(n).enumerate() {
+            let ua = row[bar(a)];
+            if ua >= INF {
                 continue;
             }
-            let cand = (ua >> 1) + (ub >> 1) + (ua & ub & 1);
-            if cand < m[a * n + b] {
-                m[a * n + b] = cand;
+            for &(b, ub) in &finite[..len] {
+                let cand = (ua >> 1) + (ub >> 1) + (ua & ub & 1);
+                if cand < row[b] {
+                    row[b] = cand;
+                }
             }
         }
     }
@@ -189,24 +201,71 @@ fn settle_diagonal(m: &mut [i64], n: usize) -> bool {
     true
 }
 
-/// The reference strong closure, in place: Floyd–Warshall with the
-/// strengthening step interleaved after every pivot. `false` means ⊥.
+/// How many entries a kernel gathers per pass into its stack buffer: one
+/// pass for every matrix up to 32 variables, several for wider ones.
+const CHUNK: usize = 64;
+
+/// Gathers into `finite` the columns `j` from `from` on whose `entry(j)` is
+/// finite, with that entry, at most [`CHUNK`] of them. Returns how many,
+/// and the column the next pass starts from (`n` once done).
+fn finite_entries(
+    n: usize,
+    from: usize,
+    entry: impl Fn(usize) -> i64,
+    finite: &mut [(usize, i64); CHUNK],
+) -> (usize, usize) {
+    let (mut len, mut j) = (0, from);
+    while j < n && len < CHUNK {
+        let e = entry(j);
+        if e < INF {
+            finite[len] = (j, e);
+            len += 1;
+        }
+        j += 1;
+    }
+    (len, j)
+}
+
+/// The strong closure, in place: Floyd–Warshall with the strengthening
+/// step interleaved after every pivot. `false` means ⊥.
+///
+/// It pays for the finite bounds only. At pivot `k` a column `b` with
+/// `m[k][b] = +∞` lowers nothing, and row `k`'s `+∞` entries stay `+∞`
+/// while `k` pivots, so only the finite ones are swept, read as the pivot
+/// found them: row `k` moves during its own pivot only when `m[k][k] < 0`,
+/// and then the matrix is ⊥ whatever follows. Strengthening runs only
+/// when some unary entry `m[a][ā]` moved since it last ran: it never moves
+/// one itself, and with the unary entries as they were and every other
+/// entry only lowered it would change nothing. On a satisfiable matrix the
+/// result is the plain kernel's, entry for entry.
 fn full_closure(m: &mut [i64], n: usize) -> bool {
+    let mut finite = [(0, 0); CHUNK];
+    // Strengthening has not run yet: every unary entry counts as moved.
+    let mut unary_moved = true;
     for k in 0..n {
-        for a in 0..n {
-            let mak = m[a * n + k];
-            if mak >= INF {
-                continue;
-            }
-            for b in 0..n {
-                let cand = badd(mak, m[k * n + b]);
-                if cand < m[a * n + b] {
-                    m[a * n + b] = cand;
+        let mut from = 0;
+        while from < n {
+            let (len, next) = finite_entries(n, from, |b| m[k * n + b], &mut finite);
+            from = next;
+            for (a, row) in m.chunks_exact_mut(n).enumerate() {
+                let mak = row[k];
+                if mak >= INF {
+                    continue;
+                }
+                for &(b, mkb) in &finite[..len] {
+                    let cand = badd(mak, mkb);
+                    if cand < row[b] {
+                        row[b] = cand;
+                        unary_moved |= b == bar(a);
+                    }
                 }
             }
         }
         // Strengthening interleaved keeps strong closure exact.
-        strengthen(m, n);
+        if unary_moved {
+            strengthen(m, n);
+            unary_moved = false;
+        }
     }
     settle_diagonal(m, n)
 }
@@ -223,7 +282,8 @@ fn set_raw(m: &mut [i64], n: usize, (a, b, c): Edge) {
 /// Inserts the edge `a → b` of weight `c` into a shortest-path-closed `m`,
 /// keeping it shortest-path closed: every path uses the new edge at most
 /// once. `false` means the edge closes a negative cycle (⊥). Safe in
-/// place: absent such a cycle, no entry of column `a` or row `b` moves.
+/// place: absent such a cycle, no entry of column `a` or row `b` moves —
+/// so row `b`'s finite entries, gathered once, are all that can lower one.
 fn insert_edge(m: &mut [i64], n: usize, (a, b, c): Edge) -> bool {
     if c >= m[a * n + b] {
         return true;
@@ -231,15 +291,21 @@ fn insert_edge(m: &mut [i64], n: usize, (a, b, c): Edge) -> bool {
     if badd(c, m[b * n + a]) < 0 {
         return false;
     }
-    for i in 0..n {
-        let via = badd(m[i * n + a], c);
-        if via >= INF {
-            continue;
-        }
-        for j in 0..n {
-            let cand = badd(via, m[b * n + j]);
-            if cand < m[i * n + j] {
-                m[i * n + j] = cand;
+    let mut finite = [(0, 0); CHUNK];
+    let mut from = 0;
+    while from < n {
+        let (len, next) = finite_entries(n, from, |j| m[b * n + j], &mut finite);
+        from = next;
+        for row in m.chunks_exact_mut(n) {
+            let via = badd(row[a], c);
+            if via >= INF {
+                continue;
+            }
+            for &(j, mbj) in &finite[..len] {
+                let cand = badd(via, mbj);
+                if cand < row[j] {
+                    row[j] = cand;
+                }
             }
         }
     }

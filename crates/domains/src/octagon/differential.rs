@@ -1,20 +1,110 @@
-//! The correctness gate of the closure kernel: every public operation,
+//! The correctness gate of the closure kernels: every public operation,
 //! driven through random sequences, must produce what the pre-rework
 //! definition produces — the raw constraint(s) on the entries as they are,
-//! then the full O(n³) closure — entry for entry, and the "handed back
-//! untouched" promises must hold by pointer.
+//! then the plain O(n³) closure — entry for entry, and the "handed back
+//! untouched" promises must hold by pointer. The kernels themselves are
+//! held against the plain ones on raw matrices.
 
 use super::*;
 use proptest::prelude::*;
 
 /// The operations as they were before memoized and incremental closure,
-/// written against [`Matrix::close_with`] (the reference closure) only.
+/// written against [`reference::close_with`] (the plain closure) only.
 mod reference {
     use super::*;
 
+    /// The plain strengthening step: every entry against every pair of
+    /// unary entries.
+    pub fn strengthen(m: &mut [i64], n: usize) {
+        for a in 0..n {
+            let ua = m[a * n + bar(a)];
+            if ua >= INF {
+                continue;
+            }
+            for b in 0..n {
+                let ub = m[bar(b) * n + b];
+                if ub >= INF {
+                    continue;
+                }
+                let cand = (ua >> 1) + (ub >> 1) + (ua & ub & 1);
+                if cand < m[a * n + b] {
+                    m[a * n + b] = cand;
+                }
+            }
+        }
+    }
+
+    /// The plain strong closure: every pivot sweeps every column and is
+    /// followed by a strengthening pass.
+    pub fn full_closure(m: &mut [i64], n: usize) -> bool {
+        for k in 0..n {
+            for a in 0..n {
+                let mak = m[a * n + k];
+                if mak >= INF {
+                    continue;
+                }
+                for b in 0..n {
+                    let cand = badd(mak, m[k * n + b]);
+                    if cand < m[a * n + b] {
+                        m[a * n + b] = cand;
+                    }
+                }
+            }
+            strengthen(m, n);
+        }
+        settle_diagonal(m, n)
+    }
+
+    /// The plain edge insertion: every row through the new edge, every
+    /// column of row `b`.
+    pub fn insert_edge(m: &mut [i64], n: usize, (a, b, c): Edge) -> bool {
+        if c >= m[a * n + b] {
+            return true;
+        }
+        if badd(c, m[b * n + a]) < 0 {
+            return false;
+        }
+        for i in 0..n {
+            let via = badd(m[i * n + a], c);
+            if via >= INF {
+                continue;
+            }
+            for j in 0..n {
+                let cand = badd(via, m[b * n + j]);
+                if cand < m[i * n + j] {
+                    m[i * n + j] = cand;
+                }
+            }
+        }
+        true
+    }
+
+    /// [`Matrix::close_with`] through the plain closure.
+    pub fn close_with(mat: &Matrix, edges: &[Edge]) -> Octagon {
+        let n = mat.n();
+        let mut m = fresh(&mat.m);
+        let buf = cells(&mut m);
+        for &e in edges {
+            set_raw(buf, n, e);
+        }
+        if full_closure(buf, n) {
+            Matrix::closed(mat.dim, m)
+        } else {
+            Octagon::Bot
+        }
+    }
+
+    /// [`Octagon::constrain_fully`] through the plain closure.
+    pub fn constrain(x: &Octagon, edge: Edge) -> Octagon {
+        match x {
+            Octagon::Bot => Octagon::Bot,
+            Octagon::Oct(mat) => close_with(mat, &[edge]),
+        }
+    }
+
     pub fn close(x: &Octagon) -> Octagon {
         match x {
-            Octagon::Oct(mat) if !mat.is_closed() => mat.close_with(&[]),
+            Octagon::Oct(mat) if !mat.is_closed() => close_with(mat, &[]),
             _ => x.clone(),
         }
     }
@@ -34,10 +124,10 @@ mod reference {
         };
         let mut oct = forget(x, i);
         if let Bound::Int(h) = hi {
-            oct = oct.constrain_fully((neg(i), pos(i), doubled(*h)));
+            oct = constrain(&oct, (neg(i), pos(i), doubled(*h)));
         }
         if let Bound::Int(l) = lo {
-            oct = oct.constrain_fully((pos(i), neg(i), doubled(-*l)));
+            oct = constrain(&oct, (pos(i), neg(i), doubled(-*l)));
         }
         oct
     }
@@ -45,7 +135,7 @@ mod reference {
     pub fn assign_var_plus(x: &Octagon, i: usize, j: usize, c: i64) -> Octagon {
         match forget(x, i) {
             Octagon::Bot => Octagon::Bot,
-            Octagon::Oct(mat) => mat.close_with(&[(pos(j), pos(i), c), (pos(i), pos(j), -c)]),
+            Octagon::Oct(mat) => close_with(&mat, &[(pos(j), pos(i), c), (pos(i), pos(j), -c)]),
         }
     }
 
@@ -75,11 +165,10 @@ mod reference {
     pub fn narrow(x: &Octagon, y: &Octagon) -> Octagon {
         match (close(x), close(y)) {
             (Octagon::Bot, _) | (_, Octagon::Bot) => Octagon::Bot,
-            (Octagon::Oct(a), Octagon::Oct(b)) => Matrix::unclosed(
+            (Octagon::Oct(a), Octagon::Oct(b)) => close(&Matrix::unclosed(
                 a.dim,
                 pointwise(&a, &b, |x, y| if x >= INF { y } else { x }),
-            )
-            .close(),
+            )),
         }
     }
 }
@@ -132,23 +221,23 @@ fn apply(cur: &Octagon, other: &Octagon, dim: usize, step: Step) -> (String, Oct
     let (new, old) = match kind {
         0 => (
             cur.add_diff(i, j, c),
-            cur.constrain_fully((pos(j), pos(i), c)),
+            reference::constrain(cur, (pos(j), pos(i), c)),
         ),
         1 => (
             cur.add_sum_le(i, j, c),
-            cur.constrain_fully((neg(j), pos(i), c)),
+            reference::constrain(cur, (neg(j), pos(i), c)),
         ),
         2 => (
             cur.add_neg_sum_le(i, j, c),
-            cur.constrain_fully((pos(j), neg(i), c)),
+            reference::constrain(cur, (pos(j), neg(i), c)),
         ),
         3 => (
             cur.add_upper(i, c),
-            cur.constrain_fully((neg(i), pos(i), doubled(c))),
+            reference::constrain(cur, (neg(i), pos(i), doubled(c))),
         ),
         4 => (
             cur.add_lower(i, c),
-            cur.constrain_fully((pos(i), neg(i), doubled(-c))),
+            reference::constrain(cur, (pos(i), neg(i), doubled(-c))),
         ),
         5 | 6 => {
             let itv = match (kind, w % 3) {
@@ -174,8 +263,10 @@ fn apply(cur: &Octagon, other: &Octagon, dim: usize, step: Step) -> (String, Oct
         11 => (cur.narrow(other), reference::narrow(cur, other)),
         _ => (
             cur.assume_var(i, RelOp::Eq, j, c),
-            cur.constrain_fully((pos(j), pos(i), c))
-                .constrain_fully((pos(i), pos(j), -c)),
+            reference::constrain(
+                &reference::constrain(cur, (pos(j), pos(i), c)),
+                (pos(i), pos(j), -c),
+            ),
         ),
     };
     (what, new, old)
@@ -240,4 +331,123 @@ proptest! {
             cur = if new.is_bottom() { Octagon::top(dim) } else { new };
         }
     }
+}
+
+/// A raw `2dim × 2dim` matrix of dimension 1 to 10: dense or mostly `+∞`
+/// (`sparsity` 0 to 3), coherent (`m[a][b] = m[b̄][ā]`) or not, with a zero
+/// diagonal or a random one. Finite entries are small, odd and even,
+/// negative ones included, so odd unary entries and negative cycles both
+/// turn up.
+fn arb_matrix() -> impl Strategy<Value = (usize, Vec<i64>)> {
+    (1usize..11, 0usize..4, any::<bool>(), any::<bool>()).prop_flat_map(
+        |(dim, sparsity, coherent, zero_diagonal)| {
+            let n = 2 * dim;
+            // Out of 50 entries, this many are +∞.
+            let infinite = [5, 20, 35, 48][sparsity];
+            let entry =
+                (0..50, -6i64..25).prop_map(move |(roll, c)| if roll < infinite { INF } else { c });
+            prop::collection::vec(entry, n * n).prop_map(move |mut m| {
+                for a in 0..n {
+                    for b in 0..n {
+                        if coherent && (bar(b), bar(a)) > (a, b) {
+                            m[bar(b) * n + bar(a)] = m[a * n + b];
+                        }
+                    }
+                }
+                for a in (0..n).filter(|_| zero_diagonal) {
+                    m[a * n + a] = 0;
+                }
+                (dim, m)
+            })
+        },
+    )
+}
+
+/// Runs both strengthening steps on `m` (the same entries, always), then
+/// both closures: the same ⊥ verdict, and the same entries whenever `m` is
+/// satisfiable. Returns the closure, if any.
+fn check_closure(m: &[i64], n: usize) -> Result<Option<Vec<i64>>, TestCaseError> {
+    let (mut new, mut old) = (m.to_vec(), m.to_vec());
+    strengthen(&mut new, n);
+    reference::strengthen(&mut old, n);
+    prop_assert_eq!(&new, &old);
+    let (mut new, mut old) = (m.to_vec(), m.to_vec());
+    let satisfiable = full_closure(&mut new, n);
+    prop_assert_eq!(satisfiable, reference::full_closure(&mut old, n));
+    if satisfiable {
+        prop_assert_eq!(&new, &old);
+    }
+    Ok(satisfiable.then_some(new))
+}
+
+/// Runs both edge insertions on `m`: the same verdict and the same entries.
+fn check_insertion(m: &[i64], n: usize, edge: Edge) -> Result<(), TestCaseError> {
+    let (mut new, mut old) = (m.to_vec(), m.to_vec());
+    let satisfiable = insert_edge(&mut new, n, edge);
+    prop_assert_eq!(satisfiable, reference::insert_edge(&mut old, n, edge));
+    if satisfiable {
+        prop_assert_eq!(new, old);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    fn closure_kernel_equals_the_plain_closure((dim, m) in arb_matrix()) {
+        check_closure(&m, 2 * dim)?;
+    }
+
+    /// On the matrix as it is and on its closure (the precondition the
+    /// incremental path keeps).
+    #[test]
+    fn edge_kernel_equals_the_plain_insertion(
+        (dim, m) in arb_matrix(), a in 0usize..20, b in 0usize..20, c in -12i64..25,
+    ) {
+        let n = 2 * dim;
+        let edge = (a % n, b % n, c);
+        check_insertion(&m, n, edge)?;
+        if let Some(closed) = check_closure(&m, n)? {
+            check_insertion(&closed, n, edge)?;
+        }
+    }
+}
+
+/// A 40-variable matrix has 80 columns, so the kernels gather each row's
+/// finite columns in two passes of [`CHUNK`].
+#[test]
+fn kernels_equal_the_plain_ones_past_one_pass() {
+    let n = 80;
+    let mut state = 65261u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut satisfiable = 0;
+    for finite_one_in in [2, 6, 30] {
+        let m: Vec<i64> = (0..n * n)
+            .map(|k| match next() {
+                _ if k / n == k % n => 0,
+                r if r % finite_one_in == 0 => (r >> 8) as i64 % 60 - 2,
+                _ => INF,
+            })
+            .collect();
+        let closed = check_closure(&m, n).unwrap();
+        satisfiable += usize::from(closed.is_some());
+        for _ in 0..20 {
+            let edge = (
+                next() as usize % n,
+                next() as usize % n,
+                next() as i64 % 40 - 5,
+            );
+            check_insertion(&m, n, edge).unwrap();
+            if let Some(closed) = &closed {
+                check_insertion(closed, n, edge).unwrap();
+            }
+        }
+    }
+    assert!(satisfiable > 0, "no wide matrix was satisfiable");
 }

@@ -540,12 +540,17 @@ fn print_diagnostics(diags: &[Diagnostic], stats: &triage::TriageStats) -> bool 
     definite > 0
 }
 
-/// "octagon solved K of N packs, I evaluations", when triage ran one.
+/// "octagon solved K of N packs at P of C points, I evaluations", when
+/// triage ran one.
 fn octagon_work(stats: &triage::TriageStats) -> Option<String> {
     stats.octagon_ran.then(|| {
         format!(
-            "octagon solved {} of {} packs, {} evaluations",
-            stats.octagon_packs, stats.octagon_packs_total, stats.octagon_iterations
+            "octagon solved {} of {} packs at {} of {} points, {} evaluations",
+            stats.octagon_packs,
+            stats.octagon_packs_total,
+            stats.octagon_points,
+            stats.octagon_points_total,
+            stats.octagon_iterations
         )
     })
 }

@@ -3,7 +3,7 @@
 //!
 //! * single-file mode: `--check`, `--domain`, `--dump-ir`, `--dump-values`,
 //!   `--engine`, `--stats`, `--widening`, `--max-steps`;
-//! * `check --sarif`;
+//! * `check --sarif`, and the octagon work `check` reports;
 //! * `analyze`: `--out`, `--no-bypass`, `--fail-fast`,
 //!   `--cache-max-entries`;
 //! * `serve --unix --poll-ms` driven by `watch --status --max-events`;
@@ -100,6 +100,42 @@ fn check_sarif_writes_a_2_1_0_log() {
         .unwrap()
         .len();
     assert_eq!(results, 1, "one diagnostic, one result");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A loop access the octagon discharges, and a procedure outside its slice.
+const SLICED: &str = "int probe(int n) {
+    int s = 0;
+    if (n > 0) {
+        int *buf = malloc(n);
+        int i = 0;
+        while (i < n) { buf[i] = i; i = i + 1; }
+        s = i;
+    }
+    return s;
+}
+int pad(int a) { int b = a * 2; return b; }
+int main(int argc) { int z = pad(7); probe(argc); return z; }
+";
+
+#[test]
+fn check_counts_the_points_the_octagon_slice_solved() {
+    let dir = scratch("slice");
+    let f = unit(&dir, "f.c", SLICED);
+    let out = text(&sga(&["check", &f]).stdout);
+    assert!(out.contains("1 octagon"), "{out}");
+    // "octagon solved K of N packs at P of C points, I evaluations"
+    let counts = |from: &str, to: &str| -> Vec<usize> {
+        let at = out.find(from).unwrap_or_else(|| panic!("{out}")) + from.len();
+        let phrase = &out[at..at + out[at..].find(to).unwrap_or_else(|| panic!("{out}"))];
+        phrase.split(" of ").map(|n| n.parse().unwrap()).collect()
+    };
+    let (packs, points) = (
+        counts("octagon solved ", " packs"),
+        counts("packs at ", " points"),
+    );
+    assert!(packs[0] < packs[1], "{out}");
+    assert!(0 < points[0] && points[0] < points[1], "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
