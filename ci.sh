@@ -42,7 +42,7 @@ if [ "$LIST" -eq 1 ]; then
     echo "ci.sh stages, in run order (* = skipped under --quick):"
     printf '  %-18s %s\n' \
         "fmt"              "rustfmt check over the whole workspace" \
-        "clippy"           "clippy with -D warnings, all targets" \
+        "clippy"           "clippy with -D warnings, all targets; rustdoc broken-link check" \
         "build-release *"  "release build (tier-1)" \
         "test"             "cargo test -q: the full tier-1 suite" \
         "diag-gate"        "CLI baseline self-diff over the golden alarm corpus" \
@@ -462,8 +462,23 @@ bench_gate() {
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
 }
 
+# The product crates, whose docs must link only to items that exist
+# (vendor/proptest's own docs do not pass the check).
+DOC_CRATES="sga-bdd sga-cfront sga-cgen sga-core sga-diag sga-domains sga-ir \
+sga-pipeline sga-serve sga sga-utils"
+
+clippy_gate() {
+    # Lints over every target with warnings denied, then the product crates'
+    # docs with broken intra-doc links denied.
+    local crates=()
+    for c in $DOC_CRATES; do crates+=(-p "$c"); done
+    cargo clippy --workspace --all-targets -- -D warnings &&
+        RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+            cargo doc --no-deps -q "${crates[@]}"
+}
+
 run_stage "fmt"    cargo fmt --all -- --check
-run_stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
+run_stage "clippy" clippy_gate
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
     run_stage "build-release" cargo build --release
 fi

@@ -26,11 +26,12 @@
 //! sanity-check that precision survives sparsification end to end.
 
 use crate::interval::IntervalResult;
+use crate::pathcond::unop_itv;
 use crate::preanalysis::PreAnalysis;
 use sga_diag::{DiagKind, Diagnostic, Evidence};
 use sga_domains::interval::Bound;
 use sga_domains::{AbsLoc, Interval, Lattice, Value};
-use sga_ir::{pretty, BinOp, Cmd, Cp, Expr, LVal, Program, RelOp, UnOp, VarId, VarKind};
+use sga_ir::{pretty, BinOp, Cmd, Cp, Expr, LVal, Program, VarId, VarKind};
 use sga_utils::Idx;
 
 /// Scans the program for array accesses whose offset may escape the block.
@@ -271,17 +272,6 @@ pub(crate) fn value_before(
         }
     }
     acc
-}
-
-/// Interval of a unary operator applied to an operand interval.
-fn unop_itv(op: UnOp, v: &Interval) -> Interval {
-    match op {
-        UnOp::Neg => v.neg(),
-        // `!x` is exactly `x == 0`.
-        UnOp::Not => v.cmp_result(RelOp::Eq, &Interval::constant(0)),
-        // Two's complement: `~x = -(x+1)`, exact on intervals.
-        UnOp::BitNot => v.add(&Interval::constant(1)).neg(),
-    }
 }
 
 /// Evaluates a pure expression to an interval against the before-state at

@@ -164,11 +164,9 @@ pub fn compute(program: &Program, pre: &PreAnalysis) -> DefUse {
 /// pre-analysis state — used by the semi-sparse instance, which coarsens the
 /// points-to information of non-top-level variables (§3.2).
 ///
-/// This is the sequential driver over the staged per-procedure passes —
-/// [`real_sets_for_proc`], [`summarize_scc`], [`relay_sets_for_proc`],
-/// [`finish`] — which the parallel pipeline schedules itself (pass 1 and
-/// pass 3 are independent per procedure; pass 2 is bottom-up over call-graph
-/// SCCs).
+/// Three passes: the real sets of every procedure, the access summaries
+/// bottom-up over call-graph SCCs, then the full sets with relay roles,
+/// interned in procedure order.
 pub fn compute_with_state(program: &Program, pre: &PreAnalysis, t: &State) -> DefUse {
     // Pass 1: real sets per node.
     let mut sets: FxHashMap<Cp, CpSets> = FxHashMap::default();
@@ -201,11 +199,11 @@ pub fn compute_with_state(program: &Program, pre: &PreAnalysis, t: &State) -> De
 
 /// Full `D̂`/`Û` sets of one procedure's control points, in node order
 /// (pass 3's per-procedure output, not yet interned).
-pub type ProcFullSets = Vec<(Cp, Vec<AbsLoc>, Vec<AbsLoc>)>;
+type ProcFullSets = Vec<(Cp, Vec<AbsLoc>, Vec<AbsLoc>)>;
 
 /// Pass 1 for one procedure: the real (semantic) def/use sets of each of
-/// its control points. Independent across procedures.
-pub fn real_sets_for_proc(
+/// its control points.
+fn real_sets_for_proc(
     program: &Program,
     pre: &PreAnalysis,
     t: &State,
@@ -234,9 +232,8 @@ pub fn real_sets_for_proc(
 }
 
 /// Pass 2 for one call-graph SCC: the exported (caller-visible) accesses of
-/// its procedures, given the summaries of everything below it. SCCs at the
-/// same bottom-up level are independent.
-pub fn summarize_scc(
+/// its procedures, given the summaries of everything below it.
+fn summarize_scc(
     program: &Program,
     pre: &PreAnalysis,
     sets: &FxHashMap<Cp, CpSets>,
@@ -280,10 +277,9 @@ pub fn summarize_scc(
 }
 
 /// Pass 3 for one procedure: the full `D̂`/`Û` sets (real sets extended with
-/// relay roles), given everyone's summaries. Independent across procedures;
-/// the outputs must be handed to [`finish`] in procedure order so location
-/// interning stays deterministic.
-pub fn relay_sets_for_proc(
+/// relay roles), given everyone's summaries. The outputs are handed to
+/// [`finish`] in procedure order so location interning stays deterministic.
+fn relay_sets_for_proc(
     program: &Program,
     pre: &PreAnalysis,
     pid: ProcId,
@@ -356,7 +352,7 @@ pub fn relay_sets_for_proc(
 /// Merges the pass-3 outputs into the final [`DefUse`], interning locations
 /// in the order the parts are given (pass the parts in procedure order for
 /// run-to-run determinism).
-pub fn finish(
+fn finish(
     mut sets: FxHashMap<Cp, CpSets>,
     summary_defs: IndexVec<ProcId, Vec<AbsLoc>>,
     summary_uses: IndexVec<ProcId, Vec<AbsLoc>>,

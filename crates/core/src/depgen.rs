@@ -159,11 +159,9 @@ pub type DepEdge = (u32, Cp, Cp, bool);
 
 /// Generates data dependencies from any [`DepSource`].
 ///
-/// This is the sequential driver over the staged pieces: per-procedure
-/// reaching-definition segments ([`proc_dep_edges`], independent across
-/// procedures) merged by [`assemble`], which adds the interprocedural
-/// linking edges and runs the bypass contraction. The parallel pipeline
-/// calls the pieces itself.
+/// Per-procedure reaching-definition segments ([`proc_dep_edges`]) merged
+/// by [`assemble`], which adds the interprocedural linking edges and runs
+/// the bypass contraction.
 pub fn generate_from<S: DepSource>(
     program: &Program,
     source: &S,

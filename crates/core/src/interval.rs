@@ -340,7 +340,8 @@ pub fn initial_state(program: &Program) -> State {
 // ---------------------------------------------------------------------------
 
 /// The interval instance of [`SparseSpec`] — public so external drivers
-/// (the parallel pipeline) can stage the pieces themselves.
+/// (the batch pipeline, the validation oracle) can solve and re-check a
+/// staged unit themselves.
 pub struct IntervalSparseSpec<'p> {
     /// The analyzed program.
     pub program: &'p Program,

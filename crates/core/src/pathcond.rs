@@ -339,10 +339,13 @@ pub fn numeric_itv(v: &Value) -> Option<Interval> {
     Some(v.itv)
 }
 
-fn unop_itv(op: UnOp, v: &Interval) -> Interval {
+/// Interval of a unary operator applied to an operand interval.
+pub(crate) fn unop_itv(op: UnOp, v: &Interval) -> Interval {
     match op {
         UnOp::Neg => v.neg(),
+        // `!x` is exactly `x == 0`.
         UnOp::Not => v.cmp_result(RelOp::Eq, &Interval::constant(0)),
+        // Two's complement: `~x = -(x+1)`, exact on intervals.
         UnOp::BitNot => v.add(&Interval::constant(1)).neg(),
     }
 }

@@ -37,7 +37,7 @@ use crate::defuse::DefUse;
 use crate::depgen::DataDeps;
 use crate::depstore::solved_points;
 use crate::interval::{self, AnalyzeOptions, Engine, IntervalResult, IntervalSparseSpec};
-use crate::preanalysis::{self, PreAnalysis};
+use crate::preanalysis::PreAnalysis;
 use crate::sparse::SparseSpec;
 use sga_domains::lattice::Lattice;
 use sga_domains::{AbsLoc, Value};
@@ -312,13 +312,6 @@ pub fn check_defuse_side_condition(program: &Program, du: &DefUse) -> CheckRepor
     report
 }
 
-/// Runs the octagon sparse analysis under `options` and post-fixpoint-checks
-/// its result (the octagon spec types are private to [`crate::octagon`], so
-/// the solve-then-check glue lives there).
-pub fn check_octagon_sparse(program: &Program, options: AnalyzeOptions) -> CheckReport {
-    crate::octagon::sparse_post_fixpoint_check(program, &preanalysis::run(program), options)
-}
-
 /// Borrowed artifacts of an already-solved interval sparse analysis, as the
 /// batch driver holds them.
 pub struct ValidationInputs<'a> {
@@ -352,7 +345,8 @@ pub fn validate_unit(
     };
     let interval_report =
         check_sparse_post_fixpoint(program, inputs.deps, &spec, inputs.sparse_values);
-    let octagon_report = crate::octagon::sparse_post_fixpoint_check(program, inputs.pre, options);
+    let octagon_report =
+        crate::octagon::sparse_post_fixpoint_check(program, inputs.pre, inputs.du, options);
     let lemma1 = if inputs.degraded {
         Lemma1Report {
             skipped: true,
@@ -382,74 +376,11 @@ pub fn validate_unit(
     }
 }
 
-/// Self-contained validation of one program: runs the interval sparse
-/// analysis itself, then [`validate_unit`]. Entry point for callers without
-/// a staged pipeline (tests, one-shot audits).
-pub fn validate_program(program: &Program, options: AnalyzeOptions) -> UnitValidation {
-    let ValidationParts {
-        pre,
-        du,
-        deps,
-        values,
-        degraded,
-    } = solve_for_validation(program, options);
-    validate_unit(
-        program,
-        &ValidationInputs {
-            pre: &pre,
-            du: &du,
-            deps: &deps,
-            sparse_values: &values,
-            degraded,
-        },
-        options,
-    )
-}
-
-/// Owned artifacts of one interval sparse solve (see
-/// [`solve_for_validation`]).
-pub struct ValidationParts {
-    /// Pre-analysis result.
-    pub pre: PreAnalysis,
-    /// Def/use sets.
-    pub du: DefUse,
-    /// Dependency edges.
-    pub deps: DataDeps,
-    /// Final sparse values.
-    pub values: FxHashMap<Cp, PMap<AbsLoc, Value>>,
-    /// Whether the solve degraded.
-    pub degraded: bool,
-}
-
-/// Runs the interval sparse analysis and returns everything the oracle
-/// needs, still warm.
-pub fn solve_for_validation(program: &Program, options: AnalyzeOptions) -> ValidationParts {
-    use crate::widening::WideningPlan;
-    use crate::{defuse, depgen, icfg::Icfg, preanalysis, sparse};
-
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
-    let du = defuse::compute(program, &pre);
-    let deps = depgen::generate(program, &pre, &du, options.depgen);
-    let spec = IntervalSparseSpec {
-        program,
-        pre: &pre,
-        du: &du,
-    };
-    let plan = WideningPlan::for_program(program, options.widening);
-    let solved = sparse::solve(program, &icfg, &deps, &spec, &plan, &options.budget);
-    ValidationParts {
-        values: solved.values,
-        degraded: solved.degraded,
-        pre,
-        du,
-        deps,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Pipeline;
+    use crate::sparse::{self, SparseResult};
     use sga_cfront::parse;
 
     const LOOPY: &str = r#"
@@ -466,10 +397,49 @@ mod tests {
         }
     "#;
 
+    /// The unit staged as [`Pipeline::prepare`] stages it, and its interval
+    /// sparse solve.
+    fn solve(
+        program: &Program,
+        options: AnalyzeOptions,
+    ) -> (Pipeline<'_>, SparseResult<AbsLoc, Value>) {
+        let staged = Pipeline::prepare(program, options);
+        let spec = IntervalSparseSpec {
+            program,
+            pre: &staged.pre,
+            du: &staged.du,
+        };
+        let solved = sparse::solve(
+            program,
+            &staged.icfg,
+            &staged.deps,
+            &spec,
+            &staged.widening,
+            &options.budget,
+        );
+        (staged, solved)
+    }
+
+    /// [`validate_unit`] over [`solve`]'s artifacts.
+    fn validate(program: &Program, options: AnalyzeOptions) -> UnitValidation {
+        let (staged, solved) = solve(program, options);
+        validate_unit(
+            program,
+            &ValidationInputs {
+                pre: &staged.pre,
+                du: &staged.du,
+                deps: &staged.deps,
+                sparse_values: &solved.values,
+                degraded: solved.degraded,
+            },
+            options,
+        )
+    }
+
     #[test]
     fn clean_program_validates() {
         let program = parse(LOOPY).unwrap();
-        let v = validate_program(&program, AnalyzeOptions::default());
+        let v = validate(&program, AnalyzeOptions::default());
         assert!(
             v.is_valid(),
             "unexpected violations: {:?}",
@@ -488,9 +458,11 @@ mod tests {
             budget: Budget::with_max_steps(5),
             ..AnalyzeOptions::default()
         };
-        let parts = solve_for_validation(&program, options);
-        assert!(parts.degraded, "budget of 5 steps must degrade this loop");
-        let v = validate_program(&program, options);
+        assert!(
+            solve(&program, options).1.degraded,
+            "budget of 5 steps must degrade this loop"
+        );
+        let v = validate(&program, options);
         assert!(
             v.is_valid(),
             "degraded result must still pass: {:?}",
@@ -502,14 +474,13 @@ mod tests {
     #[test]
     fn broken_result_is_caught_by_the_post_fixpoint_check() {
         let program = parse(LOOPY).unwrap();
-        let options = AnalyzeOptions::default();
-        let mut parts = solve_for_validation(&program, options);
+        let (staged, mut solved) = solve(&program, AnalyzeOptions::default());
 
         // Sabotage: drop one point's stored bindings. The transfer pass
         // re-derives them from the (unchanged) inputs, so the oracle must
         // see bindings that are ⋢ the (now missing) stored state.
         let victim = {
-            let mut cps: Vec<Cp> = parts
+            let mut cps: Vec<Cp> = solved
                 .values
                 .iter()
                 .filter(|(_, m)| !m.is_empty())
@@ -518,14 +489,14 @@ mod tests {
             cps.sort();
             *cps.last().expect("analysis bound at least one point")
         };
-        parts.values.remove(&victim);
+        solved.values.remove(&victim);
 
         let spec = IntervalSparseSpec {
             program: &program,
-            pre: &parts.pre,
-            du: &parts.du,
+            pre: &staged.pre,
+            du: &staged.du,
         };
-        let report = check_sparse_post_fixpoint(&program, &parts.deps, &spec, &parts.values);
+        let report = check_sparse_post_fixpoint(&program, &staged.deps, &spec, &solved.values);
         assert!(
             !report.violations.is_empty(),
             "dropping {victim}'s bindings must violate f\u{302}(X\u{302}) \u{2291} X\u{302}"
@@ -542,7 +513,7 @@ mod tests {
         for seed in [11u64, 12, 0xFEED] {
             let source = sga_cgen::generate(&sga_cgen::GenConfig::sized(seed, 1));
             let program = parse(&source).unwrap();
-            let v = validate_program(&program, AnalyzeOptions::default());
+            let v = validate(&program, AnalyzeOptions::default());
             assert!(
                 v.is_valid(),
                 "seed {seed}: {:?}",

@@ -4,11 +4,11 @@
 //! This crate drives the same sparse analysis over a *project* — a
 //! directory of C files, or a generated corpus — with three additions:
 //!
-//! 1. **Per-procedure scheduling.** Each unit's analysis is staged over the
-//!    public per-procedure APIs of `sga-core` (def/use passes, dependency
-//!    segments) and scheduled onto scoped worker threads; the def/use
-//!    summary pass runs bottom-up over the call graph's SCC condensation,
-//!    level by level. Units themselves also run concurrently. See [`unit`].
+//! 1. **Units in parallel.** Up to `jobs` units are analyzed at once, each
+//!    on one scoped worker thread. A unit runs `sga-core`'s own passes in
+//!    sequence — pre-analysis, def/use, dependency generation, the sparse
+//!    fixpoint, checkers, triage — each under a stage timer. See
+//!    [`mod@unit`].
 //! 2. **Content-hash caching.** Each unit's analysis — its diagnostics,
 //!    link interface, fixpoint fingerprint and counts, exactly what a hit
 //!    returns — is persisted to an on-disk cache keyed by a hash of the
@@ -19,10 +19,11 @@
 //!    report (per-unit alarms and statistics, cache hit rate, per-stage
 //!    wall time) consumed by `sga analyze` and the benchmark harness.
 //!
-//! Determinism is a hard invariant: every parallel stage merges results in
-//! input order ([`par::run_indexed`]), so the report — timings aside — is
-//! byte-identical for any `--jobs` value. The `canonical` option drops the
-//! timing and job-count fields, making the *entire* report byte-comparable.
+//! Determinism is a hard invariant: a unit's analysis is sequential, and the
+//! unit loop merges results in input order ([`par::run_indexed`]), so the
+//! report — timings aside — is byte-identical for any `--jobs` value. The
+//! `canonical` option drops the timing and job-count fields, making the
+//! *entire* report byte-comparable.
 //!
 //! The driver is also **fault-tolerant**: a panicking unit is isolated with
 //! `catch_unwind` and recorded as a `crashed` outcome while the rest of the
@@ -60,7 +61,7 @@ mod testfix;
 pub use cache::Cache;
 pub use fault::FaultPlan;
 pub use journal::Journal;
-pub use unit::{analyze_unit, analyze_unit_traced, UnitAnalysis, UnitInternals};
+pub use unit::{analyze_unit, UnitAnalysis, UnitInternals};
 pub use worker::IsolationMode;
 
 use journal::JournalRecord;
@@ -71,8 +72,10 @@ use sga_core::interval::AnalyzeOptions;
 use sga_core::triage::TriageMode;
 use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
 use sga_core::widening::WideningConfig;
+use sga_domains::{AbsLoc, Value};
+use sga_ir::Cp;
 use sga_utils::stats::StageTimers;
-use sga_utils::{fxhash, Json};
+use sga_utils::{fxhash, FxHashMap, Json, PMap};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -134,9 +137,8 @@ pub struct UnitInput {
 /// Driver configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
-    /// Worker-thread budget shared between unit-level and procedure-level
-    /// parallelism (1 = fully sequential, 0 = auto-detect via
-    /// [`auto_jobs`]).
+    /// Units analyzed at once, one worker thread each (1 = fully
+    /// sequential, 0 = auto-detect via [`auto_jobs`]).
     pub jobs: usize,
     /// Cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
@@ -503,8 +505,6 @@ struct UnitCtx<'a> {
     options: &'a PipelineOptions,
     cache: Option<&'a Cache>,
     timers: &'a StageTimers,
-    /// Procedure-level parallelism inside one unit.
-    inner_jobs: usize,
 }
 
 /// What [`process_unit`] produced for one unit.
@@ -567,71 +567,66 @@ fn process_unit(
         let program = timers
             .time("parse", || sga_cfront::parse(&input.source))
             .map_err(|e| e.to_string())?;
-        if options.validate {
-            let (analysis, internals) = unit::analyze_unit_traced(
-                &program,
-                ctx.inner_jobs,
-                options.depgen,
-                options.widening,
-                options.triage,
-                budget,
-                timers,
-            );
-            let mut validation = timers.time("validate", || {
-                validate::validate_unit(
-                    &program,
-                    &ValidationInputs {
-                        pre: &internals.pre,
-                        du: &internals.du,
-                        deps: &internals.deps,
-                        sparse_values: &internals.sparse_values,
-                        degraded: internals.degraded,
-                    },
-                    AnalyzeOptions {
-                        depgen: options.depgen,
-                        widening: options.widening,
-                        budget: *budget,
-                        ..AnalyzeOptions::default()
-                    },
-                )
-            });
-            let status = match cached_hit {
-                Some(cached) if *cached == analysis => CacheStatus::Hit,
-                Some(cached) => {
-                    validation.add_extra(
-                        CheckKind::CacheMismatch,
-                        format!(
-                            "cached entry (fingerprint {:016x}) disagrees with \
-                             recomputation (fingerprint {:016x})",
-                            cached.fingerprint, analysis.fingerprint,
-                        ),
-                    );
-                    if let Some(c) = cache {
-                        c.quarantine_entry(&input.name, key);
-                    }
-                    CacheStatus::Miss
-                }
-                None if cache.is_some() => CacheStatus::Miss,
-                None => CacheStatus::Off,
-            };
-            Ok((status, Box::new(analysis), Some(validation)))
+        let (analysis, internals) = unit::analyze_unit(
+            &program,
+            options.depgen,
+            options.widening,
+            options.triage,
+            budget,
+            timers,
+        );
+        let missed = if cache.is_some() {
+            CacheStatus::Miss
         } else {
-            let analysis = unit::analyze_unit(
-                &program,
-                ctx.inner_jobs,
-                options.depgen,
-                options.widening,
-                options.triage,
-                budget,
-                timers,
-            );
-            let status = if cache.is_some() {
-                CacheStatus::Miss
-            } else {
-                CacheStatus::Off
-            };
-            Ok((status, Box::new(analysis), None))
+            CacheStatus::Off
+        };
+        if !options.validate {
+            return Ok((missed, Box::new(analysis), None));
         }
+        let mut validation = timers.time("validate", || {
+            // The oracle reads the fixpoint in the solver's map form.
+            let sparse_values: FxHashMap<Cp, PMap<AbsLoc, Value>> = internals
+                .result
+                .values
+                .iter()
+                .map(|(cp, state)| (*cp, state.as_pmap().clone()))
+                .collect();
+            validate::validate_unit(
+                &program,
+                &ValidationInputs {
+                    pre: &internals.pre,
+                    du: &internals.du,
+                    deps: &internals.deps,
+                    sparse_values: &sparse_values,
+                    degraded: internals.result.stats.degraded,
+                },
+                AnalyzeOptions {
+                    depgen: options.depgen,
+                    widening: options.widening,
+                    budget: *budget,
+                    ..AnalyzeOptions::default()
+                },
+            )
+        });
+        let status = match cached_hit {
+            Some(cached) if *cached == analysis => CacheStatus::Hit,
+            Some(cached) => {
+                validation.add_extra(
+                    CheckKind::CacheMismatch,
+                    format!(
+                        "cached entry (fingerprint {:016x}) disagrees with \
+                         recomputation (fingerprint {:016x})",
+                        cached.fingerprint, analysis.fingerprint,
+                    ),
+                );
+                if let Some(c) = cache {
+                    c.quarantine_entry(&input.name, key);
+                }
+                CacheStatus::Miss
+            }
+            None => missed,
+        };
+        Ok((status, Box::new(analysis), Some(validation)))
     }));
 
     match caught {
@@ -738,7 +733,6 @@ pub fn analyze_units(
         options,
         cache,
         timers: &timers,
-        inner_jobs: (jobs / units.len().max(1)).max(1),
     };
     let prev_hook = if options.keep_going {
         let hook = std::panic::take_hook();
@@ -939,10 +933,6 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
         BTreeMap::new()
     };
 
-    // Thread budget: units run concurrently; whatever head room is left
-    // over goes to procedure-level parallelism inside each unit.
-    let inner_jobs = (jobs / units.len().max(1)).max(1);
-
     // With keep_going, worker panics are expected, caught, and recorded in
     // the report — silence the default hook's per-panic backtrace spew for
     // the duration of the unit loop so one bad unit doesn't flood stderr.
@@ -975,7 +965,6 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
         options,
         cache: cache.as_ref(),
         timers: &timers,
-        inner_jobs,
     };
     let results: Vec<Option<WorkerResult>> =
         par::run_indexed_interruptible(jobs, &units, stop_requested, |i, input| {

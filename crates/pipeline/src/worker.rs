@@ -57,7 +57,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 5;
+const WORKER_FORMAT: u32 = 6;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -155,7 +155,6 @@ struct Request {
     budget: Budget,
     limits: WorkerLimits,
     options: PipelineOptions,
-    inner_jobs: usize,
 }
 
 fn opt_u64(j: &Json, key: &str) -> Option<u64> {
@@ -202,8 +201,7 @@ fn encode_request(
         .with("bypass", options.depgen.bypass)
         .with("widening", options.widening.strategy.name())
         .with("triage", options.triage.name())
-        .with("validate", options.validate)
-        .with("inner_jobs", ctx.inner_jobs);
+        .with("validate", options.validate);
     if let Some(dir) = &options.cache_dir {
         payload.set("cache_dir", dir.display().to_string());
     }
@@ -254,7 +252,6 @@ fn decode_request(text: &str) -> Option<Request> {
             mem_mb: opt_u64(limits_json, "mem_mb"),
             timeout_ms: opt_u64(limits_json, "timeout_ms"),
         },
-        inner_jobs: p.get("inner_jobs")?.as_u64()? as usize,
         options,
     })
 }
@@ -387,7 +384,6 @@ pub fn worker_main() -> i32 {
         options: &options,
         cache: cache.as_ref(),
         timers: &timers,
-        inner_jobs: req.inner_jobs.max(1),
     };
     let p = crate::process_unit(
         &ctx,
@@ -636,7 +632,6 @@ mod tests {
             options: &options,
             cache: None,
             timers: &timers,
-            inner_jobs: 3,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
         let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
@@ -646,7 +641,6 @@ mod tests {
         assert_eq!(req.key, key);
         assert_eq!(req.limits.mem_mb, Some(512));
         assert_eq!(req.limits.timeout_ms, Some(1500));
-        assert_eq!(req.inner_jobs, 3);
         assert_eq!(req.options.faults, options.faults);
         assert_eq!(req.options.cache_max_entries, Some(4));
         assert!(req.options.validate);
@@ -662,7 +656,6 @@ mod tests {
             options: &options,
             cache: None,
             timers: &timers,
-            inner_jobs: 1,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
         encode_request(&ctx, 0, &input, key, render_key, &budget)
@@ -690,7 +683,8 @@ mod tests {
     }
 
     /// A request under the previous format's number is refused for the
-    /// number alone: re-sealed as it is it decodes, as schema 4 it does not.
+    /// number alone: re-sealed as it is it decodes, one schema back it does
+    /// not.
     #[test]
     fn previous_format_request_is_a_schema_mismatch() {
         let mut old = unseal(&default_request()).expect("request unseals");
