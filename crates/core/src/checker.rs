@@ -17,6 +17,10 @@
 //!   since `T̂` over-approximates every assignment in the program, an
 //!   unbound local provably has no initializing write.
 //!
+//! The first three read a value before a point as [`Inputs::value`], the
+//! input the engine computed there, so a read no value reaches raises
+//! nothing.
+//!
 //! [`check_all`] runs all four, orders the result canonically and assigns
 //! the stable fingerprints. The non-definite subset is what the octagon
 //! triage pass ([`crate::triage`]) later tries to discharge.
@@ -25,17 +29,18 @@
 //! error-detection tool for full C), and it is the client we use to
 //! sanity-check that precision survives sparsification end to end.
 
-use crate::interval::IntervalResult;
-use crate::pathcond::unop_itv;
+use crate::interval::{stage_inputs, Inputs, IntervalResult};
+use crate::pathcond::eval_itv;
 use crate::preanalysis::PreAnalysis;
 use sga_diag::{DiagKind, Diagnostic, Evidence};
 use sga_domains::interval::Bound;
-use sga_domains::{AbsLoc, Interval, Lattice, Value};
+use sga_domains::{AbsLoc, Interval, Lattice};
 use sga_ir::{pretty, BinOp, Cmd, Cp, Expr, LVal, Program, VarId, VarKind};
 use sga_utils::Idx;
 
 /// Scans the program for array accesses whose offset may escape the block.
-pub fn check_overruns(program: &Program, result: &IntervalResult) -> Vec<Diagnostic> {
+pub fn check_overruns(q: &Inputs) -> Vec<Diagnostic> {
+    let program = q.program;
     let mut diags = Vec::new();
     for (pid, proc) in program.procs.iter_enumerated() {
         if proc.is_external {
@@ -46,12 +51,7 @@ pub fn check_overruns(program: &Program, result: &IntervalResult) -> Vec<Diagnos
             let mut ptrs: Vec<VarId> = Vec::new();
             collect_deref_ptrs(&node.cmd, &mut ptrs);
             for ptr in ptrs {
-                // The pointer's value at the access: its value in the input
-                // states — approximate with its reaching definitions' join
-                // over all stored states that bind it at this point's
-                // predecessors; the definition point's own state is exact
-                // for temps (which array accesses are lowered through).
-                let v = value_before(program, result, cp, ptr);
+                let v = q.value(cp, &AbsLoc::Var(ptr));
                 for (loc, info) in v.arr.iter() {
                     if info.offset.is_bottom() || info.size.is_bottom() {
                         continue;
@@ -93,7 +93,8 @@ pub fn check_overruns(program: &Program, result: &IntervalResult) -> Vec<Diagnos
 }
 
 /// Scans for dereferences of potentially-null pointers.
-pub fn check_null_derefs(program: &Program, result: &IntervalResult) -> Vec<Diagnostic> {
+pub fn check_null_derefs(q: &Inputs) -> Vec<Diagnostic> {
+    let program = q.program;
     let mut diags = Vec::new();
     for (pid, proc) in program.procs.iter_enumerated() {
         if proc.is_external {
@@ -104,7 +105,7 @@ pub fn check_null_derefs(program: &Program, result: &IntervalResult) -> Vec<Diag
             let mut ptrs: Vec<VarId> = Vec::new();
             collect_deref_ptrs(&node.cmd, &mut ptrs);
             for ptr in ptrs {
-                let v = value_before(program, result, cp, ptr);
+                let v = q.value(cp, &AbsLoc::Var(ptr));
                 let has_targets = !v.ptr.is_empty() || !v.arr.is_empty();
                 if !v.itv.contains(0) {
                     continue;
@@ -128,8 +129,11 @@ pub fn check_null_derefs(program: &Program, result: &IntervalResult) -> Vec<Diag
     diags
 }
 
-/// Scans for `/` and `%` whose divisor's interval contains zero.
-pub fn check_div_by_zero(program: &Program, result: &IntervalResult) -> Vec<Diagnostic> {
+/// Scans for `/` and `%` whose divisor's interval contains zero. A
+/// variable with pointer, array or procedure components reads as ⊤, one no
+/// value reaches as ⊥.
+pub fn check_div_by_zero(q: &Inputs) -> Vec<Diagnostic> {
+    let program = q.program;
     let mut diags = Vec::new();
     for (pid, proc) in program.procs.iter_enumerated() {
         if proc.is_external {
@@ -140,7 +144,14 @@ pub fn check_div_by_zero(program: &Program, result: &IntervalResult) -> Vec<Diag
             let mut divisors: Vec<&Expr> = Vec::new();
             collect_divisors_cmd(&node.cmd, &mut divisors);
             for (nth, d) in divisors.into_iter().enumerate() {
-                let itv = eval_itv_before(program, result, cp, d);
+                let itv = eval_itv(d, &|x| {
+                    let v = q.value(cp, &AbsLoc::Var(x));
+                    if v.ptr.is_empty() && v.arr.is_empty() && v.procs.is_empty() {
+                        v.itv
+                    } else {
+                        Interval::top()
+                    }
+                });
                 if !itv.contains(0) {
                     continue;
                 }
@@ -222,102 +233,26 @@ pub fn check_uninit_reads(program: &Program, pre: &PreAnalysis) -> Vec<Diagnosti
 }
 
 /// Runs every checker, orders the findings canonically and assigns the
-/// stable content fingerprints.
+/// stable content fingerprints. Computes the ICFG, def/use sets and (for a
+/// sparse result) dependency relation that [`Inputs`] reads; a caller that
+/// holds them calls [`check_all_staged`].
 pub fn check_all(program: &Program, result: &IntervalResult, pre: &PreAnalysis) -> Vec<Diagnostic> {
-    let mut diags = check_overruns(program, result);
-    diags.extend(check_null_derefs(program, result));
-    diags.extend(check_div_by_zero(program, result));
-    diags.extend(check_uninit_reads(program, pre));
+    let (icfg, du, deps) = stage_inputs(program, pre, result.engine);
+    check_all_staged(
+        &Inputs::new(program, result, &icfg, &du, deps.as_ref()),
+        pre,
+    )
+}
+
+/// [`check_all`] over inputs the caller built.
+pub fn check_all_staged(q: &Inputs, pre: &PreAnalysis) -> Vec<Diagnostic> {
+    let mut diags = check_overruns(q);
+    diags.extend(check_null_derefs(q));
+    diags.extend(check_div_by_zero(q));
+    diags.extend(check_uninit_reads(q.program, pre));
     sga_diag::sort_canonical(&mut diags);
     sga_diag::assign_fingerprints(&mut diags);
     diags
-}
-
-/// The value of `ptr` flowing into `cp`: join over the post-states of its
-/// CFG predecessors (dense) or of its recorded definitions (sparse).
-pub(crate) fn value_before(
-    program: &Program,
-    result: &IntervalResult,
-    cp: Cp,
-    ptr: VarId,
-) -> Value {
-    let l = AbsLoc::Var(ptr);
-    let proc = &program.procs[cp.proc];
-    let mut acc = Value::bot();
-    for &p in proc.preds_of(cp.node) {
-        acc = acc.join(&result.value_at(Cp::new(cp.proc, p), &l));
-    }
-    if acc.is_bottom() {
-        // Sparse results may not bind the pointer at the predecessor; fall
-        // back to the join over the points that bind it. For a procedure's
-        // own locals (and temps/return slots) only the owning procedure's
-        // points can legitimately bind the location — other procedures'
-        // states carry relay/bypass copies from unrelated call contexts,
-        // and joining those manufactures cross-procedure false alarms.
-        // Params and globals keep the program-wide join: their bindings
-        // genuinely live at call points (resp. anywhere), and the join is
-        // the context-insensitive value.
-        let scoped = matches!(
-            program.vars[ptr].kind,
-            VarKind::Local(owner) | VarKind::Temp(owner) | VarKind::Return(owner)
-                if owner == cp.proc
-        );
-        for (point, s) in result.values.iter() {
-            if scoped && point.proc != cp.proc {
-                continue;
-            }
-            if let Some(v) = s.get_ref(&l) {
-                acc = acc.join(v);
-            }
-        }
-    }
-    acc
-}
-
-/// Evaluates a pure expression to an interval against the before-state at
-/// `cp`, via [`value_before`] lookups. Pointer-valued subexpressions and
-/// unmodeled operators go to ⊤.
-fn eval_itv_before(program: &Program, result: &IntervalResult, cp: Cp, e: &Expr) -> Interval {
-    match e {
-        Expr::Const(n) => Interval::constant(*n),
-        Expr::Var(x) => {
-            let v = value_before(program, result, cp, *x);
-            if !v.ptr.is_empty() || !v.arr.is_empty() || !v.procs.is_empty() {
-                return Interval::top();
-            }
-            v.itv
-        }
-        Expr::Unop(op, a) => unop_itv(*op, &eval_itv_before(program, result, cp, a)),
-        Expr::Binop(op, a, b) => {
-            let ia = eval_itv_before(program, result, cp, a);
-            let ib = eval_itv_before(program, result, cp, b);
-            match op {
-                BinOp::Add => ia.add(&ib),
-                BinOp::Sub => ia.sub(&ib),
-                BinOp::Mul => ia.mul(&ib),
-                BinOp::Div => ia.div(&ib),
-                BinOp::Mod => ia.rem(&ib),
-                BinOp::Cmp(r) => ia.cmp_result(*r, &ib),
-                BinOp::And | BinOp::Or => {
-                    if ia.is_bottom() || ib.is_bottom() {
-                        Interval::Bot
-                    } else {
-                        Interval::range(0, 1)
-                    }
-                }
-                BinOp::Bits => {
-                    if ia.is_bottom() || ib.is_bottom() {
-                        Interval::Bot
-                    } else {
-                        Interval::top()
-                    }
-                }
-            }
-        }
-        Expr::Unknown => Interval::top(),
-        // Loads and address constants: no numeric approximation here.
-        _ => Interval::top(),
-    }
 }
 
 fn collect_expr_ptrs(e: &Expr, out: &mut Vec<VarId>) {
@@ -432,69 +367,10 @@ fn collect_var_reads(cmd: &Cmd, out: &mut Vec<VarId>) {
     }
 }
 
-/// Reports `assume` points whose condition is provably never true — dead
-/// branches (`if (x) …` where the analysis bounds `x` away from the
-/// condition). A development-time client: dead guards often flag logic
-/// errors or stale feature checks.
-pub fn check_dead_branches(program: &Program, result: &IntervalResult) -> Vec<Cp> {
-    let mut dead = Vec::new();
-    for (pid, proc) in program.procs.iter_enumerated() {
-        if proc.is_external {
-            continue;
-        }
-        for (nid, node) in proc.nodes.iter_enumerated() {
-            let Cmd::Assume(cond) = &node.cmd else {
-                continue;
-            };
-            let cp = Cp::new(pid, nid);
-            match &cond.lhs {
-                // The refined value of a directly-mentioned location: ⊥
-                // numeric with a non-⊥ input means the condition excluded
-                // every value.
-                Expr::Var(x) => {
-                    let l = AbsLoc::Var(*x);
-                    let after = result.value_at(cp, &l);
-                    let before = value_before(program, result, cp, *x);
-                    if after.itv.is_bottom()
-                        && !before.itv.is_bottom()
-                        && before.ptr.is_empty()
-                        && before.arr.is_empty()
-                    {
-                        dead.push(cp);
-                    }
-                }
-                // A negated variable (`if (-x)`, `if (~x)`): the semantics
-                // does not refine `x` through the operator, so the
-                // post-state test above never fires. Decide feasibility
-                // directly: apply the operator to the input interval and
-                // check the relation can hold at all.
-                Expr::Unop(op, inner) => {
-                    let Expr::Var(x) = &**inner else { continue };
-                    let before = value_before(program, result, cp, *x);
-                    if before.itv.is_bottom() || !before.ptr.is_empty() || !before.arr.is_empty() {
-                        continue;
-                    }
-                    let lhs = unop_itv(*op, &before.itv);
-                    let rhs = eval_itv_before(program, result, cp, &cond.rhs);
-                    if rhs.is_bottom() {
-                        continue;
-                    }
-                    if lhs.filter(cond.op, &rhs).is_bottom() {
-                        dead.push(cp);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    dead.sort();
-    dead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{analyze, Engine};
+    use crate::interval::{with_inputs, Engine};
     use sga_cfront::parse;
 
     #[test]
@@ -508,8 +384,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_overruns(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_overruns);
         assert!(alarms.is_empty(), "false alarms: {alarms:?}");
     }
 
@@ -524,8 +399,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_overruns(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_overruns);
         assert!(!alarms.is_empty(), "off-by-one missed");
     }
 
@@ -539,8 +413,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_overruns(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_overruns);
         assert!(alarms.iter().any(|a| a.definite), "{alarms:?}");
     }
 
@@ -554,8 +427,7 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_overruns(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_overruns);
         assert!(alarms
             .iter()
             .all(|a| matches!(&a.evidence, Evidence::Overrun { alloc: Some(_), .. })));
@@ -571,18 +443,16 @@ mod tests {
                 return 0;
              }";
         let p = parse(src).unwrap();
-        let base = check_overruns(&p, &analyze(&p, Engine::Base)).len();
-        let sparse = check_overruns(&p, &analyze(&p, Engine::Sparse)).len();
+        let base = with_inputs(&p, Engine::Base, check_overruns).len();
+        let sparse = with_inputs(&p, Engine::Sparse, check_overruns).len();
         assert_eq!(base, sparse, "alarm counts must match between engines");
     }
 
     #[test]
-    fn value_before_fallback_stays_in_procedure() {
+    fn a_local_reads_only_what_reaches_it_in_its_own_procedure() {
         // Both procedures declare a local pointer `p`; only main's may be
-        // null. The fallback used to join every binding of a location
-        // program-wide, which can leak another context's value (relay and
-        // bypass states bind locals at other procedures' points) into an
-        // unrelated procedure's query.
+        // null. What reaches `set`'s `*p` is `set`'s own `&g`, whatever
+        // other contexts bind to main's `p`.
         let src = "int g;
              int set(int c) {
                 int *p = &g;
@@ -598,8 +468,7 @@ mod tests {
              }";
         let p = parse(src).unwrap();
         for engine in [Engine::Base, Engine::Sparse] {
-            let r = analyze(&p, engine);
-            let alarms = check_null_derefs(&p, &r);
+            let alarms = with_inputs(&p, engine, check_null_derefs);
             assert!(
                 alarms.iter().all(|a| a.proc_name == "main"),
                 "{engine:?}: `set`'s p is always &g, {alarms:?}"
@@ -608,11 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn param_fallback_still_sees_caller_bindings() {
-        // A parameter's bindings live at the *call* points in callers; the
-        // procedure-scoped fallback must not apply to params, or the sparse
-        // engine would silently drop this (real) null dereference that the
-        // Base engine reports.
+    fn a_parameter_reads_every_call_sites_argument() {
+        // A parameter is bound at the call points in callers: both
+        // arguments reach `*q`, so the null one raises the same alarm under
+        // both engines.
         let src = "int g;
              int h(int *q) { *q = 1; return 0; }
              int main(int c) {
@@ -620,13 +488,48 @@ mod tests {
                 return 0;
              }";
         let p = parse(src).unwrap();
-        let base = check_null_derefs(&p, &analyze(&p, Engine::Base));
-        let sparse = check_null_derefs(&p, &analyze(&p, Engine::Sparse));
+        let base = with_inputs(&p, Engine::Base, check_null_derefs);
+        let sparse = with_inputs(&p, Engine::Sparse, check_null_derefs);
         assert_eq!(base.len(), 1, "{base:?}");
+        assert_eq!(base, sparse, "engines must agree");
+    }
+
+    #[test]
+    fn a_read_no_value_reaches_raises_nothing() {
+        // `gp` is always null, so the analysis proves the guarded store
+        // unreachable: the input at `*gp` binds it to ⊥ under every engine,
+        // however many points elsewhere bind it to 0.
+        let src = "int g; int *gp;
+             int main(int c) {
+                gp = 0;
+                if (gp != 0) { *gp = 1; }
+                return 0;
+             }";
+        let p = parse(src).unwrap();
+        for engine in [Engine::Vanilla, Engine::Base, Engine::Sparse] {
+            let alarms = with_inputs(&p, engine, check_null_derefs);
+            assert!(alarms.is_empty(), "{engine:?}: {alarms:?}");
+        }
+    }
+
+    #[test]
+    fn a_store_after_a_call_reads_what_the_callee_left() {
+        // `f` nulls `p`: the store right after the call reads the callee's
+        // write under every engine — the dense ones over the return edge,
+        // the sparse one over its in-edge from the call. Base and Sparse
+        // join it with the pre-call `&g` (the weak return join), so both
+        // report the same possible alarm.
+        let src = "int g; int *p;
+             int f() { p = 0; return 0; }
+             int main() { p = &g; f(); *p = 1; return 0; }";
+        let p = parse(src).unwrap();
+        for engine in [Engine::Vanilla, Engine::Base, Engine::Sparse] {
+            let alarms = with_inputs(&p, engine, check_null_derefs);
+            assert_eq!(alarms.len(), 1, "{engine:?}: {alarms:?}");
+        }
         assert_eq!(
-            base.len(),
-            sparse.len(),
-            "engines must agree: {base:?} vs {sparse:?}"
+            with_inputs(&p, Engine::Base, check_null_derefs),
+            with_inputs(&p, Engine::Sparse, check_null_derefs)
         );
     }
 }
@@ -634,14 +537,13 @@ mod tests {
 #[cfg(test)]
 mod null_tests {
     use super::*;
-    use crate::interval::{analyze, Engine};
+    use crate::interval::{with_inputs, Engine};
     use sga_cfront::parse;
 
     #[test]
     fn definite_null_deref() {
         let p = parse("int main() { int *p = 0; *p = 1; return 0; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_null_derefs(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_null_derefs);
         assert!(alarms.iter().any(|a| a.definite), "{alarms:?}");
     }
 
@@ -657,8 +559,7 @@ mod null_tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_null_derefs(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_null_derefs);
         assert_eq!(alarms.len(), 1);
         assert!(!alarms[0].definite, "join with &g makes it only possible");
     }
@@ -675,8 +576,7 @@ mod null_tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_null_derefs(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_null_derefs);
         // The null-comparison refinement prunes 0 from p's interval
         // component inside the guard.
         assert!(alarms.is_empty(), "{alarms:?}");
@@ -685,8 +585,7 @@ mod null_tests {
     #[test]
     fn malloc_result_not_null_flagged() {
         let p = parse("int main() { int *p = malloc(4); *p = 1; return 0; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        assert!(check_null_derefs(&p, &r).is_empty());
+        assert!(with_inputs(&p, Engine::Sparse, check_null_derefs).is_empty());
     }
 
     #[test]
@@ -701,8 +600,8 @@ mod null_tests {
                 return 0;
              }";
         let p = parse(src).unwrap();
-        let base = check_null_derefs(&p, &analyze(&p, Engine::Base));
-        let sparse = check_null_derefs(&p, &analyze(&p, Engine::Sparse));
+        let base = with_inputs(&p, Engine::Base, check_null_derefs);
+        let sparse = with_inputs(&p, Engine::Sparse, check_null_derefs);
         assert_eq!(base.len(), sparse.len(), "{base:?} vs {sparse:?}");
     }
 }
@@ -710,14 +609,13 @@ mod null_tests {
 #[cfg(test)]
 mod div_tests {
     use super::*;
-    use crate::interval::{analyze, Engine};
+    use crate::interval::{with_inputs, Engine};
     use sga_cfront::parse;
 
     #[test]
     fn definite_div_by_zero() {
         let p = parse("int main(int n) { int z = 0; return n / z; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_div_by_zero(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_div_by_zero);
         assert_eq!(alarms.len(), 1, "{alarms:?}");
         assert!(alarms[0].definite);
     }
@@ -725,8 +623,7 @@ mod div_tests {
     #[test]
     fn possible_div_by_unbounded() {
         let p = parse("int main(int n) { return 100 / n; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_div_by_zero(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_div_by_zero);
         assert_eq!(alarms.len(), 1, "{alarms:?}");
         assert!(!alarms[0].definite);
     }
@@ -734,23 +631,20 @@ mod div_tests {
     #[test]
     fn guarded_divisor_is_clean() {
         let p = parse("int main(int n) { if (n > 0) { return 100 / n; } return 0; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let alarms = check_div_by_zero(&p, &r);
+        let alarms = with_inputs(&p, Engine::Sparse, check_div_by_zero);
         assert!(alarms.is_empty(), "{alarms:?}");
     }
 
     #[test]
     fn nonzero_constant_divisor_is_clean() {
         let p = parse("int main(int n) { return n / 4 + n % 8; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        assert!(check_div_by_zero(&p, &r).is_empty());
+        assert!(with_inputs(&p, Engine::Sparse, check_div_by_zero).is_empty());
     }
 
     #[test]
     fn modulo_divisor_checked() {
         let p = parse("int main(int n, int m) { return n % m; }").unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        assert_eq!(check_div_by_zero(&p, &r).len(), 1);
+        assert_eq!(with_inputs(&p, Engine::Sparse, check_div_by_zero).len(), 1);
     }
 }
 
@@ -804,93 +698,5 @@ mod uninit_tests {
             "{all:?}"
         );
         assert!(all.iter().all(|d| d.fingerprint != 0));
-    }
-}
-
-#[cfg(test)]
-mod dead_branch_tests {
-    use super::*;
-    use crate::interval::{analyze, Engine};
-    use sga_cfront::parse;
-
-    #[test]
-    fn impossible_guard_is_dead() {
-        let p = parse(
-            "int main() {
-                int x = 3;
-                if (x > 10) { x = 0; }
-                return x;
-             }",
-        )
-        .unwrap();
-        for engine in [Engine::Base, Engine::Sparse] {
-            let r = analyze(&p, engine);
-            let dead = check_dead_branches(&p, &r);
-            assert_eq!(dead.len(), 1, "{engine:?}: {dead:?}");
-        }
-    }
-
-    #[test]
-    fn feasible_guards_are_live() {
-        let p = parse(
-            "int main(int c) {
-                int x = c;
-                if (x > 10) { x = 0; }
-                if (x < 0) { x = 1; }
-                return x;
-             }",
-        )
-        .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        assert!(check_dead_branches(&p, &r).is_empty());
-    }
-
-    #[test]
-    fn negated_guard_on_nonzero_var_is_dead() {
-        // `if (-x)` with x = 3: the true branch (`-x != 0`) is live, the
-        // false branch (`-x == 0`) is dead. Nothing refines x through the
-        // negation, so only the Unop-aware feasibility test can see it.
-        let p = parse(
-            "int main() {
-                int x = 3;
-                if (-x) { x = 1; }
-                return x;
-             }",
-        )
-        .unwrap();
-        for engine in [Engine::Base, Engine::Sparse] {
-            let r = analyze(&p, engine);
-            let dead = check_dead_branches(&p, &r);
-            assert_eq!(dead.len(), 1, "{engine:?}: {dead:?}");
-        }
-    }
-
-    #[test]
-    fn negated_guard_on_unknown_var_is_live() {
-        let p = parse(
-            "int main(int c) {
-                if (-c) { c = 1; }
-                return c;
-             }",
-        )
-        .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        assert!(check_dead_branches(&p, &r).is_empty());
-    }
-
-    #[test]
-    fn engines_agree_on_dead_branches() {
-        let src = "int main(int c) {
-                int x = 3;
-                int y = c;
-                if (x > 10) { x = 0; }
-                if (-x) { y = 1; }
-                if (y < 100000) { y = 2; }
-                return x + y;
-             }";
-        let p = parse(src).unwrap();
-        let base = check_dead_branches(&p, &analyze(&p, Engine::Base));
-        let sparse = check_dead_branches(&p, &analyze(&p, Engine::Sparse));
-        assert_eq!(base, sparse, "engines must agree on dead branches");
     }
 }

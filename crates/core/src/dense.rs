@@ -94,6 +94,32 @@ pub fn solve<S: DenseSpec>(program: &Program, icfg: &Icfg, spec: &S) -> DenseRes
     )
 }
 
+/// The state flowing into `cp` under the post-states `post`: the join of
+/// its ICFG in-edges through [`DenseSpec::edge`], plus the initial state at
+/// `main`'s entry — what the solver feeds `f̂_c`, and what a query of a
+/// finished result reads.
+pub fn input<S: DenseSpec>(
+    program: &Program,
+    icfg: &Icfg,
+    spec: &S,
+    post: &FxHashMap<Cp, S::St>,
+    cp: Cp,
+) -> S::St {
+    let mut acc = if cp == Cp::new(program.main, program.procs[program.main].entry) {
+        spec.initial()
+    } else {
+        spec.bottom()
+    };
+    let lookup = |q: Cp| post.get(&q).cloned();
+    for e in icfg.incoming(cp) {
+        if let Some(src_post) = post.get(&e.src) {
+            let v = spec.edge(cp, e, src_post, &lookup);
+            acc = spec.join(&acc, &v);
+        }
+    }
+    acc
+}
+
 /// Runs the dense analysis to its (narrowed) fixpoint.
 ///
 /// `plan` selects the widening strategy: the first `plan.delay` *changing*
@@ -118,7 +144,6 @@ pub fn solve_with<S: DenseSpec>(
     plan: &WideningPlan,
     budget: &Budget,
 ) -> DenseResult<S::St> {
-    let main_entry = Cp::new(program.main, program.procs[program.main].entry);
     let mut post: FxHashMap<Cp, S::St> = FxHashMap::default();
     let mut worklist: BTreeSet<(u32, Cp)> = BTreeSet::new();
     let all_points: Vec<Cp> = program
@@ -129,21 +154,7 @@ pub fn solve_with<S: DenseSpec>(
         worklist.insert((icfg.priority[&cp], cp));
     }
 
-    let compute_in = |post: &FxHashMap<Cp, S::St>, cp: Cp| -> S::St {
-        let mut acc = if cp == main_entry {
-            spec.initial()
-        } else {
-            spec.bottom()
-        };
-        let lookup = |q: Cp| post.get(&q).cloned();
-        for e in icfg.incoming(cp) {
-            if let Some(src_post) = post.get(&e.src) {
-                let v = spec.edge(cp, e, src_post, &lookup);
-                acc = spec.join(&acc, &v);
-            }
-        }
-        acc
-    };
+    let compute_in = |post: &FxHashMap<Cp, S::St>, cp: Cp| input(program, icfg, spec, post, cp);
 
     let backstop = 2000usize.saturating_mul(all_points.len()).max(100_000);
     let mut iterations = 0usize;

@@ -201,6 +201,128 @@ impl<'p> Pipeline<'p> {
 }
 
 // ---------------------------------------------------------------------------
+// What reaches a use
+// ---------------------------------------------------------------------------
+
+/// The one answer to "what value of `l` reaches `cp`": the input the engine
+/// that produced a result computed at `cp` — by Lemma 1, the join over its
+/// dependency in-edges. The checkers and the path layer of triage read a
+/// value before a point through [`Inputs::value`] and nothing else.
+///
+/// * **Sparse:** the join of `cp`'s pre-flow in-edges for `l`
+///   ([`DataDeps::deps_into`]), plus the main-entry seed — the engine's own
+///   gather, read after the solve. Return edges are not read, so call
+///   arguments see pre-call values, as the call transfer does.
+/// * **Dense:** [`dense::input`] over the stored post-states, which follows
+///   the ICFG through the engine's own edge transfer: a return point sees
+///   the callee.
+///
+/// ⊥ means no value reaches the read — the analysis proved it unreachable,
+/// or (sparse) `l ∉ Û(cp)`, which has no in-edges.
+pub struct Inputs<'a> {
+    /// The analyzed program.
+    pub program: &'a Program,
+    /// The result the inputs are read from.
+    pub result: &'a IntervalResult,
+    /// The program's ICFG.
+    pub icfg: &'a Icfg,
+    /// The program's def/use sets, whose location table numbers `deps`.
+    pub du: &'a DefUse,
+    source: InputSource<'a>,
+}
+
+enum InputSource<'a> {
+    InEdges(&'a DataDeps),
+    Dense(IntervalDenseSpec<'a>),
+}
+
+impl<'a> Inputs<'a> {
+    /// The inputs of `result`. A sparse result is read through `deps`: the
+    /// relation it was solved over, or any relation generated with the
+    /// bypass on — its edges all start at real definitions, which a sparse
+    /// solve binds alike whatever its bypass setting. Dense results ignore
+    /// `deps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `result` is sparse and `deps` is `None`.
+    pub fn new(
+        program: &'a Program,
+        result: &'a IntervalResult,
+        icfg: &'a Icfg,
+        du: &'a DefUse,
+        deps: Option<&'a DataDeps>,
+    ) -> Inputs<'a> {
+        let source = match result.engine {
+            Engine::Sparse => InputSource::InEdges(
+                deps.expect("a sparse result is read through its dependency in-edges"),
+            ),
+            Engine::Base => InputSource::Dense(IntervalDenseSpec::new(program, Some(du))),
+            Engine::Vanilla => InputSource::Dense(IntervalDenseSpec::new(program, None)),
+        };
+        Inputs {
+            program,
+            result,
+            icfg,
+            du,
+            source,
+        }
+    }
+
+    /// The value of `l` flowing into `cp` (⊥ if none does).
+    pub fn value(&self, cp: Cp, l: &AbsLoc) -> Value {
+        let program = self.program;
+        match &self.source {
+            InputSource::InEdges(deps) => {
+                let main_entry = Cp::new(program.main, program.procs[program.main].entry);
+                let mut acc = if cp == main_entry {
+                    initial_state(program).get(l)
+                } else {
+                    Value::bot()
+                };
+                let Some(id) = self.du.locs.id(l) else {
+                    return acc;
+                };
+                for &(_, from) in deps.deps_into(cp).iter().filter(|(loc, _)| *loc == id) {
+                    if let Some(v) = self.result.values.get(&from).and_then(|s| s.get_ref(l)) {
+                        acc = acc.join(v);
+                    }
+                }
+                acc
+            }
+            InputSource::Dense(spec) => {
+                dense::input(program, self.icfg, spec, &self.result.values, cp).get(l)
+            }
+        }
+    }
+}
+
+/// The ICFG, def/use sets and — for a sparse result — bypass-on dependency
+/// relation that [`Inputs`] over a result of `engine` reads, computed from
+/// scratch for callers that hold none of them.
+pub fn stage_inputs(
+    program: &Program,
+    pre: &PreAnalysis,
+    engine: Engine,
+) -> (Icfg, DefUse, Option<DataDeps>) {
+    let icfg = Icfg::build(program, pre);
+    let du = defuse::compute(program, pre);
+    let deps = (engine == Engine::Sparse)
+        .then(|| depgen::generate(program, pre, &du, DepGenOptions::default()));
+    (icfg, du, deps)
+}
+
+/// `f` over the inputs of `engine`'s result for `program`, everything
+/// staged from scratch.
+#[cfg(test)]
+pub(crate) fn with_inputs<T>(program: &Program, engine: Engine, f: impl FnOnce(&Inputs) -> T) -> T {
+    let pre = preanalysis::run(program);
+    let result = analyze(program, engine);
+    let (icfg, du, deps) = stage_inputs(program, &pre, engine);
+    f(&Inputs::new(program, &result, &icfg, &du, deps.as_ref()))
+}
+
+// ---------------------------------------------------------------------------
 // Dense spec
 // ---------------------------------------------------------------------------
 

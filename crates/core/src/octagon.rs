@@ -78,9 +78,19 @@ pub struct OctagonResult {
     pub points: usize,
     /// Phase statistics.
     pub stats: AnalysisStats,
+    /// `D̂(c)` in pack ids, ascending, of every point whose `D̂` holds one.
+    defs: FxHashMap<Cp, Vec<u32>>,
 }
 
 impl OctagonResult {
+    /// Whether pack `pid` is in `D̂(cp)`: a point that defines the pack
+    /// and does not bind it leaves its value unknown there.
+    pub fn defines(&self, cp: Cp, pid: PackId) -> bool {
+        self.defs
+            .get(&cp)
+            .is_some_and(|d| d.binary_search(&pid.0).is_ok())
+    }
+
     /// Projects variable `x` to an interval at `cp`, meeting the
     /// projections of every pack that contains `x`.
     pub fn itv_of(&self, cp: Cp, x: VarId) -> Interval {
@@ -199,6 +209,7 @@ pub(crate) fn analyze_with_pre(
         packs: staged.packs,
         points,
         stats,
+        defs: staged.odu.into_defs(),
     }
 }
 
@@ -290,11 +301,11 @@ fn var_of(l: &AbsLoc) -> Option<VarId> {
 /// actuals and the callee's return at calls, both sides of an assume, a
 /// weak store's targets).
 ///
-/// The closure is a *soundness* condition: the transfer is strict on an
-/// absent pack (`assign_var`, `project_all`), so a kept definition with a
-/// dropped input would compute ⊥, leave its row, and let a query walk past
-/// it to a stale binding. Filtering by pack id — never by point — keeps
-/// every definition point of a kept pack.
+/// The closure keeps the slice's verdicts equal to the whole unit's: the
+/// transfer is strict on an absent pack (`assign_var`, `project_all`), so a
+/// kept definition with a dropped input would compute ⊥ and leave its row,
+/// and a query stopping there would answer ⊤. Filtering by pack id — never
+/// by point — keeps every definition point of a kept pack.
 fn slice_packs(du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
     let mut def_points: FxHashMap<VarId, Vec<Cp>> = FxHashMap::default();
     for (cp, sets) in &du.sets {
@@ -1038,6 +1049,12 @@ impl OctDefUse {
     /// Average `|Û(c)|` in packs, over the same points.
     pub fn avg_use_size(&self) -> f64 {
         avg(self.use_total, self.population)
+    }
+
+    /// Every point's non-empty `D̂(c)`, the rest of the sets dropped.
+    fn into_defs(self) -> FxHashMap<Cp, Vec<u32>> {
+        let defining = self.sets.into_iter().filter(|(_, s)| !s.defs.is_empty());
+        defining.map(|(cp, s)| (cp, s.defs)).collect()
     }
 
     /// The points a sparse solve over `deps` visits: those whose `D̂` holds

@@ -1,14 +1,13 @@
 //! Path-condition support for alarm triage: dominator trees, dominating
-//! `assume` guard chains, and sound interval evaluation of guard
-//! conjunctions.
+//! `assume` guard chains, and interval evaluation of guard conjunctions.
 //!
 //! The interval and octagon triage layers reason about *values*; this
 //! module adds the *path* dimension. For an alarm at control point `A`,
 //! every `assume` node that **dominates** `A` was passed — with the branch
 //! polarity baked into its condition — on *every* execution reaching `A`.
-//! If the conjunction of those dominating guards is infeasible under a
-//! sound interval evaluation of the analysis result, no execution reaches
-//! `A` and the alarm can be discharged (`path_infeasible`).
+//! If the conjunction of those dominating guards is infeasible under the
+//! interval result, no execution reaches `A` and the alarm can be
+//! discharged (`path_infeasible`).
 //!
 //! Why only *dominating* assumes: a guard on merely *some* path to `A`
 //! constrains only that path; using it to refute `A` would be unsound the
@@ -16,24 +15,17 @@
 //! property the argument needs, and the dominator tree gives the whole
 //! chain in O(depth) per alarm ([`ProcPaths::guard_chain`]).
 //!
-//! # Soundness of the queries
+//! Every value is read through [`Inputs::value`] — the input the engine
+//! computed at the point, so over-approximating every value that reaches
+//! it — and refutations must come from real constraints:
 //!
-//! Refutations must come from real constraints, so the value queries here
-//! are deliberately *more* conservative than the checker's:
-//!
-//! * [`value_before`] walks backwards to the nearest post-states binding
-//!   the variable and joins them — if **any** backwards path reaches the
-//!   procedure entry unbound, the query answers ⊤ (`None`), never ⊥;
 //! * values carrying pointer/array/procedure components evaluate to ⊤
 //!   numerically (a concrete address is not in the numeric interval);
-//! * a ⊥ interval from a query is refused — ⊥ would claim unreachability,
-//!   which a query must not conclude on its own.
-//!
-//! Sparse results bind `assume` refinements (`D̂` includes the directly
-//! refined locations), so the backwards walk answers identically over
-//! dense and sparse results — the golden corpus pins this.
+//! * a ⊥ input is refused (⊤): ⊥ would claim unreachability, which a query
+//!   must not conclude on its own. A variable outside `Û(cp)` has no
+//!   sparse in-edges and reads ⊥, so it too seeds ⊤.
 
-use crate::interval::IntervalResult;
+use crate::interval::Inputs;
 use sga_domains::{AbsLoc, Interval, Lattice, Value};
 use sga_ir::{
     pretty, BinOp, Cmd, Cond, Cp, Expr, LVal, NodeId, Proc, ProcId, Program, RelOp, UnOp, VarId,
@@ -290,45 +282,6 @@ impl PathIndex {
 // Sound value queries
 // ---------------------------------------------------------------------------
 
-/// The value of `x` flowing into `cp`, as a refutation-grade
-/// over-approximation: the join of the nearest binding post-states
-/// backwards through the CFG. `None` means ⊤ — some backwards path
-/// reaches the procedure entry (or an unexplored corner) without a
-/// binding, or the join is ⊥, so nothing may be concluded.
-pub fn value_before(program: &Program, result: &IntervalResult, cp: Cp, x: VarId) -> Option<Value> {
-    let l = AbsLoc::Var(x);
-    let proc = &program.procs[cp.proc];
-    let mut stack: Vec<NodeId> = proc.preds_of(cp.node).to_vec();
-    if stack.is_empty() {
-        return None;
-    }
-    let mut visited: FxHashSet<NodeId> = stack.iter().copied().collect();
-    let mut acc = Value::bot();
-    while let Some(n) = stack.pop() {
-        if let Some(v) = result
-            .values
-            .get(&Cp::new(cp.proc, n))
-            .and_then(|s| s.get_ref(&l))
-        {
-            if !v.is_bottom() {
-                acc = acc.join(v);
-                continue;
-            }
-        }
-        let preds = proc.preds_of(n);
-        if preds.is_empty() {
-            // Reached the entry with the variable unbound.
-            return None;
-        }
-        for &p in preds {
-            if visited.insert(p) {
-                stack.push(p);
-            }
-        }
-    }
-    (!acc.is_bottom()).then_some(acc)
-}
-
 /// The numeric interval of the value, or `None` (⊤) when the value has
 /// pointer/array/procedure components (a concrete address is not in the
 /// interval) or a ⊥ interval (refuse ⊥ conclusions from queries).
@@ -358,55 +311,52 @@ fn binop_itv(op: BinOp, ia: &Interval, ib: &Interval) -> Interval {
         BinOp::Div => ia.div(ib),
         BinOp::Mod => ia.rem(ib),
         BinOp::Cmp(r) => ia.cmp_result(r, ib),
+        BinOp::And | BinOp::Or | BinOp::Bits if ia.is_bottom() || ib.is_bottom() => Interval::Bot,
         BinOp::And | BinOp::Or => Interval::range(0, 1),
         BinOp::Bits => Interval::top(),
     }
 }
 
 /// Evaluates a pure expression to an interval with a caller-supplied
-/// variable environment; anything the environment cannot answer is ⊤.
-/// Leaves never produce ⊥, so neither does any derived interval — the
-/// caller may treat ⊥ (reachable only through `filter` refinement) as a
-/// genuine contradiction.
-fn eval_itv_env(e: &Expr, lookup: &dyn Fn(VarId) -> Interval) -> Interval {
+/// variable environment; anything the environment cannot answer is ⊤. The
+/// result is ⊥ only where a leaf is, so with leaves that never are, ⊥
+/// (reachable only through `filter` refinement) is a genuine contradiction.
+pub(crate) fn eval_itv(e: &Expr, lookup: &dyn Fn(VarId) -> Interval) -> Interval {
     match e {
         Expr::Const(n) => Interval::constant(*n),
         Expr::Var(x) => lookup(*x),
-        Expr::Unop(op, a) => unop_itv(*op, &eval_itv_env(a, lookup)),
-        Expr::Binop(op, a, b) => binop_itv(*op, &eval_itv_env(a, lookup), &eval_itv_env(b, lookup)),
+        Expr::Unop(op, a) => unop_itv(*op, &eval_itv(a, lookup)),
+        Expr::Binop(op, a, b) => binop_itv(*op, &eval_itv(a, lookup), &eval_itv(b, lookup)),
         _ => Interval::top(),
     }
 }
 
-/// Evaluates a pure expression to an interval against the sound
-/// before-state at `cp` (via [`value_before`]). ⊤ wherever the result
-/// does not constrain the expression.
-pub fn eval_itv_before(program: &Program, result: &IntervalResult, cp: Cp, e: &Expr) -> Interval {
-    eval_itv_env(e, &|x| {
-        value_before(program, result, cp, x)
-            .as_ref()
-            .and_then(numeric_itv)
-            .unwrap_or_else(Interval::top)
-    })
+/// The refutation-grade interval of `x` flowing into `cp`: its
+/// [`numeric_itv`], ⊤ where that has none.
+fn itv_before(q: &Inputs, cp: Cp, x: VarId) -> Interval {
+    numeric_itv(&q.value(cp, &AbsLoc::Var(x))).unwrap_or_else(Interval::top)
+}
+
+/// Evaluates a pure expression to an interval against the input at `cp`
+/// ([`itv_before`] at every leaf). ⊤ wherever the result does not
+/// constrain the expression.
+pub fn eval_itv_before(q: &Inputs, cp: Cp, e: &Expr) -> Interval {
+    eval_itv(e, &|x| itv_before(q, cp, x))
 }
 
 /// Whether the guard condition at `assume` node `g` can never hold on its
 /// own inputs: both operands evaluate to non-⊤-garbage intervals whose
 /// comparison is *definitely false*. A dead dominating guard makes every
 /// node it dominates unreachable. Returns the refuting fact, rendered.
-pub fn guard_is_dead(
-    program: &Program,
-    result: &IntervalResult,
-    pid: ProcId,
-    g: NodeId,
-) -> Option<String> {
+pub fn guard_is_dead(q: &Inputs, pid: ProcId, g: NodeId) -> Option<String> {
+    let program = q.program;
     let proc = &program.procs[pid];
     let Cmd::Assume(cond) = &proc.nodes[g].cmd else {
         return None;
     };
     let cp = Cp::new(pid, g);
-    let li = eval_itv_before(program, result, cp, &cond.lhs);
-    let ri = eval_itv_before(program, result, cp, &cond.rhs);
+    let li = eval_itv_before(q, cp, &cond.lhs);
+    let ri = eval_itv_before(q, cp, &cond.rhs);
     if li.is_bottom() || ri.is_bottom() {
         return None;
     }
@@ -518,18 +468,14 @@ pub fn guard_is_stable(program: &Program, pid: ProcId, g: NodeId, alarm: NodeId)
 }
 
 /// Tries to refute the conjunction of stable dominating guards at the
-/// alarm point `cp`: each variable is seeded with its sound interval at
-/// the alarm (⊤ when unknown) and the guard conditions are applied as
+/// alarm point `cp`: each variable is seeded with its interval flowing
+/// into the alarm ([`itv_before`]; ⊤ when unknown) and the guard conditions are applied as
 /// `filter` refinements to a local fixpoint. A variable refined to ⊥ — or
 /// a condition that can no longer hold — proves no concrete valuation
 /// satisfies every guard, so no execution reaches `cp`. Returns the
 /// refuting fact, rendered.
-pub fn refute_conjunction(
-    program: &Program,
-    result: &IntervalResult,
-    cp: Cp,
-    guards: &[(NodeId, &Cond)],
-) -> Option<String> {
+pub fn refute_conjunction(q: &Inputs, cp: Cp, guards: &[(NodeId, &Cond)]) -> Option<String> {
+    let program = q.program;
     let mut vars: Vec<VarId> = Vec::new();
     for (_, cond) in guards {
         cond.lhs.vars(&mut vars);
@@ -538,14 +484,8 @@ pub fn refute_conjunction(
     vars.sort_unstable();
     vars.dedup();
 
-    let mut env: FxHashMap<VarId, Interval> = FxHashMap::default();
-    for &x in &vars {
-        let seed = value_before(program, result, cp, x)
-            .as_ref()
-            .and_then(numeric_itv)
-            .unwrap_or_else(Interval::top);
-        env.insert(x, seed);
-    }
+    let mut env: FxHashMap<VarId, Interval> =
+        vars.iter().map(|&x| (x, itv_before(q, cp, x))).collect();
 
     // A handful of passes reaches the local fixpoint on any realistic
     // chain; the pass count only affects completeness, never soundness.
@@ -553,8 +493,8 @@ pub fn refute_conjunction(
         let mut changed = false;
         for (_, cond) in guards {
             let lookup = |x: VarId| env.get(&x).cloned().unwrap_or_else(Interval::top);
-            let li = eval_itv_env(&cond.lhs, &lookup);
-            let ri = eval_itv_env(&cond.rhs, &lookup);
+            let li = eval_itv(&cond.lhs, &lookup);
+            let ri = eval_itv(&cond.rhs, &lookup);
             if li.cmp_result(cond.op, &ri) == Interval::constant(0) {
                 return Some(format!(
                     "guards conflict: {} in {li} cannot satisfy {}",
@@ -578,7 +518,7 @@ pub fn refute_conjunction(
             }
             if let Expr::Var(y) = &cond.rhs {
                 let lookup = |x: VarId| env.get(&x).cloned().unwrap_or_else(Interval::top);
-                let li = eval_itv_env(&cond.lhs, &lookup);
+                let li = eval_itv(&cond.lhs, &lookup);
                 let ry = lookup(*y);
                 let refined = ry.filter(cond.op.swap(), &li);
                 if refined.is_bottom() {
@@ -620,7 +560,7 @@ pub fn render_chain(program: &Program, proc: &Proc, chain: &[&GuardSite]) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{analyze, Engine};
+    use crate::interval::{with_inputs, Engine};
     use sga_cfront::parse;
 
     /// The pre-existing per-query dominance algorithm (entry-removal
@@ -735,33 +675,44 @@ mod tests {
     }
 
     #[test]
-    fn value_before_refuses_unbound_paths() {
+    fn inputs_join_both_arms_and_an_unread_variable_is_unknown() {
         let p = parse(
             "int main(int c) {
                 int x = 0;
+                int y = 7;
                 if (c) { x = 5; }
                 return x;
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
-        let proc = &p.procs[p.main];
-        let x = p
-            .vars
-            .iter_enumerated()
-            .find(|(_, v)| v.name == "x")
-            .map(|(i, _)| i)
-            .unwrap();
-        let ret = proc
+        let var = |name: &str| {
+            p.vars
+                .iter_enumerated()
+                .find(|(_, v)| v.name == name)
+                .map(|(i, _)| i)
+                .unwrap()
+        };
+        let ret = p.procs[p.main]
             .nodes
             .iter_enumerated()
             .find(|(_, nd)| matches!(nd.cmd, Cmd::Return(Some(_))))
             .map(|(n, _)| n)
             .unwrap();
-        let v = value_before(&p, &r, Cp::new(p.main, ret), x);
-        let itv = v.as_ref().and_then(numeric_itv).expect("x is bound");
-        // Join over both arms: [0,0] ⊔ [5,5].
-        assert!(itv.contains(0) && itv.contains(5), "{itv}");
+        let cp = Cp::new(p.main, ret);
+        for engine in [Engine::Base, Engine::Sparse] {
+            with_inputs(&p, engine, |q| {
+                // Join over both arms: [0,0] ⊔ [5,5].
+                let x = eval_itv_before(q, cp, &Expr::Var(var("x")));
+                assert_eq!(x, Interval::range(0, 5), "{engine:?}");
+            });
+        }
+        // `y ∉ Û(return)`: no in-edge brings it, so the sparse input is ⊥
+        // and the path layer reads ⊤.
+        with_inputs(&p, Engine::Sparse, |q| {
+            let y = var("y");
+            assert!(q.value(cp, &AbsLoc::Var(y)).is_bottom());
+            assert_eq!(eval_itv_before(q, cp, &Expr::Var(y)), Interval::top());
+        });
     }
 
     #[test]
@@ -821,7 +772,6 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
         let proc = &p.procs[p.main];
         let paths = ProcPaths::build(proc);
         let r1 = proc
@@ -840,7 +790,9 @@ mod tests {
             })
             .collect();
         assert!(guards.len() >= 2, "{guards:?}");
-        let reason = refute_conjunction(&p, &r, Cp::new(p.main, r1), &guards);
+        let reason = with_inputs(&p, Engine::Sparse, |q| {
+            refute_conjunction(q, Cp::new(p.main, r1), &guards)
+        });
         assert!(
             reason.as_deref().is_some_and(|s| s.contains("conflict")),
             "{reason:?}"
@@ -859,7 +811,6 @@ mod tests {
              }",
         )
         .unwrap();
-        let r = analyze(&p, Engine::Sparse);
         let proc = &p.procs[p.main];
         let paths = ProcPaths::build(proc);
         let r1 = proc
@@ -876,6 +827,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(refute_conjunction(&p, &r, Cp::new(p.main, r1), &guards).is_none());
+        let reason = with_inputs(&p, Engine::Sparse, |q| {
+            refute_conjunction(q, Cp::new(p.main, r1), &guards)
+        });
+        assert!(reason.is_none(), "{reason:?}");
     }
 }

@@ -56,11 +56,9 @@
 
 use crate::budget::Budget;
 use crate::checker;
-use crate::defuse::{self, DefUse};
 use crate::depgen::DepGenOptions;
 use crate::depstore::{solved_points, DepBackend};
-use crate::icfg::Icfg;
-use crate::interval::{AnalyzeOptions, Engine, IntervalResult};
+use crate::interval::{stage_inputs, AnalyzeOptions, Engine, Inputs, IntervalResult};
 use crate::octagon::{self, OctagonResult};
 use crate::pathcond::{self, DomTree, GuardSite, PathIndex};
 use crate::preanalysis::PreAnalysis;
@@ -70,7 +68,6 @@ use sga_domains::interval::Bound;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, PackId};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, NodeId, Proc, ProcId, Program, VarId};
 use sga_utils::{FxHashSet, Idx};
-use std::cell::OnceCell;
 
 /// Which triage layers run. The octagon layer refutes error conditions
 /// relationally; the path layer proves alarm points unreachable from
@@ -189,8 +186,9 @@ pub fn derived_budget(interval_iterations: usize, base: &Budget) -> Budget {
     }
 }
 
-/// [`discharge_staged`] for callers that hold no def/use sets or ICFG:
-/// both are computed here, and only if the octagon layer plans a query.
+/// [`discharge_staged`] for callers that hold no [`Inputs`]: the ICFG,
+/// def/use sets and (for a sparse result) dependency relation it reads are
+/// computed here, once per call.
 pub fn discharge(
     program: &Program,
     pre: &PreAnalysis,
@@ -198,50 +196,29 @@ pub fn discharge(
     diags: &mut [Diagnostic],
     options: &TriageOptions,
 ) -> TriageStats {
-    let staged = OnceCell::new();
-    let compute = || {
-        let (du, icfg) =
-            staged.get_or_init(|| (defuse::compute(program, pre), Icfg::build(program, pre)));
-        (du, icfg)
-    };
-    discharge_lazy(program, pre, compute, result, diags, options)
+    let (icfg, du, deps) = stage_inputs(program, pre, result.engine);
+    let q = Inputs::new(program, result, &icfg, &du, deps.as_ref());
+    discharge_staged(pre, &q, diags, options)
 }
 
 /// Runs the triage layers selected by `options.mode` and demotes every
 /// refuted alarm in `diags` to discharged, recording the proving packs
 /// (octagon member sets, or dominating guard chains) and the refuting
-/// constraint. `result` is the interval fixpoint the alarms came from —
-/// the path layer evaluates guard conditions against it.
+/// constraint. `q` reads the interval fixpoint the alarms came from — the
+/// path layer evaluates guard conditions against its inputs — and carries
+/// the def/use sets and ICFG the octagon is solved over.
 ///
 /// The octagon layer is demand-driven: candidates are first *planned* into
 /// the [`Query`] values their refutations read, the octagon is solved over
 /// the slice those need (none, if nothing is planned), and each plan is
 /// then *decided* against the result.
-///
-/// `du` and `icfg` are the def/use sets and ICFG of `program` under `pre`,
-/// which the pipeline holds at the call; [`discharge`] computes them.
 pub fn discharge_staged(
-    program: &Program,
     pre: &PreAnalysis,
-    du: &DefUse,
-    icfg: &Icfg,
-    result: &IntervalResult,
+    q: &Inputs,
     diags: &mut [Diagnostic],
     options: &TriageOptions,
 ) -> TriageStats {
-    discharge_lazy(program, pre, || (du, icfg), result, diags, options)
-}
-
-/// The body of [`discharge_staged`]; `staged` yields the def/use sets and
-/// ICFG and is called only when an octagon is about to be solved.
-fn discharge_lazy<'a>(
-    program: &Program,
-    pre: &PreAnalysis,
-    staged: impl FnOnce() -> (&'a DefUse, &'a Icfg),
-    result: &IntervalResult,
-    diags: &mut [Diagnostic],
-    options: &TriageOptions,
-) -> TriageStats {
+    let program = q.program;
     let mut stats = TriageStats::default();
     let candidates: Vec<usize> = diags
         .iter()
@@ -274,12 +251,11 @@ fn discharge_lazy<'a>(
         // Seeds come off the very queries `decide` will ask: what is solved
         // for and what is asked cannot diverge.
         let seeds: Vec<VarId> = plans.iter().flat_map(|(_, p)| p.vars()).collect();
-        let (du, icfg) = staged();
         let res = octagon::analyze_with_pre(
             program,
             pre,
-            du,
-            icfg,
+            q.du,
+            q.icfg,
             Some(&seeds),
             options.engine,
             AnalyzeOptions {
@@ -297,9 +273,9 @@ fn discharge_lazy<'a>(
         stats.octagon_iterations = res.stats.iterations;
         stats.degraded = res.stats.degraded;
 
-        let q = OctQuery { program, res: &res };
+        let oq = OctQuery { program, res: &res };
         for (i, plan) in &plans {
-            if let Some((pack, reason)) = plan.decide(&q) {
+            if let Some((pack, reason)) = plan.decide(&oq) {
                 diags[*i].status = Status::Discharged {
                     method: DischargeMethod::Octagon,
                     pack,
@@ -314,13 +290,12 @@ fn discharge_lazy<'a>(
     // `Both` mode its discharged set can only grow. A degraded interval
     // fixpoint is skipped outright: the guard evaluation below is only
     // sound against a genuine post-fixpoint.
-    if options.mode.runs_path() && !result.stats.degraded {
+    if options.mode.runs_path() && !q.result.stats.degraded {
         for &i in &candidates {
             if !diags[i].is_open() {
                 continue;
             }
-            if let Some((pack, reason)) = try_discharge_path(program, result, &mut paths, &diags[i])
-            {
+            if let Some((pack, reason)) = try_discharge_path(q, &mut paths, &diags[i]) {
                 diags[i].status = Status::Discharged {
                     method: DischargeMethod::PathInfeasible,
                     pack,
@@ -340,11 +315,11 @@ fn discharge_lazy<'a>(
 /// the conjunction of the *stable* dominating guards (no writes to their
 /// variables between guard and alarm) by iterated interval refinement.
 fn try_discharge_path(
-    program: &Program,
-    result: &IntervalResult,
+    q: &Inputs,
     paths: &mut PathIndex,
     d: &Diagnostic,
 ) -> Option<(String, String)> {
+    let program = q.program;
     let pid = d.cp.proc;
     let proc = &program.procs[pid];
     if proc.is_external {
@@ -359,7 +334,7 @@ fn try_discharge_path(
     // (a) A dead dominating guard: the proving pack is the chain prefix up
     // to and including the guard that can never hold.
     for (i, g) in chain.iter().enumerate() {
-        if let Some(reason) = pathcond::guard_is_dead(program, result, pid, g.node) {
+        if let Some(reason) = pathcond::guard_is_dead(q, pid, g.node) {
             let pack = pathcond::render_chain(program, proc, &chain[..=i]);
             return Some((pack, reason));
         }
@@ -383,7 +358,7 @@ fn try_discharge_path(
             _ => None,
         })
         .collect();
-    let reason = pathcond::refute_conjunction(program, result, d.cp, &guards)?;
+    let reason = pathcond::refute_conjunction(q, d.cp, &guards)?;
     Some((pathcond::render_chain(program, proc, &stable), reason))
 }
 
@@ -503,18 +478,21 @@ fn plan(
 }
 
 /// Relational queries against the octagon result, evaluated *before* a
-/// control point: the join over the nearest binding post-states backwards
-/// through the CFG. Anything unbound is ⊤.
+/// control point by a walk back through the CFG. Anything unbound is ⊤.
 struct OctQuery<'a> {
     program: &'a Program,
     res: &'a OctagonResult,
 }
 
 impl OctQuery<'_> {
-    /// The octagon of pack `pid` flowing into `cp`: join of the nearest
-    /// post-states backwards that bind the pack. `None` means ⊤ — some
-    /// backward path reaches the procedure entry (or an unexplored corner)
-    /// without a binding, so nothing may be concluded.
+    /// The octagon of pack `pid` flowing into `cp`: the join, over every
+    /// backward path, of the first point whose `D̂` holds the pack — that
+    /// point's binding, the last value the pack took on the path. `None`
+    /// means ⊤: such a point leaves the pack unbound (a write it cannot
+    /// show, say from a callee), or a backward path reaches the procedure
+    /// entry first. A dense engine's call binds the *pre*-call state — what
+    /// the callee leaves arrives over the return edge — so there a call
+    /// defining the pack answers ⊤ too.
     fn before(&self, cp: Cp, pid: PackId) -> Option<Octagon> {
         let proc = &self.program.procs[cp.proc];
         let mut stack: Vec<NodeId> = proc.preds_of(cp.node).to_vec();
@@ -524,18 +502,17 @@ impl OctQuery<'_> {
         let mut visited: FxHashSet<NodeId> = stack.iter().copied().collect();
         let mut acc = Octagon::bottom();
         while let Some(n) = stack.pop() {
-            if let Some(o) = self
-                .res
-                .values
-                .get(&Cp::new(cp.proc, n))
-                .and_then(|st| st.get(&pid))
-            {
+            let at = Cp::new(cp.proc, n);
+            let defines = self.res.defines(at, pid);
+            let pre_call =
+                self.res.engine != Engine::Sparse && matches!(proc.nodes[n].cmd, Cmd::Call { .. });
+            let bound = self.res.values.get(&at).and_then(|st| st.get(&pid));
+            if let Some(o) = bound.filter(|_| !(defines && pre_call)) {
                 acc = acc.join(o);
                 continue;
             }
             let preds = proc.preds_of(n);
-            if preds.is_empty() {
-                // Reached the entry with the pack unbound.
+            if preds.is_empty() || defines {
                 return None;
             }
             for &p in preds {
@@ -781,6 +758,8 @@ fn plan_div(program: &Program, d: &Diagnostic) -> Option<Plan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defuse;
+    use crate::icfg::Icfg;
     use crate::interval::analyze;
     use crate::preanalysis;
     use sga_cfront::parse;

@@ -40,6 +40,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bump when the cached schema or any analysis semantics change.
 ///
+/// v8: the checkers and the path layer read a value before a point as the
+/// input the engine computed there (`sga_core::interval::Inputs`), so the
+/// diagnostics of a v7 entry — raised by the old program-wide fallback
+/// scan, path-discharged by the old CFG walk — must not replay. The entry
+/// shape is unchanged.
+///
 /// v7: an entry holds what a hit returns and nothing else — the
 /// per-procedure artifacts (callee-access summaries and packed dependency
 /// segments, 95 % of an entry's bytes, never read back) are gone, `procs`
@@ -67,7 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// v2: checksummed `{checksum, payload}` envelope, atomic writes, the
 /// `degraded` flag.
-pub const CACHE_FORMAT: u32 = 7;
+pub const CACHE_FORMAT: u32 = 8;
 
 /// Store attempts per entry (first try + retries of transient IO errors).
 const STORE_ATTEMPTS: u32 = 3;
@@ -524,7 +530,7 @@ mod tests {
     /// is refused and quarantined.
     #[test]
     fn previous_format_entry_under_a_current_key_is_quarantined() {
-        let cache = temp_cache("v6-shape");
+        let cache = temp_cache("v7-shape");
         std::fs::write(cache.path_for("u", 7), previous_format_entry()).unwrap();
         assert!(matches!(cache.load("u", 7), LoadOutcome::MissCorrupt));
         assert_eq!(cache.health().quarantined, 1);

@@ -1175,8 +1175,8 @@ mod tag_tests {
         );
     }
 
-    /// A directory left by the format-6 binary: its entries sit under keys
-    /// that hashed 6 in, so a run never looks them up — no hit, nothing
+    /// A directory left by the format-7 binary: its entries sit under keys
+    /// that hashed 7 in, so a run never looks them up — no hit, nothing
     /// quarantined, the report of a run over an empty directory — and
     /// leaves them where they are.
     #[test]
@@ -1190,16 +1190,16 @@ mod tag_tests {
             cache_dir: Some(testfix::temp_dir(tag)),
             ..PipelineOptions::default()
         };
-        let (fresh, stale) = (in_dir("v6-dir-fresh"), in_dir("v6-dir-stale"));
+        let (fresh, stale) = (in_dir("v7-dir-fresh"), in_dir("v7-dir-stale"));
         let cache = Cache::open(stale.cache_dir.as_ref().unwrap()).unwrap();
         let tag = format!("{}|{}", semantic_tag(&stale), stale.budget.cache_tag());
         let left: Vec<PathBuf> = load_project(&project)
             .unwrap()
             .iter()
             .map(|u| {
-                let v6_key = fxhash::hash_one(&(6u32, tag.as_str(), u.source.as_str()));
-                assert_ne!(v6_key, unit_cache_key(&stale, &u.source));
-                let path = cache.path_for(&u.name, v6_key);
+                let v7_key = fxhash::hash_one(&(7u32, tag.as_str(), u.source.as_str()));
+                assert_ne!(v7_key, unit_cache_key(&stale, &u.source));
+                let path = cache.path_for(&u.name, v7_key);
                 std::fs::write(&path, testfix::previous_format_entry()).unwrap();
                 path
             })

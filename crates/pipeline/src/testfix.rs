@@ -10,7 +10,7 @@ use crate::unit::UnitAnalysis;
 use sga_core::interface::{ImportRef, ProcInterface, UnitInterface};
 use sga_diag::{DiagKind, Diagnostic, DischargeMethod, Evidence, Status};
 use sga_ir::{Cp, NodeId, ProcId};
-use sga_utils::{Idx, Json};
+use sga_utils::Idx;
 use std::path::PathBuf;
 
 /// A representative per-unit artifact with every field populated — enough
@@ -97,21 +97,13 @@ pub(crate) fn every_damage(intact: &[u8]) -> impl Iterator<Item = (String, Vec<u
     cuts.chain(flips)
 }
 
-/// [`sample_analysis`] as the format-6 binary stored it: sealed like today,
-/// but naming its unit and carrying the per-procedure artifacts — the
-/// callee-access summaries and the dependency segment packed into one
-/// string — where a count now stands.
+/// [`sample_analysis`] as the format-7 binary stored it: today's shape
+/// under schema 7, whose diagnostics came from the checkers before they
+/// read the engine's inputs.
 pub(crate) fn previous_format_entry() -> String {
-    let main = Json::obj()
-        .with("name", "main")
-        .with("summary_defs", vec![Json::from("Var(v0)")])
-        .with("summary_uses", Vec::<Json>::new())
-        .with("dep_segment", "3 0 1 0 4 0;7 0 2 0 5 1;");
-    let mut v6 = crate::cache::encode(&sample_analysis());
-    v6.set("schema", 6u32)
-        .set("unit", "u")
-        .set("procs", vec![main]);
-    crate::store::seal(&v6)
+    let mut v7 = crate::cache::encode(&sample_analysis());
+    v7.set("schema", 7u32);
+    crate::store::seal(&v7)
 }
 
 /// A fresh scratch directory under the system temp dir (wiped if a previous

@@ -12,7 +12,7 @@ use sga_core::defuse::{self, DefUse};
 use sga_core::depgen::{self, DataDeps, DepGenOptions};
 use sga_core::icfg::Icfg;
 use sga_core::interface::{self, UnitInterface};
-use sga_core::interval::{Engine, IntervalResult, IntervalSparseSpec};
+use sga_core::interval::{Engine, Inputs, IntervalResult, IntervalSparseSpec};
 use sga_core::preanalysis::{self, PreAnalysis};
 use sga_core::stats::AnalysisStats;
 use sga_core::triage::{self, TriageMode, TriageOptions};
@@ -91,8 +91,8 @@ pub fn analyze_unit(
     let deps = timers.time("dep", || depgen::generate(program, &pre, &du, options));
 
     // The result outlives the check stage: the path-condition triage layer
-    // evaluates dominating guards against the same fixpoint the alarms came
-    // from (and its `degraded` flag gates that layer off entirely).
+    // evaluates dominating guards against the same inputs the alarms read
+    // (and its `degraded` flag gates that layer off entirely).
     let result = timers.time("fix", || {
         let spec = IntervalSparseSpec {
             program,
@@ -117,9 +117,12 @@ pub fn analyze_unit(
         }
     });
     let (iterations, degraded) = (result.stats.iterations, result.stats.degraded);
+    // The checkers and the path layer read values before a point as the
+    // inputs the solve computed: the in-edges of `deps`.
+    let q = Inputs::new(program, &result, &icfg, &du, Some(&deps));
     let (mut diags, fingerprint) = timers.time("check", || {
         (
-            checker::check_all(program, &result, &pre),
+            checker::check_all_staged(&q, &pre),
             fingerprint_values(&result.values),
         )
     });
@@ -133,7 +136,7 @@ pub fn analyze_unit(
             mode: triage_mode,
             ..TriageOptions::default()
         };
-        triage::discharge_staged(program, &pre, &du, &icfg, &result, &mut diags, &topts).degraded
+        triage::discharge_staged(&pre, &q, &mut diags, &topts).degraded
     });
 
     let analysis = UnitAnalysis {

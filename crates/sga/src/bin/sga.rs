@@ -504,11 +504,12 @@ fn diagnose(
     opts: &PipelineOptions,
 ) -> (Vec<Diagnostic>, triage::TriageStats) {
     let pre = preanalysis::run(program);
-    let mut diags = checker::check_all(program, result, &pre);
-    let stats = triage::discharge(
-        program,
+    let (icfg, du, deps) = interval::stage_inputs(program, &pre, engine);
+    let q = interval::Inputs::new(program, result, &icfg, &du, deps.as_ref());
+    let mut diags = checker::check_all_staged(&q, &pre);
+    let stats = triage::discharge_staged(
         &pre,
-        result,
+        &q,
         &mut diags,
         &TriageOptions {
             engine,

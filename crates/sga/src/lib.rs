@@ -34,7 +34,8 @@
 //!     "int main() { int x = 0; while (x < 10) x = x + 1; return x; }",
 //! )?;
 //! let result = analyze(&program, Engine::Sparse);
-//! let alarms = sga::analysis::checker::check_overruns(&program, &result);
+//! let pre = sga::analysis::preanalysis::run(&program);
+//! let alarms = sga::analysis::checker::check_all(&program, &result, &pre);
 //! assert!(alarms.is_empty());
 //! # Ok::<(), sga::frontend::FrontError>(())
 //! ```

@@ -10,7 +10,8 @@
 //! checked.
 
 use sga::analysis::checker::check_overruns;
-use sga::analysis::interval::{analyze, Engine};
+use sga::analysis::interval::{analyze, stage_inputs, Engine, Inputs};
+use sga::analysis::preanalysis;
 use sga::frontend;
 
 const DEMO: &str = r#"
@@ -52,7 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let program = frontend::parse(&src)?;
     let result = analyze(&program, Engine::Sparse);
-    let alarms = check_overruns(&program, &result);
+    // The checker reads each pointer's value as the input the sparse engine
+    // computed at the access: its dependency in-edges.
+    let pre = preanalysis::run(&program);
+    let (icfg, du, deps) = stage_inputs(&program, &pre, Engine::Sparse);
+    let alarms = check_overruns(&Inputs::new(&program, &result, &icfg, &du, deps.as_ref()));
 
     println!(
         "checked {name}: {} potential buffer overrun(s)",

@@ -1,13 +1,15 @@
 //! Golden alarm corpus and diagnostic-subsystem invariants.
 //!
-//! `tests/alarms/` holds eighteen small C files, each annotated with the
+//! `tests/alarms/` holds twenty-one small C files, each annotated with the
 //! alarms it should raise. Every file has a `.expected` sidecar listing
 //! the exact diagnostics (fingerprint, triage status, rendering). The
 //! `path_*.c` family exercises the path-condition layer: dead dominating
 //! guards, contradictory guard chains, and — just as important — guards
 //! that are loop-carried or merely uncertain and must *never* be
-//! path-discharged. The tests here pin five properties of the triage
-//! subsystem:
+//! path-discharged. Three (`octagon_callee_write.c`, `path_callee_write.c`,
+//! `null_after_call.c`) fault on every run right after a callee's write,
+//! and must stay open alarms. The tests here pin six properties of the
+//! triage subsystem:
 //!
 //! 1. **Engine/widening agreement.** Both fixpoint engines and all three
 //!    widening strategies produce byte-identical diagnostics — sparse
@@ -25,6 +27,8 @@
 //!    (with its interval solve's iteration counts) hash to digests recorded
 //!    at earlier commits, so a refactor meant to change no result cannot
 //!    change one.
+//! 6. **No discharged fault.** Where the interpreter reaches a fault, the
+//!    alarm at its line is open under both engines.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -34,7 +38,9 @@ use sga::analysis::interval::{self, AnalyzeOptions, Engine};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::analysis::{checker, preanalysis, sparse};
-use sga::diag::{sarif, schema, Diagnostic, DischargeMethod, Status};
+use sga::diag::{sarif, schema, DiagKind, Diagnostic, DischargeMethod, Status};
+use sga::domains::{AbsLoc, Lattice};
+use sga::ir::interp::{self, InterpConfig, Outcome};
 use sga::pipeline::{self, PipelineOptions, Project};
 use sga::utils::Json;
 
@@ -51,8 +57,8 @@ fn corpus_files() -> Vec<PathBuf> {
     files.sort();
     assert_eq!(
         files.len(),
-        18,
-        "golden corpus should hold eighteen C files"
+        21,
+        "golden corpus should hold twenty-one C files"
     );
     files
 }
@@ -206,7 +212,11 @@ fn path_corpus_cases_discharge_by_name() {
         "path_div_dead.c",
         "path_chain.c",
     ];
-    let never_path_discharged = ["path_loop_carried.c", "path_feasible_guard.c"];
+    let never_path_discharged = [
+        "path_loop_carried.c",
+        "path_feasible_guard.c",
+        "path_callee_write.c",
+    ];
 
     for name in path_discharged {
         let src = std::fs::read_to_string(corpus_dir().join(name)).unwrap();
@@ -290,6 +300,45 @@ fn path_corpus_cases_discharge_by_name() {
     }
 }
 
+/// The three files whose every run faults right after a callee's write:
+/// the interpreter reaches the fault from `main(0)`, and the alarm at its
+/// line stays open under Base and Sparse — no discharged alarm is a
+/// concrete fault.
+#[test]
+fn concrete_faults_after_a_callee_write_stay_open_alarms() {
+    for (name, line) in [
+        ("octagon_callee_write.c", 14),
+        ("path_callee_write.c", 14),
+        ("null_after_call.c", 12),
+    ] {
+        let src = std::fs::read_to_string(corpus_dir().join(name)).unwrap();
+        let program = sga::frontend::parse(&src).expect("corpus file must parse");
+        let run = interp::run(
+            &program,
+            &InterpConfig {
+                main_args: vec![0],
+                ..InterpConfig::default()
+            },
+        );
+        assert!(
+            matches!(
+                run.outcome,
+                Outcome::UndefinedBehaviour(_) | Outcome::Trap(_)
+            ),
+            "{name}: main(0) must fault, got {:?}",
+            run.outcome
+        );
+        for engine in [Engine::Base, Engine::Sparse] {
+            let diags = diagnose(&src, engine, WideningConfig::default());
+            assert!(
+                diags.iter().any(|d| d.line == line && d.is_open()),
+                "{name}: {engine:?} must leave the alarm at line {line} open: {}",
+                render(&diags)
+            );
+        }
+    }
+}
+
 #[test]
 fn repeated_subjects_get_distinct_fingerprints() {
     let src = std::fs::read_to_string(corpus_dir().join("repeat_subject.c")).unwrap();
@@ -364,11 +413,13 @@ fn corpus_report_is_byte_identical_across_jobs_and_cache_state() {
 }
 
 /// Canonical reports pinned against *history*, not only against another
-/// mode or `--jobs` value: the digests were recorded at the commit
-/// before the octagon closure kernel was reworked (ISSUE 13), so a refactor
-/// that is meant to change no result cannot change one silently. A PR that
-/// changes analysis results or the report schema on purpose updates the
-/// constants and says so.
+/// mode or `--jobs` value, so a refactor that is meant to change no result
+/// cannot change one silently. A change to analysis results or the report
+/// schema made on purpose updates the constants and says so. They were last
+/// moved when the checkers began reading the engine's own inputs: the
+/// generated corpus went from 27 open + 10 discharged alarms to 0 + 8, the
+/// recursive unit from 6 + 2 to 0 + 2 (every dropped alarm read a value no
+/// input carries), and `tests/alarms` gained three files.
 #[test]
 fn canonical_reports_match_the_pinned_digests() {
     let pins = [
@@ -379,12 +430,12 @@ fn canonical_reports_match_the_pinned_digests() {
                 kloc: 1,
                 seed: 65261,
             },
-            0xb9a9_b85e_35a0_f436,
+            0xf1e3_b6a2_d6f5_120e,
         ),
         (
             "tests/alarms",
             Project::Dir(corpus_dir()),
-            0xa558_0216_24d1_5ad5,
+            0x7508_719f_c5e0_ce02,
         ),
     ];
     let options = PipelineOptions {
@@ -404,18 +455,9 @@ fn canonical_reports_match_the_pinned_digests() {
     // The corpora above are flat (`max_scc = 2`) or tiny. This unit puts 28
     // of its 32 procedures on one call-graph cycle, so its fixpoint runs
     // through a large dependency cycle where pop order and the widening
-    // delay decide the result; recorded at the commit before the sparse
-    // engine's state was flattened (ISSUE 14), together with the interval
-    // solve's two trajectory counts.
-    let source = sga::cgen::generate(&sga::cgen::GenConfig {
-        seed: 65261,
-        target_loc: 800,
-        functions: 32,
-        globals: 16,
-        global_ptrs: 4,
-        max_scc: 28,
-        ..Default::default()
-    });
+    // delay decide the result; pinned together with the interval solve's
+    // two trajectory counts, which no checker change may move.
+    let source = scc_unit();
     let dir = tempdir("diag-scc-pin");
     std::fs::write(dir.join("scc.c"), &source).unwrap();
     let program = sga::frontend::parse(&source).expect("generated unit must parse");
@@ -428,7 +470,7 @@ fn canonical_reports_match_the_pinned_digests() {
     let report = pipeline::run(&Project::Dir(dir.clone()), &options).expect("pipeline run");
     let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
     assert_eq!(
-        digest, 0xf174_75f6_a83b_1fa7,
+        digest, 0x360d_a9b0_277a_9455,
         "canonical report of the recursive unit drifted: digest {digest:#018x}"
     );
     let solved = sparse::solve(
@@ -445,6 +487,57 @@ fn canonical_reports_match_the_pinned_digests() {
         "interval trajectory of the recursive unit drifted"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The 800-line unit with 28 of its 32 procedures on one call-graph cycle.
+fn scc_unit() -> String {
+    sga::cgen::generate(&sga::cgen::GenConfig {
+        seed: 65261,
+        target_loc: 800,
+        functions: 32,
+        globals: 16,
+        global_ptrs: 4,
+        max_scc: 28,
+        ..Default::default()
+    })
+}
+
+/// Beyond the golden corpus, on a flat generated unit and the SCC-heavy
+/// one: no alarm sits in code the analysis proves unreachable — every
+/// value-reading alarm reads a non-⊥ value in the dense engine's input at
+/// its point — and Base and Sparse raise byte-identical diagnostics.
+#[test]
+fn generated_units_alarm_only_where_a_value_reaches_and_engines_agree() {
+    let flat = sga::cgen::generate(&sga::cgen::GenConfig {
+        seed: 3,
+        target_loc: 300,
+        max_scc: 2,
+        ..Default::default()
+    });
+    for (what, source) in [("flat", flat), ("scc", scc_unit())] {
+        let sparse = diagnose(&source, Engine::Sparse, WideningConfig::default());
+        let base = diagnose(&source, Engine::Base, WideningConfig::default());
+        assert_eq!(render(&base), render(&sparse), "{what}: engines disagree");
+
+        let program = sga::frontend::parse(&source).expect("generated unit must parse");
+        let pre = preanalysis::run(&program);
+        let result = interval::analyze(&program, Engine::Base);
+        let (icfg, du, deps) = interval::stage_inputs(&program, &pre, Engine::Base);
+        let q = interval::Inputs::new(&program, &result, &icfg, &du, deps.as_ref());
+        let reads_a_value = |d: &&Diagnostic| {
+            matches!(
+                d.kind,
+                DiagKind::BufferOverrun | DiagKind::NullDeref | DiagKind::DivByZero
+            )
+        };
+        for d in sparse.iter().filter(reads_a_value) {
+            let Some(x) = d.var else { continue };
+            assert!(
+                !q.value(d.cp, &AbsLoc::Var(x)).is_bottom(),
+                "{what}: no value reaches the read of the alarm {d}"
+            );
+        }
+    }
 }
 
 #[test]

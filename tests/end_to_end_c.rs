@@ -229,7 +229,10 @@ fn larger_generated_program_full_pipeline() {
     let src = sga::cgen::generate(&cfg);
     let (program, r) = analyze_ok(&src);
     assert!(program.num_points() > 1000);
-    let alarms = sga::analysis::checker::check_overruns(&program, &r);
+    let pre = sga::analysis::preanalysis::run(&program);
+    let (icfg, du, deps) = sga::analysis::interval::stage_inputs(&program, &pre, Engine::Sparse);
+    let q = sga::analysis::interval::Inputs::new(&program, &r, &icfg, &du, deps.as_ref());
+    let alarms = sga::analysis::checker::check_overruns(&q);
     // The generator indexes gbuf within bounds by construction.
     assert!(alarms.iter().all(|a| !a.definite), "{alarms:#?}");
 }

@@ -2,7 +2,7 @@
 //! checker, exercised end to end.
 
 use sga::analysis::checker::check_overruns;
-use sga::analysis::interval::{analyze, Engine};
+use sga::analysis::interval::{analyze, stage_inputs, Engine, Inputs};
 use sga::analysis::{octagon, preanalysis};
 use sga::cgen::{generate, GenConfig};
 use sga::domains::{AbsLoc, Interval, Lattice};
@@ -120,8 +120,13 @@ fn checker_agrees_across_engines_on_generated_code() {
         let cfg = GenConfig::sized(seed, 1);
         let src = generate(&cfg);
         let program = parse(&src).unwrap();
-        let base = check_overruns(&program, &analyze(&program, Engine::Base));
-        let sparse = check_overruns(&program, &analyze(&program, Engine::Sparse));
+        let pre = preanalysis::run(&program);
+        let overruns = |engine| {
+            let result = analyze(&program, engine);
+            let (icfg, du, deps) = stage_inputs(&program, &pre, engine);
+            check_overruns(&Inputs::new(&program, &result, &icfg, &du, deps.as_ref()))
+        };
+        let (base, sparse) = (overruns(Engine::Base), overruns(Engine::Sparse));
         // Identical alarm sets — the client-level statement of precision
         // preservation.
         assert_eq!(
