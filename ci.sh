@@ -45,7 +45,7 @@ if [ "$LIST" -eq 1 ]; then
         "clippy"           "clippy with -D warnings, all targets; rustdoc broken-link check" \
         "build-release *"  "release build (tier-1)" \
         "test"             "cargo test -q: the full tier-1 suite" \
-        "diag-gate"        "CLI baseline self-diff over the golden alarm corpus" \
+        "diag-gate"        "CLI baseline self-diff and --validate over the golden alarm corpus" \
         "ignore-gate"      "no #[ignore] in the precision suite; ignored tests pass" \
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
@@ -109,6 +109,15 @@ diag_gate() {
        || ! grep -q '"new": \[\]' "$tmp/diff.json" \
        || ! grep -q '"fixed": \[\]' "$tmp/diff.json"; then
         echo "diag-gate: baseline-vs-self diff is not empty" >&2
+        rm -rf "$tmp"; return 1
+    fi
+    # The validation oracle over the same corpus: every unit must pass the
+    # post-fixpoint, Lemma 1 (sparse == dense constant propagation) and
+    # Def. 5 checks, or `--validate` exits 4.
+    "$bin" analyze tests/alarms --validate --no-cache > "$tmp/validate.json"
+    code=$?
+    if [ "$code" -ne 0 ]; then
+        echo "diag-gate: --validate over tests/alarms exited $code" >&2
         rm -rf "$tmp"; return 1
     fi
     rm -rf "$tmp"

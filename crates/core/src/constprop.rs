@@ -1,4 +1,4 @@
-//! A third framework instance: sparse **constant propagation**.
+//! A third framework instance: **constant propagation**, sparse and dense.
 //!
 //! The paper's related-work section traces sparse analysis to constant
 //! propagation (Reif & Lewis 1977; Wegman & Zadeck's conditional constant
@@ -13,19 +13,26 @@
 //! pointers delegated to the pre-analysis (constants don't track targets;
 //! stores through pointers use the pre-analysis' points-to sets for their
 //! def sets, exactly like the interval instance's D̂).
+//!
+//! [`ConstSpec`] is both halves of Lemma 1: a [`SparseSpec`] and the
+//! [`DenseSpec`] of the *base* engine (access-based localization, the
+//! interval instance's `localization_sets`, routed by the same
+//! [`dense::edge`] as every dense instance). Both read expressions through
+//! one evaluator and commands through one transfer — the sparse transfer of
+//! a non-call command is the dense one restricted to `D̂(c)`. The lattice has
+//! finite height and no widening, so each engine reaches its unique least
+//! fixpoint and the two must agree with `==`;
+//! [`crate::validate::check_lemma1`] holds them to it.
 
-use crate::budget::Budget;
 use crate::defuse::DefUse;
-use crate::depgen::{self, DataDeps, DepGenOptions};
-use crate::icfg::Icfg;
-use crate::preanalysis::{self, PreAnalysis};
+use crate::dense::{self, DenseSpec};
+use crate::icfg::{EdgeKind, Icfg, InEdge};
+use crate::interval::{localization_sets, InSets, OutSets};
+use crate::preanalysis::PreAnalysis;
 use crate::semantics;
 use crate::sparse::{self, Row, SparseSpec};
-use crate::stats::AnalysisStats;
-use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Lattice};
-use sga_ir::{BinOp, Cmd, Cp, Expr, Program, RelOp, UnOp};
-use sga_utils::stats::{peak_rss_bytes, Phase};
+use sga_ir::{BinOp, Cmd, Cp, Expr, LVal, Proc, ProcId, Program, RelOp, UnOp};
 use sga_utils::{FxHashMap, PMap};
 
 /// The flat constant lattice.
@@ -45,13 +52,7 @@ impl Lattice for Const {
     }
 
     fn le(&self, other: &Self) -> bool {
-        matches!(
-            (self, other),
-            (Const::Bot, _) | (_, Const::Top) | (Const::Val(_), Const::Val(_))
-        ) && match (self, other) {
-            (Const::Val(a), Const::Val(b)) => a == b,
-            _ => true,
-        }
+        matches!((self, other), (Const::Bot, _) | (_, Const::Top)) || self == other
     }
 
     fn join(&self, other: &Self) -> Self {
@@ -67,138 +68,159 @@ impl Lattice for Const {
 /// The constant state: locations to flat constants.
 pub type ConstState = PMap<AbsLoc, Const>;
 
-/// Result of a constant-propagation run.
-#[derive(Debug)]
-pub struct ConstResult {
-    /// Output bindings per control point (sparse: exactly `D̂(c)`).
-    pub values: FxHashMap<Cp, ConstState>,
-    /// Phase statistics.
-    pub stats: AnalysisStats,
+/// The binding of `l` in `s` (⊥ if unbound).
+pub(crate) fn get(s: &ConstState, l: &AbsLoc) -> Const {
+    s.get(l).copied().unwrap_or(Const::Bot)
 }
 
-impl ConstResult {
-    /// The constant bound for `l` at `cp`.
-    pub fn value_at(&self, cp: Cp, l: &AbsLoc) -> Const {
-        self.values
-            .get(&cp)
-            .and_then(|m| m.get(l))
-            .copied()
-            .unwrap_or(Const::Bot)
-    }
-
-    /// Number of point-location pairs proven constant.
-    pub fn constants_found(&self) -> usize {
-        self.values
-            .values()
-            .map(|m| m.iter().filter(|(_, v)| matches!(v, Const::Val(_))).count())
-            .sum()
-    }
-}
-
-/// Runs sparse constant propagation.
-pub fn analyze(program: &Program) -> ConstResult {
-    let total = Phase::start("total");
-    let pre_phase = Phase::start("pre");
-    let pre = preanalysis::run(program);
-    let pre_time = pre_phase.stop();
-    let icfg = Icfg::build(program, &pre);
-    let dep_phase = Phase::start("dep");
-    let du = crate::defuse::compute(program, &pre);
-    let deps = depgen::generate(program, &pre, &du, DepGenOptions::default());
-    let dep_time = dep_phase.stop();
-
-    let mut stats = AnalysisStats {
-        dep_time,
-        ..AnalysisStats::default()
-    };
-    stats.record_pre(&pre, pre_time);
-    stats.num_locs = du.locs.len();
-    stats.dep_edges = deps.stats.final_edges;
-
-    let spec = ConstSpec {
-        program,
-        pre: &pre,
-        du: &du,
-    };
-    let fix = Phase::start("fix");
-    let result = sparse::solve(
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &WideningPlan::naive(),
-        &Budget::unbounded(),
-    );
-    stats.fix_time = fix.stop();
-    stats.iterations = result.iterations;
-    stats.fix_work = result.work;
-    stats.total_time = total.stop();
-    stats.peak_mem_bytes = peak_rss_bytes();
-    ConstResult {
-        values: result.values,
-        stats,
-    }
-}
-
-/// Exposes the dependency structures for callers staging their own runs.
-pub fn prepare(program: &Program) -> (PreAnalysis, Icfg, DefUse, DataDeps) {
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
-    let du = crate::defuse::compute(program, &pre);
-    let deps = depgen::generate(program, &pre, &du, DepGenOptions::default());
-    (pre, icfg, du, deps)
-}
-
-struct ConstSpec<'p> {
+/// Both engines' specification of constant propagation over a staged unit.
+pub struct ConstSpec<'p> {
     program: &'p Program,
     pre: &'p PreAnalysis,
     du: &'p DefUse,
+    /// What a call edge passes each procedure, and what its return edge
+    /// hands back (the base engine's localization).
+    in_sets: InSets,
+    out_sets: OutSets,
 }
 
-/// The binding of `l` in the ascending row `s` (⊥ if unbound).
-fn bound(s: &[(AbsLoc, Const)], l: &AbsLoc) -> Const {
-    sparse::find(s, l).map_or(Const::Bot, |at| s[at].1)
-}
+impl<'p> ConstSpec<'p> {
+    /// The spec over `pre`'s points-to facts and `du`'s sets.
+    pub fn new(program: &'p Program, pre: &'p PreAnalysis, du: &'p DefUse) -> Self {
+        let (in_sets, out_sets) = localization_sets(program, du);
+        ConstSpec {
+            program,
+            pre,
+            du,
+            in_sets,
+            out_sets,
+        }
+    }
 
-impl ConstSpec<'_> {
-    fn eval(&self, e: &Expr, s: &[(AbsLoc, Const)]) -> Const {
+    /// `Ê(e)` with each location's binding given by `read`.
+    fn eval(&self, e: &Expr, read: &dyn Fn(&AbsLoc) -> Const) -> Const {
         match e {
             Expr::Const(n) => Const::Val(*n),
-            Expr::Var(x) => bound(s, &AbsLoc::Var(*x)),
-            Expr::Field(x, f) => bound(s, &AbsLoc::Field(*x, *f)),
+            Expr::Var(x) => read(&AbsLoc::Var(*x)),
+            Expr::Field(x, f) => read(&AbsLoc::Field(*x, *f)),
             Expr::Deref(_) | Expr::DerefField(_, _) => {
-                // Loads join over the pre-analysis' targets.
-                let mut targets = Vec::new();
-                semantics::used_locs(self.program, e, &self.pre.state, &mut targets);
-                let mut acc = Const::Bot;
-                for l in targets {
-                    acc = acc.join(&bound(s, &l));
-                }
-                // The used-locs set includes the pointer itself; joining it
-                // in is sound but noisy — ⊤ is the honest answer unless all
-                // agree.
-                acc
+                // A load joins over the pre-analysis' `Û(e)`: the targets
+                // and the pointer itself — sound but noisy; ⊤ is the honest
+                // answer unless all agree.
+                let mut used = Vec::new();
+                semantics::used_locs(self.program, e, &self.pre.state, &mut used);
+                used.iter().fold(Const::Bot, |acc, l| acc.join(&read(l)))
             }
             // Addresses and unknowns are not integer constants.
             Expr::AddrOf(_) | Expr::AddrOfField(_, _) | Expr::AddrOfProc(_) | Expr::Unknown => {
                 Const::Top
             }
-            Expr::Unop(op, a) => match (op, self.eval(a, s)) {
+            Expr::Unop(op, a) => match (op, self.eval(a, read)) {
                 (_, Const::Bot) => Const::Bot,
                 (UnOp::Neg, Const::Val(n)) => Const::Val(n.wrapping_neg()),
                 (UnOp::Not, Const::Val(n)) => Const::Val(i64::from(n == 0)),
                 (UnOp::BitNot, Const::Val(n)) => Const::Val(!n),
                 _ => Const::Top,
             },
-            Expr::Binop(op, a, b) => {
-                let (va, vb) = (self.eval(a, s), self.eval(b, s));
-                match (va, vb) {
-                    (Const::Bot, _) | (_, Const::Bot) => Const::Bot,
-                    (Const::Val(x), Const::Val(y)) => eval_binop(*op, x, y),
-                    _ => Const::Top,
+            Expr::Binop(op, a, b) => match (self.eval(a, read), self.eval(b, read)) {
+                (Const::Bot, _) | (_, Const::Bot) => Const::Bot,
+                (Const::Val(x), Const::Val(y)) => eval_binop(*op, x, y),
+                _ => Const::Top,
+            },
+        }
+    }
+
+    /// `s` with `v` written through `lv`, whose targets the pre-analysis
+    /// gives: a strong update on a unique non-summary target, a weak one on
+    /// each otherwise.
+    fn store(&self, mut s: ConstState, lv: &LVal, v: Const) -> ConstState {
+        let (targets, strong) = semantics::lval_targets(self.program, lv, &self.pre.state);
+        for &l in &targets {
+            let v = if strong { v } else { get(&s, &l).join(&v) };
+            s = s.insert(l, v);
+        }
+        s
+    }
+
+    /// [`ConstSpec::store`] through a call's return l-value, if it has one.
+    fn store_ret(&self, s: ConstState, ret: Option<&LVal>, v: Const) -> ConstState {
+        match ret {
+            Some(lv) => self.store(s, lv, v),
+            None => s,
+        }
+    }
+
+    /// `s` with `callee`'s formals bound to `args` evaluated over `read` (⊤
+    /// for a missing actual).
+    fn bind_formals(
+        &self,
+        mut s: ConstState,
+        callee: &Proc,
+        args: &[Expr],
+        read: &dyn Fn(&AbsLoc) -> Const,
+    ) -> ConstState {
+        for (i, &p) in callee.params.iter().enumerate() {
+            let v = args.get(i).map_or(Const::Top, |a| self.eval(a, read));
+            s = s.insert(AbsLoc::Var(p), v);
+        }
+        s
+    }
+
+    /// The node transfer `f̂_c` over a whole state, one for both engines.
+    /// Calls bind nothing at their node (their bindings live on the ICFG
+    /// edges, see [`semantics`]); constants do not refine on conditions, so
+    /// `assume` is the identity too.
+    fn transfer_state(&self, cp: Cp, s: &ConstState) -> ConstState {
+        let read = |l: &AbsLoc| get(s, l);
+        match self.program.cmd(cp) {
+            Cmd::Skip | Cmd::Assume(_) | Cmd::Call { .. } => s.clone(),
+            Cmd::Assign(lv, e) => self.store(s.clone(), lv, self.eval(e, &read)),
+            // An address, not an integer constant.
+            Cmd::Alloc(lv, _) => self.store(s.clone(), lv, Const::Top),
+            Cmd::Return(e) => s.insert(
+                AbsLoc::Var(self.program.procs[cp.proc].ret_var),
+                e.as_ref().map_or(Const::Bot, |e| self.eval(e, &read)),
+            ),
+        }
+    }
+
+    /// What the dense base fixpoint `post` binds at `cp`: its post-state,
+    /// or at a call — whose effects the engine binds on the edges leaving
+    /// it — the join of what the call's own return edges carry into its CFG
+    /// successors. A successor's whole input is not it: other paths may
+    /// join there too.
+    pub(crate) fn dense_binding(
+        &self,
+        icfg: &Icfg,
+        post: &FxHashMap<Cp, ConstState>,
+        cp: Cp,
+    ) -> ConstState {
+        if !matches!(self.program.cmd(cp), Cmd::Call { .. }) {
+            return post.get(&cp).cloned().unwrap_or_default();
+        }
+        let ours = |e: &&InEdge| match e.kind {
+            EdgeKind::Return { site } | EdgeKind::ExternalRet { site } => site == cp,
+            EdgeKind::Intra | EdgeKind::Call { .. } => false,
+        };
+        let mut acc = PMap::new();
+        for &s in self.program.procs[cp.proc].succs_of(cp.node) {
+            let succ = Cp::new(cp.proc, s);
+            for e in icfg.incoming(succ).iter().filter(ours) {
+                if let Some(v) = dense::edge(self.program, self, post, succ, e) {
+                    acc = self.join(&acc, &v);
                 }
             }
         }
+        acc
+    }
+
+    /// The state entering `main`: its parameters are unknown.
+    fn initial_state(&self) -> ConstState {
+        let params = &self.program.procs[self.program.main].params;
+        params
+            .iter()
+            .map(|&p| (AbsLoc::Var(p), Const::Top))
+            .collect()
     }
 }
 
@@ -208,20 +230,9 @@ fn eval_binop(op: BinOp, x: i64, y: i64) -> Const {
         BinOp::Add => Const::Val(x.wrapping_add(y)),
         BinOp::Sub => Const::Val(x.wrapping_sub(y)),
         BinOp::Mul => Const::Val(x.wrapping_mul(y)),
-        BinOp::Div => {
-            if y == 0 {
-                Const::Top
-            } else {
-                Const::Val(x.wrapping_div(y))
-            }
-        }
-        BinOp::Mod => {
-            if y == 0 {
-                Const::Top
-            } else {
-                Const::Val(x.wrapping_rem(y))
-            }
-        }
+        BinOp::Div | BinOp::Mod if y == 0 => Const::Top,
+        BinOp::Div => Const::Val(x.wrapping_div(y)),
+        BinOp::Mod => Const::Val(x.wrapping_rem(y)),
         BinOp::Cmp(RelOp::Lt) => cmp(x < y),
         BinOp::Cmp(RelOp::Le) => cmp(x <= y),
         BinOp::Cmp(RelOp::Gt) => cmp(x > y),
@@ -243,13 +254,7 @@ impl SparseSpec for ConstSpec<'_> {
     }
 
     fn initial(&self) -> Row<AbsLoc, Const> {
-        let params = &self.program.procs[self.program.main].params;
-        let mut seeded: Row<AbsLoc, Const> = params
-            .iter()
-            .map(|&p| (AbsLoc::Var(p), Const::Top))
-            .collect();
-        seeded.sort_unstable_by_key(|e| e.0);
-        seeded
+        self.initial_state().to_sorted_vec()
     }
 
     fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
@@ -260,103 +265,131 @@ impl SparseSpec for ConstSpec<'_> {
         *v != Const::Bot
     }
 
+    /// A non-call command is the dense engine's transfer; a call relays
+    /// `pre ⊔ ret`, binds the formals of every internal target to the
+    /// actuals over `pre`, and writes the joined return values (⊤ from an
+    /// external target) through its return l-value. Restricted to `D̂(cp)`.
     fn transfer(
         &self,
         cp: Cp,
-        pre_in: &[(AbsLoc, Const)],
-        ret_in: &[(AbsLoc, Const)],
+        pre: &[(AbsLoc, Const)],
+        ret: &[(AbsLoc, Const)],
     ) -> Row<AbsLoc, Const> {
-        let mut post: ConstState = PMap::from_sorted_vec(sparse::join_rows(pre_in, ret_in));
-        match self.program.cmd(cp) {
-            Cmd::Skip | Cmd::Assume(_) => {
-                // Constants don't refine on conditions (that's what makes
-                // this *unconditional* constant propagation); assume nodes
-                // just relay their refined variables.
-            }
-            Cmd::Assign(lv, e) | Cmd::Alloc(lv, e) => {
-                let v = if matches!(self.program.cmd(cp), Cmd::Alloc(_, _)) {
-                    Const::Top // an address, not an integer constant
-                } else {
-                    self.eval(e, pre_in)
-                };
-                let (targets, strong) = semantics::lval_targets(self.program, lv, &self.pre.state);
-                if strong && targets.as_singleton().is_some() {
-                    post = post.insert(targets.as_singleton().expect("checked"), v);
-                } else {
-                    for &l in &targets {
-                        let old = post.get(&l).copied().unwrap_or(Const::Bot);
-                        post = post.insert(l, old.join(&v));
-                    }
+        let post = match self.program.cmd(cp) {
+            Cmd::Call {
+                ret: ret_lv, args, ..
+            } => {
+                let read_pre = |l: &AbsLoc| row_bound(pre, l);
+                let mut post = PMap::from_sorted_vec(sparse::join_rows(pre, ret));
+                let targets = self.pre.call_targets(cp);
+                let procs = &self.program.procs;
+                let external = targets.is_empty() || targets.iter().any(|&t| procs[t].is_external);
+                let mut ret_val = if external { Const::Top } else { Const::Bot };
+                for callee in targets
+                    .iter()
+                    .map(|&t| &procs[t])
+                    .filter(|p| !p.is_external)
+                {
+                    post = self.bind_formals(post, callee, args, &read_pre);
+                    ret_val = ret_val.join(&row_bound(ret, &AbsLoc::Var(callee.ret_var)));
                 }
+                self.store_ret(post, ret_lv.as_ref(), ret_val)
             }
-            Cmd::Return(e) => {
-                let v = match e {
-                    Some(e) => self.eval(e, pre_in),
-                    None => Const::Bot,
-                };
-                post = post.insert(AbsLoc::Var(self.program.procs[cp.proc].ret_var), v);
-            }
-            Cmd::Call { ret, args, .. } => {
-                let mut ret_val = Const::Bot;
-                let mut any_internal = false;
-                for &t in self.pre.call_targets(cp) {
-                    let callee = &self.program.procs[t];
-                    if callee.is_external {
-                        continue;
-                    }
-                    any_internal = true;
-                    for (i, &p) in callee.params.iter().enumerate() {
-                        let v = match args.get(i) {
-                            Some(a) => self.eval(a, pre_in),
-                            None => Const::Top,
-                        };
-                        post = post.insert(AbsLoc::Var(p), v);
-                    }
-                    ret_val = ret_val.join(&bound(ret_in, &AbsLoc::Var(callee.ret_var)));
-                }
-                let external = !any_internal
-                    || self
-                        .pre
-                        .call_targets(cp)
-                        .iter()
-                        .any(|&t| self.program.procs[t].is_external);
-                if external {
-                    ret_val = ret_val.join(&Const::Top);
-                }
-                if let Some(lv) = ret {
-                    let (targets, strong) =
-                        semantics::lval_targets(self.program, lv, &self.pre.state);
-                    if strong && targets.as_singleton().is_some() {
-                        post = post.insert(targets.as_singleton().expect("checked"), ret_val);
-                    } else {
-                        for &l in &targets {
-                            let old = post.get(&l).copied().unwrap_or(Const::Bot);
-                            post = post.insert(l, old.join(&ret_val));
-                        }
-                    }
-                }
-            }
-        }
-        // Restrict to D̂(cp).
-        let defs = self.du.defs(cp);
-        let mut out = Row::with_capacity(defs.len());
-        for l in defs {
-            if let Some(v) = post.get(l) {
-                if *v != Const::Bot {
-                    out.push((*l, *v));
-                }
-            }
-        }
-        out
+            _ => self.transfer_state(cp, &PMap::from_sorted_vec(pre.to_vec())),
+        };
+        self.du
+            .defs(cp)
+            .iter()
+            .map(|l| (*l, get(&post, l)))
+            .filter(|(_, v)| *v != Const::Bot)
+            .collect()
+    }
+}
+
+/// The binding of `l` in the ascending row `s` (⊥ if unbound).
+fn row_bound(s: &[(AbsLoc, Const)], l: &AbsLoc) -> Const {
+    sparse::find(s, l).map_or(Const::Bot, |at| s[at].1)
+}
+
+/// The base engine: [`dense::edge`]'s routing with the interval instance's
+/// localization sets.
+impl DenseSpec for ConstSpec<'_> {
+    type St = ConstState;
+
+    fn bottom(&self) -> ConstState {
+        PMap::new()
+    }
+
+    fn initial(&self) -> ConstState {
+        self.initial_state()
+    }
+
+    fn transfer(&self, cp: Cp, input: &ConstState) -> ConstState {
+        self.transfer_state(cp, input)
+    }
+
+    fn bind_args(&self, callee: ProcId, args: &[Expr], s: &ConstState) -> ConstState {
+        let callee = &self.program.procs[callee];
+        self.bind_formals(s.clone(), callee, args, &|l| get(s, l))
+    }
+
+    fn bind_return(&self, callee: ProcId, ret: Option<&LVal>, s: &ConstState) -> ConstState {
+        let v = get(s, &AbsLoc::Var(self.program.procs[callee].ret_var));
+        self.store_ret(s.clone(), ret, v)
+    }
+
+    fn bind_external(&self, ret: Option<&LVal>, s: &ConstState) -> ConstState {
+        self.store_ret(s.clone(), ret, Const::Top)
+    }
+
+    fn passed_to(&self, callee: ProcId, s: &ConstState) -> Option<ConstState> {
+        let keep = &self.in_sets[callee];
+        Some(s.filter(|l, _| keep.contains(l)))
+    }
+
+    fn handed_back(&self, callee: ProcId, s: &ConstState) -> Option<ConstState> {
+        let keep = &self.out_sets[callee];
+        Some(s.filter(|l, _| keep.contains(l)))
+    }
+
+    fn join(&self, a: &ConstState, b: &ConstState) -> ConstState {
+        a.union_with(b, |_, x, y| x.join(y))
+    }
+
+    fn widen(&self, a: &ConstState, b: &ConstState) -> ConstState {
+        self.join(a, b)
+    }
+
+    fn narrow(&self, a: &ConstState, _: &ConstState) -> ConstState {
+        a.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
+    use crate::interval::{AnalyzeOptions, Pipeline};
+    use crate::sparse::SparseResult;
+    use crate::widening::WideningPlan;
     use sga_cfront::parse;
     use sga_domains::lattice::laws::{check_join_laws, check_widen_narrow_laws};
-    use sga_ir::{LVal, VarId};
+    use sga_ir::VarId;
+
+    /// Sparse constant propagation over `program` staged with the default
+    /// options.
+    fn analyze(program: &Program) -> SparseResult<AbsLoc, Const> {
+        let staged = Pipeline::prepare(program, AnalyzeOptions::default());
+        let spec = ConstSpec::new(program, &staged.pre, &staged.du);
+        sparse::solve(
+            program,
+            &staged.icfg,
+            &staged.deps,
+            &spec,
+            &WideningPlan::naive(),
+            &Budget::unbounded(),
+        )
+    }
 
     fn var(program: &Program, name: &str) -> VarId {
         program
@@ -374,6 +407,11 @@ mod tests {
             .filter(|cp| matches!(program.cmd(*cp), Cmd::Assign(LVal::Var(x), _) if *x == v))
             .last()
             .unwrap_or_else(|| panic!("no assignment to {name}"))
+    }
+
+    /// The constant bound to `name` at its last assignment.
+    fn at_last_def(program: &Program, r: &SparseResult<AbsLoc, Const>, name: &str) -> Const {
+        r.value(last_def(program, name), &AbsLoc::Var(var(program, name)))
     }
 
     #[test]
@@ -402,15 +440,15 @@ mod tests {
         )
         .unwrap();
         let r = analyze(&p);
-        assert_eq!(
-            r.value_at(last_def(&p, "b"), &AbsLoc::Var(var(&p, "b"))),
-            Const::Val(5)
-        );
-        assert_eq!(
-            r.value_at(last_def(&p, "c"), &AbsLoc::Var(var(&p, "c"))),
-            Const::Val(50)
-        );
-        assert!(r.constants_found() >= 3);
+        assert_eq!(at_last_def(&p, &r, "b"), Const::Val(5));
+        assert_eq!(at_last_def(&p, &r, "c"), Const::Val(50));
+        let constants = r
+            .values
+            .values()
+            .flat_map(|m| m.values())
+            .filter(|v| matches!(v, Const::Val(_)))
+            .count();
+        assert!(constants >= 3);
     }
 
     #[test]
@@ -428,14 +466,8 @@ mod tests {
         )
         .unwrap();
         let r = analyze(&p);
-        assert_eq!(
-            r.value_at(last_def(&p, "y"), &AbsLoc::Var(var(&p, "y"))),
-            Const::Top
-        );
-        assert_eq!(
-            r.value_at(last_def(&p, "w"), &AbsLoc::Var(var(&p, "w"))),
-            Const::Val(3)
-        );
+        assert_eq!(at_last_def(&p, &r, "y"), Const::Top);
+        assert_eq!(at_last_def(&p, &r, "w"), Const::Val(3));
     }
 
     #[test]
@@ -452,12 +484,8 @@ mod tests {
         .unwrap();
         let r = analyze(&p);
         // i varies; k is loop-invariant and stays constant.
-        assert_eq!(
-            r.value_at(last_def(&p, "m"), &AbsLoc::Var(var(&p, "m"))),
-            Const::Val(42)
-        );
-        let i_def = last_def(&p, "i");
-        assert_eq!(r.value_at(i_def, &AbsLoc::Var(var(&p, "i"))), Const::Top);
+        assert_eq!(at_last_def(&p, &r, "m"), Const::Val(42));
+        assert_eq!(at_last_def(&p, &r, "i"), Const::Top);
     }
 
     #[test]
@@ -474,10 +502,7 @@ mod tests {
         )
         .unwrap();
         let r = analyze(&p);
-        assert_eq!(
-            r.value_at(last_def(&p, "r"), &AbsLoc::Var(var(&p, "r"))),
-            Const::Val(7)
-        );
+        assert_eq!(at_last_def(&p, &r, "r"), Const::Val(7));
     }
 
     #[test]

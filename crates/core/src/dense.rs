@@ -4,19 +4,20 @@
 //! Computes `lfp F̂` where `F̂(X)(c) = f̂_c(⊔_{c' ↪ c} X(c'))` (equation (3)
 //! of the paper), generalized with per-edge transfers for the
 //! interprocedural edges. One engine serves both the `vanilla` and `base`
-//! analyzers (they differ only in their [`DenseSpec::edge`] implementation)
-//! and both the interval and octagon instances (they differ in the state
-//! type).
+//! analyzers (they differ only in whether [`DenseSpec::passed_to`] and
+//! [`DenseSpec::handed_back`] localize) and every instance (they differ in
+//! the state type and its bindings); the call/return routing is [`edge`],
+//! written once.
 //!
 //! The solve runs an ascending phase with widening at the ICFG's widening
 //! points, then bounded descending (narrowing) rounds — the "conventional
 //! widening operator" setup of §6.1.
 
 use crate::budget::Budget;
-use crate::icfg::{Icfg, InEdge};
+use crate::icfg::{EdgeKind, Icfg, InEdge};
 use crate::widening::WideningPlan;
 use sga_domains::Thresholds;
-use sga_ir::{Cp, Program};
+use sga_ir::{Cmd, Cp, Expr, LVal, ProcId, Program};
 use sga_utils::FxHashMap;
 use std::collections::BTreeSet;
 
@@ -34,15 +35,25 @@ pub trait DenseSpec {
     /// The node transfer function `f̂_c`.
     fn transfer(&self, cp: Cp, input: &Self::St) -> Self::St;
 
-    /// The edge transfer into `dst`; `lookup` gives access to other points'
-    /// post-states (the localized return join needs the call site's state).
-    fn edge(
-        &self,
-        dst: Cp,
-        edge: &InEdge,
-        src_post: &Self::St,
-        lookup: &dyn Fn(Cp) -> Option<Self::St>,
-    ) -> Self::St;
+    /// Call-edge binding: `s` with `callee`'s formals bound to `args`, read
+    /// over `s` (an unknown integer for a missing actual).
+    fn bind_args(&self, callee: ProcId, args: &[Expr], s: &Self::St) -> Self::St;
+
+    /// Return-edge binding: `s` with `callee`'s return value written
+    /// through `ret`.
+    fn bind_return(&self, callee: ProcId, ret: Option<&LVal>, s: &Self::St) -> Self::St;
+
+    /// External-return binding: `s` with an unknown result written through
+    /// `ret`.
+    fn bind_external(&self, ret: Option<&LVal>, s: &Self::St) -> Self::St;
+
+    /// Base localization: `s` cut to what a call edge passes `callee`, or
+    /// `None` for the vanilla engine, which passes whole states.
+    fn passed_to(&self, callee: ProcId, s: &Self::St) -> Option<Self::St>;
+
+    /// Base localization: `s` cut to the effects `callee`'s return edge
+    /// hands back, or `None` for the vanilla engine.
+    fn handed_back(&self, callee: ProcId, s: &Self::St) -> Option<Self::St>;
 
     /// Least upper bound.
     fn join(&self, a: &Self::St, b: &Self::St) -> Self::St;
@@ -95,7 +106,7 @@ pub fn solve<S: DenseSpec>(program: &Program, icfg: &Icfg, spec: &S) -> DenseRes
 }
 
 /// The state flowing into `cp` under the post-states `post`: the join of
-/// its ICFG in-edges through [`DenseSpec::edge`], plus the initial state at
+/// its ICFG in-edges through [`edge`], plus the initial state at
 /// `main`'s entry — what the solver feeds `f̂_c`, and what a query of a
 /// finished result reads.
 pub fn input<S: DenseSpec>(
@@ -110,14 +121,55 @@ pub fn input<S: DenseSpec>(
     } else {
         spec.bottom()
     };
-    let lookup = |q: Cp| post.get(&q).cloned();
     for e in icfg.incoming(cp) {
-        if let Some(src_post) = post.get(&e.src) {
-            let v = spec.edge(cp, e, src_post, &lookup);
+        if let Some(v) = edge(program, spec, post, cp, e) {
             acc = spec.join(&acc, &v);
         }
     }
     acc
+}
+
+/// What the ICFG edge `e` into `dst` carries under the post-states `post`
+/// (`None` while its source has none): the call/return routing of every
+/// dense instance. An intraprocedural edge passes the state on, a call edge
+/// binds the callee's formals, an external return writes an unknown result,
+/// and a return edge writes the callee's return value through the call's
+/// l-value. Under base localization a call edge passes only what the callee
+/// accesses, and a return edge first joins the callee's effects with the
+/// caller's state at the call (a weak return join).
+pub fn edge<S: DenseSpec>(
+    program: &Program,
+    spec: &S,
+    post: &FxHashMap<Cp, S::St>,
+    dst: Cp,
+    e: &InEdge,
+) -> Option<S::St> {
+    let src_post = post.get(&e.src)?;
+    let call = |site: Cp| match program.cmd(site) {
+        Cmd::Call { ret, args, .. } => (ret.as_ref(), args.as_slice()),
+        _ => unreachable!("interprocedural edge from a non-call site"),
+    };
+    Some(match e.kind {
+        EdgeKind::Intra => src_post.clone(),
+        EdgeKind::Call { site } => {
+            let bound = spec.bind_args(dst.proc, call(site).1, src_post);
+            spec.passed_to(dst.proc, &bound).unwrap_or(bound)
+        }
+        EdgeKind::Return { site } => {
+            let callee = e.src.proc;
+            match spec.handed_back(callee, src_post) {
+                Some(effects) => {
+                    let merged = match post.get(&site) {
+                        Some(caller) => spec.join(caller, &effects),
+                        None => effects,
+                    };
+                    spec.bind_return(callee, call(site).0, &merged)
+                }
+                None => spec.bind_return(callee, call(site).0, src_post),
+            }
+        }
+        EdgeKind::ExternalRet { site } => spec.bind_external(call(site).0, src_post),
+    })
 }
 
 /// Runs the dense analysis to its (narrowed) fixpoint.

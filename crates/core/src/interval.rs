@@ -19,14 +19,14 @@ use crate::defuse::{self, DefUse};
 use crate::dense::{self, DenseSpec};
 use crate::depgen::{self, DataDeps, DepGenOptions};
 use crate::depstore::DepBackend;
-use crate::icfg::{EdgeKind, Icfg, InEdge};
+use crate::icfg::Icfg;
 use crate::preanalysis::{self, PreAnalysis};
 use crate::semantics::{self, Env};
 use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningPlan};
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
-use sga_ir::{Cmd, Cp, ProcId, Program};
+use sga_ir::{Cmd, Cp, Expr, LVal, ProcId, Program};
 use sga_utils::stats::{peak_rss_bytes, Phase};
 use sga_utils::{FxHashMap, IndexVec};
 
@@ -328,10 +328,10 @@ pub(crate) fn with_inputs<T>(program: &Program, engine: Engine, f: impl FnOnce(&
 
 /// Localization sets per procedure: what flows in at a call edge and what
 /// flows back at a return edge.
-type InSets = IndexVec<ProcId, LocSet>;
-type OutSets = IndexVec<ProcId, LocSet>;
+pub(crate) type InSets = IndexVec<ProcId, LocSet>;
+pub(crate) type OutSets = IndexVec<ProcId, LocSet>;
 
-fn localization_sets(program: &Program, du: &DefUse) -> (InSets, OutSets) {
+pub(crate) fn localization_sets(program: &Program, du: &DefUse) -> (InSets, OutSets) {
     let mut ins: InSets = IndexVec::with_capacity(program.procs.len());
     let mut outs: OutSets = IndexVec::with_capacity(program.procs.len());
     for (pid, proc) in program.procs.iter_enumerated() {
@@ -383,52 +383,33 @@ impl DenseSpec for IntervalDenseSpec<'_> {
         semantics::transfer(self.program, cp, input)
     }
 
-    fn edge(
-        &self,
-        dst: Cp,
-        edge: &InEdge,
-        src_post: &State,
-        lookup: &dyn Fn(Cp) -> Option<State>,
-    ) -> State {
-        match edge.kind {
-            EdgeKind::Intra => src_post.clone(),
-            EdgeKind::Call { site } => {
-                let callee = &self.program.procs[dst.proc];
-                let Cmd::Call { args, .. } = self.program.cmd(site) else {
-                    unreachable!("call edge from non-call site")
-                };
-                let bound = semantics::bind_args(self.program, callee, args, src_post);
-                if self.localize {
-                    bound.restrict(&self.in_sets[dst.proc])
-                } else {
-                    bound
-                }
-            }
-            EdgeKind::Return { site } => {
-                let callee_id = edge.src.proc;
-                let callee = &self.program.procs[callee_id];
-                let Cmd::Call { ret, .. } = self.program.cmd(site) else {
-                    unreachable!("return edge without call site")
-                };
-                if self.localize {
-                    // Access-based localization: the callee's effects on its
-                    // accessed locations meet the caller's state at the
-                    // return point (a weak return join).
-                    let effects = src_post.restrict(&self.out_sets[callee_id]);
-                    let caller = lookup(site).unwrap_or_default();
-                    let merged = caller.join(&effects);
-                    semantics::bind_return(self.program, callee, ret.as_ref(), &merged)
-                } else {
-                    semantics::bind_return(self.program, callee, ret.as_ref(), src_post)
-                }
-            }
-            EdgeKind::ExternalRet { site } => {
-                let Cmd::Call { ret, .. } = self.program.cmd(site) else {
-                    unreachable!("external-return edge without call site")
-                };
-                semantics::bind_external(self.program, ret.as_ref(), src_post)
-            }
-        }
+    fn bind_args(&self, callee: ProcId, args: &[Expr], s: &State) -> State {
+        let params = self.program.procs[callee].params.iter().enumerate();
+        params.fold(s.clone(), |out, (i, &p)| {
+            let arg = args.get(i);
+            let v = arg.map_or_else(Value::unknown_int, |a| semantics::eval(self.program, a, s));
+            out.set(AbsLoc::Var(p), v)
+        })
+    }
+
+    fn bind_return(&self, callee: ProcId, ret: Option<&LVal>, s: &State) -> State {
+        let Some(lv) = ret else { return s.clone() };
+        let v = s.get(&AbsLoc::Var(self.program.procs[callee].ret_var));
+        semantics::assign(self.program, s, lv, &v)
+    }
+
+    /// No side effects (§6); the result is an arbitrary integer.
+    fn bind_external(&self, ret: Option<&LVal>, s: &State) -> State {
+        let Some(lv) = ret else { return s.clone() };
+        semantics::assign(self.program, s, lv, &Value::unknown_int())
+    }
+
+    fn passed_to(&self, callee: ProcId, s: &State) -> Option<State> {
+        self.localize.then(|| s.restrict(&self.in_sets[callee]))
+    }
+
+    fn handed_back(&self, callee: ProcId, s: &State) -> Option<State> {
+        self.localize.then(|| s.restrict(&self.out_sets[callee]))
     }
 
     fn join(&self, a: &State, b: &State) -> State {

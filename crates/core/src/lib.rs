@@ -23,10 +23,10 @@
 //! * [`interval`] — the `Interval{vanilla,base,sparse}` analyzers of §6.1;
 //! * [`octagon`] — the packed relational instance of §4 and the
 //!   `Octagon{vanilla,base,sparse}` analyzers of §6.2;
-//! * [`constprop`] — a third instance, sparse constant propagation (the
-//!   original sparse analysis per the related-work lineage), built from the
-//!   same D̂/Û sets, dependencies and engine — the framework's genericity
-//!   demonstrated in code;
+//! * [`constprop`] — a third instance, constant propagation (the original
+//!   sparse analysis per the related-work lineage), sparse and dense base
+//!   from the same D̂/Û sets, dependencies and engines; it never widens, so
+//!   [`validate`] holds its two fixpoints equal with `==` (Lemma 1);
 //! * [`checker`] — the Sparrow-style buffer-overrun + null-deref client;
 //! * [`pathcond`] — dominator trees, dominating `assume` guard chains and
 //!   the sound guard-conjunction evaluation behind path-sensitive triage;

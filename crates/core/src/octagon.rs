@@ -31,7 +31,7 @@ use crate::defuse::DefUse;
 use crate::dense::{self, DenseSpec};
 use crate::depgen::{self, DataDeps, DepSource};
 use crate::depstore::{solved_points, CsrDeps};
-use crate::icfg::{EdgeKind, Icfg, InEdge};
+use crate::icfg::Icfg;
 use crate::interval::AnalyzeOptions;
 use crate::preanalysis::{self, PreAnalysis};
 use crate::sparse::{self, Row, SparseSpec};
@@ -1157,50 +1157,30 @@ impl DenseSpec for OctDenseSpec<'_> {
         self.sem.transfer(cp, input)
     }
 
-    fn edge(
-        &self,
-        dst: Cp,
-        edge: &InEdge,
-        src_post: &OctState,
-        lookup: &dyn Fn(Cp) -> Option<OctState>,
-    ) -> OctState {
-        let program = self.sem.program;
-        match edge.kind {
-            EdgeKind::Intra => src_post.clone(),
-            EdgeKind::Call { site } => {
-                let Cmd::Call { args, .. } = program.cmd(site) else {
-                    unreachable!("call edge from non-call site")
-                };
-                let bound = self.sem.bind_args(dst.proc, args, src_post);
-                if self.localize {
-                    let keep = &self.in_packs[dst.proc];
-                    bound.filter(|pid, _| keep.contains(pid))
-                } else {
-                    bound
-                }
-            }
-            EdgeKind::Return { site } => {
-                let callee = edge.src.proc;
-                let Cmd::Call { ret, .. } = program.cmd(site) else {
-                    unreachable!("return edge without call site")
-                };
-                if self.localize {
-                    let keep = &self.out_packs[callee];
-                    let effects = src_post.filter(|pid, _| keep.contains(pid));
-                    let caller = lookup(site).unwrap_or_default();
-                    let merged = join_st(&caller, &effects);
-                    self.sem.bind_return(callee, ret.as_ref(), &merged)
-                } else {
-                    self.sem.bind_return(callee, ret.as_ref(), src_post)
-                }
-            }
-            EdgeKind::ExternalRet { site } => {
-                let Cmd::Call { ret, .. } = program.cmd(site) else {
-                    unreachable!("external-return edge without call site")
-                };
-                self.sem.bind_external(ret.as_ref(), src_post)
-            }
-        }
+    fn bind_args(&self, callee: ProcId, args: &[Expr], st: &OctState) -> OctState {
+        self.sem.bind_args(callee, args, st)
+    }
+
+    fn bind_return(&self, callee: ProcId, ret: Option<&LVal>, st: &OctState) -> OctState {
+        self.sem.bind_return(callee, ret, st)
+    }
+
+    fn bind_external(&self, ret: Option<&LVal>, st: &OctState) -> OctState {
+        self.sem.bind_external(ret, st)
+    }
+
+    fn passed_to(&self, callee: ProcId, st: &OctState) -> Option<OctState> {
+        self.localize.then(|| {
+            let keep = &self.in_packs[callee];
+            st.filter(|pid, _| keep.contains(pid))
+        })
+    }
+
+    fn handed_back(&self, callee: ProcId, st: &OctState) -> Option<OctState> {
+        self.localize.then(|| {
+            let keep = &self.out_packs[callee];
+            st.filter(|pid, _| keep.contains(pid))
+        })
     }
 
     fn join(&self, a: &OctState, b: &OctState) -> OctState {

@@ -9,13 +9,14 @@
 //! it gathered, and neither converts.
 //!
 //! Call commands write nothing — parameter binding and return binding live
-//! on ICFG *edges* ([`bind_args`], [`bind_return`]) so that the same node
+//! on ICFG *edges* ([`crate::dense::DenseSpec::bind_args`] and the rest; the
+//! sparse instance binds them in its call transfer) so that the same node
 //! semantics serves every engine.
 
 use sga_domains::array::ArrayBlk;
 use sga_domains::locs::AllocSite;
 use sga_domains::{AbsLoc, Interval, Lattice, LocSet, State, Value};
-use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, FieldId, LVal, Proc, Program, RelOp, UnOp};
+use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, FieldId, LVal, Program, RelOp, UnOp};
 
 /// A read-only abstract state: what the semantics may ask of its input.
 pub trait Env {
@@ -359,34 +360,6 @@ pub fn transfer(program: &Program, cp: Cp, s: &State) -> State {
 /// weak update otherwise.
 pub fn assign(program: &Program, s: &State, lv: &LVal, v: &Value) -> State {
     with_writes(s, |mut sink| store(program, lv, v.clone(), s, &mut sink))
-}
-
-/// Call-edge transfer: binds actuals to the callee's formals in the
-/// caller's post-call-node state.
-pub fn bind_args(program: &Program, callee: &Proc, args: &[Expr], s: &State) -> State {
-    let mut out = s.clone();
-    for (i, &p) in callee.params.iter().enumerate() {
-        let v = match args.get(i) {
-            Some(a) => eval(program, a, s),
-            None => Value::unknown_int(),
-        };
-        out = out.set(AbsLoc::Var(p), v);
-    }
-    out
-}
-
-/// Return-edge transfer: assigns the callee's return variable into the call
-/// site's return l-value.
-pub fn bind_return(program: &Program, callee: &Proc, ret: Option<&LVal>, s: &State) -> State {
-    let Some(lv) = ret else { return s.clone() };
-    assign(program, s, lv, &s.get(&AbsLoc::Var(callee.ret_var)))
-}
-
-/// Models a call to an external procedure: the return l-value becomes an
-/// arbitrary integer; no side effects (§6).
-pub fn bind_external(program: &Program, ret: Option<&LVal>, s: &State) -> State {
-    let Some(lv) = ret else { return s.clone() };
-    assign(program, s, lv, &Value::unknown_int())
 }
 
 #[cfg(test)]

@@ -142,14 +142,14 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::dense::{self, DenseSpec};
-    use crate::icfg::{Icfg, InEdge};
+    use crate::icfg::Icfg;
     use crate::interval::{AnalyzeOptions, IntervalDenseSpec};
     use crate::sparse::{self, SparseSpec};
     use crate::widening::WideningPlan;
     use crate::{defuse, depgen, preanalysis, semantics};
     use sga_cfront::parse;
     use sga_domains::{Interval, LocSet, Thresholds};
-    use sga_ir::{Expr, RelOp};
+    use sga_ir::{Expr, ProcId, RelOp};
     use std::cell::Cell;
 
     /// The dense interval instance, every node evaluation checked: the fold
@@ -189,14 +189,20 @@ mod tests {
         fn initial(&self) -> State {
             self.spec.initial()
         }
-        fn edge(
-            &self,
-            dst: Cp,
-            edge: &InEdge,
-            src_post: &State,
-            lookup: &dyn Fn(Cp) -> Option<State>,
-        ) -> State {
-            self.spec.edge(dst, edge, src_post, lookup)
+        fn bind_args(&self, callee: ProcId, args: &[Expr], s: &State) -> State {
+            self.spec.bind_args(callee, args, s)
+        }
+        fn bind_return(&self, callee: ProcId, ret: Option<&LVal>, s: &State) -> State {
+            self.spec.bind_return(callee, ret, s)
+        }
+        fn bind_external(&self, ret: Option<&LVal>, s: &State) -> State {
+            self.spec.bind_external(ret, s)
+        }
+        fn passed_to(&self, callee: ProcId, s: &State) -> Option<State> {
+            self.spec.passed_to(callee, s)
+        }
+        fn handed_back(&self, callee: ProcId, s: &State) -> Option<State> {
+            self.spec.handed_back(callee, s)
         }
         fn join(&self, a: &State, b: &State) -> State {
             self.spec.join(a, b)

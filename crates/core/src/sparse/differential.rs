@@ -80,6 +80,14 @@ fn interval(program: &Program, options: AnalyzeOptions) -> (impl PartialEq, Outc
     let solved = interval_staged(program, options, |icfg, deps, spec, plan| {
         solve(program, icfg, deps, spec, plan, &options.budget)
     });
+    outcome_of_solve(program, solved)
+}
+
+/// The outcome of a [`solve`], read off its result.
+fn outcome_of_solve<L: Copy + Ord + Debug, V: Clone + Debug>(
+    program: &Program,
+    solved: SparseResult<L, V>,
+) -> (FxHashMap<Cp, PMap<L, V>>, Outcome, FixWork) {
     let outcome = Outcome {
         rendered: render(program, &solved.values),
         iterations: solved.iterations,
@@ -118,9 +126,12 @@ fn octagon(
 }
 
 fn constants(program: &Program) -> (impl PartialEq, Outcome, FixWork) {
-    let solved = constprop::analyze(program);
-    let outcome = outcome_of(program, &solved.values, &solved.stats);
-    (solved.values, outcome, solved.stats.fix_work)
+    let solved = interval_staged(program, AnalyzeOptions::default(), |icfg, deps, itv, _| {
+        let spec = constprop::ConstSpec::new(program, itv.pre, itv.du);
+        let naive = WideningPlan::naive();
+        solve(program, icfg, deps, &spec, &naive, &Budget::unbounded())
+    });
+    outcome_of_solve(program, solved)
 }
 
 /// The default options and each knob moved on its own: the three widening

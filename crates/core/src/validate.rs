@@ -12,15 +12,15 @@
 //!    solver's) and compares binding by binding. This also covers
 //!    *degraded* (budget-exhausted) results, whose post-fixpoint claim is
 //!    otherwise only an argument in a comment.
-//! 2. **Lemma 1.** The sparse and dense fixpoints agree on defined
-//!    entries — the sparse value of `l ∈ D̂(c)` and the dense value at the
-//!    same point must describe the same concrete states. Widening-point
-//!    placement differs between the engines (WTO heads vs dependency
-//!    cycles), so the two *iteration sequences* may settle on different
-//!    but comparable post-fixpoints; [`check_lemma1_interval`] therefore
-//!    counts comparable disagreement as `drift` and flags only
-//!    ⊑-incomparable bindings — those cannot both over-approximate one
-//!    least fixpoint trajectory and indicate a transfer/propagation bug.
+//! 2. **Lemma 1 (§2.7).** The sparse and dense fixpoints are *equal* on
+//!    defined entries. [`check_lemma1`] holds the constant-propagation
+//!    instance to it with `==`: sparse over the unit's own dependency
+//!    relation, dense base over its ICFG. The flat lattice has finite height
+//!    and no widening, so the least fixpoint is unique and any difference is
+//!    a lost or invented flow — in def/use, dependency generation, the
+//!    bypass, call/return routing or forwarding. No dense engine checks the
+//!    reported *interval* values; a self-consistent bug in their own call
+//!    transfer passes the post-fixpoint check, which replays it.
 //! 3. **Def. 5.** The def/use over-approximation must satisfy
 //!    `D̂(c) − D(c) ⊆ Û(c)`: every spurious definition is also a use, so
 //!    relayed values are propagated, not invented. Tavares et al. show
@@ -33,15 +33,19 @@
 //! the bench gate).
 
 use crate::budget::Budget;
+use crate::constprop::{self, ConstSpec};
 use crate::defuse::DefUse;
+use crate::dense;
 use crate::depgen::DataDeps;
 use crate::depstore::solved_points;
-use crate::interval::{self, AnalyzeOptions, Engine, IntervalResult, IntervalSparseSpec};
+use crate::icfg::Icfg;
+use crate::interval::{AnalyzeOptions, IntervalSparseSpec};
 use crate::preanalysis::PreAnalysis;
-use crate::sparse::SparseSpec;
+use crate::sparse::{self, SparseSpec};
+use crate::widening::WideningPlan;
 use sga_domains::lattice::Lattice;
 use sga_domains::{AbsLoc, Value};
-use sga_ir::{Cmd, Cp, Program};
+use sga_ir::{Cp, Program};
 use sga_utils::{FxHashMap, PMap};
 
 /// Cap on recorded violations per check — a genuinely broken transfer
@@ -54,7 +58,7 @@ const MAX_VIOLATIONS: usize = 64;
 pub enum CheckKind {
     /// `f̂_c(X̂) ⊑ X̂` failed at some point (§2.3).
     PostFixpoint,
-    /// Sparse and dense bindings are ⊑-incomparable on a defined entry
+    /// Sparse and dense constant propagation differ on a defined entry
     /// (Lemma 1).
     Lemma1,
     /// `D̂(c) − D(c) ⊆ Û(c)` failed (Def. 5).
@@ -119,26 +123,6 @@ impl CheckReport {
     }
 }
 
-/// Outcome of the Lemma 1 cross-check.
-#[derive(Clone, Debug, Default)]
-pub struct Lemma1Report {
-    /// Defined-entry bindings compared.
-    pub bindings: usize,
-    /// Bindings where sparse and dense agree exactly.
-    pub equal: usize,
-    /// Comparable-but-unequal bindings (different widening-point placement;
-    /// informational, not a violation).
-    pub drift: usize,
-    /// Whether the check was skipped (degraded fixpoints stop at
-    /// strategy-dependent post-fixpoints, so cross-engine comparison says
-    /// nothing).
-    pub skipped: bool,
-    /// ⊑-incomparable bindings — genuine violations.
-    pub violations: Vec<Violation>,
-    /// Violations beyond the cap.
-    pub suppressed: usize,
-}
-
 /// Everything the oracle found about one unit.
 #[derive(Clone, Debug, Default)]
 pub struct UnitValidation {
@@ -146,8 +130,8 @@ pub struct UnitValidation {
     pub interval: CheckReport,
     /// Post-fixpoint check over the octagon sparse result.
     pub octagon: CheckReport,
-    /// Sparse-vs-dense cross-check (interval domain).
-    pub lemma1: Lemma1Report,
+    /// Sparse-vs-dense equality (constant propagation).
+    pub lemma1: CheckReport,
     /// Def. 5 side-condition check.
     pub defuse: CheckReport,
     /// Driver-level violations (cache cross-check).
@@ -155,23 +139,20 @@ pub struct UnitValidation {
 }
 
 impl UnitValidation {
+    /// The four checks, in report order.
+    fn checks(&self) -> [&CheckReport; 4] {
+        [&self.interval, &self.octagon, &self.lemma1, &self.defuse]
+    }
+
     /// All violations, in deterministic report order.
     pub fn violations(&self) -> impl Iterator<Item = &Violation> + '_ {
-        self.interval
-            .violations
-            .iter()
-            .chain(&self.octagon.violations)
-            .chain(&self.lemma1.violations)
-            .chain(&self.defuse.violations)
-            .chain(&self.extra)
+        let checked = self.checks().into_iter().flat_map(|c| &c.violations);
+        checked.chain(&self.extra)
     }
 
     /// Violations dropped by the per-check caps.
     pub fn suppressed(&self) -> usize {
-        self.interval.suppressed
-            + self.octagon.suppressed
-            + self.lemma1.suppressed
-            + self.defuse.suppressed
+        self.checks().iter().map(|c| c.suppressed).sum()
     }
 
     /// Whether every check passed.
@@ -246,40 +227,57 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
     report
 }
 
-/// Cross-checks sparse vs dense interval bindings on defined entries
-/// (Lemma 1). Call points are skipped — the sparse engine parks parameter
-/// and relay bindings there that the dense engine scopes differently.
-/// Exact agreement is counted as `equal`, comparable disagreement (the
-/// engines widen at different point sets, so one may settle slightly above
-/// the other) as `drift`, and only ⊑-*incomparable* bindings — which no
-/// widening-placement argument can explain — become violations.
-pub fn check_lemma1_interval(
+/// Lemma 1 with `==`: solves sparse constant propagation over `du` and
+/// `deps` (the relation the interval instance ran on) and dense base
+/// constant propagation over an ICFG built from `pre`, and requires them
+/// equal at every point on
+///
+/// * every real definition `D(c)` (absent = ⊥ on both sides), and
+/// * every other `D̂(c)` entry the sparse result binds — with the §5 bypass
+///   on, relay points are contracted away and bind nothing by design.
+///
+/// A call binds its effects on the dense engine's ICFG edges, so a call's
+/// sparse row is compared with what its own return edges carry
+/// (`ConstSpec::dense_binding`); the callee formals it binds are passed
+/// on call edges and are left out.
+/// Unbounded on purpose: the lattice has finite height, so the check costs
+/// two fixpoints of bounded length and degraded units are checked too.
+pub fn check_lemma1(
     program: &Program,
-    sparse: &FxHashMap<Cp, PMap<AbsLoc, Value>>,
-    dense: &IntervalResult,
-) -> Lemma1Report {
-    let mut report = Lemma1Report::default();
+    pre: &PreAnalysis,
+    du: &DefUse,
+    deps: &DataDeps,
+) -> CheckReport {
+    let icfg = Icfg::build(program, pre);
+    let spec = ConstSpec::new(program, pre, du);
+    let naive = WideningPlan::naive();
+    let sparse = sparse::solve(program, &icfg, deps, &spec, &naive, &Budget::unbounded());
+    let dense = dense::solve(program, &icfg, &spec);
+    let mut report = CheckReport::default();
     for cp in solved_points(program) {
-        if matches!(program.cmd(cp), Cmd::Call { .. }) {
-            continue;
-        }
-        let Some(bindings) = sparse.get(&cp) else {
+        let Some(sets) = du.sets.get(&cp) else {
             continue;
         };
-        for (l, sv) in bindings.iter() {
+        report.points += 1;
+        let want = spec.dense_binding(&icfg, &dense.post, cp);
+        let formal = |l: &AbsLoc| {
+            let callees = pre.call_targets(cp).iter().map(|&t| &program.procs[t]);
+            callees
+                .flat_map(|p| &p.params)
+                .any(|&p| AbsLoc::Var(p) == *l)
+        };
+        let bound = sparse.values.get(&cp).into_iter().flat_map(PMap::keys);
+        let mut compared: Vec<AbsLoc> = sets.real_defs.iter().chain(bound).copied().collect();
+        compared.sort_unstable();
+        compared.dedup();
+        for l in compared.iter().filter(|l| !formal(l)) {
             report.bindings += 1;
-            let dv = dense.value_at(cp, l);
-            if *sv == dv {
-                report.equal += 1;
-            } else if sv.le(&dv) || dv.le(sv) {
-                report.drift += 1;
-            } else if report.violations.len() < MAX_VIOLATIONS {
-                report.violations.push(Violation::new(
+            let (got, expected) = (sparse.value(cp, l), constprop::get(&want, l));
+            if got != expected {
+                report.push(Violation::new(
                     CheckKind::Lemma1,
-                    format!("{cp}: {l:?}: sparse {sv:?} incomparable with dense {dv:?}"),
+                    format!("{cp}: {l:?}: sparse {got:?} \u{2260} dense {expected:?}"),
                 ));
-            } else {
-                report.suppressed += 1;
             }
         }
     }
@@ -323,16 +321,17 @@ pub struct ValidationInputs<'a> {
     pub deps: &'a DataDeps,
     /// The final sparse value map.
     pub sparse_values: &'a FxHashMap<Cp, PMap<AbsLoc, Value>>,
-    /// Whether the solve degraded (skips the Lemma 1 cross-check).
+    /// Whether the solve degraded. Read by no check (each holds for
+    /// degraded results too); stays because the frozen benchmark harness
+    /// writes this struct as an exhaustive literal.
     pub degraded: bool,
 }
 
 /// Runs all three oracle checks against one unit: the post-fixpoint check
 /// over the given interval result *and* over a freshly solved octagon
 /// result (both under `options.budget`, so degraded units are validated in
-/// their degraded form), the Lemma 1 sparse-vs-dense cross-check (exact
-/// fixpoints only — the dense reference runs unbounded), and the Def. 5
-/// side condition.
+/// their degraded form), Lemma 1 over the unit's relation
+/// ([`check_lemma1`]), and the Def. 5 side condition.
 pub fn validate_unit(
     program: &Program,
     inputs: &ValidationInputs<'_>,
@@ -347,25 +346,7 @@ pub fn validate_unit(
         check_sparse_post_fixpoint(program, inputs.deps, &spec, inputs.sparse_values);
     let octagon_report =
         crate::octagon::sparse_post_fixpoint_check(program, inputs.pre, inputs.du, options);
-    let lemma1 = if inputs.degraded {
-        Lemma1Report {
-            skipped: true,
-            ..Lemma1Report::default()
-        }
-    } else {
-        // The dense reference must be an exact fixpoint: a budget that the
-        // sparse solve survived could still degrade the (more iteration-
-        // hungry) dense solve and ruin comparability.
-        let dense = interval::analyze_with(
-            program,
-            Engine::Base,
-            AnalyzeOptions {
-                budget: Budget::unbounded(),
-                ..options
-            },
-        );
-        check_lemma1_interval(program, inputs.sparse_values, &dense)
-    };
+    let lemma1 = check_lemma1(program, inputs.pre, inputs.du, inputs.deps);
     let defuse = check_defuse_side_condition(program, inputs.du);
     UnitValidation {
         interval: interval_report,
@@ -397,43 +378,33 @@ mod tests {
         }
     "#;
 
-    /// The unit staged as [`Pipeline::prepare`] stages it, and its interval
-    /// sparse solve.
-    fn solve(
-        program: &Program,
+    /// The interval sparse solve of `staged`'s unit over `deps`, and
+    /// [`validate_unit`]'s verdict on it: the unit as the product would run
+    /// and check it had dependency generation produced `deps`.
+    fn validate_over(
+        staged: &Pipeline<'_>,
+        deps: &DataDeps,
         options: AnalyzeOptions,
-    ) -> (Pipeline<'_>, SparseResult<AbsLoc, Value>) {
-        let staged = Pipeline::prepare(program, options);
-        let spec = IntervalSparseSpec {
-            program,
-            pre: &staged.pre,
-            du: &staged.du,
+    ) -> (SparseResult<AbsLoc, Value>, UnitValidation) {
+        let (program, pre, du) = (staged.program, &staged.pre, &staged.du);
+        let spec = IntervalSparseSpec { program, pre, du };
+        let (icfg, plan) = (&staged.icfg, &staged.widening);
+        let solved = sparse::solve(program, icfg, deps, &spec, plan, &options.budget);
+        let inputs = ValidationInputs {
+            pre,
+            du,
+            deps,
+            sparse_values: &solved.values,
+            degraded: solved.degraded,
         };
-        let solved = sparse::solve(
-            program,
-            &staged.icfg,
-            &staged.deps,
-            &spec,
-            &staged.widening,
-            &options.budget,
-        );
-        (staged, solved)
+        let verdict = validate_unit(program, &inputs, options);
+        (solved, verdict)
     }
 
-    /// [`validate_unit`] over [`solve`]'s artifacts.
+    /// [`validate_unit`] of the unit staged as [`Pipeline::prepare`] stages it.
     fn validate(program: &Program, options: AnalyzeOptions) -> UnitValidation {
-        let (staged, solved) = solve(program, options);
-        validate_unit(
-            program,
-            &ValidationInputs {
-                pre: &staged.pre,
-                du: &staged.du,
-                deps: &staged.deps,
-                sparse_values: &solved.values,
-                degraded: solved.degraded,
-            },
-            options,
-        )
+        let staged = Pipeline::prepare(program, options);
+        validate_over(&staged, &staged.deps, options).1
     }
 
     #[test]
@@ -448,7 +419,7 @@ mod tests {
         assert!(v.interval.points > 0 && v.interval.bindings > 0);
         assert!(v.octagon.points > 0);
         assert!(v.defuse.bindings > 0);
-        assert!(!v.lemma1.skipped && v.lemma1.bindings > 0);
+        assert!(v.lemma1.points > 0 && v.lemma1.bindings > 0);
     }
 
     #[test]
@@ -458,37 +429,29 @@ mod tests {
             budget: Budget::with_max_steps(5),
             ..AnalyzeOptions::default()
         };
-        assert!(
-            solve(&program, options).1.degraded,
-            "budget of 5 steps must degrade this loop"
-        );
-        let v = validate(&program, options);
+        let staged = Pipeline::prepare(&program, options);
+        let (solved, v) = validate_over(&staged, &staged.deps, options);
+        assert!(solved.degraded, "budget of 5 steps must degrade this loop");
         assert!(
             v.is_valid(),
             "degraded result must still pass: {:?}",
             v.violations().map(Violation::render).collect::<Vec<_>>()
         );
-        assert!(v.lemma1.skipped, "lemma1 is skipped for degraded units");
+        assert!(v.lemma1.bindings > 0, "lemma1 checks degraded units too");
     }
 
     #[test]
     fn broken_result_is_caught_by_the_post_fixpoint_check() {
         let program = parse(LOOPY).unwrap();
-        let (staged, mut solved) = solve(&program, AnalyzeOptions::default());
+        let options = AnalyzeOptions::default();
+        let staged = Pipeline::prepare(&program, options);
+        let (mut solved, _) = validate_over(&staged, &staged.deps, options);
 
         // Sabotage: drop one point's stored bindings. The transfer pass
         // re-derives them from the (unchanged) inputs, so the oracle must
         // see bindings that are ⋢ the (now missing) stored state.
-        let victim = {
-            let mut cps: Vec<Cp> = solved
-                .values
-                .iter()
-                .filter(|(_, m)| !m.is_empty())
-                .map(|(cp, _)| *cp)
-                .collect();
-            cps.sort();
-            *cps.last().expect("analysis bound at least one point")
-        };
+        let bound = solved.values.iter().filter(|(_, m)| !m.is_empty());
+        let victim = *bound.map(|(cp, _)| cp).max().expect("some point is bound");
         solved.values.remove(&victim);
 
         let spec = IntervalSparseSpec {
@@ -507,9 +470,8 @@ mod tests {
     #[test]
     fn generated_corpus_units_validate_cleanly() {
         // The same seeds the pipeline tests and the benchmark corpus use:
-        // interprocedural generated code is where sparse/dense widening
-        // placement differs most, so this is the oracle's real proving
-        // ground for "drift is comparable, never incomparable".
+        // interprocedural generated code, where call/return routing and the
+        // bypass are exercised most, is Lemma 1's real proving ground.
         for seed in [11u64, 12, 0xFEED] {
             let source = sga_cgen::generate(&sga_cgen::GenConfig::sized(seed, 1));
             let program = parse(&source).unwrap();
@@ -520,6 +482,41 @@ mod tests {
                 v.violations().map(Violation::render).collect::<Vec<_>>()
             );
         }
+    }
+
+    /// A lost flow: dependency generation dropping edges. The interval
+    /// solve and its post-fixpoint re-check read the same broken relation,
+    /// so only Lemma 1 can see it. Over a sample of single-edge drops from a
+    /// generated unit, some drop makes [`validate_unit`] report a `lemma1`
+    /// violation, and the unmutated relation reports none.
+    #[test]
+    fn dropped_dependency_edges_are_caught_by_lemma1() {
+        let source = sga_cgen::generate(&sga_cgen::GenConfig::sized(11, 1));
+        let program = parse(&source).unwrap();
+        let options = AnalyzeOptions::default();
+        let staged = Pipeline::prepare(&program, options);
+        let (_, intact) = validate_over(&staged, &staged.deps, options);
+        assert!(intact.is_valid() && intact.lemma1.bindings > 0);
+
+        let mut edges: Vec<(Cp, u32, Cp)> = staged.deps.iter().collect();
+        edges.sort_unstable();
+        let stride = edges.len() / 41 + 1;
+        let caught = edges.iter().step_by(stride).any(|&(from, loc, to)| {
+            let mut deps =
+                crate::depgen::generate(&program, &staged.pre, &staged.du, options.depgen);
+            deps.out
+                .entry(from)
+                .and_modify(|row| row.retain(|&e| e != (loc, to)));
+            for into in [&mut deps.into, &mut deps.into_ret] {
+                into.entry(to)
+                    .and_modify(|row| row.retain(|&e| e != (loc, from)));
+            }
+            validate_over(&staged, &deps, options)
+                .1
+                .violations()
+                .any(|v| v.kind == CheckKind::Lemma1)
+        });
+        assert!(caught, "no sampled edge drop was caught by lemma1");
     }
 
     #[test]

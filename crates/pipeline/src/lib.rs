@@ -85,6 +85,10 @@ use std::time::Instant;
 
 /// Report schema version (`"schema"` field of the emitted JSON).
 ///
+/// v5, later: the `--validate`-only `validation` block lost `lemma1_equal`,
+/// `lemma1_drift` and `lemma1_skipped`; `lemma1_bindings` now counts
+/// [`sga_core::validate::check_lemma1`]'s constant-propagation comparison.
+///
 /// v5: discharge records carry a `method` (`octagon` | `path_infeasible`;
 /// absent in older reports means `octagon`) with path discharges' proving
 /// packs naming the dominating guard chain; totals grow `discharged_path`;
@@ -357,9 +361,6 @@ fn validation_json(v: &UnitValidation) -> Json {
         .with("interval_points", v.interval.points)
         .with("octagon_points", v.octagon.points)
         .with("lemma1_bindings", v.lemma1.bindings)
-        .with("lemma1_equal", v.lemma1.equal)
-        .with("lemma1_drift", v.lemma1.drift)
-        .with("lemma1_skipped", v.lemma1.skipped)
         .with("defuse_points", v.defuse.points)
         .with("violations", shown);
     let hidden = all.len().saturating_sub(MAX_RENDERED_VIOLATIONS) + v.suppressed();

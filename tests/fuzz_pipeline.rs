@@ -389,6 +389,30 @@ proptest! {
             }
         }
     }
+
+    /// Lemma 1 with `==`: the constant-propagation instance's sparse and
+    /// dense base fixpoints agree under `validate::check_lemma1`, with the
+    /// §5 bypass on and off.
+    #[test]
+    fn lemma1_holds_exactly_with_and_without_bypass(config in arb_config()) {
+        use sga::analysis::{defuse, depgen, preanalysis, validate};
+        let src = sga::cgen::generate(&config);
+        let program = sga::frontend::parse(&src)
+            .unwrap_or_else(|e| panic!("generated source must parse: {e}"));
+        let pre = preanalysis::run(&program);
+        let du = defuse::compute(&program, &pre);
+        for bypass in [true, false] {
+            let deps = depgen::generate(&program, &pre, &du, DepGenOptions { bypass });
+            let report = validate::check_lemma1(&program, &pre, &du, &deps);
+            prop_assert!(
+                report.violations.is_empty() && report.suppressed == 0,
+                "seed {}, bypass {bypass}: {:?}",
+                config.seed,
+                report.violations.iter().map(|v| v.render()).collect::<Vec<_>>()
+            );
+            prop_assert!(report.bindings > 0);
+        }
+    }
 }
 
 // Each case below spawns three full `sga analyze` child processes, so the

@@ -11,8 +11,12 @@
 //!   suite checks both against concrete runs). The overwhelming majority
 //!   must be exactly equal.
 //!
-//! Comparisons skip call nodes: the sparse engine stores parameter/relay
-//! bindings there, which dense engines keep on ICFG edges.
+//! * Constant propagation never widens, so there Lemma 1 holds with `==`
+//!   on every program, interprocedural ones included
+//!   (`constprop_sparse_equals_dense_base_exactly`).
+//!
+//! The interval comparisons skip call nodes: the sparse engine stores
+//! parameter/relay bindings there, which dense engines keep on ICFG edges.
 
 use sga::analysis::interval::{analyze, Engine, IntervalResult};
 use sga::domains::Lattice;
@@ -283,4 +287,76 @@ fn bypass_optimization_preserves_results() {
         }
     }
     assert!(checked > 100, "too few bindings compared: {checked}");
+}
+
+/// Lemma 1 verbatim on the instance with no widening: sparse constant
+/// propagation equals dense base constant propagation with `==` under
+/// `validate::check_lemma1`'s comparison rule (DESIGN.md §9), with the
+/// bypass on and off, on every file of `tests/alarms/`, a flat generated
+/// unit, one whose call-graph SCC holds 9 in 10 of its procedures, and
+/// three bare calls whose CFG successor is a join node.
+#[test]
+fn constprop_sparse_equals_dense_base_exactly() {
+    use sga::analysis::depgen::{self, DepGenOptions};
+    use sga::analysis::{defuse, preanalysis, validate};
+    let alarms = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
+    let mut units: Vec<(String, String)> = std::fs::read_dir(alarms)
+        .expect("tests/alarms must exist")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "c"))
+        .map(|p| {
+            (
+                p.display().to_string(),
+                std::fs::read_to_string(&p).unwrap(),
+            )
+        })
+        .collect();
+    assert!(units.len() >= 21, "the golden corpus went missing");
+    let flat = sga::cgen::GenConfig::sized(21, 1);
+    let scc = sga::cgen::GenConfig {
+        target_loc: 600,
+        functions: 20,
+        max_scc: 18,
+        ..sga::cgen::GenConfig::sized(22, 1)
+    };
+    units.push(("flat".into(), sga::cgen::generate(&flat)));
+    units.push(("scc".into(), sga::cgen::generate(&scc)));
+    // A bare call whose CFG successor other paths reach too (it ends a
+    // branch, a loop body, or precedes a shared exit): the call is compared
+    // with what its own return edges carry, not with the join there.
+    // Globals start at 0, so the call relays h = 0 while the join sees ⊤.
+    let f = "int h; void f() { h = 0; }";
+    for (what, main) in [
+        (
+            "call ends a branch",
+            "int main(int c) { if (c) f(); else h = 2; return h; }",
+        ),
+        (
+            "call ends a loop body",
+            "int main(int c) { h = 2; while (c) { c = c - 1; h = 0; f(); } return h; }",
+        ),
+        (
+            "call before a shared exit",
+            "void g(int c) { if (c) { h = 5; return; } f(); } int main(int c) { g(c); return h; }",
+        ),
+    ] {
+        units.push((what.into(), format!("{f} {main}")));
+    }
+    for (what, source) in &units {
+        let program = parse(source).unwrap();
+        let pre = preanalysis::run(&program);
+        let du = defuse::compute(&program, &pre);
+        for bypass in [true, false] {
+            let deps = depgen::generate(&program, &pre, &du, DepGenOptions { bypass });
+            let report = validate::check_lemma1(&program, &pre, &du, &deps);
+            let shown: Vec<String> = report.violations.iter().map(|v| v.render()).collect();
+            assert!(
+                shown.is_empty() && report.suppressed == 0,
+                "{what}, bypass {bypass}: {} mismatches:\n{}",
+                shown.len() + report.suppressed,
+                shown.join("\n")
+            );
+            assert!(report.bindings > 0, "{what}: nothing compared");
+        }
+    }
 }
