@@ -120,6 +120,14 @@ diag_gate() {
         echo "diag-gate: --validate over tests/alarms exited $code" >&2
         rm -rf "$tmp"; return 1
     fi
+    # Again without the bypass contraction: relays then stay on every
+    # chain, so Lemma 1 sees the uncontracted relation's call bindings.
+    "$bin" analyze tests/alarms --validate --no-bypass --no-cache > "$tmp/validate-nb.json"
+    code=$?
+    if [ "$code" -ne 0 ]; then
+        echo "diag-gate: --validate --no-bypass over tests/alarms exited $code" >&2
+        rm -rf "$tmp"; return 1
+    fi
     rm -rf "$tmp"
 }
 

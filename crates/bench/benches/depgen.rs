@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the sparse pipeline's phases: the
 //! flow-insensitive pre-analysis, def/use derivation, and dependency
 //! generation with/without the bypass optimization — the `Dep` column of
-//! Table 2 decomposed. The two kernels whose cost depends on the call
-//! graph's shape — pre-analysis rounds and the reaching-definitions walk —
-//! are timed on a flat unit and on one with 9 in 10 procedures on a cycle.
+//! Table 2 decomposed. Every row is timed on a flat unit and on one with 9
+//! in 10 procedures on a cycle (suffix `_scc`): pre-analysis rounds, the
+//! reaching-definitions walk and the bypass contraction all cost by the
+//! call graph's shape.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sga::analysis::depgen::{self, DepGenOptions, IntervalDepSource};
@@ -32,6 +33,9 @@ fn bench_phases(c: &mut Criterion) {
             pre.evaluations,
             pre.rounds * pre.commands
         );
+        group.bench_function(format!("defuse{shape}"), |b| {
+            b.iter(|| defuse::compute(program, &pre))
+        });
         let du = defuse::compute(program, &pre);
         let source = IntervalDepSource::new(program, &pre, &du);
         // The per-procedure segments alone: no `assemble`, no bypass.
@@ -44,19 +48,13 @@ fn bench_phases(c: &mut Criterion) {
                     .sum::<usize>()
             })
         });
+        for bypass in [true, false] {
+            let name = format!("depgen_bypass_{}{shape}", if bypass { "on" } else { "off" });
+            group.bench_function(name, |b| {
+                b.iter(|| depgen::generate(program, &pre, &du, DepGenOptions { bypass }))
+            });
+        }
     }
-
-    let program = &programs[0].1;
-    let pre = preanalysis::run(program);
-    group.bench_function("defuse", |b| b.iter(|| defuse::compute(program, &pre)));
-
-    let du = defuse::compute(program, &pre);
-    group.bench_function("depgen_bypass_on", |b| {
-        b.iter(|| depgen::generate(program, &pre, &du, DepGenOptions { bypass: true }))
-    });
-    group.bench_function("depgen_bypass_off", |b| {
-        b.iter(|| depgen::generate(program, &pre, &du, DepGenOptions { bypass: false }))
-    });
     group.finish();
 }
 

@@ -18,8 +18,8 @@
 use crate::preanalysis::PreAnalysis;
 use crate::semantics::{lval_targets, lval_used, used_locs};
 use sga_domains::{AbsLoc, State};
-use sga_ir::{Cmd, Cp, Expr, ProcId, Program, VarKind};
-use sga_utils::{FxHashMap, Idx, IndexVec};
+use sga_ir::{Cmd, Cp, Expr, PointNumbering, ProcId, Program, VarKind};
+use sga_utils::{FxHashMap, Idx, IndexVec, Rows};
 use std::collections::BTreeSet;
 
 /// Dense interning of abstract locations (for bitsets, BDDs, and the
@@ -87,6 +87,13 @@ pub struct DefUse {
     pub summary_uses: IndexVec<ProcId, Vec<AbsLoc>>,
     /// All locations seen, densely numbered.
     pub locs: LocTable,
+    /// The program's dense point numbering, which the id rows below index.
+    num: PointNumbering,
+    /// Per point, `D̂`, `Û`, and the real defs and uses, as ascending
+    /// location ids: what dependency generation reads.
+    def_ids: Rows<u32>,
+    use_ids: Rows<u32>,
+    real_ids: Rows<u32>,
 }
 
 impl DefUse {
@@ -100,12 +107,20 @@ impl DefUse {
         self.sets.get(&cp).map_or(&[], |s| &s.uses)
     }
 
-    /// Whether `l` is a *real* (non-relay) def or use at `cp` — the bypass
-    /// optimization's contractibility test.
-    pub fn is_real(&self, cp: Cp, l: &AbsLoc) -> bool {
-        self.sets.get(&cp).is_some_and(|s| {
-            s.real_defs.binary_search(l).is_ok() || s.real_uses.binary_search(l).is_ok()
-        })
+    /// `D̂(c)` as ascending location ids ([`DefUse::locs`]).
+    pub fn def_ids(&self, cp: Cp) -> &[u32] {
+        self.def_ids.row(self.num.index(cp))
+    }
+
+    /// `Û(c)` as ascending location ids.
+    pub fn use_ids(&self, cp: Cp) -> &[u32] {
+        self.use_ids.row(self.num.index(cp))
+    }
+
+    /// The locations `cp` really (not as a relay) defines or uses, as
+    /// ascending ids — the bypass optimization's contractibility test.
+    pub fn real_ids(&self, cp: Cp) -> &[u32] {
+        self.real_ids.row(self.num.index(cp))
     }
 
     /// [`crate::sparse::SparseSpec::forwards`] for the instances whose
@@ -194,7 +209,13 @@ pub fn compute_with_state(program: &Program, pre: &PreAnalysis, t: &State) -> De
         .indices()
         .map(|pid| relay_sets_for_proc(program, pre, pid, &sets, &summary_defs, &summary_uses))
         .collect();
-    finish(sets, summary_defs, summary_uses, parts)
+    finish(
+        program.point_numbering(),
+        sets,
+        summary_defs,
+        summary_uses,
+        parts,
+    )
 }
 
 /// Full `D̂`/`Û` sets of one procedure's control points, in node order
@@ -351,30 +372,65 @@ fn relay_sets_for_proc(
 
 /// Merges the pass-3 outputs into the final [`DefUse`], interning locations
 /// in the order the parts are given (pass the parts in procedure order for
-/// run-to-run determinism).
+/// run-to-run determinism) and writing each point's id rows as it goes.
 fn finish(
+    num: PointNumbering,
     mut sets: FxHashMap<Cp, CpSets>,
     summary_defs: IndexVec<ProcId, Vec<AbsLoc>>,
     summary_uses: IndexVec<ProcId, Vec<AbsLoc>>,
     parts: Vec<ProcFullSets>,
 ) -> DefUse {
     let mut locs = LocTable::default();
+    let mut rows: [Rows<u32>; 3] = Default::default();
+    let (mut d, mut u, mut real) = (Vec::new(), Vec::new(), Vec::new());
     for part in parts {
         for (cp, defs, uses) in part {
             let s = sets.get_mut(&cp).expect("pass 1 visited every node");
+            d.clear();
+            d.extend(defs.iter().map(|l| locs.intern(*l)));
+            u.clear();
+            u.extend(uses.iter().map(|l| locs.intern(*l)));
+            real.clear();
+            real.extend(ids_of_subset(&defs, &d, &s.real_defs));
+            real.extend(ids_of_subset(&uses, &u, &s.real_uses));
+            for (row, ids) in rows.iter_mut().zip([&mut d, &mut u, &mut real]) {
+                ids.sort_unstable();
+                ids.dedup();
+                row.pad_to(num.index(cp));
+                row.push_row(ids.iter().copied());
+            }
             s.defs = defs;
             s.uses = uses;
-            for l in s.defs.iter().chain(&s.uses) {
-                locs.intern(*l);
-            }
         }
     }
+    for row in &mut rows {
+        row.pad_to(num.len());
+    }
+    let [def_ids, use_ids, real_ids] = rows;
     DefUse {
         sets,
         summary_defs,
         summary_uses,
         locs,
+        num,
+        def_ids,
+        use_ids,
+        real_ids,
     }
+}
+
+/// The ids of `sub`, a subset of `all` (both ascending), where `ids[i]` is
+/// `all[i]`'s.
+fn ids_of_subset<'a>(
+    all: &'a [AbsLoc],
+    ids: &'a [u32],
+    sub: &'a [AbsLoc],
+) -> impl Iterator<Item = u32> + 'a {
+    let mut at = 0;
+    sub.iter().map(move |l| {
+        at += all[at..].iter().position(|a| a == l).expect("a subset");
+        ids[at]
+    })
 }
 
 fn real_def_use(
@@ -478,6 +534,10 @@ mod tests {
             .unwrap_or_else(|| panic!("no var {name}"))
     }
 
+    fn is_real(du: &DefUse, cp: Cp, l: AbsLoc) -> bool {
+        du.real_ids(cp).contains(&du.locs.id(&l).unwrap())
+    }
+
     fn find_cp(program: &Program, pred: impl Fn(&Cmd) -> bool) -> Cp {
         program
             .all_points()
@@ -553,10 +613,10 @@ mod tests {
         assert!(du.defs(call_cp).contains(&AbsLoc::Var(g)), "call relays g");
         assert!(du.uses(call_cp).contains(&AbsLoc::Var(g)));
         // But g is NOT a real def/use of the call command itself.
-        assert!(!du.is_real(call_cp, &AbsLoc::Var(g)));
+        assert!(!is_real(&du, call_cp, AbsLoc::Var(g)));
         // The callee's param-free return var is really used at the call.
         let retv = p.procs[f].ret_var;
-        assert!(du.is_real(call_cp, &AbsLoc::Var(retv)));
+        assert!(is_real(&du, call_cp, AbsLoc::Var(retv)));
     }
 
     #[test]
@@ -628,7 +688,7 @@ mod tests {
         );
         assert!(du.uses(exit).contains(&AbsLoc::Var(p.procs[f].ret_var)));
         assert!(
-            !du.is_real(entry, &AbsLoc::Var(g)),
+            !is_real(&du, entry, AbsLoc::Var(g)),
             "entry relays are contractible"
         );
     }
@@ -733,9 +793,20 @@ mod tests {
                 };
                 let got = staged(relay_sets_for_proc);
                 assert_eq!(got, staged(relay_sets_through_btreesets), "{name}: {pid}");
-                // `finish` stores pass 3's output as it is.
+                // `finish` stores pass 3's output as it is, and its id rows.
+                let ids = |locs: &mut dyn Iterator<Item = &AbsLoc>| {
+                    let mut ids: Vec<u32> = locs.map(|l| du.locs.id(l).unwrap()).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids
+                };
                 for (cp, defs, uses) in got {
                     assert_eq!((du.defs(cp), du.uses(cp)), (&defs[..], &uses[..]));
+                    assert_eq!(du.def_ids(cp), ids(&mut defs.iter()));
+                    assert_eq!(du.use_ids(cp), ids(&mut uses.iter()));
+                    let s = &du.sets[&cp];
+                    let real = ids(&mut s.real_defs.iter().chain(&s.real_uses));
+                    assert_eq!(du.real_ids(cp), real, "{name}: {cp}");
                     points += 1;
                 }
             }

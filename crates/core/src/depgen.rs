@@ -16,13 +16,19 @@
 //! *beneficial* (never growing the edge set; hub relays stay and forward at
 //! run time). Relays are exactly the nodes where `l` appears only in the
 //! relay-extended sets, never in the real ones
-//! ([`crate::defuse::DefUse::is_real`]).
+//! ([`crate::defuse::DefUse::real_ids`]).
+//!
+//! The relation is written once, as [`Rows`] over the dense point numbering
+//! sorted by location in the instance's order ([`DepSource::cmp_locs`]),
+//! then by peer: the sparse engine reads the rows as they are.
 
 use crate::defuse::DefUse;
 use crate::preanalysis::PreAnalysis;
-use sga_ir::{Cmd, Cp, Program};
+use sga_domains::AbsLoc;
+use sga_ir::{Cmd, Cp, PointNumbering, ProcId, Program};
 use sga_utils::graph::{AdjGraph, Scc};
-use sga_utils::{FxHashMap, FxHashSet, Idx};
+use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, Rows};
+use std::cmp::Ordering;
 
 /// Options controlling dependency generation.
 #[derive(Clone, Copy, Debug)]
@@ -43,10 +49,8 @@ impl Default for DepGenOptions {
 pub struct DepGenStats {
     /// Edges before the bypass optimization.
     pub raw_edges: usize,
-    /// Edges after (equals `raw_edges` when bypass is off).
+    /// Distinct `(from, loc, to)` triples after it.
     pub final_edges: usize,
-    /// Distinct (from, to, loc) triples — the BDD/set store population.
-    pub triples: usize,
 }
 
 /// The generated data dependencies.
@@ -55,21 +59,23 @@ pub struct DepGenStats {
 /// ordinary def→use flow; *return* edges carry values coming back from a
 /// callee's exit to the call site. The distinction matters to the sparse
 /// call transfer: argument expressions must be evaluated against pre-call
-/// values only.
-#[derive(Debug, Default)]
+/// values only. Every row is sorted by location (the instance's order),
+/// then by peer, without repeats.
+#[derive(Debug)]
 pub struct DataDeps {
-    /// Forward edges: `from → [(loc, to), …]`, deduplicated and sorted.
-    pub out: FxHashMap<Cp, Vec<(u32, Cp)>>,
-    /// Reverse pre-flow edges: `to → [(loc, from), …]`.
-    pub into: FxHashMap<Cp, Vec<(u32, Cp)>>,
+    num: PointNumbering,
+    /// Location id → position in the instance's order (`MAX`: on no edge).
+    loc_rank: Vec<u32>,
+    /// Forward edges, per point: `(loc, to)`.
+    pub(crate) out: Rows<(u32, Cp)>,
+    /// Reverse pre-flow edges, per point: `(loc, from)`.
+    pub(crate) into: Rows<(u32, Cp)>,
     /// Reverse return-flow edges (callee exit → call site).
-    pub into_ret: FxHashMap<Cp, Vec<(u32, Cp)>>,
-    /// Control points on dependency cycles — the sparse engine's widening
-    /// points.
-    pub cycle_nodes: FxHashSet<Cp>,
-    /// Topological rank of each dependency-graph node (producers before
-    /// consumers; cycles share ranks) — the sparse worklist's priority.
-    pub topo_rank: FxHashMap<Cp, u32>,
+    pub(crate) into_ret: Rows<(u32, Cp)>,
+    /// The widening points ([`DataDeps::cycle_nodes`]).
+    pub(crate) cycle: BitSet,
+    /// Per point, the worklist's priority ([`DataDeps::topo_rank`]).
+    topo_rank: Vec<u32>,
     /// Generation statistics.
     pub stats: DepGenStats,
 }
@@ -77,38 +83,52 @@ pub struct DataDeps {
 impl DataDeps {
     /// Incoming pre-flow dependencies of `cp`.
     pub fn deps_into(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.into.get(&cp).map_or(&[], Vec::as_slice)
+        self.into.row(self.num.index(cp))
     }
 
     /// Incoming return-flow dependencies of `cp` (call sites only).
     pub fn deps_into_ret(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.into_ret.get(&cp).map_or(&[], Vec::as_slice)
+        self.into_ret.row(self.num.index(cp))
     }
 
     /// Outgoing dependencies of `cp`.
     pub fn deps_out(&self, cp: Cp) -> &[(u32, Cp)] {
-        self.out.get(&cp).map_or(&[], Vec::as_slice)
+        self.out.row(self.num.index(cp))
+    }
+
+    /// The pre-flow in-edges of `cp` that carry `loc` — the definitions
+    /// reaching its use: a run of the sorted row, found by bisection.
+    pub fn defs_reaching(&self, cp: Cp, loc: u32) -> &[(u32, Cp)] {
+        let row = self.deps_into(cp);
+        let rank = self.loc_rank.get(loc as usize).copied().unwrap_or(u32::MAX);
+        let run = &row[row.partition_point(|&(l, _)| self.loc_rank[l as usize] < rank)..];
+        &run[..run.partition_point(|&(l, _)| l == loc)]
+    }
+
+    /// The widening points (real definitions on dependency cycles), ascending.
+    pub fn cycle_nodes(&self) -> impl Iterator<Item = Cp> + '_ {
+        self.cycle.iter().map(|i| self.num.cp(i))
+    }
+
+    /// `cp`'s rank on the dependency graph: producers first, 0 off the graph.
+    pub fn topo_rank(&self, cp: Cp) -> u32 {
+        self.topo_rank[self.num.index(cp)]
     }
 
     /// Iterates all `(from, loc, to)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (Cp, u32, Cp)> + '_ {
-        self.out
-            .iter()
-            .flat_map(|(&from, outs)| outs.iter().map(move |&(loc, to)| (from, loc, to)))
-    }
-
-    /// Whether `from →loc to` is present (either flavour).
-    pub fn has(&self, from: Cp, loc: u32, to: Cp) -> bool {
-        self.out
-            .get(&from)
-            .is_some_and(|v| v.binary_search(&(loc, to)).is_ok())
+        (0..self.num.len()).flat_map(move |i| {
+            let (from, row) = (self.num.cp(i), self.out.row(i));
+            row.iter().map(move |&(loc, to)| (from, loc, to))
+        })
     }
 }
 
 /// What dependency generation needs from an analysis instance: per-point
-/// def/use sets as dense location ids, the real/relay distinction, and the
-/// explicit interprocedural linking edges. The interval instance's source is
-/// [`IntervalDepSource`]; the octagon instance supplies packs.
+/// def/use sets as dense location ids, the real/relay distinction, the
+/// order of its locations, and the explicit interprocedural linking edges.
+/// The interval instance's source is [`IntervalDepSource`]; the octagon
+/// instance supplies packs.
 pub trait DepSource {
     /// `D̂(cp)` as location ids (sorted).
     fn defs(&self, cp: Cp) -> &[u32];
@@ -117,16 +137,19 @@ pub trait DepSource {
     /// Whether `loc` is a real (non-relay) def or use at `cp`.
     fn is_real(&self, cp: Cp, loc: u32) -> bool;
 
+    /// The order of two locations: the one the instance's sparse rows keep
+    /// ([`crate::sparse::SparseSpec::loc_of`] ascending). Ids by default.
+    fn cmp_locs(&self, a: u32, b: u32) -> Ordering {
+        a.cmp(&b)
+    }
+
     /// Where reaching-definition edges for a use of `loc` at `cp` should
     /// land. Most uses consume at the node itself; a call site redirects
     /// callee-used locations to the callee entries so pre-call values flow
     /// in without mixing with returned ones.
     fn use_routes(&self, cp: Cp, loc: u32) -> UseRoutes<'_> {
         let _ = (cp, loc);
-        UseRoutes {
-            self_edge: true,
-            entries: &[],
-        }
+        UseRoutes::SELF
     }
     /// Emits the interprocedural linking edges `(loc, from, to,
     /// is_return)`; `is_return` marks callee-exit → call-site edges.
@@ -141,6 +164,14 @@ pub struct UseRoutes<'a> {
     pub self_edge: bool,
     /// Additional callee entries that receive `def → entry` edges.
     pub entries: &'a [Cp],
+}
+
+impl UseRoutes<'_> {
+    /// The ordinary routing: the use consumes at its own node.
+    pub const SELF: UseRoutes<'static> = UseRoutes {
+        self_edge: true,
+        entries: &[],
+    };
 }
 
 /// Generates data dependencies for the interval instance.
@@ -172,135 +203,159 @@ pub fn generate_from<S: DepSource>(
         .indices()
         .map(|pid| proc_dep_edges(program, source, pid))
         .collect();
-    assemble(source, options, &segments)
+    assemble(program, source, options, &segments)
+}
+
+/// An edge over dense point indices: `(from, to, is_return)`.
+type Link = (u32, u32, bool);
+
+/// Merges per-procedure segments (pass them in procedure order for
+/// determinism), adds the source's interprocedural linking edges, applies
+/// the bypass contraction, and writes the relation's rows, widening points
+/// and ranks.
+///
+/// Three orders decide `ranks`, hence the worklist's priorities: locations
+/// as first met (`by_loc`), sources as first met in those locations' final
+/// edges (`sources`), and each out-row in `(loc id, to)` order. The hash
+/// sets' iteration order follows from their first-sight inserts and is
+/// part of the pinned trajectory: keep those inserts as they are.
+pub fn assemble<S: DepSource>(
+    program: &Program,
+    source: &S,
+    options: DepGenOptions,
+    segments: &[Vec<DepEdge>],
+) -> DataDeps {
+    let (num, cps): (_, Vec<Cp>) = (program.point_numbering(), program.all_points().collect());
+    let mut inter = Vec::new();
+    source.inter_edges(&mut |loc, from, to, is_return| inter.push((loc, from, to, is_return)));
+    let raw = || segments.iter().flatten().chain(&inter);
+
+    // Locations as first met, then ranked in the instance's order.
+    let (mut loc_rank, mut by_loc) = (Vec::new(), FxHashSet::default());
+    for &(loc, ..) in raw() {
+        loc_rank.resize(loc_rank.len().max(loc as usize + 1), u32::MAX);
+        if std::mem::replace(&mut loc_rank[loc as usize], 0) == u32::MAX {
+            by_loc.insert(loc);
+        }
+    }
+    let mut locs: Vec<u32> = by_loc.iter().copied().collect();
+    locs.sort_unstable_by(|&a, &b| source.cmp_locs(a, b));
+    for (rank, &loc) in locs.iter().enumerate() {
+        loc_rank[loc as usize] = rank as u32;
+    }
+    let at = |cp: Cp| num.index(cp) as u32;
+    let rank_of = |loc: u32| loc_rank[loc as usize] as usize;
+    let grouped = raw().map(|&(loc, a, b, k)| (rank_of(loc), (at(a), at(b), k)));
+    let grouped = Rows::scatter(locs.len(), grouped);
+
+    // Each location's final edges, ascending and without repeats.
+    let (mut finals, mut contraction, mut links) =
+        (Rows::default(), Contraction::new(num.len()), Vec::new());
+    for (rank, &loc) in locs.iter().enumerate() {
+        links.clear();
+        links.extend_from_slice(grouped.row(rank));
+        if options.bypass {
+            contraction.run(|p| source.is_real(cps[p], loc), &mut links);
+        } else {
+            links.sort_unstable();
+            links.dedup();
+        }
+        finals.push_row(links.iter().copied());
+    }
+    // Without the bypass, sources are met in the raw edges' order.
+    let met_in = if options.bypass { &finals } else { &grouped };
+    let (mut met, mut sources) = (BitSet::new(num.len()), FxHashSet::default());
+    for &loc in &by_loc {
+        for &(from, ..) in met_in.row(rank_of(loc)) {
+            if met.insert(from as usize) {
+                sources.insert(cps[from as usize]);
+            }
+        }
+    }
+
+    // Scattered location by location in rank order: rows sorted by location,
+    // then peer. An out-edge in both flavours is kept once.
+    let (at, ls, fs, n) = (|p: u32| cps[p as usize], &locs, &finals, num.len());
+    let out = rows(ls, fs, n, |l, (a, b, _), twin| {
+        (!twin).then(|| (a as usize, (l, at(b))))
+    });
+    let into = rows(ls, fs, n, |l, (a, b, k), _| {
+        (!k).then(|| (b as usize, (l, at(a))))
+    });
+    let into_ret = rows(ls, fs, n, |l, (a, b, k), _| {
+        k.then(|| (b as usize, (l, at(a))))
+    });
+    let (cycle, topo_rank) = ranks(&num, &out, &sources, |p, loc| source.is_real(cps[p], loc));
+    DataDeps {
+        stats: DepGenStats {
+            raw_edges: grouped.items().len(),
+            final_edges: out.items().len(),
+        },
+        num,
+        loc_rank,
+        out,
+        into,
+        into_ret,
+        cycle,
+        topo_rank,
+    }
+}
+
+/// One table of the relation over `n` points: the final edges location by
+/// location in rank order, each put where `pick` says — or nowhere.
+fn rows(
+    locs: &[u32],
+    finals: &Rows<Link>,
+    n: usize,
+    pick: impl Fn(u32, Link, bool) -> Option<(usize, (u32, Cp))>,
+) -> Rows<(u32, Cp)> {
+    let edges = (0..locs.len()).flat_map(|rank| {
+        let row = finals.row(rank);
+        let twin = move |j: usize| j > 0 && (row[j - 1].0, row[j - 1].1) == (row[j].0, row[j].1);
+        (0..row.len()).map(move |j| (locs[rank], row[j], twin(j)))
+    });
+    Rows::scatter(n, edges.filter_map(|(loc, e, twin)| pick(loc, e, twin)))
 }
 
 /// Per-procedure dependency segment: the intraprocedural def→use edges of
 /// `pid` (already routed — a call site's callee-used locations land on the
-/// callee entries). Independent across procedures.
+/// callee entries). Independent across procedures. A reaching-definition
+/// pass: from each def point of each location, one forward walk that stops
+/// behind the next definition (`D̂` is a must-definition, so it kills).
 pub fn proc_dep_edges<S: DepSource>(
     program: &Program,
     source: &S,
     pid: sga_ir::ProcId,
 ) -> Vec<DepEdge> {
-    let mut edges = Vec::new();
-    if program.procs[pid].is_external {
-        return edges;
-    }
-    intra_proc_edges(program, source, pid, &mut edges);
-    edges
-}
-
-/// Merges per-procedure segments (pass them in procedure order for
-/// determinism), adds the source's interprocedural linking edges, applies
-/// the bypass contraction, and computes widening points and ranks.
-pub fn assemble<S: DepSource>(
-    source: &S,
-    options: DepGenOptions,
-    segments: &[Vec<DepEdge>],
-) -> DataDeps {
-    // Raw edges grouped by location id for the bypass pass. The bool marks
-    // return-flow edges.
-    let mut by_loc: FxHashMap<u32, Vec<(Cp, Cp, bool)>> = FxHashMap::default();
-    let mut raw_edges = 0usize;
-    for segment in segments {
-        for &(loc, from, to, is_return) in segment {
-            by_loc.entry(loc).or_default().push((from, to, is_return));
-            raw_edges += 1;
-        }
-    }
-    source.inter_edges(&mut |loc, from, to, is_return| {
-        by_loc.entry(loc).or_default().push((from, to, is_return));
-        raw_edges += 1;
-    });
-
-    // Bypass optimization per location.
-    let mut total_final = 0usize;
-    let mut out: FxHashMap<Cp, Vec<(u32, Cp)>> = FxHashMap::default();
-    let mut into: FxHashMap<Cp, Vec<(u32, Cp)>> = FxHashMap::default();
-    let mut into_ret: FxHashMap<Cp, Vec<(u32, Cp)>> = FxHashMap::default();
-    for (loc_id, edges) in &by_loc {
-        let final_edges = if options.bypass {
-            bypass_contract(source, *loc_id, edges)
-        } else {
-            edges.clone()
-        };
-        for (from, to, is_return) in final_edges {
-            out.entry(from).or_default().push((*loc_id, to));
-            let side = if is_return { &mut into_ret } else { &mut into };
-            side.entry(to).or_default().push((*loc_id, from));
-        }
-    }
-    for v in out.values_mut() {
-        v.sort_unstable();
-        v.dedup();
-        total_final += v.len();
-    }
-    for v in into.values_mut().chain(into_ret.values_mut()) {
-        v.sort_unstable();
-        v.dedup();
-    }
-
-    let (cycle_nodes, topo_rank) = dep_graph_structure(&out);
-    // Widening points are the *real* cycle nodes only. Relays on a cycle
-    // merely forward joins — they cannot generate an ascending chain, so any
-    // infinite ascent passes through a real definition on the same cycle,
-    // which widens. Widening at relays is not just redundant: it makes
-    // precision depend on how many relay hops survive contraction, so the
-    // bypass ablation would change results instead of only edge counts.
-    let cycle_nodes = cycle_nodes
-        .into_iter()
-        .filter(|cp| {
-            out.get(cp)
-                .is_some_and(|es| es.iter().any(|&(loc, _)| source.is_real(*cp, loc)))
-        })
-        .collect();
-    DataDeps {
-        out,
-        into,
-        into_ret,
-        cycle_nodes,
-        topo_rank,
-        stats: DepGenStats {
-            raw_edges,
-            final_edges: total_final,
-            triples: total_final,
-        },
-    }
-}
-
-/// Reaching-definition pass for one procedure, appending to `sink`: from
-/// each def point of each location, one forward walk that stops behind the
-/// next definition (`D̂` is a must-definition, so it kills).
-fn intra_proc_edges<S: DepSource>(
-    program: &Program,
-    source: &S,
-    pid: sga_ir::ProcId,
-    sink: &mut Vec<DepEdge>,
-) {
-    let proc = &program.procs[pid];
+    let (proc, mut sink) = (&program.procs[pid], Vec::new());
     let n = proc.nodes.len();
 
-    // Collect the locations mentioned in this procedure and, per location,
-    // its def and use points. Segments are emitted in this map's iteration
-    // order and stored in cache entries: build it exactly like this.
-    let mut locs_here: FxHashMap<u32, (Vec<usize>, Vec<usize>)> = FxHashMap::default();
-    for (nid, _) in proc.nodes.iter_enumerated() {
-        let cp = Cp::new(pid, nid);
-        for &id in source.defs(cp) {
-            locs_here.entry(id).or_default().0.push(nid.index());
-        }
-        for &id in source.uses(cp) {
-            locs_here.entry(id).or_default().1.push(nid.index());
+    // Collect the locations mentioned in this procedure (`locs_here`: id →
+    // slot) and, per slot, its def and use points. Segments are emitted in
+    // the map's iteration order, which orders `assemble`'s `by_loc`: fill it
+    // by exactly these inserts.
+    let (mut locs_here, mut mentions) = (FxHashMap::default(), Vec::new());
+    for (v, cp) in proc
+        .nodes
+        .indices()
+        .map(|nid| (nid.index(), Cp::new(pid, nid)))
+    {
+        let defs = source.defs(cp).iter().map(|&id| (id, false));
+        for (id, is_use) in defs.chain(source.uses(cp).iter().map(|&id| (id, true))) {
+            let next = locs_here.len();
+            mentions.push((*locs_here.entry(id).or_insert(next), is_use, v));
         }
     }
+    let points = |is_use: bool| {
+        let of = mentions.iter().filter(move |m| m.1 == is_use);
+        Rows::scatter(locs_here.len(), of.map(|&(slot, _, v)| (slot, v)))
+    };
+    let (defs, uses) = (points(false), points(true));
 
-    // Nothing to connect: skip the walk's set-up.
-    if locs_here
-        .values()
-        .all(|(defs, uses)| defs.is_empty() || uses.is_empty())
-    {
-        return;
+    // Nothing to connect (as in an external procedure): skip the set-up.
+    let connects = |slot: usize| !defs.row(slot).is_empty() && !uses.row(slot).is_empty();
+    if !(0..locs_here.len()).any(connects) {
+        return sink;
     }
 
     // `seen[v]` is the last walk that entered `v`. Nodes unreachable from
@@ -323,8 +378,9 @@ fn intra_proc_edges<S: DepSource>(
     let mut stack: Vec<usize> = Vec::new();
     let mut reached: Vec<(usize, usize)> = Vec::new();
 
-    for (mark, (&loc_id, (def_points, use_points))) in (1u32..).zip(&locs_here) {
-        if use_points.is_empty() || def_points.is_empty() {
+    for (mark, (&loc_id, &slot)) in (1u32..).zip(&locs_here) {
+        let (def_points, use_points) = (defs.row(slot), uses.row(slot));
+        if !connects(slot) {
             continue;
         }
         for &d in def_points {
@@ -370,297 +426,357 @@ fn intra_proc_edges<S: DepSource>(
         }
         reached.clear();
     }
+    sink
 }
 
-/// The interval instance's [`DepSource`]: id-mapped views of [`DefUse`]
-/// plus the call-site ↔ callee linking of §5.
+/// The interval instance's [`DepSource`]: [`DefUse`]'s id rows plus the
+/// call-site ↔ callee linking of §5.
 pub struct IntervalDepSource<'a> {
-    program: &'a Program,
-    pre: &'a PreAnalysis,
     du: &'a DefUse,
-    def_ids: FxHashMap<Cp, Vec<u32>>,
-    use_ids: FxHashMap<Cp, Vec<u32>>,
-    /// Per call site: locations whose uses route (also) to callee entries,
-    /// with a flag for whether the call itself consumes the value too.
-    routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>>,
+    num: PointNumbering,
+    /// Per point, the locations whose uses route (also) to callee entries:
+    /// whether the call consumes the value too, and a span of `entries`.
+    routes: Rows<(u32, bool, u32, u32)>,
+    entries: Vec<Cp>,
+    /// The linking edges, by call site, then target.
+    inter: Vec<DepEdge>,
 }
 
 impl<'a> IntervalDepSource<'a> {
-    /// Precomputes the id-mapped def/use views.
+    /// Precomputes the call-site routing and the linking edges.
     pub fn new(program: &'a Program, pre: &'a PreAnalysis, du: &'a DefUse) -> Self {
-        let mut def_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
-        let mut use_ids: FxHashMap<Cp, Vec<u32>> = FxHashMap::default();
-        for (cp, sets) in &du.sets {
-            let mut d: Vec<u32> = sets
-                .defs
-                .iter()
-                .map(|l| du.locs.id(l).expect("interned in defuse pass 3"))
-                .collect();
-            d.sort_unstable();
-            def_ids.insert(*cp, d);
-            let mut u: Vec<u32> = sets
-                .uses
-                .iter()
-                .map(|l| du.locs.id(l).expect("interned in defuse pass 3"))
-                .collect();
-            u.sort_unstable();
-            use_ids.insert(*cp, u);
-        }
-        // Call-site routing: callee-used locations flow def → callee entry;
-        // the call node itself consumes a location only when it really uses
-        // it (arguments, pointer bases) or must pre-join a spurious def.
-        let mut routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>> = FxHashMap::default();
-        for (pid, proc) in program.procs.iter_enumerated() {
-            if proc.is_external {
-                continue;
-            }
-            for (nid, node) in proc.nodes.iter_enumerated() {
-                if !matches!(node.cmd, Cmd::Call { .. }) {
+        let id = |l: &AbsLoc| du.locs.id(l);
+        let ids = |of: &IndexVec<ProcId, Vec<AbsLoc>>| -> Vec<Vec<u32>> {
+            of.iter()
+                .map(|s| s.iter().filter_map(id).collect())
+                .collect()
+        };
+        let (use_ids, def_ids) = (ids(&du.summary_uses), ids(&du.summary_defs));
+        let (mut routed, mut inter) = (Vec::new(), Vec::new());
+        let defined = |cp: &Cp| !program.procs[cp.proc].is_external;
+        let call = |cp: &Cp| matches!(program.cmd(*cp), Cmd::Call { .. });
+        for cp in program.all_points().filter(defined).filter(call) {
+            for &t in pre.call_targets(cp) {
+                let callee = &program.procs[t];
+                if callee.is_external {
                     continue;
                 }
-                let cp = Cp::new(pid, nid);
-                let mut per_loc: FxHashMap<u32, (bool, Vec<Cp>)> = FxHashMap::default();
-                for &t_pid in pre.call_targets(cp) {
-                    let callee = &program.procs[t_pid];
-                    if callee.is_external {
-                        continue;
-                    }
-                    let entry = Cp::new(t_pid, callee.entry);
-                    for l in &du.summary_uses[t_pid] {
-                        let Some(id) = du.locs.id(l) else { continue };
-                        per_loc
-                            .entry(id)
-                            .or_insert((false, Vec::new()))
-                            .1
-                            .push(entry);
-                    }
-                }
-                if per_loc.is_empty() {
-                    continue;
-                }
-                // The call keeps its self-edge for real uses and for the
-                // pre-join of callee-defined (spurious-def) locations.
-                let sets = &du.sets[&cp];
-                for (id, (self_edge, _)) in per_loc.iter_mut() {
-                    let l = du.locs.loc(*id);
-                    *self_edge = sets.real_uses.binary_search(&l).is_ok()
-                        || sets.defs.binary_search(&l).is_ok();
-                }
-                routes.insert(cp, per_loc);
+                // Parameters flow call → entry; callee-used locations flow
+                // from their reaching definitions straight to the entry
+                // (routed); callee-defined ones and the return value flow
+                // back exit → call.
+                let (entry, exit) = (Cp::new(t, callee.entry), Cp::new(t, callee.exit));
+                let params = callee.params.iter().filter_map(|&p| id(&AbsLoc::Var(p)));
+                inter.extend(params.map(|l| (l, cp, entry, false)));
+                routed.extend(use_ids[t.index()].iter().map(|&l| (cp, l, entry)));
+                let ret = id(&AbsLoc::Var(callee.ret_var));
+                let defs = def_ids[t.index()].iter().copied().chain(ret);
+                inter.extend(defs.map(|l| (l, exit, cp, true)));
             }
         }
+        // Stable: a location's entries stay in target order. The call keeps
+        // its self-edge for real uses (arguments, pointer bases) and for the
+        // pre-join of callee-defined (spurious-def) locations.
+        routed.sort_by_key(|&(cp, id, _)| (cp, id));
+        let has = |set: &[u32], id| set.binary_search(&id).is_ok();
+        let num = program.point_numbering();
+        let (mut routes, mut entries) = (Rows::default(), Vec::new());
+        for site in routed.chunk_by(|a, b| a.0 == b.0) {
+            let cp = site[0].0;
+            routes.pad_to(num.index(cp));
+            routes.push_row(site.chunk_by(|a, b| a.1 == b.1).map(|run| {
+                let (id, start) = (run[0].1, entries.len() as u32);
+                entries.extend(run.iter().map(|&(.., entry)| entry));
+                let self_edge = has(du.real_ids(cp), id) || has(du.def_ids(cp), id);
+                (id, self_edge, start, entries.len() as u32)
+            }));
+        }
+        routes.pad_to(num.len());
         IntervalDepSource {
-            program,
-            pre,
             du,
-            def_ids,
-            use_ids,
+            num,
             routes,
+            entries,
+            inter,
         }
     }
 }
 
 impl DepSource for IntervalDepSource<'_> {
     fn defs(&self, cp: Cp) -> &[u32] {
-        self.def_ids.get(&cp).map_or(&[], Vec::as_slice)
+        self.du.def_ids(cp)
     }
 
     fn uses(&self, cp: Cp) -> &[u32] {
-        self.use_ids.get(&cp).map_or(&[], Vec::as_slice)
+        self.du.use_ids(cp)
     }
 
     fn is_real(&self, cp: Cp, loc: u32) -> bool {
-        self.du.is_real(cp, &self.du.locs.loc(loc))
+        self.du.real_ids(cp).binary_search(&loc).is_ok()
+    }
+
+    fn cmp_locs(&self, a: u32, b: u32) -> Ordering {
+        self.du.locs.loc(a).cmp(&self.du.locs.loc(b))
     }
 
     fn use_routes(&self, cp: Cp, loc: u32) -> UseRoutes<'_> {
-        match self.routes.get(&cp).and_then(|m| m.get(&loc)) {
-            Some((self_edge, entries)) => UseRoutes {
-                self_edge: *self_edge,
-                entries: entries.as_slice(),
+        let row = self.routes.row(self.num.index(cp));
+        match row.binary_search_by_key(&loc, |route| route.0) {
+            Ok(at) => UseRoutes {
+                self_edge: row[at].1,
+                entries: &self.entries[row[at].2 as usize..row[at].3 as usize],
             },
-            None => UseRoutes {
-                self_edge: true,
-                entries: &[],
-            },
+            Err(_) => UseRoutes::SELF,
         }
     }
 
     fn inter_edges(&self, sink: &mut dyn FnMut(u32, Cp, Cp, bool)) {
-        use sga_domains::AbsLoc;
-        let mut add = |l: &AbsLoc, from: Cp, to: Cp, is_return: bool| {
-            if let Some(id) = self.du.locs.id(l) {
-                sink(id, from, to, is_return);
+        for &(loc, from, to, is_return) in &self.inter {
+            sink(loc, from, to, is_return);
+        }
+    }
+}
+
+/// One end of an edge in [`Contraction`]: the peer's local index and the
+/// return-flow flag of the edge's final hop, preserved across contraction.
+type End = (usize, bool);
+
+/// The bypass contraction of one location at a time, in buffers reused
+/// across locations: points numbered densely in ascending order (which the
+/// pending stack and the result rely on), `is_real` asked once per point,
+/// in- and out-ends one sorted vector per point that keeps its capacity.
+#[derive(Default)]
+struct Contraction {
+    local: Vec<u32>,
+    points: Vec<u32>,
+    real: Vec<bool>,
+    outs: Vec<Vec<End>>,
+    ins: Vec<Vec<End>>,
+}
+
+impl Contraction {
+    /// Buffers for a program of `points` points.
+    fn new(points: usize) -> Contraction {
+        let ends = vec![Vec::new(); points];
+        Contraction {
+            local: vec![0; points],
+            outs: ends.clone(),
+            ins: ends,
+            ..Contraction::default()
+        }
+    }
+
+    /// Replaces one location's `links` by their contraction, ascending and
+    /// without repeats: relay chains contracted per §5's optimization,
+    /// iterated to convergence (handles relay cycles from recursion).
+    fn run(&mut self, is_real: impl Fn(usize) -> bool, links: &mut Vec<Link>) {
+        fn insert(ends: &mut Vec<End>, end: End) {
+            if let Err(at) = ends.binary_search(&end) {
+                ends.insert(at, end);
             }
-        };
-        for (pid, proc) in self.program.procs.iter_enumerated() {
-            if proc.is_external {
+        }
+        fn remove(ends: &mut Vec<End>, end: End) {
+            if let Ok(at) = ends.binary_search(&end) {
+                ends.remove(at);
+            }
+        }
+        let (local, points, real) = (&mut self.local, &mut self.points, &mut self.real);
+        points.clear();
+        points.extend(links.iter().flat_map(|&(a, b, _)| [a, b]));
+        points.sort_unstable();
+        points.dedup();
+        for (i, &p) in points.iter().enumerate() {
+            local[p as usize] = i as u32;
+        }
+        real.clear();
+        real.extend(points.iter().map(|&p| is_real(p as usize)));
+        let n = points.len();
+        for (a, b, _) in links.iter_mut() {
+            (*a, *b) = (local[*a as usize], local[*b as usize]);
+        }
+        // A relay self-loop forwards a value to itself: a no-op for
+        // idempotent joins; dropping it avoids spurious widening cycles.
+        links.retain(|&(a, b, _)| a != b || real[a as usize]);
+        links.sort_unstable();
+        links.dedup();
+        let (outs, ins) = (&mut self.outs[..n], &mut self.ins[..n]);
+        outs.iter_mut().chain(ins.iter_mut()).for_each(Vec::clear);
+        for &(a, b, k) in links.iter() {
+            outs[a as usize].push((b as usize, k));
+            ins[b as usize].push((a as usize, k));
+        }
+
+        // Contract relays greedily while it does not grow the edge set
+        // (in·out ≤ in+out, i.e. a chain or a fan): the paper's a →l b →l c
+        // rule generalized. Hub relays (m×n) stay; the sparse engine simply
+        // forwards through them at run time.
+        let mut pending: Vec<usize> = (0..n).collect();
+        while let Some(b) = pending.pop() {
+            if real[b] {
                 continue;
             }
-            for (nid, node) in proc.nodes.iter_enumerated() {
-                if !matches!(node.cmd, Cmd::Call { .. }) {
-                    continue;
-                }
-                let cp = Cp::new(pid, nid);
-                for &t_pid in self.pre.call_targets(cp) {
-                    let callee = &self.program.procs[t_pid];
-                    if callee.is_external {
+            let in_deg = ins[b].len();
+            let out_deg = outs[b].len();
+            if in_deg == 0 || out_deg == 0 || in_deg * out_deg > in_deg + out_deg {
+                continue;
+            }
+            let in_edges = std::mem::take(&mut ins[b]);
+            let out_edges = std::mem::take(&mut outs[b]);
+            for &(a, ka) in &in_edges {
+                remove(&mut outs[a], (b, ka));
+            }
+            for &(c, kc) in &out_edges {
+                remove(&mut ins[c], (b, kc));
+            }
+            for &(a, _) in &in_edges {
+                for &(c, kc) in &out_edges {
+                    if a == c && !real[a] {
+                        // Contracting b out of a relay cycle a → b → a would
+                        // produce a relay self-loop — a forwarding no-op, drop
+                        // it. A *real* a keeps its self-loop: it is genuine
+                        // feedback and must stay a widening point.
                         continue;
                     }
-                    let entry = Cp::new(t_pid, callee.entry);
-                    let exit = Cp::new(t_pid, callee.exit);
-                    for &p in &callee.params {
-                        add(&AbsLoc::Var(p), cp, entry, false);
-                    }
-                    // Callee-used locations arrive at the entry straight
-                    // from their reaching definitions (see use_routes), not
-                    // via the call node.
-                    for l in &self.du.summary_defs[t_pid] {
-                        add(l, exit, cp, true);
-                    }
-                    add(&AbsLoc::Var(callee.ret_var), exit, cp, true);
+                    insert(&mut outs[a], (c, kc));
+                    insert(&mut ins[c], (a, kc));
                 }
             }
+            // Degrees of the neighbours changed; they may be contractible now.
+            pending.extend(in_edges.iter().map(|&(a, _)| a));
+            pending.extend(out_edges.iter().map(|&(c, _)| c));
+        }
+
+        // Ascending and duplicate-free as the indices are.
+        links.clear();
+        for (a, ends) in outs.iter().enumerate() {
+            links.extend(ends.iter().map(|&(b, k)| (points[a], points[b], k)));
         }
     }
 }
 
-/// Contracts relay chains for one location, per §5's optimization, iterated
-/// to convergence (handles relay cycles from recursion).
-///
-/// The points the location's edges mention are numbered densely in
-/// ascending order — so index order is point order, the order the pending
-/// stack and the result rely on — adjacency is one sorted vector per point,
-/// and `is_real` is asked once per point.
-fn bypass_contract<S: DepSource>(
-    source: &S,
-    loc: u32,
-    edges: &[(Cp, Cp, bool)],
-) -> Vec<(Cp, Cp, bool)> {
-    /// One end of an edge: the peer's index and the return-flow flag of the
-    /// edge's final hop, preserved across contraction.
-    type End = (usize, bool);
-    fn insert(ends: &mut Vec<End>, end: End) {
-        if let Err(at) = ends.binary_search(&end) {
-            ends.insert(at, end);
+/// The widening points and each point's rank in the SCC condensation
+/// (producers first), nodes numbered as `sources`, then their `(loc id,
+/// to)`-ordered out-edges, meet them. Only *real* cycle nodes widen: a relay
+/// cannot generate an ascending chain, and widening there would make
+/// precision depend on how many relay hops survive contraction.
+fn ranks(
+    num: &PointNumbering,
+    out: &Rows<(u32, Cp)>,
+    sources: &FxHashSet<Cp>,
+    is_real: impl Fn(usize, u32) -> bool,
+) -> (BitSet, Vec<u32>) {
+    let widens = |p: usize| out.row(p).iter().any(|&(loc, _)| is_real(p, loc));
+    let mut cycle = BitSet::new(num.len());
+    let (mut node_of, mut points) = (vec![usize::MAX; num.len()], Vec::new());
+    let mut id_of = |p: usize| {
+        if node_of[p] == usize::MAX {
+            node_of[p] = points.len();
+            points.push(p);
         }
-    }
-    fn remove(ends: &mut Vec<End>, end: End) {
-        if let Ok(at) = ends.binary_search(&end) {
-            ends.remove(at);
-        }
-    }
-
-    let mut cps: Vec<Cp> = edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
-    cps.sort_unstable();
-    cps.dedup();
-    let index = |cp: Cp| cps.binary_search(&cp).expect("every end is numbered");
-    let real: Vec<bool> = cps.iter().map(|&cp| source.is_real(cp, loc)).collect();
-    let mut outs: Vec<Vec<End>> = vec![Vec::new(); cps.len()];
-    let mut ins: Vec<Vec<End>> = vec![Vec::new(); cps.len()];
-    for &(a, b, k) in edges {
-        let (a, b) = (index(a), index(b));
-        if a == b && !real[a] {
-            // A relay self-loop forwards a value to itself: a no-op for
-            // idempotent joins; dropping it avoids spurious widening cycles.
-            continue;
-        }
-        insert(&mut outs[a], (b, k));
-        insert(&mut ins[b], (a, k));
-    }
-
-    // Contract relays greedily while it does not grow the edge set
-    // (in·out ≤ in+out, i.e. a chain or a fan): the paper's a →l b →l c
-    // rule generalized. Hub relays (m×n) stay; the sparse engine simply
-    // forwards through them at run time.
-    let mut pending: Vec<usize> = (0..cps.len()).collect();
-    while let Some(b) = pending.pop() {
-        if real[b] {
-            continue;
-        }
-        let in_deg = ins[b].len();
-        let out_deg = outs[b].len();
-        if in_deg == 0 || out_deg == 0 || in_deg * out_deg > in_deg + out_deg {
-            continue;
-        }
-        let in_edges = std::mem::take(&mut ins[b]);
-        let out_edges = std::mem::take(&mut outs[b]);
-        for &(a, ka) in &in_edges {
-            remove(&mut outs[a], (b, ka));
-        }
-        for &(c, kc) in &out_edges {
-            remove(&mut ins[c], (b, kc));
-        }
-        for &(a, _) in &in_edges {
-            for &(c, kc) in &out_edges {
-                if a == c && !real[a] {
-                    // Contracting b out of a relay cycle a → b → a would
-                    // produce a relay self-loop — a forwarding no-op, drop
-                    // it. A *real* a keeps its self-loop: it is genuine
-                    // feedback and must stay a widening point.
-                    continue;
-                }
-                insert(&mut outs[a], (c, kc));
-                insert(&mut ins[c], (a, kc));
-            }
-        }
-        // Degrees of the neighbours changed; they may be contractible now.
-        pending.extend(in_edges.iter().map(|&(a, _)| a));
-        pending.extend(out_edges.iter().map(|&(c, _)| c));
-    }
-
-    // Ascending and duplicate-free as the indices are.
-    let mut contracted = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-    for (a, ends) in outs.iter().enumerate() {
-        contracted.extend(ends.iter().map(|&(b, k)| (cps[a], cps[b], k)));
-    }
-    contracted
-}
-
-/// Control points participating in dependency cycles (including
-/// self-loops), plus a topological ranking of the dependency graph's SCC
-/// condensation (producers rank before consumers).
-fn dep_graph_structure(out: &FxHashMap<Cp, Vec<(u32, Cp)>>) -> (FxHashSet<Cp>, FxHashMap<Cp, u32>) {
-    // Dense-number the involved cps.
-    let mut ids: FxHashMap<Cp, usize> = FxHashMap::default();
-    let mut cps: Vec<Cp> = Vec::new();
-    let id_of = |cp: Cp, ids: &mut FxHashMap<Cp, usize>, cps: &mut Vec<Cp>| -> usize {
-        *ids.entry(cp).or_insert_with(|| {
-            cps.push(cp);
-            cps.len() - 1
-        })
+        node_of[p]
     };
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut self_loops: FxHashSet<Cp> = FxHashSet::default();
-    for (&from, outs) in out {
-        for &(_, to) in outs {
-            if from == to {
-                self_loops.insert(from);
-                continue;
+    let (mut edges, mut row) = (Vec::new(), Vec::new());
+    for &from in sources {
+        let a = num.index(from);
+        row.clear();
+        row.extend(out.row(a).iter().map(|&(loc, to)| (loc, num.index(to))));
+        row.sort_unstable();
+        for &(_, b) in &row {
+            if a != b {
+                edges.push((id_of(a), id_of(b)));
+            } else if widens(a) {
+                cycle.insert(a);
             }
-            let a = id_of(from, &mut ids, &mut cps);
-            let b = id_of(to, &mut ids, &mut cps);
-            edges.push((a, b));
         }
     }
-    let mut g = AdjGraph::new(cps.len());
+    let mut g = AdjGraph::new(points.len());
     for (a, b) in edges {
         g.add_edge(a, b);
     }
     let scc = Scc::compute(&g);
-    let mut cycle: FxHashSet<Cp> = self_loops;
-    let mut rank: FxHashMap<Cp, u32> = FxHashMap::default();
-    let ncomp = scc.len() as u32;
-    for (i, &cp) in cps.iter().enumerate() {
-        if scc.in_cycle(i) {
-            cycle.insert(cp);
+    let mut rank = vec![0; num.len()];
+    for (i, &p) in points.iter().enumerate() {
+        if scc.in_cycle(i) && widens(p) {
+            cycle.insert(p);
         }
         // Tarjan numbers components in reverse topological order (an SCC
         // completes after everything it reaches), so invert for
         // producers-first ranks.
-        rank.insert(cp, ncomp - scc.component[i] as u32);
+        rank[p] = (scc.len() - scc.component[i]) as u32;
     }
     (cycle, rank)
+}
+
+#[cfg(test)]
+impl DataDeps {
+    /// Whether `from →loc to` is present (either flavour).
+    pub(crate) fn has(&self, from: Cp, loc: u32, to: Cp) -> bool {
+        self.deps_out(from).contains(&(loc, to))
+    }
+
+    /// A relation over `program` holding exactly the pre-flow `edges`
+    /// `(from, loc, to)`, its rows in `key`'s location order, with widening
+    /// points `cycle` and `order`'s points ranked 1, 2, … after every other.
+    pub(crate) fn hand_built(
+        program: &Program,
+        edges: &[(Cp, u32, Cp)],
+        key: fn(u32) -> u32,
+        cycle: &[Cp],
+        order: &[Cp],
+    ) -> DataDeps {
+        struct Given<'e>(&'e [(Cp, u32, Cp)], fn(u32) -> u32);
+        impl DepSource for Given<'_> {
+            fn defs(&self, _: Cp) -> &[u32] {
+                &[]
+            }
+            fn uses(&self, _: Cp) -> &[u32] {
+                &[]
+            }
+            fn is_real(&self, _: Cp, _: u32) -> bool {
+                true
+            }
+            fn cmp_locs(&self, a: u32, b: u32) -> Ordering {
+                (self.1)(a).cmp(&(self.1)(b))
+            }
+            fn inter_edges(&self, sink: &mut dyn FnMut(u32, Cp, Cp, bool)) {
+                for &(from, loc, to) in self.0 {
+                    sink(loc, from, to, false);
+                }
+            }
+        }
+        let mut deps = generate_from(program, &Given(edges, key), DepGenOptions { bypass: false });
+        deps.cycle = BitSet::new(deps.num.len());
+        for &cp in cycle {
+            deps.cycle.insert(deps.num.index(cp));
+        }
+        deps.topo_rank.fill(0);
+        for (rank, &cp) in (1..).zip(order) {
+            deps.topo_rank[deps.num.index(cp)] = rank;
+        }
+        deps
+    }
+
+    /// This relation without the edge `from →loc to`, in either flavour.
+    pub(crate) fn without(&self, from: Cp, loc: u32, to: Cp) -> DataDeps {
+        let drop = |rows: &Rows<(u32, Cp)>, at: Cp, gone: (u32, Cp)| {
+            let mut kept = Rows::default();
+            for i in 0..rows.len() {
+                let row = rows.row(i).iter().copied();
+                kept.push_row(row.filter(|&e| i != self.num.index(at) || e != gone));
+            }
+            kept
+        };
+        DataDeps {
+            num: self.num.clone(),
+            loc_rank: self.loc_rank.clone(),
+            out: drop(&self.out, from, (loc, to)),
+            into: drop(&self.into, to, (loc, from)),
+            into_ret: drop(&self.into_ret, to, (loc, from)),
+            cycle: self.cycle.clone(),
+            topo_rank: self.topo_rank.clone(),
+            stats: self.stats,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -720,7 +836,7 @@ mod tests {
         assert!(
             s.deps.has(x_def, x_id, y_def),
             "x flows def→use:\n{:?}",
-            s.deps.out
+            s.deps.deps_out(x_def)
         );
     }
 
@@ -761,9 +877,9 @@ mod tests {
             .find(|cp| matches!(s.program.cmd(*cp), Cmd::Assign(_, sga_ir::Expr::Binop(..))))
             .unwrap();
         assert!(
-            s.deps.cycle_nodes.contains(&incr),
+            s.deps.cycle_nodes().any(|cp| cp == incr),
             "loop increment must be a widening point: {:?}",
-            s.deps.cycle_nodes
+            s.deps.cycle_nodes().collect::<Vec<_>>()
         );
     }
 
@@ -790,7 +906,7 @@ mod tests {
         assert!(
             s.deps.has(x_def, x_id, h_ret),
             "def in f must reach use in h directly: {:?}",
-            s.deps.out.get(&x_def)
+            s.deps.deps_out(x_def)
         );
         // And the value does NOT route through g's entry (bypass applied).
         let g_proc = s.program.proc_by_name("g").unwrap();
@@ -877,6 +993,41 @@ mod tests {
         assert!(!s.deps.has(def_in_g, x_id, use_in_f));
     }
 
+    /// [`DataDeps::defs_reaching`] bisects to the run a filter of the
+    /// whole in-edge row finds, for every point and location of a flat and
+    /// of an SCC-heavy unit.
+    #[test]
+    fn defs_reaching_is_the_filtered_in_edge_row() {
+        for max_scc in [2, 28] {
+            let config = sga_cgen::GenConfig {
+                seed: 65261,
+                target_loc: 800,
+                functions: 32,
+                globals: 16,
+                max_scc,
+                ..sga_cgen::GenConfig::default()
+            };
+            let program = parse(&sga_cgen::generate(&config)).expect("parses");
+            let pre = preanalysis::run(&program);
+            let du = defuse::compute(&program, &pre);
+            let deps = generate(&program, &pre, &du, DepGenOptions::default());
+            let mut runs = 0;
+            for cp in program.all_points() {
+                for loc in 0..du.locs.len() as u32 + 1 {
+                    let row = deps.deps_into(cp).iter();
+                    let want: Vec<_> = row.filter(|e| e.0 == loc).copied().collect();
+                    assert_eq!(
+                        deps.defs_reaching(cp, loc),
+                        want,
+                        "max_scc {max_scc}: {cp}, {loc}"
+                    );
+                    runs += usize::from(!want.is_empty());
+                }
+            }
+            assert!(runs > 1000, "max_scc {max_scc}: only {runs} runs");
+        }
+    }
+
     #[test]
     fn recursive_function_has_cyclic_param_dependency() {
         let s = setup(
@@ -884,7 +1035,7 @@ mod tests {
              int main() { return f(9); }",
         );
         assert!(
-            !s.deps.cycle_nodes.is_empty(),
+            s.deps.cycle_nodes().next().is_some(),
             "recursion must create dep cycles"
         );
     }

@@ -2,11 +2,13 @@
 //! the code its kernel replaced — kept verbatim, compiled for tests only —
 //! with the differential tests holding them equal: the reaching-definitions
 //! walk of [`super::proc_dep_edges`] against the bitset dataflow, every
-//! per-procedure segment equal *in order* (segments are stored in cache
-//! entries), and [`super::bypass_contract`] against its hashed form, every
-//! location's contracted edges equal.
+//! per-procedure segment equal *in order* (segment order is the order
+//! `assemble` meets locations in, which ranks the dependency graph and so
+//! orders the sparse worklist), and [`super::Contraction`] against its
+//! hashed form, every location's contracted edges equal, one set of
+//! buffers reused across a unit's locations.
 
-use super::{bypass_contract, proc_dep_edges, DepEdge, DepSource, IntervalDepSource};
+use super::{proc_dep_edges, Contraction, DepEdge, DepSource, IntervalDepSource, Link};
 use crate::preanalysis::reference::differential_programs;
 use crate::{defuse, octagon, preanalysis};
 use sga_ir::{Cp, Program};
@@ -246,7 +248,7 @@ fn walk_segments_equal_dataflow_segments_through_the_octagon_source() {
     }
 }
 
-/// [`bypass_contract`] over hashed adjacency: a `BTreeSet` per point in two
+/// [`Contraction::run`] over hashed adjacency: a `BTreeSet` per point in two
 /// hash maps, `is_real` asked at every visit.
 fn bypass_contract_hashed<S: DepSource>(
     source: &S,
@@ -334,9 +336,18 @@ fn assert_contractions_equal<S: DepSource>(name: &str, program: &Program, source
         }
     }
     source.inter_edges(&mut add);
+    let num = program.point_numbering();
+    let cps: Vec<Cp> = program.all_points().collect();
+    let mut contraction = Contraction::new(num.len());
     let mut contracted = 0;
     for (loc, edges) in &by_loc {
-        let got = bypass_contract(source, *loc, edges);
+        let at = |cp| num.index(cp) as u32;
+        let mut links: Vec<Link> = edges.iter().map(|&(a, b, k)| (at(a), at(b), k)).collect();
+        contraction.run(|p| source.is_real(cps[p], *loc), &mut links);
+        let got: Vec<_> = links
+            .iter()
+            .map(|&(a, b, k)| (cps[a as usize], cps[b as usize], k))
+            .collect();
         assert_eq!(
             got,
             bypass_contract_hashed(source, *loc, edges),

@@ -3,10 +3,10 @@
 //! The §5 dependency relation is a set of triples `(c_from, c_to, l)`.
 //! [`crate::sparse::solve_with`] consumes it through the [`DepStore`]
 //! trait, which couples the relation with worklist construction. The solver
-//! reads every edge row exactly once — it resolves the rows into flat,
-//! location-sorted arrays over the program's dense point numbering before
-//! iterating — so what a store contributes to the inner loop is the
-//! worklist, which speaks dense point indices. The product has one store,
+//! reads the relation's own rows — [`DataDeps`] holds them flat and
+//! location-sorted over the program's dense point numbering — so what a
+//! store contributes to the inner loop is the worklist, which speaks dense
+//! point indices. The product has one store,
 //! [`CsrDeps`]: the [`DataDeps`] relation behind a flat topologically-ordered
 //! worklist (a pending bitset plus a backward-resettable cursor over
 //! precomputed priority slots), over every point the solver can evaluate
@@ -43,14 +43,14 @@ pub enum DepBackend {
 /// A dependency representation the sparse solver can iterate: the edge
 /// relation plus the worklist that orders the evaluation of its points.
 ///
-/// The solver resolves the relation once per solve into flat rows of its
-/// own (sorted by *location*, which only the analysis instance can order,
-/// and addressed by dense point index) and takes the widening points from
-/// [`DataDeps::cycle_nodes`]; what a store decides is how the pending
-/// set is kept.
+/// The solver reads the relation's rows as they are (sorted by
+/// *location*, in the order the analysis instance gave dependency
+/// generation, and addressed by dense point index) and takes the widening
+/// points from [`DataDeps::cycle_nodes`]; what a store decides is how the
+/// pending set is kept.
 pub trait DepStore {
-    /// The §2.6 relation: per-point `(loc id, peer)` rows in ascending
-    /// `(loc id, peer)` order — same-location values are joined in that
+    /// The §2.6 relation: per-point `(loc id, peer)` rows ascending by
+    /// location, then peer — same-location values are joined in that
     /// order — and the points on dependency cycles.
     fn relation(&self) -> &DataDeps;
     /// Builds this store's (empty) worklist over `program`'s dense point
@@ -85,13 +85,11 @@ pub(crate) fn solved_points(program: &Program) -> impl Iterator<Item = Cp> + '_ 
 /// with the ICFG priority as a deterministic tiebreak for nodes outside
 /// the dependency graph.
 fn priority(deps: &DataDeps, icfg: &Icfg, cp: Cp) -> (u32, u32) {
-    let rank = deps.topo_rank.get(&cp).copied().unwrap_or(0);
-    (rank, icfg.priority[&cp])
+    (deps.topo_rank(cp), icfg.priority[&cp])
 }
 
-/// [`DataDeps`] plus the flat worklist's precomputed slot order. (The name
-/// is historical — it used to own a CSR copy of the edge rows; the solver
-/// now resolves its own.)
+/// [`DataDeps`] plus the flat worklist's precomputed slot order. The
+/// compressed (CSR) rows the name refers to are the relation's own.
 pub struct CsrDeps<'d> {
     deps: &'d DataDeps,
     /// Dense point index → flat-worklist slot; `u32::MAX` for points that

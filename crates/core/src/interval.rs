@@ -210,7 +210,7 @@ impl<'p> Pipeline<'p> {
 /// value before a point through [`Inputs::value`] and nothing else.
 ///
 /// * **Sparse:** the join of `cp`'s pre-flow in-edges for `l`
-///   ([`DataDeps::deps_into`]), plus the main-entry seed — the engine's own
+///   ([`DataDeps::defs_reaching`]), plus the main-entry seed — the engine's own
 ///   gather, read after the solve. Return edges are not read, so call
 ///   arguments see pre-call values, as the call transfer does.
 /// * **Dense:** [`dense::input`] over the stored post-states, which follows
@@ -283,7 +283,7 @@ impl<'a> Inputs<'a> {
                 let Some(id) = self.du.locs.id(l) else {
                     return acc;
                 };
-                for &(_, from) in deps.deps_into(cp).iter().filter(|(loc, _)| *loc == id) {
+                for &(_, from) in deps.defs_reaching(cp, id) {
                     if let Some(v) = self.result.values.get(&from).and_then(|s| s.get_ref(l)) {
                         acc = acc.join(v);
                     }

@@ -1064,10 +1064,8 @@ impl OctDefUse {
     /// nothing in the result, as it binds nothing here.
     pub(crate) fn bindable_points(&self, deps: &DataDeps) -> Vec<Cp> {
         let defining = self.sets.iter().filter(|(_, s)| !s.defs.is_empty());
-        let named = [&deps.out, &deps.into, &deps.into_ret]
-            .into_iter()
-            .flat_map(|m| m.keys());
-        let mut points: Vec<Cp> = defining.map(|(cp, _)| cp).chain(named).copied().collect();
+        let named = deps.iter().flat_map(|(from, _, to)| [from, to]);
+        let mut points: Vec<Cp> = defining.map(|(cp, _)| *cp).chain(named).collect();
         points.sort_unstable();
         points.dedup();
         points

@@ -28,7 +28,7 @@ use crate::stats::FixWork;
 use crate::widening::WideningPlan;
 use sga_domains::lattice::Lattice;
 use sga_ir::{Cp, PointNumbering, Program};
-use sga_utils::{BitSet, FxHashMap, PMap};
+use sga_utils::{FxHashMap, PMap};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hash;
@@ -117,45 +117,6 @@ impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
             .get(&cp)
             .and_then(|m| m.get(l).cloned())
             .unwrap_or_else(V::bottom)
-    }
-}
-
-/// One direction of the dependency relation, resolved once per solve onto
-/// the dense point numbering: a CSR whose row `i` holds the edges of point
-/// `i` as `(location id, peer point index)`, stably sorted by *location* —
-/// same-location edges sit together, still in the store's peer order, so
-/// a gather joins them in the order it always did.
-struct EdgeRows {
-    offsets: Vec<u32>,
-    edges: Vec<(u32, u32)>,
-}
-
-impl EdgeRows {
-    fn resolve<'d, L: Ord>(
-        program: &Program,
-        num: &PointNumbering,
-        row_of: impl Fn(Cp) -> &'d [(u32, Cp)],
-        loc_of: impl Fn(u32) -> L,
-    ) -> EdgeRows {
-        let mut offsets = Vec::with_capacity(num.len() + 1);
-        let mut edges = Vec::new();
-        offsets.push(0);
-        let narrow = |n: usize| u32::try_from(n).expect("points and edges are counted in u32");
-        for cp in program.all_points() {
-            let start = edges.len();
-            edges.extend(
-                row_of(cp)
-                    .iter()
-                    .map(|&(loc, peer)| (loc, narrow(num.index(peer)))),
-            );
-            edges[start..].sort_by_key(|&(loc, _)| loc_of(loc));
-            offsets.push(narrow(edges.len()));
-        }
-        EdgeRows { offsets, edges }
-    }
-
-    fn row(&self, i: usize) -> &[(u32, u32)] {
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -284,15 +245,13 @@ thread_local! {
     static FORCE_WHOLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The solver's working state: resolved edge rows, one value row per dense
+/// The solver's working state: the relation's rows, one value row per dense
 /// point index, and the store's worklist.
 struct Engine<'a, S: SparseSpec> {
     spec: &'a S,
     num: PointNumbering,
     main_entry: usize,
-    into: EdgeRows,
-    into_ret: EdgeRows,
-    out: EdgeRows,
+    deps: &'a DataDeps,
     /// `None` until a point's first evaluation, which stores its output
     /// as it is; a cycle head joins (and counts delay) from the second on.
     rows: Vec<Option<Row<S::L, S::V>>>,
@@ -306,8 +265,8 @@ struct Engine<'a, S: SparseSpec> {
 
 impl<S: SparseSpec> Engine<'_, S> {
     /// What point `from` binds `l` to, if it does.
-    fn bound(&self, from: u32, l: &S::L) -> Option<&S::V> {
-        let row = self.rows[from as usize].as_ref()?;
+    fn bound(&self, from: Cp, l: &S::L) -> Option<&S::V> {
+        let row = self.rows[self.num.index(from)].as_ref()?;
         find(row, l).ok().map(|at| &row[at].1)
     }
 
@@ -316,7 +275,7 @@ impl<S: SparseSpec> Engine<'_, S> {
     /// next. A source that does not bind the location contributes nothing.
     /// The row is sized by the locations `edges` names (ids are interned, so
     /// a run of one id is one location), not by how many edges carry them.
-    fn gather(&self, edges: &[(u32, u32)]) -> Row<S::L, S::V> {
+    fn gather(&self, edges: &[(u32, Cp)]) -> Row<S::L, S::V> {
         let runs = edges.windows(2).filter(|w| w[0].0 != w[1].0).count();
         let mut acc: Row<S::L, S::V> = Vec::with_capacity(runs + usize::from(!edges.is_empty()));
         for &(loc_id, from) in edges {
@@ -335,7 +294,7 @@ impl<S: SparseSpec> Engine<'_, S> {
     /// [`Engine::gather`]'s entry for `l` alone — the rows are sorted by
     /// location, so its edges are one run, joined in the same order — and
     /// the number of edges in the run.
-    fn gather_one(&self, edges: &[(u32, u32)], l: &S::L) -> (Option<S::V>, usize) {
+    fn gather_one(&self, edges: &[(u32, Cp)], l: &S::L) -> (Option<S::V>, usize) {
         let start = edges.partition_point(|&(id, _)| self.spec.loc_of(id) < *l);
         let group = edges[start..]
             .iter()
@@ -353,11 +312,11 @@ impl<S: SparseSpec> Engine<'_, S> {
 
     /// Applies the transfer of point `i` to its gathered inputs.
     fn evaluate(&self, i: usize) -> Row<S::L, S::V> {
-        let mut pre = self.gather(self.into.row(i));
+        let mut pre = self.gather(self.deps.into.row(i));
         if i == self.main_entry {
             pre = join_rows(&self.spec.initial(), &pre);
         }
-        let ret = self.gather(self.into_ret.row(i));
+        let ret = self.gather(self.deps.into_ret.row(i));
         let out = self.spec.transfer(self.num.cp(i), &pre, &ret);
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
@@ -397,7 +356,7 @@ impl<S: SparseSpec> Engine<'_, S> {
             || !dirty.iter().all(|l| self.spec.forwards(cp, l));
         if whole {
             self.work.whole += 1;
-            self.work.edge_reads += self.into.row(i).len() + self.into_ret.row(i).len();
+            self.work.edge_reads += self.deps.into.row(i).len() + self.deps.into_ret.row(i).len();
             return Some(Candidate::Whole(self.evaluate(i)));
         }
         if dirty.is_empty() {
@@ -410,8 +369,8 @@ impl<S: SparseSpec> Engine<'_, S> {
         self.work.forwarded_locs += dirty.len();
         let mut patch = Vec::with_capacity(dirty.len());
         for &l in dirty.iter() {
-            let (pre, pre_reads) = self.gather_one(self.into.row(i), &l);
-            let (ret, ret_reads) = self.gather_one(self.into_ret.row(i), &l);
+            let (pre, pre_reads) = self.gather_one(self.deps.into.row(i), &l);
+            let (ret, ret_reads) = self.gather_one(self.deps.into_ret.row(i), &l);
             self.work.edge_reads += pre_reads + ret_reads;
             let v = match (pre, ret) {
                 (Some(pre), Some(ret)) => Some(pre.join(&ret)),
@@ -432,14 +391,15 @@ impl<S: SparseSpec> Engine<'_, S> {
         if changed.is_empty() && self.rows[i].is_some() {
             return;
         }
-        let mut users = self.out.row(i);
+        let mut users = self.deps.out.row(i);
         for l in changed {
-            let before = |&(id, _): &(u32, u32)| self.spec.loc_of(id) < l;
+            let before = |&(id, _): &(u32, Cp)| self.spec.loc_of(id) < l;
             users = &users[users.partition_point(before)..];
             let run = users.partition_point(|&(id, _)| self.spec.loc_of(id) == l);
             for &(_, to) in &users[..run] {
-                self.worklist.push(to as usize);
-                self.dirty[to as usize].push(l);
+                let to = self.num.index(to);
+                self.worklist.push(to);
+                self.dirty[to].push(l);
             }
             users = &users[run..];
         }
@@ -476,9 +436,9 @@ impl<S: SparseSpec> Engine<'_, S> {
 /// descending phase is skipped. The returned post-fixpoint over-approximates
 /// the unbounded one and `degraded` is set.
 ///
-/// The state is flat: points are numbered once, `deps`' edge rows are
-/// resolved once into location-sorted `u32` arrays, and a point's bindings
-/// are one sorted [`Row`]. Joining, widening and narrowing are linear merges of two rows
+/// The state is flat: the engine reads `deps`' location-sorted rows as
+/// they are (their location order must be `spec`'s), and a point's
+/// bindings are one sorted [`Row`]. Joining, widening and narrowing are linear merges of two rows
 /// that report the changed locations, and only those locations' users are
 /// requeued — each with the locations that moved, so a pop whose command
 /// only forwards them ([`SparseSpec::forwards`]) merges those entries alone.
@@ -504,17 +464,11 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
 ) -> SparseResult<S::L, S::V> {
     let num = program.point_numbering();
     let relation = deps.relation();
-    let loc_of = |id| spec.loc_of(id);
-    let mut cycle = BitSet::new(num.len());
-    for &cp in &relation.cycle_nodes {
-        cycle.insert(num.index(cp));
-    }
+    let cycle = &relation.cycle;
     let mut engine = Engine {
         spec,
         main_entry: num.index(Cp::new(program.main, program.procs[program.main].entry)),
-        into: EdgeRows::resolve(program, &num, |cp| relation.deps_into(cp), loc_of),
-        into_ret: EdgeRows::resolve(program, &num, |cp| relation.deps_into_ret(cp), loc_of),
-        out: EdgeRows::resolve(program, &num, |cp| relation.deps_out(cp), loc_of),
+        deps: relation,
         rows: (0..num.len()).map(|_| None).collect(),
         dirty: vec![Vec::new(); num.len()],
         // Pops the pending point minimal in ((topo rank, ICFG priority), cp)

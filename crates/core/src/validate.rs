@@ -502,15 +502,7 @@ mod tests {
         edges.sort_unstable();
         let stride = edges.len() / 41 + 1;
         let caught = edges.iter().step_by(stride).any(|&(from, loc, to)| {
-            let mut deps =
-                crate::depgen::generate(&program, &staged.pre, &staged.du, options.depgen);
-            deps.out
-                .entry(from)
-                .and_modify(|row| row.retain(|&e| e != (loc, to)));
-            for into in [&mut deps.into, &mut deps.into_ret] {
-                into.entry(to)
-                    .and_modify(|row| row.retain(|&e| e != (loc, from)));
-            }
+            let deps = staged.deps.without(from, loc, to);
             validate_over(&staged, &deps, options)
                 .1
                 .violations()

@@ -17,6 +17,8 @@
 //!   reaching-definition style passes.
 //! * [`graph`] — small graph toolkit: Tarjan SCC, reverse postorder, and
 //!   Bourdoncle-style weak topological order used to place widening points.
+//! * [`rows`] — compressed rows: variable-length rows in one array, the
+//!   layout of the def/use id sets and the dependency relation.
 //! * [`stats`] — wall-clock timers and peak-memory sampling used by the
 //!   benchmark harness to fill in the paper's tables.
 
@@ -29,6 +31,7 @@ pub mod graph;
 pub mod idx;
 pub mod json;
 pub mod pmap;
+pub mod rows;
 pub mod stats;
 
 pub use bitset::BitSet;
@@ -36,3 +39,4 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use idx::{Idx, IndexVec};
 pub use json::Json;
 pub use pmap::PMap;
+pub use rows::Rows;

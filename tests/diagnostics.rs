@@ -34,6 +34,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use sga::analysis::budget::Budget;
+use sga::analysis::depgen::DepGenOptions;
 use sga::analysis::interval::{self, AnalyzeOptions, Engine};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
@@ -485,6 +486,32 @@ fn canonical_reports_match_the_pinned_digests() {
         (solved.iterations, solved.narrowing_rounds),
         (5712, 1554),
         "interval trajectory of the recursive unit drifted"
+    );
+    // Without the bypass, raw edges reach the relation in emission order,
+    // not in the contraction's point order, so this trajectory pins a
+    // second order of the same inputs.
+    let no_bypass = AnalyzeOptions {
+        depgen: DepGenOptions { bypass: false },
+        ..AnalyzeOptions::default()
+    };
+    let off = interval::Pipeline::prepare(&program, no_bypass);
+    let spec = interval::IntervalSparseSpec {
+        program: &program,
+        pre: &off.pre,
+        du: &off.du,
+    };
+    let solved = sparse::solve(
+        &program,
+        &off.icfg,
+        &off.deps,
+        &spec,
+        &off.widening,
+        &Budget::unbounded(),
+    );
+    assert_eq!(
+        (solved.iterations, solved.narrowing_rounds),
+        (5959, 1554),
+        "bypass-off interval trajectory of the recursive unit drifted"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
