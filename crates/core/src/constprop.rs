@@ -257,8 +257,8 @@ impl SparseSpec for ConstSpec<'_> {
         self.initial_state().to_sorted_vec()
     }
 
-    fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
-        self.du.forwards(cp, l)
+    fn forwards(&self, cp: Cp, id: u32) -> bool {
+        self.du.forwards(cp, id)
     }
 
     fn keeps(&self, v: &Const) -> bool {

@@ -126,12 +126,11 @@ impl DefUse {
     /// [`crate::sparse::SparseSpec::forwards`] for the instances whose
     /// transfer reads and writes within the real sets (the pre-analysis they
     /// come from over-approximates every state the fixpoint passes through):
-    /// `l` is a relayed member of `D̂(cp)`.
-    pub(crate) fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
-        let has = |set: &[AbsLoc]| set.binary_search(l).is_ok();
-        self.sets
-            .get(&cp)
-            .is_some_and(|s| has(&s.defs) && !has(&s.real_defs) && !has(&s.real_uses))
+    /// location `id` is a relayed member of `D̂(cp)`.
+    pub(crate) fn forwards(&self, cp: Cp, id: u32) -> bool {
+        let i = self.num.index(cp);
+        let has = |ids: &[u32]| ids.binary_search(&id).is_ok();
+        has(self.def_ids.row(i)) && !has(self.real_ids.row(i))
     }
 
     /// Average `|D̂(c)|` over real command points — Table 2's `D̂(c)` column.

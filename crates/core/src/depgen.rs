@@ -64,7 +64,8 @@ pub struct DepGenStats {
 #[derive(Debug)]
 pub struct DataDeps {
     num: PointNumbering,
-    /// Location id → position in the instance's order (`MAX`: on no edge).
+    /// Location id → position in the instance's order, for every id the
+    /// instance interns ([`DepSource::loc_count`]), on an edge or not.
     loc_rank: Vec<u32>,
     /// Forward edges, per point: `(loc, to)`.
     pub(crate) out: Rows<(u32, Cp)>,
@@ -105,6 +106,13 @@ impl DataDeps {
         &run[..run.partition_point(|&(l, _)| l == loc)]
     }
 
+    /// Location id → rank: its position among all the instance's locations
+    /// in the order the rows keep. Total over the interned ids, so a
+    /// location no edge carries — a dead store's target — has one too.
+    pub(crate) fn loc_rank(&self) -> &[u32] {
+        &self.loc_rank
+    }
+
     /// The widening points (real definitions on dependency cycles), ascending.
     pub fn cycle_nodes(&self) -> impl Iterator<Item = Cp> + '_ {
         self.cycle.iter().map(|i| self.num.cp(i))
@@ -136,6 +144,9 @@ pub trait DepSource {
     fn uses(&self, cp: Cp) -> &[u32];
     /// Whether `loc` is a real (non-relay) def or use at `cp`.
     fn is_real(&self, cp: Cp, loc: u32) -> bool;
+    /// How many location ids the instance interns: every id a set, an
+    /// edge or a sparse row names is below it.
+    fn loc_count(&self) -> usize;
 
     /// The order of two locations: the one the instance's sparse rows keep
     /// ([`crate::sparse::SparseSpec::loc_of`] ascending). Ids by default.
@@ -230,18 +241,19 @@ pub fn assemble<S: DepSource>(
     source.inter_edges(&mut |loc, from, to, is_return| inter.push((loc, from, to, is_return)));
     let raw = || segments.iter().flatten().chain(&inter);
 
-    // Locations as first met, then ranked in the instance's order.
-    let (mut loc_rank, mut by_loc) = (Vec::new(), FxHashSet::default());
-    for &(loc, ..) in raw() {
-        loc_rank.resize(loc_rank.len().max(loc as usize + 1), u32::MAX);
-        if std::mem::replace(&mut loc_rank[loc as usize], 0) == u32::MAX {
-            by_loc.insert(loc);
-        }
-    }
-    let mut locs: Vec<u32> = by_loc.iter().copied().collect();
+    // Every location ranked in the instance's order; the ones on an edge
+    // also as first met.
+    let mut locs: Vec<u32> = (0..source.loc_count() as u32).collect();
     locs.sort_unstable_by(|&a, &b| source.cmp_locs(a, b));
+    let mut loc_rank = vec![0; locs.len()];
     for (rank, &loc) in locs.iter().enumerate() {
         loc_rank[loc as usize] = rank as u32;
+    }
+    let (mut on_edge, mut by_loc) = (BitSet::new(locs.len()), FxHashSet::default());
+    for &(loc, ..) in raw() {
+        if on_edge.insert(loc as usize) {
+            by_loc.insert(loc);
+        }
     }
     let at = |cp: Cp| num.index(cp) as u32;
     let rank_of = |loc: u32| loc_rank[loc as usize] as usize;
@@ -515,6 +527,10 @@ impl DepSource for IntervalDepSource<'_> {
         self.du.real_ids(cp).binary_search(&loc).is_ok()
     }
 
+    fn loc_count(&self) -> usize {
+        self.du.locs.len()
+    }
+
     fn cmp_locs(&self, a: u32, b: u32) -> Ordering {
         self.du.locs.loc(a).cmp(&self.du.locs.loc(b))
     }
@@ -717,6 +733,7 @@ impl DataDeps {
     /// A relation over `program` holding exactly the pre-flow `edges`
     /// `(from, loc, to)`, its rows in `key`'s location order, with widening
     /// points `cycle` and `order`'s points ranked 1, 2, … after every other.
+    /// Location ids run `0..=100`.
     pub(crate) fn hand_built(
         program: &Program,
         edges: &[(Cp, u32, Cp)],
@@ -734,6 +751,9 @@ impl DataDeps {
             }
             fn is_real(&self, _: Cp, _: u32) -> bool {
                 true
+            }
+            fn loc_count(&self) -> usize {
+                101
             }
             fn cmp_locs(&self, a: u32, b: u32) -> Ordering {
                 (self.1)(a).cmp(&(self.1)(b))

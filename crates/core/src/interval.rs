@@ -466,8 +466,8 @@ impl SparseSpec for IntervalSparseSpec<'_> {
         initial_state(self.program).as_pmap().to_sorted_vec()
     }
 
-    fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
-        self.du.forwards(cp, l)
+    fn forwards(&self, cp: Cp, id: u32) -> bool {
+        self.du.forwards(cp, id)
     }
 
     fn keeps(&self, v: &Value) -> bool {

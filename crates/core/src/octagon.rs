@@ -138,6 +138,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     let mut result = analyze_with_pre(program, &pre, &du, &icfg, None, engine, options);
     result.stats.record_pre(&pre, pre_time);
     result.stats.total_time = total.stop();
+    result.stats.peak_mem_bytes = peak_rss_bytes();
     result
 }
 
@@ -202,7 +203,6 @@ pub(crate) fn analyze_with_pre(
     };
 
     stats.total_time = total.stop();
-    stats.peak_mem_bytes = peak_rss_bytes();
     OctagonResult {
         engine,
         values,
@@ -848,6 +848,8 @@ pub struct OctDefUse {
     use_total: usize,
     inter: Vec<(u32, Cp, Cp, bool)>,
     routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>>,
+    /// Packs in the unit, kept or not: the location ids are pack ids.
+    packs: usize,
     /// Packs flowing into each procedure (localization restriction).
     pub in_packs: IndexVec<ProcId, FxHashSet<PackId>>,
     /// Packs flowing out of each procedure.
@@ -1035,6 +1037,7 @@ impl OctDefUse {
             use_total,
             inter,
             routes,
+            packs: packs.len(),
             in_packs,
             out_packs,
         }
@@ -1103,6 +1106,10 @@ impl DepSource for OctDefUse {
         self.sets
             .get(&cp)
             .is_some_and(|s| s.real.binary_search(&loc).is_ok())
+    }
+
+    fn loc_count(&self) -> usize {
+        self.packs
     }
 
     fn use_routes(&self, cp: Cp, loc: u32) -> depgen::UseRoutes<'_> {
@@ -1300,7 +1307,7 @@ impl SparseSpec for OctSparseSpec<'_> {
     /// entry resets its fresh packs, which are real) or past a call that
     /// returns into a variable or nowhere and really uses none of the
     /// pack's members.
-    fn forwards(&self, cp: Cp, pid: &PackId) -> bool {
+    fn forwards(&self, cp: Cp, pid: u32) -> bool {
         let plain = matches!(
             self.sem.program.cmd(cp),
             Cmd::Skip
@@ -1314,9 +1321,9 @@ impl SparseSpec for OctSparseSpec<'_> {
         };
         let used = |v: &VarId| sets.real_uses.binary_search(&AbsLoc::Var(*v)).is_ok();
         plain
-            && self.odu.defs(cp).binary_search(&pid.0).is_ok()
-            && !self.odu.is_real(cp, pid.0)
-            && !self.sem.packs.pack(*pid).members().iter().any(used)
+            && self.odu.defs(cp).binary_search(&pid).is_ok()
+            && !self.odu.is_real(cp, pid)
+            && !self.sem.packs.pack(PackId(pid)).members().iter().any(used)
     }
 
     fn keeps(&self, oct: &Octagon) -> bool {

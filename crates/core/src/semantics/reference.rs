@@ -249,8 +249,8 @@ mod tests {
         fn initial(&self) -> Row<AbsLoc, Value> {
             self.spec.initial()
         }
-        fn forwards(&self, cp: Cp, l: &AbsLoc) -> bool {
-            self.spec.forwards(cp, l)
+        fn forwards(&self, cp: Cp, id: u32) -> bool {
+            self.spec.forwards(cp, id)
         }
         fn keeps(&self, v: &Value) -> bool {
             self.spec.keeps(v)

@@ -19,6 +19,14 @@
 //! descent's opening round computes only at cycle heads. The pop sequence —
 //! and with it every row, `iterations` and `narrowing_rounds` — is the one
 //! whole evaluations produce (DESIGN.md, "Sparse engine").
+//!
+//! Inside the engine a location is its rank: its position in the
+//! instance's order over every interned location (`DataDeps::loc_rank`),
+//! so stored rows, dirty lists and changed lists hold one `u32` per
+//! location, and bisecting a row or an edge run compares integers.
+//! Locations of type [`SparseSpec::L`] appear only at the transfer's
+//! boundary — the gathered `pre`/`ret` rows, and the output row merged into
+//! the stored one — and in [`SparseResult::values`].
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
@@ -68,15 +76,17 @@ pub trait SparseSpec {
     /// the main-entry point.
     fn initial(&self) -> Row<Self::L, Self::V>;
 
-    /// Whether `cp`'s command merely hands `l` on — the question the bypass
-    /// contraction asks through [`crate::depgen::DepSource`]'s `is_real` and
-    /// `defs`, asked again at run time. `true` is a promise about
-    /// [`SparseSpec::transfer`]: `l` is in `D̂(cp)`, the transfer neither
-    /// reads nor writes it, and its output binds it to `pre ⊔ ret` if the
-    /// instance [keeps](SparseSpec::keeps) that value. The default promises
-    /// nothing, so every pop runs the transfer.
-    fn forwards(&self, cp: Cp, l: &Self::L) -> bool {
-        let _ = (cp, l);
+    /// Whether `cp`'s command merely hands on the location with id `id` —
+    /// the question the bypass contraction asks through
+    /// [`crate::depgen::DepSource`]'s `is_real` and `defs`, asked again at
+    /// run time, of the same dense id rows (no location is decoded).
+    /// `true` is a promise about [`SparseSpec::transfer`]: the location is
+    /// in `D̂(cp)`, the transfer neither reads nor writes it, and its output
+    /// binds it to `pre ⊔ ret` if the instance [keeps](SparseSpec::keeps)
+    /// that value. The default promises nothing, so every pop runs the
+    /// transfer.
+    fn forwards(&self, cp: Cp, id: u32) -> bool {
+        let _ = (cp, id);
         false
     }
 
@@ -120,47 +130,55 @@ impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
     }
 }
 
-/// What one pop computed for its point.
-enum Candidate<L, V> {
+/// What one pop computed for its point: keyed by location `K` as the
+/// transfer returns it, or by rank as the engine stores it.
+enum Candidate<K, V> {
     /// The transfer's output row.
-    Whole(Row<L, V>),
-    /// Forwarded: the candidates of the dirty locations alone, ascending
-    /// (`None`: not bound); every other location is as stored.
-    Dirty(Vec<(L, Option<V>)>),
+    Whole(Row<K, V>),
+    /// Forwarded: the candidates of the dirty locations alone, ascending by
+    /// rank (`None`: not bound); every other location is as stored.
+    Dirty(Vec<(u32, Option<V>)>),
 }
 
 /// A candidate merged with the point's stored row — the row to store, or
-/// the entries to patch into it — and the locations where the two differ
-/// (ascending).
-struct Update<L, V> {
-    stored: Candidate<L, V>,
-    changed: Vec<L>,
+/// the entries to patch into it — and the ranks of the locations where the
+/// two differ (ascending).
+struct Update<V> {
+    stored: Candidate<u32, V>,
+    changed: Vec<u32>,
 }
 
 impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
     /// Merges with the stored row `old`, with `f(old value, new value)`
-    /// where both bind a location. Under `union` a location only `old` binds
-    /// stays (a cycle head accumulates); otherwise it goes (any other output
-    /// *replaces* the row). Changed is every location bound on one side only
-    /// — unless kept — or whose value `f` moved.
-    fn merge(&self, old: &[(L, V)], union: bool, f: impl Fn(&V, &V) -> V) -> Update<L, V> {
+    /// where both bind a location; `locs` decodes a rank. Under `union` a
+    /// location only `old` binds stays (a cycle head accumulates);
+    /// otherwise it goes (any other output *replaces* the row). Changed is
+    /// every location bound on one side only — unless kept — or whose
+    /// value `f` moved.
+    fn merge(
+        &self,
+        old: &[(u32, V)],
+        locs: &[L],
+        union: bool,
+        f: impl Fn(&V, &V) -> V,
+    ) -> Update<V> {
         let new = match self {
-            Candidate::Whole(new) => return merge_rows(old, new, union, f),
+            Candidate::Whole(new) => return merge_rows(old, new, locs, union, f),
             Candidate::Dirty(new) => new,
         };
         let mut patch = Vec::with_capacity(new.len());
         let mut changed = Vec::new();
-        for (l, n) in new {
-            let o = find(old, l).ok().map(|at| &old[at].1);
+        for &(r, ref n) in new {
+            let o = find(old, &r).ok().map(|at| &old[at].1);
             let v = match (o, n) {
                 (Some(_), None) if union => continue,
                 (Some(o), Some(n)) => Some(f(o, n)),
                 _ => n.clone(),
             };
             if v.as_ref() != o {
-                changed.push(*l);
+                changed.push(r);
             }
-            patch.push((*l, v));
+            patch.push((r, v));
         }
         Update {
             stored: Candidate::Dirty(patch),
@@ -197,19 +215,22 @@ pub fn join_rows<L: Copy + Ord, V: Lattice>(a: &[(L, V)], b: &[(L, V)]) -> Row<L
     row
 }
 
-/// [`Candidate::merge`] of a whole row: two ascending rows in one pass.
+/// [`Candidate::merge`] of a whole row: the stored rank-keyed row and the
+/// transfer's location-keyed one in one pass. A location the stored row
+/// does not bind gets its rank by bisecting `locs`.
 fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
-    old: &[(L, V)],
+    old: &[(u32, V)],
     new: &[(L, V)],
+    locs: &[L],
     union: bool,
     f: impl Fn(&V, &V) -> V,
-) -> Update<L, V> {
+) -> Update<V> {
     let mut row = Vec::with_capacity(old.len().max(new.len()));
     let mut changed = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < old.len() || j < new.len() {
         let side = match (old.get(i), new.get(j)) {
-            (Some(o), Some(n)) => o.0.cmp(&n.0),
+            (Some(o), Some(n)) => locs[o.0 as usize].cmp(&n.0),
             (Some(_), None) => Ordering::Less,
             _ => Ordering::Greater,
         };
@@ -217,8 +238,10 @@ fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
             Ordering::Less if union => row.push(old[i].clone()),
             Ordering::Less => changed.push(old[i].0),
             Ordering::Greater => {
-                changed.push(new[j].0);
-                row.push(new[j].clone());
+                let r = locs.partition_point(|l| *l < new[j].0);
+                debug_assert!(locs[r] == new[j].0, "the transfer binds a ranked location");
+                changed.push(r as u32);
+                row.push((r as u32, new[j].1.clone()));
             }
             Ordering::Equal => {
                 let v = f(&old[i].1, &new[j].1);
@@ -246,64 +269,76 @@ thread_local! {
 }
 
 /// The solver's working state: the relation's rows, one value row per dense
-/// point index, and the store's worklist.
+/// point index, and the store's worklist. Stored rows, dirty lists and
+/// changed lists name a location by its rank ([`DataDeps::loc_rank`]).
 struct Engine<'a, S: SparseSpec> {
     spec: &'a S,
     num: PointNumbering,
+    /// Dense point index → point.
+    cps: Vec<Cp>,
     main_entry: usize,
+    /// The main entry's seed, [`SparseSpec::initial`].
+    initial: Row<S::L, S::V>,
     deps: &'a DataDeps,
+    /// Location id → rank.
+    rank: &'a [u32],
+    /// Rank → location id, and rank → location.
+    ids: Vec<u32>,
+    locs: Vec<S::L>,
     /// `None` until a point's first evaluation, which stores its output
     /// as it is; a cycle head joins (and counts delay) from the second on.
-    rows: Vec<Option<Row<S::L, S::V>>>,
-    /// Per point, the locations whose input moved since its last pop, as
+    rows: Vec<Option<Row<u32, S::V>>>,
+    /// Per point, the ranks whose input moved since its last pop, as
     /// [`Engine::commit`] met them (unordered, repeats). A pop takes its
     /// list, so none outlives it.
-    dirty: Vec<Vec<S::L>>,
+    dirty: Vec<Vec<u32>>,
     worklist: Box<dyn Worklist + 'a>,
     work: FixWork,
 }
 
 impl<S: SparseSpec> Engine<'_, S> {
-    /// What point `from` binds `l` to, if it does.
-    fn bound(&self, from: Cp, l: &S::L) -> Option<&S::V> {
+    /// What point `from` binds rank `r` to, if it does.
+    fn bound(&self, from: Cp, r: u32) -> Option<&S::V> {
         let row = self.rows[self.num.index(from)].as_ref()?;
-        find(row, l).ok().map(|at| &row[at].1)
+        find(row, &r).ok().map(|at| &row[at].1)
     }
 
-    /// Joins the values arriving over `edges` into one ascending row: a
-    /// single pass, each value joining into the last entry or opening the
-    /// next. A source that does not bind the location contributes nothing.
-    /// The row is sized by the locations `edges` names (ids are interned, so
-    /// a run of one id is one location), not by how many edges carry them.
+    /// Joins the values arriving over `edges` into one ascending row for the
+    /// transfer: a single pass, each value joining into the last entry or
+    /// opening the next. A source that does not bind the location
+    /// contributes nothing. The row is sized by the locations `edges` names
+    /// (ids are interned, so a run of one id is one location), not by how
+    /// many edges carry them.
     fn gather(&self, edges: &[(u32, Cp)]) -> Row<S::L, S::V> {
         let runs = edges.windows(2).filter(|w| w[0].0 != w[1].0).count();
         let mut acc: Row<S::L, S::V> = Vec::with_capacity(runs + usize::from(!edges.is_empty()));
-        for &(loc_id, from) in edges {
-            let l = self.spec.loc_of(loc_id);
-            let Some(v) = self.bound(from, &l) else {
+        let mut last = None;
+        for &(id, from) in edges {
+            let r = self.rank[id as usize];
+            let Some(v) = self.bound(from, r) else {
                 continue;
             };
             match acc.last_mut() {
-                Some((last, joined)) if *last == l => *joined = joined.join(v),
-                _ => acc.push((l, v.clone())),
+                Some((_, joined)) if last == Some(id) => *joined = joined.join(v),
+                _ => acc.push((self.locs[r as usize], v.clone())),
             }
+            last = Some(id);
         }
         acc
     }
 
-    /// [`Engine::gather`]'s entry for `l` alone — the rows are sorted by
-    /// location, so its edges are one run, joined in the same order — and
-    /// the number of edges in the run.
-    fn gather_one(&self, edges: &[(u32, Cp)], l: &S::L) -> (Option<S::V>, usize) {
-        let start = edges.partition_point(|&(id, _)| self.spec.loc_of(id) < *l);
-        let group = edges[start..]
-            .iter()
-            .take_while(|&&(id, _)| self.spec.loc_of(id) == *l);
+    /// [`Engine::gather`]'s entry for rank `r` alone — the rows are sorted by
+    /// rank, so its edges are one run, joined in the same order — and the
+    /// number of edges in the run.
+    fn gather_one(&self, edges: &[(u32, Cp)], r: u32) -> (Option<S::V>, usize) {
+        let start = edges.partition_point(|&(id, _)| self.rank[id as usize] < r);
+        let id = self.ids[r as usize];
+        let group = edges[start..].iter().take_while(|e| e.0 == id);
         let mut acc: Option<S::V> = None;
         let mut reads = 0;
         for &(_, from) in group {
             reads += 1;
-            if let Some(v) = self.bound(from, l) {
+            if let Some(v) = self.bound(from, r) {
                 acc = Some(acc.map_or_else(|| v.clone(), |joined| joined.join(v)));
             }
         }
@@ -314,10 +349,10 @@ impl<S: SparseSpec> Engine<'_, S> {
     fn evaluate(&self, i: usize) -> Row<S::L, S::V> {
         let mut pre = self.gather(self.deps.into.row(i));
         if i == self.main_entry {
-            pre = join_rows(&self.spec.initial(), &pre);
+            pre = join_rows(&self.initial, &pre);
         }
         let ret = self.gather(self.deps.into_ret.row(i));
-        let out = self.spec.transfer(self.num.cp(i), &pre, &ret);
+        let out = self.spec.transfer(self.cps[i], &pre, &ret);
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
             "transfer rows must be strictly ascending"
@@ -345,15 +380,17 @@ impl<S: SparseSpec> Engine<'_, S> {
         &mut self,
         i: usize,
         whole: bool,
-        dirty: &mut Vec<S::L>,
+        dirty: &mut Vec<u32>,
     ) -> Option<Candidate<S::L, S::V>> {
-        let cp = self.num.cp(i);
+        let cp = self.cps[i];
         #[cfg(test)]
         let whole = whole || FORCE_WHOLE.with(std::cell::Cell::get);
         let whole = whole
             || i == self.main_entry
             || self.rows[i].is_none()
-            || !dirty.iter().all(|l| self.spec.forwards(cp, l));
+            || !dirty
+                .iter()
+                .all(|&r| self.spec.forwards(cp, self.ids[r as usize]));
         if whole {
             self.work.whole += 1;
             self.work.edge_reads += self.deps.into.row(i).len() + self.deps.into_ret.row(i).len();
@@ -368,38 +405,38 @@ impl<S: SparseSpec> Engine<'_, S> {
         self.work.forwarded += 1;
         self.work.forwarded_locs += dirty.len();
         let mut patch = Vec::with_capacity(dirty.len());
-        for &l in dirty.iter() {
-            let (pre, pre_reads) = self.gather_one(self.deps.into.row(i), &l);
-            let (ret, ret_reads) = self.gather_one(self.deps.into_ret.row(i), &l);
+        for &r in dirty.iter() {
+            let (pre, pre_reads) = self.gather_one(self.deps.into.row(i), r);
+            let (ret, ret_reads) = self.gather_one(self.deps.into_ret.row(i), r);
             self.work.edge_reads += pre_reads + ret_reads;
             let v = match (pre, ret) {
                 (Some(pre), Some(ret)) => Some(pre.join(&ret)),
                 (pre, ret) => pre.or(ret),
             };
-            patch.push((l, v.filter(|v| self.spec.keeps(v))));
+            patch.push((r, v.filter(|v| self.spec.keeps(v))));
         }
         Some(Candidate::Dirty(patch))
     }
 
     /// Stores a changed update — a whole row replaces the stored one, a
     /// patch edits it in place — and requeues the users of exactly the
-    /// changed locations, each told which location moved: the out-edges are
-    /// sorted by location, so each changed location's users are one run,
-    /// found by bisecting what is left of the row. An unchanged candidate is
+    /// changed locations, each told which rank moved: the out-edges are
+    /// sorted by rank, so each changed location's users are one run, found
+    /// by bisecting what is left of the row. An unchanged candidate is
     /// dropped: the stored row keeps its values.
-    fn commit(&mut self, i: usize, Update { stored, changed }: Update<S::L, S::V>) {
+    fn commit(&mut self, i: usize, Update { stored, changed }: Update<S::V>) {
         if changed.is_empty() && self.rows[i].is_some() {
             return;
         }
         let mut users = self.deps.out.row(i);
-        for l in changed {
-            let before = |&(id, _): &(u32, Cp)| self.spec.loc_of(id) < l;
-            users = &users[users.partition_point(before)..];
-            let run = users.partition_point(|&(id, _)| self.spec.loc_of(id) == l);
+        for r in changed {
+            users = &users[users.partition_point(|&(id, _)| self.rank[id as usize] < r)..];
+            let id = self.ids[r as usize];
+            let run = users.partition_point(|e| e.0 == id);
             for &(_, to) in &users[..run] {
                 let to = self.num.index(to);
                 self.worklist.push(to);
-                self.dirty[to].push(l);
+                self.dirty[to].push(r);
             }
             users = &users[run..];
         }
@@ -407,11 +444,11 @@ impl<S: SparseSpec> Engine<'_, S> {
             Candidate::Whole(row) => self.rows[i] = Some(row),
             Candidate::Dirty(patch) => {
                 let row = self.rows[i].as_mut().expect("forwarding follows a visit");
-                for (l, v) in patch {
-                    match (find(row, &l), v) {
+                for (r, v) in patch {
+                    match (find(row, &r), v) {
                         (Ok(at), Some(v)) => row[at].1 = v,
                         (Ok(at), None) => drop(row.remove(at)),
-                        (Err(at), Some(v)) => row.insert(at, (l, v)),
+                        (Err(at), Some(v)) => row.insert(at, (r, v)),
                         (Err(_), None) => {}
                     }
                 }
@@ -438,10 +475,12 @@ impl<S: SparseSpec> Engine<'_, S> {
 ///
 /// The state is flat: the engine reads `deps`' location-sorted rows as
 /// they are (their location order must be `spec`'s), and a point's
-/// bindings are one sorted [`Row`]. Joining, widening and narrowing are linear merges of two rows
-/// that report the changed locations, and only those locations' users are
-/// requeued — each with the locations that moved, so a pop whose command
-/// only forwards them ([`SparseSpec::forwards`]) merges those entries alone.
+/// bindings are one row sorted by location rank. Joining, widening and
+/// narrowing are linear merges of two rows that report the changed
+/// locations, and only those locations' users are requeued — each with the
+/// locations that moved, so a pop whose command only forwards them
+/// ([`SparseSpec::forwards`]) merges those entries alone. The main entry's
+/// seed ([`SparseSpec::initial`]) is built once per solve.
 /// `iterations` and `narrowing_rounds` count pops, whatever a pop computed.
 /// The trajectory depends on the pop order (see [`crate::depstore`]).
 ///
@@ -465,10 +504,20 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
     let num = program.point_numbering();
     let relation = deps.relation();
     let cycle = &relation.cycle;
+    let rank = relation.loc_rank();
+    let mut ids = vec![0; rank.len()];
+    for (id, &r) in rank.iter().enumerate() {
+        ids[r as usize] = id as u32;
+    }
     let mut engine = Engine {
         spec,
+        cps: program.all_points().collect(),
         main_entry: num.index(Cp::new(program.main, program.procs[program.main].entry)),
+        initial: spec.initial(),
         deps: relation,
+        rank,
+        locs: ids.iter().map(|&id| spec.loc_of(id)).collect(),
+        ids,
         rows: (0..num.len()).map(|_| None).collect(),
         dirty: vec![Vec::new(); num.len()],
         // Pops the pending point minimal in ((topo rank, ICFG priority), cp)
@@ -492,7 +541,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
     // requeues the evaluation order produces.
     let mut widen_delay = vec![0u32; engine.rows.len()];
     while let Some(i) = engine.worklist.pop() {
-        let cp = engine.num.cp(i);
+        let cp = engine.cps[i];
         iterations += 1;
         assert!(
             iterations <= backstop,
@@ -502,23 +551,24 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         let Some(out) = engine.candidate(i, false) else {
             continue;
         };
+        let locs = &engine.locs;
         let update = match engine.rows[i].as_deref() {
             Some(old) if cycle.contains(i) => {
-                let joined = out.merge(old, true, |o, n| o.join(n));
+                let joined = out.merge(old, locs, true, |o, n| o.join(n));
                 if joined.changed.is_empty() {
                     joined
                 } else if degraded {
                     // Over budget: widen immediately with the plain operator
                     // so every still-rising chain stabilizes in one step.
-                    out.merge(old, true, |o, n| o.widen(n))
+                    out.merge(old, locs, true, |o, n| o.widen(n))
                 } else if widen_delay[i] < plan.delay {
                     widen_delay[i] += 1;
                     joined
                 } else {
-                    out.merge(old, true, |o, n| o.widen_with(n, &plan.thresholds))
+                    out.merge(old, locs, true, |o, n| o.widen_with(n, &plan.thresholds))
                 }
             }
-            old => out.merge(old.unwrap_or_default(), false, |_, n| n.clone()),
+            old => out.merge(old.unwrap_or_default(), locs, false, |_, n| n.clone()),
         };
         engine.commit(i, update);
     }
@@ -549,6 +599,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         let Some(candidate) = engine.candidate(i, opening) else {
             continue;
         };
+        let locs = &engine.locs;
         let update = match engine.rows[i].as_deref() {
             // Narrow entries present in both; entries only in `old` keep
             // their value; entries only in the candidate are fresh
@@ -558,23 +609,34 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
             // the stored value is accepted outright — a descending-iteration
             // step, still bounded by the per-point cap and sound because
             // every candidate re-applies the transfer to a post-fixpoint.
-            Some(old) if cycle.contains(i) => candidate.merge(old, true, |o, n| {
+            Some(old) if cycle.contains(i) => candidate.merge(old, locs, true, |o, n| {
                 if !plan.thresholds.is_empty() && n.le(o) {
                     n.clone()
                 } else {
                     o.narrow(n)
                 }
             }),
-            old => candidate.merge(old.unwrap_or_default(), false, |_, n| n.clone()),
+            old => candidate.merge(old.unwrap_or_default(), locs, false, |_, n| n.clone()),
         };
         engine.commit(i, update);
     }
 
-    // Rows become maps one at a time, each row freed as its map is built.
-    let values = program
-        .all_points()
-        .zip(engine.rows)
-        .filter_map(|(cp, row)| Some((cp, PMap::from_sorted_vec(row?))))
+    // Rows become location-keyed maps one at a time, each row freed as its
+    // map is built.
+    let Engine {
+        cps,
+        locs,
+        rows,
+        work,
+        ..
+    } = engine;
+    let values = cps
+        .into_iter()
+        .zip(rows)
+        .filter_map(|(cp, row)| {
+            let row = row?.into_iter().map(|(r, v)| (locs[r as usize], v));
+            Some((cp, PMap::from_sorted_vec(row.collect())))
+        })
         .collect();
     SparseResult {
         values,
@@ -582,7 +644,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         iterations,
         narrowing_rounds,
         degraded,
-        work: engine.work,
+        work,
     }
 }
 

@@ -125,8 +125,8 @@ impl<F: Fn(Cp, &Bindings) -> Row<u32, Up>> SparseSpec for Toy<F> {
     fn initial(&self) -> Row<u32, Up> {
         self.seed.to_sorted_vec()
     }
-    fn forwards(&self, cp: Cp, loc: &u32) -> bool {
-        let listed = |&(at, id): &(Cp, u32)| at == cp && l(id) == *loc;
+    fn forwards(&self, cp: Cp, id: u32) -> bool {
+        let listed = |&listed: &(Cp, u32)| listed == (cp, id);
         self.answers.forwards.iter().any(listed)
     }
     fn keeps(&self, v: &Up) -> bool {
@@ -994,4 +994,71 @@ fn generated_rows_ascend_in_the_spec_location_order() {
         by_id += usize::from(sorted != ids(cp));
     }
     assert!(by_id > 0, "location order and id order differ somewhere");
+}
+
+/// Ranks order `count` ids as `loc_of` orders their locations, every id
+/// ranked once.
+fn assert_ranked<L: Ord + fmt::Debug>(
+    what: &str,
+    deps: &DataDeps,
+    count: usize,
+    loc_of: impl Fn(u32) -> L,
+) {
+    let rank = deps.loc_rank();
+    assert_eq!(rank.len(), count, "{what}: every interned id has a rank");
+    let mut by_rank: Vec<u32> = (0..count as u32).collect();
+    by_rank.sort_unstable_by_key(|&id| rank[id as usize]);
+    for (r, w) in by_rank.windows(2).enumerate() {
+        assert_eq!(
+            rank[w[0] as usize], r as u32,
+            "{what}: ranks are 0..{count}"
+        );
+        let (a, b) = (loc_of(w[0]), loc_of(w[1]));
+        assert!(a < b, "{what}: rank {r} holds {a:?}, rank {} {b:?}", r + 1);
+    }
+}
+
+#[test]
+fn the_rank_table_orders_every_interned_location_as_the_instance_does() {
+    let dead_store = "int main(int x) { int a; int dead; a = x; dead = 2; return a; }";
+    let generated = sga_cgen::generate(&sga_cgen::GenConfig::sized(11, 1));
+    for src in [dead_store, &generated] {
+        let program = parse(src).unwrap();
+        let pl = Pipeline::prepare(&program, Default::default());
+        let spec = IntervalSparseSpec {
+            program: &program,
+            pre: &pl.pre,
+            du: &pl.du,
+        };
+        assert_ranked("interval", &pl.deps, pl.du.locs.len(), |id| spec.loc_of(id));
+        // The octagon's locations are its pack ids.
+        let packs = crate::octagon::build_packs(&program);
+        let fresh = crate::octagon::fresh_packs_of(&program, &packs);
+        let odu =
+            crate::octagon::OctDefUse::compute(&program, &pl.pre, &pl.du, &packs, &fresh, None);
+        let deps = crate::depgen::generate_from(&program, &odu, Default::default());
+        assert_ranked("octagon", &deps, packs.len(), sga_domains::PackId);
+    }
+
+    // `dead` is on no edge, yet its store's row binds it.
+    let program = parse(dead_store).unwrap();
+    let pl = Pipeline::prepare(&program, Default::default());
+    let spec = IntervalSparseSpec {
+        program: &program,
+        pre: &pl.pre,
+        du: &pl.du,
+    };
+    let dead = program
+        .vars
+        .iter_enumerated()
+        .find(|(_, v)| v.name == "dead");
+    let dead = sga_domains::AbsLoc::Var(dead.expect("a variable named dead").0);
+    let id = pl.du.locs.id(&dead).expect("interned");
+    assert!(pl.deps.iter().all(|(_, loc, _)| loc != id), "on no edge");
+    let (plan, budget) = (WideningPlan::naive(), Budget::unbounded());
+    let result = solve(&program, &pl.icfg, &pl.deps, &spec, &plan, &budget);
+    assert!(
+        result.values.values().any(|row| row.contains_key(&dead)),
+        "a row binds it"
+    );
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 type Rc<T> = Arc<T>;
 
 /// Offset/size information for one array base.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ArrInfo {
     /// Possible byte/element offsets of the pointer into the block.
     pub offset: Interval,
@@ -76,9 +76,9 @@ impl Lattice for ArrInfo {
 ///
 /// No blocks is `None` and nothing else (see [`crate::LocSet`]): every
 /// constructor goes through [`ArrayBlk::from_sorted`], so the derived `==`
-/// sees one normal form and a value without an array component allocates
+/// and `Hash` see one normal form and a value without an array component allocates
 /// nothing for it.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ArrayBlk(Option<Rc<[(AbsLoc, ArrInfo)]>>);
 
 impl ArrayBlk {

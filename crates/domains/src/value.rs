@@ -15,7 +15,7 @@ use crate::locs::LocSet;
 use std::fmt;
 
 /// An abstract value.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Value {
     /// Numeric component `Ẑ`.
     pub itv: Interval,

@@ -19,10 +19,11 @@ use sga_core::triage::{self, TriageMode, TriageOptions};
 use sga_core::widening::{WideningConfig, WideningPlan};
 use sga_core::{checker, sparse};
 use sga_diag::Diagnostic;
-use sga_domains::State;
+use sga_domains::{AbsLoc, State, Value};
 use sga_ir::{Cp, Program};
 use sga_utils::stats::StageTimers;
 use sga_utils::{fxhash, FxHashMap};
+use std::fmt::Write;
 
 /// Everything the driver keeps about one analyzed unit.
 #[derive(Clone, Debug, PartialEq)]
@@ -160,15 +161,87 @@ pub fn analyze_unit(
     (analysis, internals)
 }
 
-/// Order-independent content hash of a value map: every binding rendered to
-/// one line, lines sorted, the sorted list hashed.
+/// Order-independent content hash of a value map: the fxhash of the sorted
+/// list of lines `format!("{cp} {l:?} = {v:?}")`, one per binding.
+///
+/// Each point's `"{cp} "`, each location and each distinct value is
+/// formatted once; a line is a slice of one buffer, and a list of `&str`
+/// hashes as the list of `String`s would.
 fn fingerprint_values(values: &FxHashMap<Cp, State>) -> u64 {
-    let mut lines: Vec<String> = Vec::new();
+    let mut loc_text: FxHashMap<&AbsLoc, String> = FxHashMap::default();
+    let mut value_text: FxHashMap<&Value, String> = FxHashMap::default();
+    let (mut text, mut ends, mut head) = (String::new(), Vec::new(), String::new());
     for (cp, state) in values {
+        head.clear();
+        write!(head, "{cp} ").expect("writing to a String");
         for (l, v) in state.iter() {
-            lines.push(format!("{cp} {l:?} = {v:?}"));
+            text.push_str(&head);
+            text.push_str(loc_text.entry(l).or_insert_with(|| format!("{l:?}")));
+            text.push_str(" = ");
+            text.push_str(value_text.entry(v).or_insert_with(|| format!("{v:?}")));
+            ends.push(text.len());
         }
     }
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    let mut lines: Vec<&str> = starts.zip(&ends).map(|(a, &b)| &text[a..b]).collect();
     lines.sort_unstable();
     fxhash::hash_one(&lines)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sga_cgen::GenConfig;
+    use sga_core::interval;
+    use std::path::Path;
+
+    /// The definition: every binding rendered to one line
+    /// `format!("{cp} {l:?} = {v:?}")`, the lines sorted, the sorted list of
+    /// `String`s hashed with fxhash.
+    fn by_definition(values: &FxHashMap<Cp, State>) -> u64 {
+        let mut lines: Vec<String> = Vec::new();
+        for (cp, state) in values {
+            for (l, v) in state.iter() {
+                lines.push(format!("{cp} {l:?} = {v:?}"));
+            }
+        }
+        lines.sort_unstable();
+        fxhash::hash_one(&lines)
+    }
+
+    fn assert_by_definition(what: &str, program: &Program) {
+        let values = interval::analyze(program, Engine::Sparse).values;
+        assert!(!values.is_empty(), "{what}: nothing bound");
+        assert_eq!(
+            fingerprint_values(&values),
+            by_definition(&values),
+            "{what}: the fingerprint left its definition"
+        );
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_sorted_binding_lines() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
+        let mut units = 0;
+        for entry in std::fs::read_dir(dir).expect("tests/alarms") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|e| e == "c") {
+                let src = std::fs::read_to_string(&path).expect("a readable unit");
+                let program = sga_cfront::parse(&src).expect("the unit parses");
+                assert_by_definition(&path.display().to_string(), &program);
+                units += 1;
+            }
+        }
+        assert!(units >= 20, "tests/alarms has {units} units");
+        let scc = GenConfig {
+            target_loc: 600,
+            functions: 20,
+            max_scc: 18,
+            ..GenConfig::sized(22, 1)
+        };
+        for (what, config) in [("flat", GenConfig::sized(21, 1)), ("scc", scc)] {
+            let program = sga_cfront::parse(&sga_cgen::generate(&config)).expect("parses");
+            assert_by_definition(what, &program);
+        }
+    }
 }
