@@ -14,13 +14,16 @@
 //!   relays of the locations flowing in/out (§5). The bypass optimization
 //!   later contracts chains through pure relays, using the real sets to
 //!   decide what is contractible.
+//!
+//! Every set is a row over [`Program::point_numbering`], written once, in
+//! two faces: ascending [`AbsLoc`]s for the semantics and ascending
+//! location ids ([`DefUse::locs`]) for dependency generation.
 
 use crate::preanalysis::PreAnalysis;
 use crate::semantics::{lval_targets, lval_used, used_locs};
 use sga_domains::{AbsLoc, State};
 use sga_ir::{Cmd, Cp, Expr, PointNumbering, ProcId, Program, VarKind};
 use sga_utils::{FxHashMap, Idx, IndexVec, Rows};
-use std::collections::BTreeSet;
 
 /// Dense interning of abstract locations (for bitsets, BDDs, and the
 /// dependency generator).
@@ -63,48 +66,74 @@ impl LocTable {
     }
 }
 
-/// Def/use sets for one control point (sorted, deduplicated).
-#[derive(Clone, Debug, Default)]
-pub struct CpSets {
-    /// Semantic (command-level) definitions.
-    pub real_defs: Vec<AbsLoc>,
-    /// Semantic uses.
-    pub real_uses: Vec<AbsLoc>,
-    /// `D̂(c)`: real defs plus relayed locations.
-    pub defs: Vec<AbsLoc>,
-    /// `Û(c)`: real uses plus relayed locations.
-    pub uses: Vec<AbsLoc>,
-}
-
 /// The complete def/use computation result.
 #[derive(Debug)]
 pub struct DefUse {
-    /// Per-control-point sets.
-    pub sets: FxHashMap<Cp, CpSets>,
     /// Exported (caller-visible) defs of each procedure, transitively.
     pub summary_defs: IndexVec<ProcId, Vec<AbsLoc>>,
     /// Exported uses of each procedure, transitively.
     pub summary_uses: IndexVec<ProcId, Vec<AbsLoc>>,
     /// All locations seen, densely numbered.
     pub locs: LocTable,
-    /// The program's dense point numbering, which the id rows below index.
+    /// The program's dense point numbering, which every row below indexes.
     num: PointNumbering,
-    /// Per point, `D̂`, `Û`, and the real defs and uses, as ascending
-    /// location ids: what dependency generation reads.
+    /// The points that have sets — every point of a non-external
+    /// procedure — in numbering order.
+    points: Vec<Cp>,
+    /// Per point, `D̂`, `Û`, and the real defs and uses, ascending.
+    defs: Rows<AbsLoc>,
+    uses: Rows<AbsLoc>,
+    real_defs: Rows<AbsLoc>,
+    real_uses: Rows<AbsLoc>,
+    /// Per point, `D̂`, `Û`, and the real defs and uses together, as
+    /// ascending location ids: what dependency generation reads.
     def_ids: Rows<u32>,
     use_ids: Rows<u32>,
     real_ids: Rows<u32>,
 }
 
+/// Sizes of the def/use tables, summed over the program: the work
+/// dependency generation is handed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DefUseCounts {
+    /// `Σ |D̂(c)|`.
+    pub defs: usize,
+    /// `Σ |Û(c)|`.
+    pub uses: usize,
+    /// `Σ` over procedures of the exported defs.
+    pub summary_defs: usize,
+    /// `Σ` over procedures of the exported uses.
+    pub summary_uses: usize,
+    /// `Σ |(D̂(c) ∪ Û(c)) − (D(c) ∪ U(c))|`: the locations a call, entry
+    /// or exit carries only as a relay.
+    pub relayed: usize,
+}
+
 impl DefUse {
+    /// The points that have sets (every point of a non-external
+    /// procedure), in numbering order.
+    pub fn points(&self) -> &[Cp] {
+        &self.points
+    }
+
     /// `D̂(c)`.
     pub fn defs(&self, cp: Cp) -> &[AbsLoc] {
-        self.sets.get(&cp).map_or(&[], |s| &s.defs)
+        self.defs.row(self.num.index(cp))
     }
 
     /// `Û(c)`.
     pub fn uses(&self, cp: Cp) -> &[AbsLoc] {
-        self.sets.get(&cp).map_or(&[], |s| &s.uses)
+        self.uses.row(self.num.index(cp))
+    }
+
+    /// The semantic (command-level) definitions of `cp`.
+    pub fn real_defs(&self, cp: Cp) -> &[AbsLoc] {
+        self.real_defs.row(self.num.index(cp))
+    }
+
+    /// The semantic uses of `cp`.
+    pub fn real_uses(&self, cp: Cp) -> &[AbsLoc] {
+        self.real_uses.row(self.num.index(cp))
     }
 
     /// `D̂(c)` as ascending location ids ([`DefUse::locs`]).
@@ -135,21 +164,38 @@ impl DefUse {
 
     /// Average `|D̂(c)|` over real command points — Table 2's `D̂(c)` column.
     pub fn avg_def_size(&self) -> f64 {
-        avg(self.sets.values().map(|s| s.defs.len()))
+        avg(self.defs.items().len(), self.points.len())
     }
 
     /// Average `|Û(c)|` — Table 2's `Û(c)` column.
     pub fn avg_use_size(&self) -> f64 {
-        avg(self.sets.values().map(|s| s.uses.len()))
+        avg(self.uses.items().len(), self.points.len())
+    }
+
+    /// The tables' sizes (see [`DefUseCounts`]).
+    pub fn counts(&self) -> DefUseCounts {
+        let sum = |rows: &IndexVec<ProcId, Vec<AbsLoc>>| rows.iter().map(Vec::len).sum();
+        let relayed = self.points.iter().map(|&cp| {
+            let real = self.real_ids(cp);
+            let mut full: Vec<u32> = self.def_ids(cp).to_vec();
+            full.extend_from_slice(self.use_ids(cp));
+            full.sort_unstable();
+            full.dedup();
+            full.iter()
+                .filter(|id| real.binary_search(id).is_err())
+                .count()
+        });
+        DefUseCounts {
+            defs: self.defs.items().len(),
+            uses: self.uses.items().len(),
+            summary_defs: sum(&self.summary_defs),
+            summary_uses: sum(&self.summary_uses),
+            relayed: relayed.sum(),
+        }
     }
 }
 
-fn avg(sizes: impl Iterator<Item = usize>) -> f64 {
-    let (mut n, mut total) = (0usize, 0usize);
-    for s in sizes {
-        n += 1;
-        total += s;
-    }
+fn avg(total: usize, n: usize) -> f64 {
     if n == 0 {
         0.0
     } else {
@@ -182,73 +228,54 @@ pub fn compute(program: &Program, pre: &PreAnalysis) -> DefUse {
 /// bottom-up over call-graph SCCs, then the full sets with relay roles,
 /// interned in procedure order.
 pub fn compute_with_state(program: &Program, pre: &PreAnalysis, t: &State) -> DefUse {
+    let num = program.point_numbering();
     // Pass 1: real sets per node.
-    let mut sets: FxHashMap<Cp, CpSets> = FxHashMap::default();
-    for pid in program.procs.indices() {
-        sets.extend(real_sets_for_proc(program, pre, t, pid));
+    let mut points: Vec<Cp> = Vec::new();
+    let (mut real_defs, mut real_uses) = (Rows::default(), Rows::default());
+    let (mut d, mut u) = (Vec::new(), Vec::new());
+    for (pid, proc) in program.procs.iter_enumerated() {
+        if proc.is_external {
+            continue;
+        }
+        for (nid, node) in proc.nodes.iter_enumerated() {
+            let cp = Cp::new(pid, nid);
+            real_def_use(program, pre, t, cp, &node.cmd, &mut d, &mut u);
+            for (rows, set) in [(&mut real_defs, &d), (&mut real_uses, &u)] {
+                rows.pad_to(num.index(cp));
+                rows.push_row(set.iter().copied());
+            }
+            points.push(cp);
+        }
     }
+    real_defs.pad_to(num.len());
+    real_uses.pad_to(num.len());
+    let mut du = DefUse {
+        summary_defs: IndexVec::from_elem_n(Vec::new(), program.procs.len()),
+        summary_uses: IndexVec::from_elem_n(Vec::new(), program.procs.len()),
+        locs: LocTable::default(),
+        num,
+        points,
+        defs: Rows::default(),
+        uses: Rows::default(),
+        real_defs,
+        real_uses,
+        def_ids: Rows::default(),
+        use_ids: Rows::default(),
+        real_ids: Rows::default(),
+    };
 
     // Pass 2: transitive access summaries, bottom-up over call-graph SCCs.
-    let nprocs = program.procs.len();
-    let mut summary_defs: IndexVec<ProcId, Vec<AbsLoc>> = IndexVec::from_elem_n(Vec::new(), nprocs);
-    let mut summary_uses: IndexVec<ProcId, Vec<AbsLoc>> = IndexVec::from_elem_n(Vec::new(), nprocs);
     for scc in pre.callgraph.bottom_up_sccs() {
-        let (exported_defs, exported_uses) =
-            summarize_scc(program, pre, &sets, scc, &summary_defs, &summary_uses);
+        let (exported_defs, exported_uses) = summarize_scc(program, pre, &du, scc);
         for &praw in scc {
             let pid = ProcId::new(praw);
-            summary_defs[pid] = exported_defs.clone();
-            summary_uses[pid] = exported_uses.clone();
+            du.summary_defs[pid] = exported_defs.clone();
+            du.summary_uses[pid] = exported_uses.clone();
         }
     }
 
-    // Pass 3: full sets with relay roles, then deterministic interning.
-    let parts: Vec<ProcFullSets> = program
-        .procs
-        .indices()
-        .map(|pid| relay_sets_for_proc(program, pre, pid, &sets, &summary_defs, &summary_uses))
-        .collect();
-    finish(
-        program.point_numbering(),
-        sets,
-        summary_defs,
-        summary_uses,
-        parts,
-    )
-}
-
-/// Full `D̂`/`Û` sets of one procedure's control points, in node order
-/// (pass 3's per-procedure output, not yet interned).
-type ProcFullSets = Vec<(Cp, Vec<AbsLoc>, Vec<AbsLoc>)>;
-
-/// Pass 1 for one procedure: the real (semantic) def/use sets of each of
-/// its control points.
-fn real_sets_for_proc(
-    program: &Program,
-    pre: &PreAnalysis,
-    t: &State,
-    pid: ProcId,
-) -> Vec<(Cp, CpSets)> {
-    let proc = &program.procs[pid];
-    if proc.is_external {
-        return Vec::new();
-    }
-    proc.nodes
-        .iter_enumerated()
-        .map(|(nid, node)| {
-            let cp = Cp::new(pid, nid);
-            let (real_defs, real_uses) = real_def_use(program, pre, t, cp, &node.cmd);
-            (
-                cp,
-                CpSets {
-                    real_defs,
-                    real_uses,
-                    defs: Vec::new(),
-                    uses: Vec::new(),
-                },
-            )
-        })
-        .collect()
+    // Pass 3: full sets with relay roles, interned as they are written.
+    finish(program, pre, du)
 }
 
 /// Pass 2 for one call-graph SCC: the exported (caller-visible) accesses of
@@ -256,13 +283,11 @@ fn real_sets_for_proc(
 fn summarize_scc(
     program: &Program,
     pre: &PreAnalysis,
-    sets: &FxHashMap<Cp, CpSets>,
+    du: &DefUse,
     scc: &[usize],
-    summary_defs: &IndexVec<ProcId, Vec<AbsLoc>>,
-    summary_uses: &IndexVec<ProcId, Vec<AbsLoc>>,
 ) -> (Vec<AbsLoc>, Vec<AbsLoc>) {
-    let mut defs: BTreeSet<AbsLoc> = BTreeSet::new();
-    let mut uses: BTreeSet<AbsLoc> = BTreeSet::new();
+    let (mut defs, mut uses): (Vec<AbsLoc>, Vec<AbsLoc>) = (Vec::new(), Vec::new());
+    let mut callees: Vec<ProcId> = Vec::new();
     for &praw in scc {
         let pid = ProcId::new(praw);
         let proc = &program.procs[pid];
@@ -271,150 +296,144 @@ fn summarize_scc(
         }
         for nid in proc.nodes.indices() {
             let cp = Cp::new(pid, nid);
-            let s = &sets[&cp];
-            defs.extend(s.real_defs.iter().copied());
-            uses.extend(s.real_uses.iter().copied());
-            for &t_pid in pre.call_targets(cp) {
-                if scc.contains(&t_pid.index()) {
-                    continue; // same-SCC summaries converge to the union
-                }
-                defs.extend(summary_defs[t_pid].iter().copied());
-                uses.extend(summary_uses[t_pid].iter().copied());
-            }
+            defs.extend_from_slice(du.real_defs(cp));
+            uses.extend_from_slice(du.real_uses(cp));
+            // Same-SCC summaries converge to the union.
+            let below = pre.call_targets(cp).iter();
+            callees.extend(below.filter(|t| !scc.contains(&t.index())));
         }
     }
-    let exported_defs: Vec<AbsLoc> = defs
-        .iter()
-        .copied()
-        .filter(|l| !is_frame_private(program, l))
-        .collect();
-    let exported_uses: Vec<AbsLoc> = uses
-        .iter()
-        .copied()
-        .filter(|l| !is_frame_private(program, l))
-        .collect();
-    (exported_defs, exported_uses)
+    callees.sort_unstable();
+    callees.dedup();
+    for &t_pid in &callees {
+        defs.extend_from_slice(&du.summary_defs[t_pid]);
+        uses.extend_from_slice(&du.summary_uses[t_pid]);
+    }
+    let exported = |mut set: Vec<AbsLoc>| {
+        set.retain(|l| !is_frame_private(program, l));
+        set.sort_unstable();
+        set.dedup();
+        set
+    };
+    (exported(defs), exported(uses))
 }
 
-/// Pass 3 for one procedure: the full `D̂`/`Û` sets (real sets extended with
-/// relay roles), given everyone's summaries. The outputs are handed to
-/// [`finish`] in procedure order so location interning stays deterministic.
-fn relay_sets_for_proc(
+/// Pass 3 for one relay point — a call, or its procedure's entry or exit:
+/// the full `D̂`/`Û` sets (the real sets extended with relay roles) into
+/// `defs`/`uses`, ascending, given everyone's summaries.
+fn relay_sets(
     program: &Program,
     pre: &PreAnalysis,
-    pid: ProcId,
-    sets: &FxHashMap<Cp, CpSets>,
-    summary_defs: &IndexVec<ProcId, Vec<AbsLoc>>,
-    summary_uses: &IndexVec<ProcId, Vec<AbsLoc>>,
-) -> ProcFullSets {
-    let proc = &program.procs[pid];
-    if proc.is_external {
-        return Vec::new();
-    }
-    // Locations flowing through this procedure's entry: everything its
-    // body (transitively) uses, plus its parameters; through its exit:
-    // everything it defines, plus its return variable.
-    let mut flow_in: BTreeSet<AbsLoc> = summary_uses[pid].iter().copied().collect();
-    for &p in &proc.params {
-        flow_in.insert(AbsLoc::Var(p));
-    }
-    let mut flow_out: BTreeSet<AbsLoc> = summary_defs[pid].iter().copied().collect();
-    flow_out.insert(AbsLoc::Var(proc.ret_var));
-
-    let mut out: ProcFullSets = Vec::with_capacity(proc.nodes.len());
-    for (nid, node) in proc.nodes.iter_enumerated() {
-        let cp = Cp::new(pid, nid);
-        let real = &sets[&cp];
-        if !matches!(node.cmd, Cmd::Call { .. }) && nid != proc.entry && nid != proc.exit {
-            // No relay role: the full sets are the real ones, already
-            // sorted and deduplicated.
-            out.push((cp, real.real_defs.clone(), real.real_uses.clone()));
-            continue;
-        }
-        let mut defs: BTreeSet<AbsLoc> = real.real_defs.iter().copied().collect();
-        let mut uses: BTreeSet<AbsLoc> = real.real_uses.iter().copied().collect();
-        if let Cmd::Call { .. } = &node.cmd {
-            for &t_pid in pre.call_targets(cp) {
-                let callee = &program.procs[t_pid];
-                if callee.is_external {
-                    continue;
-                }
-                // The call receives callee-defined values back and
-                // relays them on; spurious (may-)defs go into Û per
-                // Definition 5(2). Callee-*used* locations are NOT
-                // relayed through the call: the dependency generator
-                // routes their reaching definitions straight to the
-                // callee entry (pre-call values must not mix with
-                // returned ones), and keeps them in Û only so the
-                // reaching-def pass visits this node.
-                defs.extend(summary_defs[t_pid].iter().copied());
-                uses.extend(summary_defs[t_pid].iter().copied());
-                uses.extend(summary_uses[t_pid].iter().copied());
-                for &p in &callee.params {
-                    defs.insert(AbsLoc::Var(p));
-                }
-                uses.insert(AbsLoc::Var(callee.ret_var));
+    du: &DefUse,
+    cp: Cp,
+    defs: &mut Vec<AbsLoc>,
+    uses: &mut Vec<AbsLoc>,
+) {
+    let proc = &program.procs[cp.proc];
+    defs.clear();
+    uses.clear();
+    defs.extend_from_slice(du.real_defs(cp));
+    uses.extend_from_slice(du.real_uses(cp));
+    if let Cmd::Call { .. } = program.cmd(cp) {
+        for &t_pid in pre.call_targets(cp) {
+            let callee = &program.procs[t_pid];
+            if callee.is_external {
+                continue;
             }
+            // The call receives callee-defined values back and relays them
+            // on; spurious (may-)defs go into Û per Definition 5(2).
+            // Callee-*used* locations are NOT relayed through the call: the
+            // dependency generator routes their reaching definitions
+            // straight to the callee entry (pre-call values must not mix
+            // with returned ones), and keeps them in Û only so the
+            // reaching-def pass visits this node.
+            defs.extend_from_slice(&du.summary_defs[t_pid]);
+            uses.extend_from_slice(&du.summary_defs[t_pid]);
+            uses.extend_from_slice(&du.summary_uses[t_pid]);
+            defs.extend(callee.params.iter().map(|&p| AbsLoc::Var(p)));
+            uses.push(AbsLoc::Var(callee.ret_var));
         }
-        if nid == proc.entry {
-            defs.extend(flow_in.iter().copied());
-            uses.extend(flow_in.iter().copied());
-        }
-        if nid == proc.exit {
-            defs.extend(flow_out.iter().copied());
-            uses.extend(flow_out.iter().copied());
-        }
-        out.push((cp, defs.into_iter().collect(), uses.into_iter().collect()));
     }
-    out
+    // Locations flowing through the entry: everything the body
+    // (transitively) uses, plus the parameters; through the exit:
+    // everything it defines, plus the return variable.
+    if cp.node == proc.entry {
+        let params = proc.params.iter().map(|&p| AbsLoc::Var(p));
+        let flow_in = du.summary_uses[cp.proc].iter().copied().chain(params);
+        for set in [&mut *defs, &mut *uses] {
+            set.extend(flow_in.clone());
+        }
+    }
+    if cp.node == proc.exit {
+        let ret = std::iter::once(AbsLoc::Var(proc.ret_var));
+        let flow_out = du.summary_defs[cp.proc].iter().copied().chain(ret);
+        for set in [&mut *defs, &mut *uses] {
+            set.extend(flow_out.clone());
+        }
+    }
+    for set in [defs, uses] {
+        set.sort_unstable();
+        set.dedup();
+    }
 }
 
-/// Merges the pass-3 outputs into the final [`DefUse`], interning locations
-/// in the order the parts are given (pass the parts in procedure order for
-/// run-to-run determinism) and writing each point's id rows as it goes.
-fn finish(
-    num: PointNumbering,
-    mut sets: FxHashMap<Cp, CpSets>,
-    summary_defs: IndexVec<ProcId, Vec<AbsLoc>>,
-    summary_uses: IndexVec<ProcId, Vec<AbsLoc>>,
-    parts: Vec<ProcFullSets>,
-) -> DefUse {
+/// Pass 3: writes every point's full sets, both faces, interning
+/// locations in procedure order and, per point, `D̂` then `Û`, each
+/// ascending (a point without a relay role has its real sets as full sets).
+fn finish(program: &Program, pre: &PreAnalysis, du: DefUse) -> DefUse {
     let mut locs = LocTable::default();
-    let mut rows: [Rows<u32>; 3] = Default::default();
+    let mut loc_rows: [Rows<AbsLoc>; 2] = Default::default();
+    let mut id_rows: [Rows<u32>; 3] = Default::default();
+    let (mut defs, mut uses) = (Vec::new(), Vec::new());
     let (mut d, mut u, mut real) = (Vec::new(), Vec::new(), Vec::new());
-    for part in parts {
-        for (cp, defs, uses) in part {
-            let s = sets.get_mut(&cp).expect("pass 1 visited every node");
-            d.clear();
-            d.extend(defs.iter().map(|l| locs.intern(*l)));
-            u.clear();
-            u.extend(uses.iter().map(|l| locs.intern(*l)));
-            real.clear();
-            real.extend(ids_of_subset(&defs, &d, &s.real_defs));
-            real.extend(ids_of_subset(&uses, &u, &s.real_uses));
-            for (row, ids) in rows.iter_mut().zip([&mut d, &mut u, &mut real]) {
-                ids.sort_unstable();
-                ids.dedup();
-                row.pad_to(num.index(cp));
-                row.push_row(ids.iter().copied());
-            }
-            s.defs = defs;
-            s.uses = uses;
+    for &cp in &du.points {
+        let (real_defs, real_uses) = (du.real_defs(cp), du.real_uses(cp));
+        let proc = &program.procs[cp.proc];
+        let relays = matches!(program.cmd(cp), Cmd::Call { .. })
+            || cp.node == proc.entry
+            || cp.node == proc.exit;
+        let (defs, uses) = if relays {
+            relay_sets(program, pre, &du, cp, &mut defs, &mut uses);
+            (&defs[..], &uses[..])
+        } else {
+            (real_defs, real_uses)
+        };
+        d.clear();
+        d.extend(defs.iter().map(|l| locs.intern(*l)));
+        u.clear();
+        u.extend(uses.iter().map(|l| locs.intern(*l)));
+        real.clear();
+        real.extend(ids_of_subset(defs, &d, real_defs));
+        real.extend(ids_of_subset(uses, &u, real_uses));
+        let i = du.num.index(cp);
+        for (rows, set) in loc_rows.iter_mut().zip([defs, uses]) {
+            rows.pad_to(i);
+            rows.push_row(set.iter().copied());
+        }
+        for (rows, ids) in id_rows.iter_mut().zip([&mut d, &mut u, &mut real]) {
+            ids.sort_unstable();
+            ids.dedup();
+            rows.pad_to(i);
+            rows.push_row(ids.iter().copied());
         }
     }
-    for row in &mut rows {
-        row.pad_to(num.len());
-    }
-    let [def_ids, use_ids, real_ids] = rows;
+    let n = du.num.len();
+    let [defs, uses] = loc_rows.map(|mut rows| {
+        rows.pad_to(n);
+        rows
+    });
+    let [def_ids, use_ids, real_ids] = id_rows.map(|mut rows| {
+        rows.pad_to(n);
+        rows
+    });
     DefUse {
-        sets,
-        summary_defs,
-        summary_uses,
         locs,
-        num,
+        defs,
+        uses,
         def_ids,
         use_ids,
         real_ids,
+        ..du
     }
 }
 
@@ -432,15 +451,19 @@ fn ids_of_subset<'a>(
     })
 }
 
+/// The real (semantic) def/use sets of the command at `cp`, ascending,
+/// into `defs`/`uses`.
 fn real_def_use(
     program: &Program,
     pre: &PreAnalysis,
     t: &State,
     cp: Cp,
     cmd: &Cmd,
-) -> (Vec<AbsLoc>, Vec<AbsLoc>) {
-    let mut defs: Vec<AbsLoc> = Vec::new();
-    let mut uses: Vec<AbsLoc> = Vec::new();
+    defs: &mut Vec<AbsLoc>,
+    uses: &mut Vec<AbsLoc>,
+) {
+    defs.clear();
+    uses.clear();
     let assign_sets = |lv: &sga_ir::LVal, defs: &mut Vec<AbsLoc>, uses: &mut Vec<AbsLoc>| {
         let (targets, strong) = lval_targets(program, lv, t);
         defs.extend(targets.iter().copied());
@@ -454,16 +477,16 @@ fn real_def_use(
     match cmd {
         Cmd::Skip => {}
         Cmd::Assign(lv, e) => {
-            used_locs(program, e, t, &mut uses);
-            assign_sets(lv, &mut defs, &mut uses);
+            used_locs(program, e, t, uses);
+            assign_sets(lv, defs, uses);
         }
         Cmd::Alloc(lv, size) => {
-            used_locs(program, size, t, &mut uses);
-            assign_sets(lv, &mut defs, &mut uses);
+            used_locs(program, size, t, uses);
+            assign_sets(lv, defs, uses);
         }
         Cmd::Assume(cond) => {
-            used_locs(program, &cond.lhs, t, &mut uses);
-            used_locs(program, &cond.rhs, t, &mut uses);
+            used_locs(program, &cond.lhs, t, uses);
+            used_locs(program, &cond.rhs, t, uses);
             for side in [&cond.lhs, &cond.rhs] {
                 match side {
                     Expr::Var(x) => defs.push(AbsLoc::Var(*x)),
@@ -476,16 +499,16 @@ fn real_def_use(
         }
         Cmd::Return(e) => {
             if let Some(e) = e {
-                used_locs(program, e, t, &mut uses);
+                used_locs(program, e, t, uses);
             }
             defs.push(AbsLoc::Var(program.procs[cp.proc].ret_var));
         }
         Cmd::Call { ret, callee, args } => {
             for a in args {
-                used_locs(program, a, t, &mut uses);
+                used_locs(program, a, t, uses);
             }
             if let sga_ir::Callee::Indirect(e) = callee {
-                used_locs(program, e, t, &mut uses);
+                used_locs(program, e, t, uses);
             }
             // Parameter binding: the call is the real producer of the
             // callee's formals, and the real consumer of its return value.
@@ -500,7 +523,7 @@ fn real_def_use(
                 uses.push(AbsLoc::Var(callee.ret_var));
             }
             if let Some(lv) = ret {
-                assign_sets(lv, &mut defs, &mut uses);
+                assign_sets(lv, defs, uses);
             }
         }
     }
@@ -508,7 +531,6 @@ fn real_def_use(
     defs.dedup();
     uses.sort_unstable();
     uses.dedup();
-    (defs, uses)
 }
 
 #[cfg(test)]
@@ -517,6 +539,7 @@ mod tests {
     use crate::preanalysis;
     use sga_cfront::parse;
     use sga_ir::VarId;
+    use std::collections::BTreeSet;
 
     fn setup(src: &str) -> (Program, PreAnalysis) {
         let p = parse(src).unwrap();
@@ -704,73 +727,86 @@ mod tests {
         assert!(du.locs.len() >= 3);
     }
 
-    /// [`relay_sets_for_proc`] as it was: two `BTreeSet`s at every point.
-    fn relay_sets_through_btreesets(
+    /// Pass 3 as it was, for one point: two `BTreeSet`s, whatever the
+    /// point's role.
+    fn full_sets_through_btreesets(
         program: &Program,
         pre: &PreAnalysis,
-        pid: ProcId,
-        sets: &FxHashMap<Cp, CpSets>,
-        summary_defs: &IndexVec<ProcId, Vec<AbsLoc>>,
-        summary_uses: &IndexVec<ProcId, Vec<AbsLoc>>,
-    ) -> ProcFullSets {
-        let proc = &program.procs[pid];
-        if proc.is_external {
-            return Vec::new();
-        }
+        du: &DefUse,
+        cp: Cp,
+    ) -> (Vec<AbsLoc>, Vec<AbsLoc>) {
+        let (pid, proc) = (cp.proc, &program.procs[cp.proc]);
         // Locations flowing through this procedure's entry: everything its
         // body (transitively) uses, plus its parameters; through its exit:
         // everything it defines, plus its return variable.
-        let mut flow_in: BTreeSet<AbsLoc> = summary_uses[pid].iter().copied().collect();
+        let mut flow_in: BTreeSet<AbsLoc> = du.summary_uses[pid].iter().copied().collect();
         for &p in &proc.params {
             flow_in.insert(AbsLoc::Var(p));
         }
-        let mut flow_out: BTreeSet<AbsLoc> = summary_defs[pid].iter().copied().collect();
+        let mut flow_out: BTreeSet<AbsLoc> = du.summary_defs[pid].iter().copied().collect();
         flow_out.insert(AbsLoc::Var(proc.ret_var));
 
-        let mut out: ProcFullSets = Vec::with_capacity(proc.nodes.len());
-        for (nid, node) in proc.nodes.iter_enumerated() {
-            let cp = Cp::new(pid, nid);
-            let mut defs: BTreeSet<AbsLoc> = BTreeSet::new();
-            let mut uses: BTreeSet<AbsLoc> = BTreeSet::new();
-            {
-                let s = &sets[&cp];
-                defs.extend(s.real_defs.iter().copied());
-                uses.extend(s.real_uses.iter().copied());
+        let mut defs: BTreeSet<AbsLoc> = du.real_defs(cp).iter().copied().collect();
+        let mut uses: BTreeSet<AbsLoc> = du.real_uses(cp).iter().copied().collect();
+        if let Cmd::Call { .. } = program.cmd(cp) {
+            for &t_pid in pre.call_targets(cp) {
+                let callee = &program.procs[t_pid];
+                if callee.is_external {
+                    continue;
+                }
+                defs.extend(du.summary_defs[t_pid].iter().copied());
+                uses.extend(du.summary_defs[t_pid].iter().copied());
+                uses.extend(du.summary_uses[t_pid].iter().copied());
+                for &p in &callee.params {
+                    defs.insert(AbsLoc::Var(p));
+                }
+                uses.insert(AbsLoc::Var(callee.ret_var));
             }
-            if let Cmd::Call { .. } = &node.cmd {
+        }
+        if cp.node == proc.entry {
+            defs.extend(flow_in.iter().copied());
+            uses.extend(flow_in.iter().copied());
+        }
+        if cp.node == proc.exit {
+            defs.extend(flow_out.iter().copied());
+            uses.extend(flow_out.iter().copied());
+        }
+        (defs.into_iter().collect(), uses.into_iter().collect())
+    }
+
+    /// Pass 2 as it was, for one SCC: two `BTreeSet`s fed per call site.
+    fn summaries_through_btreesets(
+        program: &Program,
+        pre: &PreAnalysis,
+        du: &DefUse,
+        scc: &[usize],
+    ) -> (Vec<AbsLoc>, Vec<AbsLoc>) {
+        let mut defs: BTreeSet<AbsLoc> = BTreeSet::new();
+        let mut uses: BTreeSet<AbsLoc> = BTreeSet::new();
+        for &praw in scc {
+            let pid = ProcId::new(praw);
+            let proc = &program.procs[pid];
+            if proc.is_external {
+                continue;
+            }
+            for nid in proc.nodes.indices() {
+                let cp = Cp::new(pid, nid);
+                defs.extend(du.real_defs(cp).iter().copied());
+                uses.extend(du.real_uses(cp).iter().copied());
                 for &t_pid in pre.call_targets(cp) {
-                    let callee = &program.procs[t_pid];
-                    if callee.is_external {
+                    if scc.contains(&t_pid.index()) {
                         continue;
                     }
-                    // The call receives callee-defined values back and
-                    // relays them on; spurious (may-)defs go into Û per
-                    // Definition 5(2). Callee-*used* locations are NOT
-                    // relayed through the call: the dependency generator
-                    // routes their reaching definitions straight to the
-                    // callee entry (pre-call values must not mix with
-                    // returned ones), and keeps them in Û only so the
-                    // reaching-def pass visits this node.
-                    defs.extend(summary_defs[t_pid].iter().copied());
-                    uses.extend(summary_defs[t_pid].iter().copied());
-                    uses.extend(summary_uses[t_pid].iter().copied());
-                    for &p in &callee.params {
-                        defs.insert(AbsLoc::Var(p));
-                    }
-                    uses.insert(AbsLoc::Var(callee.ret_var));
+                    defs.extend(du.summary_defs[t_pid].iter().copied());
+                    uses.extend(du.summary_uses[t_pid].iter().copied());
                 }
             }
-            if nid == proc.entry {
-                defs.extend(flow_in.iter().copied());
-                uses.extend(flow_in.iter().copied());
-            }
-            if nid == proc.exit {
-                defs.extend(flow_out.iter().copied());
-                uses.extend(flow_out.iter().copied());
-            }
-            out.push((cp, defs.into_iter().collect(), uses.into_iter().collect()));
         }
-        out
+        let exported = |set: BTreeSet<AbsLoc>| {
+            let private = |l: &AbsLoc| is_frame_private(program, l);
+            set.into_iter().filter(|l| !private(l)).collect()
+        };
+        (exported(defs), exported(uses))
     }
 
     #[test]
@@ -778,38 +814,55 @@ mod tests {
         for (name, program) in &crate::sparse::differential::corpus() {
             let pre = preanalysis::run(program);
             let du = compute(program, &pre);
-            let mut points = 0;
-            for pid in program.procs.indices() {
-                let staged = |relay: fn(_, _, _, _, _, _) -> ProcFullSets| {
-                    relay(
-                        program,
-                        &pre,
-                        pid,
-                        &du.sets,
-                        &du.summary_defs,
-                        &du.summary_uses,
-                    )
-                };
-                let got = staged(relay_sets_for_proc);
-                assert_eq!(got, staged(relay_sets_through_btreesets), "{name}: {pid}");
-                // `finish` stores pass 3's output as it is, and its id rows.
-                let ids = |locs: &mut dyn Iterator<Item = &AbsLoc>| {
-                    let mut ids: Vec<u32> = locs.map(|l| du.locs.id(l).unwrap()).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    ids
-                };
-                for (cp, defs, uses) in got {
-                    assert_eq!((du.defs(cp), du.uses(cp)), (&defs[..], &uses[..]));
-                    assert_eq!(du.def_ids(cp), ids(&mut defs.iter()));
-                    assert_eq!(du.use_ids(cp), ids(&mut uses.iter()));
-                    let s = &du.sets[&cp];
-                    let real = ids(&mut s.real_defs.iter().chain(&s.real_uses));
-                    assert_eq!(du.real_ids(cp), real, "{name}: {cp}");
-                    points += 1;
+            for scc in pre.callgraph.bottom_up_sccs() {
+                let want = summaries_through_btreesets(program, &pre, &du, scc);
+                assert_eq!(summarize_scc(program, &pre, &du, scc), want, "{name}");
+                let pid = ProcId::new(scc[0]);
+                assert_eq!(
+                    (&du.summary_defs[pid], &du.summary_uses[pid]),
+                    (&want.0, &want.1)
+                );
+            }
+            for &cp in du.points() {
+                let (defs, uses) = full_sets_through_btreesets(program, &pre, &du, cp);
+                assert_eq!(
+                    (du.defs(cp), du.uses(cp)),
+                    (&defs[..], &uses[..]),
+                    "{name}: {cp}"
+                );
+            }
+            let solved = program
+                .all_points()
+                .filter(|cp| !program.procs[cp.proc].is_external);
+            assert!(du.points().iter().copied().eq(solved), "{name}");
+        }
+    }
+
+    /// The id rows and the location rows are written in one pass, and
+    /// nothing else ties them together: each id row decodes to its
+    /// location row, and the real ids to exactly the real defs and uses.
+    #[test]
+    fn id_rows_decode_to_the_location_rows() {
+        for (name, program) in crate::preanalysis::reference::differential_programs() {
+            let pre = preanalysis::run(&program);
+            let du = compute(&program, &pre);
+            let decode = |ids: &[u32]| -> Vec<AbsLoc> {
+                let mut locs: Vec<AbsLoc> = ids.iter().map(|&id| du.locs.loc(id)).collect();
+                locs.sort_unstable();
+                locs
+            };
+            for cp in program.all_points() {
+                assert_eq!(decode(du.def_ids(cp)), du.defs(cp), "{name}: {cp} D̂");
+                assert_eq!(decode(du.use_ids(cp)), du.uses(cp), "{name}: {cp} Û");
+                let mut real: Vec<AbsLoc> = du.real_defs(cp).to_vec();
+                real.extend_from_slice(du.real_uses(cp));
+                real.sort_unstable();
+                real.dedup();
+                assert_eq!(decode(du.real_ids(cp)), real, "{name}: {cp} real");
+                for ids in [du.def_ids(cp), du.use_ids(cp), du.real_ids(cp)] {
+                    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{name}: {cp}");
                 }
             }
-            assert_eq!(points, du.sets.len(), "{name}");
         }
     }
 }

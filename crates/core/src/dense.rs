@@ -203,7 +203,7 @@ pub fn solve_with<S: DenseSpec>(
         .filter(|cp| !program.procs[cp.proc].is_external)
         .collect();
     for &cp in &all_points {
-        worklist.insert((icfg.priority[&cp], cp));
+        worklist.insert((icfg.priority(cp), cp));
     }
 
     let compute_in = |post: &FxHashMap<Cp, S::St>, cp: Cp| input(program, icfg, spec, post, cp);
@@ -225,7 +225,7 @@ pub fn solve_with<S: DenseSpec>(
         let input = compute_in(&post, cp);
         let mut new_post = spec.transfer(cp, &input);
         let old = post.get(&cp);
-        if icfg.widen_points.contains(&cp) {
+        if icfg.is_widen_point(cp) {
             if let Some(old) = old {
                 let joined = spec.join(old, &new_post);
                 if joined == *old {
@@ -249,7 +249,7 @@ pub fn solve_with<S: DenseSpec>(
         if changed {
             post.insert(cp, new_post);
             for &t in icfg.targets(cp) {
-                worklist.insert((icfg.priority[&t], t));
+                worklist.insert((icfg.priority(t), t));
             }
         }
     }
@@ -265,7 +265,7 @@ pub fn solve_with<S: DenseSpec>(
     let mut worklist: BTreeSet<(u32, Cp)> = BTreeSet::new();
     if !degraded {
         for &cp in &all_points {
-            worklist.insert((icfg.priority[&cp], cp));
+            worklist.insert((icfg.priority(cp), cp));
         }
     }
     while let Some(&(prio, cp)) = worklist.iter().next() {
@@ -279,7 +279,7 @@ pub fn solve_with<S: DenseSpec>(
         let input = compute_in(&post, cp);
         let candidate = spec.transfer(cp, &input);
         let new_post = match post.get(&cp) {
-            Some(old) if icfg.widen_points.contains(&cp) => {
+            Some(old) if icfg.is_widen_point(cp) => {
                 // Threshold widening can overshoot finitely and `narrow`
                 // refines only infinite bounds, so under a threshold plan a
                 // candidate below the stored state (tested via join) is
@@ -295,7 +295,7 @@ pub fn solve_with<S: DenseSpec>(
         if post.get(&cp) != Some(&new_post) {
             post.insert(cp, new_post);
             for &t in icfg.targets(cp) {
-                worklist.insert((icfg.priority[&t], t));
+                worklist.insert((icfg.priority(t), t));
             }
         }
     }

@@ -85,7 +85,7 @@ pub(crate) fn solved_points(program: &Program) -> impl Iterator<Item = Cp> + '_ 
 /// with the ICFG priority as a deterministic tiebreak for nodes outside
 /// the dependency graph.
 fn priority(deps: &DataDeps, icfg: &Icfg, cp: Cp) -> (u32, u32) {
-    (deps.topo_rank(cp), icfg.priority[&cp])
+    (deps.topo_rank(cp), icfg.priority(cp))
 }
 
 /// [`DataDeps`] plus the flat worklist's precomputed slot order. The

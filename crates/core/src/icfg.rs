@@ -14,11 +14,16 @@
 //! Also computed here: worklist priorities (procedure-major, WTO-minor) and
 //! the widening points (WTO component heads plus procedure entries, the
 //! latter needed for recursion).
+//!
+//! Every table is indexed by [`Program::point_numbering`]: the edges are
+//! compressed rows (each row in the order its edges were added, which the
+//! dense worklist's pushes follow), priorities a `Vec`, widening points a
+//! bit set.
 
 use crate::preanalysis::PreAnalysis;
-use sga_ir::{Cmd, Cp, Program};
+use sga_ir::{Cmd, Cp, PointNumbering, Program};
 use sga_utils::graph::weak_topological_order;
-use sga_utils::{FxHashMap, FxHashSet, Idx};
+use sga_utils::{BitSet, Idx, IndexVec, Rows};
 
 /// The role of an ICFG edge, which selects its transfer function.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,31 +56,38 @@ pub struct InEdge {
     pub kind: EdgeKind,
 }
 
-/// The interprocedural CFG.
+/// The interprocedural CFG, its tables rows over
+/// [`Program::point_numbering`].
 #[derive(Debug)]
 pub struct Icfg {
-    /// Incoming edges per control point.
-    pub in_edges: FxHashMap<Cp, Vec<InEdge>>,
-    /// Outgoing edge targets per control point (for worklist pushes).
-    pub out_targets: FxHashMap<Cp, Vec<Cp>>,
-    /// Worklist priority of each control point (lower runs first).
-    pub priority: FxHashMap<Cp, u32>,
+    num: PointNumbering,
+    /// Incoming edges per point, in the order they were added.
+    in_edges: Rows<InEdge>,
+    /// Outgoing edge targets per point (for worklist pushes), in the order
+    /// they were added.
+    out_targets: Rows<Cp>,
+    /// Worklist priority of each point (lower runs first); `u32::MAX` for
+    /// the points of external procedures, which no engine queues.
+    priority: Vec<u32>,
     /// Widening points: WTO heads and procedure entries.
-    pub widen_points: FxHashSet<Cp>,
+    widen_points: BitSet,
 }
 
 impl Icfg {
     /// Builds the ICFG using the pre-analysis' resolved call graph.
     pub fn build(program: &Program, pre: &PreAnalysis) -> Icfg {
-        let mut in_edges: FxHashMap<Cp, Vec<InEdge>> = FxHashMap::default();
-        let mut out_targets: FxHashMap<Cp, Vec<Cp>> = FxHashMap::default();
-        let add = |in_edges: &mut FxHashMap<Cp, Vec<InEdge>>,
-                   out_targets: &mut FxHashMap<Cp, Vec<Cp>>,
+        let num = program.point_numbering();
+        // `(row, item)` pairs in insertion order; each table is one
+        // counting sort of its pairs, which keeps that order within a row.
+        let mut in_edges: Vec<(usize, InEdge)> = Vec::new();
+        let mut out_targets: Vec<(usize, Cp)> = Vec::new();
+        let add = |in_edges: &mut Vec<(usize, InEdge)>,
+                   out_targets: &mut Vec<(usize, Cp)>,
                    src: Cp,
                    dst: Cp,
                    kind: EdgeKind| {
-            in_edges.entry(dst).or_default().push(InEdge { src, kind });
-            out_targets.entry(src).or_default().push(dst);
+            in_edges.push((num.index(dst), InEdge { src, kind }));
+            out_targets.push((num.index(src), dst));
         };
 
         for (pid, proc) in program.procs.iter_enumerated() {
@@ -96,65 +108,48 @@ impl Icfg {
                         let callee = &program.procs[t];
                         let entry = Cp::new(t, callee.entry);
                         let exit = Cp::new(t, callee.exit);
-                        add(
-                            &mut in_edges,
-                            &mut out_targets,
-                            cp,
-                            entry,
-                            EdgeKind::Call { site: cp },
-                        );
+                        let call = EdgeKind::Call { site: cp };
+                        add(&mut in_edges, &mut out_targets, cp, entry, call);
                         for &r in proc.succs_of(nid) {
                             let ret_site = Cp::new(pid, r);
-                            add(
-                                &mut in_edges,
-                                &mut out_targets,
-                                exit,
-                                ret_site,
-                                EdgeKind::Return { site: cp },
-                            );
+                            let ret = EdgeKind::Return { site: cp };
+                            add(&mut in_edges, &mut out_targets, exit, ret_site, ret);
                             // The localized return join also reads the call
                             // site's state, so a change there must requeue
                             // the return site even without a direct edge.
-                            out_targets.entry(cp).or_default().push(ret_site);
+                            out_targets.push((num.index(cp), ret_site));
                         }
                     }
                     if has_external {
                         for &r in proc.succs_of(nid) {
-                            add(
-                                &mut in_edges,
-                                &mut out_targets,
-                                cp,
-                                Cp::new(pid, r),
-                                EdgeKind::ExternalRet { site: cp },
-                            );
+                            let ext = EdgeKind::ExternalRet { site: cp };
+                            add(&mut in_edges, &mut out_targets, cp, Cp::new(pid, r), ext);
                         }
                     }
                 } else {
                     for &s in proc.succs_of(nid) {
-                        add(
-                            &mut in_edges,
-                            &mut out_targets,
-                            cp,
-                            Cp::new(pid, s),
-                            EdgeKind::Intra,
-                        );
+                        let intra = EdgeKind::Intra;
+                        add(&mut in_edges, &mut out_targets, cp, Cp::new(pid, s), intra);
                     }
                 }
             }
         }
+        let in_edges = Rows::scatter(num.len(), in_edges.iter().copied());
+        let out_targets = Rows::scatter(num.len(), out_targets.iter().copied());
 
         // Priorities and widening points from per-procedure WTOs.
-        let numbering = program.point_numbering();
-        let mut priority: FxHashMap<Cp, u32> = FxHashMap::default();
-        let mut widen_points: FxHashSet<Cp> = FxHashSet::default();
+        let mut priority = vec![u32::MAX; num.len()];
+        let mut widen_points = BitSet::new(num.len());
+        let mut widen = |cp: Cp| widen_points.insert(num.index(cp));
         // Call-site counts: a callee invoked from two or more sites closes
         // interprocedural ICFG cycles (exit → return-site₁ → … → site₂ →
         // entry) even when the call graph is acyclic; every such cycle
         // passes the callee's entry, so multi-site entries must widen.
-        let mut site_count: FxHashMap<sga_ir::ProcId, usize> = FxHashMap::default();
+        let mut site_count: IndexVec<sga_ir::ProcId, usize> =
+            IndexVec::from_elem_n(0, program.procs.len());
         for targets in pre.callgraph.site_targets.values() {
             for &t in targets {
-                *site_count.entry(t).or_insert(0) += 1;
+                site_count[t] += 1;
             }
         }
         for (pid, proc) in program.procs.iter_enumerated() {
@@ -167,29 +162,29 @@ impl Icfg {
             // non-recursive entries keep plain joins — widening there would
             // needlessly discard the argument binding.
             if pre.callgraph.is_recursive(pid) {
-                widen_points.insert(Cp::new(pid, proc.entry));
-                widen_points.insert(Cp::new(pid, proc.exit));
+                widen(Cp::new(pid, proc.entry));
+                widen(Cp::new(pid, proc.exit));
             }
-            if site_count.get(&pid).copied().unwrap_or(0) >= 2 {
-                widen_points.insert(Cp::new(pid, proc.entry));
+            if site_count[pid] >= 2 {
+                widen(Cp::new(pid, proc.entry));
             }
             let wto = weak_topological_order(&proc.cfg_view(), proc.entry.index());
             for h in wto.heads() {
-                widen_points.insert(Cp::new(pid, sga_ir::NodeId::new(h)));
+                widen(Cp::new(pid, sga_ir::NodeId::new(h)));
             }
-            let base = numbering.index(Cp::new(pid, proc.entry)) as u32;
-            for (rank, node) in wto.linearize().into_iter().enumerate() {
-                priority.insert(Cp::new(pid, sga_ir::NodeId::new(node)), base + rank as u32);
-            }
+            let base = num.index(Cp::new(pid, proc.entry)) as u32;
+            let first = num.index(Cp::new(pid, sga_ir::NodeId::new(0)));
+            let rows = &mut priority[first..first + proc.nodes.len()];
             // Nodes outside the WTO (unreachable exits of infinite loops)
             // still need a priority.
-            for nid in proc.nodes.indices() {
-                let cp = Cp::new(pid, nid);
-                priority.entry(cp).or_insert(base + proc.nodes.len() as u32);
+            rows.fill(base + proc.nodes.len() as u32);
+            for (rank, node) in wto.linearize().into_iter().enumerate() {
+                rows[node] = base + rank as u32;
             }
         }
 
         Icfg {
+            num,
             in_edges,
             out_targets,
             priority,
@@ -199,12 +194,24 @@ impl Icfg {
 
     /// Incoming edges of `cp`.
     pub fn incoming(&self, cp: Cp) -> &[InEdge] {
-        self.in_edges.get(&cp).map_or(&[], Vec::as_slice)
+        self.in_edges.row(self.num.index(cp))
     }
 
     /// Control points to re-queue after `cp` changes.
     pub fn targets(&self, cp: Cp) -> &[Cp] {
-        self.out_targets.get(&cp).map_or(&[], Vec::as_slice)
+        self.out_targets.row(self.num.index(cp))
+    }
+
+    /// Worklist priority of `cp` (lower runs first): procedure-major,
+    /// WTO-minor.
+    pub fn priority(&self, cp: Cp) -> u32 {
+        self.priority[self.num.index(cp)]
+    }
+
+    /// Whether `cp` is a widening point: a WTO head, or the entry (and
+    /// exit) of a procedure that recursion or several call sites reach.
+    pub fn is_widen_point(&self, cp: Cp) -> bool {
+        self.widen_points.contains(self.num.index(cp))
     }
 }
 
@@ -260,7 +267,9 @@ mod tests {
         let (p, icfg) = build("int main() { int i = 0; while (i < 5) i = i + 1; return i; }");
         // At least one non-entry widening point (the loop head).
         let entry = Cp::new(p.main, p.procs[p.main].entry);
-        assert!(icfg.widen_points.iter().any(|&w| w != entry));
+        assert!(p
+            .all_points()
+            .any(|cp| cp != entry && icfg.is_widen_point(cp)));
     }
 
     #[test]
@@ -271,7 +280,7 @@ mod tests {
         );
         for cp in p.all_points() {
             if !p.procs[cp.proc].is_external {
-                assert!(icfg.priority.contains_key(&cp), "no priority for {cp}");
+                assert_ne!(icfg.priority(cp), u32::MAX, "no priority for {cp}");
             }
         }
     }

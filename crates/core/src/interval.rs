@@ -108,9 +108,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
         Engine::Vanilla | Engine::Base => {
             let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
             if let Some(du) = &du {
-                stats.num_locs = du.locs.len();
-                stats.avg_defs = du.avg_def_size();
-                stats.avg_uses = du.avg_use_size();
+                stats.record_defuse(du);
             }
             let spec = IntervalDenseSpec::new(program, du.as_ref());
             let fix = Phase::start("fix");
@@ -130,9 +128,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
             };
             let deps = depgen::generate(program, &pre, &du, options.depgen);
             stats.dep_time = dep_phase.stop();
-            stats.num_locs = du.locs.len();
-            stats.avg_defs = du.avg_def_size();
-            stats.avg_uses = du.avg_use_size();
+            stats.record_defuse(&du);
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
             let spec = IntervalSparseSpec {

@@ -308,9 +308,9 @@ fn var_of(l: &AbsLoc) -> Option<VarId> {
 /// by point — keeps every definition point of a kept pack.
 fn slice_packs(du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
     let mut def_points: FxHashMap<VarId, Vec<Cp>> = FxHashMap::default();
-    for (cp, sets) in &du.sets {
-        for x in sets.real_defs.iter().filter_map(var_of) {
-            def_points.entry(x).or_default().push(*cp);
+    for &cp in du.points() {
+        for x in du.real_defs(cp).iter().filter_map(var_of) {
+            def_points.entry(x).or_default().push(cp);
         }
     }
     let mut keep = BitSet::new(packs.len());
@@ -325,7 +325,7 @@ fn slice_packs(du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
             .get(&x)
             .into_iter()
             .flatten()
-            .flat_map(|cp| du.sets[cp].real_uses.iter().filter_map(var_of));
+            .flat_map(|&cp| du.real_uses(cp).iter().filter_map(var_of));
         for y in members.chain(read) {
             if seen.insert(y) {
                 work.push(y);
@@ -885,7 +885,7 @@ impl OctDefUse {
 
         let mut point_sets: FxHashMap<Cp, PackSets> = FxHashMap::default();
         let (mut def_total, mut use_total) = (0, 0);
-        for (cp, sets) in &du.sets {
+        for &cp in du.points() {
             let (mut d, mut u, mut r) = (Vec::new(), Vec::new(), Vec::new());
             let proc = &program.procs[cp.proc];
             if cp.node == proc.entry {
@@ -896,8 +896,9 @@ impl OctDefUse {
                 }
             }
             let has = |set: &[AbsLoc], v: VarId| set.binary_search(&AbsLoc::Var(v)).is_ok();
+            let (real_defs, real_uses) = (du.real_defs(cp), du.real_uses(cp));
             // Real defs: every pack containing a defined variable.
-            for v in sets.real_defs.iter().filter_map(var_of) {
+            for v in real_defs.iter().filter_map(var_of) {
                 for p in packs_of(v) {
                     d.push(p);
                     u.push(p); // §4.2: Û ⊇ pack(x)
@@ -905,15 +906,15 @@ impl OctDefUse {
                 }
             }
             // Real uses: singleton packs (projections).
-            for v in sets.real_uses.iter().filter_map(var_of) {
+            for v in real_uses.iter().filter_map(var_of) {
                 if let Some(p) = singleton(v) {
                     u.push(p);
                     r.push(p);
                 }
             }
             // Relay parts: whole packs flow through calls/entries/exits.
-            for v in sets.defs.iter().filter_map(var_of) {
-                if !has(&sets.real_defs, v) {
+            for v in du.defs(cp).iter().filter_map(var_of) {
+                if !has(real_defs, v) {
                     for p in packs_of(v) {
                         d.push(p);
                         u.push(p);
@@ -923,14 +924,14 @@ impl OctDefUse {
             // Relayed uses stay uses only; at calls, the dependency
             // generator routes them to the callee entry directly (the same
             // pre/return separation as the interval instance).
-            for v in sets.uses.iter().filter_map(var_of) {
-                if !has(&sets.real_uses, v) {
+            for v in du.uses(cp).iter().filter_map(var_of) {
+                if !has(real_uses, v) {
                     u.extend(packs_of(v));
                 }
             }
             // Entry/exit relays also define what they relay.
             if cp.node == proc.entry || cp.node == proc.exit {
-                for v in sets.uses.iter().filter_map(var_of) {
+                for v in du.uses(cp).iter().filter_map(var_of) {
                     d.extend(packs_of(v));
                 }
             }
@@ -944,7 +945,7 @@ impl OctDefUse {
             // no kept pack.
             if !d.is_empty() || !u.is_empty() {
                 let (defs, uses, real) = (d, u, r);
-                point_sets.insert(*cp, PackSets { defs, uses, real });
+                point_sets.insert(cp, PackSets { defs, uses, real });
             }
         }
 
@@ -1032,7 +1033,7 @@ impl OctDefUse {
 
         OctDefUse {
             sets: point_sets,
-            population: du.sets.len(),
+            population: du.points().len(),
             def_total,
             use_total,
             inter,
@@ -1316,10 +1317,8 @@ impl SparseSpec for OctSparseSpec<'_> {
                     ..
                 }
         );
-        let Some(sets) = self.du.sets.get(&cp) else {
-            return false;
-        };
-        let used = |v: &VarId| sets.real_uses.binary_search(&AbsLoc::Var(*v)).is_ok();
+        let real_uses = self.du.real_uses(cp);
+        let used = |v: &VarId| real_uses.binary_search(&AbsLoc::Var(*v)).is_ok();
         plain
             && self.odu.defs(cp).binary_search(&pid).is_ok()
             && !self.odu.is_real(cp, pid)
@@ -1783,9 +1782,9 @@ mod tests {
                     assert!(kept(m), "unit {k}: member {m:?} of kept pack {pid}");
                 }
             }
-            for (cp, sets) in &u.du.sets {
-                if sets.real_defs.iter().filter_map(var_of).any(kept) {
-                    for y in sets.real_uses.iter().filter_map(var_of) {
+            for &cp in u.du.points() {
+                if u.du.real_defs(cp).iter().filter_map(var_of).any(kept) {
+                    for y in u.du.real_uses(cp).iter().filter_map(var_of) {
                         assert!(kept(y), "unit {k}: {cp} defines a kept pack, reads {y:?}");
                     }
                 }

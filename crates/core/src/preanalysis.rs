@@ -8,12 +8,18 @@
 //! The pointer component behaves like inclusion-based (Andersen-style)
 //! points-to analysis, combined with the numeric component, matching the
 //! paper's footnote 3.
+//!
+//! While it runs, `T̂` is a dense store (`Bindings`): each bound location's
+//! value in a slot found by one hash probe, replaced in place when a round
+//! changes it. The tree [`State`] the rest of the analysis reads is built
+//! from the slots once, at the fixpoint.
 
-use crate::semantics::{self, eval};
+use crate::semantics::{self, eval, Env};
 use sga_domains::{AbsLoc, Lattice, State, Value};
 use sga_ir::callgraph::CallGraph;
 use sga_ir::{Callee, Cmd, Cp, Expr, LVal, Program};
-use sga_utils::FxHashMap;
+use sga_utils::{FxHashMap, PMap};
+use std::collections::hash_map::Entry;
 
 /// The pre-analysis result.
 #[derive(Debug)]
@@ -61,7 +67,10 @@ pub fn run(program: &Program) -> PreAnalysis {
             }
         }
     }
-    let mut state = seed(program);
+    let mut state = Bindings::default();
+    for (l, v) in seed(program).iter() {
+        state.set(*l, v.clone());
+    }
     // What each command read at its last evaluation (sorted) and the
     // inverse index; both only grow, as the values read sets derive from do.
     let mut reads: Vec<Vec<AbsLoc>> = vec![Vec::new(); cmds.len()];
@@ -71,6 +80,7 @@ pub fn run(program: &Program) -> PreAnalysis {
     // contributions in arrival order (an unbound location takes the first
     // one as is, so an explicit ⊥ such as `return;`'s still gets bound).
     let mut touched: FxHashMap<AbsLoc, Value> = FxHashMap::default();
+    let mut used = Vec::new();
     let (mut rounds, mut evaluations) = (0usize, 0usize);
     loop {
         rounds += 1;
@@ -79,9 +89,8 @@ pub fn run(program: &Program) -> PreAnalysis {
                 continue;
             }
             evaluations += 1;
-            let mut used = Vec::new();
             contribute(program, cp, &state, &mut used, &mut |l, v| {
-                let old = touched.get(&l).or_else(|| state.get_ref(&l));
+                let old = touched.get(&l).or_else(|| state.lookup(&l));
                 let acc = old.map_or_else(|| v.clone(), |old| old.join(v));
                 touched.insert(l, acc);
             });
@@ -90,14 +99,16 @@ pub fn run(program: &Program) -> PreAnalysis {
             for &l in used.iter().filter(|l| reads[i].binary_search(l).is_err()) {
                 readers.entry(l).or_default().push(i);
             }
-            reads[i] = used;
+            // The old read set's buffer becomes the next evaluation's.
+            std::mem::swap(&mut reads[i], &mut used);
+            used.clear();
         }
         // Plain joins for two rounds (cheap precision), widening afterwards
         // to force convergence of the numeric component. Only the bindings
         // that differ are written back, and only their readers run next.
         let mut changed = false;
         for (l, contributed) in touched.drain() {
-            let old = state.get_ref(&l);
+            let old = state.lookup(&l);
             let merged = match old {
                 None => contributed,
                 Some(old) if rounds <= 2 => old.join(&contributed),
@@ -110,7 +121,7 @@ pub fn run(program: &Program) -> PreAnalysis {
             for &i in readers.get(&l).into_iter().flatten() {
                 dirty[i] = true;
             }
-            state = state.set(l, merged);
+            state.set(l, merged);
         }
         if !changed {
             break;
@@ -123,7 +134,7 @@ pub fn run(program: &Program) -> PreAnalysis {
         resolve_targets(program, callee, &state)
     });
     PreAnalysis {
-        state,
+        state: state.into_state(),
         callgraph,
         rounds,
         commands: cmds.len(),
@@ -131,13 +142,47 @@ pub fn run(program: &Program) -> PreAnalysis {
     }
 }
 
+/// `T̂` while it is computed: each bound location's binding at a dense
+/// index, so a read is one hash probe and a write replaces a slot, where
+/// the tree [`State`] compares `AbsLoc`s down a path and copies it.
+#[derive(Default)]
+struct Bindings {
+    index: FxHashMap<AbsLoc, u32>,
+    slots: Vec<(AbsLoc, Value)>,
+}
+
+impl Bindings {
+    /// Binds `l` to `v`, replacing its binding if it had one.
+    fn set(&mut self, l: AbsLoc, v: Value) {
+        match self.index.entry(l) {
+            Entry::Occupied(at) => self.slots[*at.get() as usize].1 = v,
+            Entry::Vacant(at) => {
+                at.insert(self.slots.len() as u32);
+                self.slots.push((l, v));
+            }
+        }
+    }
+
+    /// The bindings as a tree [`State`], built once.
+    fn into_state(mut self) -> State {
+        self.slots.sort_unstable_by_key(|(l, _)| *l);
+        State::from_pmap(PMap::from_sorted_vec(self.slots))
+    }
+}
+
+impl Env for Bindings {
+    fn lookup(&self, l: &AbsLoc) -> Option<&Value> {
+        self.index.get(l).map(|&at| &self.slots[at as usize].1)
+    }
+}
+
 /// Evaluates the command at `cp` against `s`: its (weakly updated) delta
 /// goes to `weak` — flow-insensitivity makes that equivalent to a full
 /// state join — and every location it read from `s` to `used`.
-fn contribute(
+fn contribute<E: Env>(
     program: &Program,
     cp: Cp,
-    s: &State,
+    s: &E,
     used: &mut Vec<AbsLoc>,
     weak: &mut impl FnMut(AbsLoc, &Value),
 ) {
@@ -184,7 +229,7 @@ fn contribute(
                     weak(AbsLoc::Var(p), &v);
                 }
                 used.push(AbsLoc::Var(callee_proc.ret_var));
-                let rv = s.get(&AbsLoc::Var(callee_proc.ret_var));
+                let rv = s.read(&AbsLoc::Var(callee_proc.ret_var));
                 ret_val = Some(match ret_val {
                     Some(acc) => acc.join(&rv),
                     None => rv,
@@ -203,7 +248,11 @@ fn contribute(
 
 /// Call targets under state `s`: syntactic for direct calls, the
 /// function-pointer component of the callee expression otherwise.
-pub fn resolve_targets(program: &Program, callee: &Callee, s: &State) -> Vec<sga_ir::ProcId> {
+pub fn resolve_targets<E: Env + ?Sized>(
+    program: &Program,
+    callee: &Callee,
+    s: &E,
+) -> Vec<sga_ir::ProcId> {
     match callee {
         Callee::Direct(p) => vec![*p],
         Callee::Indirect(e) => {

@@ -36,6 +36,8 @@ pub struct AnalysisStats {
     pub avg_defs: f64,
     /// Average `|Û(c)|`.
     pub avg_uses: f64,
+    /// Sizes of the interval def/use tables (zero for vanilla).
+    pub defuse: crate::defuse::DefUseCounts,
     /// Dependency edges before the bypass optimization.
     pub dep_edges_raw: usize,
     /// Dependency edges actually used by the sparse engine.
@@ -79,6 +81,15 @@ impl AnalysisStats {
         self.pre_rounds = pre.rounds;
         self.pre_evaluations = pre.evaluations;
         self.pre_commands = pre.commands;
+    }
+
+    /// Records the def/use tables: Table 2's `D̂(c)`/`Û(c)` columns and
+    /// their sums.
+    pub fn record_defuse(&mut self, du: &crate::defuse::DefUse) {
+        self.num_locs = du.locs.len();
+        self.avg_defs = du.avg_def_size();
+        self.avg_uses = du.avg_use_size();
+        self.defuse = du.counts();
     }
 
     /// `Dep` column: pre-analysis + dependency construction.

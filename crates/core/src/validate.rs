@@ -255,9 +255,6 @@ pub fn check_lemma1(
     let dense = dense::solve(program, &icfg, &spec);
     let mut report = CheckReport::default();
     for cp in solved_points(program) {
-        let Some(sets) = du.sets.get(&cp) else {
-            continue;
-        };
         report.points += 1;
         let want = spec.dense_binding(&icfg, &dense.post, cp);
         let formal = |l: &AbsLoc| {
@@ -267,7 +264,7 @@ pub fn check_lemma1(
                 .any(|&p| AbsLoc::Var(p) == *l)
         };
         let bound = sparse.values.get(&cp).into_iter().flat_map(PMap::keys);
-        let mut compared: Vec<AbsLoc> = sets.real_defs.iter().chain(bound).copied().collect();
+        let mut compared: Vec<AbsLoc> = du.real_defs(cp).iter().chain(bound).copied().collect();
         compared.sort_unstable();
         compared.dedup();
         for l in compared.iter().filter(|l| !formal(l)) {
@@ -291,13 +288,11 @@ pub fn check_lemma1(
 pub fn check_defuse_side_condition(program: &Program, du: &DefUse) -> CheckReport {
     let mut report = CheckReport::default();
     for cp in solved_points(program) {
-        let Some(sets) = du.sets.get(&cp) else {
-            continue;
-        };
         report.points += 1;
-        for l in &sets.defs {
+        let (real_defs, uses) = (du.real_defs(cp), du.uses(cp));
+        for l in du.defs(cp) {
             report.bindings += 1;
-            if sets.real_defs.binary_search(l).is_err() && sets.uses.binary_search(l).is_err() {
+            if real_defs.binary_search(l).is_err() && uses.binary_search(l).is_err() {
                 report.push(Violation::new(
                     CheckKind::DefUseSide,
                     format!(

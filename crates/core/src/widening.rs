@@ -16,7 +16,7 @@
 //!   enter actual widening with the same accumulated state.
 //!
 //! Both apply only at the already-identified real (non-relay) cycle heads
-//! (`DataDeps::cycle_nodes` sparse-side, `Icfg::widen_points` dense-side);
+//! (`DataDeps::cycle_nodes` sparse-side, `Icfg::is_widen_point` dense-side);
 //! everywhere else plain join keeps full precision.
 
 use sga_domains::Thresholds;

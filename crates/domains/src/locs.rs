@@ -12,8 +12,9 @@
 use crate::lattice::Lattice;
 use sga_ir::{Cp, FieldId, ProcId, VarId};
 use std::fmt;
-// `Arc`, not `Rc`: values travel across the pipeline's worker threads
-// inside shared abstract states, so the sharing pointer must be thread-safe.
+// `Arc`, though nothing requires `Send`: a unit's abstract values stay on
+// its thread, and the workspace builds with `Rc` here. `Arc` stays until
+// `Rc` is measured to pay; alternated cold passes showed no gain.
 use std::sync::Arc;
 
 type Rc<T> = Arc<T>;

@@ -565,6 +565,26 @@ fn pre_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
     )
 }
 
+/// "defuse: D̂ N, Û M; summaries D defs, U uses; R relayed" — the sizes
+/// of the def/use tables dependency generation is handed (all zero for
+/// the vanilla engine, which builds none).
+fn defuse_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
+    let c = &stats.defuse;
+    format!(
+        "defuse: D\u{302} {}, U\u{302} {}; summaries {} defs, {} uses; {} relayed",
+        c.defs, c.uses, c.summary_defs, c.summary_uses, c.relayed
+    )
+}
+
+/// "dep: R → F edges" — the dependency relation before and after the
+/// bypass (zero for the dense engines).
+fn dep_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
+    format!(
+        "dep: {} \u{2192} {} edges",
+        stats.dep_edges_raw, stats.dep_edges
+    )
+}
+
 /// "fix: P pops — W whole, F forwarded (L locations), S skipped; E edge
 /// reads" — what the sparse fixpoint's pops computed (all zero for the dense
 /// engines).
@@ -852,6 +872,8 @@ fn run_file(a: Args) -> ExitCode {
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
+                eprintln!("{}", defuse_work(s));
+                eprintln!("{}", dep_work(s));
                 eprintln!("{}", fix_work(s));
             }
             if a.dump_values {
@@ -892,6 +914,7 @@ fn run_file(a: Args) -> ExitCode {
                     if s.degraded { ", degraded" } else { "" }
                 );
                 eprintln!("{}", pre_work(s));
+                eprintln!("{}", dep_work(s));
                 eprintln!("{}", fix_work(s));
             }
             if a.dump_values {

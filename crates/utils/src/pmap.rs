@@ -30,11 +30,10 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-// `Arc`, not `Rc`: abstract states (pre-analysis results, fixpoint tables)
-// are shared read-only across the pipeline's worker threads, so the
-// structural-sharing pointer must be `Send + Sync`. The atomic refcount
-// costs a few percent on clone-heavy paths; sequential callers pay it too,
-// which keeps `--jobs 1` and `--jobs N` byte-identical for free.
+// `Arc`, though nothing requires `Send + Sync`: an abstract state
+// (pre-analysis result, fixpoint table) stays on its unit's thread, and the
+// workspace builds with `Rc` here. `Arc` stays until `Rc` is measured to
+// pay; alternated cold passes showed no gain.
 use std::sync::Arc;
 
 type Rc<T> = Arc<T>;

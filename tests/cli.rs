@@ -103,6 +103,52 @@ fn check_sarif_writes_a_2_1_0_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--stats` counts the `Dep` column's work: the pre-analysis' rounds and
+/// evaluations, the def/use tables' sizes and the relation before and after
+/// the bypass. The numbers are pinned on a flat and an SCC-heavy generated
+/// unit; a change to how the tables are stored must leave each one as it is.
+#[test]
+fn stats_count_the_dep_columns_tables() {
+    let dir = scratch("depstats");
+    let pinned = [
+        (
+            2,
+            [
+                "pre: 9 rounds, 1759 of 9×626 evaluations",
+                "defuse: D\u{302} 1996, U\u{302} 2176; summaries 238 defs, 337 uses; 1015 relayed",
+                "dep: 2843 \u{2192} 2234 edges",
+            ],
+        ),
+        (
+            30,
+            [
+                "pre: 11 rounds, 1978 of 11×660 evaluations",
+                "defuse: D\u{302} 3218, U\u{302} 3405; summaries 440 defs, 493 uses; 2141 relayed",
+                "dep: 5982 \u{2192} 4120 edges",
+            ],
+        ),
+    ];
+    for (max_scc, lines) in pinned {
+        let config = sga::cgen::GenConfig {
+            seed: 65261,
+            target_loc: 600,
+            functions: 34,
+            globals: 16,
+            max_scc,
+            ..sga::cgen::GenConfig::default()
+        };
+        let f = unit(&dir, "u.c", &sga::cgen::generate(&config));
+        let stats = text(&sga(&[&f, "--stats"]).stderr);
+        for line in lines {
+            assert!(
+                stats.lines().any(|l| l == line),
+                "max_scc {max_scc}: {line}\n{stats}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A loop access the octagon discharges, and a procedure outside its slice.
 const SLICED: &str = "int probe(int n) {
     int s = 0;
