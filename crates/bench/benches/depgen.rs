@@ -41,11 +41,11 @@ fn bench_phases(c: &mut Criterion) {
         // The per-procedure segments alone: no `assemble`, no bypass.
         group.bench_function(format!("reaching_defs{shape}"), |b| {
             b.iter(|| {
-                program
-                    .procs
-                    .indices()
-                    .map(|pid| depgen::proc_dep_edges(program, &source, pid).len())
-                    .sum::<usize>()
+                let (mut walks, mut edges) = (depgen::Walks::new(du.locs.len()), Vec::new());
+                for pid in program.procs.indices() {
+                    walks.proc_edges(program, &source, pid, &mut edges);
+                }
+                edges.len()
             })
         });
         for bypass in [true, false] {

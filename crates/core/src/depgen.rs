@@ -26,7 +26,8 @@ use crate::defuse::DefUse;
 use crate::preanalysis::PreAnalysis;
 use sga_domains::AbsLoc;
 use sga_ir::{Cmd, Cp, PointNumbering, ProcId, Program};
-use sga_utils::graph::{AdjGraph, Scc};
+use sga_utils::graph::Scc;
+use sga_utils::rows::Scatter;
 use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, Rows};
 use std::cmp::Ordering;
 
@@ -51,6 +52,10 @@ pub struct DepGenStats {
     pub raw_edges: usize,
     /// Distinct `(from, loc, to)` triples after it.
     pub final_edges: usize,
+    /// Nodes entered by the per-procedure reaching-definition walks.
+    pub walk_visits: usize,
+    /// Definitions those walks started from: one walk per definition.
+    pub walk_defs: usize,
 }
 
 /// The generated data dependencies.
@@ -201,27 +206,29 @@ pub type DepEdge = (u32, Cp, Cp, bool);
 
 /// Generates data dependencies from any [`DepSource`].
 ///
-/// Per-procedure reaching-definition segments ([`proc_dep_edges`]) merged
-/// by [`assemble`], which adds the interprocedural linking edges and runs
-/// the bypass contraction.
+/// Per-procedure reaching-definition segments ([`Walks::proc_edges`])
+/// merged by [`assemble`], which adds the interprocedural linking edges and
+/// runs the bypass contraction.
 pub fn generate_from<S: DepSource>(
     program: &Program,
     source: &S,
     options: DepGenOptions,
 ) -> DataDeps {
-    let segments: Vec<Vec<DepEdge>> = program
-        .procs
-        .indices()
-        .map(|pid| proc_dep_edges(program, source, pid))
-        .collect();
-    assemble(program, source, options, &segments)
+    let (mut walks, mut segments) = (Walks::new(source.loc_count()), Vec::new());
+    for pid in program.procs.indices() {
+        walks.proc_edges(program, source, pid, &mut segments);
+    }
+    let mut deps = assemble(program, source, options, &segments);
+    deps.stats.walk_visits = walks.visits;
+    deps.stats.walk_defs = walks.defs;
+    deps
 }
 
 /// An edge over dense point indices: `(from, to, is_return)`.
 type Link = (u32, u32, bool);
 
-/// Merges per-procedure segments (pass them in procedure order for
-/// determinism), adds the source's interprocedural linking edges, applies
+/// Merges the per-procedure segments, concatenated (pass them in procedure
+/// order for determinism), adds the source's interprocedural linking edges, applies
 /// the bypass contraction, and writes the relation's rows, widening points
 /// and ranks.
 ///
@@ -234,12 +241,12 @@ pub fn assemble<S: DepSource>(
     program: &Program,
     source: &S,
     options: DepGenOptions,
-    segments: &[Vec<DepEdge>],
+    segments: &[DepEdge],
 ) -> DataDeps {
     let (num, cps): (_, Vec<Cp>) = (program.point_numbering(), program.all_points().collect());
     let mut inter = Vec::new();
     source.inter_edges(&mut |loc, from, to, is_return| inter.push((loc, from, to, is_return)));
-    let raw = || segments.iter().flatten().chain(&inter);
+    let raw = || segments.iter().chain(&inter);
 
     // Every location ranked in the instance's order; the ones on an edge
     // also as first met.
@@ -286,22 +293,39 @@ pub fn assemble<S: DepSource>(
     }
 
     // Scattered location by location in rank order: rows sorted by location,
-    // then peer. An out-edge in both flavours is kept once.
-    let (at, ls, fs, n) = (|p: u32| cps[p as usize], &locs, &finals, num.len());
-    let out = rows(ls, fs, n, |l, (a, b, _), twin| {
-        (!twin).then(|| (a as usize, (l, at(b))))
-    });
-    let into = rows(ls, fs, n, |l, (a, b, k), _| {
-        (!k).then(|| (b as usize, (l, at(a))))
-    });
-    let into_ret = rows(ls, fs, n, |l, (a, b, k), _| {
-        k.then(|| (b as usize, (l, at(a))))
-    });
+    // then peer. An out-edge in both flavours is kept once. One counting
+    // sort fills the three tables: count every edge's rows, then place.
+    let n = num.len();
+    let (mut out, mut into, mut into_ret) = (Scatter::new(n), Scatter::new(n), Scatter::new(n));
+    let (locs, finals) = (&locs, &finals);
+    let edges = || {
+        (0..locs.len()).flat_map(move |rank| {
+            let row = finals.row(rank);
+            let twin =
+                move |j: usize| j > 0 && (row[j - 1].0, row[j - 1].1) == (row[j].0, row[j].1);
+            (0..row.len()).map(move |j| (locs[rank], row[j], twin(j)))
+        })
+    };
+    for (_, (a, b, k), twin) in edges() {
+        if !twin {
+            out.count(a as usize);
+        }
+        if k { &mut into_ret } else { &mut into }.count(b as usize);
+    }
+    for (l, (a, b, k), twin) in edges() {
+        let (a, b) = (a as usize, b as usize);
+        if !twin {
+            out.place(a, (l, cps[b]));
+        }
+        if k { &mut into_ret } else { &mut into }.place(b, (l, cps[a]));
+    }
+    let (out, into, into_ret) = (out.finish(), into.finish(), into_ret.finish());
     let (cycle, topo_rank) = ranks(&num, &out, &sources, |p, loc| source.is_real(cps[p], loc));
     DataDeps {
         stats: DepGenStats {
             raw_edges: grouped.items().len(),
             final_edges: out.items().len(),
+            ..DepGenStats::default()
         },
         num,
         loc_rank,
@@ -313,131 +337,182 @@ pub fn assemble<S: DepSource>(
     }
 }
 
-/// One table of the relation over `n` points: the final edges location by
-/// location in rank order, each put where `pick` says — or nowhere.
-fn rows(
-    locs: &[u32],
-    finals: &Rows<Link>,
-    n: usize,
-    pick: impl Fn(u32, Link, bool) -> Option<(usize, (u32, Cp))>,
-) -> Rows<(u32, Cp)> {
-    let edges = (0..locs.len()).flat_map(|rank| {
-        let row = finals.row(rank);
-        let twin = move |j: usize| j > 0 && (row[j - 1].0, row[j - 1].1) == (row[j].0, row[j].1);
-        (0..row.len()).map(move |j| (locs[rank], row[j], twin(j)))
-    });
-    Rows::scatter(n, edges.filter_map(|(loc, e, twin)| pick(loc, e, twin)))
+/// The per-procedure reaching-definition walks, in buffers reused across
+/// procedures, and the work they did.
+pub struct Walks {
+    /// Location id → its slot in the procedure being walked; `u32::MAX` for
+    /// every id it does not mention (reset after each procedure).
+    slot_of: Vec<u32>,
+    /// `(slot, is_use, node)`, one per mention of a location.
+    mentions: Vec<(usize, bool, usize)>,
+    seen: Vec<u32>,
+    def_at: Vec<u32>,
+    use_at: Vec<u32>,
+    stack: Vec<usize>,
+    reached: Vec<(usize, usize)>,
+    /// Nodes entered, over every walk.
+    visits: usize,
+    /// Definitions walked from: one walk each.
+    defs: usize,
 }
 
-/// Per-procedure dependency segment: the intraprocedural def→use edges of
-/// `pid` (already routed — a call site's callee-used locations land on the
-/// callee entries). Independent across procedures. A reaching-definition
-/// pass: from each def point of each location, one forward walk that stops
-/// behind the next definition (`D̂` is a must-definition, so it kills).
-pub fn proc_dep_edges<S: DepSource>(
+impl Walks {
+    /// Buffers for a source interning `locs` location ids.
+    pub fn new(locs: usize) -> Walks {
+        Walks {
+            slot_of: vec![u32::MAX; locs],
+            mentions: Vec::new(),
+            seen: Vec::new(),
+            def_at: Vec::new(),
+            use_at: Vec::new(),
+            stack: Vec::new(),
+            reached: Vec::new(),
+            visits: 0,
+            defs: 0,
+        }
+    }
+
+    /// Appends `pid`'s dependency segment to `sink`: the intraprocedural
+    /// def→use edges of `pid` (already routed — a call site's callee-used
+    /// locations land on the callee entries). Independent across
+    /// procedures. A reaching-definition pass: from each def point of each
+    /// location, one forward walk that stops behind the next definition
+    /// (`D̂` is a must-definition, so it kills).
+    pub fn proc_edges<S: DepSource>(
+        &mut self,
+        program: &Program,
+        source: &S,
+        pid: ProcId,
+        sink: &mut Vec<DepEdge>,
+    ) {
+        let proc = &program.procs[pid];
+        let n = proc.nodes.len();
+
+        // Collect the locations mentioned in this procedure (`locs_here`: id
+        // → slot, each id inserted once, at its first mention) and, per
+        // slot, its def and use points. Segments are emitted in the map's
+        // iteration order, which orders `assemble`'s `by_loc`: fill it by
+        // exactly these inserts.
+        let (mut locs_here, mentions) = (FxHashMap::default(), &mut self.mentions);
+        mentions.clear();
+        for (v, cp) in proc
+            .nodes
+            .indices()
+            .map(|nid| (nid.index(), Cp::new(pid, nid)))
+        {
+            let defs = source.defs(cp).iter().map(|&id| (id, false));
+            for (id, is_use) in defs.chain(source.uses(cp).iter().map(|&id| (id, true))) {
+                let slot = &mut self.slot_of[id as usize];
+                if *slot == u32::MAX {
+                    *slot = locs_here.len() as u32;
+                    locs_here.insert(id, locs_here.len());
+                }
+                mentions.push((*slot as usize, is_use, v));
+            }
+        }
+        for &id in locs_here.keys() {
+            self.slot_of[id as usize] = u32::MAX;
+        }
+        let points = |is_use: bool| {
+            let of = mentions.iter().filter(move |m| m.1 == is_use);
+            Rows::scatter(locs_here.len(), of.map(|&(slot, _, v)| (slot, v)))
+        };
+        let (defs, uses) = (points(false), points(true));
+
+        // Nothing to connect (as in an external procedure): skip the set-up.
+        let connects = |slot: usize| !defs.row(slot).is_empty() && !uses.row(slot).is_empty();
+        if !(0..locs_here.len()).any(connects) {
+            return;
+        }
+
+        // `seen[v]` is the last walk that entered `v`. Nodes unreachable
+        // from the entry keep `u32::MAX` and are never entered — they
+        // neither receive nor forward a definition — yet a def *at* one
+        // still walks into its reachable successors.
+        let seen = &mut self.seen;
+        seen.clear();
+        seen.resize(n, u32::MAX);
+        for v in sga_utils::graph::reverse_postorder(&proc.cfg_view(), proc.entry.index()) {
+            seen[v] = 0;
+        }
+        let mut walk = 0u32;
+        // `def_at[v] == mark` / `use_at[v] == mark`: `v` defines / uses the
+        // location being processed.
+        let (def_at, use_at) = (&mut self.def_at, &mut self.use_at);
+        for marks in [&mut *def_at, &mut *use_at] {
+            marks.clear();
+            marks.resize(n, 0);
+        }
+        let succs = |v: usize| {
+            proc.succs_of(sga_ir::NodeId::new(v))
+                .iter()
+                .map(|s| s.index())
+        };
+        let (stack, reached) = (&mut self.stack, &mut self.reached);
+
+        for (mark, (&loc_id, &slot)) in (1u32..).zip(&locs_here) {
+            let (def_points, use_points) = (defs.row(slot), uses.row(slot));
+            if !connects(slot) {
+                continue;
+            }
+            for &d in def_points {
+                def_at[d] = mark;
+            }
+            for &u in use_points {
+                use_at[u] = mark;
+            }
+            for &d in def_points {
+                walk += 1;
+                stack.extend(succs(d));
+                while let Some(v) = stack.pop() {
+                    if seen[v] >= walk {
+                        continue;
+                    }
+                    seen[v] = walk;
+                    self.visits += 1;
+                    if use_at[v] == mark {
+                        reached.push((v, d));
+                    }
+                    // A defining node is entered (a use-and-def node
+                    // receives `d`, a loop delivers `d` to itself) but not
+                    // walked past.
+                    if def_at[v] != mark {
+                        stack.extend(succs(v));
+                    }
+                }
+            }
+            self.defs += def_points.len();
+            // Emit edges def → use, uses ascending and defs ascending within
+            // a use, honoring the source's routing (call sites redirect
+            // callee-used locations to the callee entries).
+            reached.sort_unstable();
+            for defs_of_use in reached.chunk_by(|a, b| a.0 == b.0) {
+                let ucp = Cp::new(pid, sga_ir::NodeId::new(defs_of_use[0].0));
+                let routes = source.use_routes(ucp, loc_id);
+                for &(_, d) in defs_of_use.iter() {
+                    let d = Cp::new(pid, sga_ir::NodeId::new(d));
+                    if routes.self_edge {
+                        sink.push((loc_id, d, ucp, false));
+                    }
+                    for &entry in routes.entries {
+                        sink.push((loc_id, d, entry, false));
+                    }
+                }
+            }
+            reached.clear();
+        }
+    }
+}
+
+/// `pid`'s dependency segment alone ([`Walks::proc_edges`]).
+#[cfg(test)]
+pub(crate) fn proc_dep_edges<S: DepSource>(
     program: &Program,
     source: &S,
-    pid: sga_ir::ProcId,
+    pid: ProcId,
 ) -> Vec<DepEdge> {
-    let (proc, mut sink) = (&program.procs[pid], Vec::new());
-    let n = proc.nodes.len();
-
-    // Collect the locations mentioned in this procedure (`locs_here`: id →
-    // slot) and, per slot, its def and use points. Segments are emitted in
-    // the map's iteration order, which orders `assemble`'s `by_loc`: fill it
-    // by exactly these inserts.
-    let (mut locs_here, mut mentions) = (FxHashMap::default(), Vec::new());
-    for (v, cp) in proc
-        .nodes
-        .indices()
-        .map(|nid| (nid.index(), Cp::new(pid, nid)))
-    {
-        let defs = source.defs(cp).iter().map(|&id| (id, false));
-        for (id, is_use) in defs.chain(source.uses(cp).iter().map(|&id| (id, true))) {
-            let next = locs_here.len();
-            mentions.push((*locs_here.entry(id).or_insert(next), is_use, v));
-        }
-    }
-    let points = |is_use: bool| {
-        let of = mentions.iter().filter(move |m| m.1 == is_use);
-        Rows::scatter(locs_here.len(), of.map(|&(slot, _, v)| (slot, v)))
-    };
-    let (defs, uses) = (points(false), points(true));
-
-    // Nothing to connect (as in an external procedure): skip the set-up.
-    let connects = |slot: usize| !defs.row(slot).is_empty() && !uses.row(slot).is_empty();
-    if !(0..locs_here.len()).any(connects) {
-        return sink;
-    }
-
-    // `seen[v]` is the last walk that entered `v`. Nodes unreachable from
-    // the entry keep `u32::MAX` and are never entered — they neither receive
-    // nor forward a definition — yet a def *at* one still walks into its
-    // reachable successors.
-    let mut seen = vec![u32::MAX; n];
-    for v in sga_utils::graph::reverse_postorder(&proc.cfg_view(), proc.entry.index()) {
-        seen[v] = 0;
-    }
-    let mut walk = 0u32;
-    // `def_at[v] == mark` / `use_at[v] == mark`: `v` defines / uses the
-    // location being processed.
-    let (mut def_at, mut use_at) = (vec![0u32; n], vec![0u32; n]);
-    let succs = |v: usize| {
-        proc.succs_of(sga_ir::NodeId::new(v))
-            .iter()
-            .map(|s| s.index())
-    };
-    let mut stack: Vec<usize> = Vec::new();
-    let mut reached: Vec<(usize, usize)> = Vec::new();
-
-    for (mark, (&loc_id, &slot)) in (1u32..).zip(&locs_here) {
-        let (def_points, use_points) = (defs.row(slot), uses.row(slot));
-        if !connects(slot) {
-            continue;
-        }
-        for &d in def_points {
-            def_at[d] = mark;
-        }
-        for &u in use_points {
-            use_at[u] = mark;
-        }
-        for &d in def_points {
-            walk += 1;
-            stack.extend(succs(d));
-            while let Some(v) = stack.pop() {
-                if seen[v] >= walk {
-                    continue;
-                }
-                seen[v] = walk;
-                if use_at[v] == mark {
-                    reached.push((v, d));
-                }
-                // A defining node is entered (a use-and-def node receives
-                // `d`, a loop delivers `d` to itself) but not walked past.
-                if def_at[v] != mark {
-                    stack.extend(succs(v));
-                }
-            }
-        }
-        // Emit edges def → use, uses ascending and defs ascending within a
-        // use, honoring the source's routing (call sites redirect
-        // callee-used locations to the callee entries).
-        reached.sort_unstable();
-        for defs_of_use in reached.chunk_by(|a, b| a.0 == b.0) {
-            let ucp = Cp::new(pid, sga_ir::NodeId::new(defs_of_use[0].0));
-            let routes = source.use_routes(ucp, loc_id);
-            for &(_, d) in defs_of_use {
-                let d = Cp::new(pid, sga_ir::NodeId::new(d));
-                if routes.self_edge {
-                    sink.push((loc_id, d, ucp, false));
-                }
-                for &entry in routes.entries {
-                    sink.push((loc_id, d, entry, false));
-                }
-            }
-        }
-        reached.clear();
-    }
+    let mut sink = Vec::new();
+    Walks::new(source.loc_count()).proc_edges(program, source, pid, &mut sink);
     sink
 }
 
@@ -445,11 +520,7 @@ pub fn proc_dep_edges<S: DepSource>(
 /// call-site ↔ callee linking of §5.
 pub struct IntervalDepSource<'a> {
     du: &'a DefUse,
-    num: PointNumbering,
-    /// Per point, the locations whose uses route (also) to callee entries:
-    /// whether the call consumes the value too, and a span of `entries`.
-    routes: Rows<(u32, bool, u32, u32)>,
-    entries: Vec<Cp>,
+    routes: Routes,
     /// The linking edges, by call site, then target.
     inter: Vec<DepEdge>,
 }
@@ -486,31 +557,13 @@ impl<'a> IntervalDepSource<'a> {
                 inter.extend(defs.map(|l| (l, exit, cp, true)));
             }
         }
-        // Stable: a location's entries stay in target order. The call keeps
-        // its self-edge for real uses (arguments, pointer bases) and for the
-        // pre-join of callee-defined (spurious-def) locations.
-        routed.sort_by_key(|&(cp, id, _)| (cp, id));
+        // The call keeps its self-edge for real uses (arguments, pointer
+        // bases) and for the pre-join of callee-defined (spurious-def)
+        // locations.
         let has = |set: &[u32], id| set.binary_search(&id).is_ok();
-        let num = program.point_numbering();
-        let (mut routes, mut entries) = (Rows::default(), Vec::new());
-        for site in routed.chunk_by(|a, b| a.0 == b.0) {
-            let cp = site[0].0;
-            routes.pad_to(num.index(cp));
-            routes.push_row(site.chunk_by(|a, b| a.1 == b.1).map(|run| {
-                let (id, start) = (run[0].1, entries.len() as u32);
-                entries.extend(run.iter().map(|&(.., entry)| entry));
-                let self_edge = has(du.real_ids(cp), id) || has(du.def_ids(cp), id);
-                (id, self_edge, start, entries.len() as u32)
-            }));
-        }
-        routes.pad_to(num.len());
-        IntervalDepSource {
-            du,
-            num,
-            routes,
-            entries,
-            inter,
-        }
+        let consumes = |cp, id| has(du.real_ids(cp), id) || has(du.def_ids(cp), id);
+        let routes = Routes::new(&program.point_numbering(), routed, consumes);
+        IntervalDepSource { du, routes, inter }
     }
 }
 
@@ -536,14 +589,7 @@ impl DepSource for IntervalDepSource<'_> {
     }
 
     fn use_routes(&self, cp: Cp, loc: u32) -> UseRoutes<'_> {
-        let row = self.routes.row(self.num.index(cp));
-        match row.binary_search_by_key(&loc, |route| route.0) {
-            Ok(at) => UseRoutes {
-                self_edge: row[at].1,
-                entries: &self.entries[row[at].2 as usize..row[at].3 as usize],
-            },
-            Err(_) => UseRoutes::SELF,
-        }
+        self.routes.get(cp, loc)
     }
 
     fn inter_edges(&self, sink: &mut dyn FnMut(u32, Cp, Cp, bool)) {
@@ -553,21 +599,79 @@ impl DepSource for IntervalDepSource<'_> {
     }
 }
 
+/// The call sites' [`UseRoutes`]: per point, the locations whose uses route
+/// (also) to callee entries — whether the call consumes the value too, and
+/// a span of `entries` — as rows over the point numbering, each ascending
+/// by location.
+pub(crate) struct Routes {
+    num: PointNumbering,
+    rows: Rows<(u32, bool, u32, u32)>,
+    entries: Vec<Cp>,
+}
+
+impl Routes {
+    /// Routes from `(call site, location, callee entry)` triples listed by
+    /// call site, then target; `consumes(cp, loc)` is whether the call
+    /// keeps its own edge for `loc`.
+    pub(crate) fn new(
+        num: &PointNumbering,
+        mut routed: Vec<(Cp, u32, Cp)>,
+        consumes: impl Fn(Cp, u32) -> bool,
+    ) -> Routes {
+        // Stable: a location's entries stay in target order.
+        routed.sort_by_key(|&(cp, id, _)| (cp, id));
+        let (mut rows, mut entries) = (Rows::default(), Vec::new());
+        for site in routed.chunk_by(|a, b| a.0 == b.0) {
+            let cp = site[0].0;
+            rows.pad_to(num.index(cp));
+            rows.push_row(site.chunk_by(|a, b| a.1 == b.1).map(|run| {
+                let (id, start) = (run[0].1, entries.len() as u32);
+                entries.extend(run.iter().map(|&(.., entry)| entry));
+                (id, consumes(cp, id), start, entries.len() as u32)
+            }));
+        }
+        rows.pad_to(num.len());
+        Routes {
+            num: num.clone(),
+            rows,
+            entries,
+        }
+    }
+
+    /// Where uses of `loc` at `cp` land.
+    pub(crate) fn get(&self, cp: Cp, loc: u32) -> UseRoutes<'_> {
+        let row = self.rows.row(self.num.index(cp));
+        match row.binary_search_by_key(&loc, |route| route.0) {
+            Ok(at) => UseRoutes {
+                self_edge: row[at].1,
+                entries: &self.entries[row[at].2 as usize..row[at].3 as usize],
+            },
+            Err(_) => UseRoutes::SELF,
+        }
+    }
+}
+
 /// One end of an edge in [`Contraction`]: the peer's local index and the
 /// return-flow flag of the edge's final hop, preserved across contraction.
-type End = (usize, bool);
+type End = (u32, bool);
 
 /// The bypass contraction of one location at a time, in buffers reused
 /// across locations: points numbered densely in ascending order (which the
 /// pending stack and the result rely on), `is_real` asked once per point,
 /// in- and out-ends one sorted vector per point that keeps its capacity.
-#[derive(Default)]
 struct Contraction {
+    /// Point → local index while a location is contracted, `u32::MAX`
+    /// (unseen) otherwise.
     local: Vec<u32>,
     points: Vec<u32>,
     real: Vec<bool>,
     outs: Vec<Vec<End>>,
     ins: Vec<Vec<End>>,
+    pending: Vec<u32>,
+    /// The ends one splice merges in, and its output (swapped with the
+    /// list it replaces).
+    add: Vec<End>,
+    scratch: Vec<End>,
 }
 
 impl Contraction {
@@ -575,10 +679,14 @@ impl Contraction {
     fn new(points: usize) -> Contraction {
         let ends = vec![Vec::new(); points];
         Contraction {
-            local: vec![0; points],
+            local: vec![u32::MAX; points],
+            points: Vec::new(),
+            real: Vec::new(),
             outs: ends.clone(),
             ins: ends,
-            ..Contraction::default()
+            pending: Vec::new(),
+            add: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -586,21 +694,39 @@ impl Contraction {
     /// without repeats: relay chains contracted per §5's optimization,
     /// iterated to convergence (handles relay cycles from recursion).
     fn run(&mut self, is_real: impl Fn(usize) -> bool, links: &mut Vec<Link>) {
-        fn insert(ends: &mut Vec<End>, end: End) {
-            if let Err(at) = ends.binary_search(&end) {
-                ends.insert(at, end);
+        /// `ends` without its ends at `gone`, merged with `add` (ascending,
+        /// without repeats): one pass, however many ends a hub has.
+        fn splice(ends: &mut Vec<End>, gone: u32, add: &[End], scratch: &mut Vec<End>) {
+            scratch.clear();
+            let mut add = add.iter().copied().peekable();
+            for &end in ends.iter().filter(|end| end.0 != gone) {
+                while let Some(new) = add.next_if(|&new| new <= end) {
+                    if new != end {
+                        scratch.push(new);
+                    }
+                }
+                scratch.push(end);
             }
+            scratch.extend(add);
+            std::mem::swap(ends, scratch);
         }
-        fn remove(ends: &mut Vec<End>, end: End) {
-            if let Ok(at) = ends.binary_search(&end) {
-                ends.remove(at);
-            }
+        /// The index of each peer's first end (an edge of both flavours is
+        /// two ends).
+        fn firsts(ends: &[End]) -> impl Iterator<Item = usize> + '_ {
+            (0..ends.len()).filter(move |&i| i == 0 || ends[i - 1].0 != ends[i].0)
         }
         let (local, points, real) = (&mut self.local, &mut self.points, &mut self.real);
+        // The distinct endpoints, stamped as they are met, then ascending.
         points.clear();
-        points.extend(links.iter().flat_map(|&(a, b, _)| [a, b]));
+        for &(a, b, _) in links.iter() {
+            for p in [a, b] {
+                if local[p as usize] == u32::MAX {
+                    local[p as usize] = 0;
+                    points.push(p);
+                }
+            }
+        }
         points.sort_unstable();
-        points.dedup();
         for (i, &p) in points.iter().enumerate() {
             local[p as usize] = i as u32;
         }
@@ -610,24 +736,37 @@ impl Contraction {
         for (a, b, _) in links.iter_mut() {
             (*a, *b) = (local[*a as usize], local[*b as usize]);
         }
-        // A relay self-loop forwards a value to itself: a no-op for
-        // idempotent joins; dropping it avoids spurious widening cycles.
-        links.retain(|&(a, b, _)| a != b || real[a as usize]);
-        links.sort_unstable();
-        links.dedup();
+        for &p in points.iter() {
+            local[p as usize] = u32::MAX;
+        }
         let (outs, ins) = (&mut self.outs[..n], &mut self.ins[..n]);
         outs.iter_mut().chain(ins.iter_mut()).for_each(Vec::clear);
+        // A relay self-loop forwards a value to itself: a no-op for
+        // idempotent joins; dropping it avoids spurious widening cycles.
         for &(a, b, k) in links.iter() {
-            outs[a as usize].push((b as usize, k));
-            ins[b as usize].push((a as usize, k));
+            if a != b || real[a as usize] {
+                outs[a as usize].push((b, k));
+            }
+        }
+        // Each out-list ascending and without repeats; the in-lists, filled
+        // from them in that order, are too.
+        for (a, ends) in outs.iter_mut().enumerate() {
+            ends.sort_unstable();
+            ends.dedup();
+            for &(b, k) in ends.iter() {
+                ins[b as usize].push((a as u32, k));
+            }
         }
 
         // Contract relays greedily while it does not grow the edge set
         // (in·out ≤ in+out, i.e. a chain or a fan): the paper's a →l b →l c
         // rule generalized. Hub relays (m×n) stay; the sparse engine simply
         // forwards through them at run time.
-        let mut pending: Vec<usize> = (0..n).collect();
+        let (pending, add, scratch) = (&mut self.pending, &mut self.add, &mut self.scratch);
+        pending.clear();
+        pending.extend(0..n as u32);
         while let Some(b) = pending.pop() {
+            let b = b as usize;
             if real[b] {
                 continue;
             }
@@ -636,36 +775,46 @@ impl Contraction {
             if in_deg == 0 || out_deg == 0 || in_deg * out_deg > in_deg + out_deg {
                 continue;
             }
-            let in_edges = std::mem::take(&mut ins[b]);
-            let out_edges = std::mem::take(&mut outs[b]);
-            for &(a, ka) in &in_edges {
-                remove(&mut outs[a], (b, ka));
+            let mut in_edges = std::mem::take(&mut ins[b]);
+            let mut out_edges = std::mem::take(&mut outs[b]);
+            // Contracting b out of a relay cycle a → b → a would produce a
+            // relay self-loop — a forwarding no-op, drop it. A *real* a
+            // keeps its self-loop: it is genuine feedback and must stay a
+            // widening point.
+            let keeps = |a: u32, c: u32| a != c || real[a as usize];
+            // Each in-neighbour (once, whatever its flavours) reaches b's
+            // out-neighbours directly, and each out-neighbour is reached
+            // from b's in-neighbours, with the flavour of its own edge.
+            for i in firsts(&in_edges) {
+                let a = in_edges[i].0;
+                add.clear();
+                add.extend(out_edges.iter().filter(|&&(c, _)| keeps(a, c)));
+                splice(&mut outs[a as usize], b as u32, add, scratch);
             }
-            for &(c, kc) in &out_edges {
-                remove(&mut ins[c], (b, kc));
-            }
-            for &(a, _) in &in_edges {
-                for &(c, kc) in &out_edges {
-                    if a == c && !real[a] {
-                        // Contracting b out of a relay cycle a → b → a would
-                        // produce a relay self-loop — a forwarding no-op, drop
-                        // it. A *real* a keeps its self-loop: it is genuine
-                        // feedback and must stay a widening point.
-                        continue;
-                    }
-                    insert(&mut outs[a], (c, kc));
-                    insert(&mut ins[c], (a, kc));
+            for i in firsts(&out_edges) {
+                let c = out_edges[i].0;
+                let flavours = out_edges[i..].iter().take_while(|end| end.0 == c);
+                add.clear();
+                for j in firsts(&in_edges).filter(|&j| keeps(in_edges[j].0, c)) {
+                    add.extend(flavours.clone().map(|&(_, kc)| (in_edges[j].0, kc)));
                 }
+                splice(&mut ins[c as usize], b as u32, add, scratch);
             }
             // Degrees of the neighbours changed; they may be contractible now.
             pending.extend(in_edges.iter().map(|&(a, _)| a));
             pending.extend(out_edges.iter().map(|&(c, _)| c));
+            in_edges.clear();
+            out_edges.clear();
+            (ins[b], outs[b]) = (in_edges, out_edges);
         }
 
         // Ascending and duplicate-free as the indices are.
         links.clear();
         for (a, ends) in outs.iter().enumerate() {
-            links.extend(ends.iter().map(|&(b, k)| (points[a], points[b], k)));
+            links.extend(
+                ends.iter()
+                    .map(|&(b, k)| (points[a], points[b as usize], k)),
+            );
         }
     }
 }
@@ -699,17 +848,13 @@ fn ranks(
         row.sort_unstable();
         for &(_, b) in &row {
             if a != b {
-                edges.push((id_of(a), id_of(b)));
+                edges.push((id_of(a), id_of(b) as u32));
             } else if widens(a) {
                 cycle.insert(a);
             }
         }
     }
-    let mut g = AdjGraph::new(points.len());
-    for (a, b) in edges {
-        g.add_edge(a, b);
-    }
-    let scc = Scc::compute(&g);
+    let scc = Scc::compute(&Rows::scatter(points.len(), edges.into_iter()));
     let mut rank = vec![0; num.len()];
     for (i, &p) in points.iter().enumerate() {
         if scc.in_cycle(i) && widens(p) {

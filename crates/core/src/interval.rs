@@ -131,6 +131,8 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
             stats.record_defuse(&du);
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
+            stats.dep_walk_visits = deps.stats.walk_visits;
+            stats.dep_walk_defs = deps.stats.walk_defs;
             let spec = IntervalSparseSpec {
                 program,
                 pre: &pre,

@@ -38,27 +38,16 @@ use crate::sparse::{self, Row, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
-use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, ProcId, Program, RelOp, VarId};
+use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, PointNumbering, ProcId, Program, RelOp, VarId};
+use sga_utils::graph::WtoItem;
 use sga_utils::stats::{peak_rss_bytes, Phase};
-use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, PMap};
+use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, PMap, Rows};
 
 /// Maximum pack size before the heuristic refuses to merge further (§6.2).
 pub const PACK_SIZE_LIMIT: usize = 10;
 
 /// The packed relational state: packs to octagons (absent = ⊥).
 pub type OctState = PMap<PackId, Octagon>;
-
-fn collect_wto_nodes(items: &[sga_utils::graph::WtoItem], out: &mut Vec<usize>) {
-    for item in items {
-        match item {
-            sga_utils::graph::WtoItem::Node(n) => out.push(*n),
-            sga_utils::graph::WtoItem::Component(h, body) => {
-                out.push(*h);
-                collect_wto_nodes(body, out);
-            }
-        }
-    }
-}
 
 /// Which octagon analyzer to run.
 pub type Engine = crate::interval::Engine;
@@ -78,17 +67,18 @@ pub struct OctagonResult {
     pub points: usize,
     /// Phase statistics.
     pub stats: AnalysisStats,
-    /// `D̂(c)` in pack ids, ascending, of every point whose `D̂` holds one.
-    defs: FxHashMap<Cp, Vec<u32>>,
+    /// The point numbering `defs` is over.
+    num: PointNumbering,
+    /// Per point, `D̂(c)` in pack ids, ascending.
+    defs: Rows<u32>,
 }
 
 impl OctagonResult {
     /// Whether pack `pid` is in `D̂(cp)`: a point that defines the pack
     /// and does not bind it leaves its value unknown there.
     pub fn defines(&self, cp: Cp, pid: PackId) -> bool {
-        self.defs
-            .get(&cp)
-            .is_some_and(|d| d.binary_search(&pid.0).is_ok())
+        let defs = self.defs.row(self.num.index(cp));
+        defs.binary_search(&pid.0).is_ok()
     }
 
     /// Projects variable `x` to an interval at `cp`, meeting the
@@ -173,12 +163,7 @@ pub(crate) fn analyze_with_pre(
 
     let (values, points) = match engine {
         Engine::Vanilla | Engine::Base => {
-            let spec = OctDenseSpec {
-                sem: &sem,
-                localize: engine == Engine::Base,
-                in_packs: staged.odu.in_packs.clone(),
-                out_packs: staged.odu.out_packs.clone(),
-            };
+            let spec = OctDenseSpec::new(&sem, du, engine == Engine::Base);
             let fix = Phase::start("fix");
             let result = dense::solve_with(program, icfg, &spec, &staged.plan, &options.budget);
             stats.fix_time = fix.stop();
@@ -192,6 +177,8 @@ pub(crate) fn analyze_with_pre(
             stats.dep_time = dep_phase.stop();
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
+            stats.dep_walk_visits = deps.stats.walk_visits;
+            stats.dep_walk_defs = deps.stats.walk_defs;
             let fix = Phase::start("fix");
             let (_, result) = staged.solve_sparse(program, icfg, &sem, du, &deps, options);
             stats.fix_time = fix.stop();
@@ -203,13 +190,15 @@ pub(crate) fn analyze_with_pre(
     };
 
     stats.total_time = total.stop();
+    let (num, defs) = staged.odu.into_defs();
     OctagonResult {
         engine,
         values,
         packs: staged.packs,
         points,
         stats,
-        defs: staged.odu.into_defs(),
+        num,
+        defs,
     }
 }
 
@@ -253,12 +242,12 @@ impl Staged {
         options: AnalyzeOptions,
     ) -> Staged {
         let packs = build_packs(program);
-        let keep = seeds.map(|seeds| slice_packs(du, &packs, seeds));
+        let keep = seeds.map(|seeds| slice_packs(program, du, &packs, seeds));
         let fresh = fresh_packs_of(program, &packs);
         Staged {
-            odu: OctDefUse::compute(program, pre, du, &packs, &fresh, keep.as_ref()),
+            solved_packs: keep.as_ref().map_or(packs.len(), BitSet::count),
+            odu: OctDefUse::compute(program, pre, du, &packs, &fresh, keep),
             plan: WideningPlan::for_program(program, options.widening),
-            solved_packs: keep.map_or(packs.len(), |k| k.count()),
             fresh,
             packs,
         }
@@ -306,28 +295,31 @@ fn var_of(l: &AbsLoc) -> Option<VarId> {
 /// kept definition with a dropped input would compute ⊥ and leave its row,
 /// and a query stopping there would answer ⊤. Filtering by pack id — never
 /// by point — keeps every definition point of a kept pack.
-fn slice_packs(du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
-    let mut def_points: FxHashMap<VarId, Vec<Cp>> = FxHashMap::default();
-    for &cp in du.points() {
-        for x in du.real_defs(cp).iter().filter_map(var_of) {
-            def_points.entry(x).or_default().push(cp);
+fn slice_packs(program: &Program, du: &DefUse, packs: &PackSet, seeds: &[VarId]) -> BitSet {
+    let real_defs = du.points().iter().flat_map(|&cp| {
+        let vars = du.real_defs(cp).iter().filter_map(var_of);
+        vars.map(move |x| (x.index(), cp))
+    });
+    let def_points = Rows::scatter(program.vars.len(), real_defs);
+    let mut keep = BitSet::new(packs.len());
+    let mut seen = BitSet::new(program.vars.len());
+    let mut work: Vec<VarId> = Vec::new();
+    for &x in seeds {
+        if seen.insert(x.index()) {
+            work.push(x);
         }
     }
-    let mut keep = BitSet::new(packs.len());
-    let mut seen: FxHashSet<VarId> = seeds.iter().copied().collect();
-    let mut work: Vec<VarId> = seen.iter().copied().collect();
     while let Some(x) = work.pop() {
         let members = packs.packs_of(x).iter().flat_map(|&p| {
             keep.insert(p.index());
             packs.pack(p).members().iter().copied()
         });
         let read = def_points
-            .get(&x)
-            .into_iter()
-            .flatten()
+            .row(x.index())
+            .iter()
             .flat_map(|&cp| du.real_uses(cp).iter().filter_map(var_of));
         for y in members.chain(read) {
-            if seen.insert(y) {
+            if seen.insert(y.index()) {
                 work.push(y);
             }
         }
@@ -378,12 +370,11 @@ pub fn build_packs(program: &Program) -> PackSet {
         }
     };
 
-    for (pid, proc) in program.procs.iter_enumerated() {
-        if proc.is_external {
-            continue;
-        }
+    let defined = || program.procs.iter().filter(|proc| !proc.is_external);
+    let (mut vars, mut pair): (Vec<VarId>, Vec<VarId>) = (Vec::new(), Vec::new());
+    for proc in defined() {
         for node in &proc.nodes {
-            let mut vars: Vec<VarId> = Vec::new();
+            vars.clear();
             match &node.cmd {
                 Cmd::Assign(LVal::Var(x), e) => {
                     vars.push(*x);
@@ -397,28 +388,24 @@ pub fn build_packs(program: &Program) -> PackSet {
                     vars.push(proc.ret_var);
                     e.vars(&mut vars);
                 }
-                Cmd::Call { ret, callee, args } => {
-                    // Actual/formal pairs "capture relations across
-                    // procedure boundaries" (§6.2).
-                    let targets: Vec<ProcId> = match callee {
-                        sga_ir::Callee::Direct(t) => vec![*t],
-                        sga_ir::Callee::Indirect(_) => Vec::new(),
-                    };
-                    for t in targets {
-                        let callee_proc = &program.procs[t];
-                        if callee_proc.is_external {
-                            continue;
+                // Actual/formal pairs "capture relations across procedure
+                // boundaries" (§6.2).
+                Cmd::Call {
+                    ret,
+                    callee: sga_ir::Callee::Direct(t),
+                    args,
+                } if !program.procs[*t].is_external => {
+                    let callee_proc = &program.procs[*t];
+                    for (i, &p) in callee_proc.params.iter().enumerate() {
+                        pair.clear();
+                        pair.push(p);
+                        if let Some(a) = args.get(i) {
+                            a.vars(&mut pair);
                         }
-                        for (i, &p) in callee_proc.params.iter().enumerate() {
-                            let mut pair = vec![p];
-                            if let Some(a) = args.get(i) {
-                                a.vars(&mut pair);
-                            }
-                            group(&mut parent, &mut size, &pair);
-                        }
-                        if let Some(LVal::Var(x)) = ret {
-                            group(&mut parent, &mut size, &[*x, callee_proc.ret_var]);
-                        }
+                        group(&mut parent, &mut size, &pair);
+                    }
+                    if let Some(LVal::Var(x)) = ret {
+                        group(&mut parent, &mut size, &[*x, callee_proc.ret_var]);
                     }
                 }
                 _ => {}
@@ -427,25 +414,18 @@ pub fn build_packs(program: &Program) -> PackSet {
             vars.dedup();
             group(&mut parent, &mut size, &vars);
         }
-        let _ = pid;
     }
 
     // Loop locality (§6.2: "abstract locations involved in … loops are
     // grouped together"): variables of linear statements within the same
     // WTO component (loop) get grouped, still size-capped.
-    for (pid, proc) in program.procs.iter_enumerated() {
-        if proc.is_external {
-            continue;
-        }
-        let _ = pid;
+    for proc in defined() {
         let wto = sga_utils::graph::weak_topological_order(&proc.cfg_view(), proc.entry.index());
-        let mut stack: Vec<&sga_utils::graph::WtoItem> = wto.items.iter().collect();
+        let mut stack: Vec<&WtoItem> = wto.items.iter().collect();
         while let Some(item) = stack.pop() {
-            if let sga_utils::graph::WtoItem::Component(head, body) = item {
-                let mut nodes: Vec<usize> = vec![*head];
-                collect_wto_nodes(body, &mut nodes);
-                let mut vars: Vec<VarId> = Vec::new();
-                for &n in &nodes {
+            if let WtoItem::Component(_, body) = item {
+                vars.clear();
+                for n in item.nodes() {
                     match &proc.nodes[sga_ir::NodeId::new(n)].cmd {
                         Cmd::Assign(LVal::Var(x), e) if !matches!(linearize(e), Lin::Other) => {
                             vars.push(*x);
@@ -466,15 +446,13 @@ pub fn build_packs(program: &Program) -> PackSet {
         }
     }
 
-    // Collect classes.
-    let mut classes: FxHashMap<usize, Vec<VarId>> = FxHashMap::default();
-    for v in 0..n {
-        classes
-            .entry(find(&mut parent, v))
-            .or_default()
-            .push(VarId::new(v));
-    }
-    let mut packs: Vec<Pack> = classes.into_values().map(Pack::new).collect();
+    // Collect classes: sorted by (root, variable), each class is a run.
+    let mut classes: Vec<(usize, VarId)> = (0..n)
+        .map(|v| (find(&mut parent, v), VarId::new(v)))
+        .collect();
+    classes.sort_unstable();
+    let class = |run: &[(usize, VarId)]| Pack::new(run.iter().map(|&(_, v)| v).collect());
+    let mut packs: Vec<Pack> = classes.chunk_by(|a, b| a.0 == b.0).map(class).collect();
     // Deterministic order.
     packs.sort();
     PackSet::new(packs)
@@ -529,21 +507,18 @@ struct OctSemantics<'p> {
 
 /// Packs containing at least one variable owned by each procedure.
 pub(crate) fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<PackId>> {
-    let mut fresh: IndexVec<ProcId, FxHashSet<PackId>> =
-        IndexVec::from_elem_n(FxHashSet::default(), program.procs.len());
-    for (v, info) in program.vars.iter_enumerated() {
-        if let Some(owner) = info.kind.owner() {
-            fresh[owner].extend(packs.packs_of(v).iter().copied());
-        }
+    let owned = program.vars.iter_enumerated().filter_map(|(v, info)| {
+        let owner = info.kind.owner()?;
+        Some(packs.packs_of(v).iter().map(move |&p| (owner, p)))
+    });
+    let mut pairs: Vec<(ProcId, PackId)> = owned.flatten().collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut fresh = IndexVec::from_elem_n(Vec::new(), program.procs.len());
+    for (owner, p) in pairs {
+        fresh[owner].push(p);
     }
     fresh
-        .into_iter()
-        .map(|set| {
-            let mut v: Vec<PackId> = set.into_iter().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect()
 }
 
 impl<'p> OctSemantics<'p> {
@@ -770,13 +745,11 @@ impl<'p> OctSemantics<'p> {
         }
     }
 
-    /// The state entering `main`: every pack unconstrained.
-    fn initial(&self) -> OctState {
-        let mut st = PMap::new();
-        for (pid, _) in self.packs.iter() {
-            st = st.insert(pid, self.top(pid));
-        }
-        st
+    /// The state entering `main`, as an ascending row: every pack `kept`
+    /// admits unconstrained.
+    fn initial(&self, kept: impl Fn(PackId) -> bool) -> Row<PackId, Octagon> {
+        let packs = self.packs.iter().filter(|&(pid, _)| kept(pid));
+        packs.map(|(pid, _)| (pid, self.top(pid))).collect()
     }
 }
 
@@ -838,32 +811,24 @@ fn assume_interval(oct: &Octagon, ix: usize, op: RelOp, itv: &Interval) -> Octag
 
 /// Pack-level def/use sets and summaries; also the octagon [`DepSource`].
 pub struct OctDefUse {
-    /// The sets of the points that touch a kept pack; every other point's
-    /// are empty.
-    sets: FxHashMap<Cp, PackSets>,
+    num: PointNumbering,
+    /// Per point, `D̂(c)`, `Û(c)`, and the packs the point really (not as a
+    /// relay) defines or uses, each ascending: rows over the point
+    /// numbering, empty at every point that touches no kept pack.
+    defs: Rows<u32>,
+    uses: Rows<u32>,
+    real: Rows<u32>,
     /// The interval instance's def/use points, and the sums of their
     /// `|D̂(c)|` and `|Û(c)|` in packs: what the averages are over.
     population: usize,
     def_total: usize,
     use_total: usize,
     inter: Vec<(u32, Cp, Cp, bool)>,
-    routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>>,
+    routes: depgen::Routes,
     /// Packs in the unit, kept or not: the location ids are pack ids.
     packs: usize,
-    /// Packs flowing into each procedure (localization restriction).
-    pub in_packs: IndexVec<ProcId, FxHashSet<PackId>>,
-    /// Packs flowing out of each procedure.
-    pub out_packs: IndexVec<ProcId, FxHashSet<PackId>>,
-}
-
-/// One point's pack ids, each list ascending.
-struct PackSets {
-    /// `D̂(c)`.
-    defs: Vec<u32>,
-    /// `Û(c)`.
-    uses: Vec<u32>,
-    /// The packs the point really defines or uses (not as a relay).
-    real: Vec<u32>,
+    /// The packs solved for: the slice's, or (`None`) every pack.
+    keep: Option<BitSet>,
 }
 
 impl OctDefUse {
@@ -877,26 +842,44 @@ impl OctDefUse {
         du: &DefUse,
         packs: &PackSet,
         fresh: &IndexVec<ProcId, Vec<PackId>>,
-        keep: Option<&BitSet>,
+        keep: Option<BitSet>,
     ) -> OctDefUse {
-        let kept = |p: &PackId| keep.is_none_or(|k| k.contains(p.index()));
+        let kept = |p: &PackId| keep.as_ref().is_none_or(|k| k.contains(p.index()));
         let packs_of = |v: VarId| packs.packs_of(v).iter().filter(|p| kept(p)).map(|p| p.0);
         let singleton = |v: VarId| packs.singleton_id(v).filter(kept).map(|p| p.0);
+        let names_kept = |set: &[AbsLoc]| {
+            let mut vars = set.iter().filter_map(var_of);
+            vars.any(|v| packs_of(v).next().is_some())
+        };
 
-        let mut point_sets: FxHashMap<Cp, PackSets> = FxHashMap::default();
+        let num = program.point_numbering();
+        let (mut defs, mut uses, mut real) = (Rows::default(), Rows::default(), Rows::default());
+        let (mut d, mut u, mut r) = (Vec::new(), Vec::new(), Vec::new());
         let (mut def_total, mut use_total) = (0, 0);
         for &cp in du.points() {
-            let (mut d, mut u, mut r) = (Vec::new(), Vec::new(), Vec::new());
             let proc = &program.procs[cp.proc];
-            if cp.node == proc.entry {
-                // Fresh packs originate (⊤) at their procedure's entry.
-                for pid in fresh[cp.proc].iter().filter(|p| kept(p)) {
-                    d.push(pid.0);
-                    r.push(pid.0);
-                }
+            let fresh_here = if cp.node == proc.entry {
+                fresh[cp.proc].as_slice()
+            } else {
+                &[]
+            };
+            let (real_defs, real_uses) = (du.real_defs(cp), du.real_uses(cp));
+            // Every set below is made of the kept packs of a variable these
+            // four sets name, or of the entry's fresh packs: anywhere else
+            // all three are empty.
+            let sets = [real_defs, real_uses, du.defs(cp), du.uses(cp)];
+            if !fresh_here.iter().any(kept) && !sets.into_iter().any(names_kept) {
+                continue;
+            }
+            for ids in [&mut d, &mut u, &mut r] {
+                ids.clear();
+            }
+            // Fresh packs originate (⊤) at their procedure's entry.
+            for pid in fresh_here.iter().filter(|p| kept(p)) {
+                d.push(pid.0);
+                r.push(pid.0);
             }
             let has = |set: &[AbsLoc], v: VarId| set.binary_search(&AbsLoc::Var(v)).is_ok();
-            let (real_defs, real_uses) = (du.real_defs(cp), du.real_uses(cp));
             // Real defs: every pack containing a defined variable.
             for v in real_defs.iter().filter_map(var_of) {
                 for p in packs_of(v) {
@@ -941,47 +924,19 @@ impl OctDefUse {
             }
             def_total += d.len();
             use_total += u.len();
-            // What is real is defined or used: a point with neither touches
-            // no kept pack.
-            if !d.is_empty() || !u.is_empty() {
-                let (defs, uses, real) = (d, u, r);
-                point_sets.insert(cp, PackSets { defs, uses, real });
+            let at = num.index(cp);
+            for (rows, ids) in [(&mut defs, &d), (&mut uses, &u), (&mut real, &r)] {
+                rows.pad_to(at);
+                rows.push_row(ids.iter().copied());
             }
+        }
+        for rows in [&mut defs, &mut uses, &mut real] {
+            rows.pad_to(num.len());
         }
 
-        // Pack-level summaries and interprocedural edges.
-        let nprocs = program.procs.len();
-        let mut sum_def_packs: IndexVec<ProcId, FxHashSet<u32>> =
-            IndexVec::from_elem_n(FxHashSet::default(), nprocs);
-        let mut sum_use_packs: IndexVec<ProcId, FxHashSet<u32>> =
-            IndexVec::from_elem_n(FxHashSet::default(), nprocs);
-        for (pid, _) in program.procs.iter_enumerated() {
-            for v in du.summary_defs[pid].iter().filter_map(var_of) {
-                sum_def_packs[pid].extend(packs_of(v));
-            }
-            for v in du.summary_uses[pid].iter().filter_map(var_of) {
-                sum_use_packs[pid].extend(packs_of(v));
-            }
-        }
-
-        let mut inter: Vec<(u32, Cp, Cp, bool)> = Vec::new();
-        let mut in_packs: IndexVec<ProcId, FxHashSet<PackId>> =
-            IndexVec::from_elem_n(FxHashSet::default(), nprocs);
-        let mut out_packs: IndexVec<ProcId, FxHashSet<PackId>> =
-            IndexVec::from_elem_n(FxHashSet::default(), nprocs);
-        for (pid, proc) in program.procs.iter_enumerated() {
-            let mut inp: FxHashSet<PackId> =
-                sum_use_packs[pid].iter().map(|&p| PackId(p)).collect();
-            for &p in &proc.params {
-                inp.extend(packs_of(p).map(PackId));
-            }
-            in_packs[pid] = inp;
-            let mut outp: FxHashSet<PackId> =
-                sum_def_packs[pid].iter().map(|&p| PackId(p)).collect();
-            outp.extend(packs_of(proc.ret_var).map(PackId));
-            out_packs[pid] = outp;
-        }
-        let mut routes: FxHashMap<Cp, FxHashMap<u32, (bool, Vec<Cp>)>> = FxHashMap::default();
+        // Interprocedural edges, and the routing of callee-used packs.
+        let boundary = Boundary::new(program, du, packs, kept);
+        let (mut inter, mut routed) = (Vec::new(), Vec::new());
         for (pid, proc) in program.procs.iter_enumerated() {
             if proc.is_external {
                 continue;
@@ -991,7 +946,6 @@ impl OctDefUse {
                     continue;
                 }
                 let cp = Cp::new(pid, nid);
-                let mut per_loc: FxHashMap<u32, (bool, Vec<Cp>)> = FxHashMap::default();
                 for &t_pid in pre.call_targets(cp) {
                     let callee = &program.procs[t_pid];
                     if callee.is_external {
@@ -1007,40 +961,32 @@ impl OctDefUse {
                     {
                         inter.push((p.0, cp, entry, false));
                     }
-                    for &p in &sum_use_packs[t_pid] {
-                        per_loc
-                            .entry(p)
-                            .or_insert((false, Vec::new()))
-                            .1
-                            .push(entry);
-                    }
-                    for &p in &out_packs[t_pid] {
+                    routed.extend(boundary.uses[t_pid].iter().map(|&p| (cp, p, entry)));
+                    for &p in &boundary.out[t_pid] {
                         inter.push((p.0, exit, cp, true));
                     }
                 }
-                if per_loc.is_empty() {
-                    continue;
-                }
-                let here = point_sets.get(&cp);
-                for (id, (self_edge, _)) in per_loc.iter_mut() {
-                    *self_edge = here.is_some_and(|h| {
-                        h.real.binary_search(id).is_ok() || h.defs.binary_search(id).is_ok()
-                    });
-                }
-                routes.insert(cp, per_loc);
             }
         }
+        let has = |set: &[u32], id| set.binary_search(&id).is_ok();
+        let consumes = |cp, id| {
+            let at = num.index(cp);
+            has(real.row(at), id) || has(defs.row(at), id)
+        };
+        let routes = depgen::Routes::new(&num, routed, consumes);
 
         OctDefUse {
-            sets: point_sets,
+            num,
+            defs,
+            uses,
+            real,
             population: du.points().len(),
             def_total,
             use_total,
             inter,
             routes,
             packs: packs.len(),
-            in_packs,
-            out_packs,
+            keep,
         }
     }
 
@@ -1055,10 +1001,15 @@ impl OctDefUse {
         avg(self.use_total, self.population)
     }
 
-    /// Every point's non-empty `D̂(c)`, the rest of the sets dropped.
-    fn into_defs(self) -> FxHashMap<Cp, Vec<u32>> {
-        let defining = self.sets.into_iter().filter(|(_, s)| !s.defs.is_empty());
-        defining.map(|(cp, s)| (cp, s.defs)).collect()
+    /// Whether pack `pid` is solved for.
+    fn kept(&self, pid: PackId) -> bool {
+        self.keep.as_ref().is_none_or(|k| k.contains(pid.index()))
+    }
+
+    /// The point numbering and every point's `D̂(c)`, the rest of the sets
+    /// dropped.
+    fn into_defs(self) -> (PointNumbering, Rows<u32>) {
+        (self.num, self.defs)
     }
 
     /// The points a sparse solve over `deps` visits: those whose `D̂` holds
@@ -1067,12 +1018,61 @@ impl OctDefUse {
     /// flows in — it binds `D̂(c)` only — so such a point would bind
     /// nothing in the result, as it binds nothing here.
     pub(crate) fn bindable_points(&self, deps: &DataDeps) -> Vec<Cp> {
-        let defining = self.sets.iter().filter(|(_, s)| !s.defs.is_empty());
-        let named = deps.iter().flat_map(|(from, _, to)| [from, to]);
-        let mut points: Vec<Cp> = defining.map(|(cp, _)| *cp).chain(named).collect();
-        points.sort_unstable();
-        points.dedup();
-        points
+        let mut points = BitSet::new(self.num.len());
+        for i in 0..self.num.len() {
+            let out = deps.out.row(i);
+            if !self.defs.row(i).is_empty() || !out.is_empty() {
+                points.insert(i);
+            }
+            for &(_, to) in out {
+                points.insert(self.num.index(to));
+            }
+        }
+        points.iter().map(|i| self.num.cp(i)).collect()
+    }
+}
+
+/// What crosses each procedure's boundary, in the packs `kept` admits: the
+/// packs of its callee-used summary, and the packs flowing out of it (its
+/// callee-defined summary's and its return variable's).
+struct Boundary {
+    /// Per procedure, the packs of its `Û` summary, ascending.
+    uses: IndexVec<ProcId, Vec<u32>>,
+    /// Per procedure, the packs flowing out. A hash set: its iteration order
+    /// is the order of the exit → call edges, so of the locations
+    /// [`depgen::assemble`] first meets on them, which ranks the relation.
+    out: IndexVec<ProcId, FxHashSet<PackId>>,
+}
+
+impl Boundary {
+    fn new(
+        program: &Program,
+        du: &DefUse,
+        packs: &PackSet,
+        kept: impl Fn(&PackId) -> bool,
+    ) -> Self {
+        let packs_of = |v: VarId| packs.packs_of(v).iter().filter(|p| kept(p)).map(|p| p.0);
+        let n = program.procs.len();
+        let (mut uses, mut out) = (IndexVec::with_capacity(n), IndexVec::with_capacity(n));
+        for (pid, proc) in program.procs.iter_enumerated() {
+            let summary = |of: &IndexVec<ProcId, Vec<AbsLoc>>| {
+                let vars = of[pid].iter().filter_map(var_of);
+                vars.flat_map(packs_of).collect::<Vec<u32>>()
+            };
+            let mut used = summary(&du.summary_uses);
+            used.sort_unstable();
+            used.dedup();
+            uses.push(used);
+            // Grown one insert at a time, as the order above requires.
+            let mut defined: FxHashSet<u32> = FxHashSet::default();
+            for p in summary(&du.summary_defs) {
+                defined.insert(p);
+            }
+            let mut outp: FxHashSet<PackId> = defined.iter().map(|&p| PackId(p)).collect();
+            outp.extend(packs_of(proc.ret_var).map(PackId));
+            out.push(outp);
+        }
+        Boundary { uses, out }
     }
 }
 
@@ -1096,17 +1096,16 @@ fn avg(total: usize, n: usize) -> f64 {
 
 impl DepSource for OctDefUse {
     fn defs(&self, cp: Cp) -> &[u32] {
-        self.sets.get(&cp).map_or(&[], |s| &s.defs)
+        self.defs.row(self.num.index(cp))
     }
 
     fn uses(&self, cp: Cp) -> &[u32] {
-        self.sets.get(&cp).map_or(&[], |s| &s.uses)
+        self.uses.row(self.num.index(cp))
     }
 
     fn is_real(&self, cp: Cp, loc: u32) -> bool {
-        self.sets
-            .get(&cp)
-            .is_some_and(|s| s.real.binary_search(&loc).is_ok())
+        let real = self.real.row(self.num.index(cp));
+        real.binary_search(&loc).is_ok()
     }
 
     fn loc_count(&self) -> usize {
@@ -1114,16 +1113,7 @@ impl DepSource for OctDefUse {
     }
 
     fn use_routes(&self, cp: Cp, loc: u32) -> depgen::UseRoutes<'_> {
-        match self.routes.get(&cp).and_then(|m| m.get(&loc)) {
-            Some((self_edge, entries)) => depgen::UseRoutes {
-                self_edge: *self_edge,
-                entries: entries.as_slice(),
-            },
-            None => depgen::UseRoutes {
-                self_edge: true,
-                entries: &[],
-            },
-        }
+        self.routes.get(cp, loc)
     }
 
     fn inter_edges(&self, sink: &mut dyn FnMut(u32, Cp, Cp, bool)) {
@@ -1140,8 +1130,32 @@ impl DepSource for OctDefUse {
 struct OctDenseSpec<'p> {
     sem: &'p OctSemantics<'p>,
     localize: bool,
-    in_packs: IndexVec<ProcId, FxHashSet<PackId>>,
+    /// Packs flowing into each procedure (the localization restriction):
+    /// its callee-used packs and its parameters', ascending.
+    in_packs: IndexVec<ProcId, Vec<PackId>>,
+    /// Packs flowing out of each procedure.
     out_packs: IndexVec<ProcId, FxHashSet<PackId>>,
+}
+
+impl<'p> OctDenseSpec<'p> {
+    fn new(sem: &'p OctSemantics<'p>, du: &DefUse, localize: bool) -> Self {
+        let (program, packs) = (sem.program, sem.packs);
+        let boundary = Boundary::new(program, du, packs, |_| true);
+        let in_packs = program.procs.iter_enumerated().map(|(pid, proc)| {
+            let used = boundary.uses[pid].iter().map(|&p| PackId(p));
+            let params = proc.params.iter().flat_map(|&p| packs.packs_of(p));
+            let mut inp: Vec<PackId> = used.chain(params.copied()).collect();
+            inp.sort_unstable();
+            inp.dedup();
+            inp
+        });
+        OctDenseSpec {
+            sem,
+            localize,
+            in_packs: in_packs.collect(),
+            out_packs: boundary.out,
+        }
+    }
 }
 
 fn join_st(a: &OctState, b: &OctState) -> OctState {
@@ -1156,7 +1170,7 @@ impl DenseSpec for OctDenseSpec<'_> {
     }
 
     fn initial(&self) -> OctState {
-        self.sem.initial()
+        PMap::from_sorted_vec(self.sem.initial(|_| true))
     }
 
     fn transfer(&self, cp: Cp, input: &OctState) -> OctState {
@@ -1178,7 +1192,7 @@ impl DenseSpec for OctDenseSpec<'_> {
     fn passed_to(&self, callee: ProcId, st: &OctState) -> Option<OctState> {
         self.localize.then(|| {
             let keep = &self.in_packs[callee];
-            st.filter(|pid, _| keep.contains(pid))
+            st.filter(|pid, _| keep.binary_search(pid).is_ok())
         })
     }
 
@@ -1297,8 +1311,11 @@ impl SparseSpec for OctSparseSpec<'_> {
         PackId(id)
     }
 
+    /// The slice's packs only: a row binds `D̂` packs, `D̂` holds kept packs
+    /// only, and a kept definition reads kept packs only (the closure of
+    /// [`slice_packs`]), so no other pack's seed would reach a binding.
     fn initial(&self) -> Row<PackId, Octagon> {
-        self.sem.initial().to_sorted_vec()
+        self.sem.initial(|pid| self.odu.kept(pid))
     }
 
     /// `is_real` is what the bypass asks, not all the transfer touches: a
@@ -1668,12 +1685,12 @@ mod tests {
                     // smallest slice that still crosses a definition, so
                     // the small-slice regime triage lives in is covered too.
                     seeds.sort_by_key(|&x| {
-                        let size = slice_packs(&u.du, &packs, &[x]).count();
+                        let size = slice_packs(&u.program, &u.du, &packs, &[x]).count();
                         (size <= packs.packs_of(x).len(), size)
                     });
                 }
                 seeds.truncate(n);
-                let keep = slice_packs(&u.du, &packs, &seeds);
+                let keep = slice_packs(&u.program, &u.du, &packs, &seeds);
                 let sliced = solve_checked(u, Some(&seeds));
                 for (cp, st) in &sliced {
                     for (pid, oct) in st.iter() {
@@ -1775,7 +1792,12 @@ mod tests {
     fn slice_is_closed_under_packs_and_real_definitions() {
         for (k, u) in differential_units().iter().enumerate() {
             let packs = build_packs(&u.program);
-            let keep = slice_packs(&u.du, &packs, &draw_seeds(&u.program, 4, k as u64));
+            let keep = slice_packs(
+                &u.program,
+                &u.du,
+                &packs,
+                &draw_seeds(&u.program, 4, k as u64),
+            );
             let kept = |x: VarId| packs.packs_of(x).iter().all(|p| keep.contains(p.index()));
             for pid in keep.iter() {
                 for &m in packs.pack(PackId::new(pid)).members() {

@@ -42,6 +42,11 @@ pub struct AnalysisStats {
     pub dep_edges_raw: usize,
     /// Dependency edges actually used by the sparse engine.
     pub dep_edges: usize,
+    /// Nodes entered by dependency generation's reaching-definition walks,
+    /// and the definitions they started from (zero for the dense engines).
+    pub dep_walk_visits: usize,
+    /// See [`AnalysisStats::dep_walk_visits`].
+    pub dep_walk_defs: usize,
     /// Widening strategy the run used (`""` when unset).
     pub widening: &'static str,
     /// Whether the fixpoint ran out of its analysis budget and finished in

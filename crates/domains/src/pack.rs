@@ -7,7 +7,7 @@
 //! singleton packs are what the projection `π_x` reads (§4.2).
 
 use sga_ir::VarId;
-use sga_utils::{new_index, FxHashMap, IndexVec};
+use sga_utils::{new_index, Idx, IndexVec, Rows};
 use std::fmt;
 use std::rc::Rc;
 
@@ -70,44 +70,66 @@ impl fmt::Debug for Pack {
 }
 
 /// The program's pack set, with the `pack(x)` reverse index from §4.1.
+///
+/// Both indices are dense tables over the variable numbering: `pack(x)` is
+/// row `x` of a [`Rows`] table, ascending, and the singleton of `x` one slot
+/// of a `Vec`. A variable no pack mentions has an empty row and no
+/// singleton.
 #[derive(Clone, Debug, Default)]
 pub struct PackSet {
     packs: IndexVec<PackId, Pack>,
-    by_var: FxHashMap<VarId, Vec<PackId>>,
-    singleton_of: FxHashMap<VarId, PackId>,
+    by_var: Rows<PackId>,
+    singleton_of: Vec<Option<PackId>>,
 }
 
 impl PackSet {
     /// Builds a pack set. Singleton packs for every mentioned variable are
     /// added automatically (required by the projection of §4.2).
+    ///
+    /// Packs are numbered in the order given, a repeated pack keeping its
+    /// first id, then the added singletons by ascending variable.
     pub fn new(packs: impl IntoIterator<Item = Pack>) -> PackSet {
-        let mut set = PackSet::default();
-        let mut seen: FxHashMap<Pack, PackId> = FxHashMap::default();
-        let add = |set: &mut PackSet, seen: &mut FxHashMap<Pack, PackId>, pack: Pack| {
-            if let Some(&id) = seen.get(&pack) {
-                return id;
-            }
-            let id = set.packs.push(pack.clone());
+        let given: Vec<Pack> = packs.into_iter().filter(|p| !p.is_empty()).collect();
+        // A pack equal to an earlier one is a repeat: equal packs are
+        // adjacent once sorted, the earliest first.
+        let mut order: Vec<usize> = (0..given.len()).collect();
+        order.sort_by(|&a, &b| given[a].cmp(&given[b]).then(a.cmp(&b)));
+        let mut repeat = vec![false; given.len()];
+        for w in order.windows(2) {
+            repeat[w[1]] = given[w[0]] == given[w[1]];
+        }
+        let vars = given
+            .iter()
+            .flat_map(|p| p.members())
+            .map(|v| v.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let (mut set, mut mentioned) = (PackSet::default(), vec![false; vars]);
+        set.singleton_of = vec![None; vars];
+        for (pack, repeat) in given.into_iter().zip(repeat) {
             for &v in pack.members() {
-                set.by_var.entry(v).or_default().push(id);
+                mentioned[v.index()] = true;
             }
-            seen.insert(pack, id);
-            id
-        };
-        let mut vars: Vec<VarId> = Vec::new();
-        for pack in packs {
-            if pack.is_empty() {
+            if repeat {
                 continue;
             }
-            vars.extend_from_slice(pack.members());
-            add(&mut set, &mut seen, pack);
+            if let [x] = *pack.members() {
+                set.singleton_of[x.index()] = Some(PackId::new(set.packs.len()));
+            }
+            set.packs.push(pack);
         }
-        vars.sort_unstable();
-        vars.dedup();
-        for v in vars {
-            let id = add(&mut set, &mut seen, Pack::singleton(v));
-            set.singleton_of.insert(v, id);
+        for (v, _) in mentioned.iter().enumerate().filter(|(_, &m)| m) {
+            if set.singleton_of[v].is_none() {
+                let id = set.packs.push(Pack::singleton(VarId::new(v)));
+                set.singleton_of[v] = Some(id);
+            }
         }
+        let members = set.packs.iter().enumerate().flat_map(|(id, pack)| {
+            pack.members()
+                .iter()
+                .map(move |v| (v.index(), PackId::new(id)))
+        });
+        set.by_var = Rows::scatter(vars, members);
         set
     }
 
@@ -133,12 +155,16 @@ impl PackSet {
 
     /// `pack(x)`: ids of every pack containing `x` (§4.1).
     pub fn packs_of(&self, x: VarId) -> &[PackId] {
-        self.by_var.get(&x).map_or(&[], Vec::as_slice)
+        if x.index() < self.by_var.len() {
+            self.by_var.row(x.index())
+        } else {
+            &[]
+        }
     }
 
     /// The singleton pack of `x`, if `x` is packed at all.
     pub fn singleton_id(&self, x: VarId) -> Option<PackId> {
-        self.singleton_of.get(&x).copied()
+        self.singleton_of.get(x.index()).copied().flatten()
     }
 
     /// Average pack size — reported in §6.2's discussion (5–7 for the

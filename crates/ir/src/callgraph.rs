@@ -14,8 +14,8 @@
 use crate::expr::{Callee, Cmd};
 use crate::proc::ProcId;
 use crate::program::{Cp, Program};
-use sga_utils::graph::{AdjGraph, Scc};
-use sga_utils::{FxHashMap, FxHashSet, Idx, IndexVec};
+use sga_utils::graph::Scc;
+use sga_utils::{FxHashMap, FxHashSet, Idx, IndexVec, Rows};
 
 /// A call graph: per-procedure callee sets plus call-site resolution.
 #[derive(Clone, Debug)]
@@ -62,16 +62,16 @@ impl CallGraph {
             }
         }
 
-        let mut graph = AdjGraph::new(n);
+        let mut graph: Rows<u32> = Rows::default();
         let mut callees: IndexVec<ProcId, Vec<ProcId>> = IndexVec::with_capacity(n);
         let mut callers: IndexVec<ProcId, Vec<ProcId>> = IndexVec::from_elem_n(Vec::new(), n);
         for pid in program.procs.indices() {
             let mut cs: Vec<ProcId> = callee_sets[pid].iter().copied().collect();
             cs.sort_unstable();
             for &c in &cs {
-                graph.add_edge(pid.index(), c.index());
                 callers[c].push(pid);
             }
+            graph.push_row(cs.iter().map(|c| c.index() as u32));
             callees.push(cs);
         }
         let scc = Scc::compute(&graph);
@@ -102,8 +102,8 @@ impl CallGraph {
     /// Procedures in bottom-up order (callees before callers), SCCs
     /// flattened. This is the summary-computation order used by the
     /// dependency generator.
-    pub fn bottom_up_sccs(&self) -> &[Vec<usize>] {
-        &self.scc.components
+    pub fn bottom_up_sccs(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.scc.components.iter()
     }
 }
 
@@ -182,7 +182,7 @@ mod tests {
     fn bottom_up_order_puts_leaf_first() {
         let program = sample_program();
         let cg = CallGraph::syntactic(&program);
-        let order = cg.bottom_up_sccs();
+        let order: Vec<&[usize]> = cg.bottom_up_sccs().collect();
         let pos = |p: usize| order.iter().position(|c| c.contains(&p)).unwrap();
         assert!(pos(3) < pos(1), "h before the f-g cycle");
         assert!(pos(1) < pos(0), "cycle before main");

@@ -93,11 +93,10 @@ impl DiGraph for CfgView<'_> {
     fn num_nodes(&self) -> usize {
         self.proc.nodes.len()
     }
-    fn successors(&self, node: usize) -> Vec<usize> {
+    fn successors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
         self.proc.succs[NodeId(node as u32)]
             .iter()
             .map(|n| n.0 as usize)
-            .collect()
     }
 }
 

@@ -585,6 +585,16 @@ fn dep_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
     )
 }
 
+/// "walk: V visits from D definitions" — the nodes dependency generation's
+/// reaching-definition walks entered, one walk per definition (zero for
+/// the dense engines).
+fn walk_work(stats: &sga::analysis::stats::AnalysisStats) -> String {
+    format!(
+        "walk: {} visits from {} definitions",
+        stats.dep_walk_visits, stats.dep_walk_defs
+    )
+}
+
 /// "fix: P pops — W whole, F forwarded (L locations), S skipped; E edge
 /// reads" — what the sparse fixpoint's pops computed (all zero for the dense
 /// engines).
@@ -874,6 +884,7 @@ fn run_file(a: Args) -> ExitCode {
                 eprintln!("{}", pre_work(s));
                 eprintln!("{}", defuse_work(s));
                 eprintln!("{}", dep_work(s));
+                eprintln!("{}", walk_work(s));
                 eprintln!("{}", fix_work(s));
             }
             if a.dump_values {
@@ -915,6 +926,7 @@ fn run_file(a: Args) -> ExitCode {
                 );
                 eprintln!("{}", pre_work(s));
                 eprintln!("{}", dep_work(s));
+                eprintln!("{}", walk_work(s));
                 eprintln!("{}", fix_work(s));
             }
             if a.dump_values {

@@ -50,6 +50,11 @@ impl<T> Rows<T> {
         &self.items
     }
 
+    /// Every row, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+        (0..self.len()).map(move |i| self.row(i))
+    }
+
     /// Appends a row.
     pub fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
         self.items.extend(row);
@@ -71,26 +76,78 @@ impl<T: Copy> Rows<T> {
     ///
     /// Panics if a pair names a row `>= n`.
     pub fn scatter<I: Iterator<Item = (usize, T)> + Clone>(n: usize, pairs: I) -> Rows<T> {
-        let mut offsets = vec![0u32; n + 1];
+        let mut rows = Scatter::new(n);
         for (row, _) in pairs.clone() {
-            offsets[row + 1] += 1;
+            rows.count(row);
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let Some((_, fill)) = pairs.clone().next() else {
-            return Rows {
-                offsets,
-                items: Vec::new(),
-            };
-        };
-        let mut items = vec![fill; offsets[n] as usize];
-        let mut next = offsets.clone();
         for (row, item) in pairs {
-            items[next[row] as usize] = item;
-            next[row] += 1;
+            rows.place(row, item);
         }
-        Rows { offsets, items }
+        rows.finish()
+    }
+}
+
+/// [`Rows::scatter`]'s counting sort with the caller driving both walks, so
+/// that one walk can fill several tables: [`Scatter::count`] every item's
+/// row, then [`Scatter::place`] the items in the order each row keeps.
+pub struct Scatter<T> {
+    offsets: Vec<u32>,
+    /// Per row, where its next item goes; empty while counting.
+    next: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Scatter<T> {
+    /// A table of `n` rows, every row empty so far.
+    pub fn new(n: usize) -> Scatter<T> {
+        Scatter {
+            offsets: vec![0; n + 1],
+            next: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// Counts one more item for `row`, before the first
+    /// [`Scatter::place`].
+    pub fn count(&mut self, row: usize) {
+        debug_assert!(self.next.is_empty(), "counted after placing");
+        self.offsets[row + 1] += 1;
+    }
+
+    /// Puts `item` at the end of `row`'s items so far; `row` receives no
+    /// more items than were counted for it.
+    pub fn place(&mut self, row: usize, item: T) {
+        if self.next.is_empty() {
+            self.close_counts();
+            let total = self.offsets[self.offsets.len() - 1] as usize;
+            self.items = vec![item; total];
+        }
+        let at = &mut self.next[row];
+        debug_assert!(
+            *at < self.offsets[row + 1],
+            "row {row} placed past its count"
+        );
+        self.items[*at as usize] = item;
+        *at += 1;
+    }
+
+    /// Row sizes to offsets, and every row's cursor at its start.
+    fn close_counts(&mut self) {
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
+        }
+        self.next = self.offsets.clone();
+    }
+
+    /// The finished table.
+    pub fn finish(mut self) -> Rows<T> {
+        if self.next.is_empty() {
+            self.close_counts();
+        }
+        Rows {
+            offsets: self.offsets,
+            items: self.items,
+        }
     }
 }
 

@@ -104,9 +104,12 @@ fn check_sarif_writes_a_2_1_0_log() {
 }
 
 /// `--stats` counts the `Dep` column's work: the pre-analysis' rounds and
-/// evaluations, the def/use tables' sizes and the relation before and after
-/// the bypass. The numbers are pinned on a flat and an SCC-heavy generated
-/// unit; a change to how the tables are stored must leave each one as it is.
+/// evaluations, the def/use tables' sizes, the relation before and after
+/// the bypass and the reaching-definition walks that built it; `--check
+/// --stats` counts the octagon slice triage solved, and `--domain octagon
+/// --stats` the whole-unit octagon's relation and fixpoint. The numbers are
+/// pinned on a flat and an SCC-heavy generated unit; a change to how the
+/// tables are stored must leave each one as it is.
 #[test]
 fn stats_count_the_dep_columns_tables() {
     let dir = scratch("depstats");
@@ -117,6 +120,12 @@ fn stats_count_the_dep_columns_tables() {
                 "pre: 9 rounds, 1759 of 9×626 evaluations",
                 "defuse: D\u{302} 1996, U\u{302} 2176; summaries 238 defs, 337 uses; 1015 relayed",
                 "dep: 2843 \u{2192} 2234 edges",
+                "walk: 26222 visits from 1815 definitions",
+            ],
+            "triage: octagon solved 11 of 388 packs at 32 of 1152 points, 371 evaluations",
+            [
+                "dep: 4854 \u{2192} 4156 edges",
+                "fix: 3854 pops \u{2014} 3339 whole, 94 forwarded (181 locations), 421 skipped; 15671 edge reads",
             ],
         ),
         (
@@ -125,10 +134,16 @@ fn stats_count_the_dep_columns_tables() {
                 "pre: 11 rounds, 1978 of 11×660 evaluations",
                 "defuse: D\u{302} 3218, U\u{302} 3405; summaries 440 defs, 493 uses; 2141 relayed",
                 "dep: 5982 \u{2192} 4120 edges",
+                "walk: 38208 visits from 3000 definitions",
+            ],
+            "triage: octagon solved 11 of 414 packs at 32 of 1200 points, 368 evaluations",
+            [
+                "dep: 9193 \u{2192} 6924 edges",
+                "fix: 5465 pops \u{2014} 4148 whole, 1088 forwarded (2114 locations), 229 skipped; 34177 edge reads",
             ],
         ),
     ];
-    for (max_scc, lines) in pinned {
+    for (max_scc, interval, triage, octagon) in pinned {
         let config = sga::cgen::GenConfig {
             seed: 65261,
             target_loc: 600,
@@ -138,12 +153,19 @@ fn stats_count_the_dep_columns_tables() {
             ..sga::cgen::GenConfig::default()
         };
         let f = unit(&dir, "u.c", &sga::cgen::generate(&config));
-        let stats = text(&sga(&[&f, "--stats"]).stderr);
-        for line in lines {
-            assert!(
-                stats.lines().any(|l| l == line),
-                "max_scc {max_scc}: {line}\n{stats}"
-            );
+        let runs = [
+            (vec![&f[..], "--stats"], &interval[..]),
+            (vec![&f, "--check", "--stats"], &[triage][..]),
+            (vec![&f, "--domain", "octagon", "--stats"], &octagon[..]),
+        ];
+        for (args, lines) in runs {
+            let stats = text(&sga(&args).stderr);
+            for line in lines {
+                assert!(
+                    stats.lines().any(|l| l == *line),
+                    "max_scc {max_scc}, {args:?}: {line}\n{stats}"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
