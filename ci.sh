@@ -42,7 +42,7 @@ if [ "$LIST" -eq 1 ]; then
     echo "ci.sh stages, in run order (* = skipped under --quick):"
     printf '  %-18s %s\n' \
         "fmt"              "rustfmt check over the whole workspace" \
-        "clippy"           "clippy with -D warnings, all targets; rustdoc broken-link check" \
+        "clippy"           "unused sga-* dependencies; clippy -D warnings, all targets; rustdoc links" \
         "build-release *"  "release build (tier-1)" \
         "test"             "cargo test -q: the full tier-1 suite" \
         "diag-gate"        "CLI baseline self-diff and --validate over the golden alarm corpus" \
@@ -485,12 +485,30 @@ bench_gate() {
 DOC_CRATES="sga-bdd sga-cfront sga-cgen sga-core sga-diag sga-domains sga-ir \
 sga-pipeline sga-serve sga sga-utils"
 
+# Every workspace `sga-*` crate a crate lists under `[dependencies]` must be
+# named, as `sga_*`, somewhere in that crate's `src/`.
+unused_deps() {
+    local status=0 manifest dep
+    for manifest in crates/*/Cargo.toml; do
+        for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") }
+                          deps && /^sga-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+            if ! grep -rqF "${dep//-/_}" "$(dirname "$manifest")/src"; then
+                echo "ci.sh: $manifest depends on $dep, which nothing in its src/ names" >&2
+                status=1
+            fi
+        done
+    done
+    return $status
+}
+
 clippy_gate() {
-    # Lints over every target with warnings denied, then the product crates'
-    # docs with broken intra-doc links denied.
+    # Unused workspace dependencies, then lints over every target with
+    # warnings denied, then the product crates' docs with broken intra-doc
+    # links denied.
     local crates=()
     for c in $DOC_CRATES; do crates+=(-p "$c"); done
-    cargo clippy --workspace --all-targets -- -D warnings &&
+    unused_deps &&
+        cargo clippy --workspace --all-targets -- -D warnings &&
         RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
             cargo doc --no-deps -q "${crates[@]}"
 }

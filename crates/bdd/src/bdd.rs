@@ -96,11 +96,6 @@ impl Bdd {
         self.num_vars
     }
 
-    /// Number of live nodes in the table (including both terminals).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Estimated bytes held by the node table and caches — the store-size
     /// metric used by the BDD-vs-set ablation.
     pub fn approx_bytes(&self) -> usize {
@@ -142,11 +137,6 @@ impl Bdd {
     /// The function `x_var`.
     pub fn var(&mut self, var: u32) -> BddRef {
         self.mk(var, BddRef::FALSE, BddRef::TRUE)
-    }
-
-    /// The function `¬x_var`.
-    pub fn nvar(&mut self, var: u32) -> BddRef {
-        self.mk(var, BddRef::TRUE, BddRef::FALSE)
     }
 
     /// If-then-else: the canonical ternary combinator all binary ops reduce

@@ -3,7 +3,7 @@
 //! map, and one sparse transfer over rows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sga::analysis::interval::{AnalyzeOptions, IntervalSparseSpec, Pipeline};
+use sga::analysis::interval::{AnalyzeOptions, Pipeline};
 use sga::analysis::sparse::SparseSpec;
 use sga::domains::{AbsLoc, Interval, Lattice, LocSet, Octagon, State, Value};
 use sga::ir::{Cmd, LVal, VarId};
@@ -118,11 +118,7 @@ fn bench_transfer(c: &mut Criterion) {
     let program = sga::frontend::parse("int main(int y) { int x; x = y + 1; return x; }")
         .expect("the bench program parses");
     let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
-    let spec = IntervalSparseSpec {
-        program: &program,
-        pre: &staged.pre,
-        du: &staged.du,
-    };
+    let spec = staged.spec();
     let is_sum = |cmd: &Cmd| matches!(cmd, Cmd::Assign(LVal::Var(_), sga::ir::Expr::Binop(..)));
     let cp = program
         .all_points()

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sga::analysis::budget::Budget;
-use sga::analysis::interval::{analyze, AnalyzeOptions, Engine, IntervalSparseSpec, Pipeline};
+use sga::analysis::interval::{analyze, AnalyzeOptions, Engine, Pipeline};
 use sga::analysis::sparse;
 use sga::cgen::GenConfig;
 use sga::ir::Program;
@@ -91,11 +91,7 @@ fn bench_sparse_solve(c: &mut Criterion) {
         let src = sga::cgen::generate(&config);
         let program = sga::frontend::parse(&src).expect("parses");
         let staged = Pipeline::prepare(&program, AnalyzeOptions::default());
-        let spec = IntervalSparseSpec {
-            program: &program,
-            pre: &staged.pre,
-            du: &staged.du,
-        };
+        let spec = staged.spec();
         group.bench_function(name, |b| {
             b.iter(|| {
                 sparse::solve(

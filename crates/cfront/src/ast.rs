@@ -52,13 +52,6 @@ pub enum Type {
     FuncPtr(usize),
 }
 
-impl Type {
-    /// Whether values of the type live in memory as aggregates.
-    pub fn is_aggregate(&self) -> bool {
-        matches!(self, Type::Array(_, _) | Type::Struct(_))
-    }
-}
-
 /// A variable declaration, possibly initialized.
 #[derive(Clone, Debug)]
 pub struct Decl {

@@ -161,11 +161,6 @@ impl BudgetMeter {
     pub fn steps(&self) -> u64 {
         self.steps
     }
-
-    /// Whether the budget has been exceeded.
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
 }
 
 #[cfg(test)]

@@ -175,15 +175,22 @@ impl DefUse {
     /// The tables' sizes (see [`DefUseCounts`]).
     pub fn counts(&self) -> DefUseCounts {
         let sum = |rows: &IndexVec<ProcId, Vec<AbsLoc>>| rows.iter().map(Vec::len).sum();
+        // The real ids are a subset of `D̂ ∪ Û` (`finish` takes them from the
+        // full sets), so a point relays `|D̂ ∪ Û| − |real|` locations: none
+        // when `|real| = |D̂| + |Û|`, as at most non-call points.
         let relayed = self.points.iter().map(|&cp| {
-            let real = self.real_ids(cp);
-            let mut full: Vec<u32> = self.def_ids(cp).to_vec();
-            full.extend_from_slice(self.use_ids(cp));
-            full.sort_unstable();
-            full.dedup();
-            full.iter()
-                .filter(|id| real.binary_search(id).is_err())
-                .count()
+            let (defs, uses, real) = (self.def_ids(cp), self.use_ids(cp), self.real_ids(cp));
+            if real.len() == defs.len() + uses.len() {
+                return 0;
+            }
+            let (mut i, mut j, mut union) = (0, 0, 0);
+            while i < defs.len() && j < uses.len() {
+                let (a, b) = (defs[i], uses[j]);
+                i += usize::from(a <= b);
+                j += usize::from(b <= a);
+                union += 1;
+            }
+            union + (defs.len() - i) + (uses.len() - j) - real.len()
         });
         DefUseCounts {
             defs: self.defs.items().len(),

@@ -87,13 +87,6 @@ pub struct DenseResult<St> {
     pub degraded: bool,
 }
 
-impl<St> DenseResult<St> {
-    /// Post-state at `cp`, if any information reached it.
-    pub fn post_at(&self, cp: Cp) -> Option<&St> {
-        self.post.get(&cp)
-    }
-}
-
 /// Runs the dense analysis with the naive widening plan. See [`solve_with`].
 pub fn solve<S: DenseSpec>(program: &Program, icfg: &Icfg, spec: &S) -> DenseResult<S::St> {
     solve_with(

@@ -91,78 +91,66 @@ pub fn analyze(program: &Program, engine: Engine) -> IntervalResult {
 
 /// Runs the chosen interval analyzer.
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
+    analyze_staged(program, engine, options).0
+}
+
+/// [`analyze_with`], handing back the sparse engine's staging too (`None`
+/// for the dense engines), so a caller that checks the result reads its
+/// inputs through [`Pipeline::inputs`] instead of staging the unit again.
+pub fn analyze_staged(
+    program: &Program,
+    engine: Engine,
+    options: AnalyzeOptions,
+) -> (IntervalResult, Option<Pipeline<'_>>) {
     let total = Phase::start("total");
+    let (mut result, staged) = match engine {
+        Engine::Vanilla | Engine::Base => (analyze_dense(program, engine, options), None),
+        Engine::Sparse => {
+            let staged = Pipeline::prepare(program, options);
+            (staged.solve(&options.budget), Some(staged))
+        }
+    };
+    result.stats.total_time = total.stop();
+    result.stats.peak_mem_bytes = peak_rss_bytes();
+    (result, staged)
+}
+
+/// The dense engines: whole states along every ICFG edge, localized by the
+/// def/use access summaries for `base`. `pre` times the pre-analysis and
+/// the ICFG, as [`Pipeline::prepare`] does.
+fn analyze_dense(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
     let pre_phase = Phase::start("pre");
     let pre = preanalysis::run(program);
-    let pre_time = pre_phase.stop();
     let icfg = Icfg::build(program, &pre);
-
     let mut stats = AnalysisStats {
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
-    stats.record_pre(&pre, pre_time);
+    stats.record_pre(&pre, pre_phase.stop());
+    let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
+    if let Some(du) = &du {
+        stats.record_defuse(du);
+    }
+    let spec = IntervalDenseSpec::new(program, du.as_ref());
     let plan = WideningPlan::for_program(program, options.widening);
-
-    let values = match engine {
-        Engine::Vanilla | Engine::Base => {
-            let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
-            if let Some(du) = &du {
-                stats.record_defuse(du);
-            }
-            let spec = IntervalDenseSpec::new(program, du.as_ref());
-            let fix = Phase::start("fix");
-            let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
-            stats.fix_time = fix.stop();
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            result.post
-        }
-        Engine::Sparse => {
-            let dep_phase = Phase::start("dep");
-            let du = if options.semi_sparse {
-                let coarse = preanalysis::coarsen_semi_sparse(program, &pre.state);
-                defuse::compute_with_state(program, &pre, &coarse)
-            } else {
-                defuse::compute(program, &pre)
-            };
-            let deps = depgen::generate(program, &pre, &du, options.depgen);
-            stats.dep_time = dep_phase.stop();
-            stats.record_defuse(&du);
-            stats.dep_edges_raw = deps.stats.raw_edges;
-            stats.dep_edges = deps.stats.final_edges;
-            stats.dep_walk_visits = deps.stats.walk_visits;
-            stats.dep_walk_defs = deps.stats.walk_defs;
-            let spec = IntervalSparseSpec {
-                program,
-                pre: &pre,
-                du: &du,
-            };
-            let fix = Phase::start("fix");
-            let result = sparse::solve(program, &icfg, &deps, &spec, &plan, &options.budget);
-            stats.fix_time = fix.stop();
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            stats.fix_work = result.work;
-            result
-                .values
-                .into_iter()
-                .map(|(cp, m)| (cp, State::from_pmap(m)))
-                .collect()
-        }
-    };
-
-    stats.total_time = total.stop();
-    stats.peak_mem_bytes = peak_rss_bytes();
+    let fix = Phase::start("fix");
+    let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
+    stats.fix_time = fix.stop();
+    stats.iterations = result.iterations;
+    stats.degraded = result.degraded;
     IntervalResult {
         engine,
-        values,
+        values: result.post,
         stats,
     }
 }
 
-/// Re-exposed pieces for callers who want to stage the pipeline themselves
-/// (the benchmark harness and the equality tests do).
+/// The sparse interval chain of one program, staged once: pre-analysis and
+/// the ICFG, `D̂`/`Û`, the dependency relation (§2.6) and the widening
+/// plan. It is the one staging of that chain: [`analyze_with`]'s sparse
+/// engine, the batch driver's units, the CLI's checks and the differential
+/// oracle each [`Pipeline::prepare`] a unit once, [`Pipeline::solve`] it,
+/// and read what reaches a use through [`Pipeline::inputs`].
 pub struct Pipeline<'p> {
     /// The analyzed program.
     pub program: &'p Program,
@@ -170,22 +158,47 @@ pub struct Pipeline<'p> {
     pub pre: PreAnalysis,
     /// Interprocedural CFG.
     pub icfg: Icfg,
-    /// Def/use sets.
+    /// Def/use sets (semi-sparse under [`AnalyzeOptions::semi_sparse`]).
     pub du: DefUse,
     /// Data dependencies.
     pub deps: DataDeps,
     /// The widening plan resolved against the program.
     pub widening: WideningPlan,
+    /// What staging counted and timed, which every solve's statistics start
+    /// from: pre-analysis work, the def/use table sizes, the relation's
+    /// edges and walks, the widening strategy, and `pre_time` (pre-analysis
+    /// and ICFG), `defuse_time` and `dep_time` (def/use and dependency
+    /// generation).
+    pub stats: AnalysisStats,
 }
 
 impl<'p> Pipeline<'p> {
-    /// Runs pre-analysis, def/use, dependency generation, and threshold
-    /// harvesting.
+    /// Runs pre-analysis, the ICFG build, def/use, dependency generation
+    /// and threshold harvesting.
     pub fn prepare(program: &'p Program, options: AnalyzeOptions) -> Pipeline<'p> {
+        let pre_phase = Phase::start("pre");
         let pre = preanalysis::run(program);
         let icfg = Icfg::build(program, &pre);
-        let du = defuse::compute(program, &pre);
+        let mut stats = AnalysisStats {
+            widening: options.widening.strategy.name(),
+            ..AnalysisStats::default()
+        };
+        stats.record_pre(&pre, pre_phase.stop());
+        let dep_phase = Phase::start("dep");
+        let du = if options.semi_sparse {
+            let coarse = preanalysis::coarsen_semi_sparse(program, &pre.state);
+            defuse::compute_with_state(program, &pre, &coarse)
+        } else {
+            defuse::compute(program, &pre)
+        };
+        stats.defuse_time = dep_phase.elapsed();
         let deps = depgen::generate(program, &pre, &du, options.depgen);
+        stats.dep_time = dep_phase.stop();
+        stats.record_defuse(&du);
+        stats.dep_edges_raw = deps.stats.raw_edges;
+        stats.dep_edges = deps.stats.final_edges;
+        stats.dep_walk_visits = deps.stats.walk_visits;
+        stats.dep_walk_defs = deps.stats.walk_defs;
         let widening = WideningPlan::for_program(program, options.widening);
         Pipeline {
             program,
@@ -194,7 +207,46 @@ impl<'p> Pipeline<'p> {
             du,
             deps,
             widening,
+            stats,
         }
+    }
+
+    /// The interval instance of the sparse engine over this staging.
+    pub fn spec(&self) -> IntervalSparseSpec<'_> {
+        IntervalSparseSpec {
+            program: self.program,
+            pre: &self.pre,
+            du: &self.du,
+        }
+    }
+
+    /// The sparse fixpoint over the staged relation under `budget`, its
+    /// rows as [`State`]s. Its statistics are the staging's plus the
+    /// solve's: `fix_time` (the solve and the re-keying), `iterations`,
+    /// `fix_work` and `degraded`.
+    pub fn solve(&self, budget: &Budget) -> IntervalResult {
+        let fix = Phase::start("fix");
+        let (program, plan) = (self.program, &self.widening);
+        let solved = sparse::solve(program, &self.icfg, &self.deps, &self.spec(), plan, budget);
+        let values = solved.values.into_iter();
+        let values = values.map(|(cp, m)| (cp, State::from_pmap(m))).collect();
+        IntervalResult {
+            engine: Engine::Sparse,
+            values,
+            stats: AnalysisStats {
+                fix_time: fix.stop(),
+                iterations: solved.iterations,
+                fix_work: solved.work,
+                degraded: solved.degraded,
+                ..self.stats.clone()
+            },
+        }
+    }
+
+    /// The inputs of `result`, a [`Pipeline::solve`] of this staging, read
+    /// through the relation it was solved over.
+    pub fn inputs<'a>(&'a self, result: &'a IntervalResult) -> Inputs<'a> {
+        Inputs::new(self.program, result, &self.icfg, &self.du, Some(&self.deps))
     }
 }
 
@@ -751,9 +803,11 @@ mod semi_sparse_tests {
     fn semi_sparse_coarsens_address_taken_only() {
         let program = parse(SRC).unwrap();
         let precise = Pipeline::prepare(&program, AnalyzeOptions::default());
-        let pre = crate::preanalysis::run(&program);
-        let coarse_state = crate::preanalysis::coarsen_semi_sparse(&program, &pre.state);
-        let coarse_du = crate::defuse::compute_with_state(&program, &pre, &coarse_state);
+        let semi_sparse = AnalyzeOptions {
+            semi_sparse: true,
+            ..AnalyzeOptions::default()
+        };
+        let coarse_du = Pipeline::prepare(&program, semi_sparse).du;
         // Semi-sparse def/use sets are at least as big everywhere…
         for cp in program.all_points() {
             for l in precise.du.defs(cp) {

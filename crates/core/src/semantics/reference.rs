@@ -142,11 +142,9 @@ mod tests {
     use super::*;
     use crate::budget::Budget;
     use crate::dense::{self, DenseSpec};
-    use crate::icfg::Icfg;
-    use crate::interval::{AnalyzeOptions, IntervalDenseSpec};
+    use crate::interval::{AnalyzeOptions, IntervalDenseSpec, Pipeline};
+    use crate::semantics;
     use crate::sparse::{self, SparseSpec};
-    use crate::widening::WideningPlan;
-    use crate::{defuse, depgen, preanalysis, semantics};
     use sga_cfront::parse;
     use sga_domains::{Interval, LocSet, Thresholds};
     use sga_ir::{Expr, ProcId, RelOp};
@@ -282,32 +280,24 @@ mod tests {
         corpus.push(("x < x".to_string(), parse(SAME_OPERAND).unwrap()));
         let (mut dense_evaluations, mut sparse_evaluations) = (0, 0);
         for (name, program) in &corpus {
-            let pre = preanalysis::run(program);
-            let icfg = Icfg::build(program, &pre);
-            let du = defuse::compute(program, &pre);
-            let plan = WideningPlan::for_program(program, AnalyzeOptions::default().widening);
+            let staged = Pipeline::prepare(program, AnalyzeOptions::default());
+            let (icfg, plan) = (&staged.icfg, &staged.widening);
             let budget = Budget::unbounded();
-            for localize in [None, Some(&du)] {
+            for localize in [None, Some(&staged.du)] {
                 let checked = CheckedDense {
                     program,
                     spec: IntervalDenseSpec::new(program, localize),
                     evaluations: Cell::new(0),
                 };
-                let solved = dense::solve_with(program, &icfg, &checked, &plan, &budget);
+                let solved = dense::solve_with(program, icfg, &checked, plan, &budget);
                 assert!(!solved.post.is_empty(), "{name}");
                 dense_evaluations += checked.evaluations.get();
             }
-            let deps = depgen::generate(program, &pre, &du, depgen::DepGenOptions::default());
-            let spec = IntervalSparseSpec {
-                program,
-                pre: &pre,
-                du: &du,
-            };
             let checked = CheckedSparse {
-                spec,
+                spec: staged.spec(),
                 evaluations: Cell::new(0),
             };
-            let solved = sparse::solve(program, &icfg, &deps, &checked, &plan, &budget);
+            let solved = sparse::solve(program, icfg, &staged.deps, &checked, plan, &budget);
             assert_eq!(checked.evaluations.get(), solved.work.whole, "{name}");
             sparse_evaluations += solved.work.whole;
         }

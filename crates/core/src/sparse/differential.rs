@@ -7,7 +7,7 @@
 
 use super::tests::forcing_whole;
 use super::*;
-use crate::interval::{AnalyzeOptions, Engine, IntervalSparseSpec};
+use crate::interval::{AnalyzeOptions, Engine, Pipeline};
 use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningStrategy};
 use crate::{constprop, defuse, depgen, octagon, preanalysis};
@@ -51,35 +51,10 @@ fn assert_same<V: PartialEq>(what: &str, run: impl Fn() -> (V, Outcome, FixWork)
     [work, whole_work]
 }
 
-/// Stages the interval instance over `program` and hands `run` what a
-/// solve takes: the ICFG, the relation, the spec and the widening plan.
-fn interval_staged<R>(
-    program: &Program,
-    options: AnalyzeOptions,
-    run: impl FnOnce(&Icfg, &DataDeps, &IntervalSparseSpec, &WideningPlan) -> R,
-) -> R {
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
-    let du = if options.semi_sparse {
-        let coarse = preanalysis::coarsen_semi_sparse(program, &pre.state);
-        defuse::compute_with_state(program, &pre, &coarse)
-    } else {
-        defuse::compute(program, &pre)
-    };
-    let deps = depgen::generate(program, &pre, &du, options.depgen);
-    let spec = IntervalSparseSpec {
-        program,
-        pre: &pre,
-        du: &du,
-    };
-    let plan = WideningPlan::for_program(program, options.widening);
-    run(&icfg, &deps, &spec, &plan)
-}
-
 fn interval(program: &Program, options: AnalyzeOptions) -> (impl PartialEq, Outcome, FixWork) {
-    let solved = interval_staged(program, options, |icfg, deps, spec, plan| {
-        solve(program, icfg, deps, spec, plan, &options.budget)
-    });
+    let staged = Pipeline::prepare(program, options);
+    let (icfg, deps, plan) = (&staged.icfg, &staged.deps, &staged.widening);
+    let solved = solve(program, icfg, deps, &staged.spec(), plan, &options.budget);
     outcome_of_solve(program, solved)
 }
 
@@ -126,11 +101,10 @@ fn octagon(
 }
 
 fn constants(program: &Program) -> (impl PartialEq, Outcome, FixWork) {
-    let solved = interval_staged(program, AnalyzeOptions::default(), |icfg, deps, itv, _| {
-        let spec = constprop::ConstSpec::new(program, itv.pre, itv.du);
-        let naive = WideningPlan::naive();
-        solve(program, icfg, deps, &spec, &naive, &Budget::unbounded())
-    });
+    let staged = Pipeline::prepare(program, AnalyzeOptions::default());
+    let spec = constprop::ConstSpec::new(program, &staged.pre, &staged.du);
+    let (naive, budget) = (WideningPlan::naive(), Budget::unbounded());
+    let solved = solve(program, &staged.icfg, &staged.deps, &spec, &naive, &budget);
     outcome_of_solve(program, solved)
 }
 
@@ -349,12 +323,11 @@ fn flat_worklist_replays_the_btreeset_reference() {
             let what = format!("{name}, {config}");
             // `solve` runs the flat worklist; `solve_with` over the bare
             // relation runs `depstore::reference`'s `BTreeSet`.
-            let (flat, reference) = interval_staged(program, options, |icfg, deps, spec, plan| {
-                (
-                    solve(program, icfg, deps, spec, plan, &options.budget),
-                    solve_with(program, icfg, deps, spec, plan, &options.budget),
-                )
-            });
+            let staged = Pipeline::prepare(program, options);
+            let (icfg, deps, plan) = (&staged.icfg, &staged.deps, &staged.widening);
+            let (spec, budget) = (staged.spec(), &options.budget);
+            let flat = solve(program, icfg, deps, &spec, plan, budget);
+            let reference = solve_with(program, icfg, deps, &spec, plan, budget);
             assert!(flat.values == reference.values, "{what}: some row differs");
             assert_eq!(
                 (flat.iterations, flat.narrowing_rounds, flat.degraded),

@@ -1,6 +1,6 @@
 use super::*;
 use crate::depstore::solved_points;
-use crate::interval::{IntervalSparseSpec, Pipeline};
+use crate::interval::Pipeline;
 use crate::preanalysis;
 use sga_cfront::parse;
 use std::cell::{Cell, RefCell};
@@ -970,11 +970,7 @@ fn forcing_whole_runs_the_transfer_at_every_pop() {
 fn generated_rows_ascend_in_the_spec_location_order() {
     let program = parse(&sga_cgen::generate(&sga_cgen::GenConfig::sized(11, 1))).unwrap();
     let pl = Pipeline::prepare(&program, Default::default());
-    let spec = IntervalSparseSpec {
-        program: &program,
-        pre: &pl.pre,
-        du: &pl.du,
-    };
+    let spec = pl.spec();
     let ids = |cp| -> Vec<u32> { pl.deps.deps_out(cp).iter().map(|e| e.0).collect() };
     let mut by_id = 0;
     for cp in program.all_points() {
@@ -1025,11 +1021,7 @@ fn the_rank_table_orders_every_interned_location_as_the_instance_does() {
     for src in [dead_store, &generated] {
         let program = parse(src).unwrap();
         let pl = Pipeline::prepare(&program, Default::default());
-        let spec = IntervalSparseSpec {
-            program: &program,
-            pre: &pl.pre,
-            du: &pl.du,
-        };
+        let spec = pl.spec();
         assert_ranked("interval", &pl.deps, pl.du.locs.len(), |id| spec.loc_of(id));
         // The octagon's locations are its pack ids.
         let packs = crate::octagon::build_packs(&program);
@@ -1043,11 +1035,7 @@ fn the_rank_table_orders_every_interned_location_as_the_instance_does() {
     // `dead` is on no edge, yet its store's row binds it.
     let program = parse(dead_store).unwrap();
     let pl = Pipeline::prepare(&program, Default::default());
-    let spec = IntervalSparseSpec {
-        program: &program,
-        pre: &pl.pre,
-        du: &pl.du,
-    };
+    let spec = pl.spec();
     let dead = program
         .vars
         .iter_enumerated()

@@ -5,13 +5,15 @@ use std::time::Duration;
 /// Timing/size statistics of one analyzer run.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisStats {
-    /// Pre-analysis time (included in `dep` per the paper's accounting:
-    /// "Dep includes times for pre-analysis and data dependency
-    /// generation").
+    /// Pre-analysis time, the ICFG build included (included in `dep` per
+    /// the paper's accounting: "Dep includes times for pre-analysis and
+    /// data dependency generation").
     pub pre_time: Duration,
     /// Dependency-generation time (def/use + reaching defs + bypass).
     /// Zero for the dense engines.
     pub dep_time: Duration,
+    /// The def/use part of `dep_time`.
+    pub defuse_time: Duration,
     /// Fixpoint time (`Fix` column).
     pub fix_time: Duration,
     /// End-to-end time (`Total`).

@@ -381,13 +381,11 @@ mod tests {
         deps: &DataDeps,
         options: AnalyzeOptions,
     ) -> (SparseResult<AbsLoc, Value>, UnitValidation) {
-        let (program, pre, du) = (staged.program, &staged.pre, &staged.du);
-        let spec = IntervalSparseSpec { program, pre, du };
-        let (icfg, plan) = (&staged.icfg, &staged.widening);
-        let solved = sparse::solve(program, icfg, deps, &spec, plan, &options.budget);
+        let (program, icfg, plan) = (staged.program, &staged.icfg, &staged.widening);
+        let solved = sparse::solve(program, icfg, deps, &staged.spec(), plan, &options.budget);
         let inputs = ValidationInputs {
-            pre,
-            du,
+            pre: &staged.pre,
+            du: &staged.du,
             deps,
             sparse_values: &solved.values,
             degraded: solved.degraded,
@@ -449,12 +447,8 @@ mod tests {
         let victim = *bound.map(|(cp, _)| cp).max().expect("some point is bound");
         solved.values.remove(&victim);
 
-        let spec = IntervalSparseSpec {
-            program: &program,
-            pre: &staged.pre,
-            du: &staged.du,
-        };
-        let report = check_sparse_post_fixpoint(&program, &staged.deps, &spec, &solved.values);
+        let report =
+            check_sparse_post_fixpoint(&program, &staged.deps, &staged.spec(), &solved.values);
         assert!(
             !report.violations.is_empty(),
             "dropping {victim}'s bindings must violate f\u{302}(X\u{302}) \u{2291} X\u{302}"

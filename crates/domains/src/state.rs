@@ -125,11 +125,6 @@ impl State {
     pub fn as_pmap(&self) -> &PMap<AbsLoc, Value> {
         &self.map
     }
-
-    /// Unwraps into the underlying binding map.
-    pub fn into_pmap(self) -> PMap<AbsLoc, Value> {
-        self.map
-    }
 }
 
 impl Lattice for State {

@@ -595,9 +595,9 @@ fn process_unit(
             validate::validate_unit(
                 &program,
                 &ValidationInputs {
-                    pre: &internals.pre,
-                    du: &internals.du,
-                    deps: &internals.deps,
+                    pre: &internals.staged.pre,
+                    du: &internals.staged.du,
+                    deps: &internals.staged.deps,
                     sparse_values: &sparse_values,
                     degraded: internals.result.stats.degraded,
                 },

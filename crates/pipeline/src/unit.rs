@@ -1,23 +1,20 @@
 //! Per-unit analysis: the sparse interval analysis of one translation unit,
 //! its checkers and its triage.
 //!
-//! The staging is `sga-core`'s own, pass by pass: pre-analysis and ICFG,
-//! [`defuse::compute`], [`depgen::generate`], [`sparse::solve`] — the
-//! sequential passes of `sga_core::interval::analyze_with`'s sparse branch,
-//! each under its own stage timer. A unit runs on one thread; [`crate::run`]
-//! and [`crate::analyze_units`] run units concurrently.
+//! A unit is staged and solved by `sga-core`'s one staging of the sparse
+//! chain, [`Pipeline`] — the same [`Pipeline::prepare`] and
+//! [`Pipeline::solve`] that `sga_core::interval::analyze_with` and the
+//! CLI's checks run — and its stage wall times are the ones the staging
+//! measured. A unit runs on one thread; [`crate::run`] and
+//! [`crate::analyze_units`] run units concurrently.
 
 use sga_core::budget::Budget;
-use sga_core::defuse::{self, DefUse};
-use sga_core::depgen::{self, DataDeps, DepGenOptions};
-use sga_core::icfg::Icfg;
+use sga_core::checker;
+use sga_core::depgen::DepGenOptions;
 use sga_core::interface::{self, UnitInterface};
-use sga_core::interval::{Engine, Inputs, IntervalResult, IntervalSparseSpec};
-use sga_core::preanalysis::{self, PreAnalysis};
-use sga_core::stats::AnalysisStats;
+use sga_core::interval::{AnalyzeOptions, Engine, IntervalResult, Pipeline};
 use sga_core::triage::{self, TriageMode, TriageOptions};
-use sga_core::widening::{WideningConfig, WideningPlan};
-use sga_core::{checker, sparse};
+use sga_core::widening::WideningConfig;
 use sga_diag::Diagnostic;
 use sga_domains::{AbsLoc, State, Value};
 use sga_ir::{Cp, Program};
@@ -59,13 +56,10 @@ pub struct UnitAnalysis {
 /// The solver-facing artifacts of one unit's analysis, kept past the
 /// report-facing [`UnitAnalysis`] so the validation oracle
 /// ([`sga_core::validate`]) can re-check the fixpoint it actually came from.
-pub struct UnitInternals {
-    /// Pre-analysis the result was derived from.
-    pub pre: PreAnalysis,
-    /// Def/use sets (with the interned location table).
-    pub du: DefUse,
-    /// The dependency edges the solver propagated along.
-    pub deps: DataDeps,
+pub struct UnitInternals<'p> {
+    /// The unit's staging: pre-analysis, ICFG, def/use sets and the
+    /// dependency edges the solver propagated along.
+    pub staged: Pipeline<'p>,
     /// The solved fixpoint the diagnostics came from (`stats.degraded` says
     /// whether it degraded under its budget).
     pub result: IntervalResult,
@@ -75,55 +69,35 @@ pub struct UnitInternals {
 /// checkers and triage. Stage wall times are added to `timers`, which
 /// [`crate::run`] shares between the units in flight: with several at once,
 /// a stage's time is work summed over units, not elapsed wall time.
-pub fn analyze_unit(
-    program: &Program,
+pub fn analyze_unit<'p>(
+    program: &'p Program,
     options: DepGenOptions,
     widening: WideningConfig,
     triage_mode: TriageMode,
     budget: &Budget,
     timers: &StageTimers,
-) -> (UnitAnalysis, UnitInternals) {
-    let (pre, icfg) = timers.time("pre", || {
-        let pre = preanalysis::run(program);
-        let icfg = Icfg::build(program, &pre);
-        (pre, icfg)
-    });
-    let du = timers.time("defuse", || defuse::compute(program, &pre));
-    let deps = timers.time("dep", || depgen::generate(program, &pre, &du, options));
-
+) -> (UnitAnalysis, UnitInternals<'p>) {
+    let analyze = AnalyzeOptions {
+        depgen: options,
+        widening,
+        ..AnalyzeOptions::default()
+    };
+    let staged = Pipeline::prepare(program, analyze);
     // The result outlives the check stage: the path-condition triage layer
     // evaluates dominating guards against the same inputs the alarms read
     // (and its `degraded` flag gates that layer off entirely).
-    let result = timers.time("fix", || {
-        let spec = IntervalSparseSpec {
-            program,
-            pre: &pre,
-            du: &du,
-        };
-        let plan = WideningPlan::for_program(program, widening);
-        let solved = sparse::solve(program, &icfg, &deps, &spec, &plan, budget);
-        IntervalResult {
-            engine: Engine::Sparse,
-            values: solved
-                .values
-                .into_iter()
-                .map(|(cp, m)| (cp, State::from_pmap(m)))
-                .collect(),
-            stats: AnalysisStats {
-                iterations: solved.iterations,
-                num_locs: du.locs.len(),
-                degraded: solved.degraded,
-                ..AnalysisStats::default()
-            },
-        }
-    });
-    let (iterations, degraded) = (result.stats.iterations, result.stats.degraded);
+    let result = staged.solve(budget);
+    let stats = &result.stats;
+    timers.add("pre", stats.pre_time);
+    timers.add("defuse", stats.defuse_time);
+    timers.add("dep", stats.dep_time - stats.defuse_time);
+    timers.add("fix", stats.fix_time);
     // The checkers and the path layer read values before a point as the
-    // inputs the solve computed: the in-edges of `deps`.
-    let q = Inputs::new(program, &result, &icfg, &du, Some(&deps));
+    // inputs the solve computed: the in-edges of the staged relation.
+    let q = staged.inputs(&result);
     let (mut diags, fingerprint) = timers.time("check", || {
         (
-            checker::check_all_staged(&q, &pre),
+            checker::check_all_staged(&q, &staged.pre),
             fingerprint_values(&result.values),
         )
     });
@@ -133,32 +107,26 @@ pub fn analyze_unit(
             engine: Engine::Sparse,
             depgen: options,
             widening,
-            budget: triage::derived_budget(iterations, budget),
+            budget: triage::derived_budget(stats.iterations, budget),
             mode: triage_mode,
             ..TriageOptions::default()
         };
-        triage::discharge_staged(&pre, &q, &mut diags, &topts).degraded
+        triage::discharge_staged(&staged.pre, &q, &mut diags, &topts).degraded
     });
 
     let analysis = UnitAnalysis {
         procs: program.procs.iter().filter(|p| !p.is_external).count(),
-        interface: interface::unit_interface(program, &pre, &du),
+        interface: interface::unit_interface(program, &staged.pre, &staged.du),
         diags,
         triage_degraded,
         fingerprint,
-        iterations,
-        num_locs: du.locs.len(),
-        dep_edges_raw: deps.stats.raw_edges,
-        dep_edges: deps.stats.final_edges,
-        degraded,
+        iterations: stats.iterations,
+        num_locs: stats.num_locs,
+        dep_edges_raw: stats.dep_edges_raw,
+        dep_edges: stats.dep_edges,
+        degraded: stats.degraded,
     };
-    let internals = UnitInternals {
-        pre,
-        du,
-        deps,
-        result,
-    };
-    (analysis, internals)
+    (analysis, UnitInternals { staged, result })
 }
 
 /// Order-independent content hash of a value map: the fxhash of the sorted

@@ -51,7 +51,7 @@
 //! When several apply, the most urgent wins: 5 over 4 over 3 over 6
 //! (a partial or invalid run's baseline diff is itself suspect).
 
-use sga::analysis::interval::{self, AnalyzeOptions, Engine};
+use sga::analysis::interval::{self, AnalyzeOptions, Engine, Pipeline};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::analysis::{checker, octagon, preanalysis};
@@ -496,23 +496,32 @@ fn run_analyze(a: Args) -> ExitCode {
 
 /// Runs all four checkers over an analyzed program and triages the
 /// possible interval alarms. Shared by `sga check` and single-file
-/// `--check`.
+/// `--check`. A sparse result is read through its own staging; for a dense
+/// one the ICFG and def/use sets it is read through are staged here.
 fn diagnose(
     program: &sga::ir::Program,
     result: &interval::IntervalResult,
-    engine: Engine,
+    staged: Option<&Pipeline>,
     opts: &PipelineOptions,
 ) -> (Vec<Diagnostic>, triage::TriageStats) {
-    let pre = preanalysis::run(program);
-    let (icfg, du, deps) = interval::stage_inputs(program, &pre, engine);
-    let q = interval::Inputs::new(program, result, &icfg, &du, deps.as_ref());
-    let mut diags = checker::check_all_staged(&q, &pre);
+    let dense;
+    let (pre, q) = match staged {
+        Some(staged) => (&staged.pre, staged.inputs(result)),
+        None => {
+            let pre = preanalysis::run(program);
+            dense = (interval::stage_inputs(program, &pre, result.engine), pre);
+            let ((icfg, du, deps), pre) = &dense;
+            let q = interval::Inputs::new(program, result, icfg, du, deps.as_ref());
+            (pre, q)
+        }
+    };
+    let mut diags = checker::check_all_staged(&q, pre);
     let stats = triage::discharge_staged(
-        &pre,
+        pre,
         &q,
         &mut diags,
         &TriageOptions {
-            engine,
+            engine: result.engine,
             widening: opts.widening,
             budget: triage::derived_budget(result.stats.iterations, &opts.budget),
             mode: opts.triage,
@@ -700,7 +709,7 @@ fn run_check(a: Args) -> ExitCode {
             Err(e) => return fail(format!("sga: {file}: {e}")),
         };
         let engine = a.engine.unwrap_or(Engine::Sparse);
-        let result = interval::analyze_with(
+        let (result, staged) = interval::analyze_staged(
             &program,
             engine,
             AnalyzeOptions {
@@ -712,7 +721,7 @@ fn run_check(a: Args) -> ExitCode {
         if result.stats.degraded {
             eprintln!("sga: analysis budget exhausted; result degraded soundly");
         }
-        diagnose(&program, &result, engine, &a.opts)
+        diagnose(&program, &result, staged.as_ref(), &a.opts)
     };
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = a.sarif {
@@ -869,7 +878,7 @@ fn run_file(a: Args) -> ExitCode {
     let mut definite = false;
     match a.domain {
         Domain::Interval => {
-            let result = interval::analyze_with(&program, engine, options);
+            let (result, staged) = interval::analyze_staged(&program, engine, options);
             if result.stats.degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
@@ -902,7 +911,7 @@ fn run_file(a: Args) -> ExitCode {
                 }
             }
             if a.check {
-                let (diags, tstats) = diagnose(&program, &result, engine, &a.opts);
+                let (diags, tstats) = diagnose(&program, &result, staged.as_ref(), &a.opts);
                 definite = print_diagnostics(&diags, &tstats);
                 if a.stats {
                     if let Some(work) = octagon_work(&tstats) {

@@ -107,14 +107,6 @@ impl<I: Idx, T> IndexVec<I, T> {
         }
     }
 
-    /// Wraps an existing `Vec`.
-    pub fn from_raw(raw: Vec<T>) -> Self {
-        IndexVec {
-            raw,
-            _marker: PhantomData,
-        }
-    }
-
     /// Appends an element, returning its index.
     pub fn push(&mut self, value: T) -> I {
         let idx = I::new(self.raw.len());

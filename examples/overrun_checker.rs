@@ -10,8 +10,7 @@
 //! checked.
 
 use sga::analysis::checker::check_overruns;
-use sga::analysis::interval::{analyze, stage_inputs, Engine, Inputs};
-use sga::analysis::preanalysis;
+use sga::analysis::interval::{AnalyzeOptions, Pipeline};
 use sga::frontend;
 
 const DEMO: &str = r#"
@@ -52,12 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let program = frontend::parse(&src)?;
-    let result = analyze(&program, Engine::Sparse);
-    // The checker reads each pointer's value as the input the sparse engine
-    // computed at the access: its dependency in-edges.
-    let pre = preanalysis::run(&program);
-    let (icfg, du, deps) = stage_inputs(&program, &pre, Engine::Sparse);
-    let alarms = check_overruns(&Inputs::new(&program, &result, &icfg, &du, deps.as_ref()));
+    // Stage the unit once — pre-analysis, def/use, dependencies — and solve
+    // it. The checker reads each pointer's value as the input the sparse
+    // engine computed at the access: its dependency in-edges.
+    let options = AnalyzeOptions::default();
+    let staged = Pipeline::prepare(&program, options);
+    let result = staged.solve(&options.budget);
+    let alarms = check_overruns(&staged.inputs(&result));
 
     println!(
         "checked {name}: {} potential buffer overrun(s)",

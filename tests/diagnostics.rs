@@ -463,11 +463,6 @@ fn canonical_reports_match_the_pinned_digests() {
     std::fs::write(dir.join("scc.c"), &source).unwrap();
     let program = sga::frontend::parse(&source).expect("generated unit must parse");
     let staged = interval::Pipeline::prepare(&program, AnalyzeOptions::default());
-    let spec = interval::IntervalSparseSpec {
-        program: &program,
-        pre: &staged.pre,
-        du: &staged.du,
-    };
     let report = pipeline::run(&Project::Dir(dir.clone()), &options).expect("pipeline run");
     let digest = sga::utils::fxhash::hash_one(&report.to_pretty());
     assert_eq!(
@@ -478,7 +473,7 @@ fn canonical_reports_match_the_pinned_digests() {
         &program,
         &staged.icfg,
         &staged.deps,
-        &spec,
+        &staged.spec(),
         &staged.widening,
         &Budget::unbounded(),
     );
@@ -495,16 +490,11 @@ fn canonical_reports_match_the_pinned_digests() {
         ..AnalyzeOptions::default()
     };
     let off = interval::Pipeline::prepare(&program, no_bypass);
-    let spec = interval::IntervalSparseSpec {
-        program: &program,
-        pre: &off.pre,
-        du: &off.du,
-    };
     let solved = sparse::solve(
         &program,
         &off.icfg,
         &off.deps,
-        &spec,
+        &off.spec(),
         &off.widening,
         &Budget::unbounded(),
     );

@@ -262,6 +262,41 @@ fn isolated_check_analyzes_and_reports_frontend_errors_without_dying() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `sga check F` in-thread (the staged sparse pipeline) and `sga check F
+/// --isolation process` (a worker running the batch unit analysis) print
+/// the same diagnostic lines and exit alike on every `tests/alarms` unit.
+/// Only the summary line's octagon-work clause may differ: the worker's
+/// report carries verdicts, not the octagon's counters.
+#[test]
+fn check_in_thread_and_in_a_worker_print_the_same_diagnostics() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
+    let lines = |out: &Output| -> Vec<String> {
+        let text = String::from_utf8_lossy(&out.stdout);
+        let line = |l: &str| match l.split_once("; octagon solved") {
+            Some((head, _)) => head.to_string(),
+            None => l.to_string(),
+        };
+        text.lines().map(line).collect()
+    };
+    let (mut units, mut diagnostics) = (0, 0);
+    for entry in std::fs::read_dir(dir).expect("tests/alarms") {
+        let path = entry.expect("a directory entry").path();
+        if path.extension().is_none_or(|e| e != "c") {
+            continue;
+        }
+        let file = path.to_str().expect("a UTF-8 path");
+        let thread = run_sga(&["check", file]);
+        let process = run_sga(&["check", file, "--isolation", "process"]);
+        let printed = lines(&thread);
+        assert_eq!(printed, lines(&process), "{file}");
+        assert_eq!(thread.status.code(), process.status.code(), "{file}");
+        units += 1;
+        diagnostics += printed.len() - 1;
+    }
+    assert!(units >= 20, "tests/alarms has {units} units");
+    assert!(diagnostics >= 20, "{diagnostics} diagnostics printed");
+}
+
 // ---- the LRU cap reaches the worker ------------------------------------
 
 /// A cache hit inside a worker process refreshes its entry's access time,
