@@ -41,11 +41,12 @@ fn bench_phases(c: &mut Criterion) {
         // The per-procedure segments alone: no `assemble`, no bypass.
         group.bench_function(format!("reaching_defs{shape}"), |b| {
             b.iter(|| {
-                let (mut walks, mut edges) = (depgen::Walks::new(du.locs.len()), Vec::new());
+                let mut walks = depgen::Walks::new(du.locs.len());
+                let mut edges = depgen::Segments::new(program);
                 for pid in program.procs.indices() {
                     walks.proc_edges(program, &source, pid, &mut edges);
                 }
-                edges.len()
+                edges
             })
         });
         for bypass in [true, false] {

@@ -55,11 +55,17 @@ impl<'t> Parser<'t> {
         self.tokens[self.pos.min(self.tokens.len() - 1)].line
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.peek().clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
+    }
+
+    /// The current token, stepping past it.
+    fn take(&mut self) -> Tok {
+        let t = self.peek().clone();
+        self.bump();
         t
     }
 
@@ -112,7 +118,7 @@ impl<'t> Parser<'t> {
     }
 
     fn ident(&mut self) -> Result<String, FrontError> {
-        match self.bump() {
+        match self.take() {
             Tok::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
         }
@@ -276,7 +282,7 @@ impl<'t> Parser<'t> {
                 let name = self.ident()?;
                 if self.eat(Punct::Assign) {
                     let neg = self.eat(Punct::Minus);
-                    let Tok::Int(n) = self.bump() else {
+                    let Tok::Int(n) = self.take() else {
                         return Err(self.err("expected integer enum value"));
                     };
                     next = if neg { -n } else { n };
@@ -560,7 +566,7 @@ impl<'t> Parser<'t> {
                     loop {
                         if self.eat_kw(Kw::Case) {
                             let neg = self.eat(Punct::Minus);
-                            let Tok::Int(n) = self.bump() else {
+                            let Tok::Int(n) = self.take() else {
                                 return Err(self.err("expected integer after `case`"));
                             };
                             self.expect(Punct::Colon)?;
@@ -815,7 +821,7 @@ impl<'t> Parser<'t> {
                     // Either a type or an expression; skip to matching paren.
                     let mut depth = 1;
                     while depth > 0 {
-                        match self.bump() {
+                        match self.take() {
                             Tok::Punct(Punct::LParen) => depth += 1,
                             Tok::Punct(Punct::RParen) => depth -= 1,
                             Tok::Eof => return Err(self.err("unterminated sizeof")),
@@ -921,7 +927,7 @@ impl<'t> Parser<'t> {
 
     fn primary_expr(&mut self) -> Result<Expr, FrontError> {
         let line = self.line();
-        match self.bump() {
+        match self.take() {
             Tok::Int(n) => Ok(Expr::Int(n)),
             Tok::Str(s) => Ok(Expr::Str(s)),
             Tok::Kw(Kw::Null) => Ok(Expr::Null),

@@ -26,9 +26,9 @@ use crate::defuse::DefUse;
 use crate::preanalysis::PreAnalysis;
 use sga_domains::AbsLoc;
 use sga_ir::{Cmd, Cp, PointNumbering, ProcId, Program};
-use sga_utils::graph::Scc;
+use sga_utils::graph::{DiGraph, Scc};
 use sga_utils::rows::Scatter;
-use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, Rows};
+use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, Rows};
 use std::cmp::Ordering;
 
 /// Options controlling dependency generation.
@@ -214,39 +214,122 @@ pub fn generate_from<S: DepSource>(
     source: &S,
     options: DepGenOptions,
 ) -> DataDeps {
-    let (mut walks, mut segments) = (Walks::new(source.loc_count()), Vec::new());
+    let (mut walks, mut segments) = (Walks::new(source.loc_count()), Segments::new(program));
     for pid in program.procs.indices() {
         walks.proc_edges(program, source, pid, &mut segments);
     }
-    let mut deps = assemble(program, source, options, &segments);
-    deps.stats.walk_visits = walks.visits;
-    deps.stats.walk_defs = walks.defs;
+    let (walk_visits, walk_defs) = (walks.visits, walks.defs);
+    drop(walks);
+    let mut deps = assemble(program, source, options, segments);
+    deps.stats.walk_visits = walk_visits;
+    deps.stats.walk_defs = walk_defs;
     deps
 }
 
 /// An edge over dense point indices: `(from, to, is_return)`.
 type Link = (u32, u32, bool);
 
-/// Merges the per-procedure segments, concatenated (pass them in procedure
-/// order for determinism), adds the source's interprocedural linking edges, applies
+/// A raw or final edge as [`assemble`] holds it, in 12 bytes: the location
+/// id and the ends as dense point indices, the return-flow flag in the top
+/// bit of `to`.
+#[derive(Clone, Copy)]
+struct Edge {
+    loc: u32,
+    from: u32,
+    to: u32,
+}
+
+/// `Edge::to`'s return-flow bit.
+const RETURN_FLOW: u32 = 1 << 31;
+
+impl Edge {
+    fn new(loc: u32, (from, to, is_return): Link) -> Edge {
+        debug_assert!(from < RETURN_FLOW && to < RETURN_FLOW);
+        let flag = if is_return { RETURN_FLOW } else { 0 };
+        Edge {
+            loc,
+            from,
+            to: to | flag,
+        }
+    }
+
+    /// `(from, to)`, whatever the flavour.
+    fn ends(self) -> (u32, u32) {
+        (self.from, self.to & !RETURN_FLOW)
+    }
+
+    fn link(self) -> Link {
+        let (from, to) = self.ends();
+        (from, to, self.to & RETURN_FLOW != 0)
+    }
+}
+
+/// The raw dependency edges of a program, in the order they are met: the
+/// per-procedure segments ([`Walks::proc_edges`]) in procedure order, then
+/// the source's linking edges, which [`assemble`] appends.
+pub struct Segments {
+    num: PointNumbering,
+    edges: Vec<Edge>,
+}
+
+impl Segments {
+    /// No edges yet, over `program`'s points.
+    pub fn new(program: &Program) -> Segments {
+        Segments {
+            num: program.point_numbering(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// Appends the edge `from →loc to` (`is_return`: callee exit → call
+    /// site).
+    pub fn push(&mut self, loc: u32, from: Cp, to: Cp, is_return: bool) {
+        let at = |cp: Cp| self.num.index(cp) as u32;
+        self.edges
+            .push(Edge::new(loc, (at(from), at(to), is_return)));
+    }
+
+    /// The edges in order.
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = DepEdge> + '_ {
+        self.edges.iter().map(|e| {
+            let (from, to, is_return) = e.link();
+            let cp = |i: u32| self.num.cp(i as usize);
+            (e.loc, cp(from), cp(to), is_return)
+        })
+    }
+}
+
+/// Merges the per-procedure segments (gathered in procedure order, for
+/// determinism), adds the source's interprocedural linking edges, applies
 /// the bypass contraction, and writes the relation's rows, widening points
 /// and ranks.
 ///
 /// Three orders decide `ranks`, hence the worklist's priorities: locations
 /// as first met (`by_loc`), sources as first met in those locations' final
-/// edges (`sources`), and each out-row in `(loc id, to)` order. The hash
-/// sets' iteration order follows from their first-sight inserts and is
-/// part of the pinned trajectory: keep those inserts as they are.
+/// edges (`sources`; without the bypass, in the raw edges), and each
+/// out-row in `(loc id, to)` order. The hash sets' iteration order follows
+/// from their first-sight inserts and is part of the pinned trajectory:
+/// keep those inserts as they are.
+///
+/// What it consumed is freed as it goes, so that at no time are two forms
+/// of the edges live beside the relation: the raw edges are grouped by
+/// location in place, each location's final edges are written over its
+/// own raw ones (the contraction never grows a location's edges), and the
+/// final edges are gone before `ranks` runs.
 pub fn assemble<S: DepSource>(
     program: &Program,
     source: &S,
     options: DepGenOptions,
-    segments: &[DepEdge],
+    mut segments: Segments,
 ) -> DataDeps {
-    let (num, cps): (_, Vec<Cp>) = (program.point_numbering(), program.all_points().collect());
-    let mut inter = Vec::new();
-    source.inter_edges(&mut |loc, from, to, is_return| inter.push((loc, from, to, is_return)));
-    let raw = || segments.iter().chain(&inter);
+    source.inter_edges(&mut |loc, from, to, is_return| segments.push(loc, from, to, is_return));
+    let Segments {
+        num,
+        edges: mut raw,
+    } = segments;
+    raw.shrink_to_fit();
+    let cps: Vec<Cp> = program.all_points().collect();
 
     // Every location ranked in the instance's order; the ones on an edge
     // also as first met.
@@ -257,53 +340,71 @@ pub fn assemble<S: DepSource>(
         loc_rank[loc as usize] = rank as u32;
     }
     let (mut on_edge, mut by_loc) = (BitSet::new(locs.len()), FxHashSet::default());
-    for &(loc, ..) in raw() {
-        if on_edge.insert(loc as usize) {
-            by_loc.insert(loc);
+    for e in &raw {
+        if on_edge.insert(e.loc as usize) {
+            by_loc.insert(e.loc);
         }
     }
-    let at = |cp: Cp| num.index(cp) as u32;
-    let rank_of = |loc: u32| loc_rank[loc as usize] as usize;
-    let grouped = raw().map(|&(loc, a, b, k)| (rank_of(loc), (at(a), at(b), k)));
-    let grouped = Rows::scatter(locs.len(), grouped);
+    drop(on_edge);
+    // Without the bypass, sources are met in the raw edges' order, which
+    // the grouping below does not keep.
+    let raw_sources = (!options.bypass).then(|| sources_as_met(&cps, locs.len(), &by_loc, &raw));
+    let starts = group_in_place(&mut raw, locs.len(), |e| loc_rank[e.loc as usize] as usize);
+    let raw_edges = raw.len();
 
-    // Each location's final edges, ascending and without repeats.
-    let (mut finals, mut contraction, mut links) =
-        (Rows::default(), Contraction::new(num.len()), Vec::new());
+    // Each location's final edges, ascending and without repeats, written
+    // over the raw edges already read: `ends[rank]..ends[rank + 1]`.
+    let (mut contraction, mut links) = (Contraction::new(num.len()), Vec::new());
+    let mut ends = Vec::with_capacity(locs.len() + 1);
+    ends.push(0);
     for (rank, &loc) in locs.iter().enumerate() {
+        let (start, end) = (starts[rank] as usize, starts[rank + 1] as usize);
         links.clear();
-        links.extend_from_slice(grouped.row(rank));
+        links.extend(raw[start..end].iter().map(|e| e.link()));
         if options.bypass {
             contraction.run(|p| source.is_real(cps[p], loc), &mut links);
         } else {
             links.sort_unstable();
             links.dedup();
         }
-        finals.push_row(links.iter().copied());
+        let at = ends[rank];
+        assert!(
+            at + links.len() <= end,
+            "the contraction grew a location's edges"
+        );
+        for (slot, &link) in raw[at..].iter_mut().zip(&links) {
+            *slot = Edge::new(loc, link);
+        }
+        ends.push(at + links.len());
     }
-    // Without the bypass, sources are met in the raw edges' order.
-    let met_in = if options.bypass { &finals } else { &grouped };
-    let (mut met, mut sources) = (BitSet::new(num.len()), FxHashSet::default());
-    for &loc in &by_loc {
-        for &(from, ..) in met_in.row(rank_of(loc)) {
-            if met.insert(from as usize) {
-                sources.insert(cps[from as usize]);
+    drop((contraction, links, starts));
+    let mut finals = raw;
+    finals.truncate(ends[locs.len()]);
+    finals.shrink_to_fit();
+    let row = |rank: usize| &finals[ends[rank]..ends[rank + 1]];
+    let sources = raw_sources.unwrap_or_else(|| {
+        let (mut met, mut sources) = (BitSet::new(num.len()), FxHashSet::default());
+        for &loc in &by_loc {
+            for e in row(loc_rank[loc as usize] as usize) {
+                if met.insert(e.from as usize) {
+                    sources.insert(cps[e.from as usize]);
+                }
             }
         }
-    }
+        sources
+    });
+    drop(by_loc);
 
     // Scattered location by location in rank order: rows sorted by location,
     // then peer. An out-edge in both flavours is kept once. One counting
     // sort fills the three tables: count every edge's rows, then place.
     let n = num.len();
     let (mut out, mut into, mut into_ret) = (Scatter::new(n), Scatter::new(n), Scatter::new(n));
-    let (locs, finals) = (&locs, &finals);
     let edges = || {
-        (0..locs.len()).flat_map(move |rank| {
-            let row = finals.row(rank);
-            let twin =
-                move |j: usize| j > 0 && (row[j - 1].0, row[j - 1].1) == (row[j].0, row[j].1);
-            (0..row.len()).map(move |j| (locs[rank], row[j], twin(j)))
+        (0..locs.len()).flat_map(|rank| {
+            let row = row(rank);
+            let twin = move |j: usize| j > 0 && row[j - 1].ends() == row[j].ends();
+            (0..row.len()).map(move |j| (row[j].loc, row[j].link(), twin(j)))
         })
     };
     for (_, (a, b, k), twin) in edges() {
@@ -319,11 +420,12 @@ pub fn assemble<S: DepSource>(
         }
         if k { &mut into_ret } else { &mut into }.place(b, (l, cps[a]));
     }
+    drop((finals, ends, locs));
     let (out, into, into_ret) = (out.finish(), into.finish(), into_ret.finish());
     let (cycle, topo_rank) = ranks(&num, &out, &sources, |p, loc| source.is_real(cps[p], loc));
     DataDeps {
         stats: DepGenStats {
-            raw_edges: grouped.items().len(),
+            raw_edges,
             final_edges: out.items().len(),
             ..DepGenStats::default()
         },
@@ -335,6 +437,64 @@ pub fn assemble<S: DepSource>(
         cycle,
         topo_rank,
     }
+}
+
+/// The sources of `raw`'s edges, inserted in the order a walk over the
+/// locations of `by_loc`, each location's edges in `raw`'s order, first
+/// meets them: a point comes at the least `(location's turn, edge index)`
+/// of its out-edges.
+fn sources_as_met(cps: &[Cp], locs: usize, by_loc: &FxHashSet<u32>, raw: &[Edge]) -> FxHashSet<Cp> {
+    let mut turn = vec![0u64; locs];
+    for (i, &loc) in by_loc.iter().enumerate() {
+        turn[loc as usize] = i as u64;
+    }
+    let mut first = vec![u64::MAX; cps.len()];
+    for (i, e) in raw.iter().enumerate() {
+        let key = turn[e.loc as usize] << 32 | i as u64;
+        first[e.from as usize] = first[e.from as usize].min(key);
+    }
+    let mut met: Vec<(u64, u32)> = (first.iter().enumerate())
+        .filter(|&(_, &key)| key != u64::MAX)
+        .map(|(p, &key)| (key, p as u32))
+        .collect();
+    met.sort_unstable();
+    let mut sources = FxHashSet::default();
+    for (_, p) in met {
+        sources.insert(cps[p as usize]);
+    }
+    sources
+}
+
+/// Permutes `items` in place so that their rows, `row(item) < n`, ascend:
+/// a counting sort that cycles each item straight into its row's next free
+/// slot instead of copying into a second array, so a row's items keep no
+/// particular order. Returns the `n + 1` row offsets.
+fn group_in_place<T: Copy>(items: &mut [T], n: usize, row: impl Fn(&T) -> usize) -> Vec<u32> {
+    let mut starts = vec![0u32; n + 1];
+    for item in items.iter() {
+        starts[row(item) + 1] += 1;
+    }
+    for i in 1..=n {
+        starts[i] += starts[i - 1];
+    }
+    let mut next = starts.clone();
+    for r in 0..n {
+        while next[r] < starts[r + 1] {
+            // Carry the item at `r`'s next free slot to its own row, and the
+            // one it displaces on, until one belongs at `r`.
+            let mut item = items[next[r] as usize];
+            let mut home = row(&item);
+            while home != r {
+                let slot = next[home] as usize;
+                next[home] += 1;
+                std::mem::swap(&mut item, &mut items[slot]);
+                home = row(&item);
+            }
+            items[next[r] as usize] = item;
+            next[r] += 1;
+        }
+    }
+    starts
 }
 
 /// The per-procedure reaching-definition walks, in buffers reused across
@@ -383,7 +543,7 @@ impl Walks {
         program: &Program,
         source: &S,
         pid: ProcId,
-        sink: &mut Vec<DepEdge>,
+        sink: &mut Segments,
     ) {
         let proc = &program.procs[pid];
         let n = proc.nodes.len();
@@ -492,10 +652,10 @@ impl Walks {
                 for &(_, d) in defs_of_use.iter() {
                     let d = Cp::new(pid, sga_ir::NodeId::new(d));
                     if routes.self_edge {
-                        sink.push((loc_id, d, ucp, false));
+                        sink.push(loc_id, d, ucp, false);
                     }
                     for &entry in routes.entries {
-                        sink.push((loc_id, d, entry, false));
+                        sink.push(loc_id, d, entry, false);
                     }
                 }
             }
@@ -511,60 +671,62 @@ pub(crate) fn proc_dep_edges<S: DepSource>(
     source: &S,
     pid: ProcId,
 ) -> Vec<DepEdge> {
-    let mut sink = Vec::new();
+    let mut sink = Segments::new(program);
     Walks::new(source.loc_count()).proc_edges(program, source, pid, &mut sink);
-    sink
+    sink.iter().collect()
 }
 
 /// The interval instance's [`DepSource`]: [`DefUse`]'s id rows plus the
 /// call-site ↔ callee linking of §5.
 pub struct IntervalDepSource<'a> {
+    program: &'a Program,
+    pre: &'a PreAnalysis,
     du: &'a DefUse,
     routes: Routes,
-    /// The linking edges, by call site, then target.
-    inter: Vec<DepEdge>,
 }
 
 impl<'a> IntervalDepSource<'a> {
-    /// Precomputes the call-site routing and the linking edges.
+    /// Precomputes the call-site routing.
     pub fn new(program: &'a Program, pre: &'a PreAnalysis, du: &'a DefUse) -> Self {
         let id = |l: &AbsLoc| du.locs.id(l);
-        let ids = |of: &IndexVec<ProcId, Vec<AbsLoc>>| -> Vec<Vec<u32>> {
-            of.iter()
-                .map(|s| s.iter().filter_map(id).collect())
-                .collect()
-        };
-        let (use_ids, def_ids) = (ids(&du.summary_uses), ids(&du.summary_defs));
-        let (mut routed, mut inter) = (Vec::new(), Vec::new());
-        let defined = |cp: &Cp| !program.procs[cp.proc].is_external;
-        let call = |cp: &Cp| matches!(program.cmd(*cp), Cmd::Call { .. });
-        for cp in program.all_points().filter(defined).filter(call) {
-            for &t in pre.call_targets(cp) {
-                let callee = &program.procs[t];
-                if callee.is_external {
-                    continue;
-                }
-                // Parameters flow call → entry; callee-used locations flow
-                // from their reaching definitions straight to the entry
-                // (routed); callee-defined ones and the return value flow
-                // back exit → call.
-                let (entry, exit) = (Cp::new(t, callee.entry), Cp::new(t, callee.exit));
-                let params = callee.params.iter().filter_map(|&p| id(&AbsLoc::Var(p)));
-                inter.extend(params.map(|l| (l, cp, entry, false)));
-                routed.extend(use_ids[t.index()].iter().map(|&l| (cp, l, entry)));
-                let ret = id(&AbsLoc::Var(callee.ret_var));
-                let defs = def_ids[t.index()].iter().copied().chain(ret);
-                inter.extend(defs.map(|l| (l, exit, cp, true)));
-            }
+        let use_ids: Vec<Vec<u32>> = (du.summary_uses.iter())
+            .map(|s| s.iter().filter_map(id).collect())
+            .collect();
+        let mut routed = Vec::new();
+        for (cp, t) in internal_calls(program, pre) {
+            let entry = Cp::new(t, program.procs[t].entry);
+            routed.extend(use_ids[t.index()].iter().map(|&l| (cp, l, entry)));
         }
+        drop(use_ids);
         // The call keeps its self-edge for real uses (arguments, pointer
         // bases) and for the pre-join of callee-defined (spurious-def)
         // locations.
         let has = |set: &[u32], id| set.binary_search(&id).is_ok();
         let consumes = |cp, id| has(du.real_ids(cp), id) || has(du.def_ids(cp), id);
         let routes = Routes::new(&program.point_numbering(), routed, consumes);
-        IntervalDepSource { du, routes, inter }
+        IntervalDepSource {
+            program,
+            pre,
+            du,
+            routes,
+        }
     }
+}
+
+/// Every `(call site, internal target)` of the program's defined
+/// procedures, by call site, then target.
+fn internal_calls<'p>(
+    program: &'p Program,
+    pre: &'p PreAnalysis,
+) -> impl Iterator<Item = (Cp, ProcId)> + 'p {
+    let defined = |cp: &Cp| !program.procs[cp.proc].is_external;
+    let call = |cp: &Cp| matches!(program.cmd(*cp), Cmd::Call { .. });
+    (program.all_points().filter(defined).filter(call)).flat_map(move |cp| {
+        let targets = pre.call_targets(cp).iter();
+        targets
+            .filter(|&&t| !program.procs[t].is_external)
+            .map(move |&t| (cp, t))
+    })
 }
 
 impl DepSource for IntervalDepSource<'_> {
@@ -592,22 +754,41 @@ impl DepSource for IntervalDepSource<'_> {
         self.routes.get(cp, loc)
     }
 
+    /// Parameters flow call → entry; callee-used locations flow from their
+    /// reaching definitions straight to the entry (routed); callee-defined
+    /// ones and the return value flow back exit → call. Per call site and
+    /// target, the parameters, then the definitions.
     fn inter_edges(&self, sink: &mut dyn FnMut(u32, Cp, Cp, bool)) {
-        for &(loc, from, to, is_return) in &self.inter {
-            sink(loc, from, to, is_return);
+        let id = |l: &AbsLoc| self.du.locs.id(l);
+        for (cp, t) in internal_calls(self.program, self.pre) {
+            let callee = &self.program.procs[t];
+            let (entry, exit) = (Cp::new(t, callee.entry), Cp::new(t, callee.exit));
+            for l in callee.params.iter().filter_map(|&p| id(&AbsLoc::Var(p))) {
+                sink(l, cp, entry, false);
+            }
+            let ret = id(&AbsLoc::Var(callee.ret_var));
+            for l in self.du.summary_defs[t].iter().filter_map(id).chain(ret) {
+                sink(l, exit, cp, true);
+            }
         }
     }
 }
 
 /// The call sites' [`UseRoutes`]: per point, the locations whose uses route
 /// (also) to callee entries — whether the call consumes the value too, and
-/// a span of `entries` — as rows over the point numbering, each ascending
-/// by location.
+/// a list of entries — as rows over the point numbering, each ascending by
+/// location. A call site keeps each distinct entry list once (a site with
+/// one target, one list).
 pub(crate) struct Routes {
     num: PointNumbering,
-    rows: Rows<(u32, bool, u32, u32)>,
-    entries: Vec<Cp>,
+    /// `(location, list)`, the list's top bit set where the call consumes
+    /// the value too.
+    rows: Rows<(u32, u32)>,
+    lists: Rows<Cp>,
 }
+
+/// The top bit of a [`Routes`] row entry's list: the call consumes.
+const CONSUMES: u32 = 1 << 31;
 
 impl Routes {
     /// Routes from `(call site, location, callee entry)` triples listed by
@@ -620,21 +801,29 @@ impl Routes {
     ) -> Routes {
         // Stable: a location's entries stay in target order.
         routed.sort_by_key(|&(cp, id, _)| (cp, id));
-        let (mut rows, mut entries) = (Rows::default(), Vec::new());
+        let (mut rows, mut lists) = (Rows::default(), Rows::default());
         for site in routed.chunk_by(|a, b| a.0 == b.0) {
-            let cp = site[0].0;
+            let (cp, first) = (site[0].0, lists.len());
             rows.pad_to(num.index(cp));
             rows.push_row(site.chunk_by(|a, b| a.1 == b.1).map(|run| {
-                let (id, start) = (run[0].1, entries.len() as u32);
-                entries.extend(run.iter().map(|&(.., entry)| entry));
-                (id, consumes(cp, id), start, entries.len() as u32)
+                let entries = run.iter().map(|&(.., entry)| entry);
+                let same = |&list: &usize| lists.row(list).iter().copied().eq(entries.clone());
+                let list = (first..lists.len()).find(same).unwrap_or_else(|| {
+                    lists.push_row(entries);
+                    lists.len() - 1
+                });
+                let id = run[0].1;
+                (
+                    id,
+                    list as u32 | if consumes(cp, id) { CONSUMES } else { 0 },
+                )
             }));
         }
         rows.pad_to(num.len());
         Routes {
             num: num.clone(),
             rows,
-            entries,
+            lists,
         }
     }
 
@@ -643,8 +832,8 @@ impl Routes {
         let row = self.rows.row(self.num.index(cp));
         match row.binary_search_by_key(&loc, |route| route.0) {
             Ok(at) => UseRoutes {
-                self_edge: row[at].1,
-                entries: &self.entries[row[at].2 as usize..row[at].3 as usize],
+                self_edge: row[at].1 & CONSUMES != 0,
+                entries: self.lists.row((row[at].1 & !CONSUMES) as usize),
             },
             Err(_) => UseRoutes::SELF,
         }
@@ -658,7 +847,8 @@ type End = (u32, bool);
 /// The bypass contraction of one location at a time, in buffers reused
 /// across locations: points numbered densely in ascending order (which the
 /// pending stack and the result rely on), `is_real` asked once per point,
-/// in- and out-ends one sorted vector per point that keeps its capacity.
+/// in- and out-ends one sorted vector per local index that keeps its
+/// capacity: as many as the most points one location has.
 struct Contraction {
     /// Point → local index while a location is contracted, `u32::MAX`
     /// (unseen) otherwise.
@@ -677,13 +867,12 @@ struct Contraction {
 impl Contraction {
     /// Buffers for a program of `points` points.
     fn new(points: usize) -> Contraction {
-        let ends = vec![Vec::new(); points];
         Contraction {
             local: vec![u32::MAX; points],
             points: Vec::new(),
             real: Vec::new(),
-            outs: ends.clone(),
-            ins: ends,
+            outs: Vec::new(),
+            ins: Vec::new(),
             pending: Vec::new(),
             add: Vec::new(),
             scratch: Vec::new(),
@@ -738,6 +927,10 @@ impl Contraction {
         }
         for &p in points.iter() {
             local[p as usize] = u32::MAX;
+        }
+        if self.outs.len() < n {
+            self.outs.resize_with(n, Vec::new);
+            self.ins.resize_with(n, Vec::new);
         }
         let (outs, ins) = (&mut self.outs[..n], &mut self.ins[..n]);
         outs.iter_mut().chain(ins.iter_mut()).for_each(Vec::clear);
@@ -832,29 +1025,47 @@ fn ranks(
 ) -> (BitSet, Vec<u32>) {
     let widens = |p: usize| out.row(p).iter().any(|&(loc, _)| is_real(p, loc));
     let mut cycle = BitSet::new(num.len());
-    let (mut node_of, mut points) = (vec![usize::MAX; num.len()], Vec::new());
+    let (mut node_of, mut points) = (vec![u32::MAX; num.len()], Vec::new());
     let mut id_of = |p: usize| {
-        if node_of[p] == usize::MAX {
-            node_of[p] = points.len();
+        if node_of[p] == u32::MAX {
+            node_of[p] = points.len() as u32;
             points.push(p);
         }
         node_of[p]
     };
-    let (mut edges, mut row) = (Vec::new(), Vec::new());
+    // A node's successors are one run of `graph.succs`: a source's
+    // out-edges, numbered as met, its own number taken at its first edge.
+    let out_degree = sources.iter().map(|&from| out.row(num.index(from)).len());
+    let mut graph = Runs {
+        succs: Vec::with_capacity(out_degree.sum()),
+        run_of: Vec::new(),
+    };
+    let mut row = Vec::new();
     for &from in sources {
         let a = num.index(from);
         row.clear();
         row.extend(out.row(a).iter().map(|&(loc, to)| (loc, num.index(to))));
         row.sort_unstable();
+        let (start, mut node) = (graph.succs.len() as u32, None);
         for &(_, b) in &row {
             if a != b {
-                edges.push((id_of(a), id_of(b) as u32));
+                node.get_or_insert_with(|| id_of(a));
+                graph.succs.push(id_of(b));
             } else if widens(a) {
                 cycle.insert(a);
             }
         }
+        if let Some(node) = node.map(|node| node as usize) {
+            if graph.run_of.len() <= node {
+                graph.run_of.resize(node + 1, (0, 0));
+            }
+            graph.run_of[node] = (start, graph.succs.len() as u32);
+        }
     }
-    let scc = Scc::compute(&Rows::scatter(points.len(), edges.into_iter()));
+    graph.run_of.resize(points.len(), (0, 0));
+    drop((node_of, row));
+    let scc = Scc::compute(&graph);
+    drop(graph);
     let mut rank = vec![0; num.len()];
     for (i, &p) in points.iter().enumerate() {
         if scc.in_cycle(i) && widens(p) {
@@ -866,6 +1077,25 @@ fn ranks(
         rank[p] = (scc.len() - scc.component[i]) as u32;
     }
     (cycle, rank)
+}
+
+/// [`ranks`]' graph: node `v`'s successors are `succs[run_of[v].0 ..
+/// run_of[v].1]`.
+struct Runs {
+    succs: Vec<u32>,
+    run_of: Vec<(u32, u32)>,
+}
+
+impl DiGraph for Runs {
+    fn num_nodes(&self) -> usize {
+        self.run_of.len()
+    }
+
+    fn successors(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let (start, end) = self.run_of[node];
+        let run = &self.succs[start as usize..end as usize];
+        run.iter().map(|&w| w as usize)
+    }
 }
 
 #[cfg(test)]

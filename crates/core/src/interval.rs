@@ -29,6 +29,8 @@ use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
 use sga_ir::{Cmd, Cp, Expr, LVal, ProcId, Program};
 use sga_utils::stats::{peak_rss_bytes, Phase};
 use sga_utils::{FxHashMap, IndexVec};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// Which analyzer to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,20 +96,26 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     analyze_staged(program, engine, options).0
 }
 
-/// [`analyze_with`], handing back the sparse engine's staging too (`None`
-/// for the dense engines), so a caller that checks the result reads its
-/// inputs through [`Pipeline::inputs`] instead of staging the unit again.
+/// [`analyze_with`], handing back what the engine staged too, so a caller
+/// that checks the result reads its inputs through [`Staging::inputs`]
+/// instead of staging the unit again.
 pub fn analyze_staged(
     program: &Program,
     engine: Engine,
     options: AnalyzeOptions,
-) -> (IntervalResult, Option<Pipeline<'_>>) {
+) -> (IntervalResult, Staging<'_>) {
     let total = Phase::start("total");
     let (mut result, staged) = match engine {
-        Engine::Vanilla | Engine::Base => (analyze_dense(program, engine, options), None),
+        Engine::Vanilla | Engine::Base => {
+            let (result, staged) = analyze_dense(program, engine, options);
+            (result, Staging::Dense(Box::new(staged)))
+        }
         Engine::Sparse => {
             let staged = Pipeline::prepare(program, options);
-            (staged.solve(&options.budget), Some(staged))
+            (
+                staged.solve(&options.budget),
+                Staging::Sparse(Box::new(staged)),
+            )
         }
     };
     result.stats.total_time = total.stop();
@@ -115,10 +123,66 @@ pub fn analyze_staged(
     (result, staged)
 }
 
+/// What [`analyze_staged`]'s engine staged for its result.
+pub enum Staging<'p> {
+    /// The sparse chain.
+    Sparse(Box<Pipeline<'p>>),
+    /// A dense engine's pre-analysis, ICFG, def/use sets and localization.
+    Dense(Box<DenseStaging<'p>>),
+}
+
+impl<'p> Staging<'p> {
+    /// The pre-analysis the result was computed from.
+    pub fn pre(&self) -> &PreAnalysis {
+        match self {
+            Staging::Sparse(staged) => &staged.pre,
+            Staging::Dense(staged) => &staged.pre,
+        }
+    }
+
+    /// The inputs of `result`, the result this staging came with.
+    pub fn inputs<'a>(&'a self, result: &'a IntervalResult) -> Inputs<'a> {
+        match self {
+            Staging::Sparse(staged) => staged.inputs(result),
+            Staging::Dense(staged) => staged.inputs(result),
+        }
+    }
+}
+
+/// A dense engine's staging: what its solve ran over, kept for the reads
+/// of [`Inputs`].
+pub struct DenseStaging<'p> {
+    program: &'p Program,
+    pre: PreAnalysis,
+    icfg: Icfg,
+    /// The base engine's def/use sets; vanilla's solve needs none, so they
+    /// are computed at the first read of [`DenseStaging::inputs`].
+    du: OnceCell<DefUse>,
+    spec: IntervalDenseSpec<'p>,
+}
+
+impl DenseStaging<'_> {
+    /// The inputs of `result`, read through the engine's own edge transfer.
+    pub fn inputs<'a>(&'a self, result: &'a IntervalResult) -> Inputs<'a> {
+        let du = (self.du).get_or_init(|| defuse::compute(self.program, &self.pre));
+        Inputs {
+            program: self.program,
+            result,
+            icfg: &self.icfg,
+            du,
+            source: InputSource::Dense(Cow::Borrowed(&self.spec)),
+        }
+    }
+}
+
 /// The dense engines: whole states along every ICFG edge, localized by the
 /// def/use access summaries for `base`. `pre` times the pre-analysis and
 /// the ICFG, as [`Pipeline::prepare`] does.
-fn analyze_dense(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
+fn analyze_dense(
+    program: &Program,
+    engine: Engine,
+    options: AnalyzeOptions,
+) -> (IntervalResult, DenseStaging<'_>) {
     let pre_phase = Phase::start("pre");
     let pre = preanalysis::run(program);
     let icfg = Icfg::build(program, &pre);
@@ -138,11 +202,20 @@ fn analyze_dense(program: &Program, engine: Engine, options: AnalyzeOptions) -> 
     stats.fix_time = fix.stop();
     stats.iterations = result.iterations;
     stats.degraded = result.degraded;
-    IntervalResult {
+    let result = IntervalResult {
         engine,
         values: result.post,
         stats,
-    }
+    };
+    let du = du.map_or_else(OnceCell::new, OnceCell::from);
+    let staged = DenseStaging {
+        program,
+        pre,
+        icfg,
+        du,
+        spec,
+    };
+    (result, staged)
 }
 
 /// The sparse interval chain of one program, staged once: pre-analysis and
@@ -283,7 +356,7 @@ pub struct Inputs<'a> {
 
 enum InputSource<'a> {
     InEdges(&'a DataDeps),
-    Dense(IntervalDenseSpec<'a>),
+    Dense(Cow<'a, IntervalDenseSpec<'a>>),
 }
 
 impl<'a> Inputs<'a> {
@@ -307,8 +380,12 @@ impl<'a> Inputs<'a> {
             Engine::Sparse => InputSource::InEdges(
                 deps.expect("a sparse result is read through its dependency in-edges"),
             ),
-            Engine::Base => InputSource::Dense(IntervalDenseSpec::new(program, Some(du))),
-            Engine::Vanilla => InputSource::Dense(IntervalDenseSpec::new(program, None)),
+            Engine::Base => {
+                InputSource::Dense(Cow::Owned(IntervalDenseSpec::new(program, Some(du))))
+            }
+            Engine::Vanilla => {
+                InputSource::Dense(Cow::Owned(IntervalDenseSpec::new(program, None)))
+            }
         };
         Inputs {
             program,
@@ -341,7 +418,7 @@ impl<'a> Inputs<'a> {
                 acc
             }
             InputSource::Dense(spec) => {
-                dense::input(program, self.icfg, spec, &self.result.values, cp).get(l)
+                dense::input(program, self.icfg, &**spec, &self.result.values, cp).get(l)
             }
         }
     }
@@ -395,6 +472,7 @@ pub(crate) fn localization_sets(program: &Program, du: &DefUse) -> (InSets, OutS
     (ins, outs)
 }
 
+#[derive(Clone)]
 pub(crate) struct IntervalDenseSpec<'p> {
     program: &'p Program,
     localize: bool,
@@ -579,10 +657,16 @@ impl SparseSpec for IntervalSparseSpec<'_> {
                 if let (Some(lv), Some(v)) = (ret_lv, ret_val) {
                     // The return l-value's targets are read off the joined
                     // row with the formals bound.
-                    let (targets, strong) = semantics::lval_targets(self.program, lv, &out[..]);
-                    semantics::store_to(&targets, strong, v, &mut |l, v, strong| {
-                        bind(&mut out, l, v, strong);
-                    });
+                    match semantics::direct_target(lv) {
+                        Some(l) => bind(&mut out, l, v, true),
+                        None => {
+                            let (targets, strong) =
+                                semantics::lval_targets(self.program, lv, &out[..]);
+                            semantics::store_to(&targets, strong, v, &mut |l, v, strong| {
+                                bind(&mut out, l, v, strong);
+                            });
+                        }
+                    }
                 }
                 out
             }

@@ -298,8 +298,23 @@ pub fn store<E: Env + ?Sized>(
     s: &E,
     sink: &mut impl FnMut(AbsLoc, Value, bool),
 ) {
-    let (targets, strong) = lval_targets(program, lv, s);
-    store_to(&targets, strong, v, sink);
+    match direct_target(lv) {
+        Some(l) => sink(l, v, true),
+        None => {
+            let (targets, strong) = lval_targets(program, lv, s);
+            store_to(&targets, strong, v, sink);
+        }
+    }
+}
+
+/// The one location a variable or field l-value names: its
+/// [`lval_targets`] without building the set (a strong update).
+pub(crate) fn direct_target(lv: &LVal) -> Option<AbsLoc> {
+    match lv {
+        LVal::Var(x) => Some(AbsLoc::Var(*x)),
+        LVal::Field(x, f) => Some(AbsLoc::Field(*x, *f)),
+        LVal::Deref(_) | LVal::DerefField(..) => None,
+    }
 }
 
 /// Writes `v` to `targets`: a strong update on a unique non-summary target,

@@ -149,21 +149,14 @@ struct Update<V> {
 }
 
 impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
-    /// Merges with the stored row `old`, with `f(old value, new value)`
-    /// where both bind a location; `locs` decodes a rank. Under `union` a
-    /// location only `old` binds stays (a cycle head accumulates);
-    /// otherwise it goes (any other output *replaces* the row). Changed is
-    /// every location bound on one side only — unless kept — or whose
-    /// value `f` moved.
-    fn merge(
-        &self,
-        old: &[(u32, V)],
-        locs: &[L],
-        union: bool,
-        f: impl Fn(&V, &V) -> V,
-    ) -> Update<V> {
+    /// A cycle head's update: merges with the stored row `old`, with
+    /// `f(old value, new value)` where both bind a location; `locs` decodes
+    /// a rank. A location only `old` binds stays (a cycle head
+    /// accumulates). Changed is every location only the candidate binds, or
+    /// whose value `f` moved.
+    fn merge(&self, old: &[(u32, V)], locs: &[L], f: impl Fn(&V, &V) -> V) -> Update<V> {
         let new = match self {
-            Candidate::Whole(new) => return merge_rows(old, new, locs, union, f),
+            Candidate::Whole(new) => return merge_rows(old, new, locs, f),
             Candidate::Dirty(new) => new,
         };
         let mut patch = Vec::with_capacity(new.len());
@@ -171,7 +164,7 @@ impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
         for &(r, ref n) in new {
             let o = find(old, &r).ok().map(|at| &old[at].1);
             let v = match (o, n) {
-                (Some(_), None) if union => continue,
+                (Some(_), None) => continue,
                 (Some(o), Some(n)) => Some(f(o, n)),
                 _ => n.clone(),
             };
@@ -182,6 +175,58 @@ impl<L: Copy + Ord, V: Clone + PartialEq> Candidate<L, V> {
         }
         Update {
             stored: Candidate::Dirty(patch),
+            changed,
+        }
+    }
+}
+
+impl<L: Copy + Ord, V: PartialEq> Candidate<L, V> {
+    /// Any other point's update: the candidate *replaces* the stored row
+    /// `old`. Its values move into the row to store (a patch is stored as
+    /// it is), and the ranks that differ — bound on one side only, or
+    /// moved — are pushed on `changed`, an empty buffer the update hands
+    /// back.
+    fn replace(self, old: &[(u32, V)], locs: &[L], mut changed: Vec<u32>) -> Update<V> {
+        let new = match self {
+            Candidate::Whole(new) => new,
+            Candidate::Dirty(patch) => {
+                for (r, n) in &patch {
+                    let o = find(old, r).ok().map(|at| &old[at].1);
+                    if n.as_ref() != o {
+                        changed.push(*r);
+                    }
+                }
+                return Update {
+                    stored: Candidate::Dirty(patch),
+                    changed,
+                };
+            }
+        };
+        let mut row = Vec::with_capacity(new.len());
+        let mut old = old.iter().peekable();
+        for (l, v) in new {
+            // The stored entries before `l` are gone.
+            while let Some(o) = old.next_if(|o| locs[o.0 as usize] < l) {
+                changed.push(o.0);
+            }
+            match old.next_if(|o| locs[o.0 as usize] == l) {
+                Some(o) => {
+                    if v != o.1 {
+                        changed.push(o.0);
+                    }
+                    row.push((o.0, v));
+                }
+                None => {
+                    let r = locs.partition_point(|k| *k < l);
+                    debug_assert!(locs[r] == l, "the transfer binds a ranked location");
+                    changed.push(r as u32);
+                    row.push((r as u32, v));
+                }
+            }
+        }
+        changed.extend(old.map(|o| o.0));
+        Update {
+            stored: Candidate::Whole(row),
             changed,
         }
     }
@@ -222,7 +267,6 @@ fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
     old: &[(u32, V)],
     new: &[(L, V)],
     locs: &[L],
-    union: bool,
     f: impl Fn(&V, &V) -> V,
 ) -> Update<V> {
     let mut row = Vec::with_capacity(old.len().max(new.len()));
@@ -235,8 +279,7 @@ fn merge_rows<L: Copy + Ord, V: Clone + PartialEq>(
             _ => Ordering::Greater,
         };
         match side {
-            Ordering::Less if union => row.push(old[i].clone()),
-            Ordering::Less => changed.push(old[i].0),
+            Ordering::Less => row.push(old[i].clone()),
             Ordering::Greater => {
                 let r = locs.partition_point(|l| *l < new[j].0);
                 debug_assert!(locs[r] == new[j].0, "the transfer binds a ranked location");
@@ -292,6 +335,11 @@ struct Engine<'a, S: SparseSpec> {
     /// [`Engine::commit`] met them (unordered, repeats). A pop takes its
     /// list, so none outlives it.
     dirty: Vec<Vec<u32>>,
+    /// The gathered `pre` and `ret` rows of the pop being evaluated, and
+    /// the changed list of its update: buffers every pop reuses.
+    pre: Row<S::L, S::V>,
+    ret: Row<S::L, S::V>,
+    changed: Vec<u32>,
     worklist: Box<dyn Worklist + 'a>,
     work: FixWork,
 }
@@ -304,14 +352,10 @@ impl<S: SparseSpec> Engine<'_, S> {
     }
 
     /// Joins the values arriving over `edges` into one ascending row for the
-    /// transfer: a single pass, each value joining into the last entry or
-    /// opening the next. A source that does not bind the location
-    /// contributes nothing. The row is sized by the locations `edges` names
-    /// (ids are interned, so a run of one id is one location), not by how
-    /// many edges carry them.
-    fn gather(&self, edges: &[(u32, Cp)]) -> Row<S::L, S::V> {
-        let runs = edges.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        let mut acc: Row<S::L, S::V> = Vec::with_capacity(runs + usize::from(!edges.is_empty()));
+    /// transfer, in the empty buffer `acc`: a single pass, each value
+    /// joining into the last entry or opening the next. A source that does
+    /// not bind the location contributes nothing.
+    fn gather(&self, edges: &[(u32, Cp)], acc: &mut Row<S::L, S::V>) {
         let mut last = None;
         for &(id, from) in edges {
             let r = self.rank[id as usize];
@@ -324,7 +368,6 @@ impl<S: SparseSpec> Engine<'_, S> {
             }
             last = Some(id);
         }
-        acc
     }
 
     /// [`Engine::gather`]'s entry for rank `r` alone — the rows are sorted by
@@ -346,13 +389,17 @@ impl<S: SparseSpec> Engine<'_, S> {
     }
 
     /// Applies the transfer of point `i` to its gathered inputs.
-    fn evaluate(&self, i: usize) -> Row<S::L, S::V> {
-        let mut pre = self.gather(self.deps.into.row(i));
+    fn evaluate(&mut self, i: usize) -> Row<S::L, S::V> {
+        let (mut pre, mut ret) = (std::mem::take(&mut self.pre), std::mem::take(&mut self.ret));
+        self.gather(self.deps.into.row(i), &mut pre);
         if i == self.main_entry {
             pre = join_rows(&self.initial, &pre);
         }
-        let ret = self.gather(self.deps.into_ret.row(i));
+        self.gather(self.deps.into_ret.row(i), &mut ret);
         let out = self.spec.transfer(self.cps[i], &pre, &ret);
+        pre.clear();
+        ret.clear();
+        (self.pre, self.ret) = (pre, ret);
         debug_assert!(
             out.windows(2).all(|w| w[0].0 < w[1].0),
             "transfer rows must be strictly ascending"
@@ -423,13 +470,27 @@ impl<S: SparseSpec> Engine<'_, S> {
     /// changed locations, each told which rank moved: the out-edges are
     /// sorted by rank, so each changed location's users are one run, found
     /// by bisecting what is left of the row. An unchanged candidate is
-    /// dropped: the stored row keeps its values.
-    fn commit(&mut self, i: usize, Update { stored, changed }: Update<S::V>) {
-        if changed.is_empty() && self.rows[i].is_some() {
-            return;
+    /// dropped: the stored row keeps its values. The update's changed list,
+    /// emptied, is the next update's buffer.
+    fn commit(
+        &mut self,
+        i: usize,
+        Update {
+            stored,
+            mut changed,
+        }: Update<S::V>,
+    ) {
+        if !changed.is_empty() || self.rows[i].is_none() {
+            self.store(i, stored, &changed);
         }
+        changed.clear();
+        self.changed = changed;
+    }
+
+    /// [`Engine::commit`] of an update that changed something.
+    fn store(&mut self, i: usize, stored: Candidate<u32, S::V>, changed: &[u32]) {
         let mut users = self.deps.out.row(i);
-        for r in changed {
+        for &r in changed {
             users = &users[users.partition_point(|&(id, _)| self.rank[id as usize] < r)..];
             let id = self.ids[r as usize];
             let run = users.partition_point(|e| e.0 == id);
@@ -520,6 +581,9 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         ids,
         rows: (0..num.len()).map(|_| None).collect(),
         dirty: vec![Vec::new(); num.len()],
+        pre: Vec::new(),
+        ret: Vec::new(),
+        changed: Vec::new(),
         // Pops the pending point minimal in ((topo rank, ICFG priority), cp)
         // order.
         worklist: deps.make_worklist(program, icfg),
@@ -554,21 +618,25 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         let locs = &engine.locs;
         let update = match engine.rows[i].as_deref() {
             Some(old) if cycle.contains(i) => {
-                let joined = out.merge(old, locs, true, |o, n| o.join(n));
+                let joined = out.merge(old, locs, |o, n| o.join(n));
                 if joined.changed.is_empty() {
                     joined
                 } else if degraded {
                     // Over budget: widen immediately with the plain operator
                     // so every still-rising chain stabilizes in one step.
-                    out.merge(old, locs, true, |o, n| o.widen(n))
+                    out.merge(old, locs, |o, n| o.widen(n))
                 } else if widen_delay[i] < plan.delay {
                     widen_delay[i] += 1;
                     joined
                 } else {
-                    out.merge(old, locs, true, |o, n| o.widen_with(n, &plan.thresholds))
+                    out.merge(old, locs, |o, n| o.widen_with(n, &plan.thresholds))
                 }
             }
-            old => out.merge(old.unwrap_or_default(), locs, false, |_, n| n.clone()),
+            old => out.replace(
+                old.unwrap_or_default(),
+                locs,
+                std::mem::take(&mut engine.changed),
+            ),
         };
         engine.commit(i, update);
     }
@@ -609,20 +677,23 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
             // the stored value is accepted outright — a descending-iteration
             // step, still bounded by the per-point cap and sound because
             // every candidate re-applies the transfer to a post-fixpoint.
-            Some(old) if cycle.contains(i) => candidate.merge(old, locs, true, |o, n| {
+            Some(old) if cycle.contains(i) => candidate.merge(old, locs, |o, n| {
                 if !plan.thresholds.is_empty() && n.le(o) {
                     n.clone()
                 } else {
                     o.narrow(n)
                 }
             }),
-            old => candidate.merge(old.unwrap_or_default(), locs, false, |_, n| n.clone()),
+            old => {
+                let changed = std::mem::take(&mut engine.changed);
+                candidate.replace(old.unwrap_or_default(), locs, changed)
+            }
         };
         engine.commit(i, update);
     }
 
     // Rows become location-keyed maps one at a time, each row freed as its
-    // map is built.
+    // map is built, into a map sized for them at once.
     let Engine {
         cps,
         locs,
@@ -630,14 +701,12 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         work,
         ..
     } = engine;
-    let values = cps
-        .into_iter()
-        .zip(rows)
-        .filter_map(|(cp, row)| {
-            let row = row?.into_iter().map(|(r, v)| (locs[r as usize], v));
-            Some((cp, PMap::from_sorted_vec(row.collect())))
-        })
-        .collect();
+    let mut values = FxHashMap::default();
+    values.reserve(rows.iter().filter(|row| row.is_some()).count());
+    values.extend(cps.into_iter().zip(rows).filter_map(|(cp, row)| {
+        let row = row?.into_iter().map(|(r, v)| (locs[r as usize], v));
+        Some((cp, PMap::from_sorted_vec(row.collect())))
+    }));
     SparseResult {
         values,
         points: seeds.len(),

@@ -16,11 +16,13 @@ use sga_core::interval::{AnalyzeOptions, Engine, IntervalResult, Pipeline};
 use sga_core::triage::{self, TriageMode, TriageOptions};
 use sga_core::widening::WideningConfig;
 use sga_diag::Diagnostic;
-use sga_domains::{AbsLoc, State, Value};
+use sga_domains::{AbsLoc, State};
 use sga_ir::{Cp, Program};
+use sga_utils::fxhash::FxHasher;
 use sga_utils::stats::StageTimers;
-use sga_utils::{fxhash, FxHashMap};
+use sga_utils::FxHashMap;
 use std::fmt::Write;
+use std::hash::{Hash, Hasher};
 
 /// Everything the driver keeps about one analyzed unit.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,28 +134,50 @@ pub fn analyze_unit<'p>(
 /// Order-independent content hash of a value map: the fxhash of the sorted
 /// list of lines `format!("{cp} {l:?} = {v:?}")`, one per binding.
 ///
-/// Each point's `"{cp} "`, each location and each distinct value is
-/// formatted once; a line is a slice of one buffer, and a list of `&str`
-/// hashes as the list of `String`s would.
-fn fingerprint_values(values: &FxHashMap<Cp, State>) -> u64 {
-    let mut loc_text: FxHashMap<&AbsLoc, String> = FxHashMap::default();
-    let mut value_text: FxHashMap<&Value, String> = FxHashMap::default();
-    let (mut text, mut ends, mut head) = (String::new(), Vec::new(), String::new());
+/// Computed without the list. No point or location text holds a space, so
+/// the point heads `"{cp} "` are prefix-free, and so are the location keys
+/// `"{l:?} = "`: the sorted line order is the heads' order, then each
+/// point's keys' order. Each head and key is formatted once; each line is
+/// built in one reused buffer and fed to the hasher as hashing the list of
+/// lines feeds it — the list's length, then every line in order.
+pub fn fingerprint_values(values: &FxHashMap<Cp, State>) -> u64 {
+    let (mut heads, mut keys) = (String::new(), String::new());
+    let mut key_of: FxHashMap<&AbsLoc, (usize, usize)> = FxHashMap::default();
+    let mut points = Vec::with_capacity(values.len());
+    let mut lines = 0;
     for (cp, state) in values {
-        head.clear();
-        write!(head, "{cp} ").expect("writing to a String");
-        for (l, v) in state.iter() {
-            text.push_str(&head);
-            text.push_str(loc_text.entry(l).or_insert_with(|| format!("{l:?}")));
-            text.push_str(" = ");
-            text.push_str(value_text.entry(v).or_insert_with(|| format!("{v:?}")));
-            ends.push(text.len());
+        let start = heads.len();
+        write!(heads, "{cp} ").expect("writing to a String");
+        points.push((start, heads.len(), state));
+        for (l, _) in state.iter() {
+            key_of.entry(l).or_insert_with(|| {
+                let start = keys.len();
+                write!(keys, "{l:?} = ").expect("writing to a String");
+                (start, keys.len())
+            });
+        }
+        lines += state.len();
+    }
+    points.sort_unstable_by_key(|&(start, end, _)| &heads[start..end]);
+    let mut hasher = FxHasher::default();
+    hasher.write_usize(lines);
+    let (mut bindings, mut line) = (Vec::new(), String::new());
+    for &(start, end, state) in &points {
+        bindings.clear();
+        bindings.extend(state.iter().map(|(l, v)| {
+            let (a, b) = key_of[l];
+            (&keys[a..b], v)
+        }));
+        bindings.sort_unstable_by_key(|&(key, _)| key);
+        for &(key, v) in &bindings {
+            line.clear();
+            line.push_str(&heads[start..end]);
+            line.push_str(key);
+            write!(line, "{v:?}").expect("writing to a String");
+            line.as_str().hash(&mut hasher);
         }
     }
-    let starts = std::iter::once(0).chain(ends.iter().copied());
-    let mut lines: Vec<&str> = starts.zip(&ends).map(|(a, &b)| &text[a..b]).collect();
-    lines.sort_unstable();
-    fxhash::hash_one(&lines)
+    hasher.finish()
 }
 
 #[cfg(test)]
@@ -161,6 +185,10 @@ mod tests {
     use super::*;
     use sga_cgen::GenConfig;
     use sga_core::interval;
+    use sga_domains::locs::AllocSite;
+    use sga_domains::Value;
+    use sga_ir::{FieldId, NodeId, ProcId, VarId};
+    use sga_utils::{fxhash, Idx};
     use std::path::Path;
 
     /// The definition: every binding rendered to one line
@@ -178,11 +206,14 @@ mod tests {
     }
 
     fn assert_by_definition(what: &str, program: &Program) {
-        let values = interval::analyze(program, Engine::Sparse).values;
+        assert_values_by_definition(what, &interval::analyze(program, Engine::Sparse).values);
+    }
+
+    fn assert_values_by_definition(what: &str, values: &FxHashMap<Cp, State>) {
         assert!(!values.is_empty(), "{what}: nothing bound");
         assert_eq!(
-            fingerprint_values(&values),
-            by_definition(&values),
+            fingerprint_values(values),
+            by_definition(values),
             "{what}: the fingerprint left its definition"
         );
     }
@@ -211,5 +242,36 @@ mod tests {
             let program = sga_cfront::parse(&sga_cgen::generate(&config)).expect("parses");
             assert_by_definition(what, &program);
         }
+        assert_values_by_definition("prefixes", &prefixes());
+    }
+
+    /// Bindings whose point and location texts are prefixes of one
+    /// another — `p1:n2` and `p1:n23`, `v1`, `v12` and `v1.f0`, an
+    /// allocation site and its field — and whose numeric order is not
+    /// their text order (`p1:n3` after `p1:n23`, `v2` after `v12`).
+    fn prefixes() -> FxHashMap<Cp, State> {
+        let cp = |p: usize, n: usize| Cp::new(ProcId::new(p), NodeId::new(n));
+        let (var, field) = (|v: usize| VarId::new(v), FieldId::new(0));
+        let site = |p, n| AllocSite(cp(p, n));
+        let locs = [
+            AbsLoc::Var(var(1)),
+            AbsLoc::Var(var(12)),
+            AbsLoc::Var(var(2)),
+            AbsLoc::Field(var(1), field),
+            AbsLoc::Field(var(12), field),
+            AbsLoc::Alloc(site(1, 2)),
+            AbsLoc::AllocField(site(1, 2), field),
+            AbsLoc::Alloc(site(1, 23)),
+            AbsLoc::AllocField(site(1, 23), field),
+        ];
+        let points = [cp(1, 2), cp(1, 23), cp(1, 3), cp(12, 0), cp(2, 0)];
+        let mut values = FxHashMap::default();
+        for (i, &at) in points.iter().enumerate() {
+            let state = (locs.iter().enumerate()).fold(State::new(), |state, (j, &l)| {
+                state.set(l, Value::constant((i * locs.len() + j) as i64))
+            });
+            values.insert(at, state);
+        }
+        values
     }
 }

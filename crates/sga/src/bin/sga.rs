@@ -51,10 +51,10 @@
 //! When several apply, the most urgent wins: 5 over 4 over 3 over 6
 //! (a partial or invalid run's baseline diff is itself suspect).
 
-use sga::analysis::interval::{self, AnalyzeOptions, Engine, Pipeline};
+use sga::analysis::interval::{self, AnalyzeOptions, Engine, Staging};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
-use sga::analysis::{checker, octagon, preanalysis};
+use sga::analysis::{checker, octagon};
 use sga::diag::Diagnostic;
 use sga::domains::Lattice;
 use sga::pipeline::{self, FaultPlan, IsolationMode, PipelineOptions, Project};
@@ -496,25 +496,13 @@ fn run_analyze(a: Args) -> ExitCode {
 
 /// Runs all four checkers over an analyzed program and triages the
 /// possible interval alarms. Shared by `sga check` and single-file
-/// `--check`. A sparse result is read through its own staging; for a dense
-/// one the ICFG and def/use sets it is read through are staged here.
+/// `--check`. The result is read through the staging its engine ran on.
 fn diagnose(
-    program: &sga::ir::Program,
     result: &interval::IntervalResult,
-    staged: Option<&Pipeline>,
+    staged: &Staging,
     opts: &PipelineOptions,
 ) -> (Vec<Diagnostic>, triage::TriageStats) {
-    let dense;
-    let (pre, q) = match staged {
-        Some(staged) => (&staged.pre, staged.inputs(result)),
-        None => {
-            let pre = preanalysis::run(program);
-            dense = (interval::stage_inputs(program, &pre, result.engine), pre);
-            let ((icfg, du, deps), pre) = &dense;
-            let q = interval::Inputs::new(program, result, icfg, du, deps.as_ref());
-            (pre, q)
-        }
-    };
+    let (pre, q) = (staged.pre(), staged.inputs(result));
     let mut diags = checker::check_all_staged(&q, pre);
     let stats = triage::discharge_staged(
         pre,
@@ -721,7 +709,7 @@ fn run_check(a: Args) -> ExitCode {
         if result.stats.degraded {
             eprintln!("sga: analysis budget exhausted; result degraded soundly");
         }
-        diagnose(&program, &result, staged.as_ref(), &a.opts)
+        diagnose(&result, &staged, &a.opts)
     };
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = a.sarif {
@@ -911,7 +899,7 @@ fn run_file(a: Args) -> ExitCode {
                 }
             }
             if a.check {
-                let (diags, tstats) = diagnose(&program, &result, staged.as_ref(), &a.opts);
+                let (diags, tstats) = diagnose(&result, &staged, &a.opts);
                 definite = print_diagnostics(&diags, &tstats);
                 if a.stats {
                     if let Some(work) = octagon_work(&tstats) {
