@@ -51,7 +51,7 @@ if [ "$LIST" -eq 1 ]; then
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
         "isolation-gate"   "process workers byte-identical; abort/oom/spin survived" \
-        "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings"
+        "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings + untraced smokes"
     exit 0
 fi
 if [ -n "$ONLY_STAGE" ]; then
@@ -467,9 +467,10 @@ bench_gate() {
     # ledger exactly and whose fixpoint allocation rows and cache entry
     # bytes must stay under their ceilings; the daemon workload's traced run
     # (the same edits in process and over the socket, convergence checked)
-    # pins its invalidation, shed and eviction rows in the same ledger, and a
-    # 2-second smoke takes the untraced path through the daemon. No timing
-    # is read.
+    # pins its invalidation, shed and eviction rows in the same ledger, and
+    # two 2-second smokes run the untraced path that `BENCHMARK.json` times,
+    # with its correctness checks, through the daemon and through the batch
+    # driver. No timing is read.
     local rows
     rows=$(traced_rows batch_flat && traced_rows batch_scc &&
         traced_rows warm_rerun "$WARM_ROWS" &&
@@ -477,7 +478,8 @@ bench_gate() {
         diff -u BENCH_counts.txt <(printf '%s\n' "$rows" |
             grep -vFf <(cut -d' ' -f1,2 BENCH_alloc_ceilings.txt)) &&
         printf '%s\n' "$rows" | under_ceilings &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2
+        cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2 &&
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2
 }
 
 # The product crates, whose docs must link only to items that exist

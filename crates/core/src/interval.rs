@@ -18,17 +18,17 @@ use crate::budget::Budget;
 use crate::defuse::{self, DefUse};
 use crate::dense::{self, DenseSpec};
 use crate::depgen::{self, DataDeps, DepGenOptions};
-use crate::depstore::DepBackend;
+use crate::depstore::{CsrDeps, DepBackend};
 use crate::icfg::Icfg;
 use crate::preanalysis::{self, PreAnalysis};
 use crate::semantics::{self, Env};
-use crate::sparse::{self, Row, SparseSpec};
+use crate::sparse::{self, Row, SparseRows, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningPlan};
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
 use sga_ir::{Cmd, Cp, Expr, LVal, ProcId, Program};
 use sga_utils::stats::{peak_rss_bytes, Phase};
-use sga_utils::{FxHashMap, IndexVec};
+use sga_utils::{FxHashMap, IndexVec, PMap};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 
@@ -86,65 +86,142 @@ impl IntervalResult {
     }
 }
 
+/// The sparse interval solve's answer as the engine holds it — one
+/// rank-keyed row per point ([`SparseRows`]) — with the staging's and the
+/// solve's statistics. [`Pipeline::inputs`] reads it as it is;
+/// [`SparseSolution::into_result`] is the conversion to the [`State`] map of
+/// an [`IntervalResult`].
+#[derive(Debug)]
+pub struct SparseSolution {
+    /// The rows, keyed by the ranks of the relation they were solved over.
+    pub rows: SparseRows<AbsLoc, Value>,
+    /// Phase statistics.
+    pub stats: AnalysisStats,
+}
+
+impl SparseSolution {
+    /// The rows as the [`State`] map of an [`IntervalResult`], each row
+    /// freed as its state is built.
+    pub fn into_result(self) -> IntervalResult {
+        let mut values = FxHashMap::default();
+        values.reserve(self.rows.evaluated());
+        let states = self.rows.into_pmaps();
+        values.extend(states.map(|(cp, m)| (cp, State::from_pmap(m))));
+        IntervalResult {
+            engine: Engine::Sparse,
+            values,
+            stats: self.stats,
+        }
+    }
+}
+
 /// Runs the chosen interval analyzer with default options.
 pub fn analyze(program: &Program, engine: Engine) -> IntervalResult {
     analyze_with(program, engine, AnalyzeOptions::default())
 }
 
-/// Runs the chosen interval analyzer.
+/// Runs the chosen interval analyzer: [`analyze_staged`]'s answer as an
+/// [`IntervalResult`]. `total_time` and `peak_mem_bytes` include building
+/// that result.
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
-    analyze_staged(program, engine, options).0
+    let total = Phase::start("total");
+    let mut result = analyze_staged(program, engine, options).into_result();
+    result.stats.total_time = total.stop();
+    result.stats.peak_mem_bytes = peak_rss_bytes();
+    result
 }
 
-/// [`analyze_with`], handing back what the engine staged too, so a caller
-/// that checks the result reads its inputs through [`Staging::inputs`]
-/// instead of staging the unit again.
-pub fn analyze_staged(
-    program: &Program,
-    engine: Engine,
-    options: AnalyzeOptions,
-) -> (IntervalResult, Staging<'_>) {
+/// Runs the chosen interval analyzer and hands back its answer as the
+/// engine holds it, with what the engine staged, so a caller that checks
+/// the answer reads its inputs through [`Solved::inputs`] instead of
+/// staging the unit again.
+pub fn analyze_staged(program: &Program, engine: Engine, options: AnalyzeOptions) -> Solved<'_> {
     let total = Phase::start("total");
-    let (mut result, staged) = match engine {
+    let mut solved = match engine {
         Engine::Vanilla | Engine::Base => {
             let (result, staged) = analyze_dense(program, engine, options);
-            (result, Staging::Dense(Box::new(staged)))
+            Solved::Dense(Box::new(staged), result)
         }
         Engine::Sparse => {
             let staged = Pipeline::prepare(program, options);
-            (
-                staged.solve(&options.budget),
-                Staging::Sparse(Box::new(staged)),
-            )
+            let solution = staged.solve(&options.budget);
+            Solved::Sparse(Box::new(staged), solution)
         }
     };
-    result.stats.total_time = total.stop();
-    result.stats.peak_mem_bytes = peak_rss_bytes();
-    (result, staged)
+    let stats = match &mut solved {
+        Solved::Sparse(_, solution) => &mut solution.stats,
+        Solved::Dense(_, result) => &mut result.stats,
+    };
+    stats.total_time = total.stop();
+    stats.peak_mem_bytes = peak_rss_bytes();
+    solved
 }
 
-/// What [`analyze_staged`]'s engine staged for its result.
-pub enum Staging<'p> {
-    /// The sparse chain.
-    Sparse(Box<Pipeline<'p>>),
-    /// A dense engine's pre-analysis, ICFG, def/use sets and localization.
-    Dense(Box<DenseStaging<'p>>),
+/// A unit [`analyze_staged`] solved: the engine's answer and what the
+/// engine staged for it.
+pub enum Solved<'p> {
+    /// The sparse chain and its rows.
+    Sparse(Box<Pipeline<'p>>, SparseSolution),
+    /// A dense engine's pre-analysis, ICFG, def/use sets and localization,
+    /// and its post-states.
+    Dense(Box<DenseStaging<'p>>, IntervalResult),
 }
 
-impl<'p> Staging<'p> {
-    /// The pre-analysis the result was computed from.
-    pub fn pre(&self) -> &PreAnalysis {
+impl<'p> Solved<'p> {
+    /// The engine that solved the unit.
+    pub fn engine(&self) -> Engine {
         match self {
-            Staging::Sparse(staged) => &staged.pre,
-            Staging::Dense(staged) => &staged.pre,
+            Solved::Sparse(..) => Engine::Sparse,
+            Solved::Dense(_, result) => result.engine,
         }
     }
 
-    /// The inputs of `result`, the result this staging came with.
-    pub fn inputs<'a>(&'a self, result: &'a IntervalResult) -> Inputs<'a> {
+    /// Phase statistics.
+    pub fn stats(&self) -> &AnalysisStats {
         match self {
-            Staging::Sparse(staged) => staged.inputs(result),
-            Staging::Dense(staged) => staged.inputs(result),
+            Solved::Sparse(_, solution) => &solution.stats,
+            Solved::Dense(_, result) => &result.stats,
+        }
+    }
+
+    /// The pre-analysis the answer was computed from.
+    pub fn pre(&self) -> &PreAnalysis {
+        match self {
+            Solved::Sparse(staged, _) => &staged.pre,
+            Solved::Dense(staged, _) => &staged.pre,
+        }
+    }
+
+    /// The inputs of the answer, read as its engine computed them.
+    pub fn inputs(&self) -> Inputs<'_> {
+        match self {
+            Solved::Sparse(staged, solution) => staged.inputs(solution),
+            Solved::Dense(staged, result) => staged.inputs(result),
+        }
+    }
+
+    /// The post-state at `cp` (empty if nothing reached it), as
+    /// [`IntervalResult::state_at`] gives it.
+    pub fn state_at(&self, cp: Cp) -> State {
+        match self {
+            Solved::Sparse(_, solution) => {
+                let rows = &solution.rows;
+                let row = rows.row(cp).unwrap_or_default().iter();
+                let bound = row.map(|(r, v)| (rows.locs()[*r as usize], v.clone()));
+                State::from_pmap(PMap::from_sorted_vec(bound.collect()))
+            }
+            Solved::Dense(_, result) => result.state_at(cp),
+        }
+    }
+
+    /// The answer as an [`IntervalResult`], the staging freed first.
+    pub fn into_result(self) -> IntervalResult {
+        match self {
+            Solved::Sparse(staged, solution) => {
+                drop(staged);
+                solution.into_result()
+            }
+            Solved::Dense(_, result) => result,
         }
     }
 }
@@ -167,10 +244,10 @@ impl DenseStaging<'_> {
         let du = (self.du).get_or_init(|| defuse::compute(self.program, &self.pre));
         Inputs {
             program: self.program,
-            result,
             icfg: &self.icfg,
             du,
-            source: InputSource::Dense(Cow::Borrowed(&self.spec)),
+            degraded: result.stats.degraded,
+            source: InputSource::Dense(Cow::Borrowed(&self.spec), &result.values),
         }
     }
 }
@@ -293,33 +370,37 @@ impl<'p> Pipeline<'p> {
         }
     }
 
-    /// The sparse fixpoint over the staged relation under `budget`, its
-    /// rows as [`State`]s. Its statistics are the staging's plus the
-    /// solve's: `fix_time` (the solve and the re-keying), `iterations`,
-    /// `fix_work` and `degraded`.
-    pub fn solve(&self, budget: &Budget) -> IntervalResult {
+    /// The sparse fixpoint over the staged relation under `budget`, as the
+    /// engine's rows. Its statistics are the staging's plus the solve's:
+    /// `fix_time`, `iterations`, `fix_work` and `degraded`.
+    pub fn solve(&self, budget: &Budget) -> SparseSolution {
         let fix = Phase::start("fix");
         let (program, plan) = (self.program, &self.widening);
-        let solved = sparse::solve(program, &self.icfg, &self.deps, &self.spec(), plan, budget);
-        let values = solved.values.into_iter();
-        let values = values.map(|(cp, m)| (cp, State::from_pmap(m))).collect();
-        IntervalResult {
-            engine: Engine::Sparse,
-            values,
+        let csr = CsrDeps::build(program, &self.icfg, &self.deps);
+        let rows = sparse::solve_rows(program, &self.icfg, &csr, &self.spec(), plan, budget);
+        drop(csr);
+        SparseSolution {
             stats: AnalysisStats {
                 fix_time: fix.stop(),
-                iterations: solved.iterations,
-                fix_work: solved.work,
-                degraded: solved.degraded,
+                iterations: rows.iterations,
+                fix_work: rows.work,
+                degraded: rows.degraded,
                 ..self.stats.clone()
             },
+            rows,
         }
     }
 
-    /// The inputs of `result`, a [`Pipeline::solve`] of this staging, read
-    /// through the relation it was solved over.
-    pub fn inputs<'a>(&'a self, result: &'a IntervalResult) -> Inputs<'a> {
-        Inputs::new(self.program, result, &self.icfg, &self.du, Some(&self.deps))
+    /// The inputs of `solved`, a [`Pipeline::solve`] of this staging, read
+    /// off its rows through the relation it was solved over.
+    pub fn inputs<'a>(&'a self, solved: &'a SparseSolution) -> Inputs<'a> {
+        Inputs {
+            program: self.program,
+            icfg: &self.icfg,
+            du: &self.du,
+            degraded: solved.stats.degraded,
+            source: InputSource::InEdges(&self.deps, Cow::Borrowed(&solved.rows)),
+        }
     }
 }
 
@@ -334,8 +415,9 @@ impl<'p> Pipeline<'p> {
 ///
 /// * **Sparse:** the join of `cp`'s pre-flow in-edges for `l`
 ///   ([`DataDeps::defs_reaching`]), plus the main-entry seed — the engine's own
-///   gather, read after the solve. Return edges are not read, so call
-///   arguments see pre-call values, as the call transfer does.
+///   gather, read after the solve off its rows, each bisected by `l`'s rank.
+///   Return edges are not read, so call arguments see pre-call values, as
+///   the call transfer does.
 /// * **Dense:** [`dense::input`] over the stored post-states, which follows
 ///   the ICFG through the engine's own edge transfer: a return point sees
 ///   the callee.
@@ -345,26 +427,29 @@ impl<'p> Pipeline<'p> {
 pub struct Inputs<'a> {
     /// The analyzed program.
     pub program: &'a Program,
-    /// The result the inputs are read from.
-    pub result: &'a IntervalResult,
     /// The program's ICFG.
     pub icfg: &'a Icfg,
     /// The program's def/use sets, whose location table numbers `deps`.
     pub du: &'a DefUse,
+    /// Whether the fixpoint the inputs are read from ran out of its budget.
+    pub degraded: bool,
     source: InputSource<'a>,
 }
 
 enum InputSource<'a> {
-    InEdges(&'a DataDeps),
-    Dense(Cow<'a, IntervalDenseSpec<'a>>),
+    /// A sparse answer's rows, ranked as the relation ranks its locations.
+    InEdges(&'a DataDeps, Cow<'a, SparseRows<AbsLoc, Value>>),
+    /// A dense engine and its post-states.
+    Dense(Cow<'a, IntervalDenseSpec<'a>>, &'a FxHashMap<Cp, State>),
 }
 
 impl<'a> Inputs<'a> {
     /// The inputs of `result`. A sparse result is read through `deps`: the
     /// relation it was solved over, or any relation generated with the
     /// bypass on — its edges all start at real definitions, which a sparse
-    /// solve binds alike whatever its bypass setting. Dense results ignore
-    /// `deps`.
+    /// solve binds alike whatever its bypass setting. Its states are
+    /// converted to rows over `deps`' ranks here, once: the rows are what
+    /// [`Inputs::value`] reads. Dense results ignore `deps`.
     ///
     /// # Panics
     ///
@@ -377,21 +462,28 @@ impl<'a> Inputs<'a> {
         deps: Option<&'a DataDeps>,
     ) -> Inputs<'a> {
         let source = match result.engine {
-            Engine::Sparse => InputSource::InEdges(
-                deps.expect("a sparse result is read through its dependency in-edges"),
+            Engine::Sparse => {
+                let deps = deps.expect("a sparse result is read through its dependency in-edges");
+                let (_, locs) = sparse::rank_tables(deps.loc_rank(), |id| du.locs.loc(id));
+                let states = result.values.iter();
+                let bindings = states.map(|(cp, s)| (*cp, s.iter().map(|(l, v)| (*l, v.clone()))));
+                let rows = SparseRows::from_bindings(program, locs, bindings);
+                InputSource::InEdges(deps, Cow::Owned(rows))
+            }
+            Engine::Base => InputSource::Dense(
+                Cow::Owned(IntervalDenseSpec::new(program, Some(du))),
+                &result.values,
             ),
-            Engine::Base => {
-                InputSource::Dense(Cow::Owned(IntervalDenseSpec::new(program, Some(du))))
-            }
-            Engine::Vanilla => {
-                InputSource::Dense(Cow::Owned(IntervalDenseSpec::new(program, None)))
-            }
+            Engine::Vanilla => InputSource::Dense(
+                Cow::Owned(IntervalDenseSpec::new(program, None)),
+                &result.values,
+            ),
         };
         Inputs {
             program,
-            result,
             icfg,
             du,
+            degraded: result.stats.degraded,
             source,
         }
     }
@@ -400,7 +492,7 @@ impl<'a> Inputs<'a> {
     pub fn value(&self, cp: Cp, l: &AbsLoc) -> Value {
         let program = self.program;
         match &self.source {
-            InputSource::InEdges(deps) => {
+            InputSource::InEdges(deps, rows) => {
                 let main_entry = Cp::new(program.main, program.procs[program.main].entry);
                 let mut acc = if cp == main_entry {
                     initial_state(program).get(l)
@@ -410,15 +502,17 @@ impl<'a> Inputs<'a> {
                 let Some(id) = self.du.locs.id(l) else {
                     return acc;
                 };
+                let r = deps.loc_rank()[id as usize];
+                debug_assert!(rows.locs()[r as usize] == *l, "the rows are ranked as deps");
                 for &(_, from) in deps.defs_reaching(cp, id) {
-                    if let Some(v) = self.result.values.get(&from).and_then(|s| s.get_ref(l)) {
+                    if let Some(v) = rows.get(from, r) {
                         acc = acc.join(v);
                     }
                 }
                 acc
             }
-            InputSource::Dense(spec) => {
-                dense::input(program, self.icfg, &**spec, &self.result.values, cp).get(l)
+            InputSource::Dense(spec, values) => {
+                dense::input(program, self.icfg, &**spec, values, cp).get(l)
             }
         }
     }

@@ -26,7 +26,16 @@
 //! location, and bisecting a row or an edge run compares integers.
 //! Locations of type [`SparseSpec::L`] appear only at the transfer's
 //! boundary — the gathered `pre`/`ret` rows, and the output row merged into
-//! the stored one — and in [`SparseResult::values`].
+//! the stored one.
+//!
+//! The solve's one output is those rows as the engine holds them:
+//! [`solve_rows`] returns a [`SparseRows`], one rank-keyed row per dense
+//! point plus the rank → location table, and its readers (the interval
+//! checkers through `interval::Inputs`, the batch driver's values
+//! fingerprint) bisect a row by rank. [`solve_with`] and [`solve`] are that
+//! solve with one conversion at its boundary, the location-keyed [`PMap`]s
+//! of [`SparseResult::values`], for the callers that read a map: the
+//! octagon, the oracle and the tests.
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
@@ -118,6 +127,150 @@ pub struct SparseResult<L: Copy + Ord, V: Clone> {
     pub degraded: bool,
     /// Pops by kind and in-edges read.
     pub work: FixWork,
+}
+
+/// The sparse solve's answer as the engine holds it: per dense point, its
+/// output row keyed by location rank (ascending), and the rank → location
+/// table. A point the solve never evaluated has no row, which is apart
+/// from an evaluated point that binds nothing.
+#[derive(Clone, Debug)]
+pub struct SparseRows<L, V> {
+    num: PointNumbering,
+    /// Dense point index → point.
+    cps: Vec<Cp>,
+    rows: Vec<Option<Row<u32, V>>>,
+    /// Rank → location, ascending.
+    locs: Vec<L>,
+    /// Points the solve was seeded with: the ones its store orders
+    /// ([`Worklist::points`]).
+    pub points: usize,
+    /// Pops of the ascending phase.
+    pub iterations: usize,
+    /// Pops of the descending phase.
+    pub narrowing_rounds: usize,
+    /// Whether the analysis budget ran out ([`SparseResult::degraded`]).
+    pub degraded: bool,
+    /// Pops by kind and in-edges read.
+    pub work: FixWork,
+}
+
+impl<L: Copy + Ord, V> SparseRows<L, V> {
+    /// Rows of `bindings`, each point's pairs in any order, over `program`'s
+    /// points and the ascending rank → location table `locs`: the shape
+    /// [`solve_rows`] returns, for an answer held as maps. A location
+    /// `locs` does not hold is left out. The run counters are zero.
+    pub fn from_bindings<B>(
+        program: &Program,
+        locs: Vec<L>,
+        bindings: impl IntoIterator<Item = (Cp, B)>,
+    ) -> SparseRows<L, V>
+    where
+        B: IntoIterator<Item = (L, V)>,
+    {
+        debug_assert!(locs.windows(2).all(|w| w[0] < w[1]), "ranks ascend");
+        let num = program.point_numbering();
+        let mut rows: Vec<Option<Row<u32, V>>> = (0..num.len()).map(|_| None).collect();
+        for (cp, bound) in bindings {
+            let mut row: Row<u32, V> = bound
+                .into_iter()
+                .filter_map(|(l, v)| Some((locs.binary_search(&l).ok()? as u32, v)))
+                .collect();
+            row.sort_unstable_by_key(|&(r, _)| r);
+            rows[num.index(cp)] = Some(row);
+        }
+        SparseRows {
+            cps: program.all_points().collect(),
+            num,
+            rows,
+            locs,
+            points: 0,
+            iterations: 0,
+            narrowing_rounds: 0,
+            degraded: false,
+            work: FixWork::default(),
+        }
+    }
+
+    /// Rank → location: the location each row entry's rank names.
+    pub fn locs(&self) -> &[L] {
+        &self.locs
+    }
+
+    /// `cp`'s row (`None`: never evaluated).
+    pub fn row(&self, cp: Cp) -> Option<&[(u32, V)]> {
+        self.rows[self.num.index(cp)].as_deref()
+    }
+
+    /// What `cp` binds the location of rank `r` to, if it does.
+    pub fn get(&self, cp: Cp, r: u32) -> Option<&V> {
+        let row = self.row(cp)?;
+        find(row, &r).ok().map(|at| &row[at].1)
+    }
+
+    /// Every evaluated point and its row, in point numbering order.
+    pub fn iter(&self) -> impl Iterator<Item = (Cp, &[(u32, V)])> + '_ {
+        let rows = self.cps.iter().zip(&self.rows);
+        rows.filter_map(|(&cp, row)| Some((cp, row.as_deref()?)))
+    }
+
+    /// How many points the solve evaluated.
+    pub fn evaluated(&self) -> usize {
+        self.rows.iter().filter(|row| row.is_some()).count()
+    }
+}
+
+impl<L: Copy + Ord, V: Clone> SparseRows<L, V> {
+    /// The rows as location-keyed maps, one per evaluated point, each row
+    /// freed as its map is built.
+    pub fn into_pmaps(self) -> impl Iterator<Item = (Cp, PMap<L, V>)> {
+        let SparseRows {
+            cps, rows, locs, ..
+        } = self;
+        cps.into_iter().zip(rows).filter_map(move |(cp, row)| {
+            let row = row?.into_iter().map(|(r, v)| (locs[r as usize], v));
+            Some((cp, PMap::from_sorted_vec(row.collect())))
+        })
+    }
+
+    /// The [`SparseResult`] of these rows: [`SparseRows::into_pmaps`]
+    /// collected into a map sized for them at once.
+    pub fn into_result(self) -> SparseResult<L, V> {
+        let (points, iterations, narrowing_rounds) =
+            (self.points, self.iterations, self.narrowing_rounds);
+        let (degraded, work) = (self.degraded, self.work);
+        let mut values = FxHashMap::default();
+        values.reserve(self.evaluated());
+        values.extend(self.into_pmaps());
+        SparseResult {
+            values,
+            points,
+            iterations,
+            narrowing_rounds,
+            degraded,
+            work,
+        }
+    }
+
+    /// [`SparseRows::into_result`]'s map, copied from rows that stay.
+    pub fn to_pmaps(&self) -> FxHashMap<Cp, PMap<L, V>> {
+        self.iter()
+            .map(|(cp, row)| {
+                let row = row.iter().map(|(r, v)| (self.locs[*r as usize], v.clone()));
+                (cp, PMap::from_sorted_vec(row.collect()))
+            })
+            .collect()
+    }
+}
+
+/// A relation's rank tables: rank → location id, and rank → location
+/// through `loc_of`, from `rank`, location id → rank.
+pub(crate) fn rank_tables<L>(rank: &[u32], loc_of: impl Fn(u32) -> L) -> (Vec<u32>, Vec<L>) {
+    let mut ids = vec![0; rank.len()];
+    for (id, &r) in rank.iter().enumerate() {
+        ids[r as usize] = id as u32;
+    }
+    let locs = ids.iter().map(|&id| loc_of(id)).collect();
+    (ids, locs)
 }
 
 impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
@@ -550,26 +703,26 @@ impl<S: SparseSpec> Engine<'_, S> {
 /// [`CsrDeps::build`], a subset under [`CsrDeps::over`]. A point outside it
 /// is never evaluated and binds nothing in the result.
 ///
+/// The answer is the engine's rows as they are ([`SparseRows`]); nothing is
+/// re-keyed.
+///
 /// # Panics
 ///
 /// Panics if the ascending phase exceeds its internal iteration backstop
 /// even after degradation (a widening bug).
-pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
+pub fn solve_rows<S: SparseSpec, D: DepStore + ?Sized>(
     program: &Program,
     icfg: &Icfg,
     deps: &D,
     spec: &S,
     plan: &WideningPlan,
     budget: &Budget,
-) -> SparseResult<S::L, S::V> {
+) -> SparseRows<S::L, S::V> {
     let num = program.point_numbering();
     let relation = deps.relation();
     let cycle = &relation.cycle;
     let rank = relation.loc_rank();
-    let mut ids = vec![0; rank.len()];
-    for (id, &r) in rank.iter().enumerate() {
-        ids[r as usize] = id as u32;
-    }
+    let (ids, locs) = rank_tables(rank, |id| spec.loc_of(id));
     let mut engine = Engine {
         spec,
         cps: program.all_points().collect(),
@@ -577,7 +730,7 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         initial: spec.initial(),
         deps: relation,
         rank,
-        locs: ids.iter().map(|&id| spec.loc_of(id)).collect(),
+        locs,
         ids,
         rows: (0..num.len()).map(|_| None).collect(),
         dirty: vec![Vec::new(); num.len()],
@@ -692,29 +845,40 @@ pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
         engine.commit(i, update);
     }
 
-    // Rows become location-keyed maps one at a time, each row freed as its
-    // map is built, into a map sized for them at once.
+    // The answer keeps the rows and their tables; the rest of the engine —
+    // dirty lists, buffers, the worklist — is freed on return.
     let Engine {
+        num,
         cps,
         locs,
         rows,
         work,
         ..
     } = engine;
-    let mut values = FxHashMap::default();
-    values.reserve(rows.iter().filter(|row| row.is_some()).count());
-    values.extend(cps.into_iter().zip(rows).filter_map(|(cp, row)| {
-        let row = row?.into_iter().map(|(r, v)| (locs[r as usize], v));
-        Some((cp, PMap::from_sorted_vec(row.collect())))
-    }));
-    SparseResult {
-        values,
+    SparseRows {
+        num,
+        cps,
+        rows,
+        locs,
         points: seeds.len(),
         iterations,
         narrowing_rounds,
         degraded,
         work,
     }
+}
+
+/// [`solve_rows`] with its rows as location-keyed maps
+/// ([`SparseRows::into_result`]).
+pub fn solve_with<S: SparseSpec, D: DepStore + ?Sized>(
+    program: &Program,
+    icfg: &Icfg,
+    deps: &D,
+    spec: &S,
+    plan: &WideningPlan,
+    budget: &Budget,
+) -> SparseResult<S::L, S::V> {
+    solve_rows(program, icfg, deps, spec, plan, budget).into_result()
 }
 
 /// Runs [`solve_with`] over `deps` behind the flat worklist ([`CsrDeps`]).

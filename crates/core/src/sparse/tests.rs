@@ -1050,3 +1050,51 @@ fn the_rank_table_orders_every_interned_location_as_the_instance_does() {
         "a row binds it"
     );
 }
+
+/// [`solve_with`]'s maps are [`solve_rows`]' rows converted at the
+/// boundary: the same points, each with the same bindings, whether the
+/// rows are taken ([`SparseRows::into_result`]) or copied
+/// ([`SparseRows::to_pmaps`]); [`SparseRows::get`] finds every binding by
+/// its rank, and [`SparseRows::from_bindings`] turns the maps back into
+/// the rows.
+#[test]
+fn the_maps_are_the_rows() {
+    let scc = sga_cgen::GenConfig {
+        target_loc: 600,
+        functions: 20,
+        max_scc: 18,
+        ..sga_cgen::GenConfig::sized(22, 1)
+    };
+    for config in [sga_cgen::GenConfig::sized(11, 1), scc] {
+        let program = parse(&sga_cgen::generate(&config)).unwrap();
+        let pl = Pipeline::prepare(&program, Default::default());
+        let (spec, budget) = (pl.spec(), Budget::unbounded());
+        let csr = CsrDeps::build(&program, &pl.icfg, &pl.deps);
+        let rows = solve_rows(&program, &pl.icfg, &csr, &spec, &pl.widening, &budget);
+        let maps = solve_with(&program, &pl.icfg, &csr, &spec, &pl.widening, &budget).values;
+        assert_eq!(rows.evaluated(), maps.len());
+        assert!(rows.to_pmaps() == maps, "a copied map differs");
+        assert!(
+            rows.clone().into_result().values == maps,
+            "a taken map differs"
+        );
+        let mut bindings = 0;
+        for (cp, row) in rows.iter() {
+            assert_eq!(row.len(), maps[&cp].len(), "{cp}");
+            for (r, v) in row {
+                assert_eq!(rows.get(cp, *r), Some(v), "{cp}");
+                assert_eq!(maps[&cp].get(&rows.locs()[*r as usize]), Some(v), "{cp}");
+            }
+            bindings += row.len();
+        }
+        assert!(bindings > 0, "nothing bound");
+        let bound = maps
+            .iter()
+            .map(|(cp, m)| (*cp, m.iter().map(|(l, v)| (*l, v.clone()))));
+        let back = SparseRows::from_bindings(&program, rows.locs().to_vec(), bound);
+        assert!(
+            back.iter().eq(rows.iter()),
+            "the maps do not give the rows back"
+        );
+    }
+}

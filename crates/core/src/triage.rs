@@ -67,6 +67,7 @@ use sga_diag::{DiagKind, Diagnostic, DischargeMethod, Evidence, Status};
 use sga_domains::interval::Bound;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, PackId};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, NodeId, Proc, ProcId, Program, VarId};
+use sga_utils::rows::{Rows, Scatter};
 use sga_utils::{FxHashSet, Idx};
 
 /// Which triage layers run. The octagon layer refutes error conditions
@@ -243,10 +244,14 @@ pub fn discharge_staged(
     // dominance for its alloc chains, the path layer for guard chains).
     let mut paths = PathIndex::new();
 
-    let octagon_candidates = candidates.iter().filter(|_| options.mode.runs_octagon());
-    let plans: Vec<(usize, Plan)> = octagon_candidates
-        .filter_map(|&i| Some((i, plan(program, pre, &mut paths, &diags[i])?)))
-        .collect();
+    let plans: Vec<(usize, Plan)> = if options.mode.runs_octagon() {
+        let writes = DirectWrites::new(program);
+        (candidates.iter())
+            .filter_map(|&i| Some((i, plan(program, pre, &writes, &mut paths, &diags[i])?)))
+            .collect()
+    } else {
+        Vec::new()
+    };
     if !plans.is_empty() {
         // Seeds come off the very queries `decide` will ask: what is solved
         // for and what is asked cannot diverge.
@@ -290,7 +295,7 @@ pub fn discharge_staged(
     // `Both` mode its discharged set can only grow. A degraded interval
     // fixpoint is skipped outright: the guard evaluation below is only
     // sound against a genuine post-fixpoint.
-    if options.mode.runs_path() && !q.result.stats.degraded {
+    if options.mode.runs_path() && !q.degraded {
         for &i in &candidates {
             if !diags[i].is_open() {
                 continue;
@@ -460,11 +465,12 @@ impl Plan {
 fn plan(
     program: &Program,
     pre: &PreAnalysis,
+    writes: &DirectWrites,
     paths: &mut PathIndex,
     d: &Diagnostic,
 ) -> Option<Plan> {
     match d.kind {
-        DiagKind::BufferOverrun => plan_overrun(program, pre, paths, d),
+        DiagKind::BufferOverrun => plan_overrun(program, pre, writes, paths, d),
         DiagKind::NullDeref => Some(Plan {
             query: Query::Itv {
                 cp: d.cp,
@@ -581,26 +587,45 @@ impl OctQuery<'_> {
     }
 }
 
-/// Direct writes to `x` anywhere in the program (assignments, allocations
-/// and call-return bindings with `x` as the plain left-hand side).
-fn writes_of(program: &Program, x: VarId) -> Vec<Cp> {
-    let mut out = Vec::new();
-    for (pid, proc) in program.procs.iter_enumerated() {
-        for (nid, node) in proc.nodes.iter_enumerated() {
-            let written = match &node.cmd {
-                Cmd::Assign(LVal::Var(v), _) | Cmd::Alloc(LVal::Var(v), _) => *v == x,
-                Cmd::Call {
-                    ret: Some(LVal::Var(v)),
-                    ..
-                } => *v == x,
-                _ => false,
-            };
-            if written {
-                out.push(Cp::new(pid, nid));
-            }
+/// Every variable's direct writes anywhere in the program — assignments,
+/// allocations and call-return bindings with the variable as the plain
+/// left-hand side — each variable's in program order: one walk over the
+/// program, built once per triage run and read per query.
+struct DirectWrites(Rows<Cp>);
+
+impl DirectWrites {
+    fn new(program: &Program) -> DirectWrites {
+        let writes = || {
+            let points = program.all_points();
+            points.filter_map(|cp| Some((direct_write(program.cmd(cp))?, cp)))
+        };
+        let mut rows = Scatter::new(program.vars.len());
+        for (v, _) in writes() {
+            rows.count(v.index());
         }
+        for (v, cp) in writes() {
+            rows.place(v.index(), cp);
+        }
+        DirectWrites(rows.finish())
     }
-    out
+
+    /// The direct writes to `x`.
+    fn of(&self, x: VarId) -> &[Cp] {
+        self.0.row(x.index())
+    }
+}
+
+/// The variable `cmd` writes directly, if any.
+fn direct_write(cmd: &Cmd) -> Option<VarId> {
+    match cmd {
+        Cmd::Assign(LVal::Var(v), _)
+        | Cmd::Alloc(LVal::Var(v), _)
+        | Cmd::Call {
+            ret: Some(LVal::Var(v)),
+            ..
+        } => Some(*v),
+        _ => None,
+    }
 }
 
 /// Follows single-write copy chains from `base` down to the alarm's
@@ -611,8 +636,10 @@ fn writes_of(program: &Program, x: VarId) -> Vec<Cp> {
 /// at `alloc_cp`. Returns the allocation's size expression. Dominance
 /// comes from the shared memoized dominator tree ([`DomTree`]) rather
 /// than a per-query reachability walk.
+#[allow(clippy::too_many_arguments)]
 fn alloc_chain_size<'p>(
     program: &'p Program,
+    writes: &DirectWrites,
     pid: ProcId,
     dom: &DomTree,
     base: VarId,
@@ -626,8 +653,7 @@ fn alloc_chain_size<'p>(
     if program.vars[base].address_taken {
         return None;
     }
-    let writes = writes_of(program, base);
-    let [w] = writes.as_slice() else {
+    let [w] = writes.of(base) else {
         return None;
     };
     if w.proc != pid {
@@ -640,7 +666,7 @@ fn alloc_chain_size<'p>(
     match &proc.nodes[w.node].cmd {
         Cmd::Alloc(LVal::Var(_), size) => (*w == alloc_cp).then_some(size),
         Cmd::Assign(LVal::Var(_), Expr::Var(src)) => {
-            alloc_chain_size(program, pid, dom, *src, alloc_cp, w.node, depth - 1)
+            alloc_chain_size(program, writes, pid, dom, *src, alloc_cp, w.node, depth - 1)
         }
         _ => None,
     }
@@ -657,6 +683,7 @@ fn var_name(program: &Program, x: VarId) -> &str {
 fn plan_overrun(
     program: &Program,
     pre: &PreAnalysis,
+    writes: &DirectWrites,
     paths: &mut PathIndex,
     d: &Diagnostic,
 ) -> Option<Plan> {
@@ -677,8 +704,7 @@ fn plan_overrun(
 
     // The accessed pointer must be a single-assignment `base + index` sum
     // computed immediately before the access.
-    let writes = writes_of(program, t);
-    let [def] = writes.as_slice() else {
+    let [def] = writes.of(t) else {
         return None;
     };
     if def.proc != pid || !proc.preds_of(d.cp.node).contains(&def.node) {
@@ -702,7 +728,7 @@ fn plan_overrun(
     };
 
     let dom = &paths.proc_paths(program, pid).dom;
-    let size = alloc_chain_size(program, pid, dom, base, alloc_cp, d.cp.node, 4)?;
+    let size = alloc_chain_size(program, writes, pid, dom, base, alloc_cp, d.cp.node, 4)?;
 
     let must = match size {
         Expr::Const(c) if *c >= 1 => Must::Within(*c),
@@ -711,9 +737,7 @@ fn plan_overrun(
         // and no calls in the procedure (so no other activation can rebind
         // it between the two points).
         Expr::Var(s)
-            if !program.vars[*s].address_taken
-                && writes_of(program, *s).is_empty()
-                && !has_calls(proc) =>
+            if !program.vars[*s].address_taken && writes.of(*s).is_empty() && !has_calls(proc) =>
         {
             Must::Below(Query::Rel {
                 cp: d.cp,
@@ -954,11 +978,11 @@ mod tests {
         let pre = preanalysis::run(p);
         let r = analyze(p, Engine::Sparse);
         let diags = checker::check_all(p, &r, &pre);
-        let mut paths = PathIndex::new();
+        let (mut paths, writes) = (PathIndex::new(), DirectWrites::new(p));
         let plans: Vec<Plan> = diags
             .iter()
             .filter(|d| d.is_open() && !d.definite)
-            .filter_map(|d| plan(p, &pre, &mut paths, d))
+            .filter_map(|d| plan(p, &pre, &writes, &mut paths, d))
             .collect();
         let seeds: Vec<VarId> = plans.iter().flat_map(Plan::vars).collect();
         let (du, icfg) = (defuse::compute(p, &pre), Icfg::build(p, &pre));
@@ -1276,5 +1300,64 @@ mod tests {
             stats.discharged_path, 0,
             "degraded fixpoints must not feed path discharge: {stats:?}"
         );
+    }
+
+    /// The scan [`DirectWrites`] replaced: `x`'s direct writes, found by
+    /// walking the whole program.
+    fn writes_of(program: &Program, x: VarId) -> Vec<Cp> {
+        let mut out = Vec::new();
+        for (pid, proc) in program.procs.iter_enumerated() {
+            for (nid, node) in proc.nodes.iter_enumerated() {
+                let written = match &node.cmd {
+                    Cmd::Assign(LVal::Var(v), _) | Cmd::Alloc(LVal::Var(v), _) => *v == x,
+                    Cmd::Call {
+                        ret: Some(LVal::Var(v)),
+                        ..
+                    } => *v == x,
+                    _ => false,
+                };
+                if written {
+                    out.push(Cp::new(pid, nid));
+                }
+            }
+        }
+        out
+    }
+
+    /// The index holds, for every variable, exactly the writes the scan
+    /// finds, in the scan's order: over every `tests/alarms` unit and a
+    /// generated unit with a large call cycle.
+    #[test]
+    fn the_write_index_equals_the_scan() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
+        let mut sources = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("tests/alarms") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_some_and(|e| e == "c") {
+                sources.push(std::fs::read_to_string(&path).expect("a readable unit"));
+            }
+        }
+        assert!(
+            sources.len() >= 20,
+            "tests/alarms has {} units",
+            sources.len()
+        );
+        sources.push(sga_cgen::generate(&sga_cgen::GenConfig {
+            target_loc: 800,
+            functions: 32,
+            max_scc: 28,
+            ..sga_cgen::GenConfig::sized(65261, 1)
+        }));
+        let mut written = 0;
+        for src in &sources {
+            let p = parse(src).expect("the unit parses");
+            let writes = DirectWrites::new(&p);
+            for (x, _) in p.vars.iter_enumerated() {
+                let scanned = writes_of(&p, x);
+                assert_eq!(writes.of(x), scanned.as_slice(), "{}", p.vars[x].name);
+                written += usize::from(!scanned.is_empty());
+            }
+        }
+        assert!(written > 100, "only {written} variables are written");
     }
 }

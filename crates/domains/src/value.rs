@@ -160,25 +160,30 @@ impl Lattice for Value {
 }
 
 impl fmt::Debug for Value {
+    /// The non-empty components joined by `" × "` — the interval, then
+    /// `ptr{..}`, `arr{..}` and `fns{..}` — or `⊥` if all are empty.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut parts: Vec<String> = Vec::new();
+        let mut sep = "";
         if !self.itv.is_bottom() {
-            parts.push(format!("{}", self.itv));
+            write!(f, "{}", self.itv)?;
+            sep = " × ";
         }
         if !self.ptr.is_empty() {
-            parts.push(format!("ptr{:?}", self.ptr));
+            write!(f, "{sep}ptr{:?}", self.ptr)?;
+            sep = " × ";
         }
         if !self.arr.is_empty() {
-            parts.push(format!("arr{:?}", self.arr));
+            write!(f, "{sep}arr{:?}", self.arr)?;
+            sep = " × ";
         }
         if !self.procs.is_empty() {
-            parts.push(format!("fns{:?}", self.procs));
+            write!(f, "{sep}fns{:?}", self.procs)?;
+            sep = " × ";
         }
-        if parts.is_empty() {
-            write!(f, "⊥")
-        } else {
-            write!(f, "{}", parts.join(" × "))
+        if sep.is_empty() {
+            f.write_str("⊥")?;
         }
+        Ok(())
     }
 }
 
@@ -252,6 +257,52 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.itv, Interval::constant(1));
         assert!(j.ptr.contains(&vloc(1)));
+    }
+
+    /// The texts the values fingerprint and every rendered report read,
+    /// pinned: one per component, the components together, and `⊥`. The
+    /// alternate form prints the same.
+    #[test]
+    fn debug_text_is_pinned() {
+        let site = crate::locs::AllocSite(Cp::new(ProcId::new(0), NodeId::new(3)));
+        let arr = ArrayBlk::alloc(AbsLoc::Alloc(site), Interval::constant(8));
+        let fns: LocSet = [AbsLoc::Proc(ProcId::new(2)), AbsLoc::Proc(ProcId::new(5))]
+            .into_iter()
+            .collect();
+        let ptr: LocSet = [vloc(1), vloc(2)].into_iter().collect();
+        let pointers = Value {
+            ptr: ptr.clone(),
+            procs: fns.clone(),
+            ..Value::bot()
+        };
+        let mixed = Value {
+            itv: Interval::range(-1, 4),
+            ptr: ptr.clone(),
+            arr: arr.clone(),
+            procs: fns.clone(),
+        };
+        let pinned = [
+            (Value::bot(), "⊥"),
+            (Value::constant(5), "[5, 5]"),
+            (Value::of_itv(Interval::range(0, 9)), "[0, 9]"),
+            (Value::unknown_int(), "[-oo, +oo]"),
+            (Value::of_ptr(ptr), "ptr{v1, v2}"),
+            (
+                Value::of_arr(arr),
+                "arr{⟨alloc@p0:n3, off [0, 0], sz [8, 8]⟩}",
+            ),
+            (Value::of_procs(fns), "fns{fn:p2, fn:p5}"),
+            (pointers, "ptr{v1, v2} × fns{fn:p2, fn:p5}"),
+            (
+                mixed,
+                "[-1, 4] × ptr{v1, v2} × arr{⟨alloc@p0:n3, off [0, 0], sz [8, 8]⟩} \
+                 × fns{fn:p2, fn:p5}",
+            ),
+        ];
+        for (v, text) in pinned {
+            assert_eq!(format!("{v:?}"), text);
+            assert_eq!(format!("{v:#?}"), text);
+        }
     }
 
     #[test]

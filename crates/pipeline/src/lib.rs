@@ -72,10 +72,8 @@ use sga_core::interval::AnalyzeOptions;
 use sga_core::triage::TriageMode;
 use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
 use sga_core::widening::WideningConfig;
-use sga_domains::{AbsLoc, Value};
-use sga_ir::Cp;
 use sga_utils::stats::StageTimers;
-use sga_utils::{fxhash, FxHashMap, Json, PMap};
+use sga_utils::{fxhash, Json};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -585,13 +583,8 @@ fn process_unit(
             return Ok((missed, Box::new(analysis), None));
         }
         let mut validation = timers.time("validate", || {
-            // The oracle reads the fixpoint in the solver's map form.
-            let sparse_values: FxHashMap<Cp, PMap<AbsLoc, Value>> = internals
-                .result
-                .values
-                .iter()
-                .map(|(cp, state)| (*cp, state.as_pmap().clone()))
-                .collect();
+            // The oracle reads the fixpoint as location-keyed maps.
+            let sparse_values = internals.solved.rows.to_pmaps();
             validate::validate_unit(
                 &program,
                 &ValidationInputs {
@@ -599,7 +592,7 @@ fn process_unit(
                     du: &internals.staged.du,
                     deps: &internals.staged.deps,
                     sparse_values: &sparse_values,
-                    degraded: internals.result.stats.degraded,
+                    degraded: internals.solved.stats.degraded,
                 },
                 AnalyzeOptions {
                     depgen: options.depgen,

@@ -12,11 +12,11 @@ use sga_core::budget::Budget;
 use sga_core::checker;
 use sga_core::depgen::DepGenOptions;
 use sga_core::interface::{self, UnitInterface};
-use sga_core::interval::{AnalyzeOptions, Engine, IntervalResult, Pipeline};
+use sga_core::interval::{AnalyzeOptions, Engine, Pipeline, SparseSolution};
 use sga_core::triage::{self, TriageMode, TriageOptions};
 use sga_core::widening::WideningConfig;
 use sga_diag::Diagnostic;
-use sga_domains::{AbsLoc, State};
+use sga_domains::{AbsLoc, Value};
 use sga_ir::{Cp, Program};
 use sga_utils::fxhash::FxHasher;
 use sga_utils::stats::StageTimers;
@@ -62,9 +62,9 @@ pub struct UnitInternals<'p> {
     /// The unit's staging: pre-analysis, ICFG, def/use sets and the
     /// dependency edges the solver propagated along.
     pub staged: Pipeline<'p>,
-    /// The solved fixpoint the diagnostics came from (`stats.degraded` says
-    /// whether it degraded under its budget).
-    pub result: IntervalResult,
+    /// The solved fixpoint the diagnostics came from, as the engine's rows
+    /// (`stats.degraded` says whether it degraded under its budget).
+    pub solved: SparseSolution,
 }
 
 /// Runs the full sparse interval analysis of one parsed unit, then its
@@ -85,22 +85,22 @@ pub fn analyze_unit<'p>(
         ..AnalyzeOptions::default()
     };
     let staged = Pipeline::prepare(program, analyze);
-    // The result outlives the check stage: the path-condition triage layer
+    // The answer outlives the check stage: the path-condition triage layer
     // evaluates dominating guards against the same inputs the alarms read
     // (and its `degraded` flag gates that layer off entirely).
-    let result = staged.solve(budget);
-    let stats = &result.stats;
+    let solved = staged.solve(budget);
+    let stats = &solved.stats;
     timers.add("pre", stats.pre_time);
     timers.add("defuse", stats.defuse_time);
     timers.add("dep", stats.dep_time - stats.defuse_time);
     timers.add("fix", stats.fix_time);
     // The checkers and the path layer read values before a point as the
     // inputs the solve computed: the in-edges of the staged relation.
-    let q = staged.inputs(&result);
+    let q = staged.inputs(&solved);
     let (mut diags, fingerprint) = timers.time("check", || {
         (
             checker::check_all_staged(&q, &staged.pre),
-            fingerprint_values(&result.values),
+            fingerprint_values(solved.rows.iter(), solved.rows.locs()),
         )
     });
 
@@ -128,52 +128,83 @@ pub fn analyze_unit<'p>(
         dep_edges: stats.dep_edges,
         degraded: stats.degraded,
     };
-    (analysis, UnitInternals { staged, result })
+    (analysis, UnitInternals { staged, solved })
 }
 
-/// Order-independent content hash of a value map: the fxhash of the sorted
-/// list of lines `format!("{cp} {l:?} = {v:?}")`, one per binding.
+/// Order-independent content hash of a unit's values: the fxhash of the
+/// sorted list of lines `format!("{cp} {l:?} = {v:?}")`, one per binding.
 ///
-/// Computed without the list. No point or location text holds a space, so
-/// the point heads `"{cp} "` are prefix-free, and so are the location keys
-/// `"{l:?} = "`: the sorted line order is the heads' order, then each
-/// point's keys' order. Each head and key is formatted once; each line is
-/// built in one reused buffer and fed to the hasher as hashing the list of
-/// lines feeds it — the list's length, then every line in order.
-pub fn fingerprint_values(values: &FxHashMap<Cp, State>) -> u64 {
-    let (mut heads, mut keys) = (String::new(), String::new());
-    let mut key_of: FxHashMap<&AbsLoc, (usize, usize)> = FxHashMap::default();
-    let mut points = Vec::with_capacity(values.len());
+/// Computed from the engine's rows, without the list: `points` yields each
+/// point's row, whose entries name their location by rank in `locs`. No
+/// point or location text holds a space, so the point heads `"{cp} "` are
+/// prefix-free, and so are the location keys `"{l:?} = "`: the sorted line
+/// order is the heads' order, then each point's keys' order. Each bound
+/// point's head is formatted once; each location a row uses gets its key
+/// formatted once, and with it a text rank, the key's place among the used
+/// keys, which orders a row's entries; each distinct value's text is
+/// formatted once. Each line is built in one reused buffer and fed to the
+/// hasher as hashing the list of lines feeds it — the list's length, then
+/// every line in order.
+pub fn fingerprint_values<'a>(
+    points: impl IntoIterator<Item = (Cp, &'a [(u32, Value)])>,
+    locs: &[AbsLoc],
+) -> u64 {
+    let mut heads = String::new();
+    let mut bound = Vec::new();
+    // Rank → text rank; `u32::MAX` until a row uses the location.
+    let mut text_rank = vec![u32::MAX; locs.len()];
+    let mut used = Vec::new();
     let mut lines = 0;
-    for (cp, state) in values {
+    for (cp, row) in points {
+        if row.is_empty() {
+            continue;
+        }
         let start = heads.len();
         write!(heads, "{cp} ").expect("writing to a String");
-        points.push((start, heads.len(), state));
-        for (l, _) in state.iter() {
-            key_of.entry(l).or_insert_with(|| {
-                let start = keys.len();
-                write!(keys, "{l:?} = ").expect("writing to a String");
-                (start, keys.len())
-            });
+        bound.push((start, heads.len(), row));
+        for &(r, _) in row {
+            if text_rank[r as usize] == u32::MAX {
+                text_rank[r as usize] = 0;
+                used.push(r);
+            }
         }
-        lines += state.len();
+        lines += row.len();
     }
-    points.sort_unstable_by_key(|&(start, end, _)| &heads[start..end]);
+    let mut keys = String::new();
+    let mut key_at: Vec<(u32, usize, usize)> = used
+        .into_iter()
+        .map(|r| {
+            let start = keys.len();
+            write!(keys, "{:?} = ", locs[r as usize]).expect("writing to a String");
+            (r, start, keys.len())
+        })
+        .collect();
+    key_at.sort_unstable_by(|a, b| keys[a.1..a.2].cmp(&keys[b.1..b.2]));
+    for (t, &(r, _, _)) in key_at.iter().enumerate() {
+        text_rank[r as usize] = t as u32;
+    }
+    bound.sort_unstable_by_key(|&(start, end, _)| &heads[start..end]);
+
     let mut hasher = FxHasher::default();
     hasher.write_usize(lines);
-    let (mut bindings, mut line) = (Vec::new(), String::new());
-    for &(start, end, state) in &points {
-        bindings.clear();
-        bindings.extend(state.iter().map(|(l, v)| {
-            let (a, b) = key_of[l];
-            (&keys[a..b], v)
-        }));
-        bindings.sort_unstable_by_key(|&(key, _)| key);
-        for &(key, v) in &bindings {
+    let mut texts = String::new();
+    let mut text_of: FxHashMap<&Value, (usize, usize)> = FxHashMap::default();
+    let (mut entries, mut line) = (Vec::new(), String::new());
+    for &(start, end, row) in &bound {
+        entries.clear();
+        entries.extend(row.iter().map(|(r, v)| (text_rank[*r as usize], v)));
+        entries.sort_unstable_by_key(|&(t, _)| t);
+        for &(t, v) in &entries {
+            let (a, b) = *text_of.entry(v).or_insert_with(|| {
+                let start = texts.len();
+                write!(texts, "{v:?}").expect("writing to a String");
+                (start, texts.len())
+            });
+            let (_, ka, kb) = key_at[t as usize];
             line.clear();
             line.push_str(&heads[start..end]);
-            line.push_str(key);
-            write!(line, "{v:?}").expect("writing to a String");
+            line.push_str(&keys[ka..kb]);
+            line.push_str(&texts[a..b]);
             line.as_str().hash(&mut hasher);
         }
     }
@@ -184,9 +215,8 @@ pub fn fingerprint_values(values: &FxHashMap<Cp, State>) -> u64 {
 mod tests {
     use super::*;
     use sga_cgen::GenConfig;
-    use sga_core::interval;
     use sga_domains::locs::AllocSite;
-    use sga_domains::Value;
+    use sga_domains::State;
     use sga_ir::{FieldId, NodeId, ProcId, VarId};
     use sga_utils::{fxhash, Idx};
     use std::path::Path;
@@ -205,21 +235,30 @@ mod tests {
         fxhash::hash_one(&lines)
     }
 
-    fn assert_by_definition(what: &str, program: &Program) {
-        assert_values_by_definition(what, &interval::analyze(program, Engine::Sparse).values);
-    }
-
-    fn assert_values_by_definition(what: &str, values: &FxHashMap<Cp, State>) {
-        assert!(!values.is_empty(), "{what}: nothing bound");
+    /// Solves `program` as [`analyze_unit`] does under `options`, and holds
+    /// the fingerprint of the rows to the definition over the [`State`] map
+    /// they convert to. Returns whether the solve degraded.
+    fn assert_by_definition(what: &str, program: &Program, options: AnalyzeOptions) -> bool {
+        let staged = Pipeline::prepare(program, options);
+        let solved = staged.solve(&options.budget);
+        let hashed = fingerprint_values(solved.rows.iter(), solved.rows.locs());
+        let degraded = solved.stats.degraded;
+        let values = solved.into_result().values;
+        assert!(
+            values.values().any(|s| !s.is_empty()),
+            "{what}: nothing bound"
+        );
         assert_eq!(
-            fingerprint_values(values),
-            by_definition(values),
+            hashed,
+            by_definition(&values),
             "{what}: the fingerprint left its definition"
         );
+        degraded
     }
 
     #[test]
     fn fingerprint_is_the_hash_of_the_sorted_binding_lines() {
+        let default = AnalyzeOptions::default();
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
         let mut units = 0;
         for entry in std::fs::read_dir(dir).expect("tests/alarms") {
@@ -227,7 +266,7 @@ mod tests {
             if path.extension().is_some_and(|e| e == "c") {
                 let src = std::fs::read_to_string(&path).expect("a readable unit");
                 let program = sga_cfront::parse(&src).expect("the unit parses");
-                assert_by_definition(&path.display().to_string(), &program);
+                assert_by_definition(&path.display().to_string(), &program, default);
                 units += 1;
             }
         }
@@ -238,22 +277,57 @@ mod tests {
             max_scc: 18,
             ..GenConfig::sized(22, 1)
         };
-        for (what, config) in [("flat", GenConfig::sized(21, 1)), ("scc", scc)] {
-            let program = sga_cfront::parse(&sga_cgen::generate(&config)).expect("parses");
-            assert_by_definition(what, &program);
+        let parse =
+            |config: &GenConfig| sga_cfront::parse(&sga_cgen::generate(config)).expect("parses");
+        for (what, config) in [("flat", GenConfig::sized(21, 1)), ("scc", scc.clone())] {
+            assert_by_definition(what, &parse(&config), default);
         }
-        assert_values_by_definition("prefixes", &prefixes());
+        let program = parse(&scc);
+        let no_bypass = AnalyzeOptions {
+            depgen: DepGenOptions { bypass: false },
+            ..default
+        };
+        assert!(!assert_by_definition(
+            "scc, --no-bypass",
+            &program,
+            no_bypass
+        ));
+        let exhausted = AnalyzeOptions {
+            budget: Budget::with_max_steps(50),
+            ..default
+        };
+        assert!(
+            assert_by_definition("scc, out of budget", &program, exhausted),
+            "a budget of 50 steps degrades the solve"
+        );
+
+        let (locs, rows) = prefixes();
+        let values: FxHashMap<Cp, State> = (rows.iter())
+            .map(|(cp, row)| {
+                let bound = row.iter().map(|(r, v)| (locs[*r as usize], v.clone()));
+                (*cp, bound.fold(State::new(), |s, (l, v)| s.set(l, v)))
+            })
+            .collect();
+        let points = rows.iter().map(|(cp, row)| (*cp, row.as_slice()));
+        assert_eq!(
+            fingerprint_values(points, &locs),
+            by_definition(&values),
+            "prefixes: the fingerprint left its definition"
+        );
     }
 
-    /// Bindings whose point and location texts are prefixes of one
-    /// another — `p1:n2` and `p1:n23`, `v1`, `v12` and `v1.f0`, an
-    /// allocation site and its field — and whose numeric order is not
-    /// their text order (`p1:n3` after `p1:n23`, `v2` after `v12`).
-    fn prefixes() -> FxHashMap<Cp, State> {
+    /// Rows whose point and location texts are prefixes of one another —
+    /// `p1:n2` and `p1:n23`, `v1`, `v12` and `v1.f0`, an allocation site
+    /// and its field — and whose numeric order is not their text order
+    /// (`p1:n3` after `p1:n23`, `v2` after `v12`), with the ascending rank
+    /// → location table they are keyed by. Each binds every location, to
+    /// values that repeat across points.
+    #[allow(clippy::type_complexity)]
+    fn prefixes() -> (Vec<AbsLoc>, Vec<(Cp, Vec<(u32, Value)>)>) {
         let cp = |p: usize, n: usize| Cp::new(ProcId::new(p), NodeId::new(n));
         let (var, field) = (|v: usize| VarId::new(v), FieldId::new(0));
         let site = |p, n| AllocSite(cp(p, n));
-        let locs = [
+        let mut locs = vec![
             AbsLoc::Var(var(1)),
             AbsLoc::Var(var(12)),
             AbsLoc::Var(var(2)),
@@ -264,14 +338,15 @@ mod tests {
             AbsLoc::Alloc(site(1, 23)),
             AbsLoc::AllocField(site(1, 23), field),
         ];
+        locs.sort_unstable();
         let points = [cp(1, 2), cp(1, 23), cp(1, 3), cp(12, 0), cp(2, 0)];
-        let mut values = FxHashMap::default();
-        for (i, &at) in points.iter().enumerate() {
-            let state = (locs.iter().enumerate()).fold(State::new(), |state, (j, &l)| {
-                state.set(l, Value::constant((i * locs.len() + j) as i64))
-            });
-            values.insert(at, state);
-        }
-        values
+        let rows = (points.iter().enumerate())
+            .map(|(i, &at)| {
+                let row =
+                    (0..locs.len()).map(|r| (r as u32, Value::constant(((i + r) % 7) as i64)));
+                (at, row.collect())
+            })
+            .collect();
+        (locs, rows)
     }
 }

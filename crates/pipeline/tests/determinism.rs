@@ -114,7 +114,7 @@ fn pipeline_unit_matches_one_shot_analyzer_across_shapes_and_options() {
         assert_eq!(unit.dep_edges, reference.stats.dep_edges, "{what}");
         assert_eq!(unit.dep_edges_raw, reference.stats.dep_edges_raw, "{what}");
         assert!(
-            internals.result.values == reference.values,
+            internals.solved.into_result().values == reference.values,
             "{what}: fixpoints differ"
         );
         assert!(!reference_diags.is_empty(), "{what}: nothing to compare");

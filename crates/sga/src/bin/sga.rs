@@ -51,7 +51,7 @@
 //! When several apply, the most urgent wins: 5 over 4 over 3 over 6
 //! (a partial or invalid run's baseline diff is itself suspect).
 
-use sga::analysis::interval::{self, AnalyzeOptions, Engine, Staging};
+use sga::analysis::interval::{self, AnalyzeOptions, Engine, Solved};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::analysis::{checker, octagon};
@@ -496,22 +496,18 @@ fn run_analyze(a: Args) -> ExitCode {
 
 /// Runs all four checkers over an analyzed program and triages the
 /// possible interval alarms. Shared by `sga check` and single-file
-/// `--check`. The result is read through the staging its engine ran on.
-fn diagnose(
-    result: &interval::IntervalResult,
-    staged: &Staging,
-    opts: &PipelineOptions,
-) -> (Vec<Diagnostic>, triage::TriageStats) {
-    let (pre, q) = (staged.pre(), staged.inputs(result));
+/// `--check`. The answer is read through the staging its engine ran on.
+fn diagnose(solved: &Solved, opts: &PipelineOptions) -> (Vec<Diagnostic>, triage::TriageStats) {
+    let (pre, q) = (solved.pre(), solved.inputs());
     let mut diags = checker::check_all_staged(&q, pre);
     let stats = triage::discharge_staged(
         pre,
         &q,
         &mut diags,
         &TriageOptions {
-            engine: result.engine,
+            engine: solved.engine(),
             widening: opts.widening,
-            budget: triage::derived_budget(result.stats.iterations, &opts.budget),
+            budget: triage::derived_budget(solved.stats().iterations, &opts.budget),
             mode: opts.triage,
             ..TriageOptions::default()
         },
@@ -697,7 +693,7 @@ fn run_check(a: Args) -> ExitCode {
             Err(e) => return fail(format!("sga: {file}: {e}")),
         };
         let engine = a.engine.unwrap_or(Engine::Sparse);
-        let (result, staged) = interval::analyze_staged(
+        let solved = interval::analyze_staged(
             &program,
             engine,
             AnalyzeOptions {
@@ -706,10 +702,10 @@ fn run_check(a: Args) -> ExitCode {
                 ..AnalyzeOptions::default()
             },
         );
-        if result.stats.degraded {
+        if solved.stats().degraded {
             eprintln!("sga: analysis budget exhausted; result degraded soundly");
         }
-        diagnose(&result, &staged, &a.opts)
+        diagnose(&solved, &a.opts)
     };
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = a.sarif {
@@ -866,12 +862,12 @@ fn run_file(a: Args) -> ExitCode {
     let mut definite = false;
     match a.domain {
         Domain::Interval => {
-            let (result, staged) = interval::analyze_staged(&program, engine, options);
-            if result.stats.degraded {
+            let solved = interval::analyze_staged(&program, engine, options);
+            if solved.stats().degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
             if a.stats {
-                let s = &result.stats;
+                let s = solved.stats();
                 eprintln!(
                     "engine {:?}: total {:?} (pre {:?}, dep {:?}, fix {:?}), {} evaluations, {} locations, {} dep edges, widening {}{}",
                     engine, s.total_time, s.pre_time, s.dep_time, s.fix_time,
@@ -886,7 +882,7 @@ fn run_file(a: Args) -> ExitCode {
             }
             if a.dump_values {
                 for cp in program.all_points() {
-                    let st = result.state_at(cp);
+                    let st = solved.state_at(cp);
                     if st.is_empty() {
                         continue;
                     }
@@ -899,7 +895,7 @@ fn run_file(a: Args) -> ExitCode {
                 }
             }
             if a.check {
-                let (diags, tstats) = diagnose(&result, &staged, &a.opts);
+                let (diags, tstats) = diagnose(&solved, &a.opts);
                 definite = print_diagnostics(&diags, &tstats);
                 if a.stats {
                     if let Some(work) = octagon_work(&tstats) {
