@@ -17,7 +17,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate serve-gate chaos-gate triage-gate isolation-gate bench-gate"
+ALL_STAGES="fmt clippy build-release test diag-gate ignore-gate serve-gate chaos-gate triage-gate bench-gate"
 
 QUICK=0
 ONLY_STAGE=""
@@ -50,7 +50,6 @@ if [ "$LIST" -eq 1 ]; then
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
-        "isolation-gate"   "process workers byte-identical; abort/oom/spin survived" \
         "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings + untraced smokes"
     exit 0
 fi
@@ -62,7 +61,7 @@ if [ -n "$ONLY_STAGE" ]; then
     # The binary-driven gates normally ride on the debug build the `test`
     # stage leaves behind; a single-stage run must provide it itself.
     case "$ONLY_STAGE" in
-        diag-gate|serve-gate|chaos-gate|triage-gate|isolation-gate)
+        diag-gate|serve-gate|chaos-gate|triage-gate)
             [ -x target/debug/sga ] || cargo build -q -p sga || exit 1 ;;
     esac
 fi
@@ -332,62 +331,6 @@ triage_gate() {
     rm -rf "$tmp"
 }
 
-isolation_gate() {
-    # The process-isolated worker pool, driven as an operator would: the
-    # canonical report must be byte-identical to the in-thread engine at
-    # --jobs 1 and 4, and a batch seeded with an abort, a 4 GiB OOM, and a
-    # spinning worker must finish with exactly those three units crashed
-    # (exit 3) while the parent stays alive to render the report. Finally
-    # a hard stall: a worker spinning past --worker-timeout-ms must be
-    # SIGKILLed by the supervisor and counted as a stall.
-    local bin=./target/debug/sga
-    local tmp code
-    tmp=$(mktemp -d) || return 1
-    for jobs in 1 4; do
-        "$bin" analyze --corpus units=4,kloc=1,seed=11 --canonical --no-cache \
-            --jobs "$jobs" > "$tmp/thread$jobs.json" || { rm -rf "$tmp"; return 1; }
-        "$bin" analyze --corpus units=4,kloc=1,seed=11 --canonical --no-cache \
-            --jobs "$jobs" --isolation process > "$tmp/process$jobs.json" \
-            || { rm -rf "$tmp"; return 1; }
-        if ! cmp -s "$tmp/thread$jobs.json" "$tmp/process$jobs.json"; then
-            echo "isolation-gate: thread/process reports differ at --jobs $jobs:" >&2
-            diff "$tmp/thread$jobs.json" "$tmp/process$jobs.json" | head -20 >&2
-            rm -rf "$tmp"; return 1
-        fi
-    done
-    if ! cmp -s "$tmp/thread1.json" "$tmp/thread4.json"; then
-        echo "isolation-gate: reports differ across --jobs" >&2
-        rm -rf "$tmp"; return 1
-    fi
-    "$bin" analyze --corpus units=8,kloc=1,seed=11 --no-cache --jobs 2 \
-        --isolation process --worker-mem-mb 512 --worker-timeout-ms 60000 \
-        --faults abort@2,oom@4=4096,spin@6=500 > "$tmp/faulted.json"
-    code=$?
-    if [ "$code" -ne 3 ]; then
-        echo "isolation-gate: fault mix exited $code, want 3 (crashed units)" >&2
-        rm -rf "$tmp"; return 1
-    fi
-    if ! grep -q '"crashed": 3' "$tmp/faulted.json"; then
-        echo "isolation-gate: fault mix did not crash exactly 3 units:" >&2
-        grep '"crashed"' "$tmp/faulted.json" >&2
-        rm -rf "$tmp"; return 1
-    fi
-    timeout 60 "$bin" analyze --corpus units=1,kloc=1,seed=11 --no-cache \
-        --isolation process --worker-timeout-ms 1500 \
-        --faults spin@0=120000 > "$tmp/stall.json"
-    code=$?
-    if [ "$code" -ne 3 ]; then
-        echo "isolation-gate: stalled run exited $code, want 3" >&2
-        rm -rf "$tmp"; return 1
-    fi
-    if ! grep -q '"stalls": [1-9]' "$tmp/stall.json"; then
-        echo "isolation-gate: supervisor recorded no stall kills:" >&2
-        grep '"isolation"' -A6 "$tmp/stall.json" >&2
-        rm -rf "$tmp"; return 1
-    fi
-    rm -rf "$tmp"
-}
-
 ignore_gate() {
     # The precision suite must run in full: no test may be #[ignore]d, and
     # anything marked ignored elsewhere must still pass when forced.
@@ -533,10 +476,6 @@ run_stage "chaos-gate"  chaos_gate
 # The triage gate pins the path layer's superset/definite contract with
 # the same cheap debug-binary recipe, so it runs in --quick too.
 run_stage "triage-gate" triage_gate
-# The isolation gate proves the process worker pool reproduces the thread
-# engine byte-for-byte and survives fatal faults; it drives the debug
-# binary and runs in --quick too.
-run_stage "isolation-gate" isolation_gate
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
     run_stage "bench-gate" bench_gate
 fi

@@ -14,6 +14,7 @@
 use sga::analysis::depgen::DepGenOptions;
 use sga::analysis::interval::{analyze_with, AnalyzeOptions, Engine};
 use sga::domains::Lattice;
+use sga::utils::stats::Stage;
 use std::fmt::Write as _;
 
 /// Builds a depth-`n` call chain where only the leaf touches the globals.
@@ -91,10 +92,10 @@ fn main() {
             globals,
             off.stats.dep_edges,
             off.stats.iterations,
-            off.stats.fix_time.as_secs_f64() * 1000.0,
+            off.stats.times.get(Stage::Fix).as_secs_f64() * 1000.0,
             on.stats.dep_edges,
             on.stats.iterations,
-            on.stats.fix_time.as_secs_f64() * 1000.0,
+            on.stats.times.get(Stage::Fix).as_secs_f64() * 1000.0,
             if equal { "yes" } else { "NO" },
         );
     }

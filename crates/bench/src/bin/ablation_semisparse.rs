@@ -15,6 +15,7 @@
 
 use sga::analysis::interval::{analyze_with, AnalyzeOptions, Engine};
 use sga::domains::Lattice;
+use sga::utils::stats::Stage;
 use std::fmt::Write as _;
 
 /// A family where the two regimes genuinely differ: pointers stored *in
@@ -93,10 +94,10 @@ fn main() {
             n,
             precise.stats.dep_edges,
             precise.stats.iterations,
-            precise.stats.fix_time.as_secs_f64() * 1000.0,
+            precise.stats.times.get(Stage::Fix).as_secs_f64() * 1000.0,
             semi.stats.dep_edges,
             semi.stats.iterations,
-            semi.stats.fix_time.as_secs_f64() * 1000.0,
+            semi.stats.times.get(Stage::Fix).as_secs_f64() * 1000.0,
             if sound { "yes" } else { "NO" },
         );
     }

@@ -12,6 +12,7 @@
 
 use sga::analysis::interval::{analyze, Engine};
 use sga::cgen::GenConfig;
+use sga::utils::stats::Stage;
 
 fn main() {
     println!(
@@ -48,7 +49,7 @@ fn main() {
             r.stats.avg_uses,
             r.stats.dep_edges,
             r.stats.iterations,
-            r.stats.fix_time.as_secs_f64() * 1000.0,
+            r.stats.times.get(Stage::Fix).as_secs_f64() * 1000.0,
         );
     }
     println!("\nHigher global/pointer density ⇒ larger D̂/Û ⇒ slower fixpoint at equal LOC (§6.3).");

@@ -13,6 +13,7 @@
 //! per-analyzer memory columns.
 
 use sga::cgen::GenConfig;
+use sga::utils::stats::Stage;
 use std::time::Duration;
 
 /// One benchmark row: the paper's package it mirrors plus generator knobs.
@@ -111,7 +112,8 @@ pub fn table3_rows() -> Vec<BenchRow> {
 /// JSON lines.
 #[derive(Clone, Debug, Default)]
 pub struct Measurement {
-    /// `Dep` column (pre-analysis + dependency generation), seconds.
+    /// `Dep` column (pre-analysis, def/use and dependency generation),
+    /// seconds.
     pub dep_s: f64,
     /// `Fix` column, seconds.
     pub fix_s: f64,
@@ -134,7 +136,7 @@ impl Measurement {
     pub fn from_stats(stats: &sga::analysis::stats::AnalysisStats) -> Measurement {
         Measurement {
             dep_s: stats.dep_phase().as_secs_f64(),
-            fix_s: stats.fix_time.as_secs_f64(),
+            fix_s: stats.times.get(Stage::Fix).as_secs_f64(),
             total_s: stats.total_time.as_secs_f64(),
             mem_mb: stats.peak_mem_bytes.unwrap_or(0) as f64 / (1024.0 * 1024.0),
             avg_defs: stats.avg_defs,

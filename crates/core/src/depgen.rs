@@ -45,7 +45,7 @@ impl Default for DepGenOptions {
     }
 }
 
-/// Phase statistics for the tables.
+/// Dependency generation's work counts, for the tables.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DepGenStats {
     /// Edges before the bypass optimization.

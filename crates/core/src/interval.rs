@@ -27,10 +27,11 @@ use crate::stats::AnalysisStats;
 use crate::widening::{WideningConfig, WideningPlan};
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
 use sga_ir::{Cmd, Cp, Expr, LVal, ProcId, Program};
-use sga_utils::stats::{peak_rss_bytes, Phase};
+use sga_utils::stats::{peak_rss_bytes, Stage};
 use sga_utils::{FxHashMap, IndexVec, PMap};
 use std::borrow::Cow;
 use std::cell::OnceCell;
+use std::time::Instant;
 
 /// Which analyzer to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +71,7 @@ pub struct IntervalResult {
     /// they saw; the sparse engine binds exactly `D̂(c)` (Lemma 1's
     /// guarantee covers those entries).
     pub values: FxHashMap<Cp, State>,
-    /// Phase statistics.
+    /// Stage times and work counts.
     pub stats: AnalysisStats,
 }
 
@@ -95,7 +96,7 @@ impl IntervalResult {
 pub struct SparseSolution {
     /// The rows, keyed by the ranks of the relation they were solved over.
     pub rows: SparseRows<AbsLoc, Value>,
-    /// Phase statistics.
+    /// Stage times and work counts.
     pub stats: AnalysisStats,
 }
 
@@ -124,9 +125,9 @@ pub fn analyze(program: &Program, engine: Engine) -> IntervalResult {
 /// [`IntervalResult`]. `total_time` and `peak_mem_bytes` include building
 /// that result.
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
-    let total = Phase::start("total");
+    let total = Instant::now();
     let mut result = analyze_staged(program, engine, options).into_result();
-    result.stats.total_time = total.stop();
+    result.stats.total_time = total.elapsed();
     result.stats.peak_mem_bytes = peak_rss_bytes();
     result
 }
@@ -136,7 +137,7 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
 /// the answer reads its inputs through [`Solved::inputs`] instead of
 /// staging the unit again.
 pub fn analyze_staged(program: &Program, engine: Engine, options: AnalyzeOptions) -> Solved<'_> {
-    let total = Phase::start("total");
+    let total = Instant::now();
     let mut solved = match engine {
         Engine::Vanilla | Engine::Base => {
             let (result, staged) = analyze_dense(program, engine, options);
@@ -152,7 +153,7 @@ pub fn analyze_staged(program: &Program, engine: Engine, options: AnalyzeOptions
         Solved::Sparse(_, solution) => &mut solution.stats,
         Solved::Dense(_, result) => &mut result.stats,
     };
-    stats.total_time = total.stop();
+    stats.total_time = total.elapsed();
     stats.peak_mem_bytes = peak_rss_bytes();
     solved
 }
@@ -176,7 +177,7 @@ impl<'p> Solved<'p> {
         }
     }
 
-    /// Phase statistics.
+    /// Stage times and work counts.
     pub fn stats(&self) -> &AnalysisStats {
         match self {
             Solved::Sparse(_, solution) => &solution.stats,
@@ -254,29 +255,32 @@ impl DenseStaging<'_> {
 
 /// The dense engines: whole states along every ICFG edge, localized by the
 /// def/use access summaries for `base`. `pre` times the pre-analysis and
-/// the ICFG, as [`Pipeline::prepare`] does.
+/// the ICFG, `defuse` base's def/use sets, as [`Pipeline::prepare`] does.
 fn analyze_dense(
     program: &Program,
     engine: Engine,
     options: AnalyzeOptions,
 ) -> (IntervalResult, DenseStaging<'_>) {
-    let pre_phase = Phase::start("pre");
+    let start = Instant::now();
     let pre = preanalysis::run(program);
     let icfg = Icfg::build(program, &pre);
+    let pre_done = Instant::now();
+    let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
     let mut stats = AnalysisStats {
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
-    stats.record_pre(&pre, pre_phase.stop());
-    let du = (engine == Engine::Base).then(|| defuse::compute(program, &pre));
+    stats.times.add(Stage::Pre, pre_done - start);
+    stats.record_pre(&pre);
     if let Some(du) = &du {
+        stats.times.add(Stage::Defuse, pre_done.elapsed());
         stats.record_defuse(du);
     }
     let spec = IntervalDenseSpec::new(program, du.as_ref());
     let plan = WideningPlan::for_program(program, options.widening);
-    let fix = Phase::start("fix");
-    let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
-    stats.fix_time = fix.stop();
+    let result = stats.times.time(Stage::Fix, || {
+        dense::solve_with(program, &icfg, &spec, &plan, &options.budget)
+    });
     stats.iterations = result.iterations;
     stats.degraded = result.degraded;
     let result = IntervalResult {
@@ -316,9 +320,8 @@ pub struct Pipeline<'p> {
     pub widening: WideningPlan,
     /// What staging counted and timed, which every solve's statistics start
     /// from: pre-analysis work, the def/use table sizes, the relation's
-    /// edges and walks, the widening strategy, and `pre_time` (pre-analysis
-    /// and ICFG), `defuse_time` and `dep_time` (def/use and dependency
-    /// generation).
+    /// edges and walks, the widening strategy, and the `pre` (pre-analysis
+    /// and ICFG), `defuse` and `dep` stages.
     pub stats: AnalysisStats,
 }
 
@@ -326,24 +329,28 @@ impl<'p> Pipeline<'p> {
     /// Runs pre-analysis, the ICFG build, def/use, dependency generation
     /// and threshold harvesting.
     pub fn prepare(program: &'p Program, options: AnalyzeOptions) -> Pipeline<'p> {
-        let pre_phase = Phase::start("pre");
+        // One clock read per stage boundary: the three stages run back to
+        // back.
+        let start = Instant::now();
         let pre = preanalysis::run(program);
         let icfg = Icfg::build(program, &pre);
-        let mut stats = AnalysisStats {
-            widening: options.widening.strategy.name(),
-            ..AnalysisStats::default()
-        };
-        stats.record_pre(&pre, pre_phase.stop());
-        let dep_phase = Phase::start("dep");
+        let pre_done = Instant::now();
         let du = if options.semi_sparse {
             let coarse = preanalysis::coarsen_semi_sparse(program, &pre.state);
             defuse::compute_with_state(program, &pre, &coarse)
         } else {
             defuse::compute(program, &pre)
         };
-        stats.defuse_time = dep_phase.elapsed();
+        let defuse_done = Instant::now();
         let deps = depgen::generate(program, &pre, &du, options.depgen);
-        stats.dep_time = dep_phase.stop();
+        let mut stats = AnalysisStats {
+            widening: options.widening.strategy.name(),
+            ..AnalysisStats::default()
+        };
+        stats.times.add(Stage::Pre, pre_done - start);
+        stats.times.add(Stage::Defuse, defuse_done - pre_done);
+        stats.times.add(Stage::Dep, defuse_done.elapsed());
+        stats.record_pre(&pre);
         stats.record_defuse(&du);
         stats.dep_edges_raw = deps.stats.raw_edges;
         stats.dep_edges = deps.stats.final_edges;
@@ -372,23 +379,18 @@ impl<'p> Pipeline<'p> {
 
     /// The sparse fixpoint over the staged relation under `budget`, as the
     /// engine's rows. Its statistics are the staging's plus the solve's:
-    /// `fix_time`, `iterations`, `fix_work` and `degraded`.
+    /// the `fix` stage, `iterations`, `fix_work` and `degraded`.
     pub fn solve(&self, budget: &Budget) -> SparseSolution {
-        let fix = Phase::start("fix");
+        let mut stats = self.stats.clone();
         let (program, plan) = (self.program, &self.widening);
-        let csr = CsrDeps::build(program, &self.icfg, &self.deps);
-        let rows = sparse::solve_rows(program, &self.icfg, &csr, &self.spec(), plan, budget);
-        drop(csr);
-        SparseSolution {
-            stats: AnalysisStats {
-                fix_time: fix.stop(),
-                iterations: rows.iterations,
-                fix_work: rows.work,
-                degraded: rows.degraded,
-                ..self.stats.clone()
-            },
-            rows,
-        }
+        let rows = stats.times.time(Stage::Fix, || {
+            let csr = CsrDeps::build(program, &self.icfg, &self.deps);
+            sparse::solve_rows(program, &self.icfg, &csr, &self.spec(), plan, budget)
+        });
+        stats.iterations = rows.iterations;
+        stats.fix_work = rows.work;
+        stats.degraded = rows.degraded;
+        SparseSolution { stats, rows }
     }
 
     /// The inputs of `solved`, a [`Pipeline::solve`] of this staging, read

@@ -40,8 +40,9 @@ use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, PointNumbering, ProcId, Program, RelOp, VarId};
 use sga_utils::graph::WtoItem;
-use sga_utils::stats::{peak_rss_bytes, Phase};
+use sga_utils::stats::{peak_rss_bytes, Stage};
 use sga_utils::{BitSet, FxHashMap, FxHashSet, Idx, IndexVec, PMap, Rows};
+use std::time::Instant;
 
 /// Maximum pack size before the heuristic refuses to merge further (§6.2).
 pub const PACK_SIZE_LIMIT: usize = 10;
@@ -65,7 +66,7 @@ pub struct OctagonResult {
     /// procedure under the dense engines, under the sparse one those that
     /// can bind a solved pack ([`OctDefUse::bindable_points`]).
     pub points: usize,
-    /// Phase statistics.
+    /// Stage times and work counts.
     pub stats: AnalysisStats,
     /// The point numbering `defs` is over.
     num: PointNumbering,
@@ -117,24 +118,30 @@ pub fn analyze(program: &Program, engine: Engine) -> OctagonResult {
 
 /// Runs the chosen octagon analyzer with analysis options (dependency
 /// generation + widening strategy; `semi_sparse` is interval-only and
-/// ignored here).
+/// ignored here). Its stages are the interval chain's: `pre` times the
+/// pre-analysis and the ICFG, `defuse` the interval def/use sets and the
+/// packs' ones built from them.
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> OctagonResult {
-    let total = Phase::start("total");
-    let pre_phase = Phase::start("pre");
+    let total = Instant::now();
     let pre = preanalysis::run(program);
-    let pre_time = pre_phase.stop();
-    let du = crate::defuse::compute(program, &pre);
     let icfg = Icfg::build(program, &pre);
+    let pre_done = Instant::now();
+    let du = crate::defuse::compute(program, &pre);
+    let defuse_took = pre_done.elapsed();
     let mut result = analyze_with_pre(program, &pre, &du, &icfg, None, engine, options);
-    result.stats.record_pre(&pre, pre_time);
-    result.stats.total_time = total.stop();
+    result.stats.times.add(Stage::Pre, pre_done - total);
+    result.stats.times.add(Stage::Defuse, defuse_took);
+    result.stats.record_pre(&pre);
+    result.stats.total_time = total.elapsed();
     result.stats.peak_mem_bytes = peak_rss_bytes();
     result
 }
 
 /// [`analyze_with`] over the pre-analysis, def/use sets and ICFG the caller
 /// already holds (triage runs after the interval pipeline, which computed
-/// all three for the same program); `stats.pre_time` stays zero.
+/// all three for the same program): it charges no `pre` stage, its
+/// `defuse` stage is the packs' def/use alone, and its `total_time` is
+/// left to [`analyze_with`].
 ///
 /// With `seeds` the sparse solve is demand-driven — dependencies are
 /// generated and solved for [`slice_packs`] only; the dense engines have no
@@ -148,13 +155,14 @@ pub(crate) fn analyze_with_pre(
     engine: Engine,
     options: AnalyzeOptions,
 ) -> OctagonResult {
-    let total = Phase::start("total");
     let seeds = seeds.filter(|_| engine == Engine::Sparse);
-    let staged = Staged::new(program, pre, du, seeds, options);
     let mut stats = AnalysisStats {
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
+    let staged = stats.times.time(Stage::Defuse, || {
+        Staged::new(program, pre, du, seeds, options)
+    });
     stats.num_locs = staged.solved_packs;
     stats.avg_defs = staged.odu.avg_def_size();
     stats.avg_uses = staged.odu.avg_use_size();
@@ -164,24 +172,24 @@ pub(crate) fn analyze_with_pre(
     let (values, points) = match engine {
         Engine::Vanilla | Engine::Base => {
             let spec = OctDenseSpec::new(&sem, du, engine == Engine::Base);
-            let fix = Phase::start("fix");
-            let result = dense::solve_with(program, icfg, &spec, &staged.plan, &options.budget);
-            stats.fix_time = fix.stop();
+            let result = stats.times.time(Stage::Fix, || {
+                dense::solve_with(program, icfg, &spec, &staged.plan, &options.budget)
+            });
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
             (result.post, solved_points(program).count())
         }
         Engine::Sparse => {
-            let dep_phase = Phase::start("dep");
-            let deps = depgen::generate_from(program, &staged.odu, options.depgen);
-            stats.dep_time = dep_phase.stop();
+            let deps = stats.times.time(Stage::Dep, || {
+                depgen::generate_from(program, &staged.odu, options.depgen)
+            });
             stats.dep_edges_raw = deps.stats.raw_edges;
             stats.dep_edges = deps.stats.final_edges;
             stats.dep_walk_visits = deps.stats.walk_visits;
             stats.dep_walk_defs = deps.stats.walk_defs;
-            let fix = Phase::start("fix");
-            let (_, result) = staged.solve_sparse(program, icfg, &sem, du, &deps, options);
-            stats.fix_time = fix.stop();
+            let (_, result) = stats.times.time(Stage::Fix, || {
+                staged.solve_sparse(program, icfg, &sem, du, &deps, options)
+            });
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
             stats.fix_work = result.work;
@@ -189,7 +197,6 @@ pub(crate) fn analyze_with_pre(
         }
     };
 
-    stats.total_time = total.stop();
     let (num, defs) = staged.odu.into_defs();
     OctagonResult {
         engine,
@@ -1416,6 +1423,22 @@ mod tests {
             .find(|(_, v)| v.name == name)
             .map(|(i, _)| i)
             .unwrap_or_else(|| panic!("no var {name}"))
+    }
+
+    /// Table 3's `Dep` is Table 2's: the sparse interval and the sparse
+    /// octagon runs charge the same stages, the octagon's ICFG build and
+    /// interval def/use included, so `dep_phase` sums the same three.
+    #[test]
+    fn sparse_interval_and_octagon_charge_the_same_stages() {
+        let p = parse("int g; int f(int x) { g = g + x; return g; } int main() { return f(2); }");
+        let p = p.unwrap();
+        let stages = |s: &AnalysisStats| s.times.iter().map(|(name, _)| name).collect::<Vec<_>>();
+        let itv = crate::interval::analyze(&p, Engine::Sparse);
+        assert_eq!(stages(&itv.stats), ["pre", "defuse", "dep", "fix"]);
+        assert_eq!(
+            stages(&analyze(&p, Engine::Sparse).stats),
+            stages(&itv.stats)
+        );
     }
 
     #[test]

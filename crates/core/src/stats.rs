@@ -1,21 +1,15 @@
 //! Per-phase measurements — the columns of Tables 2 and 3.
 
+use sga_utils::stats::{Stage, StageTimes};
 use std::time::Duration;
 
 /// Timing/size statistics of one analyzer run.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisStats {
-    /// Pre-analysis time, the ICFG build included (included in `dep` per
-    /// the paper's accounting: "Dep includes times for pre-analysis and
-    /// data dependency generation").
-    pub pre_time: Duration,
-    /// Dependency-generation time (def/use + reaching defs + bypass).
-    /// Zero for the dense engines.
-    pub dep_time: Duration,
-    /// The def/use part of `dep_time`.
-    pub defuse_time: Duration,
-    /// Fixpoint time (`Fix` column).
-    pub fix_time: Duration,
+    /// Where the run's time went, stage by stage; the stages are disjoint
+    /// (`dep` is dependency generation alone, `fix` the fixpoint). A dense
+    /// engine charges no `dep`.
+    pub times: StageTimes,
     /// End-to-end time (`Total`).
     pub total_time: Duration,
     /// Peak RSS observed after the run, if the platform reports it.
@@ -82,9 +76,8 @@ impl FixWork {
 }
 
 impl AnalysisStats {
-    /// Records the pre-analysis phase: its time and work counts.
-    pub fn record_pre(&mut self, pre: &crate::preanalysis::PreAnalysis, time: Duration) {
-        self.pre_time = time;
+    /// Records the pre-analysis' work counts.
+    pub fn record_pre(&mut self, pre: &crate::preanalysis::PreAnalysis) {
         self.pre_rounds = pre.rounds;
         self.pre_evaluations = pre.evaluations;
         self.pre_commands = pre.commands;
@@ -99,8 +92,12 @@ impl AnalysisStats {
         self.defuse = du.counts();
     }
 
-    /// `Dep` column: pre-analysis + dependency construction.
+    /// `Dep` column, the paper's "pre-analysis and data dependency
+    /// generation": the `pre`, `defuse` and `dep` stages.
     pub fn dep_phase(&self) -> Duration {
-        self.pre_time + self.dep_time
+        [Stage::Pre, Stage::Defuse, Stage::Dep]
+            .into_iter()
+            .map(|s| self.times.get(s))
+            .sum()
     }
 }

@@ -72,7 +72,7 @@ use sga_core::interval::AnalyzeOptions;
 use sga_core::triage::TriageMode;
 use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
 use sga_core::widening::WideningConfig;
-use sga_utils::stats::StageTimers;
+use sga_utils::stats::{Stage, StageTimes};
 use sga_utils::{fxhash, Json};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -325,13 +325,6 @@ impl CacheStatus {
     }
 }
 
-/// What one worker hands back: the unit's rendered report object, plus the
-/// failure class (for fail-fast).
-struct WorkerResult {
-    json: Json,
-    failure: Option<(journal::Failure, String)>,
-}
-
 /// Renders a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -503,7 +496,6 @@ fn apply_baseline(path: &std::path::Path, units_json: &mut [Json]) -> Result<Jso
 struct UnitCtx<'a> {
     options: &'a PipelineOptions,
     cache: Option<&'a Cache>,
-    timers: &'a StageTimers,
 }
 
 /// What [`process_unit`] produced for one unit.
@@ -512,12 +504,16 @@ struct Processed {
     json: Json,
     /// Failure class and message, when the unit crashed.
     failure: Option<(journal::Failure, String)>,
-    /// The artifacts (`None` when the unit crashed).
+    /// The artifacts (`None` when the unit crashed or was replayed, and
+    /// once [`run`] has stored them).
     analysis: Option<Box<UnitAnalysis>>,
     /// The artifacts are fresh and cacheable (a miss that validated). The
     /// *caller* performs the store, so write-ahead ordering — journal
     /// record before cache store — stays in its hands.
     store: bool,
+    /// Where the unit's time went, in whichever process analyzed it
+    /// (nothing, for a unit replayed from the journal).
+    times: StageTimes,
 }
 
 /// Analyzes one unit end to end — cache lookup, parse, fixpoint, optional
@@ -535,7 +531,6 @@ fn process_unit(
 ) -> Processed {
     let options = ctx.options;
     let cache = ctx.cache;
-    let timers = ctx.timers;
 
     // Process isolation: ship the unit to a supervised worker process (the
     // worker runs this same function in thread mode). Everything after —
@@ -545,6 +540,7 @@ fn process_unit(
     }
 
     type Analyzed = (CacheStatus, Box<UnitAnalysis>, Option<UnitValidation>);
+    let mut times = StageTimes::default();
     let caught = catch_unwind(AssertUnwindSafe(|| -> Result<Analyzed, String> {
         if options.faults.should_panic(i) {
             panic!("injected fault: worker panic in {}", input.name);
@@ -563,8 +559,8 @@ fn process_unit(
                 }
             }
         }
-        let program = timers
-            .time("parse", || sga_cfront::parse(&input.source))
+        let program = times
+            .time(Stage::Parse, || sga_cfront::parse(&input.source))
             .map_err(|e| e.to_string())?;
         let (analysis, internals) = unit::analyze_unit(
             &program,
@@ -572,8 +568,8 @@ fn process_unit(
             options.widening,
             options.triage,
             budget,
-            timers,
         );
+        times.merge(&internals.solved.stats.times);
         let missed = if cache.is_some() {
             CacheStatus::Miss
         } else {
@@ -582,7 +578,7 @@ fn process_unit(
         if !options.validate {
             return Ok((missed, Box::new(analysis), None));
         }
-        let mut validation = timers.time("validate", || {
+        let mut validation = times.time(Stage::Validate, || {
             // The oracle reads the fixpoint as location-keyed maps.
             let sparse_values = internals.solved.rows.to_pmaps();
             validate::validate_unit(
@@ -633,6 +629,7 @@ fn process_unit(
                 // Invalid results are never cached; hits already are.
                 store: status == CacheStatus::Miss && !invalid,
                 analysis: Some(a),
+                times,
             }
         }
         Ok(Err(message)) => Processed {
@@ -640,6 +637,7 @@ fn process_unit(
             failure: Some((journal::Failure::Frontend, message)),
             analysis: None,
             store: false,
+            times,
         },
         Err(payload) => {
             let message = panic_message(payload);
@@ -648,6 +646,7 @@ fn process_unit(
                 failure: Some((journal::Failure::Panic, message)),
                 analysis: None,
                 store: false,
+                times,
             }
         }
     }
@@ -721,13 +720,8 @@ pub fn analyze_units(
     options: &PipelineOptions,
     cache: Option<&Cache>,
 ) -> Vec<UnitOutcome> {
-    let timers = StageTimers::new();
     let jobs = effective_jobs(options.jobs);
-    let ctx = UnitCtx {
-        options,
-        cache,
-        timers: &timers,
-    };
+    let ctx = UnitCtx { options, cache };
     let prev_hook = if options.keep_going {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -836,7 +830,7 @@ pub fn assemble_report(
     if !options.canonical {
         opts_json.set("jobs", effective_jobs(options.jobs));
         // Like `jobs`: run mechanics, not semantics. Thread and process runs
-        // are byte-equivalent (isolation-gate enforces it), so only the
+        // are byte-equivalent (`tests/isolation.rs` holds it), so only the
         // non-canonical report says where the units ran.
         opts_json.set("isolation", options.isolation.as_str());
     }
@@ -881,10 +875,10 @@ pub fn assemble_report(
 /// Runs the whole project and returns the JSON run report.
 pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, PipelineError> {
     let wall = Instant::now();
-    let timers = StageTimers::new();
+    let mut times = StageTimes::default();
     let jobs = effective_jobs(options.jobs);
 
-    let units = timers.time("load", || load_project(project))?;
+    let units = times.time(Stage::Load, || load_project(project))?;
     let cache = match &options.cache_dir {
         Some(dir) => {
             let mut c = Cache::open(dir).map_err(|e| {
@@ -958,9 +952,8 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     let ctx = UnitCtx {
         options,
         cache: cache.as_ref(),
-        timers: &timers,
     };
-    let results: Vec<Option<WorkerResult>> =
+    let results: Vec<Option<Processed>> =
         par::run_indexed_interruptible(jobs, &units, stop_requested, |i, input| {
             // An injected budget changes the unit's analysis semantics, so it
             // participates in that unit's keys — a faulted run never hits an
@@ -983,9 +976,12 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
                             .to_string();
                         (f, message)
                     });
-                    return WorkerResult {
+                    return Processed {
                         json: rec.unit.clone(),
                         failure,
+                        analysis: None,
+                        store: false,
+                        times: StageTimes::default(),
                     };
                 }
             }
@@ -1031,9 +1027,10 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
                     }
                 }
             }
-            WorkerResult {
-                json: p.json,
-                failure: p.failure,
+            // The analysis is stored; the report needs only the rest.
+            Processed {
+                analysis: None,
+                ..p
             }
         });
     if let Some(hook) = prev_hook {
@@ -1042,7 +1039,7 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
 
     if !options.keep_going {
         for (input, slot) in units.iter().zip(&results) {
-            if let Some(WorkerResult {
+            if let Some(Processed {
                 failure: Some((kind, message)),
                 ..
             }) = slot
@@ -1061,6 +1058,10 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
         }
     }
 
+    // Unit-index order, whatever order the units finished in.
+    for w in results.iter().flatten() {
+        times.merge(&w.times);
+    }
     let units_json: Vec<Json> = units
         .iter()
         .zip(results)
@@ -1129,10 +1130,7 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
                     .with("stalls", moved.stalls),
             );
         }
-        let mut timing = Json::obj();
-        for (stage, d) in timers.snapshot() {
-            timing.set(&stage, d.as_secs_f64() * 1000.0);
-        }
+        let mut timing = times.to_json();
         timing.set("wall", wall.elapsed().as_secs_f64() * 1000.0);
         report.set("timing_ms", timing);
     }

@@ -5,8 +5,8 @@
 //! chain, [`Pipeline`] — the same [`Pipeline::prepare`] and
 //! [`Pipeline::solve`] that `sga_core::interval::analyze_with` and the
 //! CLI's checks run — and its stage wall times are the ones the staging
-//! measured. A unit runs on one thread; [`crate::run`] and
-//! [`crate::analyze_units`] run units concurrently.
+//! measured, plus its checks and triage. A unit runs on one thread;
+//! [`crate::run`] and [`crate::analyze_units`] run units concurrently.
 
 use sga_core::budget::Budget;
 use sga_core::checker;
@@ -19,7 +19,7 @@ use sga_diag::Diagnostic;
 use sga_domains::{AbsLoc, Value};
 use sga_ir::{Cp, Program};
 use sga_utils::fxhash::FxHasher;
-use sga_utils::stats::StageTimers;
+use sga_utils::stats::{Stage, StageTimes};
 use sga_utils::FxHashMap;
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
@@ -64,20 +64,20 @@ pub struct UnitInternals<'p> {
     pub staged: Pipeline<'p>,
     /// The solved fixpoint the diagnostics came from, as the engine's rows
     /// (`stats.degraded` says whether it degraded under its budget).
+    /// `stats.times` is where the unit's time went: the staging's and the
+    /// solve's stages, then `check` and `triage`.
     pub solved: SparseSolution,
 }
 
 /// Runs the full sparse interval analysis of one parsed unit, then its
-/// checkers and triage. Stage wall times are added to `timers`, which
-/// [`crate::run`] shares between the units in flight: with several at once,
-/// a stage's time is work summed over units, not elapsed wall time.
+/// checkers and triage; the unit's stage times come back in
+/// `internals.solved.stats.times`.
 pub fn analyze_unit<'p>(
     program: &'p Program,
     options: DepGenOptions,
     widening: WideningConfig,
     triage_mode: TriageMode,
     budget: &Budget,
-    timers: &StageTimers,
 ) -> (UnitAnalysis, UnitInternals<'p>) {
     let analyze = AnalyzeOptions {
         depgen: options,
@@ -88,23 +88,20 @@ pub fn analyze_unit<'p>(
     // The answer outlives the check stage: the path-condition triage layer
     // evaluates dominating guards against the same inputs the alarms read
     // (and its `degraded` flag gates that layer off entirely).
-    let solved = staged.solve(budget);
+    let mut solved = staged.solve(budget);
     let stats = &solved.stats;
-    timers.add("pre", stats.pre_time);
-    timers.add("defuse", stats.defuse_time);
-    timers.add("dep", stats.dep_time - stats.defuse_time);
-    timers.add("fix", stats.fix_time);
+    let mut times = StageTimes::default();
     // The checkers and the path layer read values before a point as the
     // inputs the solve computed: the in-edges of the staged relation.
     let q = staged.inputs(&solved);
-    let (mut diags, fingerprint) = timers.time("check", || {
+    let (mut diags, fingerprint) = times.time(Stage::Check, || {
         (
             checker::check_all_staged(&q, &staged.pre),
             fingerprint_values(solved.rows.iter(), solved.rows.locs()),
         )
     });
 
-    let triage_degraded = timers.time("triage", || {
+    let triage_degraded = times.time(Stage::Triage, || {
         let topts = TriageOptions {
             engine: Engine::Sparse,
             depgen: options,
@@ -128,6 +125,7 @@ pub fn analyze_unit<'p>(
         dep_edges: stats.dep_edges,
         degraded: stats.degraded,
     };
+    solved.stats.times.merge(&times);
     (analysis, UnitInternals { staged, solved })
 }
 

@@ -30,10 +30,12 @@
 //! Division of labor: the worker performs the cache *load* (and
 //! validate-mode cross-check); the parent keeps the write-ahead ordering —
 //! journal record before cache store — exactly as in thread mode, so
-//! `--resume` replays byte-identically. Isolation is run mechanics, not
+//! `--resume` replays byte-identically. The response carries the unit's
+//! stage times, which the parent's `timing_ms` adds up as it does a
+//! thread's. Isolation is run mechanics, not
 //! semantics: it joins neither the cache key nor the rendered
 //! `source_hash`, and canonical reports are byte-identical across modes
-//! (the CI isolation-gate enforces it).
+//! (`tests/isolation.rs` holds them equal).
 
 use crate::cache::{self, Cache};
 use crate::fault::FaultPlan;
@@ -44,7 +46,7 @@ use crate::{PipelineOptions, Processed, UnitCtx, UnitInput};
 use sga_core::budget::{Budget, WorkerLimits};
 use sga_core::triage::TriageMode;
 use sga_core::widening::{WideningConfig, WideningStrategy};
-use sga_utils::stats::StageTimers;
+use sga_utils::stats::StageTimes;
 use sga_utils::Json;
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -57,7 +59,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 6;
+const WORKER_FORMAT: u32 = 7;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -261,7 +263,8 @@ fn encode_response(p: &Processed) -> String {
     let mut payload = Json::obj()
         .with("schema", WORKER_FORMAT)
         .with("unit", p.json.clone())
-        .with("store", p.store);
+        .with("store", p.store)
+        .with("times", p.times.to_json());
     if let Some((kind, message)) = &p.failure {
         payload.set("failure", kind.as_str());
         payload.set("error", message.as_str());
@@ -299,6 +302,7 @@ fn decode_response(text: &str) -> Option<Processed> {
         failure,
         analysis,
         store: p.get("store")?.as_bool()?,
+        times: StageTimes::from_json(p.get("times")?)?,
     })
 }
 
@@ -379,11 +383,9 @@ pub fn worker_main() -> i32 {
         },
         None => None,
     };
-    let timers = StageTimers::new();
     let ctx = UnitCtx {
         options: &options,
         cache: cache.as_ref(),
-        timers: &timers,
     };
     let p = crate::process_unit(
         &ctx,
@@ -596,6 +598,7 @@ pub(crate) fn run_unit_in_worker(
         failure: Some((Failure::Panic, message)),
         analysis: None,
         store: false,
+        times: StageTimes::default(),
     }
 }
 
@@ -604,6 +607,7 @@ mod tests {
     use super::*;
     use crate::testfix::{every_damage, sample_analysis};
     use crate::{render_analyzed, render_crashed, CacheStatus};
+    use sga_utils::stats::Stage;
 
     fn ctx_fixture(options: &PipelineOptions) -> (UnitInput, u64, u64, Budget) {
         let input = UnitInput {
@@ -627,11 +631,9 @@ mod tests {
             },
             ..PipelineOptions::default()
         };
-        let timers = StageTimers::new();
         let ctx = UnitCtx {
             options: &options,
             cache: None,
-            timers: &timers,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
         let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
@@ -651,11 +653,9 @@ mod tests {
     /// The fixture unit's request under the default options, sealed.
     fn default_request() -> String {
         let options = PipelineOptions::default();
-        let timers = StageTimers::new();
         let ctx = UnitCtx {
             options: &options,
             cache: None,
-            timers: &timers,
         };
         let (input, key, render_key, budget) = ctx_fixture(&options);
         encode_request(&ctx, 0, &input, key, render_key, &budget)
@@ -675,6 +675,7 @@ mod tests {
             failure: Some((Failure::Panic, "boom".to_string())),
             analysis: None,
             store: false,
+            times: StageTimes::default(),
         };
         let resp = encode_response(&p);
         let whole = decode_response(&resp).expect("intact response decodes");
@@ -695,21 +696,28 @@ mod tests {
 
     /// Every torn write and every single-byte change of a response carrying
     /// a whole analysis is a death (a retried unit), never a half-result:
-    /// the response's one seal covers the analysis' bytes too.
+    /// the response's one seal covers the analysis' bytes too. An intact
+    /// response hands back the unit's stage times to the nanosecond, the
+    /// uncharged stages still uncharged.
     #[test]
     fn every_damage_to_a_response_is_a_death() {
         let a = sample_analysis();
+        let mut times = StageTimes::default();
+        times.add(Stage::Parse, Duration::ZERO);
+        times.add(Stage::Dep, Duration::from_nanos(1_234_567_891));
+        times.add(Stage::Validate, Duration::from_nanos(17));
         let p = Processed {
             json: render_analyzed("u", 7, CacheStatus::Miss, &a, None),
             failure: None,
             analysis: Some(Box::new(a)),
             store: true,
+            times,
         };
         let resp = encode_response(&p);
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(
-            (whole.json, whole.analysis, whole.store),
-            (p.json, p.analysis, true)
+            (whole.json, whole.analysis, whole.store, whole.times),
+            (p.json, p.analysis, true, times)
         );
         for (what, bytes) in every_damage(resp.as_bytes()) {
             // The pipe is read as text, so invalid UTF-8 is refused before

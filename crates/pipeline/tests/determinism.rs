@@ -11,7 +11,6 @@ use sga_core::triage::{self, TriageMode, TriageOptions};
 use sga_core::widening::{WideningConfig, WideningStrategy};
 use sga_core::{checker, preanalysis};
 use sga_pipeline::{analyze_unit, run, PipelineOptions, Project};
-use sga_utils::stats::StageTimers;
 
 fn corpus() -> Project {
     Project::Corpus {
@@ -45,7 +44,8 @@ fn report_is_byte_identical_across_job_counts() {
 /// 9 in 10 of its procedures (the `batch_scc` shape), under the default
 /// options and under each non-default bypass, widening and triage mode: the
 /// counts, every binding of the fixpoint, and every diagnostic — fingerprint,
-/// status and proving pack — are equal.
+/// status and proving pack — are equal. The unit charges its own stages,
+/// from `pre` through `triage`, to one record.
 #[test]
 fn pipeline_unit_matches_one_shot_analyzer_across_shapes_and_options() {
     let flat = GenConfig::sized(21, 1);
@@ -75,14 +75,8 @@ fn pipeline_unit_matches_one_shot_analyzer_across_shapes_and_options() {
     for (what, config, depgen, widening, mode) in rows {
         let program = sga_cfront::parse(&sga_cgen::generate(config)).expect("corpus parses");
 
-        let (unit, internals) = analyze_unit(
-            &program,
-            depgen,
-            widening,
-            mode,
-            &Budget::unbounded(),
-            &StageTimers::new(),
-        );
+        let (unit, internals) =
+            analyze_unit(&program, depgen, widening, mode, &Budget::unbounded());
 
         let reference = interval::analyze_with(
             &program,
@@ -113,6 +107,15 @@ fn pipeline_unit_matches_one_shot_analyzer_across_shapes_and_options() {
         assert_eq!(unit.num_locs, reference.stats.num_locs, "{what}");
         assert_eq!(unit.dep_edges, reference.stats.dep_edges, "{what}");
         assert_eq!(unit.dep_edges_raw, reference.stats.dep_edges_raw, "{what}");
+        let stages: Vec<&str> = internals
+            .solved
+            .stats
+            .times
+            .iter()
+            .map(|(s, _)| s)
+            .collect();
+        let want = ["pre", "defuse", "dep", "fix", "check", "triage"];
+        assert_eq!(stages, want, "{what}");
         assert!(
             internals.solved.into_result().values == reference.values,
             "{what}: fixpoints differ"

@@ -16,7 +16,6 @@ use sga_core::triage::{self, TriageMode, TriageOptions};
 use sga_core::widening::WideningConfig;
 use sga_pipeline::analyze_unit;
 use sga_pipeline::unit::fingerprint_values;
-use sga_utils::stats::StageTimers;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write;
@@ -192,7 +191,6 @@ fn each_stage_peaks_near_what_it_hands_on() {
     drop((q, diags));
     drop((answer, staged));
 
-    let timers = StageTimers::new();
     let (unit, whole) = meter.measure("analyze_unit", || {
         analyze_unit(
             &program,
@@ -200,7 +198,6 @@ fn each_stage_peaks_near_what_it_hands_on() {
             widening,
             TriageMode::Both,
             &budget,
-            &timers,
         )
     });
     drop(unit);

@@ -59,6 +59,7 @@ use sga::diag::Diagnostic;
 use sga::domains::Lattice;
 use sga::pipeline::{self, FaultPlan, IsolationMode, PipelineOptions, Project};
 use sga::serve::ServerConfig;
+use sga::utils::stats::{Stage, StageTimes};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use Set::{Num, On, Pair, Parse, Text};
@@ -495,24 +496,31 @@ fn run_analyze(a: Args) -> ExitCode {
 }
 
 /// Runs all four checkers over an analyzed program and triages the
-/// possible interval alarms. Shared by `sga check` and single-file
-/// `--check`. The answer is read through the staging its engine ran on.
-fn diagnose(solved: &Solved, opts: &PipelineOptions) -> (Vec<Diagnostic>, triage::TriageStats) {
+/// possible interval alarms, timing the `check` and `triage` stages.
+/// Shared by `sga check` and single-file `--check`. The answer is read
+/// through the staging its engine ran on.
+fn diagnose(
+    solved: &Solved,
+    opts: &PipelineOptions,
+) -> (Vec<Diagnostic>, triage::TriageStats, StageTimes) {
     let (pre, q) = (solved.pre(), solved.inputs());
-    let mut diags = checker::check_all_staged(&q, pre);
-    let stats = triage::discharge_staged(
-        pre,
-        &q,
-        &mut diags,
-        &TriageOptions {
-            engine: solved.engine(),
-            widening: opts.widening,
-            budget: triage::derived_budget(solved.stats().iterations, &opts.budget),
-            mode: opts.triage,
-            ..TriageOptions::default()
-        },
-    );
-    (diags, stats)
+    let mut times = StageTimes::default();
+    let mut diags = times.time(Stage::Check, || checker::check_all_staged(&q, pre));
+    let stats = times.time(Stage::Triage, || {
+        triage::discharge_staged(
+            pre,
+            &q,
+            &mut diags,
+            &TriageOptions {
+                engine: solved.engine(),
+                widening: opts.widening,
+                budget: triage::derived_budget(solved.stats().iterations, &opts.budget),
+                mode: opts.triage,
+                ..TriageOptions::default()
+            },
+        )
+    });
+    (diags, stats, times)
 }
 
 /// Prints diagnostics plus the summary line; returns whether any open
@@ -547,6 +555,16 @@ fn octagon_work(stats: &triage::TriageStats) -> Option<String> {
             stats.octagon_iterations
         )
     })
+}
+
+/// "pre 1.2ms, defuse 0.8ms, …": every stage the run charged, in stage
+/// order, under its `timing_ms` name.
+fn stage_times(times: &StageTimes) -> String {
+    let stages: Vec<String> = times
+        .iter()
+        .map(|(name, d)| format!("{name} {d:?}"))
+        .collect();
+    stages.join(", ")
 }
 
 /// "pre: R rounds, E of R×C evaluations" — the pre-analysis' work against
@@ -705,7 +723,8 @@ fn run_check(a: Args) -> ExitCode {
         if solved.stats().degraded {
             eprintln!("sga: analysis budget exhausted; result degraded soundly");
         }
-        diagnose(&solved, &a.opts)
+        let (diags, stats, _) = diagnose(&solved, &a.opts);
+        (diags, stats)
     };
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = a.sarif {
@@ -866,11 +885,17 @@ fn run_file(a: Args) -> ExitCode {
             if solved.stats().degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
+            // Checked before the statistics print, so they time the checks.
+            let checked = a.check.then(|| diagnose(&solved, &a.opts));
             if a.stats {
                 let s = solved.stats();
+                let mut times = s.times;
+                if let Some((_, _, checks)) = &checked {
+                    times.merge(checks);
+                }
                 eprintln!(
-                    "engine {:?}: total {:?} (pre {:?}, dep {:?}, fix {:?}), {} evaluations, {} locations, {} dep edges, widening {}{}",
-                    engine, s.total_time, s.pre_time, s.dep_time, s.fix_time,
+                    "engine {:?}: total {:?} ({}), {} evaluations, {} locations, {} dep edges, widening {}{}",
+                    engine, s.total_time, stage_times(&times),
                     s.iterations, s.num_locs, s.dep_edges, s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
@@ -894,8 +919,7 @@ fn run_file(a: Args) -> ExitCode {
                     }
                 }
             }
-            if a.check {
-                let (diags, tstats) = diagnose(&solved, &a.opts);
+            if let Some((diags, tstats, _)) = checked {
                 definite = print_diagnostics(&diags, &tstats);
                 if a.stats {
                     if let Some(work) = octagon_work(&tstats) {
@@ -912,8 +936,8 @@ fn run_file(a: Args) -> ExitCode {
             if a.stats {
                 let s = &result.stats;
                 eprintln!(
-                    "engine {:?} (octagon): total {:?} (fix {:?}), {} evaluations, {} packs (avg size {:.1}), widening {}{}",
-                    engine, s.total_time, s.fix_time, s.iterations,
+                    "engine {:?} (octagon): total {:?} ({}), {} evaluations, {} packs (avg size {:.1}), widening {}{}",
+                    engine, s.total_time, stage_times(&s.times), s.iterations,
                     result.packs.len(), result.packs.average_size(), s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );

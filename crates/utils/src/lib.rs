@@ -19,9 +19,8 @@
 //!   Bourdoncle-style weak topological order used to place widening points.
 //! * [`rows`] — compressed rows: variable-length rows in one array, the
 //!   layout of the def/use id sets and the dependency relation.
-//! * [`stats`] — wall-clock timers and peak-memory sampling used by the
-//!   benchmark harness to fill in the paper's tables.
-
+//! * [`stats`] — [`stats::StageTimes`], the one record of where an
+//!   analysis' time went, stage by stage, and the process's peak memory.
 //! * [`json`] — a small deterministic JSON reader/writer used by the
 //!   pipeline's run reports and on-disk cache.
 

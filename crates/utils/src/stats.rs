@@ -1,119 +1,114 @@
-//! Timers and memory statistics for the benchmark harness.
+//! Where an analysis' time went, and its peak memory.
 //!
-//! The paper's Tables 2–3 report, per analyzer: total analysis time, its
-//! split into dependency-generation (`Dep`) and fixpoint (`Fix`) phases, and
-//! peak memory. [`Phase`] provides the stopwatch; [`peak_rss_bytes`] reads the
-//! process high-water mark from `/proc/self/status` (Linux), which is the
-//! same notion of "peak memory consumption" the paper reports.
+//! The paper's Tables 2–3 split an analyzer's time into a dependency
+//! phase ("Dep includes times for pre-analysis and data dependency
+//! generation") and a fixpoint phase (`Fix`). [`StageTimes`] is that
+//! accounting as one plain value: one wall time per [`Stage`], the stages
+//! disjoint. A run charges its own record and hands it back; whoever
+//! reports it — the batch report's `timing_ms`, `sga F --stats`, the
+//! tables — reads the same record. [`peak_rss_bytes`] reads the process
+//! high-water mark from `/proc/self/status` (Linux), which is the same
+//! notion of "peak memory consumption" the paper reports.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use crate::Json;
 use std::time::{Duration, Instant};
 
-/// A simple stopwatch for one named analysis phase.
-#[derive(Debug)]
-pub struct Phase {
-    name: &'static str,
-    start: Instant,
+/// One stage of a unit's analysis, in the order a run passes through them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Reading the project's sources.
+    Load,
+    /// The C frontend: lexing, parsing and lowering to the IR.
+    Parse,
+    /// The pre-analysis, the ICFG build included.
+    Pre,
+    /// The `D̂`/`Û` tables (and the octagon's pack-level ones).
+    Defuse,
+    /// Dependency generation alone: reaching definitions and the bypass.
+    Dep,
+    /// The fixpoint.
+    Fix,
+    /// The checkers (and the values fingerprint, in the batch driver).
+    Check,
+    /// Alarm triage: the octagon and path layers.
+    Triage,
+    /// The validation oracle.
+    Validate,
 }
 
-impl Phase {
-    /// Starts timing a phase.
-    pub fn start(name: &'static str) -> Self {
-        Phase {
-            name,
-            start: Instant::now(),
-        }
-    }
+/// The stages' keys in the report's `timing_ms` and in `--stats`, in
+/// [`Stage`] order.
+const NAMES: [&str; 9] = [
+    "load", "parse", "pre", "defuse", "dep", "fix", "check", "triage", "validate",
+];
 
-    /// Phase name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
+/// Wall time per [`Stage`]: a stage is absent until something charges it
+/// (a zero charge included), so a record says which stages ran as well as
+/// how long they took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageTimes([Option<Duration>; NAMES.len()]);
 
-    /// Stops the phase, returning its duration.
-    pub fn stop(self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed time so far, without stopping.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-/// Thread-safe accumulating timers, one counter per named stage.
-///
-/// [`Phase`] times one scoped measurement on one thread; the parallel
-/// pipeline instead needs many workers charging time to shared stage
-/// buckets ("parse", "pre", "dep", "fix", …). Each bucket is an atomic
-/// nanosecond counter, so concurrent [`StageTimers::add`] calls never block
-/// each other; the registry mutex is touched only when a stage name is
-/// first seen (or at snapshot time). Stage order in snapshots is first-use
-/// order, which keeps reports deterministic.
-#[derive(Debug, Default)]
-pub struct StageTimers {
-    stages: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-}
-
-impl StageTimers {
-    /// Creates an empty set of timers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The registry, poisoned or not: the timers are shared with units whose
-    /// panics are caught, and every update leaves the list whole, so a
-    /// holder's panic must not take the run down.
-    fn stages(&self) -> MutexGuard<'_, Vec<(String, Arc<AtomicU64>)>> {
-        self.stages.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn counter(&self, stage: &str) -> Arc<AtomicU64> {
-        let mut stages = self.stages();
-        if let Some((_, c)) = stages.iter().find(|(name, _)| name == stage) {
-            return c.clone();
-        }
-        let c = Arc::new(AtomicU64::new(0));
-        stages.push((stage.to_string(), c.clone()));
-        c
-    }
-
+impl StageTimes {
     /// Charges `elapsed` to `stage`.
-    pub fn add(&self, stage: &str, elapsed: Duration) {
-        self.counter(stage)
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    pub fn add(&mut self, stage: Stage, elapsed: Duration) {
+        self.charge(stage as usize, elapsed);
+    }
+
+    fn charge(&mut self, i: usize, elapsed: Duration) {
+        self.0[i] = Some(self.0[i].unwrap_or_default() + elapsed);
     }
 
     /// Runs `f`, charging its wall time to `stage`.
-    pub fn time<R>(&self, stage: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();
         self.add(stage, start.elapsed());
         out
     }
 
-    /// Total charged to `stage` so far.
-    pub fn get(&self, stage: &str) -> Duration {
-        self.stages()
-            .iter()
-            .find(|(name, _)| name == stage)
-            .map_or(Duration::ZERO, |(_, c)| {
-                Duration::from_nanos(c.load(Ordering::Relaxed))
-            })
+    /// Charges every stage `other` charged, as `other` charged it.
+    pub fn merge(&mut self, other: &StageTimes) {
+        for (i, d) in other.0.iter().enumerate() {
+            if let Some(d) = *d {
+                self.charge(i, d);
+            }
+        }
     }
 
-    /// All stages with their accumulated times, in first-use order.
-    pub fn snapshot(&self) -> Vec<(String, Duration)> {
-        self.stages()
-            .iter()
-            .map(|(name, c)| {
-                (
-                    name.clone(),
-                    Duration::from_nanos(c.load(Ordering::Relaxed)),
-                )
-            })
-            .collect()
+    /// The time charged to `stage`, zero if nothing charged it.
+    pub fn get(&self, stage: Stage) -> Duration {
+        self.0[stage as usize].unwrap_or_default()
+    }
+
+    /// The charged stages by name, with their times, in [`Stage`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
+        NAMES
+            .into_iter()
+            .zip(self.0)
+            .filter_map(|(name, d)| Some((name, d?)))
+    }
+
+    /// The record as the report's `timing_ms` holds it: each charged stage
+    /// by name, in milliseconds, in stage order.
+    pub fn to_json(&self) -> Json {
+        let mut j = Json::obj();
+        for (name, d) in self.iter() {
+            j.set(name, d.as_nanos() as f64 / 1e6);
+        }
+        j
+    }
+
+    /// Reads back what [`StageTimes::to_json`] wrote, to the nanosecond
+    /// (`None` when a stage's entry is not a number); other keys are
+    /// ignored.
+    pub fn from_json(j: &Json) -> Option<StageTimes> {
+        let mut times = StageTimes::default();
+        for (i, name) in NAMES.into_iter().enumerate() {
+            if let Some(ms) = j.get(name) {
+                times.charge(i, Duration::from_nanos((ms.as_f64()? * 1e6).round() as u64));
+            }
+        }
+        Some(times)
     }
 }
 
@@ -130,104 +125,47 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
-/// Current resident-set size of this process in bytes (`VmRSS`).
-pub fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-/// Formats a duration as the paper's tables do: whole seconds for large
-/// values, millisecond precision below 10 s.
-pub fn fmt_duration(d: Duration) -> String {
-    let secs = d.as_secs_f64();
-    if secs >= 10.0 {
-        format!("{secs:.0}")
-    } else {
-        format!("{secs:.3}")
-    }
-}
-
-/// Formats a byte count in binary megabytes, as the paper's tables do.
-pub fn fmt_megabytes(bytes: u64) -> String {
-    format!("{:.0}", bytes as f64 / (1024.0 * 1024.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn phase_measures_nonzero_time() {
-        let p = Phase::start("test");
-        assert_eq!(p.name(), "test");
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(p.stop() >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn stage_timers_accumulate_across_threads() {
-        let timers = StageTimers::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        timers.add("work", Duration::from_micros(10));
-                    }
-                });
-            }
+    fn time_charges_a_nonzero_stage() {
+        let mut times = StageTimes::default();
+        let r = times.time(Stage::Fix, || {
+            std::thread::sleep(Duration::from_millis(2));
+            7
         });
-        assert_eq!(timers.get("work"), Duration::from_micros(4 * 50 * 10));
-        let r = timers.time("timed", || 7);
         assert_eq!(r, 7);
-        assert!(timers.get("timed") > Duration::ZERO);
-        let names: Vec<String> = timers.snapshot().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["work".to_string(), "timed".to_string()]);
+        assert!(times.get(Stage::Fix) >= Duration::from_millis(1));
+        assert_eq!(times.get(Stage::Dep), Duration::ZERO);
     }
 
+    /// Only charged stages are listed, a zero charge included, in stage
+    /// order whatever the order of the charges; a merge adds stage by stage.
     #[test]
-    fn lock_survives_holder_panic() {
-        let timers = StageTimers::new();
-        timers.add("work", Duration::from_micros(1));
-        let holder = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = timers.stages();
-                panic!("poison attempt");
-            })
-            .join()
-        });
-        assert!(holder.is_err());
-        timers.add("work", Duration::from_micros(2));
-        assert_eq!(timers.get("work"), Duration::from_micros(3));
-        assert_eq!(timers.snapshot().len(), 1);
+    fn iter_lists_charged_stages_in_stage_order_and_merge_adds() {
+        let mut a = StageTimes::default();
+        a.add(Stage::Triage, Duration::from_micros(5));
+        a.add(Stage::Parse, Duration::ZERO);
+        a.add(Stage::Triage, Duration::from_micros(2));
+        let names: Vec<&str> = a.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["parse", "triage"]);
+
+        let mut b = StageTimes::default();
+        b.add(Stage::Load, Duration::from_micros(1));
+        b.add(Stage::Triage, Duration::from_micros(3));
+        b.merge(&a);
+        let merged: Vec<(&str, Duration)> = b.iter().collect();
+        let want = [("load", 1), ("parse", 0), ("triage", 10)];
+        assert_eq!(merged, want.map(|(n, us)| (n, Duration::from_micros(us))));
     }
 
     #[test]
     fn rss_available_on_linux() {
         if cfg!(target_os = "linux") {
-            // Two reads of `/proc/self/status`: other tests' threads move the
-            // RSS between them, so only a high-water mark read *after* a
-            // current reading is guaranteed to cover it.
-            let cur = current_rss_bytes().expect("VmRSS should parse on Linux");
             let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
-            assert!(cur > 0);
-            assert!(peak >= cur, "high-water mark below an earlier RSS reading");
+            assert!(peak > 0);
         }
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_secs(90)), "90");
-        assert_eq!(fmt_duration(Duration::from_millis(1500)), "1.500");
-    }
-
-    #[test]
-    fn megabyte_formatting() {
-        assert_eq!(fmt_megabytes(24 * 1024 * 1024), "24");
     }
 }

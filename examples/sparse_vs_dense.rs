@@ -10,6 +10,7 @@ use sga::analysis::interval::{analyze, Engine};
 use sga::cgen::{generate, GenConfig};
 use sga::domains::Lattice;
 use sga::frontend;
+use sga::utils::stats::Stage;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kloc: usize = std::env::args()
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:8}  total {:>9.3?}  fix {:>9.3?}  evaluations {:>8}  state bindings {:>9}",
             format!("{engine:?}"),
             r.stats.total_time,
-            r.stats.fix_time,
+            r.stats.times.get(Stage::Fix),
             r.stats.iterations,
             bindings,
         );

@@ -45,6 +45,17 @@ fn unit(dir: &Path, name: &str, source: &str) -> String {
     path.to_string_lossy().into_owned()
 }
 
+/// The stage names `--stats`' first line lists after `total X`, in order.
+fn stage_names(stats: &str) -> Vec<&str> {
+    let head = stats.lines().next().unwrap_or_default();
+    let total = head.split_once(": total ").map(|(_, rest)| rest);
+    let list = total.and_then(|t| t.split_once(" (")?.1.split_once(')'));
+    let list = list.unwrap_or_else(|| panic!("no stage list: {head}")).0;
+    list.split(", ")
+        .map(|stage| stage.split(' ').next().unwrap())
+        .collect()
+}
+
 fn report(path: &Path) -> Json {
     Json::parse(&std::fs::read_to_string(path).unwrap()).expect("report is JSON")
 }
@@ -70,13 +81,32 @@ fn single_file_flags_show_what_they_name() {
 
     let stats = text(&sga(&[&f, "--stats"]).stderr);
     assert!(stats.starts_with("engine Sparse: "), "{stats}");
+    assert_eq!(
+        stage_names(&stats),
+        ["pre", "defuse", "dep", "fix"],
+        "{stats}"
+    );
     assert!(stats.contains("widening delayed"), "{stats}");
+    let checked = text(&sga(&[&f, "--check", "--stats"]).stderr);
+    let all = ["pre", "defuse", "dep", "fix", "check", "triage"];
+    assert_eq!(stage_names(&checked), all, "{checked}");
+    let octagon = text(&sga(&[&f, "--domain", "octagon", "--stats"]).stderr);
+    assert!(
+        octagon.starts_with("engine Sparse (octagon): "),
+        "{octagon}"
+    );
+    assert_eq!(
+        stage_names(&octagon),
+        ["pre", "defuse", "dep", "fix"],
+        "{octagon}"
+    );
     assert!(
         stats.contains("\npre: ") && stats.contains("\nfix: "),
         "{stats}"
     );
     let chosen = text(&sga(&[&f, "--stats", "--engine", "vanilla", "--widening", "naive"]).stderr);
     assert!(chosen.starts_with("engine Vanilla: "), "{chosen}");
+    assert_eq!(stage_names(&chosen), ["pre", "fix"], "{chosen}");
     assert!(chosen.contains("widening naive"), "{chosen}");
 
     let starved = sga(&[&f, "--max-steps", "1"]);

@@ -2,7 +2,8 @@
 //! `--isolation process`.
 //!
 //! * the canonical report is byte-identical to the in-thread engine at any
-//!   `--jobs` — isolation is an execution detail, not a semantic choice;
+//!   `--jobs` — isolation is an execution detail, not a semantic choice —
+//!   and the full report times the same stages in both modes;
 //! * aborts, OOM kills, and spinning workers degrade to the `crashed`
 //!   outcome (exit 3) while the parent survives and finishes the batch;
 //! * a worker that blows the wall-clock limit is SIGKILLed and the report
@@ -46,11 +47,24 @@ fn isolation_counter(report: &Json, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("isolation.{field} missing"))
 }
 
+/// The keys of the report's `timing_ms`, in order.
+fn timing_keys(report: &Json) -> Vec<String> {
+    match report.get("timing_ms") {
+        Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("timing_ms is not an object: {other:?}"),
+    }
+}
+
 // ---- byte identity -----------------------------------------------------
 
+/// Canonical reports are byte-equal across modes and `--jobs`; a full
+/// report, cold and under the oracle, times the same stages whichever
+/// process analyzed the units: a worker hands its unit's stage times back
+/// with the result.
 #[test]
 fn process_isolation_report_is_byte_identical_to_thread() {
     let mut reports = Vec::new();
+    let mut stages = Vec::new();
     for isolation in ["thread", "process"] {
         for jobs in ["1", "4"] {
             let out = run_sga(&[
@@ -71,6 +85,20 @@ fn process_isolation_report_is_byte_identical_to_thread() {
             );
             reports.push(out.stdout);
         }
+        let out = run_sga(&[
+            "analyze",
+            "--corpus",
+            "units=4,kloc=1,seed=11",
+            "--no-cache",
+            "--validate",
+            "--isolation",
+            isolation,
+        ]);
+        assert!(
+            out.status.success(),
+            "--isolation {isolation} --validate failed"
+        );
+        stages.push(timing_keys(&stdout_json(&out)));
     }
     for r in &reports[1..] {
         assert_eq!(
@@ -78,6 +106,11 @@ fn process_isolation_report_is_byte_identical_to_thread() {
             "canonical report must not depend on isolation mode or jobs"
         );
     }
+    assert_eq!(stages[0], stages[1], "thread and process time other stages");
+    let want = [
+        "load", "parse", "pre", "defuse", "dep", "fix", "check", "triage", "validate", "wall",
+    ];
+    assert_eq!(stages[0], want);
 }
 
 // ---- fatal faults survive as crashed outcomes --------------------------
