@@ -411,9 +411,10 @@ bench_gate() {
     # bytes must stay under their ceilings; the daemon workload's traced run
     # (the same edits in process and over the socket, convergence checked)
     # pins its invalidation, shed and eviction rows in the same ledger, and
-    # two 2-second smokes run the untraced path that `BENCHMARK.json` times,
+    # three 2-second smokes run the untraced path that `BENCHMARK.json` times,
     # with its correctness checks, through the daemon and through the batch
-    # driver. No timing is read.
+    # driver on the SCC-heavy unit and on the flat units, where octagon
+    # triage is the largest layer. No timing is read.
     local rows
     rows=$(traced_rows batch_flat && traced_rows batch_scc &&
         traced_rows warm_rerun "$WARM_ROWS" &&
@@ -422,7 +423,8 @@ bench_gate() {
             grep -vFf <(cut -d' ' -f1,2 BENCH_alloc_ceilings.txt)) &&
         printf '%s\n' "$rows" | under_ceilings &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2 &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2 &&
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2
 }
 
 # The product crates, whose docs must link only to items that exist

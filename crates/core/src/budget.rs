@@ -57,11 +57,6 @@ impl Budget {
         }
     }
 
-    /// Whether neither limit is set.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_steps.is_none() && self.timeout_ms.is_none()
-    }
-
     /// A stable textual rendering for cache keys: depends only on the
     /// configured limits, never on wall-clock state.
     pub fn cache_tag(&self) -> String {
@@ -110,11 +105,6 @@ impl WorkerLimits {
             mem_mb: None,
             timeout_ms: None,
         }
-    }
-
-    /// Whether neither limit is set.
-    pub fn is_unbounded(&self) -> bool {
-        self.mem_mb.is_none() && self.timeout_ms.is_none()
     }
 
     /// The `RLIMIT_CPU` backstop (whole seconds) derived from the wall-clock

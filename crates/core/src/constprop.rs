@@ -369,8 +369,9 @@ impl DenseSpec for ConstSpec<'_> {
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use crate::depstore::CsrDeps;
     use crate::interval::{AnalyzeOptions, Pipeline};
-    use crate::sparse::SparseResult;
+    use crate::sparse::SparseRows;
     use crate::widening::WideningPlan;
     use sga_cfront::parse;
     use sga_domains::lattice::laws::{check_join_laws, check_widen_narrow_laws};
@@ -378,17 +379,12 @@ mod tests {
 
     /// Sparse constant propagation over `program` staged with the default
     /// options.
-    fn analyze(program: &Program) -> SparseResult<AbsLoc, Const> {
+    fn analyze(program: &Program) -> SparseRows<AbsLoc, Const> {
         let staged = Pipeline::prepare(program, AnalyzeOptions::default());
         let spec = ConstSpec::new(program, &staged.pre, &staged.du);
-        sparse::solve(
-            program,
-            &staged.icfg,
-            &staged.deps,
-            &spec,
-            &WideningPlan::naive(),
-            &Budget::unbounded(),
-        )
+        let csr = CsrDeps::build(program, &staged.icfg, &staged.deps);
+        let (naive, unbounded) = (WideningPlan::naive(), Budget::unbounded());
+        sparse::solve_rows(program, &staged.icfg, &csr, &spec, &naive, &unbounded)
     }
 
     fn var(program: &Program, name: &str) -> VarId {
@@ -410,8 +406,11 @@ mod tests {
     }
 
     /// The constant bound to `name` at its last assignment.
-    fn at_last_def(program: &Program, r: &SparseResult<AbsLoc, Const>, name: &str) -> Const {
-        r.value(last_def(program, name), &AbsLoc::Var(var(program, name)))
+    fn at_last_def(program: &Program, r: &SparseRows<AbsLoc, Const>, name: &str) -> Const {
+        let l = AbsLoc::Var(var(program, name));
+        r.lookup(last_def(program, name), &l)
+            .cloned()
+            .unwrap_or(Const::Bot)
     }
 
     #[test]
@@ -442,11 +441,8 @@ mod tests {
         let r = analyze(&p);
         assert_eq!(at_last_def(&p, &r, "b"), Const::Val(5));
         assert_eq!(at_last_def(&p, &r, "c"), Const::Val(50));
-        let constants = r
-            .values
-            .values()
-            .flat_map(|m| m.values())
-            .filter(|v| matches!(v, Const::Val(_)))
+        let constants = (r.iter().flat_map(|(_, row)| row))
+            .filter(|(_, v)| matches!(v, Const::Val(_)))
             .count();
         assert!(constants >= 3);
     }
@@ -516,10 +512,11 @@ mod tests {
         let consts = analyze(&p);
         let itv = crate::interval::analyze(&p, crate::interval::Engine::Sparse);
         let mut checked = 0;
-        for (cp, st) in &consts.values {
-            for (l, v) in st.iter() {
+        for (cp, row) in consts.iter() {
+            for (r, v) in row {
+                let l = &consts.locs()[*r as usize];
                 if let Const::Val(n) = v {
-                    let iv = itv.value_at(*cp, l).itv;
+                    let iv = itv.value_at(cp, l).itv;
                     assert!(
                         iv.contains(*n) || iv.is_bottom(),
                         "constprop says {l:?}={n} at {cp} but interval says {iv}"

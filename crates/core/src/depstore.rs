@@ -1,7 +1,7 @@
 //! The dependency store the sparse solver runs over, and its worklist.
 //!
 //! The §5 dependency relation is a set of triples `(c_from, c_to, l)`.
-//! [`crate::sparse::solve_with`] consumes it through the [`DepStore`]
+//! [`crate::sparse::solve_rows`] consumes it through the [`DepStore`]
 //! trait, which couples the relation with worklist construction. The solver
 //! reads the relation's own rows — [`DataDeps`] holds them flat and
 //! location-sorted over the program's dense point numbering — so what a

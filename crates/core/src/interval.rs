@@ -438,6 +438,19 @@ pub struct Inputs<'a> {
     source: InputSource<'a>,
 }
 
+/// The rows of a sparse interval answer held as maps, ranked as `deps`
+/// ranks `du`'s locations: the shape a solve over `deps` returns.
+pub(crate) fn rows_of_maps<'m>(
+    program: &Program,
+    deps: &DataDeps,
+    du: &DefUse,
+    maps: impl Iterator<Item = (&'m Cp, &'m PMap<AbsLoc, Value>)>,
+) -> SparseRows<AbsLoc, Value> {
+    let (_, locs) = sparse::rank_tables(deps.loc_rank(), |id| du.locs.loc(id));
+    let bindings = maps.map(|(cp, m)| (*cp, m.iter().map(|(l, v)| (*l, v.clone()))));
+    SparseRows::from_bindings(program, locs, bindings)
+}
+
 enum InputSource<'a> {
     /// A sparse answer's rows, ranked as the relation ranks its locations.
     InEdges(&'a DataDeps, Cow<'a, SparseRows<AbsLoc, Value>>),
@@ -466,11 +479,8 @@ impl<'a> Inputs<'a> {
         let source = match result.engine {
             Engine::Sparse => {
                 let deps = deps.expect("a sparse result is read through its dependency in-edges");
-                let (_, locs) = sparse::rank_tables(deps.loc_rank(), |id| du.locs.loc(id));
-                let states = result.values.iter();
-                let bindings = states.map(|(cp, s)| (*cp, s.iter().map(|(l, v)| (*l, v.clone()))));
-                let rows = SparseRows::from_bindings(program, locs, bindings);
-                InputSource::InEdges(deps, Cow::Owned(rows))
+                let maps = result.values.iter().map(|(cp, s)| (cp, s.as_pmap()));
+                InputSource::InEdges(deps, Cow::Owned(rows_of_maps(program, deps, du, maps)))
             }
             Engine::Base => InputSource::Dense(
                 Cow::Owned(IntervalDenseSpec::new(program, Some(du))),

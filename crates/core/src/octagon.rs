@@ -34,7 +34,7 @@ use crate::depstore::{solved_points, CsrDeps};
 use crate::icfg::Icfg;
 use crate::interval::AnalyzeOptions;
 use crate::preanalysis::{self, PreAnalysis};
-use crate::sparse::{self, Row, SparseSpec};
+use crate::sparse::{self, Row, SparseRows, SparseSpec};
 use crate::stats::AnalysisStats;
 use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
@@ -53,13 +53,22 @@ pub type OctState = PMap<PackId, Octagon>;
 /// Which octagon analyzer to run.
 pub type Engine = crate::interval::Engine;
 
+/// An octagon solve's post-states, in the shape its engine produced them.
+#[derive(Debug)]
+pub enum OctValues {
+    /// The dense engines' state maps: as rows, points would stop sharing packs.
+    Dense(FxHashMap<Cp, OctState>),
+    /// The sparse engine's rows, over every pack: a pack's rank is its id.
+    Sparse(SparseRows<PackId, Octagon>),
+}
+
 /// Result of an octagon analysis.
 #[derive(Debug)]
 pub struct OctagonResult {
     /// The engine used.
     pub engine: Engine,
-    /// Post-states per control point.
-    pub values: FxHashMap<Cp, OctState>,
+    /// Post-states per control point, read through [`OctagonResult::get`].
+    pub values: OctValues,
     /// The pack set the analysis ran with.
     pub packs: PackSet,
     /// Points the fixpoint ran over: every point of a non-external
@@ -82,32 +91,29 @@ impl OctagonResult {
         defs.binary_search(&pid.0).is_ok()
     }
 
+    /// What `cp` binds pack `pid` to, if it does.
+    pub fn get(&self, cp: Cp, pid: PackId) -> Option<&Octagon> {
+        match &self.values {
+            OctValues::Dense(states) => states.get(&cp)?.get(&pid),
+            OctValues::Sparse(rows) => rows.get(cp, pid.0),
+        }
+    }
+
     /// Projects variable `x` to an interval at `cp`, meeting the
     /// projections of every pack that contains `x`.
     pub fn itv_of(&self, cp: Cp, x: VarId) -> Interval {
-        let Some(st) = self.values.get(&cp) else {
-            return Interval::Bot;
-        };
-        project_all(&self.packs, st, x)
+        project_all(&self.packs, |pid| self.get(cp, pid), x)
     }
 
     /// The tightest known bound on `x − y` at `cp`, if some pack relates
     /// them.
     pub fn diff_bound(&self, cp: Cp, x: VarId, y: VarId) -> Option<i64> {
-        let st = self.values.get(&cp)?;
-        let mut best: Option<i64> = None;
-        for &pid in self.packs.packs_of(x) {
+        let bounds = self.packs.packs_of(x).iter().filter_map(|&pid| {
             let pack = self.packs.pack(pid);
-            let (Some(ix), Some(iy)) = (pack.index_of(x), pack.index_of(y)) else {
-                continue;
-            };
-            if let Some(oct) = st.get(&pid) {
-                if let Some(c) = oct.diff_bound(ix, iy) {
-                    best = Some(best.map_or(c, |b| b.min(c)));
-                }
-            }
-        }
-        best
+            let (ix, iy) = (pack.index_of(x)?, pack.index_of(y)?);
+            self.get(cp, pid)?.diff_bound(ix, iy)
+        });
+        bounds.min()
     }
 }
 
@@ -177,7 +183,8 @@ pub(crate) fn analyze_with_pre(
             });
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
-            (result.post, solved_points(program).count())
+            let points = solved_points(program).count();
+            (OctValues::Dense(result.post), points)
         }
         Engine::Sparse => {
             let deps = stats.times.time(Stage::Dep, || {
@@ -187,13 +194,15 @@ pub(crate) fn analyze_with_pre(
             stats.dep_edges = deps.stats.final_edges;
             stats.dep_walk_visits = deps.stats.walk_visits;
             stats.dep_walk_defs = deps.stats.walk_defs;
-            let (_, result) = stats.times.time(Stage::Fix, || {
+            let (_, rows) = stats.times.time(Stage::Fix, || {
                 staged.solve_sparse(program, icfg, &sem, du, &deps, options)
             });
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            stats.fix_work = result.work;
-            (result.values, result.points)
+            stats.iterations = rows.iterations;
+            stats.degraded = rows.degraded;
+            stats.fix_work = rows.work;
+            debug_assert_eq!(rows.locs().len(), staged.packs.len(), "ranked by pack id");
+            let points = rows.points;
+            (OctValues::Sparse(rows), points)
         }
     };
 
@@ -224,8 +233,8 @@ pub(crate) fn sparse_post_fixpoint_check(
     let staged = Staged::new(program, pre, du, None, options);
     let sem = OctSemantics::new(program, pre, &staged.packs, &staged.fresh);
     let deps = depgen::generate_from(program, &staged.odu, options.depgen);
-    let (spec, result) = staged.solve_sparse(program, &icfg, &sem, du, &deps, options);
-    crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
+    let (spec, rows) = staged.solve_sparse(program, &icfg, &sem, du, &deps, options);
+    crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &rows)
 }
 
 /// What every octagon engine runs on, staged once from the program and its
@@ -271,15 +280,15 @@ impl Staged {
         du: &'s DefUse,
         deps: &DataDeps,
         options: AnalyzeOptions,
-    ) -> (OctSparseSpec<'s>, sparse::SparseResult<PackId, Octagon>) {
+    ) -> (OctSparseSpec<'s>, SparseRows<PackId, Octagon>) {
         let spec = OctSparseSpec {
             sem,
             du,
             odu: &self.odu,
         };
         let store = CsrDeps::over(program, icfg, deps, self.odu.bindable_points(deps));
-        let result = sparse::solve_with(program, icfg, &store, &spec, &self.plan, &options.budget);
-        (spec, result)
+        let rows = sparse::solve_rows(program, icfg, &store, &spec, &self.plan, &options.budget);
+        (spec, rows)
     }
 }
 
@@ -553,7 +562,7 @@ impl<'p> OctSemantics<'p> {
     /// `π_x`: the interval of `x`, met across every pack containing it
     /// (the singleton pack guarantees at least one projection exists).
     fn project_var(&self, st: &OctState, x: VarId) -> Interval {
-        project_all(self.packs, st, x)
+        project_all(self.packs, |pid| st.get(&pid), x)
     }
 
     /// Interval evaluation of an arbitrary expression under projections —
@@ -760,21 +769,18 @@ impl<'p> OctSemantics<'p> {
     }
 }
 
-/// The meet of `x`'s projections over all packs containing it. ⊥ when no
-/// pack binds it (strict states).
-fn project_all(packs: &PackSet, st: &OctState, x: VarId) -> Interval {
-    let mut acc: Option<Interval> = None;
-    for &pid in packs.packs_of(x) {
-        if let Some(oct) = st.get(&pid) {
-            let ix = packs.pack(pid).index_of(x).expect("pack contains x");
-            let proj = oct.project(ix);
-            acc = Some(match acc {
-                Some(a) => a.meet(&proj),
-                None => proj,
-            });
-        }
-    }
-    acc.unwrap_or(Interval::Bot)
+/// The meet of `x`'s projections over all packs containing it, each
+/// pack's octagon read through `bound`. ⊥ when no pack binds it (strict
+/// states).
+fn project_all<'a>(
+    packs: &PackSet,
+    bound: impl Fn(PackId) -> Option<&'a Octagon>,
+    x: VarId,
+) -> Interval {
+    let each = packs.packs_of(x).iter().filter_map(|&pid| {
+        Some(bound(pid)?.project(packs.pack(pid).index_of(x).expect("pack contains x")))
+    });
+    each.reduce(|a, p| a.meet(&p)).unwrap_or(Interval::Bot)
 }
 
 /// `x ⋈ [lo, hi]` as octagon constraints.
@@ -1671,20 +1677,19 @@ mod tests {
     /// Solves `u` sparsely — sliced to `seeds`, or whole — and
     /// post-fixpoint-checks the result against the relation and spec it was
     /// solved with.
-    fn solve_checked(u: &Unit, seeds: Option<&[VarId]>) -> FxHashMap<Cp, OctState> {
+    fn solve_checked(u: &Unit, seeds: Option<&[VarId]>) -> SparseRows<PackId, Octagon> {
         let options = AnalyzeOptions::default();
         let staged = Staged::new(&u.program, &u.pre, &u.du, seeds, options);
         let sem = OctSemantics::new(&u.program, &u.pre, &staged.packs, &staged.fresh);
         let deps = depgen::generate_from(&u.program, &staged.odu, options.depgen);
-        let (spec, result) = staged.solve_sparse(&u.program, &u.icfg, &sem, &u.du, &deps, options);
-        let report =
-            crate::validate::check_sparse_post_fixpoint(&u.program, &deps, &spec, &result.values);
+        let (spec, rows) = staged.solve_sparse(&u.program, &u.icfg, &sem, &u.du, &deps, options);
+        let report = crate::validate::check_sparse_post_fixpoint(&u.program, &deps, &spec, &rows);
         assert!(
             report.violations.is_empty(),
             "not a post-fixpoint of its own relation (seeds {seeds:?}): {:?}",
             report.violations.first()
         );
-        result.values
+        rows
     }
 
     /// The demand-driven solve is the whole-unit analysis on fewer
@@ -1715,24 +1720,24 @@ mod tests {
                 seeds.truncate(n);
                 let keep = slice_packs(&u.program, &u.du, &packs, &seeds);
                 let sliced = solve_checked(u, Some(&seeds));
-                for (cp, st) in &sliced {
-                    for (pid, oct) in st.iter() {
+                for (cp, row) in sliced.iter() {
+                    for &(pid, ref oct) in row {
                         assert!(
-                            keep.contains(pid.index()),
-                            "unit {k}: {cp}: dropped {pid:?}"
+                            keep.contains(pid as usize),
+                            "unit {k}: {cp}: dropped pack {pid}"
                         );
                         assert_eq!(
-                            whole.get(cp).and_then(|w| w.get(pid)),
+                            whole.get(cp, pid),
                             Some(oct),
-                            "unit {k}, {n} seeds: {cp} {pid:?}"
+                            "unit {k}, {n} seeds: {cp} pack {pid}"
                         );
                     }
                 }
-                for (cp, st) in &whole {
-                    for (pid, _) in st.iter().filter(|(pid, _)| keep.contains(pid.index())) {
+                for (cp, row) in whole.iter() {
+                    for &(pid, _) in row.iter().filter(|(pid, _)| keep.contains(*pid as usize)) {
                         assert!(
-                            sliced.get(cp).is_some_and(|s| s.get(pid).is_some()),
-                            "unit {k}, {n} seeds: {cp} {pid:?} bound by the whole-unit run only"
+                            sliced.get(cp, pid).is_some(),
+                            "unit {k}, {n} seeds: {cp} pack {pid} bound by the whole-unit run only"
                         );
                     }
                 }
@@ -1766,10 +1771,9 @@ mod tests {
                 };
                 let solve = |store: &CsrDeps| {
                     let (plan, budget) = (&staged.plan, &options.budget);
-                    let r = sparse::solve_with(&u.program, &u.icfg, store, &spec, plan, budget);
-                    let report = crate::validate::check_sparse_post_fixpoint(
-                        &u.program, &deps, &spec, &r.values,
-                    );
+                    let r = sparse::solve_rows(&u.program, &u.icfg, store, &spec, plan, budget);
+                    let report =
+                        crate::validate::check_sparse_post_fixpoint(&u.program, &deps, &spec, &r);
                     assert!(
                         report.violations.is_empty(),
                         "unit {k}: {:?}",
@@ -1781,21 +1785,19 @@ mod tests {
                 let every = solve(&CsrDeps::build(&u.program, &u.icfg, &deps));
                 let some = solve(&CsrDeps::over(&u.program, &u.icfg, &deps, points.clone()));
                 let what = format!("unit {k}, seeds {seeds:?}");
-                for (cp, st) in &every.values {
+                for (cp, row) in every.iter() {
                     assert!(
-                        st.is_empty() || points.binary_search(cp).is_ok(),
+                        row.is_empty() || points.binary_search(&cp).is_ok(),
                         "{what}: {cp} binds outside the set"
                     );
-                    for (pid, oct) in st.iter() {
-                        let other = some.values.get(cp).and_then(|s| s.get(pid));
-                        assert_eq!(other, Some(oct), "{what}: {cp} {pid:?}");
+                    for &(pid, ref oct) in row {
+                        assert_eq!(some.get(cp, pid), Some(oct), "{what}: {cp} pack {pid}");
                     }
                 }
-                for (cp, st) in &some.values {
-                    assert_eq!(st.len(), every.values[cp].len(), "{what}: {cp}");
+                for (cp, row) in some.iter() {
+                    assert_eq!(row.len(), every.row(cp).unwrap().len(), "{what}: {cp}");
                 }
-                let pops =
-                    |r: &sparse::SparseResult<PackId, Octagon>| r.iterations + r.narrowing_rounds;
+                let pops = |r: &SparseRows<PackId, Octagon>| r.iterations + r.narrowing_rounds;
                 // Every point pops at least once a phase, so leaving one out
                 // pops less; a small file can define a pack everywhere, a
                 // generated unit cannot.

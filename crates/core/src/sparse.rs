@@ -30,12 +30,13 @@
 //!
 //! The solve's one output is those rows as the engine holds them:
 //! [`solve_rows`] returns a [`SparseRows`], one rank-keyed row per dense
-//! point plus the rank → location table, and its readers (the interval
-//! checkers through `interval::Inputs`, the batch driver's values
-//! fingerprint) bisect a row by rank. [`solve_with`] and [`solve`] are that
-//! solve with one conversion at its boundary, the location-keyed [`PMap`]s
-//! of [`SparseResult::values`], for the callers that read a map: the
-//! octagon, the oracle and the tests.
+//! point plus the rank → location table, and every product reader bisects
+//! a row: the interval checkers through `interval::Inputs`, the batch
+//! driver's values fingerprint, the octagon's queries (a pack's rank is its
+//! id) and the `validate` oracle (by location). [`solve_with`] and
+//! [`solve`] are that solve with one conversion at its boundary, the
+//! location-keyed [`PMap`]s of [`SparseResult::values`], kept for the
+//! benchmark harness and the tests.
 
 use crate::budget::Budget;
 use crate::depgen::DataDeps;
@@ -207,6 +208,13 @@ impl<L: Copy + Ord, V> SparseRows<L, V> {
         find(row, &r).ok().map(|at| &row[at].1)
     }
 
+    /// What `cp` binds `l` to, if it does: [`SparseRows::get`] of the rank
+    /// the table gives `l`.
+    pub fn lookup(&self, cp: Cp, l: &L) -> Option<&V> {
+        let r = self.locs.binary_search(l).ok()?;
+        self.get(cp, r as u32)
+    }
+
     /// Every evaluated point and its row, in point numbering order.
     pub fn iter(&self) -> impl Iterator<Item = (Cp, &[(u32, V)])> + '_ {
         let rows = self.cps.iter().zip(&self.rows);
@@ -250,16 +258,6 @@ impl<L: Copy + Ord, V: Clone> SparseRows<L, V> {
             work,
         }
     }
-
-    /// [`SparseRows::into_result`]'s map, copied from rows that stay.
-    pub fn to_pmaps(&self) -> FxHashMap<Cp, PMap<L, V>> {
-        self.iter()
-            .map(|(cp, row)| {
-                let row = row.iter().map(|(r, v)| (self.locs[*r as usize], v.clone()));
-                (cp, PMap::from_sorted_vec(row.collect()))
-            })
-            .collect()
-    }
 }
 
 /// A relation's rank tables: rank → location id, and rank → location
@@ -271,16 +269,6 @@ pub(crate) fn rank_tables<L>(rank: &[u32], loc_of: impl Fn(u32) -> L) -> (Vec<u3
     }
     let locs = ids.iter().map(|&id| loc_of(id)).collect();
     (ids, locs)
-}
-
-impl<L: Copy + Ord, V: Clone + Lattice> SparseResult<L, V> {
-    /// The value of `l` in `cp`'s output bindings (⊥ if absent).
-    pub fn value(&self, cp: Cp, l: &L) -> V {
-        self.values
-            .get(&cp)
-            .and_then(|m| m.get(l).cloned())
-            .unwrap_or_else(V::bottom)
-    }
 }
 
 /// What one pop computed for its point: keyed by location `K` as the

@@ -96,8 +96,12 @@ fn octagon(
     let du = defuse::compute(program, &pre);
     let solved =
         octagon::analyze_with_pre(program, &pre, &du, &icfg, seeds, Engine::Sparse, options);
-    let outcome = outcome_of(program, &solved.values, &solved.stats);
-    (solved.values, outcome, solved.stats.fix_work)
+    let octagon::OctValues::Sparse(rows) = solved.values else {
+        unreachable!("a sparse solve answers in rows")
+    };
+    let values: FxHashMap<Cp, PMap<_, _>> = rows.into_pmaps().collect();
+    let outcome = outcome_of(program, &values, &solved.stats);
+    (values, outcome, solved.stats.fix_work)
 }
 
 fn constants(program: &Program) -> (impl PartialEq, Outcome, FixWork) {

@@ -1052,11 +1052,10 @@ fn the_rank_table_orders_every_interned_location_as_the_instance_does() {
 }
 
 /// [`solve_with`]'s maps are [`solve_rows`]' rows converted at the
-/// boundary: the same points, each with the same bindings, whether the
-/// rows are taken ([`SparseRows::into_result`]) or copied
-/// ([`SparseRows::to_pmaps`]); [`SparseRows::get`] finds every binding by
-/// its rank, and [`SparseRows::from_bindings`] turns the maps back into
-/// the rows.
+/// boundary ([`SparseRows::into_result`]): the same points, each with the
+/// same bindings; [`SparseRows::get`] finds every binding by its rank,
+/// [`SparseRows::lookup`] by its location, and
+/// [`SparseRows::from_bindings`] turns the maps back into the rows.
 #[test]
 fn the_maps_are_the_rows() {
     let scc = sga_cgen::GenConfig {
@@ -1073,7 +1072,6 @@ fn the_maps_are_the_rows() {
         let rows = solve_rows(&program, &pl.icfg, &csr, &spec, &pl.widening, &budget);
         let maps = solve_with(&program, &pl.icfg, &csr, &spec, &pl.widening, &budget).values;
         assert_eq!(rows.evaluated(), maps.len());
-        assert!(rows.to_pmaps() == maps, "a copied map differs");
         assert!(
             rows.clone().into_result().values == maps,
             "a taken map differs"
@@ -1082,8 +1080,10 @@ fn the_maps_are_the_rows() {
         for (cp, row) in rows.iter() {
             assert_eq!(row.len(), maps[&cp].len(), "{cp}");
             for (r, v) in row {
+                let l = rows.locs()[*r as usize];
                 assert_eq!(rows.get(cp, *r), Some(v), "{cp}");
-                assert_eq!(maps[&cp].get(&rows.locs()[*r as usize]), Some(v), "{cp}");
+                assert_eq!(rows.lookup(cp, &l), Some(v), "{cp}");
+                assert_eq!(maps[&cp].get(&l), Some(v), "{cp}");
             }
             bindings += row.len();
         }

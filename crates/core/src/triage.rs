@@ -512,7 +512,7 @@ impl OctQuery<'_> {
             let defines = self.res.defines(at, pid);
             let pre_call =
                 self.res.engine != Engine::Sparse && matches!(proc.nodes[n].cmd, Cmd::Call { .. });
-            let bound = self.res.values.get(&at).and_then(|st| st.get(&pid));
+            let bound = self.res.get(at, pid);
             if let Some(o) = bound.filter(|_| !(defines && pre_call)) {
                 acc = acc.join(o);
                 continue;
@@ -785,8 +785,10 @@ mod tests {
     use crate::defuse;
     use crate::icfg::Icfg;
     use crate::interval::analyze;
+    use crate::octagon::OctValues;
     use crate::preanalysis;
     use sga_cfront::parse;
+    use sga_utils::FxHashMap;
 
     fn triage(src: &str) -> (Vec<Diagnostic>, TriageStats) {
         triage_with(src, TriageMode::default())
@@ -997,6 +999,116 @@ mod tests {
             .iter()
             .map(|plan| (decide(plan, &sliced), decide(plan, &whole)))
             .collect()
+    }
+
+    /// [`OctQuery::before`] as it read the octagon's answer held as a map
+    /// of states: the reference for the rows-reading one.
+    fn before_in_map(
+        res: &OctagonResult,
+        map: &FxHashMap<Cp, octagon::OctState>,
+        program: &Program,
+        cp: Cp,
+        pid: PackId,
+    ) -> Option<Octagon> {
+        let proc = &program.procs[cp.proc];
+        let mut stack: Vec<NodeId> = proc.preds_of(cp.node).to_vec();
+        if stack.is_empty() {
+            return None;
+        }
+        let mut visited: FxHashSet<NodeId> = stack.iter().copied().collect();
+        let mut acc = Octagon::bottom();
+        while let Some(n) = stack.pop() {
+            let at = Cp::new(cp.proc, n);
+            let defines = res.defines(at, pid);
+            let pre_call =
+                res.engine != Engine::Sparse && matches!(proc.nodes[n].cmd, Cmd::Call { .. });
+            let bound = map.get(&at).and_then(|st| st.get(&pid));
+            if let Some(o) = bound.filter(|_| !(defines && pre_call)) {
+                acc = acc.join(o);
+                continue;
+            }
+            let preds = proc.preds_of(n);
+            if preds.is_empty() || defines {
+                return None;
+            }
+            for &p in preds {
+                if visited.insert(p) {
+                    stack.push(p);
+                }
+            }
+        }
+        (!acc.is_bottom()).then_some(acc)
+    }
+
+    /// `itv_of`, `diff_bound` and [`OctQuery::before`] read the octagon's
+    /// answer through [`OctagonResult::get`], and give what the map of
+    /// states of the same solve gives (a dense engine's own, the sparse
+    /// rows turned into maps), under every engine, the sparse one whole and
+    /// sliced, on `tests/alarms` and a generated SCC-heavy unit.
+    #[test]
+    fn octagon_answers_from_the_rows_equal_the_maps() {
+        let units = crate::sparse::differential::corpus().into_iter();
+        let units = units.filter(|(name, _)| name.ends_with(".c") || name.ends_with("max_scc 18"));
+        let mut compared = [0usize; 3];
+        for (name, p) in units {
+            let pre = preanalysis::run(&p);
+            let (du, icfg) = (defuse::compute(&p, &pre), Icfg::build(&p, &pre));
+            let seeds: Vec<VarId> = p.vars.indices().step_by(7).collect();
+            let runs = [
+                (Engine::Vanilla, None),
+                (Engine::Base, None),
+                (Engine::Sparse, None),
+                (Engine::Sparse, Some(&seeds[..])),
+            ];
+            let points: Vec<Cp> = p.all_points().collect();
+            let stride = points.len() / 150 + 1;
+            for (engine, seeds) in runs {
+                let options = AnalyzeOptions::default();
+                let res = octagon::analyze_with_pre(&p, &pre, &du, &icfg, seeds, engine, options);
+                let map: FxHashMap<Cp, octagon::OctState> = match &res.values {
+                    OctValues::Dense(states) => states.clone(),
+                    OctValues::Sparse(rows) => rows.clone().into_pmaps().collect(),
+                };
+                let what = |cp| format!("{name}, {engine:?}, sliced {}: {cp}", seeds.is_some());
+                let q = OctQuery {
+                    program: &p,
+                    res: &res,
+                };
+                for &cp in points.iter().step_by(stride) {
+                    let st = map.get(&cp);
+                    for (pid, pack) in res.packs.iter() {
+                        assert_eq!(res.get(cp, pid), st.and_then(|st| st.get(&pid)));
+                        let want = before_in_map(&res, &map, &p, cp, pid);
+                        assert_eq!(q.before(cp, pid), want, "{}", what(cp));
+                        compared[0] += usize::from(want.is_some());
+                        for (i, &x) in pack.members().iter().enumerate() {
+                            for (j, &y) in pack.members().iter().enumerate() {
+                                let bound = st.and_then(|st| st.get(&pid)?.diff_bound(i, j));
+                                let best = res.packs.packs_of(x).iter().filter_map(|&other| {
+                                    let pack = res.packs.pack(other);
+                                    let (ix, iy) = (pack.index_of(x)?, pack.index_of(y)?);
+                                    st?.get(&other)?.diff_bound(ix, iy)
+                                });
+                                assert_eq!(res.diff_bound(cp, x, y), best.min(), "{}", what(cp));
+                                compared[1] += usize::from(bound.is_some());
+                            }
+                        }
+                    }
+                    for (x, _) in p.vars.iter_enumerated() {
+                        let want = st.map_or(Interval::Bot, |st| {
+                            let bound = res.packs.packs_of(x).iter().filter_map(|pid| {
+                                let ix = res.packs.pack(*pid).index_of(x)?;
+                                Some(st.get(pid)?.project(ix))
+                            });
+                            bound.reduce(|a, b| a.meet(&b)).unwrap_or(Interval::Bot)
+                        });
+                        assert_eq!(res.itv_of(cp, x), want, "{}", what(cp));
+                        compared[2] += usize::from(!want.is_bottom());
+                    }
+                }
+            }
+        }
+        assert!(compared.iter().all(|&n| n > 0), "{compared:?}");
     }
 
     #[test]

@@ -33,15 +33,15 @@
 //! the bench gate).
 
 use crate::budget::Budget;
-use crate::constprop::{self, ConstSpec};
+use crate::constprop::{self, Const, ConstSpec};
 use crate::defuse::DefUse;
 use crate::dense;
 use crate::depgen::DataDeps;
-use crate::depstore::solved_points;
+use crate::depstore::{solved_points, CsrDeps};
 use crate::icfg::Icfg;
 use crate::interval::{AnalyzeOptions, IntervalSparseSpec};
 use crate::preanalysis::PreAnalysis;
-use crate::sparse::{self, SparseSpec};
+use crate::sparse::{self, SparseRows, SparseSpec};
 use crate::widening::WideningPlan;
 use sga_domains::lattice::Lattice;
 use sga_domains::{AbsLoc, Value};
@@ -172,17 +172,18 @@ impl UnitValidation {
 /// function once, and requires every produced binding to be `⊑` the stored
 /// one. Holds for exact *and* degraded fixpoints — degradation changes
 /// where widening stops the ascent, not the post-fixpoint property.
+/// `values` are the solve's rows, a stored value read by location.
 pub fn check_sparse_post_fixpoint<S: SparseSpec>(
     program: &Program,
     deps: &DataDeps,
     spec: &S,
-    values: &FxHashMap<Cp, PMap<S::L, S::V>>,
+    values: &SparseRows<S::L, S::V>,
 ) -> CheckReport {
     let main_entry = Cp::new(program.main, program.procs[program.main].entry);
     let gather = |edges: &[(u32, Cp)], mut acc: PMap<S::L, S::V>| -> PMap<S::L, S::V> {
         for &(loc_id, from) in edges {
             let l = spec.loc_of(loc_id);
-            if let Some(v) = values.get(&from).and_then(|m| m.get(&l)) {
+            if let Some(v) = values.lookup(from, &l) {
                 let joined = match acc.get(&l) {
                     Some(old) => old.join(v),
                     None => v.clone(),
@@ -206,20 +207,17 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
         let pre = gather(deps.deps_into(cp), seed).to_sorted_vec();
         let ret = gather(deps.deps_into_ret(cp), PMap::new()).to_sorted_vec();
         let out = spec.transfer(cp, &pre, &ret);
-        let stored = values.get(&cp);
         for (l, v) in &out {
             report.bindings += 1;
-            let holds = match stored.and_then(|m| m.get(l)) {
+            let stored = values.lookup(cp, l);
+            let holds = match stored {
                 Some(s) => v.le(s),
                 None => v.le(&S::V::bottom()),
             };
             if !holds {
                 report.push(Violation::new(
                     CheckKind::PostFixpoint,
-                    format!(
-                        "{cp}: {l:?}: f\u{302}(X\u{302}) = {v:?} \u{22d4} stored {:?}",
-                        stored.and_then(|m| m.get(l))
-                    ),
+                    format!("{cp}: {l:?}: f\u{302}(X\u{302}) = {v:?} \u{22d4} stored {stored:?}"),
                 ));
             }
         }
@@ -250,8 +248,9 @@ pub fn check_lemma1(
 ) -> CheckReport {
     let icfg = Icfg::build(program, pre);
     let spec = ConstSpec::new(program, pre, du);
-    let naive = WideningPlan::naive();
-    let sparse = sparse::solve(program, &icfg, deps, &spec, &naive, &Budget::unbounded());
+    let (naive, unbounded) = (WideningPlan::naive(), Budget::unbounded());
+    let csr = CsrDeps::build(program, &icfg, deps);
+    let sparse = sparse::solve_rows(program, &icfg, &csr, &spec, &naive, &unbounded);
     let dense = dense::solve(program, &icfg, &spec);
     let mut report = CheckReport::default();
     for cp in solved_points(program) {
@@ -263,13 +262,15 @@ pub fn check_lemma1(
                 .flat_map(|p| &p.params)
                 .any(|&p| AbsLoc::Var(p) == *l)
         };
-        let bound = sparse.values.get(&cp).into_iter().flat_map(PMap::keys);
-        let mut compared: Vec<AbsLoc> = du.real_defs(cp).iter().chain(bound).copied().collect();
+        let bound = sparse.row(cp).unwrap_or_default();
+        let bound = bound.iter().map(|&(r, _)| sparse.locs()[r as usize]);
+        let mut compared: Vec<AbsLoc> = du.real_defs(cp).iter().copied().chain(bound).collect();
         compared.sort_unstable();
         compared.dedup();
         for l in compared.iter().filter(|l| !formal(l)) {
             report.bindings += 1;
-            let (got, expected) = (sparse.value(cp, l), constprop::get(&want, l));
+            let got = sparse.lookup(cp, l).cloned().unwrap_or(Const::Bot);
+            let expected = constprop::get(&want, l);
             if got != expected {
                 report.push(Violation::new(
                     CheckKind::Lemma1,
@@ -323,40 +324,44 @@ pub struct ValidationInputs<'a> {
 }
 
 /// Runs all three oracle checks against one unit: the post-fixpoint check
-/// over the given interval result *and* over a freshly solved octagon
+/// over the interval solve's `rows` *and* over a freshly solved octagon
 /// result (both under `options.budget`, so degraded units are validated in
-/// their degraded form), Lemma 1 over the unit's relation
+/// their degraded form), Lemma 1 over the unit's relation `deps`
 /// ([`check_lemma1`]), and the Def. 5 side condition.
+pub fn validate_rows(
+    program: &Program,
+    pre: &PreAnalysis,
+    du: &DefUse,
+    deps: &DataDeps,
+    rows: &SparseRows<AbsLoc, Value>,
+    options: AnalyzeOptions,
+) -> UnitValidation {
+    let spec = IntervalSparseSpec { program, pre, du };
+    UnitValidation {
+        interval: check_sparse_post_fixpoint(program, deps, &spec, rows),
+        octagon: crate::octagon::sparse_post_fixpoint_check(program, pre, du, options),
+        lemma1: check_lemma1(program, pre, du, deps),
+        defuse: check_defuse_side_condition(program, du),
+        extra: Vec::new(),
+    }
+}
+
+/// [`validate_rows`] over an interval result held as maps: the maps become
+/// rows over the relation's rank table once.
 pub fn validate_unit(
     program: &Program,
     inputs: &ValidationInputs<'_>,
     options: AnalyzeOptions,
 ) -> UnitValidation {
-    let spec = IntervalSparseSpec {
-        program,
-        pre: inputs.pre,
-        du: inputs.du,
-    };
-    let interval_report =
-        check_sparse_post_fixpoint(program, inputs.deps, &spec, inputs.sparse_values);
-    let octagon_report =
-        crate::octagon::sparse_post_fixpoint_check(program, inputs.pre, inputs.du, options);
-    let lemma1 = check_lemma1(program, inputs.pre, inputs.du, inputs.deps);
-    let defuse = check_defuse_side_condition(program, inputs.du);
-    UnitValidation {
-        interval: interval_report,
-        octagon: octagon_report,
-        lemma1,
-        defuse,
-        extra: Vec::new(),
-    }
+    let maps = inputs.sparse_values.iter();
+    let rows = crate::interval::rows_of_maps(program, inputs.deps, inputs.du, maps);
+    validate_rows(program, inputs.pre, inputs.du, inputs.deps, &rows, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interval::Pipeline;
-    use crate::sparse::{self, SparseResult};
     use sga_cfront::parse;
 
     const LOOPY: &str = r#"
@@ -374,30 +379,123 @@ mod tests {
     "#;
 
     /// The interval sparse solve of `staged`'s unit over `deps`, and
-    /// [`validate_unit`]'s verdict on it: the unit as the product would run
-    /// and check it had dependency generation produced `deps`.
+    /// [`validate_rows`]' verdict on its rows: the unit as the product would
+    /// run and check it had dependency generation produced `deps`.
     fn validate_over(
         staged: &Pipeline<'_>,
         deps: &DataDeps,
         options: AnalyzeOptions,
-    ) -> (SparseResult<AbsLoc, Value>, UnitValidation) {
+    ) -> (SparseRows<AbsLoc, Value>, UnitValidation) {
         let (program, icfg, plan) = (staged.program, &staged.icfg, &staged.widening);
-        let solved = sparse::solve(program, icfg, deps, &staged.spec(), plan, &options.budget);
-        let inputs = ValidationInputs {
-            pre: &staged.pre,
-            du: &staged.du,
-            deps,
-            sparse_values: &solved.values,
-            degraded: solved.degraded,
-        };
-        let verdict = validate_unit(program, &inputs, options);
-        (solved, verdict)
+        let csr = CsrDeps::build(program, icfg, deps);
+        let rows = sparse::solve_rows(program, icfg, &csr, &staged.spec(), plan, &options.budget);
+        let verdict = validate_rows(program, &staged.pre, &staged.du, deps, &rows, options);
+        (rows, verdict)
     }
 
-    /// [`validate_unit`] of the unit staged as [`Pipeline::prepare`] stages it.
+    /// [`validate_rows`] of the unit staged as [`Pipeline::prepare`] stages it.
     fn validate(program: &Program, options: AnalyzeOptions) -> UnitValidation {
         let staged = Pipeline::prepare(program, options);
         validate_over(&staged, &staged.deps, options).1
+    }
+
+    /// `rows` without `cp`'s row.
+    fn without(
+        program: &Program,
+        rows: &SparseRows<AbsLoc, Value>,
+        cp: Cp,
+    ) -> SparseRows<AbsLoc, Value> {
+        let kept = rows.iter().filter(|&(at, _)| at != cp);
+        let kept = kept.map(|(at, row)| {
+            let row = row
+                .iter()
+                .map(|(r, v)| (rows.locs()[*r as usize], v.clone()));
+            (at, row.collect::<Vec<_>>())
+        });
+        SparseRows::from_bindings(program, rows.locs().to_vec(), kept)
+    }
+
+    /// Everything a report says.
+    fn report_line(c: &CheckReport) -> String {
+        let found: Vec<String> = c.violations.iter().map(Violation::render).collect();
+        format!("{} {} {} {found:?}", c.points, c.bindings, c.suppressed)
+    }
+
+    /// Everything a verdict says, check by check.
+    fn verdict_lines(v: &UnitValidation) -> Vec<String> {
+        let checks = v.checks().into_iter().map(report_line);
+        checks
+            .chain(v.extra.iter().map(Violation::render))
+            .collect()
+    }
+
+    /// [`validate_unit`], the adapter over maps, is [`validate_rows`] over the
+    /// rows those maps came from, on every `tests/alarms` unit and an
+    /// SCC-heavy generated one: the whole verdict under the default options,
+    /// and — since the interval check is the only one that reads the
+    /// answer — its report over the maps' rows and over the solve's own
+    /// with the bypass on and off, under a budget that degrades the solve,
+    /// and on the rows with their last bound point dropped, where it
+    /// reports violations.
+    #[test]
+    fn the_map_adapter_gives_the_rows_verdict() {
+        let units = crate::sparse::differential::corpus().into_iter();
+        let units = units.filter(|(name, _)| name.ends_with(".c") || name.ends_with("max_scc 18"));
+        let units: Vec<_> = units.collect();
+        assert!(units.iter().any(|(name, _)| name.starts_with("cgen")));
+        let no_bypass = crate::depgen::DepGenOptions { bypass: false };
+        let configs = [
+            AnalyzeOptions::default(),
+            AnalyzeOptions {
+                depgen: no_bypass,
+                ..AnalyzeOptions::default()
+            },
+            AnalyzeOptions {
+                budget: Budget::with_max_steps(20),
+                ..AnalyzeOptions::default()
+            },
+        ];
+        let mut degraded = 0;
+        for (name, program) in &units {
+            for (k, options) in configs.into_iter().enumerate() {
+                let staged = Pipeline::prepare(program, options);
+                let (pre, du, deps) = (&staged.pre, &staged.du, &staged.deps);
+                let rows = staged.solve(&options.budget).rows;
+                degraded += usize::from(rows.degraded);
+                let maps = rows.clone().into_result().values;
+                if k == 0 {
+                    let inputs = ValidationInputs {
+                        pre,
+                        du,
+                        deps,
+                        sparse_values: &maps,
+                        degraded: rows.degraded,
+                    };
+                    let by_maps = validate_unit(program, &inputs, options);
+                    let by_rows = validate_rows(program, pre, du, deps, &rows, options);
+                    assert_eq!(verdict_lines(&by_maps), verdict_lines(&by_rows), "{name}");
+                    assert!(by_rows.is_valid(), "{name}");
+                }
+                let victim = rows.iter().filter(|(_, row)| !row.is_empty()).last();
+                let dropped = without(program, &rows, victim.expect("some point is bound").0);
+                let mut dropped_maps = maps.clone();
+                dropped_maps.retain(|cp, _| dropped.row(*cp).is_some());
+                for (rows, maps, clean) in [(rows, maps, true), (dropped, dropped_maps, false)] {
+                    let converted = crate::interval::rows_of_maps(program, deps, du, maps.iter());
+                    let check =
+                        |rows| check_sparse_post_fixpoint(program, deps, &staged.spec(), rows);
+                    let by_rows = check(&rows);
+                    let what = format!("{name}, {options:?}, clean {clean}");
+                    assert_eq!(
+                        report_line(&check(&converted)),
+                        report_line(&by_rows),
+                        "{what}"
+                    );
+                    assert_eq!(by_rows.violations.is_empty(), clean, "{what}");
+                }
+            }
+        }
+        assert!(degraded > 0, "no solve degraded");
     }
 
     #[test]
@@ -438,17 +536,17 @@ mod tests {
         let program = parse(LOOPY).unwrap();
         let options = AnalyzeOptions::default();
         let staged = Pipeline::prepare(&program, options);
-        let (mut solved, _) = validate_over(&staged, &staged.deps, options);
+        let solved = staged.solve(&options.budget).rows;
 
-        // Sabotage: drop one point's stored bindings. The transfer pass
-        // re-derives them from the (unchanged) inputs, so the oracle must
-        // see bindings that are ⋢ the (now missing) stored state.
-        let bound = solved.values.iter().filter(|(_, m)| !m.is_empty());
-        let victim = *bound.map(|(cp, _)| cp).max().expect("some point is bound");
-        solved.values.remove(&victim);
+        // Sabotage: drop one point's stored row. The transfer pass
+        // re-derives its bindings from the (unchanged) inputs, so the oracle
+        // must see bindings that are ⋢ the (now missing) stored state.
+        let bound = solved.iter().filter(|(_, row)| !row.is_empty());
+        let victim = bound.map(|(cp, _)| cp).max().expect("some point is bound");
+        let broken = without(&program, &solved, victim);
+        assert!(broken.row(victim).is_none());
 
-        let report =
-            check_sparse_post_fixpoint(&program, &staged.deps, &staged.spec(), &solved.values);
+        let report = check_sparse_post_fixpoint(&program, &staged.deps, &staged.spec(), &broken);
         assert!(
             !report.violations.is_empty(),
             "dropping {victim}'s bindings must violate f\u{302}(X\u{302}) \u{2291} X\u{302}"

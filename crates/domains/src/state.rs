@@ -73,14 +73,6 @@ impl State {
         s
     }
 
-    /// Removes a binding (restriction `s\l`).
-    #[must_use = "State::unbind returns the updated state"]
-    pub fn unbind(&self, l: &AbsLoc) -> State {
-        State {
-            map: self.map.remove(l),
-        }
-    }
-
     /// Restriction `s|locs`: keeps only the given locations.
     #[must_use = "State::restrict returns the restricted state"]
     pub fn restrict(&self, locs: &LocSet) -> State {

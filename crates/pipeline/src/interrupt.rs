@@ -57,8 +57,7 @@ pub fn requested() -> bool {
     INTERRUPTED.load(Ordering::Relaxed)
 }
 
-/// Requests a shutdown programmatically (tests; embedders with their own
-/// signal handling).
+/// Requests a shutdown programmatically (tests).
 pub fn request() {
     INTERRUPTED.store(true, Ordering::Relaxed);
 }

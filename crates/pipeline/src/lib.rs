@@ -70,7 +70,7 @@ use sga_core::depgen::DepGenOptions;
 use sga_core::depstore::DepBackend;
 use sga_core::interval::AnalyzeOptions;
 use sga_core::triage::TriageMode;
-use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
+use sga_core::validate::{self, CheckKind, UnitValidation};
 use sga_core::widening::WideningConfig;
 use sga_utils::stats::{Stage, StageTimes};
 use sga_utils::{fxhash, Json};
@@ -78,7 +78,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Report schema version (`"schema"` field of the emitted JSON).
@@ -187,9 +186,6 @@ pub struct PipelineOptions {
     /// interrupted) run already committed are served from their journal
     /// records instead of being recomputed.
     pub resume: bool,
-    /// External graceful-shutdown flag (embedders; the CLI uses signal
-    /// handlers via [`interrupt`] instead). Setting it drains the batch.
-    pub stop: Option<Arc<AtomicBool>>,
     /// Previous run report to diff against: every open diagnostic of this
     /// run is classified `new`/`unchanged` against the baseline's open
     /// fingerprints, and the report gains a `baseline` block.
@@ -214,7 +210,6 @@ impl Default for PipelineOptions {
             faults: FaultPlan::none(),
             validate: false,
             resume: false,
-            stop: None,
             baseline: None,
         }
     }
@@ -579,17 +574,13 @@ fn process_unit(
             return Ok((missed, Box::new(analysis), None));
         }
         let mut validation = times.time(Stage::Validate, || {
-            // The oracle reads the fixpoint as location-keyed maps.
-            let sparse_values = internals.solved.rows.to_pmaps();
-            validate::validate_unit(
+            let staged = &internals.staged;
+            validate::validate_rows(
                 &program,
-                &ValidationInputs {
-                    pre: &internals.staged.pre,
-                    du: &internals.staged.du,
-                    deps: &internals.staged.deps,
-                    sparse_values: &sparse_values,
-                    degraded: internals.solved.stats.degraded,
-                },
+                &staged.pre,
+                &staged.du,
+                &staged.deps,
+                &internals.solved.rows,
                 AnalyzeOptions {
                     depgen: options.depgen,
                     widening: options.widening,
@@ -937,17 +928,10 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     // carries this run's movement.
     let isolation_before = worker::stats();
     // Set by the `stop@I` fault; real shutdown requests arrive through
-    // `interrupt` (signals) or `options.stop` (embedders). Any of the three
-    // drains the batch: in-flight units finish, unclaimed units are skipped.
+    // `interrupt` (signals). Either drains the batch: in-flight units
+    // finish, unclaimed units are skipped.
     let fault_stop = AtomicBool::new(false);
-    let stop_requested = || {
-        fault_stop.load(Ordering::Relaxed)
-            || interrupt::requested()
-            || options
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed))
-    };
+    let stop_requested = || fault_stop.load(Ordering::Relaxed) || interrupt::requested();
 
     let ctx = UnitCtx {
         options,

@@ -13,6 +13,7 @@ use sga_core::checker;
 use sga_core::depgen::{self, DepGenOptions};
 use sga_core::interval::{AnalyzeOptions, Engine, Pipeline};
 use sga_core::triage::{self, TriageMode, TriageOptions};
+use sga_core::validate;
 use sga_core::widening::WideningConfig;
 use sga_pipeline::analyze_unit;
 use sga_pipeline::unit::fingerprint_values;
@@ -150,7 +151,9 @@ fn scc_unit() -> GenConfig {
 /// fingerprint at 0.21× the rows it reads, the solve at 1.42× the rows it
 /// returns and at 0.63× the staging it reads, and the staging,
 /// the checks, triage and the whole unit within a small multiple of what
-/// they hand on.
+/// they hand on. The product's `--validate` check reads the solve's rows as
+/// they are and peaks at 10.1× them, for the whole-unit octagon and the
+/// sparse and dense constant propagations it solves of its own.
 #[test]
 fn each_stage_peaks_near_what_it_hands_on() {
     let program = sga_cfront::parse(&sga_cgen::generate(&scc_unit())).expect("parses");
@@ -188,6 +191,19 @@ fn each_stage_peaks_near_what_it_hands_on() {
         triage::discharge_staged(&staged.pre, &q, &mut diags, &topts)
     });
     assert!(!diags.is_empty(), "the unit raises alarms to triage");
+    let (verdict, validated) = meter.measure("validate", || {
+        let options = AnalyzeOptions { budget, ..analyze };
+        let rows = &answer.rows;
+        validate::validate_rows(
+            &program,
+            &staged.pre,
+            &staged.du,
+            &staged.deps,
+            rows,
+            options,
+        )
+    });
+    assert!(verdict.is_valid());
     drop((q, diags));
     drop((answer, staged));
 
@@ -210,5 +226,6 @@ fn each_stage_peaks_near_what_it_hands_on() {
     meter.assert_within("the solve", solved, 0.63, prepared.kept);
     meter.assert_within("the checks", checked, 1.0, solved.kept);
     meter.assert_within("triage", triaged, 1.0, solved.kept);
+    meter.assert_within("the oracle", validated, 10.1, solved.kept);
     meter.assert_within("the unit", whole, 1.25, whole.kept);
 }
