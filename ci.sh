@@ -50,7 +50,7 @@ if [ "$LIST" -eq 1 ]; then
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
         "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
-        "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings + untraced smokes"
+        "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings + untraced smokes (serve_edits, batch_scc, batch_flat, warm_rerun)"
     exit 0
 fi
 if [ -n "$ONLY_STAGE" ]; then
@@ -411,10 +411,11 @@ bench_gate() {
     # bytes must stay under their ceilings; the daemon workload's traced run
     # (the same edits in process and over the socket, convergence checked)
     # pins its invalidation, shed and eviction rows in the same ledger, and
-    # three 2-second smokes run the untraced path that `BENCHMARK.json` times,
-    # with its correctness checks, through the daemon and through the batch
+    # four 2-second smokes run the untraced path that `BENCHMARK.json` times,
+    # with its correctness checks, through the daemon, through the batch
     # driver on the SCC-heavy unit and on the flat units, where octagon
-    # triage is the largest layer. No timing is read.
+    # triage is the largest layer, and over the warm cache, where no stage
+    # runs and the cache is opened, read and swept. No timing is read.
     local rows
     rows=$(traced_rows batch_flat && traced_rows batch_scc &&
         traced_rows warm_rerun "$WARM_ROWS" &&
@@ -424,7 +425,8 @@ bench_gate() {
         printf '%s\n' "$rows" | under_ceilings &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload serve_edits --seconds 2 &&
         cargo run --release -p sga-bench --bin benchmark -- run --workload batch_scc --seconds 2 &&
-        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2
+        cargo run --release -p sga-bench --bin benchmark -- run --workload batch_flat --seconds 2 &&
+        cargo run --release -p sga-bench --bin benchmark -- run --workload warm_rerun --seconds 2
 }
 
 # The product crates, whose docs must link only to items that exist

@@ -221,19 +221,19 @@ pub(crate) fn analyze_with_pre(
 /// Solves the sparse octagon analysis under `options`, over the unit's
 /// interval def/use sets `du`, and re-checks `f̂_c(X̂) ⊑ X̂` at every point
 /// with [`crate::validate`]'s independent transfer pass. Lives here because
-/// the octagon spec types are private; [`crate::validate::validate_unit`]
-/// calls it.
+/// the octagon spec types are private; [`crate::validate::validate_rows`]
+/// calls it over the unit's `icfg`.
 pub(crate) fn sparse_post_fixpoint_check(
     program: &Program,
     pre: &PreAnalysis,
+    icfg: &Icfg,
     du: &DefUse,
     options: AnalyzeOptions,
 ) -> crate::validate::CheckReport {
-    let icfg = Icfg::build(program, pre);
     let staged = Staged::new(program, pre, du, None, options);
     let sem = OctSemantics::new(program, pre, &staged.packs, &staged.fresh);
     let deps = depgen::generate_from(program, &staged.odu, options.depgen);
-    let (spec, rows) = staged.solve_sparse(program, &icfg, &sem, du, &deps, options);
+    let (spec, rows) = staged.solve_sparse(program, icfg, &sem, du, &deps, options);
     crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &rows)
 }
 

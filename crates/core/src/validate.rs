@@ -227,7 +227,7 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
 
 /// Lemma 1 with `==`: solves sparse constant propagation over `du` and
 /// `deps` (the relation the interval instance ran on) and dense base
-/// constant propagation over an ICFG built from `pre`, and requires them
+/// constant propagation over `icfg` (built from `pre`), and requires them
 /// equal at every point on
 ///
 /// * every real definition `D(c)` (absent = ⊥ on both sides), and
@@ -243,19 +243,19 @@ pub fn check_sparse_post_fixpoint<S: SparseSpec>(
 pub fn check_lemma1(
     program: &Program,
     pre: &PreAnalysis,
+    icfg: &Icfg,
     du: &DefUse,
     deps: &DataDeps,
 ) -> CheckReport {
-    let icfg = Icfg::build(program, pre);
     let spec = ConstSpec::new(program, pre, du);
     let (naive, unbounded) = (WideningPlan::naive(), Budget::unbounded());
-    let csr = CsrDeps::build(program, &icfg, deps);
-    let sparse = sparse::solve_rows(program, &icfg, &csr, &spec, &naive, &unbounded);
-    let dense = dense::solve(program, &icfg, &spec);
+    let csr = CsrDeps::build(program, icfg, deps);
+    let sparse = sparse::solve_rows(program, icfg, &csr, &spec, &naive, &unbounded);
+    let dense = dense::solve(program, icfg, &spec);
     let mut report = CheckReport::default();
     for cp in solved_points(program) {
         report.points += 1;
-        let want = spec.dense_binding(&icfg, &dense.post, cp);
+        let want = spec.dense_binding(icfg, &dense.post, cp);
         let formal = |l: &AbsLoc| {
             let callees = pre.call_targets(cp).iter().map(|&t| &program.procs[t]);
             callees
@@ -327,10 +327,12 @@ pub struct ValidationInputs<'a> {
 /// over the interval solve's `rows` *and* over a freshly solved octagon
 /// result (both under `options.budget`, so degraded units are validated in
 /// their degraded form), Lemma 1 over the unit's relation `deps`
-/// ([`check_lemma1`]), and the Def. 5 side condition.
+/// ([`check_lemma1`]), and the Def. 5 side condition. `icfg` is the one
+/// the unit was staged with, built from `pre`.
 pub fn validate_rows(
     program: &Program,
     pre: &PreAnalysis,
+    icfg: &Icfg,
     du: &DefUse,
     deps: &DataDeps,
     rows: &SparseRows<AbsLoc, Value>,
@@ -339,15 +341,16 @@ pub fn validate_rows(
     let spec = IntervalSparseSpec { program, pre, du };
     UnitValidation {
         interval: check_sparse_post_fixpoint(program, deps, &spec, rows),
-        octagon: crate::octagon::sparse_post_fixpoint_check(program, pre, du, options),
-        lemma1: check_lemma1(program, pre, du, deps),
+        octagon: crate::octagon::sparse_post_fixpoint_check(program, pre, icfg, du, options),
+        lemma1: check_lemma1(program, pre, icfg, du, deps),
         defuse: check_defuse_side_condition(program, du),
         extra: Vec::new(),
     }
 }
 
 /// [`validate_rows`] over an interval result held as maps: the maps become
-/// rows over the relation's rank table once.
+/// rows over the relation's rank table once, and the ICFG is built from
+/// `inputs.pre`.
 pub fn validate_unit(
     program: &Program,
     inputs: &ValidationInputs<'_>,
@@ -355,7 +358,16 @@ pub fn validate_unit(
 ) -> UnitValidation {
     let maps = inputs.sparse_values.iter();
     let rows = crate::interval::rows_of_maps(program, inputs.deps, inputs.du, maps);
-    validate_rows(program, inputs.pre, inputs.du, inputs.deps, &rows, options)
+    let icfg = Icfg::build(program, inputs.pre);
+    validate_rows(
+        program,
+        inputs.pre,
+        &icfg,
+        inputs.du,
+        inputs.deps,
+        &rows,
+        options,
+    )
 }
 
 #[cfg(test)]
@@ -389,7 +401,7 @@ mod tests {
         let (program, icfg, plan) = (staged.program, &staged.icfg, &staged.widening);
         let csr = CsrDeps::build(program, icfg, deps);
         let rows = sparse::solve_rows(program, icfg, &csr, &staged.spec(), plan, &options.budget);
-        let verdict = validate_rows(program, &staged.pre, &staged.du, deps, &rows, options);
+        let verdict = validate_rows(program, &staged.pre, icfg, &staged.du, deps, &rows, options);
         (rows, verdict)
     }
 
@@ -472,7 +484,8 @@ mod tests {
                         degraded: rows.degraded,
                     };
                     let by_maps = validate_unit(program, &inputs, options);
-                    let by_rows = validate_rows(program, pre, du, deps, &rows, options);
+                    let by_rows =
+                        validate_rows(program, pre, &staged.icfg, du, deps, &rows, options);
                     assert_eq!(verdict_lines(&by_maps), verdict_lines(&by_rows), "{name}");
                     assert!(by_rows.is_valid(), "{name}");
                 }

@@ -50,6 +50,7 @@ pub mod cache;
 pub mod fault;
 pub mod interrupt;
 pub mod journal;
+mod options;
 pub mod par;
 pub mod store;
 pub mod unit;
@@ -61,21 +62,17 @@ mod testfix;
 pub use cache::Cache;
 pub use fault::FaultPlan;
 pub use journal::Journal;
+pub use options::PipelineOptions;
 pub use unit::{analyze_unit, UnitAnalysis, UnitInternals};
 pub use worker::IsolationMode;
 
 use journal::JournalRecord;
-use sga_core::budget::{Budget, WorkerLimits};
-use sga_core::depgen::DepGenOptions;
-use sga_core::depstore::DepBackend;
-use sga_core::interval::AnalyzeOptions;
-use sga_core::triage::TriageMode;
+use sga_core::budget::Budget;
 use sga_core::validate::{self, CheckKind, UnitValidation};
-use sga_core::widening::WideningConfig;
 use sga_utils::stats::{Stage, StageTimes};
 use sga_utils::{fxhash, Json};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe, PanicHookInfo};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -135,86 +132,6 @@ pub struct UnitInput {
     pub source: String,
 }
 
-/// Driver configuration.
-#[derive(Clone, Debug)]
-pub struct PipelineOptions {
-    /// Units analyzed at once, one worker thread each (1 = fully
-    /// sequential, 0 = auto-detect via [`auto_jobs`]).
-    pub jobs: usize,
-    /// Cache directory; `None` disables caching.
-    pub cache_dir: Option<PathBuf>,
-    /// Cap on cache entry files; a run ends with an LRU-by-access sweep
-    /// evicting entries beyond it (hits refresh an entry's access time).
-    /// `None` (the default) means unbounded.
-    pub cache_max_entries: Option<usize>,
-    /// Emit the canonical (timing-free, job-count-free) report, suitable
-    /// for byte comparison across runs and `--jobs` values.
-    pub canonical: bool,
-    /// Dependency-generation options forwarded to the sparse analysis.
-    pub depgen: DepGenOptions,
-    /// Read by nothing (there is one store); stays because the frozen
-    /// benchmark harness copies it into the core option structs.
-    pub dep_backend: DepBackend,
-    /// Widening strategy forwarded to the fixpoint solver.
-    pub widening: WideningConfig,
-    /// Which triage layers run over each unit's possible alarms. Shapes
-    /// the diagnostics, so it joins both the cache key and the rendered
-    /// `source_hash` (modes are *not* byte-equivalent — `both` discharges
-    /// strictly more than `octagon`).
-    pub triage: TriageMode,
-    /// Where each unit's analysis runs: in-process worker threads (the
-    /// default) or supervised re-exec'd worker processes that survive
-    /// aborts, OOM, stack overflow, and hard stalls (see [`worker`]). Run
-    /// mechanics like `jobs`: joins neither the cache key nor the canonical
-    /// report.
-    pub isolation: IsolationMode,
-    /// Hard per-worker limits (`RLIMIT_AS` + wall-clock SIGKILL), applied
-    /// only under [`IsolationMode::Process`].
-    pub worker_limits: WorkerLimits,
-    /// Record a crashing unit and keep analyzing the rest (`true`, the
-    /// default), or abort the whole run on the first failure.
-    pub keep_going: bool,
-    /// Per-unit fixpoint work budget; exhaustion degrades soundly and marks
-    /// the unit `degraded`.
-    pub budget: Budget,
-    /// Deterministic fault injection (testing only; empty in production).
-    pub faults: FaultPlan,
-    /// Run the post-fixpoint validation oracle over every unit; violations
-    /// become the `invalid` outcome and are never cached.
-    pub validate: bool,
-    /// Replay the write-ahead journal: units a previous (killed or
-    /// interrupted) run already committed are served from their journal
-    /// records instead of being recomputed.
-    pub resume: bool,
-    /// Previous run report to diff against: every open diagnostic of this
-    /// run is classified `new`/`unchanged` against the baseline's open
-    /// fingerprints, and the report gains a `baseline` block.
-    pub baseline: Option<PathBuf>,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            jobs: 1,
-            cache_dir: None,
-            cache_max_entries: None,
-            canonical: false,
-            depgen: DepGenOptions::default(),
-            dep_backend: DepBackend::default(),
-            widening: WideningConfig::default(),
-            triage: TriageMode::default(),
-            isolation: IsolationMode::default(),
-            worker_limits: WorkerLimits::unbounded(),
-            keep_going: true,
-            budget: Budget::unbounded(),
-            faults: FaultPlan::none(),
-            validate: false,
-            resume: false,
-            baseline: None,
-        }
-    }
-}
-
 /// Why a run failed outright. With `keep_going` (the default) per-unit
 /// failures are *recorded* in the report instead; only I/O errors — or any
 /// unit failure under `fail-fast` — abort the run.
@@ -252,20 +169,14 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// The `--jobs 0` auto value: the machine's available parallelism (1 when
-/// it cannot be determined).
-pub fn auto_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Resolves a requested job count: `0` means auto-detect ([`auto_jobs`]),
-/// anything else is taken literally. The report stays byte-identical across
-/// job counts either way, so auto-detection never costs determinism.
+/// Resolves a requested job count: `0` means the machine's available
+/// parallelism (1 when it cannot be determined), anything else is taken
+/// literally. The report stays byte-identical across job counts either way,
+/// so auto-detection never costs determinism.
 pub fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        auto_jobs()
-    } else {
-        jobs
+    match jobs {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
     }
 }
 
@@ -321,7 +232,7 @@ impl CacheStatus {
 }
 
 /// Renders a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -396,17 +307,6 @@ fn render_analyzed(
         j.set("validation", validation_json(v));
     }
     j
-}
-
-/// The per-unit report object of a crashed (frontend-rejected or panicked)
-/// unit.
-fn render_crashed(name: &str, key: u64, message: &str) -> Json {
-    Json::obj()
-        .with("name", name)
-        .with("outcome", "crashed")
-        .with("source_hash", format!("{key:016x}"))
-        .with("error", message)
-        .with("diagnostics", Vec::<Json>::new())
 }
 
 /// The per-unit report object of a unit a graceful shutdown skipped.
@@ -511,11 +411,37 @@ struct Processed {
     times: StageTimes,
 }
 
+impl Processed {
+    /// A unit that crashed (its frontend rejected it, or it panicked): the
+    /// report object, rendering `key` as its `source_hash`, and the
+    /// failure; no artifacts.
+    fn crashed(
+        name: &str,
+        key: u64,
+        failure: (journal::Failure, String),
+        times: StageTimes,
+    ) -> Self {
+        let json = Json::obj()
+            .with("name", name)
+            .with("outcome", "crashed")
+            .with("source_hash", format!("{key:016x}"))
+            .with("error", failure.1.as_str())
+            .with("diagnostics", Vec::<Json>::new());
+        Processed {
+            json,
+            failure: Some(failure),
+            analysis: None,
+            store: false,
+            times,
+        }
+    }
+}
+
 /// Analyzes one unit end to end — cache lookup, parse, fixpoint, optional
 /// validation oracle, panic isolation — and renders its report object.
-/// Shared by the batch driver ([`run`]) and the incremental daemon's
-/// frontier re-analysis ([`analyze_units`]), so both produce byte-identical
-/// per-unit objects from identical inputs.
+/// [`step`] calls it for the batch driver and the incremental daemon alike,
+/// so both produce byte-identical per-unit objects from identical inputs;
+/// an isolated worker calls it in thread mode.
 fn process_unit(
     ctx: &UnitCtx,
     i: usize,
@@ -533,6 +459,9 @@ fn process_unit(
     if options.isolation == IsolationMode::Process {
         return worker::run_unit_in_worker(ctx, i, input, key, render_key, budget);
     }
+    // The unit's process-killing faults fire where it runs: in a batch
+    // thread, or inside an isolated worker's limits.
+    options.faults.fire_fatal(i);
 
     type Analyzed = (CacheStatus, Box<UnitAnalysis>, Option<UnitValidation>);
     let mut times = StageTimes::default();
@@ -557,13 +486,7 @@ fn process_unit(
         let program = times
             .time(Stage::Parse, || sga_cfront::parse(&input.source))
             .map_err(|e| e.to_string())?;
-        let (analysis, internals) = unit::analyze_unit(
-            &program,
-            options.depgen,
-            options.widening,
-            options.triage,
-            budget,
-        );
+        let (analysis, internals) = unit::analyze_unit(&program, options, budget);
         times.merge(&internals.solved.stats.times);
         let missed = if cache.is_some() {
             CacheStatus::Miss
@@ -578,15 +501,11 @@ fn process_unit(
             validate::validate_rows(
                 &program,
                 &staged.pre,
+                &staged.icfg,
                 &staged.du,
                 &staged.deps,
                 &internals.solved.rows,
-                AnalyzeOptions {
-                    depgen: options.depgen,
-                    widening: options.widening,
-                    budget: *budget,
-                    ..AnalyzeOptions::default()
-                },
+                options.analyze_options(budget),
             )
         });
         let status = match cached_hit {
@@ -623,39 +542,80 @@ fn process_unit(
                 times,
             }
         }
-        Ok(Err(message)) => Processed {
-            json: render_crashed(&input.name, render_key, &message),
-            failure: Some((journal::Failure::Frontend, message)),
-            analysis: None,
-            store: false,
-            times,
-        },
+        Ok(Err(message)) => {
+            let failure = (journal::Failure::Frontend, message);
+            Processed::crashed(&input.name, render_key, failure, times)
+        }
         Err(payload) => {
-            let message = panic_message(payload);
-            Processed {
-                json: render_crashed(&input.name, render_key, &message),
-                failure: Some((journal::Failure::Panic, message)),
-                analysis: None,
-                store: false,
-                times,
-            }
+            let failure = (journal::Failure::Panic, panic_message(&*payload));
+            Processed::crashed(&input.name, render_key, failure, times)
         }
     }
 }
 
-/// The options part of a unit's keys: only knobs that shape the analysis
-/// result (dependency options, widening, triage mode; the budget joins per
-/// unit). Run mechanics (`jobs`, isolation) never join it. The triage mode
-/// is in it because modes genuinely change the stored diagnostics: an
-/// `--triage octagon` entry (or journal record) must never be served to an
-/// `--triage both` run.
-fn semantic_tag(options: &PipelineOptions) -> String {
-    format!(
-        "{:?}|{:?}|{}",
-        options.depgen,
-        options.widening,
-        options.triage.name()
-    )
+/// One unit through the driver, shared by [`run`] and [`analyze_units`]:
+/// its budget and keys (`tag` is the options' semantic tag, computed once
+/// per run), then `before`, which may answer for the unit (the
+/// batch driver's journal replay and fault decisions), else
+/// [`process_unit`], `commit` (the batch driver's write-ahead journal
+/// record) and the cache store.
+fn step(
+    ctx: &UnitCtx,
+    tag: &str,
+    i: usize,
+    input: &UnitInput,
+    before: impl FnOnce(u64) -> Option<Processed>,
+    commit: impl FnOnce(u64, &Processed),
+) -> Processed {
+    let options = ctx.options;
+    // An injected budget changes the unit's analysis semantics, so it
+    // participates in that unit's keys — a faulted run never hits an entry
+    // the fault-free run stored, and vice versa.
+    let budget = options.faults.budget_for(i).unwrap_or(options.budget);
+    let (key, render_key) = unit_keys(tag, &input.source, &budget);
+    if let Some(p) = before(key) {
+        return p;
+    }
+    let p = process_unit(ctx, i, input, key, render_key, &budget);
+    commit(key, &p);
+    if let (true, Some(c), Some(a)) = (p.store, ctx.cache, &p.analysis) {
+        // A store failure is retried inside the cache and, if it sticks,
+        // counted in cache health; it only costs the next run its hit.
+        let _ = c.store_injected(&input.name, key, a, options.faults.io_fail_count(i));
+        if let Some(mode) = options.faults.corruption_for(i) {
+            let _ = c.corrupt_entry(&input.name, key, mode);
+        }
+    }
+    p
+}
+
+/// The panic hook, silenced while this lives when `on` (under
+/// `keep_going`, and around a daemon round): the panics are then expected,
+/// caught and recorded, and one bad unit must not flood stderr with
+/// backtraces. Dropping it puts the previous hook back, on every exit path
+/// but an unwinding one (a panicking thread may not swap the hook).
+pub struct QuietPanics(Option<PanicHook>);
+
+/// What [`std::panic::take_hook`] hands back.
+type PanicHook = Box<dyn Fn(&PanicHookInfo<'_>) + Sync + Send>;
+
+impl QuietPanics {
+    /// Silences the hook when `on`; otherwise leaves it alone.
+    pub fn new(on: bool) -> QuietPanics {
+        QuietPanics(on.then(|| {
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            hook
+        }))
+    }
+}
+
+impl Drop for QuietPanics {
+    fn drop(&mut self) {
+        if let Some(hook) = self.0.take().filter(|_| !std::thread::panicking()) {
+            std::panic::set_hook(hook);
+        }
+    }
 }
 
 /// Version component of the rendered `source_hash`, frozen at the cache
@@ -664,13 +624,13 @@ fn semantic_tag(options: &PipelineOptions) -> String {
 /// which changes no analysis result — must not move a report byte.
 const RENDERED_HASH_VERSION: u32 = 5;
 
-/// The two hashes of a unit with this `source` under `options` and
-/// `budget`, both over source × [`semantic_tag`] × budget: the cache and
+/// The two hashes of a unit with this `source` under the options' semantic
+/// `tag` and `budget`, both over source × tag × budget: the cache and
 /// journal lookup key, which also carries [`cache::CACHE_FORMAT`], and the
 /// `source_hash` its report object renders, which carries
 /// [`RENDERED_HASH_VERSION`] instead so no on-disk format moves a report.
-fn unit_keys(options: &PipelineOptions, source: &str, budget: &Budget) -> (u64, u64) {
-    let tag = format!("{}|{}", semantic_tag(options), budget.cache_tag());
+fn unit_keys(tag: &str, source: &str, budget: &Budget) -> (u64, u64) {
+    let tag = format!("{tag}|{}", budget.cache_tag());
     (
         fxhash::hash_one(&(cache::CACHE_FORMAT, tag.as_str(), source)),
         fxhash::hash_one(&(RENDERED_HASH_VERSION, tag.as_str(), source)),
@@ -678,13 +638,13 @@ fn unit_keys(options: &PipelineOptions, source: &str, budget: &Budget) -> (u64, 
 }
 
 /// The full per-unit cache key under `options` for a unit with this
-/// `source`: the batch driver's key exactly — source × dependency options ×
-/// widening × triage mode × budget — so an embedder that needs to know
-/// whether a stored artifact still describes a source (the serve daemon's
-/// round journal) asks the same question the cache does. Per-unit fault
-/// budget overrides are a batch-driver concern and are not applied here.
+/// `source`: the batch driver's key exactly, so an embedder that needs to
+/// know whether a stored artifact still describes a source (the serve
+/// daemon's round journal) asks the same question the cache does. Per-unit
+/// fault budget overrides are a batch-driver concern and are not applied
+/// here.
 pub fn unit_cache_key(options: &PipelineOptions, source: &str) -> u64 {
-    unit_keys(options, source, &options.budget).0
+    unit_keys(&options.routes().tag, source, &options.budget).0
 }
 
 /// One unit's result from [`analyze_units`].
@@ -711,34 +671,17 @@ pub fn analyze_units(
     options: &PipelineOptions,
     cache: Option<&Cache>,
 ) -> Vec<UnitOutcome> {
-    let jobs = effective_jobs(options.jobs);
     let ctx = UnitCtx { options, cache };
-    let prev_hook = if options.keep_going {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        Some(hook)
-    } else {
-        None
-    };
-    let out = par::run_indexed(jobs, units, |i, input| {
-        let budget = options.faults.budget_for(i).unwrap_or(options.budget);
-        let (key, render_key) = unit_keys(options, &input.source, &budget);
-        let p = process_unit(&ctx, i, input, key, render_key, &budget);
-        if p.store {
-            if let (Some(c), Some(a)) = (cache, &p.analysis) {
-                let _ = c.store(&input.name, key, a);
-            }
-        }
+    let tag = options.routes().tag;
+    let _quiet = QuietPanics::new(options.keep_going);
+    par::run_indexed(effective_jobs(options.jobs), units, |i, input| {
+        let p = step(&ctx, &tag, i, input, |_| None, |_, _| {});
         UnitOutcome {
             json: p.json,
             analysis: p.analysis,
             failure: p.failure.map(|(_, message)| message),
         }
-    });
-    if let Some(hook) = prev_hook {
-        std::panic::set_hook(hook);
-    }
-    out
+    })
 }
 
 /// Assembles the run report from per-unit report objects — the same
@@ -811,21 +754,6 @@ pub fn assemble_report(
         None => None,
     };
 
-    let mut opts_json = Json::obj()
-        .with("engine", "sparse")
-        .with("bypass", options.depgen.bypass)
-        .with("widening", options.widening.strategy.name())
-        .with("triage", options.triage.name())
-        .with("cache", options.cache_dir.is_some())
-        .with("validate", options.validate);
-    if !options.canonical {
-        opts_json.set("jobs", effective_jobs(options.jobs));
-        // Like `jobs`: run mechanics, not semantics. Thread and process runs
-        // are byte-equivalent (`tests/isolation.rs` holds it), so only the
-        // non-canonical report says where the units ran.
-        opts_json.set("isolation", options.isolation.as_str());
-    }
-
     let looked_up = hits + misses;
     let totals = Json::obj()
         .with("units", units_json.len())
@@ -853,7 +781,7 @@ pub fn assemble_report(
     let mut report = Json::obj()
         .with("schema", REPORT_SCHEMA)
         .with("tool", "sga-pipeline")
-        .with("options", opts_json)
+        .with("options", options.routes().report)
         .with("units", units_json)
         .with("totals", totals)
         .with("interrupted", interrupted);
@@ -870,16 +798,7 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
     let jobs = effective_jobs(options.jobs);
 
     let units = times.time(Stage::Load, || load_project(project))?;
-    let cache = match &options.cache_dir {
-        Some(dir) => {
-            let mut c = Cache::open(dir).map_err(|e| {
-                PipelineError::Io(format!("cannot open cache {}: {e}", dir.display()))
-            })?;
-            c.set_max_entries(options.cache_max_entries);
-            Some(c)
-        }
-        None => None,
-    };
+    let cache = options.open_cache()?;
 
     // The write-ahead journal lives under the cache root; without a cache
     // there is nothing durable to resume from.
@@ -912,16 +831,6 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
         BTreeMap::new()
     };
 
-    // With keep_going, worker panics are expected, caught, and recorded in
-    // the report — silence the default hook's per-panic backtrace spew for
-    // the duration of the unit loop so one bad unit doesn't flood stderr.
-    let prev_hook = if options.keep_going {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        Some(hook)
-    } else {
-        None
-    };
     let replayed_count = AtomicUsize::new(0);
     let recorded_count = AtomicUsize::new(0);
     // Containment counters are process-wide and cumulative; the report
@@ -937,109 +846,74 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
         options,
         cache: cache.as_ref(),
     };
+    let tag = options.routes().tag;
+    let quiet = QuietPanics::new(options.keep_going);
     let results: Vec<Option<Processed>> =
         par::run_indexed_interruptible(jobs, &units, stop_requested, |i, input| {
-            // An injected budget changes the unit's analysis semantics, so it
-            // participates in that unit's keys — a faulted run never hits an
-            // entry the fault-free run stored, and vice versa.
-            let budget = options.faults.budget_for(i).unwrap_or(options.budget);
-            let (key, render_key) = unit_keys(options, &input.source, &budget);
-
             // A journaled unit is already committed: replay its record
             // verbatim — before fault injection, so a fault that killed the
             // original run cannot re-fire on the unit it already finished.
-            if let Some(rec) = replay.get(&i) {
-                if rec.name == input.name && rec.key == key {
+            let before = |key| {
+                if let Some(rec) = replay
+                    .get(&i)
+                    .filter(|r| r.name == input.name && r.key == key)
+                {
                     replayed_count.fetch_add(1, Ordering::Relaxed);
                     let failure = rec.failure.map(|f| {
-                        let message = rec
-                            .unit
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or_default()
-                            .to_string();
-                        (f, message)
+                        let message = rec.unit.get("error").and_then(Json::as_str);
+                        (f, message.unwrap_or_default().to_string())
                     });
-                    return Processed {
+                    return Some(Processed {
                         json: rec.unit.clone(),
                         failure,
                         analysis: None,
                         store: false,
                         times: StageTimes::default(),
+                    });
+                }
+                if options.faults.should_stop(i) {
+                    fault_stop.store(true, Ordering::Relaxed);
+                }
+                None
+            };
+            // Write-ahead ordering: the journal record commits *before* the
+            // cache store. A crash between the two re-runs the unit from the
+            // journal — never from a cache entry the journal knows nothing
+            // about, which would flip the unit's recorded miss into a hit on
+            // resume and break byte-identity. A failed record only costs the
+            // resume a recompute.
+            let commit = |key, p: &Processed| {
+                if let Some(j) = &journal {
+                    let rec = JournalRecord {
+                        index: i,
+                        name: input.name.clone(),
+                        key,
+                        failure: p.failure.as_ref().map(|(f, _)| *f),
+                        unit: p.json.clone(),
                     };
-                }
-            }
-
-            // The process-killing faults execute wherever the unit executes:
-            // here in thread mode, or inside the worker process, delegated
-            // via its request.
-            if options.isolation == IsolationMode::Thread {
-                options.faults.fire_fatal(i);
-            }
-            if options.faults.should_stop(i) {
-                fault_stop.store(true, Ordering::Relaxed);
-            }
-
-            let p = process_unit(&ctx, i, input, key, render_key, &budget);
-
-            if let Some(j) = &journal {
-                // Write-ahead ordering: the journal record commits *before*
-                // the cache store. A crash between the two re-runs the unit
-                // from the journal — never from a cache entry the journal
-                // knows nothing about, which would flip the unit's recorded
-                // miss into a hit on resume and break byte-identity. A
-                // failed record only costs the resume a recompute.
-                let rec = JournalRecord {
-                    index: i,
-                    name: input.name.clone(),
-                    key,
-                    failure: p.failure.as_ref().map(|(f, _)| *f),
-                    unit: p.json.clone(),
-                };
-                if j.record(&rec).is_ok() {
-                    recorded_count.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if p.store {
-                if let (Some(c), Some(a)) = (&cache, &p.analysis) {
-                    // A store failure is retried inside the cache and, if it
-                    // sticks, counted in cache health; it only costs the
-                    // next run its hit.
-                    let _ = c.store_injected(&input.name, key, a, options.faults.io_fail_count(i));
-                    if let Some(mode) = options.faults.corruption_for(i) {
-                        let _ = c.corrupt_entry(&input.name, key, mode);
+                    if j.record(&rec).is_ok() {
+                        recorded_count.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            }
+            };
             // The analysis is stored; the report needs only the rest.
             Processed {
                 analysis: None,
-                ..p
+                ..step(&ctx, &tag, i, input, before, commit)
             }
         });
-    if let Some(hook) = prev_hook {
-        std::panic::set_hook(hook);
-    }
+    drop(quiet);
 
-    if !options.keep_going {
-        for (input, slot) in units.iter().zip(&results) {
-            if let Some(Processed {
-                failure: Some((kind, message)),
-                ..
-            }) = slot
-            {
-                return Err(match kind {
-                    journal::Failure::Frontend => PipelineError::Frontend {
-                        unit: input.name.clone(),
-                        message: message.clone(),
-                    },
-                    journal::Failure::Panic => PipelineError::Crashed {
-                        unit: input.name.clone(),
-                        message: message.clone(),
-                    },
-                });
-            }
-        }
+    // Fail-fast: the first failed unit, in unit order, fails the run.
+    let failed = (units.iter().zip(&results))
+        .find_map(|(input, slot)| Some((input, slot.as_ref()?.failure.clone()?)))
+        .filter(|_| !options.keep_going);
+    if let Some((input, (kind, message))) = failed {
+        let unit = input.name.clone();
+        return Err(match kind {
+            journal::Failure::Frontend => PipelineError::Frontend { unit, message },
+            journal::Failure::Panic => PipelineError::Crashed { unit, message },
+        });
     }
 
     // Unit-index order, whatever order the units finished in.
@@ -1107,7 +981,6 @@ pub fn run(project: &Project, options: &PipelineOptions) -> Result<Json, Pipelin
             report.set(
                 "isolation",
                 Json::obj()
-                    .with("mode", options.isolation.as_str())
                     .with("killed", moved.killed)
                     .with("retried", moved.retried)
                     .with("oom", moved.oom)
@@ -1132,7 +1005,7 @@ mod tag_tests {
     #[test]
     fn default_cache_tag_is_pinned() {
         assert_eq!(
-            semantic_tag(&PipelineOptions::default()),
+            PipelineOptions::default().routes().tag,
             "DepGenOptions { bypass: true }|WideningConfig { strategy: Delayed }|both"
         );
     }
@@ -1146,7 +1019,7 @@ mod tag_tests {
         let options = PipelineOptions::default();
         let source = "int main() { return 0; }";
         assert_eq!(
-            unit_keys(&options, source, &options.budget).1,
+            unit_keys(&options.routes().tag, source, &options.budget).1,
             0x682b_318b_c1c4_54dd,
         );
     }
@@ -1168,7 +1041,7 @@ mod tag_tests {
         };
         let (fresh, stale) = (in_dir("v7-dir-fresh"), in_dir("v7-dir-stale"));
         let cache = Cache::open(stale.cache_dir.as_ref().unwrap()).unwrap();
-        let tag = format!("{}|{}", semantic_tag(&stale), stale.budget.cache_tag());
+        let tag = format!("{}|{}", stale.routes().tag, stale.budget.cache_tag());
         let left: Vec<PathBuf> = load_project(&project)
             .unwrap()
             .iter()
@@ -1197,63 +1070,138 @@ mod tag_tests {
         }
     }
 
-    /// The triage mode changes the diagnostics themselves (`both`
-    /// discharges strictly more than `octagon`), so unlike the backend it
-    /// splits the cache key *and* the rendered `source_hash`: a stale
-    /// journal or cache entry from another mode can never replay.
-    #[test]
-    fn triage_mode_splits_cache_key_and_rendered_hash() {
-        use sga_core::triage::TriageMode;
-        let octagon = PipelineOptions {
-            triage: TriageMode::Octagon,
-            ..PipelineOptions::default()
-        };
-        let both = PipelineOptions {
-            triage: TriageMode::Both,
-            ..PipelineOptions::default()
-        };
-        assert_ne!(semantic_tag(&octagon), semantic_tag(&both));
-        let source = "int main() { return 0; }";
-        assert_ne!(
-            unit_cache_key(&octagon, source),
-            unit_cache_key(&both, source)
-        );
+    /// Where a knob shows in the report's `options` block.
+    #[derive(Clone, Copy, Debug)]
+    enum Shown {
+        No,
+        /// Under this entry in both blocks.
+        Canonical(&'static str),
+        /// Under this entry in the non-canonical block only.
+        NonCanonical(&'static str),
     }
 
-    /// Isolation is pure run mechanics: it splits *neither* the cache key
-    /// (thread and process runs share entries) nor the canonical report —
-    /// only the non-canonical options block says where the units ran.
-    #[test]
-    fn isolation_splits_neither_cache_key_nor_canonical_report() {
-        let thread = PipelineOptions::default();
-        let process = PipelineOptions {
-            isolation: IsolationMode::Process,
-            ..PipelineOptions::default()
-        };
-        assert_eq!(semantic_tag(&thread), semantic_tag(&process));
-        let source = "int main() { return 0; }";
-        assert_eq!(
-            unit_cache_key(&thread, source),
-            unit_cache_key(&process, source)
-        );
+    /// A baseline report with no units, for the `baseline` row.
+    fn empty_baseline() -> PathBuf {
+        let path = testfix::temp_dir("knob-baseline.json");
+        std::fs::write(&path, r#"{"units": []}"#).unwrap();
+        path
+    }
 
-        let canonical = assemble_report(
-            Vec::new(),
-            &PipelineOptions {
-                canonical: true,
-                isolation: IsolationMode::Process,
-                ..PipelineOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(canonical.get("options").unwrap().get("isolation").is_none());
-        let full = assemble_report(Vec::new(), &process).unwrap();
-        assert_eq!(
-            full.get("options")
+    /// The entries of `block` that differ from those of `was`.
+    fn moved(was: &Json, block: &Json) -> Vec<String> {
+        let (Json::Obj(was), Json::Obj(now)) = (was, block) else {
+            panic!("an options block is an object");
+        };
+        let at = |fields: &[(String, Json)], key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let all = was.iter().chain(now).map(|(k, _)| k.clone());
+        let mut keys: Vec<String> = all.filter(|k| at(was, k) != at(now, k)).collect();
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    /// Every field of [`PipelineOptions`] as DESIGN.md §17 routes it, one
+    /// row each, in declaration order: a change from its default, whether
+    /// it shapes results, where the `options` block shows it, and whether
+    /// it crosses the worker pipe. Changing the knob moves the unit key and
+    /// the rendered `source_hash` exactly when it shapes results, moves
+    /// exactly its own entry of the canonical and the non-canonical block,
+    /// and survives the sealed worker request exactly when it crosses (the
+    /// rest reach the worker at their defaults).
+    #[test]
+    fn each_knob_goes_where_its_row_says() {
+        use sga_core::budget::WorkerLimits;
+        use sga_core::depstore::DepBackend;
+        use sga_core::triage::TriageMode;
+        use sga_core::widening::{WideningConfig, WideningStrategy};
+        use Shown::{Canonical, No, NonCanonical};
+        type Row = (&'static str, fn(&mut PipelineOptions), bool, Shown, bool);
+        #[rustfmt::skip]
+        let rows: [Row; 16] = [
+            ("jobs", |o| o.jobs = 3, false, NonCanonical("jobs"), false),
+            ("cache_dir", |o| o.cache_dir = Some("knob-cache".into()), false, Canonical("cache"), true),
+            ("cache_max_entries", |o| o.cache_max_entries = Some(4), false, No, true),
+            // It picks the block, which the non-canonical rows read.
+            ("canonical", |o| o.canonical = true, false, No, false),
+            ("depgen", |o| o.depgen.bypass = false, true, Canonical("bypass"), true),
+            // One variant, read by nothing: there is nothing to change it to.
+            ("dep_backend", |o| o.dep_backend = DepBackend::Csr, false, No, false),
+            ("widening", |o| o.widening = WideningConfig::of(WideningStrategy::Naive), true, Canonical("widening"), true),
+            ("triage", |o| o.triage = TriageMode::Octagon, true, Canonical("triage"), true),
+            ("isolation", |o| o.isolation = IsolationMode::Process, false, NonCanonical("isolation"), false),
+            ("worker_limits", |o| o.worker_limits = WorkerLimits { mem_mb: Some(512), timeout_ms: Some(1500) }, false, No, true),
+            ("keep_going", |o| o.keep_going = false, false, No, false),
+            ("budget", |o| o.budget = Budget { max_steps: Some(50), timeout_ms: Some(900) }, true, No, true),
+            ("faults", |o| o.faults = FaultPlan::parse("panic@0,oom@0=64,spin@0=10").unwrap(), false, No, true),
+            ("validate", |o| o.validate = true, false, Canonical("validate"), true),
+            ("resume", |o| o.resume = true, false, No, false),
+            ("baseline", |o| o.baseline = Some(empty_baseline()), false, No, false),
+        ];
+        let pretty = format!("{:#?}", PipelineOptions::default());
+        let fields: Vec<&str> = (pretty.lines())
+            .filter_map(|l| l.strip_prefix("    ")?.split_once(':'))
+            .map(|(field, _)| field)
+            .filter(|field| !field.starts_with(' '))
+            .collect();
+        let named: Vec<&str> = rows.iter().map(|row| row.0).collect();
+        assert_eq!(named, fields, "one row per field, in declaration order");
+
+        let input = UnitInput {
+            name: "unit000".into(),
+            source: "int main() { return 0; }".into(),
+        };
+        let keys = |o: &PipelineOptions| unit_keys(&o.routes().tag, &input.source, &o.budget);
+        let block = |o: &PipelineOptions, canonical: bool| {
+            let o = PipelineOptions {
+                canonical,
+                ..o.clone()
+            };
+            assemble_report(Vec::new(), &o)
                 .unwrap()
-                .get("isolation")
-                .and_then(Json::as_str),
-            Some("process")
-        );
+                .get("options")
+                .unwrap()
+                .clone()
+        };
+        let sent = |o: &PipelineOptions| {
+            let ctx = UnitCtx {
+                options: o,
+                cache: None,
+            };
+            let sealed = worker::encode_request(&ctx, 0, &input, 1, 2, &o.budget);
+            worker::decode_request(&sealed)
+                .expect("the request decodes")
+                .options
+        };
+        let default = PipelineOptions::default();
+        for (field, flip, shapes, shown, crosses) in rows {
+            let mut o = default.clone();
+            flip(&mut o);
+            let ((key, hash), (key0, hash0)) = (keys(&o), keys(&default));
+            assert_eq!(
+                (key != key0, hash != hash0),
+                (shapes, shapes),
+                "{field}: key, hash"
+            );
+            for canonical in [true, false] {
+                let want: Vec<&str> = match shown {
+                    Canonical(entry) => vec![entry],
+                    NonCanonical(entry) if !canonical => vec![entry],
+                    _ => Vec::new(),
+                };
+                let got = moved(&block(&default, canonical), &block(&o, canonical));
+                assert_eq!(got, want, "{field}: options block, canonical {canonical}");
+            }
+            let mut want = sent(&default);
+            if crosses {
+                flip(&mut want);
+            }
+            let got = format!("{:?}", sent(&o));
+            assert_eq!(got, format!("{want:?}"), "{field}: worker request");
+        }
     }
 }

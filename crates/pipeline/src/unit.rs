@@ -8,13 +8,12 @@
 //! measured, plus its checks and triage. A unit runs on one thread;
 //! [`crate::run`] and [`crate::analyze_units`] run units concurrently.
 
+use crate::PipelineOptions;
 use sga_core::budget::Budget;
 use sga_core::checker;
-use sga_core::depgen::DepGenOptions;
 use sga_core::interface::{self, UnitInterface};
-use sga_core::interval::{AnalyzeOptions, Engine, Pipeline, SparseSolution};
-use sga_core::triage::{self, TriageMode, TriageOptions};
-use sga_core::widening::WideningConfig;
+use sga_core::interval::{Engine, Pipeline, SparseSolution};
+use sga_core::triage;
 use sga_diag::Diagnostic;
 use sga_domains::{AbsLoc, Value};
 use sga_ir::{Cp, Program};
@@ -69,22 +68,15 @@ pub struct UnitInternals<'p> {
     pub solved: SparseSolution,
 }
 
-/// Runs the full sparse interval analysis of one parsed unit, then its
-/// checkers and triage; the unit's stage times come back in
-/// `internals.solved.stats.times`.
+/// Runs the full sparse interval analysis of one parsed unit under
+/// `options` and `budget`, then its checkers and triage; the unit's stage
+/// times come back in `internals.solved.stats.times`.
 pub fn analyze_unit<'p>(
     program: &'p Program,
-    options: DepGenOptions,
-    widening: WideningConfig,
-    triage_mode: TriageMode,
+    options: &PipelineOptions,
     budget: &Budget,
 ) -> (UnitAnalysis, UnitInternals<'p>) {
-    let analyze = AnalyzeOptions {
-        depgen: options,
-        widening,
-        ..AnalyzeOptions::default()
-    };
-    let staged = Pipeline::prepare(program, analyze);
+    let staged = Pipeline::prepare(program, options.analyze_options(budget));
     // The answer outlives the check stage: the path-condition triage layer
     // evaluates dominating guards against the same inputs the alarms read
     // (and its `degraded` flag gates that layer off entirely).
@@ -102,14 +94,7 @@ pub fn analyze_unit<'p>(
     });
 
     let triage_degraded = times.time(Stage::Triage, || {
-        let topts = TriageOptions {
-            engine: Engine::Sparse,
-            depgen: options,
-            widening,
-            budget: triage::derived_budget(stats.iterations, budget),
-            mode: triage_mode,
-            ..TriageOptions::default()
-        };
+        let topts = options.triage_options(Engine::Sparse, stats.iterations, budget);
         triage::discharge_staged(&staged.pre, &q, &mut diags, &topts).degraded
     });
 
@@ -213,6 +198,8 @@ pub fn fingerprint_values<'a>(
 mod tests {
     use super::*;
     use sga_cgen::GenConfig;
+    use sga_core::depgen::DepGenOptions;
+    use sga_core::interval::AnalyzeOptions;
     use sga_domains::locs::AllocSite;
     use sga_domains::State;
     use sga_ir::{FieldId, NodeId, ProcId, VarId};

@@ -32,20 +32,15 @@
 //! journal record before cache store — exactly as in thread mode, so
 //! `--resume` replays byte-identically. The response carries the unit's
 //! stage times, which the parent's `timing_ms` adds up as it does a
-//! thread's. Isolation is run mechanics, not
-//! semantics: it joins neither the cache key nor the rendered
-//! `source_hash`, and canonical reports are byte-identical across modes
-//! (`tests/isolation.rs` holds them equal).
+//! thread's. Isolation is run mechanics (DESIGN.md §17): canonical reports
+//! are byte-identical across modes (`tests/isolation.rs` holds them equal).
 
-use crate::cache::{self, Cache};
-use crate::fault::FaultPlan;
+use crate::cache;
 use crate::journal::Failure;
 use crate::store::{seal, unseal};
 use crate::unit::UnitAnalysis;
 use crate::{PipelineOptions, Processed, UnitCtx, UnitInput};
 use sga_core::budget::{Budget, WorkerLimits};
-use sga_core::triage::TriageMode;
-use sga_core::widening::{WideningConfig, WideningStrategy};
 use sga_utils::stats::StageTimes;
 use sga_utils::Json;
 use std::io::{Read, Write};
@@ -59,7 +54,7 @@ use std::time::Duration;
 pub const WORKER_ARG: &str = "__worker";
 
 /// Wire-format version of the request/response payloads.
-const WORKER_FORMAT: u32 = 7;
+const WORKER_FORMAT: u32 = 8;
 
 /// Attempts per unit (1 original + 1 retry) before the unit is recorded
 /// `crashed`. Bounded so a unit that deterministically kills its worker
@@ -149,22 +144,18 @@ pub fn stats() -> IsolationSnapshot {
 // ---- wire format --------------------------------------------------------
 
 /// Everything the worker needs to run one unit, decoded from its stdin.
-struct Request {
+pub(crate) struct Request {
     input: UnitInput,
     index: usize,
     key: u64,
     render_key: u64,
-    budget: Budget,
-    limits: WorkerLimits,
-    options: PipelineOptions,
-}
-
-fn opt_u64(j: &Json, key: &str) -> Option<u64> {
-    j.get(key).and_then(Json::as_u64)
+    /// The options the unit runs under: its own budget and fault
+    /// directives, and the worker's limits.
+    pub(crate) options: PipelineOptions,
 }
 
 /// Renders the sealed request for `input` under the parent's options.
-fn encode_request(
+pub(crate) fn encode_request(
     ctx: &UnitCtx,
     i: usize,
     input: &UnitInput,
@@ -172,89 +163,41 @@ fn encode_request(
     render_key: u64,
     budget: &Budget,
 ) -> String {
-    let options = ctx.options;
-    let mut budget_json = Json::obj();
-    if let Some(steps) = budget.max_steps {
-        budget_json.set("max_steps", steps as usize);
-    }
-    if let Some(ms) = budget.timeout_ms {
-        budget_json.set("timeout_ms", ms as usize);
-    }
-    let mut limits_json = Json::obj();
-    if let Some(mb) = options.worker_limits.mem_mb {
-        limits_json.set("mem_mb", mb as usize);
-    }
-    if let Some(ms) = options.worker_limits.timeout_ms {
-        limits_json.set("timeout_ms", ms as usize);
-    }
-    let mut payload = Json::obj()
-        .with("schema", WORKER_FORMAT)
-        .with("name", input.name.as_str())
-        .with("index", i)
-        .with("source", input.source.as_str())
-        .with("key", format!("{key:016x}"))
-        .with("render_key", format!("{render_key:016x}"))
-        .with("budget", budget_json)
-        .with("limits", limits_json)
-        // The unit's own directives, as spec text: the worker fires the
-        // fatal ones and panics on `panic@`; the store-side ones are the
-        // parent's, which does the store.
-        .with("faults", options.faults.only(i).to_string())
-        .with("bypass", options.depgen.bypass)
-        .with("widening", options.widening.strategy.name())
-        .with("triage", options.triage.name())
-        .with("validate", options.validate);
-    if let Some(dir) = &options.cache_dir {
-        payload.set("cache_dir", dir.display().to_string());
-    }
-    if let Some(max) = options.cache_max_entries {
-        // A capped cache refreshes an entry's mtime on every hit, so the
-        // parent's LRU sweep sees the worker's hits as recent use.
-        payload.set("cache_max_entries", max);
-    }
-    seal(&payload)
+    // The unit's own directives, as spec text: the worker fires the fatal
+    // ones and panics on `panic@`; the store-side ones are the parent's.
+    let unit = PipelineOptions {
+        budget: *budget,
+        faults: ctx.options.faults.only(i),
+        ..ctx.options.clone()
+    };
+    seal(
+        &Json::obj()
+            .with("schema", WORKER_FORMAT)
+            .with("name", input.name.as_str())
+            .with("index", i)
+            .with("source", input.source.as_str())
+            .with("key", format!("{key:016x}"))
+            .with("render_key", format!("{render_key:016x}"))
+            .with("options", unit.routes().worker),
+    )
 }
 
 /// Parses and verifies a sealed request; `None` on any damage.
-fn decode_request(text: &str) -> Option<Request> {
+pub(crate) fn decode_request(text: &str) -> Option<Request> {
     let p = unseal(text)?;
     if p.get("schema")?.as_u64()? != u64::from(WORKER_FORMAT) {
         return None;
     }
-    let budget_json = p.get("budget")?;
-    let limits_json = p.get("limits")?;
-    let options = PipelineOptions {
-        cache_dir: p.get("cache_dir").and_then(Json::as_str).map(PathBuf::from),
-        cache_max_entries: opt_u64(&p, "cache_max_entries").map(|n| n as usize),
-        depgen: sga_core::depgen::DepGenOptions {
-            bypass: p.get("bypass")?.as_bool()?,
-        },
-        widening: WideningConfig::of(WideningStrategy::parse(p.get("widening")?.as_str()?)?),
-        triage: TriageMode::parse(p.get("triage")?.as_str()?)?,
-        validate: p.get("validate")?.as_bool()?,
-        faults: FaultPlan::parse(p.get("faults")?.as_str()?).ok()?,
-        // The worker itself always runs in thread mode: isolation does not
-        // recurse.
-        isolation: IsolationMode::Thread,
-        ..PipelineOptions::default()
-    };
+    let hex = |key: &str| u64::from_str_radix(p.get(key)?.as_str()?, 16).ok();
     Some(Request {
         input: UnitInput {
             name: p.get("name")?.as_str()?.to_string(),
             source: p.get("source")?.as_str()?.to_string(),
         },
         index: p.get("index")?.as_u64()? as usize,
-        key: u64::from_str_radix(p.get("key")?.as_str()?, 16).ok()?,
-        render_key: u64::from_str_radix(p.get("render_key")?.as_str()?, 16).ok()?,
-        budget: Budget {
-            max_steps: opt_u64(budget_json, "max_steps"),
-            timeout_ms: opt_u64(budget_json, "timeout_ms"),
-        },
-        limits: WorkerLimits {
-            mem_mb: opt_u64(limits_json, "mem_mb"),
-            timeout_ms: opt_u64(limits_json, "timeout_ms"),
-        },
-        options,
+        key: hex("key")?,
+        render_key: hex("render_key")?,
+        options: PipelineOptions::from_worker(p.get("options")?)?,
     })
 }
 
@@ -358,30 +301,19 @@ pub fn worker_main() -> i32 {
         return 2;
     };
     drop(text);
-    apply_limits(&req.limits);
+    let options = req.options;
+    apply_limits(&options.worker_limits);
     // Panics are caught and rendered into the response; keep stderr quiet
     // so the parent's death classifier reads only genuine death notices
     // (the allocator's OOM signature, the runtime's stack-overflow note).
     std::panic::set_hook(Box::new(|_| {}));
 
-    // Delegated hard faults fire *inside* the limits, after the request is
-    // consumed — the death they cause is exactly the death a pathological
-    // unit would cause at this point.
-    let options = req.options;
-    options.faults.fire_fatal(req.index);
-
-    let cache = match &options.cache_dir {
-        Some(dir) => match Cache::open(dir) {
-            Ok(mut c) => {
-                c.set_max_entries(options.cache_max_entries);
-                Some(c)
-            }
-            Err(e) => {
-                eprintln!("sga __worker: cannot open cache {}: {e}", dir.display());
-                return 2;
-            }
-        },
-        None => None,
+    let cache = match options.open_cache() {
+        Ok(cache) => cache,
+        Err(e) => {
+            eprintln!("sga __worker: {e}");
+            return 2;
+        }
     };
     let ctx = UnitCtx {
         options: &options,
@@ -393,7 +325,7 @@ pub fn worker_main() -> i32 {
         &req.input,
         req.key,
         req.render_key,
-        &req.budget,
+        &options.budget,
     );
     let response = encode_response(&p);
     let mut out = std::io::stdout();
@@ -592,21 +524,18 @@ pub(crate) fn run_unit_in_worker(
             }
         }
     }
-    let message = format!("{last} [{WORKER_ATTEMPTS} attempts]");
-    Processed {
-        json: crate::render_crashed(&input.name, render_key, &message),
-        failure: Some((Failure::Panic, message)),
-        analysis: None,
-        store: false,
-        times: StageTimes::default(),
-    }
+    let failure = (
+        Failure::Panic,
+        format!("{last} [{WORKER_ATTEMPTS} attempts]"),
+    );
+    Processed::crashed(&input.name, render_key, failure, StageTimes::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testfix::{every_damage, sample_analysis};
-    use crate::{render_analyzed, render_crashed, CacheStatus};
+    use crate::{render_analyzed, CacheStatus};
     use sga_utils::stats::Stage;
 
     fn ctx_fixture(options: &PipelineOptions) -> (UnitInput, u64, u64, Budget) {
@@ -618,36 +547,21 @@ mod tests {
         (input, key, key, options.budget)
     }
 
+    /// The unit crosses the pipe whole; which knobs cross with it is
+    /// `tag_tests::each_knob_goes_where_its_row_says`' table.
     #[test]
     fn request_roundtrips_through_the_sealed_envelope() {
-        let options = PipelineOptions {
-            validate: true,
-            triage: TriageMode::Octagon,
-            faults: FaultPlan::parse("panic@0,oom@0=64,spin@0=10").unwrap(),
-            cache_max_entries: Some(4),
-            worker_limits: WorkerLimits {
-                mem_mb: Some(512),
-                timeout_ms: Some(1500),
-            },
-            ..PipelineOptions::default()
-        };
+        let options = PipelineOptions::default();
         let ctx = UnitCtx {
             options: &options,
             cache: None,
         };
-        let (input, key, render_key, budget) = ctx_fixture(&options);
-        let sealed = encode_request(&ctx, 0, &input, key, render_key, &budget);
+        let (input, key, _, budget) = ctx_fixture(&options);
+        let sealed = encode_request(&ctx, 3, &input, key, !key, &budget);
         let req = decode_request(&sealed).expect("request decodes");
         assert_eq!(req.input.name, input.name);
         assert_eq!(req.input.source, input.source);
-        assert_eq!(req.key, key);
-        assert_eq!(req.limits.mem_mb, Some(512));
-        assert_eq!(req.limits.timeout_ms, Some(1500));
-        assert_eq!(req.options.faults, options.faults);
-        assert_eq!(req.options.cache_max_entries, Some(4));
-        assert!(req.options.validate);
-        assert_eq!(req.options.triage, TriageMode::Octagon);
-        assert_eq!(req.options.isolation, IsolationMode::Thread);
+        assert_eq!((req.index, req.key, req.render_key), (3, key, !key));
     }
 
     /// The fixture unit's request under the default options, sealed.
@@ -670,13 +584,8 @@ mod tests {
         flipped[mid] ^= 0x01;
         assert!(decode_request(&String::from_utf8_lossy(&flipped)).is_none());
 
-        let p = Processed {
-            json: render_crashed("u", 7, "boom"),
-            failure: Some((Failure::Panic, "boom".to_string())),
-            analysis: None,
-            store: false,
-            times: StageTimes::default(),
-        };
+        let failure = (Failure::Panic, "boom".to_string());
+        let p = Processed::crashed("u", 7, failure, StageTimes::default());
         let resp = encode_response(&p);
         let whole = decode_response(&resp).expect("intact response decodes");
         assert_eq!(whole.failure, Some((Failure::Panic, "boom".to_string())));

@@ -75,8 +75,13 @@ fn pipeline_unit_matches_one_shot_analyzer_across_shapes_and_options() {
     for (what, config, depgen, widening, mode) in rows {
         let program = sga_cfront::parse(&sga_cgen::generate(config)).expect("corpus parses");
 
-        let (unit, internals) =
-            analyze_unit(&program, depgen, widening, mode, &Budget::unbounded());
+        let options = PipelineOptions {
+            depgen,
+            widening,
+            triage: mode,
+            ..PipelineOptions::default()
+        };
+        let (unit, internals) = analyze_unit(&program, &options, &Budget::unbounded());
 
         let reference = interval::analyze_with(
             &program,

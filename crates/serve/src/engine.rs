@@ -132,16 +132,7 @@ impl Engine {
         let mut options = options.clone();
         options.canonical = true;
         options.baseline = None;
-        let cache = match &options.cache_dir {
-            Some(cdir) => {
-                let mut c = Cache::open(cdir).map_err(|e| {
-                    PipelineError::Io(format!("cannot open cache {}: {e}", cdir.display()))
-                })?;
-                c.set_max_entries(options.cache_max_entries);
-                Some(c)
-            }
-            None => None,
-        };
+        let cache = options.open_cache()?;
         let journal = match &options.cache_dir {
             Some(cdir) => {
                 let jdir = cdir.join("serve-journal");

@@ -71,7 +71,7 @@
 
 use crate::engine::{Engine, RoundFault, RoundOutcome};
 use crate::stats::ServeStats;
-use sga_pipeline::FaultPlan;
+use sga_pipeline::{panic_message, FaultPlan, QuietPanics};
 use sga_utils::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -415,12 +415,11 @@ fn engine_loop(
                 // here; silence the default hook's backtrace spew for the
                 // supervised window (the engine thread is the only one
                 // panicking by design).
-                let hook = std::panic::take_hook();
-                std::panic::set_hook(Box::new(|_| {}));
+                let quiet = QuietPanics::new(true);
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     engine.apply_edits_injected(batch, fault)
                 }));
-                std::panic::set_hook(hook);
+                drop(quiet);
                 match result {
                     Ok(Ok(outcome)) if outcome.is_noop() => {}
                     Ok(Ok(outcome)) => {
@@ -442,7 +441,7 @@ fn engine_loop(
                             &Json::obj()
                                 .with("event", "round_degraded")
                                 .with("round_attempt", attempts)
-                                .with("error", panic_message(&panic)),
+                                .with("error", panic_message(&*panic)),
                         );
                         // Supervisor: the in-memory engine may hold a
                         // half-applied round; rebuild from durable state.
@@ -521,17 +520,6 @@ fn engine_loop(
             }
             Req::Shutdown => return,
         }
-    }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "engine panicked".to_string()
     }
 }
 

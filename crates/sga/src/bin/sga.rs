@@ -51,8 +51,8 @@
 //! When several apply, the most urgent wins: 5 over 4 over 3 over 6
 //! (a partial or invalid run's baseline diff is itself suspect).
 
-use sga::analysis::interval::{self, AnalyzeOptions, Engine, Solved};
-use sga::analysis::triage::{self, TriageMode, TriageOptions};
+use sga::analysis::interval::{self, Engine, Solved};
+use sga::analysis::triage::{self, TriageMode};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::analysis::{checker, octagon};
 use sga::diag::Diagnostic;
@@ -511,13 +511,7 @@ fn diagnose(
             pre,
             &q,
             &mut diags,
-            &TriageOptions {
-                engine: solved.engine(),
-                widening: opts.widening,
-                budget: triage::derived_budget(solved.stats().iterations, &opts.budget),
-                mode: opts.triage,
-                ..TriageOptions::default()
-            },
+            &opts.triage_options(solved.engine(), solved.stats().iterations, &opts.budget),
         )
     });
     (diags, stats, times)
@@ -711,15 +705,8 @@ fn run_check(a: Args) -> ExitCode {
             Err(e) => return fail(format!("sga: {file}: {e}")),
         };
         let engine = a.engine.unwrap_or(Engine::Sparse);
-        let solved = interval::analyze_staged(
-            &program,
-            engine,
-            AnalyzeOptions {
-                widening: a.opts.widening,
-                budget: a.opts.budget,
-                ..AnalyzeOptions::default()
-            },
-        );
+        let options = a.opts.analyze_options(&a.opts.budget);
+        let solved = interval::analyze_staged(&program, engine, options);
         if solved.stats().degraded {
             eprintln!("sga: analysis budget exhausted; result degraded soundly");
         }
@@ -873,11 +860,7 @@ fn run_file(a: Args) -> ExitCode {
         print!("{}", sga::ir::pretty::program(&program));
     }
     let engine = a.engine.unwrap_or(Engine::Sparse);
-    let options = AnalyzeOptions {
-        widening: a.opts.widening,
-        budget: a.opts.budget,
-        ..AnalyzeOptions::default()
-    };
+    let options = a.opts.analyze_options(&a.opts.budget);
     let mut definite = false;
     match a.domain {
         Domain::Interval => {

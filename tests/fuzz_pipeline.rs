@@ -395,15 +395,16 @@ proptest! {
     /// §5 bypass on and off.
     #[test]
     fn lemma1_holds_exactly_with_and_without_bypass(config in arb_config()) {
-        use sga::analysis::{defuse, depgen, preanalysis, validate};
+        use sga::analysis::{defuse, depgen, icfg::Icfg, preanalysis, validate};
         let src = sga::cgen::generate(&config);
         let program = sga::frontend::parse(&src)
             .unwrap_or_else(|e| panic!("generated source must parse: {e}"));
         let pre = preanalysis::run(&program);
+        let icfg = Icfg::build(&program, &pre);
         let du = defuse::compute(&program, &pre);
         for bypass in [true, false] {
             let deps = depgen::generate(&program, &pre, &du, DepGenOptions { bypass });
-            let report = validate::check_lemma1(&program, &pre, &du, &deps);
+            let report = validate::check_lemma1(&program, &pre, &icfg, &du, &deps);
             prop_assert!(
                 report.violations.is_empty() && report.suppressed == 0,
                 "seed {}, bypass {bypass}: {:?}",

@@ -298,7 +298,7 @@ fn bypass_optimization_preserves_results() {
 #[test]
 fn constprop_sparse_equals_dense_base_exactly() {
     use sga::analysis::depgen::{self, DepGenOptions};
-    use sga::analysis::{defuse, preanalysis, validate};
+    use sga::analysis::{defuse, icfg::Icfg, preanalysis, validate};
     let alarms = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/alarms");
     let mut units: Vec<(String, String)> = std::fs::read_dir(alarms)
         .expect("tests/alarms must exist")
@@ -345,10 +345,11 @@ fn constprop_sparse_equals_dense_base_exactly() {
     for (what, source) in &units {
         let program = parse(source).unwrap();
         let pre = preanalysis::run(&program);
+        let icfg = Icfg::build(&program, &pre);
         let du = defuse::compute(&program, &pre);
         for bypass in [true, false] {
             let deps = depgen::generate(&program, &pre, &du, DepGenOptions { bypass });
-            let report = validate::check_lemma1(&program, &pre, &du, &deps);
+            let report = validate::check_lemma1(&program, &pre, &icfg, &du, &deps);
             let shown: Vec<String> = report.violations.iter().map(|v| v.render()).collect();
             assert!(
                 shown.is_empty() && report.suppressed == 0,
