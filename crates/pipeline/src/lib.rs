@@ -1070,6 +1070,68 @@ mod tag_tests {
         }
     }
 
+    /// The triage mode changes the diagnostics themselves (`both`
+    /// discharges strictly more than `octagon`), so unlike the backend it
+    /// splits the cache key *and* the rendered `source_hash`: a stale
+    /// journal or cache entry from another mode can never replay.
+    #[test]
+    fn triage_mode_splits_cache_key_and_rendered_hash() {
+        use sga_core::triage::TriageMode;
+        let octagon = PipelineOptions {
+            triage: TriageMode::Octagon,
+            ..PipelineOptions::default()
+        };
+        let both = PipelineOptions {
+            triage: TriageMode::Both,
+            ..PipelineOptions::default()
+        };
+        assert_ne!(octagon.routes().tag, both.routes().tag);
+        let source = "int main() { return 0; }";
+        assert_ne!(
+            unit_cache_key(&octagon, source),
+            unit_cache_key(&both, source)
+        );
+        let hash = |o: &PipelineOptions| unit_keys(&o.routes().tag, source, &o.budget).1;
+        assert_ne!(hash(&octagon), hash(&both));
+    }
+
+    /// Isolation is pure run mechanics: it splits *neither* the cache key
+    /// (thread and process runs share entries) nor the canonical report —
+    /// only the non-canonical options block says where the units ran.
+    #[test]
+    fn isolation_splits_neither_cache_key_nor_canonical_report() {
+        let thread = PipelineOptions::default();
+        let process = PipelineOptions {
+            isolation: IsolationMode::Process,
+            ..PipelineOptions::default()
+        };
+        assert_eq!(thread.routes().tag, process.routes().tag);
+        let source = "int main() { return 0; }";
+        assert_eq!(
+            unit_cache_key(&thread, source),
+            unit_cache_key(&process, source)
+        );
+
+        let canonical = assemble_report(
+            Vec::new(),
+            &PipelineOptions {
+                canonical: true,
+                isolation: IsolationMode::Process,
+                ..PipelineOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(canonical.get("options").unwrap().get("isolation").is_none());
+        let full = assemble_report(Vec::new(), &process).unwrap();
+        assert_eq!(
+            full.get("options")
+                .unwrap()
+                .get("isolation")
+                .and_then(Json::as_str),
+            Some("process")
+        );
+    }
+
     /// Where a knob shows in the report's `options` block.
     #[derive(Clone, Copy, Debug)]
     enum Shown {
