@@ -48,7 +48,7 @@ if [ "$LIST" -eq 1 ]; then
         "diag-gate"        "CLI baseline self-diff and --validate over the golden alarm corpus" \
         "ignore-gate"      "no #[ignore] in the precision suite; ignored tests pass" \
         "serve-gate"       "daemon over a real socket: diff events + convergence" \
-        "chaos-gate"       "kill -9 the daemon, restart --resume, convergence" \
+        "chaos-gate"       "kill -9 the daemon, restart over its cache, convergence" \
         "triage-gate"      "--triage both strictly grows discharges; definite alarms untouched" \
         "bench-gate *"     "repo-benchmark checks + BENCH_counts.txt ledger + allocation ceilings + untraced smokes (serve_edits, batch_scc, batch_flat, warm_rerun)"
     exit 0
@@ -206,11 +206,11 @@ serve_gate() {
 }
 
 chaos_gate() {
-    # Crash safety, operator-style: start the daemon with a cache (the
-    # round journal lives under it), script an edit, quiesce with a
-    # report, `kill -9` the process, restart with `--resume`, edit again,
-    # and require the resumed daemon's report to match a cold batch run
-    # (whitespace-normalized, as in serve-gate). The fine-grained
+    # Crash safety, operator-style: start the daemon with a cache (its only
+    # durable state besides the corpus), script an edit, quiesce with a
+    # report, `kill -9` the process, restart it over the same cache, edit
+    # again, and require the restarted daemon's report to match a cold
+    # batch run (whitespace-normalized, as in serve-gate). The fine-grained
     # kill-point sweep — including kills aimed inside a stalled round —
     # lives in tests/serve_chaos.rs; this stage proves the same story for
     # the shipped binary driven exactly as an operator would drive it.
@@ -236,7 +236,7 @@ chaos_gate() {
         echo "chaos-gate: pre-kill edit failed" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1; }
     # A report is served by the same engine thread, strictly after the
-    # edit round — once it answers, the round is journaled.
+    # edit round — once it answers, the round's units are in the cache.
     "$bin" watch "$addr" --report > /dev/null || {
         echo "chaos-gate: pre-kill report failed" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1; }
@@ -244,26 +244,26 @@ chaos_gate() {
     wait "$daemon" 2>/dev/null
     rm -f "$tmp/port"
     "$bin" serve "$tmp/corpus" --cache-dir "$tmp/cache" --port-file "$tmp/port" \
-        --resume > "$tmp/serve2.log" 2>&1 &
+        > "$tmp/serve2.log" 2>&1 &
     daemon=$!
     for _ in $(seq 1 100); do [ -s "$tmp/port" ] && break; sleep 0.1; done
     if [ ! -s "$tmp/port" ]; then
-        echo "chaos-gate: resumed daemon never wrote its port file" >&2
+        echo "chaos-gate: restarted daemon never wrote its port file" >&2
         cat "$tmp/serve2.log" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1
     fi
     addr=$(tr -d '[:space:]' < "$tmp/port")
-    # The restart must be warm: both units replayed from the journal, no
+    # The restart must be warm: both units answered by the cache, no
     # re-analysis.
-    if ! grep -q "2 resumed from journal" "$tmp/serve2.log"; then
-        echo "chaos-gate: restart did not warm-resume from the journal:" >&2
+    if ! grep -q "2 from the cache" "$tmp/serve2.log"; then
+        echo "chaos-gate: restart was not answered by the cache:" >&2
         cat "$tmp/serve2.log" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1
     fi
     printf 'int main() { int *buf = malloc(4); buf[0] = 1; return 0; }\n' \
         > "$tmp/lib_v2.c"
     "$bin" watch "$addr" --edit lib.c "$tmp/lib_v2.c" > /dev/null || {
-        echo "chaos-gate: post-resume edit failed" >&2
+        echo "chaos-gate: post-restart edit failed" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1; }
     "$bin" watch "$addr" --report > "$tmp/live.json" || {
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1; }
@@ -271,12 +271,12 @@ chaos_gate() {
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1; }
     if ! cmp -s <(tr -d '[:space:]' < "$tmp/live.json") \
                 <(tr -d '[:space:]' < "$tmp/cold.json"); then
-        echo "chaos-gate: resumed daemon diverged from the cold batch run" >&2
+        echo "chaos-gate: restarted daemon diverged from the cold batch run" >&2
         kill "$daemon" 2>/dev/null; rm -rf "$tmp"; return 1
     fi
     "$bin" watch "$addr" --shutdown > /dev/null
     if ! wait "$daemon"; then
-        echo "chaos-gate: resumed daemon exited non-zero" >&2
+        echo "chaos-gate: restarted daemon exited non-zero" >&2
         cat "$tmp/serve2.log" >&2
         rm -rf "$tmp"; return 1
     fi
@@ -473,9 +473,9 @@ run_stage "ignore-gate" ignore_gate
 # The daemon gate drives the debug binary (built by the test stage) over a
 # real socket, so it is cheap enough for --quick too.
 run_stage "serve-gate"  serve_gate
-# The chaos gate proves crash-safe warm restart (kill -9, --resume,
-# convergence) with the same cheap debug-binary recipe, so it runs in
-# --quick too.
+# The chaos gate proves crash-safe warm restart (kill -9, a restart over
+# the cache, convergence) with the same cheap debug-binary recipe, so it
+# runs in --quick too.
 run_stage "chaos-gate"  chaos_gate
 # The triage gate pins the path layer's superset/definite contract with
 # the same cheap debug-binary recipe, so it runs in --quick too.

@@ -304,20 +304,12 @@ pub struct GcStats {
 
 /// Offline cache maintenance (`sga cache gc`): prunes `quarantine/` to the
 /// newest `keep` entries, sweeps stranded `.tmp` files (from killed atomic
-/// writers) out of the cache root and the `journal/` and `serve-journal/`
-/// subdirectories, and — when `max_entries` is set — evicts cache entries
-/// beyond the cap, least-recently-accessed first.
-///
-/// The serve daemon's `serve-journal/` records are **spared** by the entry
-/// sweep (they are warm-restart state, not cache entries, and the daemon
-/// retains only records of units it still has): only their stranded `.tmp`
-/// files are removed.
+/// writers) out of the cache root and its `journal/`, and — when
+/// `max_entries` is set — evicts cache entries beyond the cap,
+/// least-recently-accessed first.
 pub fn gc(dir: &Path, keep: usize, max_entries: Option<usize>) -> std::io::Result<GcStats> {
     let root = SealedDir::at(dir);
-    let mut tmp_removed = root.sweep_tmp()?;
-    for journal in ["journal", "serve-journal"] {
-        tmp_removed += SealedDir::at(&dir.join(journal)).sweep_tmp()?;
-    }
+    let tmp_removed = root.sweep_tmp()? + SealedDir::at(&dir.join("journal")).sweep_tmp()?;
     Ok(GcStats {
         quarantine_removed: root.quarantined().keep_newest(keep)?,
         tmp_removed,
@@ -349,9 +341,7 @@ pub(crate) fn encode(a: &UnitAnalysis) -> Json {
         .with("interface", encode_interface(&a.interface))
 }
 
-/// Renders a [`UnitInterface`] in the cache-entry shape. Public so the
-/// serve daemon's round journal persists interfaces in exactly the format
-/// the cache already proves durable.
+/// Renders a [`UnitInterface`] in the cache-entry shape.
 pub fn encode_interface(iface: &UnitInterface) -> Json {
     Json::obj()
         .with(
@@ -389,7 +379,7 @@ pub fn encode_interface(iface: &UnitInterface) -> Json {
 }
 
 /// Parses the shape written by [`encode_interface`]; `None` on any damage.
-pub fn decode_interface(j: &Json) -> Option<UnitInterface> {
+fn decode_interface(j: &Json) -> Option<UnitInterface> {
     let mut exports = Vec::new();
     for e in j.get("exports")?.as_arr()? {
         exports.push(ProcInterface {
@@ -640,30 +630,6 @@ mod tests {
         assert_eq!(cache.dir.quarantined().scan().len(), 1);
         // Idempotent: a second pass finds nothing to do.
         assert_eq!(gc(&dir, 1, None).unwrap(), GcStats::default());
-    }
-
-    #[test]
-    fn gc_spares_serve_journal_records() {
-        let cache = temp_cache("gc-serve");
-        for key in 0..3u64 {
-            cache.store("u", key, &sample()).unwrap();
-        }
-        let dir = cache.dir.dir().to_path_buf();
-        let sdir = dir.join("serve-journal");
-        std::fs::create_dir_all(&sdir).unwrap();
-        for name in ["u-aaaa.json", "u-bbbb.json", "u-cccc.json"] {
-            std::fs::write(sdir.join(name), b"round record").unwrap();
-        }
-        std::fs::write(sdir.join("u-dddd.json.tmp"), b"torn").unwrap();
-
-        // Tmp strays are swept, records are spared — even under an
-        // aggressive cache-entry cap.
-        let stats = gc(&dir, DEFAULT_QUARANTINE_KEEP, Some(1)).unwrap();
-        assert_eq!(stats.tmp_removed, 1);
-        assert_eq!(stats.evicted, 2);
-        assert!(sdir.join("u-aaaa.json").exists());
-        assert!(sdir.join("u-bbbb.json").exists());
-        assert!(sdir.join("u-cccc.json").exists());
     }
 
     /// Backdates an entry's mtime by `secs` so LRU ordering is

@@ -13,7 +13,7 @@
 //!    link interface, fixpoint fingerprint and counts, exactly what a hit
 //!    returns — is persisted to an on-disk cache keyed by a hash of the
 //!    unit's source and the analysis options; an unchanged unit is never
-//!    re-analyzed. The cache and both journals are codecs over one sealed
+//!    re-analyzed. The cache and the journal are codecs over one sealed
 //!    directory ([`store`]). See [`cache`].
 //! 3. **Machine-readable reports.** Every run produces a deterministic JSON
 //!    report (per-unit alarms and statistics, cache hit rate, per-stage
@@ -638,11 +638,10 @@ fn unit_keys(tag: &str, source: &str, budget: &Budget) -> (u64, u64) {
 }
 
 /// The full per-unit cache key under `options` for a unit with this
-/// `source`: the batch driver's key exactly, so an embedder that needs to
-/// know whether a stored artifact still describes a source (the serve
-/// daemon's round journal) asks the same question the cache does. Per-unit
-/// fault budget overrides are a batch-driver concern and are not applied
-/// here.
+/// `source`: the batch driver's key exactly. An adapter for the benchmark
+/// harness and tests (DESIGN.md §3, "Frozen for the harness"); the product
+/// derives its keys inside [`analyze_units`] and [`run`]. Per-unit fault
+/// budget overrides are a batch-driver concern and are not applied here.
 pub fn unit_cache_key(options: &PipelineOptions, source: &str) -> u64 {
     unit_keys(&options.routes().tag, source, &options.budget).0
 }

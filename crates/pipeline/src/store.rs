@@ -1,7 +1,7 @@
 //! One sealed directory: the only code that puts sealed records on disk and
-//! reads them back. The cache, the batch journal and the serve daemon's
-//! round journal are codecs over a [`SealedDir`] — each decides what a
-//! record's payload holds and what its name is — and this module decides
+//! reads them back. The cache and the batch journal are codecs over a
+//! [`SealedDir`] — each decides what a record's payload holds and what its
+//! name is — and this module decides
 //! the rest: the envelope ([`seal`], [`unseal`]: a checksum over the
 //! payload's bytes as written), atomic temp-file + rename writes, file
 //! naming (`<dir>/<name>.json`, every byte outside `[A-Za-z0-9._-]` replaced
@@ -273,7 +273,7 @@ mod tests {
 
     /// Every torn write and every single-byte change of a record is damage —
     /// to a lookup and to a scan — never a payload and never a panic. The
-    /// cache and both journals read through here; their own every-damage
+    /// cache and the journal read through here; their own every-damage
     /// tests pin what each codec makes of it.
     #[test]
     fn every_damage_to_a_record_is_refused() {

@@ -32,13 +32,8 @@ pub enum Conn {
 
 impl Conn {
     /// Connects to `addr` (`host:port`, or a socket path if it contains
-    /// `/`).
-    pub fn connect(addr: &str) -> std::io::Result<Conn> {
-        Conn::connect_timeout(addr, None)
-    }
-
-    /// [`Conn::connect`] with a deadline covering the connect itself and,
-    /// once connected, each read and write on the stream.
+    /// `/`) under a deadline covering the connect itself and, once
+    /// connected, each read and write on the stream (`None`: no deadline).
     pub fn connect_timeout(addr: &str, timeout: Option<Duration>) -> std::io::Result<Conn> {
         let conn = if addr.contains('/') {
             // Unix connects don't take a timeout (they complete or fail
@@ -127,13 +122,9 @@ impl Write for Conn {
     }
 }
 
-/// Sends one request line and returns the one-line reply.
-pub fn request(addr: &str, line: &str) -> std::io::Result<String> {
-    request_t(addr, line, None)
-}
-
-/// [`request`] under a deadline: connect, write, and read each must finish
-/// within `timeout` or the call errors (`WouldBlock`/`TimedOut`).
+/// Sends one request line and returns the one-line reply. Connect, write
+/// and read each must finish within `timeout` or the call errors
+/// (`WouldBlock`/`TimedOut`).
 pub fn request_t(addr: &str, line: &str, timeout: Option<Duration>) -> std::io::Result<String> {
     let mut conn = Conn::connect_timeout(addr, timeout)?;
     let read = conn.try_clone()?;
@@ -145,11 +136,6 @@ pub fn request_t(addr: &str, line: &str, timeout: Option<Duration>) -> std::io::
 }
 
 /// Replaces `unit`'s source on the daemon. Returns the ack line.
-pub fn edit(addr: &str, unit: &str, source: &str) -> std::io::Result<String> {
-    edit_t(addr, unit, source, None)
-}
-
-/// [`edit`] under a deadline.
 pub fn edit_t(
     addr: &str,
     unit: &str,
@@ -197,11 +183,6 @@ pub fn edit_with_retry(
 }
 
 /// Fetches the accumulated whole-project report (compact JSON).
-pub fn report(addr: &str) -> std::io::Result<String> {
-    report_t(addr, None)
-}
-
-/// [`report`] under a deadline.
 pub fn report_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<String> {
     request_t(
         addr,
@@ -211,11 +192,6 @@ pub fn report_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<String
 }
 
 /// Fetches the one-line status.
-pub fn status(addr: &str) -> std::io::Result<String> {
-    status_t(addr, None)
-}
-
-/// [`status`] under a deadline.
 pub fn status_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<String> {
     request_t(
         addr,
@@ -225,11 +201,6 @@ pub fn status_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<String
 }
 
 /// Asks the daemon to stop.
-pub fn shutdown(addr: &str) -> std::io::Result<String> {
-    shutdown_t(addr, None)
-}
-
-/// [`shutdown`] under a deadline.
 pub fn shutdown_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<String> {
     request_t(
         addr,
@@ -240,33 +211,16 @@ pub fn shutdown_t(addr: &str, timeout: Option<Duration>) -> std::io::Result<Stri
 
 /// Subscribes to diff events, invoking `on_event` with each event line
 /// until the daemon closes the stream or `max_events` lines arrived.
-pub fn watch(
-    addr: &str,
-    max_events: Option<usize>,
-    on_event: impl FnMut(&str),
-) -> std::io::Result<()> {
-    watch_ready(addr, max_events, |_| {}, on_event)
-}
-
-/// [`watch`], surfacing the daemon's subscription acknowledgment:
-/// `on_ready` receives the ack line (`{"ok":true,"subscribed":true}`)
+/// `on_ready` receives the subscription ack (`{"ok":true,"subscribed":true}`)
 /// before any event can arrive. The daemon sends the ack under its
-/// broadcast lock *before* registering the subscriber, so once a caller
-/// has seen it, no subsequent edit round's event can be missed — the
+/// broadcast lock *before* registering the subscriber, so once a caller has
+/// seen it, no subsequent edit round's event can be missed — the
 /// synchronization point the CI serve gate waits on instead of sleeping.
-pub fn watch_ready(
-    addr: &str,
-    max_events: Option<usize>,
-    on_ready: impl FnMut(&str),
-    on_event: impl FnMut(&str),
-) -> std::io::Result<()> {
-    watch_ready_t(addr, max_events, None, on_ready, on_event)
-}
-
-/// [`watch_ready`] with a deadline on the connect and the subscription
-/// ack only — a daemon that cannot even acknowledge within the deadline
-/// is wedged and the call errors. Once subscribed the deadline is lifted:
-/// an event stream is legitimately quiet for as long as nobody edits.
+///
+/// `timeout` bounds the connect and the ack only — a daemon that cannot
+/// even acknowledge within it is wedged and the call errors. Once
+/// subscribed the deadline is lifted: an event stream is legitimately quiet
+/// for as long as nobody edits.
 pub fn watch_ready_t(
     addr: &str,
     max_events: Option<usize>,

@@ -1,7 +1,7 @@
 //! The daemon's analysis state machine: a loaded corpus, per-unit results,
 //! and dependency-aware invalidation of edits.
 //!
-//! The engine owns one [`UnitState`] per translation unit — its source
+//! The engine owns one `UnitState` per translation unit — its source
 //! text, its rendered report object, its diagnostics, and its link
 //! [`UnitInterface`]. An edit round ([`Engine::apply_edits`]) re-analyzes
 //! the edited units, then walks the cross-unit dependency frontier: a unit
@@ -19,23 +19,23 @@
 //! whose source did not change reproduces its exact previous result, so
 //! over-invalidation can never corrupt state, only waste work.
 //!
-//! **Durability.** When a cache directory is configured, every
-//! (re-)analyzed unit is committed to a [`RoundJournal`] at the end of its
-//! round. [`Engine::open`] with `resume` replays those records: a unit
-//! whose current on-disk source still hashes to its record's cache key is
-//! restored without analysis, so a daemon killed mid-round (`kill -9`,
-//! OOM, a supervised panic) warm-restarts in time proportional to the
-//! interrupted round's frontier, not the corpus — and, because analysis is
-//! a pure function of (source, options), replay preserves the convergence
-//! invariant exactly.
+//! **Durability.** The engine keeps no state of its own on disk: the
+//! corpus directory holds the sources (an edit round writes them before it
+//! analyzes) and the content-keyed cache holds every analyzed unit under
+//! its source × options key. A unit's fixpoint depends on exactly that
+//! pair, so a daemon killed at any point (`kill -9`, OOM, a supervised
+//! panic) warm-restarts through [`Engine::new`]: every unit whose current
+//! source has an entry is a cache hit, and only the units the crash caught
+//! mid-round are analyzed again. A unit that failed to parse has no entry,
+//! and one the LRU cap (`cache_max_entries`) evicted has lost it; both are
+//! recomputed at restart, which costs work and never an answer.
 
-use crate::journal::RoundJournal;
 use sga_core::interface::UnitInterface;
 use sga_diag::baseline::{self, BaselineDiff};
 use sga_diag::Diagnostic;
 use sga_pipeline::{
-    analyze_units, assemble_report, load_project, store, unit_cache_key, Cache, PipelineError,
-    PipelineOptions, Project, UnitInput,
+    analyze_units, assemble_report, load_project, store, Cache, PipelineError, PipelineOptions,
+    Project, UnitInput,
 };
 use sga_utils::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,101 +102,40 @@ pub struct Engine {
     dir: PathBuf,
     options: PipelineOptions,
     cache: Option<Cache>,
-    journal: Option<RoundJournal>,
     units: BTreeMap<String, UnitState>,
     rounds: usize,
     resumed: usize,
 }
 
 impl Engine {
-    /// Loads the corpus at `dir` and performs the initial (cache-warming)
-    /// analysis of every unit. `options.canonical` is forced on — the
-    /// daemon's report is defined as the canonical one. Equivalent to
-    /// [`Engine::open`] with `resume` off.
+    /// Loads the corpus at `dir` and analyzes every unit, through the cache
+    /// when one is configured — so a restart over a warm cache re-analyzes
+    /// only the units whose source has no entry. `options.canonical` is
+    /// forced on — the daemon's report is defined as the canonical one.
     pub fn new(dir: &Path, options: &PipelineOptions) -> Result<Engine, PipelineError> {
-        Engine::open(dir, options, false)
-    }
-
-    /// Loads the corpus at `dir`, replaying the round journal when `resume`
-    /// is set: units whose on-disk source still matches a journaled record
-    /// are restored verbatim, the rest (including units a crash caught
-    /// mid-round) are analyzed. Without `resume` the journal is cleared —
-    /// a fresh start owns it. The journal lives at `serve-journal/` under
-    /// the cache root, or nowhere (no durability, `resume` then degrades to
-    /// a cold start).
-    pub fn open(
-        dir: &Path,
-        options: &PipelineOptions,
-        resume: bool,
-    ) -> Result<Engine, PipelineError> {
         let mut options = options.clone();
         options.canonical = true;
         options.baseline = None;
         let cache = options.open_cache()?;
-        let journal = match &options.cache_dir {
-            Some(cdir) => {
-                let jdir = cdir.join("serve-journal");
-                Some(RoundJournal::open(&jdir).map_err(|e| {
-                    PipelineError::Io(format!("cannot open journal {}: {e}", jdir.display()))
-                })?)
-            }
-            None => None,
-        };
         let inputs = load_project(&Project::Dir(dir.to_path_buf()))?;
-        let mut engine = Engine {
+        let outcomes = analyze_units(&inputs, &options, cache.as_ref());
+        let mut units = BTreeMap::new();
+        let mut resumed = 0;
+        for (input, out) in inputs.into_iter().zip(outcomes) {
+            resumed += usize::from(out.json.get("cache").and_then(Json::as_str) == Some("hit"));
+            units.insert(input.name, state_of(input.source, out));
+        }
+        if let Some(c) = &cache {
+            c.sweep_lru();
+        }
+        Ok(Engine {
             dir: dir.to_path_buf(),
             options,
             cache,
-            journal,
-            units: BTreeMap::new(),
+            units,
             rounds: 0,
-            resumed: 0,
-        };
-
-        // Partition the corpus into journal hits (restored verbatim) and
-        // misses (analyzed now). A non-resume start analyzes everything.
-        let saved = match (&engine.journal, resume) {
-            (Some(j), true) => j.load(),
-            (Some(j), false) => {
-                j.clear().map_err(|e| {
-                    PipelineError::Io(format!("cannot clear journal {}: {e}", j.dir().display()))
-                })?;
-                BTreeMap::new()
-            }
-            (None, _) => BTreeMap::new(),
-        };
-        let mut misses: Vec<UnitInput> = Vec::new();
-        for input in inputs {
-            match saved.get(&input.name) {
-                Some(rec) if rec.key == unit_cache_key(&engine.options, &input.source) => {
-                    engine.units.insert(
-                        input.name.clone(),
-                        UnitState {
-                            source: input.source,
-                            json: rec.json.clone(),
-                            diags: rec.diags.clone(),
-                            interface: rec.interface.clone(),
-                        },
-                    );
-                    engine.resumed += 1;
-                }
-                _ => misses.push(input),
-            }
-        }
-        let outcomes = analyze_units(&misses, &engine.options, engine.cache.as_ref());
-        for (input, out) in misses.into_iter().zip(outcomes) {
-            let state = state_of(input.source, out);
-            engine.journal_unit(&input.name, &state);
-            engine.units.insert(input.name, state);
-        }
-        if let Some(j) = &engine.journal {
-            let units = &engine.units;
-            j.retain(&|name| units.contains_key(name));
-        }
-        if let Some(c) = &engine.cache {
-            c.sweep_lru();
-        }
-        Ok(engine)
+            resumed,
+        })
     }
 
     /// The corpus directory the engine mirrors.
@@ -205,7 +144,7 @@ impl Engine {
     }
 
     /// The engine's (massaged) analysis options — what a supervisor passes
-    /// back to [`Engine::open`] to rebuild a poisoned engine.
+    /// back to [`Engine::new`] to rebuild a poisoned engine.
     pub fn options(&self) -> &PipelineOptions {
         &self.options
     }
@@ -220,7 +159,7 @@ impl Engine {
         self.rounds
     }
 
-    /// Units restored from the round journal at open (0 without `resume`).
+    /// Units the cache answered at open (0 without a cache).
     pub fn resumed_units(&self) -> usize {
         self.resumed
     }
@@ -294,7 +233,7 @@ impl Engine {
 
         // Persist first: the corpus directory is the ground truth the
         // convergence anchor (a cold batch run) reads — and what the
-        // supervisor or a `--resume` restart recovers from.
+        // supervisor or a restarted daemon recovers from.
         for (name, source) in &latest {
             // Atomic, so a concurrently-started cold run never reads a
             // half-written source.
@@ -356,16 +295,6 @@ impl Engine {
                 .collect();
         }
 
-        // Commit the round's results to the journal. A kill between the
-        // source writes above and here leaves stale records whose keys no
-        // longer match the on-disk sources — resume recomputes exactly
-        // those units.
-        for name in &done {
-            if let Some(state) = self.units.get(name) {
-                self.journal_unit(name, state);
-            }
-        }
-
         let after: Vec<&Diagnostic> = self.units.values().flat_map(|u| &u.diags).collect();
         let diff = baseline::diff_open(after.iter().copied(), &before);
         let alarms = after.iter().filter(|d| d.is_open()).count();
@@ -379,15 +308,6 @@ impl Engine {
             diff,
             alarms,
         })
-    }
-
-    /// Best-effort journal commit of one unit's state — a failed write only
-    /// costs the next restart a recompute, mirroring a failed cache store.
-    fn journal_unit(&self, name: &str, state: &UnitState) {
-        if let Some(j) = &self.journal {
-            let key = unit_cache_key(&self.options, &state.source);
-            let _ = j.record(name, key, &state.json, &state.diags, &state.interface);
-        }
     }
 }
 

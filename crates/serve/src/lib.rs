@@ -8,10 +8,10 @@
 //!   [`sga_core::interface`]s, dependency-aware invalidation (a unit is
 //!   re-analyzed only when a symbol it imports changed interface), and the
 //!   convergence invariant — the accumulated report is byte-identical to a
-//!   cold batch run of the corpus' current state;
-//! * [`journal`] — the round journal: each round's unit results are
-//!   committed to disk so a killed daemon warm-restarts (`--resume`)
-//!   without re-analyzing the whole corpus;
+//!   cold batch run of the corpus' current state. Its only durable state is
+//!   the corpus directory and the content-keyed cache: a killed daemon
+//!   restarts over a warm cache and re-analyzes only the units without an
+//!   entry;
 //! * [`server`] — the network front: line-delimited JSON over TCP and/or
 //!   Unix sockets, an engine thread with edit coalescing and bounded-queue
 //!   load shedding, supervised against analyzer panics, per-subscriber
@@ -19,7 +19,9 @@
 //!   fallback;
 //! * [`stats`] — the daemon's live counters, as `status` prints them;
 //! * [`client`] — the matching client helpers (`sga watch`): timeouts,
-//!   bounded retry on shed edits.
+//!   bounded retry on shed edits;
+//! * [`journal`] — [`RoundJournal`], a record writer the benchmark harness
+//!   times; the daemon does not use it.
 
 pub mod client;
 pub mod engine;

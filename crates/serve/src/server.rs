@@ -58,12 +58,13 @@
 //!   and the engine proceed at full speed.
 //! * **Supervision.** Each round runs under `catch_unwind`. A panicking
 //!   round broadcasts `round_degraded`, then a supervisor rebuilds the
-//!   engine from its durable state (corpus dir + cache + round journal —
-//!   sources are persisted *before* analysis, so no acknowledged edit is
-//!   lost) and broadcasts `engine_restarted`. Rounds are also the index
-//!   space for injected faults ([`ServerConfig::faults`]): round attempts
-//!   are counted monotonically across restarts so `panic@2` fires once,
-//!   not on every recovery.
+//!   engine from its durable state (corpus dir + cache — sources are
+//!   persisted *before* analysis, so no acknowledged edit is lost) and
+//!   broadcasts `engine_restarted`, whose `resumed_units` counts the units
+//!   the cache answered. Rounds are also the index space for injected
+//!   faults ([`ServerConfig::faults`]): round attempts are counted
+//!   monotonically across restarts so `panic@2` fires once, not on every
+//!   recovery.
 //! * **Bounded reads.** Request lines longer than
 //!   [`ServerConfig::max_request_line`] are drained (not buffered) and
 //!   answered with a structured error; invalid UTF-8 likewise. The
@@ -71,7 +72,7 @@
 
 use crate::engine::{Engine, RoundFault, RoundOutcome};
 use crate::stats::ServeStats;
-use sga_pipeline::{panic_message, FaultPlan, QuietPanics};
+use sga_pipeline::{load_project, panic_message, FaultPlan, Project, QuietPanics};
 use sga_utils::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -449,7 +450,7 @@ fn engine_loop(
                         // so no acknowledged edit is lost.
                         let dir = engine.dir().to_path_buf();
                         let opts = engine.options().clone();
-                        match Engine::open(&dir, &opts, true) {
+                        match Engine::new(&dir, &opts) {
                             Ok(fresh) => {
                                 engine = fresh;
                                 stats.note_restart();
@@ -832,22 +833,26 @@ fn handle_connection<R: std::io::Read>(read: R, mut write: Box<dyn SubWrite>, ct
 }
 
 /// The filesystem fallback: polls the corpus directory and synthesizes
-/// edit requests for files whose content changed out of band. The engine
-/// drops edits that match its current state, so observing the daemon's own
-/// writes (from socket edits) is a harmless no-op. Uses a *blocking* send:
-/// under overload the poller self-throttles instead of shedding (its edits
-/// are re-observable from disk, but blocking is simpler and lossless).
+/// edit requests for files whose content changed out of band. It lists the
+/// directory as the convergence anchor does ([`load_project`]), and a tick
+/// whose listing fails sends nothing. The engine drops edits that match its
+/// current state, so observing the daemon's own writes (from socket edits)
+/// is a harmless no-op. Uses a *blocking* send: under overload the poller
+/// self-throttles instead of shedding (its edits are re-observable from
+/// disk, but blocking is simpler and lossless).
 fn spawn_poller(
     dir: PathBuf,
     poll_ms: u64,
     req_tx: SyncSender<Req>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
+    let project = Project::Dir(dir);
     // The baseline is read before the thread exists: a file written after
     // `serve()` has returned can never be mistaken for part of it.
-    let mut snapshot: std::collections::BTreeMap<String, u64> = scan(&dir)
+    let mut snapshot: std::collections::BTreeMap<String, u64> = load_project(&project)
+        .unwrap_or_default()
         .into_iter()
-        .map(|(name, source)| (name, sga_utils::fxhash::hash_one(&source)))
+        .map(|unit| (unit.name, sga_utils::fxhash::hash_one(&unit.source)))
         .collect();
     std::thread::spawn(move || loop {
         // Parked, not asleep: `ServerHandle::wait` unparks the poller so
@@ -857,39 +862,20 @@ fn spawn_poller(
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        let Ok(units) = load_project(&project) else {
+            continue;
+        };
         let mut edits = Vec::new();
-        for (name, source) in scan(&dir) {
-            let hash = sga_utils::fxhash::hash_one(&source);
-            if snapshot.insert(name.clone(), hash) != Some(hash) {
-                edits.push((name, source));
+        for unit in units {
+            let hash = sga_utils::fxhash::hash_one(&unit.source);
+            if snapshot.insert(unit.name.clone(), hash) != Some(hash) {
+                edits.push((unit.name, unit.source));
             }
         }
         if !edits.is_empty() && req_tx.send(Req::Edits(edits)).is_err() {
             return;
         }
     })
-}
-
-/// All `*.c` files directly in `dir`, name-sorted, with their content.
-fn scan(dir: &std::path::Path) -> Vec<(String, String)> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut files: Vec<(String, String)> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let path = entry.path();
-            if path.extension().is_some_and(|x| x == "c") {
-                let name = path.file_name()?.to_string_lossy().into_owned();
-                let source = std::fs::read_to_string(&path).ok()?;
-                Some((name, source))
-            } else {
-                None
-            }
-        })
-        .collect();
-    files.sort();
-    files
 }
 
 #[cfg(test)]

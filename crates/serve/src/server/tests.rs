@@ -29,7 +29,7 @@ fn only_interrupted_and_aborted_accepts_retry_at_once() {
 fn both_ends_of_a_tcp_connection_have_nagle_off() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
-    let Conn::Tcp(client) = Conn::connect(&addr).expect("connect") else {
+    let Conn::Tcp(client) = Conn::connect_timeout(&addr, None).expect("connect") else {
         panic!("a host:port address must give a TCP connection");
     };
     let server = accept_tcp(&listener).expect("accept");

@@ -226,9 +226,10 @@ fn stalled_subscriber_is_evicted_not_obeyed() {
         let addr = addr.clone();
         move || {
             let mut events = 0usize;
-            let _ = client::watch_ready(
+            let _ = client::watch_ready_t(
                 &addr,
                 None,
+                T,
                 |_| ready_tx.send(()).expect("signal ready"),
                 |_| events += 1,
             );
@@ -356,10 +357,10 @@ fn panicking_round_is_supervised_and_recovered() {
         "expected restart after degraded round, got {}",
         e3.to_compact()
     );
-    // Recovery replayed the journal: only the mid-round unit recomputes.
+    // Recovery went through the cache: only the mid-round unit recomputes.
     assert!(
         e3.get("resumed_units").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "restart should warm-resume from the round journal: {}",
+        "restart should be answered by the cache: {}",
         e3.to_compact()
     );
 
@@ -397,12 +398,14 @@ fn panicking_round_is_supervised_and_recovered() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-/// In-process warm restart: an engine's journal survives drop; reopening
-/// with `resume` restores every unit without analysis and reproduces the
-/// report byte for byte — including after a simulated mid-round kill
-/// (source persisted, journal record stale).
+/// In-process warm restart: the cache outlives the engine, so a fresh
+/// engine over the same directory is answered by it unit for unit and
+/// reproduces the report byte for byte — also after a simulated mid-round
+/// kill (source persisted, no entry for it yet). A unit without an entry
+/// (deleted cache, a parse failure, an LRU eviction) is recomputed, not
+/// counted, and the report still equals a cold run.
 #[test]
-fn warm_restart_replays_the_round_journal() {
+fn warm_restart_is_answered_by_the_cache() {
     let dir = corpus("resume", &[("lib.c", LIB), ("app.c", APP)]);
     let cache =
         std::env::temp_dir().join(format!("sga-hostile-resume-cache-{}", std::process::id()));
@@ -410,6 +413,13 @@ fn warm_restart_replays_the_round_journal() {
     let opts = PipelineOptions {
         cache_dir: Some(cache.clone()),
         ..PipelineOptions::default()
+    };
+    let restart = |opts: &PipelineOptions| {
+        let engine = Engine::new(&dir, opts).expect("restart");
+        let report = engine.report().expect("report").to_pretty();
+        let cold = cold_report(&dir, opts).expect("cold run").to_pretty();
+        assert_eq!(report, cold, "a restart must converge");
+        (engine.resumed_units(), report)
     };
 
     let mut engine = Engine::new(&dir, &opts).expect("engine");
@@ -419,45 +429,47 @@ fn warm_restart_replays_the_round_journal() {
     let before = engine.report().expect("report").to_pretty();
     drop(engine);
 
-    // Clean warm restart: everything resumes, reports match bytewise.
-    let resumed = Engine::open(&dir, &opts, true).expect("resume");
-    assert_eq!(resumed.resumed_units(), 2, "both units should warm-resume");
-    assert_eq!(resumed.report().expect("report").to_pretty(), before);
-    drop(resumed);
+    // Clean warm restart: every unit is a hit, reports match bytewise.
+    let (resumed, report) = restart(&opts);
+    assert_eq!(resumed, 2, "both units should be cache hits");
+    assert_eq!(report, before);
 
     // Simulated mid-round kill: a round persisted `lib.c`'s new source to
-    // the corpus dir but died before journaling. Resume must recompute
-    // exactly that unit and still match a cold run of the dir.
+    // the corpus dir but died before analyzing it. The restart recomputes
+    // exactly that unit.
     std::fs::write(dir.join("lib.c"), APP).expect("tamper source");
-    let resumed = Engine::open(&dir, &opts, true).expect("resume after kill");
-    assert_eq!(
-        resumed.resumed_units(),
-        1,
-        "only the untouched unit should resume"
-    );
-    let report = resumed.report().expect("report").to_pretty();
-    let cold = cold_report(&dir, &opts).expect("cold run").to_pretty();
-    assert_eq!(report, cold, "post-kill resume must converge");
+    assert_eq!(restart(&opts).0, 1, "only the untouched unit should hit");
 
-    // Without `resume`, a fresh start clears the journal (nothing stale
-    // survives) and still converges.
-    let fresh = Engine::open(&dir, &opts, false).expect("fresh open");
-    assert_eq!(fresh.resumed_units(), 0);
-    assert_eq!(fresh.report().expect("report").to_pretty(), cold);
+    // A deleted cache answers nothing, and the restart still converges.
+    std::fs::remove_dir_all(&cache).expect("delete the cache");
+    assert_eq!(restart(&opts).0, 0);
+
+    // A unit that fails to parse has no entry: recomputed, not counted.
+    std::fs::write(dir.join("bad.c"), "int main( {\n").expect("write bad.c");
+    assert_eq!(restart(&opts).0, 2, "the parse failure must not count");
+    std::fs::remove_file(dir.join("bad.c")).expect("remove bad.c");
+
+    // Under an LRU cap below the unit count one entry survives each open:
+    // the evicted unit is recomputed.
+    let capped = PipelineOptions {
+        cache_max_entries: Some(1),
+        ..opts.clone()
+    };
+    Engine::new(&dir, &capped).expect("fill the capped cache");
+    assert_eq!(restart(&capped).0, 1, "the evicted unit must miss");
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-/// Switching `--triage` between daemon restarts must not replay the other
-/// mode's journal: a record written under `octagon` carries that mode in
-/// its unit cache key, so a `both` resume recomputes every unit (and vice
-/// versa), while a same-mode resume still warm-restores everything. A
-/// stale replay here would resurrect diagnostics the new mode would have
-/// discharged (or vice versa) — the report must instead match a cold run
-/// under the *new* mode.
+/// Switching `--triage` between daemon restarts must not reuse the other
+/// mode's analyses: the mode is part of every cache key, so a `both`
+/// restart over an `octagon`-filled cache recomputes every unit, while a
+/// same-mode restart is answered by the cache whole. A cross-mode hit here
+/// would resurrect diagnostics the new mode would have discharged (or vice
+/// versa) — the report must instead match a cold run under the *new* mode.
 #[test]
-fn triage_mode_switch_invalidates_the_round_journal() {
+fn triage_mode_switch_misses_the_cache() {
     use sga_core::triage::TriageMode;
     let dir = corpus("triage-switch", &[("lib.c", LIB), ("app.c", APP)]);
     let cache =
@@ -472,18 +484,18 @@ fn triage_mode_switch_invalidates_the_round_journal() {
     let engine = Engine::new(&dir, &with_mode(TriageMode::Octagon)).expect("engine");
     drop(engine);
 
-    // Same mode: both units warm-resume from the journal.
-    let same = Engine::open(&dir, &with_mode(TriageMode::Octagon), true).expect("same-mode resume");
-    assert_eq!(same.resumed_units(), 2, "same mode should warm-resume");
+    // Same mode: both units are cache hits.
+    let same = Engine::new(&dir, &with_mode(TriageMode::Octagon)).expect("same-mode restart");
+    assert_eq!(same.resumed_units(), 2, "same mode should hit");
     drop(same);
 
-    // Mode switch: every journal record's key misses, so nothing resumes,
+    // Mode switch: every key misses, so nothing is answered by the cache,
     // and the rebuilt report matches a cold run under the new mode.
-    let switched = Engine::open(&dir, &with_mode(TriageMode::Both), true).expect("switched resume");
+    let switched = Engine::new(&dir, &with_mode(TriageMode::Both)).expect("switched restart");
     assert_eq!(
         switched.resumed_units(),
         0,
-        "journal records from --triage octagon must not replay under both"
+        "entries from --triage octagon must not answer under both"
     );
     let report = switched.report().expect("report").to_pretty();
     let cold = cold_report(&dir, &with_mode(TriageMode::Both))
@@ -491,7 +503,7 @@ fn triage_mode_switch_invalidates_the_round_journal() {
         .to_pretty();
     assert_eq!(
         report, cold,
-        "post-switch resume must converge on the new mode"
+        "post-switch restart must converge on the new mode"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

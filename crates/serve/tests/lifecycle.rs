@@ -19,6 +19,8 @@ use std::time::{Duration, Instant};
 const CLEAN: &str = "int main() { return 3; }\n";
 const EDITED: &str = "int main() { return 4; }\n";
 
+const T: Option<Duration> = Some(Duration::from_secs(60));
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sga-serve-life-{name}-{}", std::process::id()))
 }
@@ -101,8 +103,8 @@ fn assert_threads_settle_to(before: usize) {
 fn shutdown_by_a_client(addr_of: fn(&Daemon) -> String) {
     let daemon = Daemon::start(&PipelineOptions::default(), ServerConfig::default());
     let addr = addr_of(&daemon);
-    client::status(&addr).expect("status");
-    client::shutdown(&addr).expect("shutdown");
+    client::status_t(&addr, T).expect("status");
+    client::shutdown_t(&addr, T).expect("shutdown");
     daemon.wait_and_assert_stopped();
 }
 
@@ -140,7 +142,7 @@ fn every_shutdown_path_closes_the_listeners_and_joins_the_daemon() {
         .expect("subscribe");
     let mut events = BufReader::new(sub).lines();
     events.next().expect("ack").expect("read ack");
-    client::edit(&daemon.tcp.to_string(), "one.c", EDITED).expect("edit");
+    client::edit_t(&daemon.tcp.to_string(), "one.c", EDITED, T).expect("edit");
     let fatal = events.find_map(|line| {
         let event = Json::parse(&line.expect("read event")).expect("event is JSON");
         (event.get("event").and_then(Json::as_str) == Some("fatal")).then_some(event)

@@ -19,6 +19,8 @@ const LIB_SWAPPED: &str = "int main() { int *buf = malloc(4); buf[0] = 1; return
                            int other() { int *b = malloc(4); b[6] = 1; return 0; }\n";
 const APP_CLEAN: &str = "int main() { return 3; }\n";
 
+const T: Option<Duration> = Some(Duration::from_secs(60));
+
 fn corpus(tag: &str, units: &[(&str, &str)]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sga-serve-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -79,16 +81,16 @@ fn tcp_protocol_end_to_end() {
     let addr = handle.tcp_addr.expect("tcp addr").to_string();
 
     // Status before any round.
-    let status = Json::parse(&client::status(&addr).expect("status")).expect("status JSON");
+    let status = Json::parse(&client::status_t(&addr, T).expect("status")).expect("status JSON");
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(status.get("units").and_then(Json::as_u64), Some(2));
     assert_eq!(status.get("rounds").and_then(Json::as_u64), Some(0));
 
     // Malformed input gets an error reply, not a dropped connection.
-    let bad = Json::parse(&client::request(&addr, "not json").expect("reply")).expect("JSON");
+    let bad = Json::parse(&client::request_t(&addr, "not json", T).expect("reply")).expect("JSON");
     assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
-    let unknown =
-        Json::parse(&client::request(&addr, "{\"cmd\":\"nope\"}").expect("reply")).expect("JSON");
+    let unknown = Json::parse(&client::request_t(&addr, "{\"cmd\":\"nope\"}", T).expect("reply"))
+        .expect("JSON");
     assert_eq!(unknown.get("ok").and_then(Json::as_bool), Some(false));
 
     // Two independent subscribers; both must see every event.
@@ -96,7 +98,8 @@ fn tcp_protocol_end_to_end() {
     let mut sub_b = subscribe_raw(&addr);
 
     // One edit that both fixes the old alarm and introduces a new one.
-    let ack = Json::parse(&client::edit(&addr, "lib.c", LIB_SWAPPED).expect("edit")).expect("JSON");
+    let ack =
+        Json::parse(&client::edit_t(&addr, "lib.c", LIB_SWAPPED, T).expect("edit")).expect("JSON");
     assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(ack.get("queued").and_then(Json::as_str), Some("lib.c"));
 
@@ -120,14 +123,14 @@ fn tcp_protocol_end_to_end() {
     }
 
     // The streamed report equals a cold batch run of the current state.
-    let report = client::report(&addr).expect("report");
+    let report = client::report_t(&addr, T).expect("report");
     assert_eq!(
         report,
         cold_report(&dir, &opts).expect("cold run").to_compact(),
         "daemon report must match the cold batch run byte for byte"
     );
 
-    // `client::watch_ready` — the `sga watch` code path — sees later
+    // `client::watch_ready_t` — the `sga watch` code path — sees later
     // rounds. The ack is sent before the subscriber is registered, so once
     // it arrives a single edit is guaranteed to stream back: no probing,
     // no sleeps.
@@ -135,9 +138,10 @@ fn tcp_protocol_end_to_end() {
     let (tx, rx) = std::sync::mpsc::channel::<String>();
     let watch_addr = addr.clone();
     let watcher = std::thread::spawn(move || {
-        client::watch_ready(
+        client::watch_ready_t(
             &watch_addr,
             Some(1),
+            T,
             |ack| {
                 let _ = ready_tx.send(ack.to_string());
             },
@@ -155,13 +159,13 @@ fn tcp_protocol_end_to_end() {
             .get("subscribed")
             .and_then(Json::as_bool),
         Some(true),
-        "watch_ready must surface the subscription ack"
+        "watch_ready_t must surface the subscription ack"
     );
     let source = format!("{APP_CLEAN}int probe() {{ return 7; }}\n");
-    client::edit(&addr, "app.c", &source).expect("watched edit");
+    client::edit_t(&addr, "app.c", &source, T).expect("watched edit");
     let watched = rx
         .recv_timeout(Duration::from_secs(10))
-        .expect("client::watch never received an event");
+        .expect("client::watch_ready_t never received an event");
     let event = Json::parse(&watched).expect("watched event is JSON");
     assert_eq!(event.get("event").and_then(Json::as_str), Some("diff"));
     assert_eq!(strings(event.get("edited")), ["app.c"]);
@@ -171,7 +175,7 @@ fn tcp_protocol_end_to_end() {
         .expect("watch stream ended cleanly");
 
     // Shutdown: acked, then the event streams close.
-    let bye = Json::parse(&client::shutdown(&addr).expect("shutdown")).expect("JSON");
+    let bye = Json::parse(&client::shutdown_t(&addr, T).expect("shutdown")).expect("JSON");
     assert_eq!(bye.get("stopping").and_then(Json::as_bool), Some(true));
     handle.wait();
     let mut tail = String::new();
@@ -204,12 +208,12 @@ fn unix_socket_roundtrip() {
     assert!(handle.tcp_addr.is_none());
 
     let addr = sock.display().to_string();
-    let status = Json::parse(&client::status(&addr).expect("status")).expect("JSON");
+    let status = Json::parse(&client::status_t(&addr, T).expect("status")).expect("JSON");
     assert_eq!(status.get("units").and_then(Json::as_u64), Some(1));
-    let report = client::report(&addr).expect("report");
+    let report = client::report_t(&addr, T).expect("report");
     assert_eq!(report, cold_report(&dir, &opts).expect("cold").to_compact());
 
-    client::shutdown(&addr).expect("shutdown");
+    client::shutdown_t(&addr, T).expect("shutdown");
     handle.wait();
     assert!(!sock.exists(), "wait() must remove the socket file");
     let _ = std::fs::remove_dir_all(&dir);
@@ -238,7 +242,7 @@ fn fs_poller_picks_up_out_of_band_edits() {
     assert_eq!(event.get("event").and_then(Json::as_str), Some("diff"));
     assert_eq!(strings(event.get("edited")), ["one.c"]);
 
-    client::shutdown(&addr).expect("shutdown");
+    client::shutdown_t(&addr, T).expect("shutdown");
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -264,7 +268,7 @@ fn one_shot_requests_and_a_connect_burst_all_get_replies() {
         assert_eq!(status.get("accept_errors").and_then(Json::as_u64), Some(0));
     };
     for _ in 0..200 {
-        ok(client::status(&addr));
+        ok(client::status_t(&addr, T));
     }
     let barrier = Arc::new(Barrier::new(32));
     let burst: Vec<_> = (0..32)
@@ -272,14 +276,14 @@ fn one_shot_requests_and_a_connect_burst_all_get_replies() {
             let (addr, barrier) = (addr.clone(), barrier.clone());
             std::thread::spawn(move || {
                 barrier.wait();
-                client::status(&addr)
+                client::status_t(&addr, T)
             })
         })
         .collect();
     for reply in burst {
         ok(reply.join().expect("burst client"));
     }
-    client::shutdown(&addr).expect("shutdown");
+    client::shutdown_t(&addr, T).expect("shutdown");
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

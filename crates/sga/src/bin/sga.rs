@@ -33,8 +33,8 @@
 //!
 //! `serve` keeps a corpus loaded, re-analyzes only units whose imported
 //! symbols changed interface, streams one alarm diff per edit round to
-//! subscribers, journals every round under the cache, and warm-restarts from
-//! that journal under `--resume`.
+//! subscribers, and keeps no state but the corpus directory and the cache:
+//! a restarted daemon re-analyzes only the units the cache cannot answer.
 //!
 //! Exit codes, consolidated:
 //!
@@ -96,7 +96,7 @@ impl Sub {
 const ANALYSIS: &[Sub] = &[File, Check, Analyze, Serve];
 /// Where units can run in worker processes.
 const WORKERS: &[Sub] = &[Check, Analyze, Serve];
-/// The multi-unit drivers, with a cache and a journal.
+/// The multi-unit drivers, with a cache.
 const DRIVERS: &[Sub] = &[Analyze, Serve];
 
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -223,7 +223,7 @@ static FLAGS: &[Flag] = &[
          Parse(|a, v| corpus(v).map(|p| a.corpus = Some(p)))),
     flag("--jobs", "N", DRIVERS, "worker threads; 0 = one per CPU (default 1)",
          Num(|a, n| a.opts.jobs = n as usize)),
-    flag("--cache-dir", "D", DRIVERS, "cache directory, journals under it (default <dir>/.sga-cache)",
+    flag("--cache-dir", "D", DRIVERS, "cache directory (default <dir>/.sga-cache)",
          Text(|a, v| a.opts.cache_dir = Some(v.into()))),
     flag("--no-cache", "", DRIVERS, "no cache, and so no journal",
          On(|a| a.no_cache = true)),
@@ -231,7 +231,7 @@ static FLAGS: &[Flag] = &[
          Num(|a, n| a.opts.cache_max_entries = Some(n as usize))),
     flag("--no-bypass", "", DRIVERS, "keep the dependency edges bypassing would remove",
          On(|a| a.opts.depgen.bypass = false)),
-    flag("--resume", "", DRIVERS, "replay the journal a killed or interrupted run left",
+    flag("--resume", "", &[Analyze], "replay the journal a killed or interrupted run left",
          On(|a| a.opts.resume = true)),
     flag("--canonical", "", &[Analyze], "timing-free report, byte-comparable across runs",
          On(|a| a.opts.canonical = true)),
@@ -722,8 +722,7 @@ fn run_check(a: Args) -> ExitCode {
     alarm_exit(definite)
 }
 
-/// `sga cache gc <dir>`: offline cache maintenance. The daemon's round
-/// journal under `serve-journal/` is spared.
+/// `sga cache gc <dir>`: offline cache maintenance.
 fn run_gc(a: Args) -> ExitCode {
     let keep = a.keep.unwrap_or(pipeline::store::DEFAULT_QUARANTINE_KEEP);
     match pipeline::cache::gc(Path::new(&a.operand), keep, a.max_entries) {
@@ -755,8 +754,8 @@ fn run_serve(a: Args) -> ExitCode {
     if config.tcp.is_none() && config.unix.is_none() {
         config.tcp = Some("127.0.0.1:0".to_string());
     }
-    let resume = a.opts.resume;
-    let engine = match sga::serve::Engine::open(&dir, &a.opts, resume) {
+    let cached = a.opts.cache_dir.is_some();
+    let engine = match sga::serve::Engine::new(&dir, &a.opts) {
         Ok(e) => e,
         Err(e) => return fail(format!("sga: serve {}: {e}", dir.display())),
     };
@@ -777,8 +776,8 @@ fn run_serve(a: Args) -> ExitCode {
         "sga: serving {} on {} ({units} unit(s), {alarms} alarm(s){})",
         dir.display(),
         endpoints.join(" and "),
-        if resume {
-            format!(", {resumed} resumed from journal")
+        if cached {
+            format!(", {resumed} from the cache")
         } else {
             String::new()
         },

@@ -1,18 +1,17 @@
 //! Chaos suite: a real `sga serve` child process is SIGKILLed at seeded
-//! random points in a randomized edit sequence and restarted with
-//! `--resume`. After every kill the restarted daemon must warm-resume
-//! from its round journal and its accumulated report must be
-//! byte-identical to a cold `sga analyze --no-cache --canonical` batch
-//! run of the corpus directory — the PR 6 convergence invariant holds
+//! random points in a randomized edit sequence and restarted over the same
+//! cache. After every kill the restarted daemon must be answered by the
+//! cache for the units it already analyzed, and its accumulated report
+//! must be byte-identical to a cold `sga analyze --no-cache --canonical`
+//! batch run of the corpus directory — the convergence invariant holds
 //! through `kill -9`.
 //!
 //! The corpus directory is the ground truth: sources are persisted there
 //! before a round analyzes them, so whatever instant the kill lands
-//! (before persist, mid-persist, mid-analysis, mid-journal-write), the
-//! dir plus the journal describe a state the resumed daemon and the cold
-//! run agree on. One kill is aimed into an injected `stall@` window to
-//! pin the most delicate interleaving: sources persisted, analysis not
-//! yet journaled.
+//! (before persist, mid-persist, mid-analysis, mid-cache-store), the dir
+//! plus the cache describe a state the restarted daemon and the cold run
+//! agree on. One kill is aimed into an injected `stall@` window to pin the
+//! most delicate interleaving: sources persisted, analysis not yet stored.
 
 #![cfg(unix)]
 
@@ -59,12 +58,12 @@ fn unit_source(value: u64, idx: u64) -> String {
 
 /// Spawns `sga serve` over `corpus`, waits for the port file, and returns
 /// the child plus the address it bound.
-fn spawn_daemon(corpus: &Path, cache: &Path, port_file: &Path, resume: bool) -> (Child, String) {
+fn spawn_daemon(corpus: &Path, cache: &Path, port_file: &Path) -> (Child, String) {
     // A stale port file from a killed predecessor must not satisfy the
     // readiness poll below.
     let _ = std::fs::remove_file(port_file);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_sga"));
-    cmd.arg("serve")
+    let child = Command::new(env!("CARGO_BIN_EXE_sga"))
+        .arg("serve")
         .arg(corpus)
         .args(["--tcp", "127.0.0.1:0", "--jobs", "1"])
         .arg("--port-file")
@@ -72,12 +71,8 @@ fn spawn_daemon(corpus: &Path, cache: &Path, port_file: &Path, resume: bool) -> 
         .arg("--cache-dir")
         .arg(cache)
         // Round 2 of every incarnation stalls, widening the window where
-        // sources are persisted but results are not yet journaled.
-        .args(["--faults", "stall@2=400"]);
-    if resume {
-        cmd.arg("--resume");
-    }
-    let child = cmd
+        // sources are persisted but results are not yet stored.
+        .args(["--faults", "stall@2=400"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -141,7 +136,7 @@ fn sigkill_anywhere_resume_converges() {
         .expect("seed unit");
     }
 
-    let (mut child, mut addr) = spawn_daemon(&corpus, &cache, &port_file, false);
+    let (mut child, mut addr) = spawn_daemon(&corpus, &cache, &port_file);
     let mut restarts = 0usize;
     let mut resumed_total = 0u64;
 
@@ -157,9 +152,9 @@ fn sigkill_anywhere_resume_converges() {
 
         // Kill at seeded points: right after the ack the round is in
         // flight (or queued), so SIGKILL lands at an arbitrary phase of
-        // the persist → analyze → journal sequence. On the stall steps
+        // the persist → analyze → store sequence. On the stall steps
         // the extra sleep drops the kill inside the injected 400ms
-        // window — after persist, before journal.
+        // window — after persist, before store.
         let kill_now = matches!(step, 1 | 5 | 9);
         if kill_now {
             if step == 1 {
@@ -171,13 +166,13 @@ fn sigkill_anywhere_resume_converges() {
             child.kill().expect("SIGKILL");
             child.wait().expect("killed child reaped");
 
-            let (c, a) = spawn_daemon(&corpus, &cache, &port_file, true);
+            let (c, a) = spawn_daemon(&corpus, &cache, &port_file);
             child = c;
             addr = a;
             restarts += 1;
 
-            // The restarted daemon warm-resumed from the journal...
-            let status = client::status_t(&addr, T).expect("status after resume");
+            // The restarted daemon was answered by the cache...
+            let status = client::status_t(&addr, T).expect("status after restart");
             let status = Json::parse(&status).expect("status json");
             let resumed = status
                 .get("resumed_units")
@@ -185,7 +180,7 @@ fn sigkill_anywhere_resume_converges() {
                 .expect("status carries resumed_units");
             assert!(
                 resumed >= 1,
-                "restart never replayed the journal: {}",
+                "restart had no cache hit: {}",
                 status.to_pretty()
             );
             resumed_total += resumed;
@@ -203,7 +198,7 @@ fn sigkill_anywhere_resume_converges() {
     assert_eq!(restarts, 3);
     assert!(
         resumed_total >= 3,
-        "across {restarts} restarts the journal replayed only {resumed_total} units"
+        "across {restarts} restarts the cache answered only {resumed_total} units"
     );
 
     // Final state: still converged, still serving.
@@ -214,8 +209,8 @@ fn sigkill_anywhere_resume_converges() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A kill *between* rounds (daemon idle, journal complete) must resume
-/// every unit without recomputation and reproduce the report exactly.
+/// A kill *between* rounds (daemon idle, every unit stored) must restart
+/// with every unit a cache hit and reproduce the report exactly.
 #[test]
 fn sigkill_at_rest_resumes_every_unit() {
     let root = scratch("at-rest");
@@ -228,7 +223,7 @@ fn sigkill_at_rest_resumes_every_unit() {
             .expect("seed unit");
     }
 
-    let (mut child, addr) = spawn_daemon(&corpus, &cache, &port_file, false);
+    let (mut child, addr) = spawn_daemon(&corpus, &cache, &port_file);
     let (reply, _) =
         client::edit_with_retry(&addr, "unit0.c", &unit_source(41, 7), T, 10).expect("edit");
     assert!(!client::is_shed(&reply));
@@ -238,16 +233,16 @@ fn sigkill_at_rest_resumes_every_unit() {
     child.kill().expect("SIGKILL");
     child.wait().expect("reaped");
 
-    let (mut child, addr) = spawn_daemon(&corpus, &cache, &port_file, true);
+    let (mut child, addr) = spawn_daemon(&corpus, &cache, &port_file);
     let status = client::status_t(&addr, T).expect("status");
     let status = Json::parse(&status).expect("status json");
     assert_eq!(
         status.get("resumed_units").and_then(Json::as_u64),
         Some(3),
-        "an at-rest kill must warm-resume all 3 units: {}",
+        "an at-rest kill must restart with all 3 units from the cache: {}",
         status.to_pretty()
     );
-    assert_eq!(live_pretty(&addr), before, "resumed report differs");
+    assert_eq!(live_pretty(&addr), before, "restarted report differs");
     assert_eq!(live_pretty(&addr), cold_pretty(&corpus));
 
     client::shutdown_t(&addr, T).expect("shutdown");
